@@ -285,10 +285,30 @@ mod tests {
         })
     }
 
+    /// A two-accessor launch whose input images disagree in size.
+    fn mismatched_inputs() -> OperatorError {
+        use hipacc_ir::{KernelBuilder, ScalarType};
+        let mut b = KernelBuilder::new("sum2", ScalarType::F32);
+        let (a, c) = (
+            b.accessor("A", ScalarType::F32),
+            b.accessor("B", ScalarType::F32),
+        );
+        b.output(b.read(&a, 0, 0) + b.read(&c, 0, 0));
+        let (small, large) = (
+            hipacc_image::Image::new(8, 8),
+            hipacc_image::Image::new(16, 8),
+        );
+        let target = crate::Target::cuda(hipacc_hwmodel::device::tesla_c2050());
+        crate::Operator::new(b.finish())
+            .execute(&[("A", &small), ("B", &large)], &target)
+            .unwrap_err()
+    }
+
     #[test]
     fn classification_table() {
         let cases: Vec<(OperatorError, FailureClass, &str)> = vec![
             (deadline(), FailureClass::Transient, "R0301"),
+            (mismatched_inputs(), FailureClass::Permanent, "R0202"),
             (
                 OperatorError::Sim(SimError::InvalidThreadCount("x".into())),
                 FailureClass::Permanent,

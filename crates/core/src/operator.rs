@@ -9,12 +9,14 @@
 //! time with the analytical model.
 
 use crate::pipeline::{launch_spec, timing_input_opts};
+use crate::profile::{LaunchFacts, LaunchProfile};
 use crate::target::Target;
 use hipacc_codegen::compile::CompileError;
 use hipacc_codegen::{BoundarySpec, CompileSpec, CompiledKernel, Compiler, MemVariant};
 use hipacc_image::{BoundaryMode, Image};
 use hipacc_ir::ty::Const;
 use hipacc_ir::KernelDef;
+use hipacc_profile::{now_us, NullSink, ProfileSink, Recorder};
 use hipacc_sim::interp::ExecStats;
 use hipacc_sim::timing::{estimate_time, TimeBreakdown};
 use std::collections::HashMap;
@@ -284,10 +286,20 @@ impl Operator {
         height: u32,
     ) -> Result<CompiledKernel, OperatorError> {
         let spec = self.compile_spec(target, width, height);
-        Ok(match &self.options.fused {
-            Some(chain) => Compiler::new().compile_fused(chain, &spec)?,
-            None => Compiler::new().compile(&self.def, &spec)?,
-        })
+        Ok(self.compile_fresh(&spec, &mut NullSink)?)
+    }
+
+    /// Run the compiler — the fused-chain one when this operator is a
+    /// fused chain — recording its phase spans into `sink`.
+    fn compile_fresh(
+        &self,
+        spec: &CompileSpec,
+        sink: &mut dyn ProfileSink,
+    ) -> Result<CompiledKernel, CompileError> {
+        match &self.options.fused {
+            Some(chain) => Compiler::new().compile_fused_with_sink(chain, spec, sink),
+            None => Compiler::new().compile_with_sink(&self.def, spec, sink),
+        }
     }
 
     /// Estimate the execution time of a compiled kernel on a target.
@@ -301,34 +313,53 @@ impl Operator {
         ))
     }
 
-    /// Compile through the configured [`KernelCache`](crate::KernelCache)
-    /// when one is installed, otherwise compile fresh (recording phase
-    /// spans into `rec` when given). Returns the artifact and, when a
-    /// cache was consulted, a report of what it did.
-    fn compile_maybe_cached(
+    /// The one compile step of every launch: through the configured
+    /// [`KernelCache`](crate::KernelCache) when one is installed, otherwise
+    /// fresh, with the compile-phase spans going to `sink`. Returns the
+    /// artifact and, when a cache is installed, a report of what it did.
+    ///
+    /// `bypass` names a reason to leave an installed cache alone — neither
+    /// served from nor populating it, and counted as a bypass rather than
+    /// a miss. The supervisor passes one on degraded rungs: recovery
+    /// timing must never be skewed by warm-cache effects, and a degraded
+    /// artifact must never linger for later healthy launches.
+    pub(crate) fn compile_maybe_cached(
         &self,
         target: &Target,
         width: u32,
         height: u32,
-        rec: Option<&mut hipacc_profile::Recorder>,
-    ) -> Result<(CompiledKernel, Option<crate::cache::CacheReport>), OperatorError> {
+        sink: &mut dyn ProfileSink,
+        bypass: Option<&str>,
+    ) -> Result<(CompiledKernel, Option<crate::cache::CacheReport>), CompileError> {
         let spec = self.compile_spec(target, width, height);
-        let fresh = |rec: Option<&mut hipacc_profile::Recorder>| match (&self.options.fused, rec) {
-            (Some(chain), Some(r)) => Compiler::new().compile_fused_with_sink(chain, &spec, r),
-            (Some(chain), None) => Compiler::new().compile_fused(chain, &spec),
-            (None, Some(r)) => Compiler::new().compile_with_sink(&self.def, &spec, r),
-            (None, None) => Compiler::new().compile(&self.def, &spec),
-        };
         let Some(cache) = &self.options.cache else {
-            return Ok((fresh(rec)?, None));
+            return Ok((self.compile_fresh(&spec, sink)?, None));
         };
+        if let Some(reason) = bypass {
+            cache.note_bypass();
+            let report = cache.report(format!("bypass: {reason}"));
+            return Ok((self.compile_fresh(&spec, sink)?, Some(report)));
+        }
         let key = crate::cache::KernelCache::fingerprint(&self.def, &spec);
         if let Some(hit) = cache.lookup(&key) {
             return Ok((hit, Some(cache.report("hit"))));
         }
-        let compiled = fresh(rec)?;
+        let compiled = self.compile_fresh(&spec, sink)?;
         cache.insert(key, compiled.clone());
         Ok((compiled, Some(cache.report("miss"))))
+    }
+
+    /// The simulator launch spec for `compiled` over `inputs`, wired to
+    /// this operator's parameters, masks, worker count and pool.
+    pub(crate) fn spec_for<'a>(
+        &self,
+        compiled: &CompiledKernel,
+        inputs: &[(&str, &'a Image<f32>)],
+    ) -> hipacc_sim::launch::LaunchSpec<'a> {
+        let mut spec = launch_spec(compiled, inputs, &self.params, &self.mask_uploads);
+        spec.sim_threads = self.options.sim_threads;
+        spec.pool = self.options.pool.clone();
+        spec
     }
 
     /// Full pipeline: compile, execute on the simulated device, estimate
@@ -356,20 +387,7 @@ impl Operator {
         target: &Target,
         engine: hipacc_sim::Engine,
     ) -> Result<Execution, OperatorError> {
-        let (_, first) = inputs.first().ok_or(OperatorError::NoInputs)?;
-        let (compiled, _) =
-            self.compile_maybe_cached(target, first.width(), first.height(), None)?;
-        let mut spec = launch_spec(&compiled, inputs, &self.params, &self.mask_uploads);
-        spec.sim_threads = self.options.sim_threads;
-        spec.pool = self.options.pool.clone();
-        let run = hipacc_sim::launch::run_on_image_with(&compiled.device_kernel, &spec, engine)?;
-        let time = self.estimate(&compiled, target);
-        Ok(Execution {
-            output: run.output,
-            stats: run.stats,
-            time,
-            compiled,
-        })
+        self.launch(inputs, target, engine, false).map(|(e, _)| e)
     }
 
     /// [`Self::execute`] with full observability: compile phases and
@@ -380,95 +398,74 @@ impl Operator {
     /// Execution semantics — output image, statistics, modelled time —
     /// are identical to [`Self::execute`]; only the instrumentation
     /// differs.
-    ///
-    /// [`LaunchProfile`]: crate::profile::LaunchProfile
     pub fn execute_profiled(
         &self,
         inputs: &[(&str, &Image<f32>)],
         target: &Target,
         engine: hipacc_sim::Engine,
-    ) -> Result<(Execution, crate::profile::LaunchProfile), OperatorError> {
-        use hipacc_profile::{now_us, ProfileSink, Recorder, Span};
+    ) -> Result<(Execution, LaunchProfile), OperatorError> {
+        let (execution, profile) = self.launch(inputs, target, engine, true)?;
+        Ok((execution, profile.expect("a profile was requested")))
+    }
 
+    /// Compile, launch, estimate — the body of [`Self::execute_with`] and,
+    /// with `profile` set (compile spans, per-block statistics, a timed
+    /// launch span), of [`Self::execute_profiled`].
+    fn launch(
+        &self,
+        inputs: &[(&str, &Image<f32>)],
+        target: &Target,
+        engine: hipacc_sim::Engine,
+        profile: bool,
+    ) -> Result<(Execution, Option<LaunchProfile>), OperatorError> {
         let (_, first) = inputs.first().ok_or(OperatorError::NoInputs)?;
-        let mut rec = Recorder::new();
-        let (compiled, cache_report) =
-            self.compile_maybe_cached(target, first.width(), first.height(), Some(&mut rec))?;
-        let mut spec = launch_spec(&compiled, inputs, &self.params, &self.mask_uploads);
-        spec.sim_threads = self.options.sim_threads;
-        spec.pool = self.options.pool.clone();
-
-        // Explicit overrides always beat the environment; when both are
-        // set and disagree, say so in the profile instead of letting a
-        // stale shell variable silently lose.
-        let conflicts: Vec<String> =
-            hipacc_sim::override_conflicts(Some(engine), self.options.sim_threads)
-                .into_iter()
-                .map(|c| c.to_string())
-                .collect();
-        for c in &conflicts {
-            rec.record(
-                hipacc_profile::Span::new("override-conflict", "diagnostic", now_us(), 0)
-                    .arg("detail", c.clone()),
-            );
-        }
-
-        let engine_label = engine.label();
+        let (mut rec, mut off) = (Recorder::new(), NullSink);
+        let sink: &mut dyn ProfileSink = if profile { &mut rec } else { &mut off };
+        let (compiled, cache) =
+            self.compile_maybe_cached(target, first.width(), first.height(), sink, None)?;
         let start = now_us();
-        let (run, exec) =
-            hipacc_sim::launch::run_on_image_profiled(&compiled.device_kernel, &spec, engine)?;
-        let end = now_us();
-        rec.record(
-            Span::new("execute", "launch", start, end.saturating_sub(start))
-                .arg("engine", engine_label)
-                .arg("workers", exec.n_workers.to_string())
-                .arg("blocks", exec.blocks.len().to_string()),
-        );
-
-        let time = self.estimate(&compiled, target);
-        let regions = crate::profile::LaunchProfile::attribute_regions(&exec, |bx, by| {
-            compiled
-                .region_grid
-                .as_ref()
-                .map(|g| g.region_of(bx, by))
-                .unwrap_or(hipacc_codegen::Region::Interior)
-        });
-        // On a cache hit the compile phases never ran this launch: the
-        // profile must show zero compile time, even though the cached
-        // artifact still carries its original `phase_times`.
-        let phase_times = if cache_report.as_ref().is_some_and(|c| c.is_hit()) {
-            Vec::new()
-        } else {
-            compiled.phase_times.clone()
+        let run = hipacc_sim::launch::run_on_image_instrumented(
+            &compiled.device_kernel,
+            &self.spec_for(&compiled, inputs),
+            engine,
+            profile,
+            None,
+        )?;
+        let launch_us = (start, now_us().saturating_sub(start));
+        let execution = Execution {
+            output: run.output,
+            stats: run.stats,
+            time: self.estimate(&compiled, target),
+            compiled,
         };
-        let profile = crate::profile::LaunchProfile {
+        let profile = run.exec.map(|exec| {
+            let facts = self.facts(target, engine, exec, rec.into_spans(), launch_us, None);
+            LaunchProfile::assemble(&facts, &execution, cache)
+        });
+        Ok((execution, profile))
+    }
+
+    /// The facts a [`LaunchProfile`] of a launch of this operator is
+    /// assembled from.
+    pub(crate) fn facts(
+        &self,
+        target: &Target,
+        engine: hipacc_sim::Engine,
+        exec: hipacc_sim::ExecProfile,
+        compile_spans: Vec<hipacc_profile::Span>,
+        launch_us: (u64, u64),
+        fault_plan: Option<String>,
+    ) -> LaunchFacts {
+        LaunchFacts {
             kernel: self.def.name.clone(),
             target: target.label(),
-            engine: engine_label,
-            grid: compiled.grid,
-            block: (compiled.config.bx, compiled.config.by),
-            n_workers: exec.n_workers,
-            regions,
-            totals: run.stats,
-            blocks_per_worker: exec.blocks_per_worker(),
-            time,
-            occupancy: compiled.occupancy,
-            phase_times,
-            spans: rec.into_spans(),
-            fault_plan: None,
-            cache: cache_report,
-            warp_occupancy: exec.simd.and_then(|t| t.mean_active_fraction()),
-            override_conflicts: conflicts,
-        };
-        Ok((
-            Execution {
-                output: run.output,
-                stats: run.stats,
-                time,
-                compiled,
-            },
-            profile,
-        ))
+            engine,
+            sim_threads: self.options.sim_threads,
+            exec,
+            compile_spans,
+            launch_us,
+            fault_plan,
+        }
     }
 }
 

@@ -19,12 +19,18 @@
 //! Perfetto.
 //!
 //! Profiling is strictly opt-in: [`Operator::execute`] never records
-//! anything; [`Operator::execute_profiled`] is the instrumented path.
+//! anything; [`Operator::execute_profiled`] is the instrumented path, and
+//! a supervised launch keeps only the raw `LaunchFacts` until somebody
+//! asks for [`Supervised::profile`]. Both go through the one constructor,
+//! `LaunchProfile::assemble`.
 //!
 //! [`RegionGrid`]: hipacc_codegen::regions::RegionGrid
 //! [`Operator::execute`]: crate::operator::Operator::execute
 //! [`Operator::execute_profiled`]: crate::operator::Operator::execute_profiled
+//! [`Supervised::profile`]: crate::supervisor::Supervised::profile
 
+use crate::cache::CacheReport;
+use crate::operator::Execution;
 use hipacc_codegen::Region;
 use hipacc_hwmodel::Occupancy;
 use hipacc_profile::Span;
@@ -89,6 +95,10 @@ pub struct LaunchProfile {
     /// the launch ran on the simd engine. 1.0 means no divergence and no
     /// partially filled warps.
     pub warp_occupancy: Option<f64>,
+    /// Blocks of a simd launch that ran on the scalar engine instead
+    /// ([`hipacc_sim::SimdTelemetry::scalar_fallback_blocks`]); 0 on the
+    /// other engines.
+    pub scalar_fallback_blocks: u64,
     /// Explicit-vs-environment override conflicts detected for this
     /// launch (rendered [`hipacc_sim::OverrideConflict`]s): the explicit
     /// spec value won, the listed `HIPACC_SIM_*` variable was ignored.
@@ -96,7 +106,89 @@ pub struct LaunchProfile {
     pub override_conflicts: Vec<String>,
 }
 
+/// What a launch has to keep for a [`LaunchProfile`] to be assembled from
+/// it later, next to its [`Execution`] and cache report.
+#[derive(Clone, Debug)]
+pub(crate) struct LaunchFacts {
+    pub kernel: String,
+    pub target: String,
+    pub engine: hipacc_sim::Engine,
+    /// The operator's explicit worker count (for override conflicts).
+    pub sim_threads: Option<usize>,
+    pub exec: ExecProfile,
+    /// Spans recorded while compiling; none on a cache hit.
+    pub compile_spans: Vec<Span>,
+    /// Start and duration of the `execute` span: host wall time for a
+    /// plain launch, the charged virtual time for a supervised one.
+    pub launch_us: (u64, u64),
+    pub fault_plan: Option<String>,
+}
+
 impl LaunchProfile {
+    /// Join a launch's facts with its execution and cache outcome — the
+    /// only place a `LaunchProfile` is built.
+    pub(crate) fn assemble(
+        facts: &LaunchFacts,
+        execution: &Execution,
+        cache: Option<CacheReport>,
+    ) -> Self {
+        let compiled = &execution.compiled;
+        let engine = facts.engine.label();
+        // Explicit overrides always beat the environment; when both are
+        // set and disagree, say so in the profile instead of letting a
+        // stale shell variable silently lose.
+        let override_conflicts: Vec<String> =
+            hipacc_sim::override_conflicts(Some(facts.engine), facts.sim_threads)
+                .into_iter()
+                .map(|c| c.to_string())
+                .collect();
+        let (start, dur) = facts.launch_us;
+        let mut spans = facts.compile_spans.clone();
+        spans.extend(override_conflicts.iter().map(|c| {
+            Span::new("override-conflict", "diagnostic", start, 0).arg("detail", c.clone())
+        }));
+        spans.push(
+            Span::new("execute", "launch", start, dur)
+                .arg("engine", engine)
+                .arg("workers", facts.exec.n_workers.to_string())
+                .arg("blocks", facts.exec.blocks.len().to_string()),
+        );
+        // On a cache hit the compile phases never ran this launch: the
+        // profile must show zero compile time, even though the cached
+        // artifact still carries its original `phase_times`.
+        let phase_times = if cache.as_ref().is_some_and(|c| c.is_hit()) {
+            Vec::new()
+        } else {
+            compiled.phase_times.clone()
+        };
+        let simd = facts.exec.simd;
+        LaunchProfile {
+            kernel: facts.kernel.clone(),
+            target: facts.target.clone(),
+            engine,
+            grid: compiled.grid,
+            block: (compiled.config.bx, compiled.config.by),
+            n_workers: facts.exec.n_workers,
+            regions: Self::attribute_regions(&facts.exec, |bx, by| {
+                compiled
+                    .region_grid
+                    .as_ref()
+                    .map_or(Region::Interior, |g| g.region_of(bx, by))
+            }),
+            totals: execution.stats,
+            blocks_per_worker: facts.exec.blocks_per_worker(),
+            time: execution.time,
+            occupancy: compiled.occupancy,
+            phase_times,
+            spans,
+            fault_plan: facts.fault_plan.clone(),
+            cache,
+            warp_occupancy: simd.and_then(|t| t.mean_active_fraction()),
+            scalar_fallback_blocks: simd.map_or(0, |t| t.scalar_fallback_blocks),
+            override_conflicts,
+        }
+    }
+
     /// Attribute a per-block execution profile to boundary regions.
     ///
     /// `region_of` maps a block index to its region — the compiled
@@ -197,6 +289,12 @@ impl LaunchProfile {
                 w
             ));
         }
+        if self.scalar_fallback_blocks > 0 {
+            out.push_str(&format!(
+                "  simd fallback: {} block(s) ran on the scalar engine\n",
+                self.scalar_fallback_blocks
+            ));
+        }
         if let Some(o) = &self.occupancy {
             out.push_str(&format!(
                 "  occupancy {:.2} ({} warps, limited by {:?})\n",
@@ -292,6 +390,7 @@ mod tests {
             fault_plan: None,
             cache: None,
             warp_occupancy: None,
+            scalar_fallback_blocks: 0,
             override_conflicts: Vec::new(),
         }
     }

@@ -33,16 +33,16 @@
 //! [`SimError::DeadlineExceeded`]: hipacc_sim::SimError::DeadlineExceeded
 //! [`repair_blocks`]: hipacc_sim::launch::repair_blocks
 
+use crate::cache::CacheReport;
 use crate::operator::{Execution, Operator, OperatorError};
-use crate::pipeline::launch_spec;
-use crate::profile::LaunchProfile;
+use crate::profile::{LaunchFacts, LaunchProfile};
 use crate::target::Target;
-use hipacc_codegen::{fallback_chain, CompiledKernel, Compiler, MemVariant};
+use hipacc_codegen::{fallback_chain, CompiledKernel, MemVariant};
 use hipacc_faults::{FaultPlan, FaultSession};
 use hipacc_image::Image;
-use hipacc_profile::{now_us, ProfileSink, Recorder, Span};
+use hipacc_profile::{now_us, Recorder, Span};
 use hipacc_sim::inject::{combine_hash, store_hash};
-use hipacc_sim::launch::{repair_blocks, run_on_image_faulted, FaultedLaunch};
+use hipacc_sim::launch::{repair_blocks, run_on_image_instrumented};
 use hipacc_sim::Engine;
 
 /// Retry and fallback policy for [`supervise`].
@@ -281,9 +281,24 @@ pub struct Supervised {
     pub execution: Execution,
     /// What it took to get there.
     pub recovery: RecoveryReport,
+    /// What the kernel cache did for the successful rung (`None` when no
+    /// cache is installed).
+    pub cache: Option<CacheReport>,
+    /// The successful attempt's raw facts; [`Self::profile`] joins them.
+    facts: LaunchFacts,
+}
+
+impl Supervised {
     /// The launch profile of the successful attempt, with the fault plan
-    /// recorded and the recovery spans merged in.
-    pub profile: LaunchProfile,
+    /// recorded and the recovery spans merged in. Assembled on demand —
+    /// a caller that only wants the output never pays for it.
+    pub fn profile(&self) -> LaunchProfile {
+        let mut profile = LaunchProfile::assemble(&self.facts, &self.execution, self.cache.clone());
+        profile
+            .spans
+            .extend(self.recovery.spans(self.facts.launch_us.0));
+        profile
+    }
 }
 
 /// A supervised execution that exhausted every recovery option.
@@ -311,7 +326,10 @@ impl std::error::Error for SupervisedError {
     }
 }
 
-/// One rung of the configuration ladder the supervisor walks.
+/// One rung of the configuration ladder the supervisor walks, with the
+/// compile options it effectively runs under — recorded into the per-rung
+/// outcome counters so a circuit breaker can re-create exactly this
+/// configuration when it pins the stage.
 #[derive(Clone, Debug)]
 struct StepSpec {
     label: String,
@@ -319,24 +337,52 @@ struct StepSpec {
     force_config: Option<(u32, u32)>,
 }
 
-/// Find-or-create the [`RungOutcome`] entry for `rung` and bump its
-/// `action` counter. Rung labels are unique across the ladder, so the
-/// entries stay in visit order.
-fn note_rung(
+/// Append one event to the recovery log and bump the matching counter of
+/// its rung's [`RungOutcome`] (created on first use; rung labels are
+/// unique across the ladder, so the entries stay in visit order).
+fn log(
     report: &mut RecoveryReport,
-    rung: &str,
-    variant: MemVariant,
-    force_config: Option<(u32, u32)>,
+    rung: &StepSpec,
+    attempt: u32,
     action: RecoveryAction,
+    detail: String,
+    virtual_us: u64,
 ) {
-    match report.rungs.iter_mut().find(|r| r.rung == rung) {
+    match report.rungs.iter_mut().find(|r| r.rung == rung.label) {
         Some(r) => r.bump(action),
         None => {
-            let mut r = RungOutcome::new(rung, variant, force_config);
+            let mut r = RungOutcome::new(&rung.label, rung.variant, rung.force_config);
             r.bump(action);
             report.rungs.push(r);
         }
     }
+    report.events.push(RecoveryEvent {
+        step: rung.label.clone(),
+        attempt,
+        action,
+        detail,
+        virtual_us,
+    });
+}
+
+/// Give up: log `error` as surfaced from `rung` and hand the report back.
+#[allow(clippy::result_large_err)]
+fn surface(
+    mut report: RecoveryReport,
+    rung: &StepSpec,
+    attempt: u32,
+    error: OperatorError,
+) -> Result<Supervised, SupervisedError> {
+    let detail = error.diagnostic().to_string();
+    log(
+        &mut report,
+        rung,
+        attempt,
+        RecoveryAction::Surfaced,
+        detail,
+        0,
+    );
+    Err(SupervisedError { error, report })
 }
 
 fn block_list(blocks: &[(u32, u32)]) -> String {
@@ -362,44 +408,34 @@ pub fn supervise(
     plan: &FaultPlan,
     cfg: &SupervisorConfig,
 ) -> Result<Supervised, SupervisedError> {
+    use RecoveryAction::{Completed, Degraded, Repaired, Retried};
+
     let mut report = RecoveryReport {
         plan: plan.summary(),
         ..RecoveryReport::default()
     };
-    let fail = |error: OperatorError,
-                mut report: RecoveryReport,
-                step: &str,
-                attempt: u32,
-                variant: MemVariant,
-                force: Option<(u32, u32)>| {
-        note_rung(&mut report, step, variant, force, RecoveryAction::Surfaced);
-        report.events.push(RecoveryEvent {
-            step: step.to_string(),
-            attempt,
-            action: RecoveryAction::Surfaced,
-            detail: error.diagnostic().to_string(),
-            virtual_us: 0,
-        });
-        Err(SupervisedError { error, report })
-    };
-
-    let Some((_, first)) = inputs.first() else {
-        return fail(
-            OperatorError::NoInputs,
-            report,
-            "initial",
-            0,
-            op.options.variant,
-            op.options.force_config,
-        );
-    };
-    let (width, height) = (first.width(), first.height());
-
-    let mut steps = vec![StepSpec {
+    let initial = StepSpec {
         label: "initial".into(),
         variant: op.options.variant,
         force_config: op.options.force_config,
-    }];
+    };
+    let Some((_, first)) = inputs.first() else {
+        return surface(report, &initial, 0, OperatorError::NoInputs);
+    };
+    let (width, height) = (first.width(), first.height());
+
+    // The degradation ladder below the requested configuration; a rung
+    // without a tile of its own keeps the operator's forced config.
+    let ladder = |config: Option<hipacc_hwmodel::LaunchConfig>| {
+        fallback_chain(op.options.variant, config)
+            .into_iter()
+            .map(|s| StepSpec {
+                label: s.label,
+                variant: s.variant,
+                force_config: s.force_config.or(op.options.force_config),
+            })
+    };
+    let mut steps = vec![initial];
     let mut ladder_built = !cfg.fallback;
     // The fault session's attempt counter is global across rungs, so a
     // transient plan (faulty_attempts = 1) stays cured after a retry even
@@ -411,125 +447,61 @@ pub fn supervise(
         let step = steps[step_idx].clone();
         let mut op_step = op.clone();
         op_step.options.variant = step.variant;
-        op_step.options.force_config = step.force_config.or(op.options.force_config);
-        // The effective compile options of this rung, recorded into the
-        // per-rung outcome counters so a circuit breaker can re-create
-        // exactly this configuration when it pins the stage.
-        let rung_variant = op_step.options.variant;
-        let rung_force = op_step.options.force_config;
+        op_step.options.force_config = step.force_config;
 
         let mut rec = Recorder::new();
-        let spec_c = op_step.compile_spec(target, width, height);
         // Kernel-cache policy: only the pristine `initial` rung may be
         // served from (or populate) the cache. Degraded rungs compile with
         // a different fingerprint anyway (variant / force_config are part
-        // of the key), but they bypass the cache entirely — recovery
-        // timing must never be skewed by warm-cache effects, and a
-        // degraded artifact must never linger for later healthy launches.
-        let mut cache_report: Option<crate::cache::CacheReport> = None;
-        let mut cache_key: Option<String> = None;
-        let mut from_cache: Option<CompiledKernel> = None;
-        if let Some(cache) = op.options.cache.as_deref() {
-            if step.label == "initial" {
-                let key = crate::cache::KernelCache::fingerprint(&op.def, &spec_c);
-                match cache.lookup(&key) {
-                    Some(hit) => {
-                        cache_report = Some(cache.report("hit"));
-                        from_cache = Some(hit);
+        // of the key), but they bypass the cache entirely.
+        let bypass = (step.label != "initial").then_some("degraded-config");
+        let compile = op_step.compile_maybe_cached(target, width, height, &mut rec, bypass);
+        let (compiled, cache) = match compile {
+            Ok(c) => c,
+            Err(e) => {
+                let resource = e.is_resource_limit();
+                let err = OperatorError::Compile(e);
+                if resource && cfg.fallback {
+                    if !ladder_built {
+                        // No tile hint from a failed compile: degrade
+                        // the memory variant only.
+                        steps.extend(ladder(None));
+                        ladder_built = true;
                     }
-                    None => {
-                        cache_report = Some(cache.report("miss"));
-                        cache_key = Some(key);
+                    if let Some(next) = steps.get(step_idx + 1) {
+                        let detail = format!("{} -> trying {}", err.diagnostic(), next.label);
+                        log(&mut report, &step, 0, Degraded, detail, 0);
+                        step_idx += 1;
+                        continue;
                     }
                 }
-            } else {
-                cache.note_bypass();
-                cache_report = Some(cache.report("bypass: degraded-config"));
+                return surface(report, &step, 0, err);
             }
-        }
-        let compiled: CompiledKernel = match from_cache {
-            Some(c) => c,
-            None => match match &op.options.fused {
-                Some(chain) => Compiler::new().compile_fused_with_sink(chain, &spec_c, &mut rec),
-                None => Compiler::new().compile_with_sink(&op.def, &spec_c, &mut rec),
-            } {
-                Ok(c) => {
-                    if let (Some(cache), Some(key)) = (op.options.cache.as_deref(), cache_key) {
-                        cache.insert(key, c.clone());
-                    }
-                    c
-                }
-                Err(e) => {
-                    let resource = e.is_resource_limit();
-                    let err = OperatorError::Compile(e);
-                    if resource && cfg.fallback {
-                        if !ladder_built {
-                            // No tile hint from a failed compile: degrade
-                            // the memory variant only.
-                            steps.extend(ladder_steps(op.options.variant, None));
-                            ladder_built = true;
-                        }
-                        if step_idx + 1 < steps.len() {
-                            note_rung(
-                                &mut report,
-                                &step.label,
-                                rung_variant,
-                                rung_force,
-                                RecoveryAction::Degraded,
-                            );
-                            report.events.push(RecoveryEvent {
-                                step: step.label.clone(),
-                                attempt: 0,
-                                action: RecoveryAction::Degraded,
-                                detail: format!(
-                                    "{} -> trying {}",
-                                    err.diagnostic(),
-                                    steps[step_idx + 1].label
-                                ),
-                                virtual_us: 0,
-                            });
-                            step_idx += 1;
-                            continue;
-                        }
-                    }
-                    return fail(err, report, &step.label, 0, rung_variant, rung_force);
-                }
-            },
         };
         if !ladder_built {
-            steps.extend(ladder_steps(op.options.variant, Some(compiled.config)));
+            steps.extend(ladder(Some(compiled.config)));
             ladder_built = true;
         }
 
-        let mut spec = launch_spec(&compiled, inputs, &op.params, &op.mask_uploads);
-        spec.sim_threads = op.options.sim_threads;
-        spec.pool = op.options.pool.clone();
-
+        let spec = op.spec_for(&compiled, inputs);
+        // Every pass either returns, moves to the next attempt (only
+        // while one is left) or breaks out to the next rung.
         let mut attempt = 0;
-        while attempt < cfg.max_attempts.max(1) {
+        loop {
             let session = FaultSession::new(plan.clone(), fault_attempt);
             report.attempts += 1;
             fault_attempt += 1;
-            // Pushes the retry event; virtual-time accounting is the
-            // caller's (launch time is already counted on success paths).
-            let retry = |report: &mut RecoveryReport, detail: String, virtual_us: u64| {
-                note_rung(
-                    report,
-                    &step.label,
-                    rung_variant,
-                    rung_force,
-                    RecoveryAction::Retried,
-                );
-                report.events.push(RecoveryEvent {
-                    step: step.label.clone(),
-                    attempt,
-                    action: RecoveryAction::Retried,
-                    detail,
-                    virtual_us,
-                });
-            };
+            let retries_left = attempt + 1 < cfg.max_attempts;
 
-            match run_on_image_faulted(&compiled.device_kernel, &spec, engine, &session) {
+            let launch = run_on_image_instrumented(
+                &compiled.device_kernel,
+                &spec,
+                engine,
+                true,
+                Some(&session),
+            );
+            let mut run = match launch {
+                Ok(run) => run,
                 Err(e) => {
                     let err = OperatorError::Sim(e);
                     let transient = err.class().is_transient();
@@ -544,194 +516,120 @@ pub fn supervise(
                         }) => (*elapsed_us).min(*deadline_us),
                         _ => 0,
                     };
-                    if transient && attempt + 1 < cfg.max_attempts {
+                    if transient && retries_left {
                         let backoff = cfg.backoff_base_us << attempt;
-                        report.virtual_us = report
-                            .virtual_us
-                            .saturating_add(elapsed.saturating_add(backoff));
-                        retry(
-                            &mut report,
-                            format!("{} -> backoff {}us", err.diagnostic(), backoff),
-                            elapsed.saturating_add(backoff),
-                        );
+                        let charged = elapsed.saturating_add(backoff);
+                        report.virtual_us = report.virtual_us.saturating_add(charged);
+                        let detail = format!("{} -> backoff {}us", err.diagnostic(), backoff);
+                        log(&mut report, &step, attempt, Retried, detail, charged);
                         attempt += 1;
                         continue;
                     }
-                    if transient && cfg.fallback && step_idx + 1 < steps.len() {
+                    if let (true, true, Some(next)) =
+                        (transient, cfg.fallback, steps.get(step_idx + 1))
+                    {
                         report.virtual_us = report.virtual_us.saturating_add(elapsed);
-                        note_rung(
-                            &mut report,
-                            &step.label,
-                            rung_variant,
-                            rung_force,
-                            RecoveryAction::Degraded,
-                        );
-                        report.events.push(RecoveryEvent {
-                            step: step.label.clone(),
-                            attempt,
-                            action: RecoveryAction::Degraded,
-                            detail: format!(
-                                "retries exhausted -> trying {}",
-                                steps[step_idx + 1].label
-                            ),
-                            virtual_us: elapsed,
-                        });
-                        break; // next rung
+                        let detail = format!("retries exhausted -> trying {}", next.label);
+                        log(&mut report, &step, attempt, Degraded, detail, elapsed);
+                        break;
                     }
-                    return fail(err, report, &step.label, attempt, rung_variant, rung_force);
+                    return surface(report, &step, attempt, err);
                 }
-                Ok(run) => {
-                    report.virtual_us += run.run.virtual_us;
-                    if !run.corrupt_const_banks.is_empty() {
-                        let detail =
-                            format!("constant banks corrupted: {:?}", run.corrupt_const_banks);
-                        if attempt + 1 < cfg.max_attempts {
-                            retry(&mut report, detail, run.run.virtual_us);
-                            attempt += 1;
-                            continue;
-                        }
-                        return fail(
-                            OperatorError::Unrecovered(detail),
-                            report,
-                            &step.label,
-                            attempt,
-                            rung_variant,
-                            rung_force,
-                        );
-                    }
+            };
 
-                    let corrupted = run.run.corrupted_blocks();
-                    if corrupted.is_empty() {
-                        note_rung(
-                            &mut report,
-                            &step.label,
-                            rung_variant,
-                            rung_force,
-                            RecoveryAction::Completed,
-                        );
-                        report.events.push(RecoveryEvent {
-                            step: step.label.clone(),
-                            attempt,
-                            action: RecoveryAction::Completed,
-                            detail: "validated clean".into(),
-                            virtual_us: run.run.virtual_us,
-                        });
-                        return finish(
-                            op,
-                            target,
-                            engine,
-                            plan,
+            // A disabled hook (inert plan, or a transient session past
+            // its faulty attempts) reports no ledger: trivially clean.
+            let faults = run.faults.take().unwrap_or_default();
+            let launch_us = faults.virtual_us;
+            report.virtual_us += launch_us;
+            let corrupted = faults.corrupted_blocks();
+            // A dirty constant bank invalidates every output of the
+            // launch; corrupted blocks can be repaired selectively.
+            let validated = if !run.corrupt_const_banks.is_empty() {
+                Err(format!(
+                    "constant banks corrupted: {:?}",
+                    run.corrupt_const_banks
+                ))
+            } else if corrupted.is_empty() {
+                Ok((Completed, "validated clean".to_string()))
+            } else {
+                try_repair(
+                    &compiled,
+                    &spec,
+                    engine,
+                    &corrupted,
+                    &faults,
+                    &mut run.output,
+                )
+                .map(|()| {
+                    let detail = format!(
+                        "re-executed {} corrupted block(s): {}",
+                        corrupted.len(),
+                        block_list(&corrupted)
+                    );
+                    (Repaired, detail)
+                })
+            };
+            match validated {
+                Ok((action, detail)) => {
+                    log(&mut report, &step, attempt, action, detail, launch_us);
+                    let time = op.estimate(&compiled, target);
+                    let facts = op.facts(
+                        target,
+                        engine,
+                        run.exec.expect("the launch collected a profile"),
+                        rec.into_spans(),
+                        (now_us(), launch_us.max(1)),
+                        plan.any_armed().then(|| plan.summary()),
+                    );
+                    return Ok(Supervised {
+                        execution: Execution {
+                            output: run.output,
+                            stats: run.stats,
+                            time,
                             compiled,
-                            run,
-                            rec,
-                            report,
-                            cache_report,
-                        );
-                    }
-
-                    let launch_us = run.run.virtual_us;
-                    match try_repair(&compiled, &spec, engine, &corrupted, run) {
-                        Ok(run) => {
-                            note_rung(
-                                &mut report,
-                                &step.label,
-                                rung_variant,
-                                rung_force,
-                                RecoveryAction::Repaired,
-                            );
-                            report.events.push(RecoveryEvent {
-                                step: step.label.clone(),
-                                attempt,
-                                action: RecoveryAction::Repaired,
-                                detail: format!(
-                                    "re-executed {} corrupted block(s): {}",
-                                    corrupted.len(),
-                                    block_list(&corrupted)
-                                ),
-                                virtual_us: run.run.virtual_us,
-                            });
-                            return finish(
-                                op,
-                                target,
-                                engine,
-                                plan,
-                                compiled,
-                                run,
-                                rec,
-                                report,
-                                cache_report,
-                            );
-                        }
-                        Err(detail) => {
-                            if attempt + 1 < cfg.max_attempts {
-                                retry(&mut report, detail, launch_us);
-                                attempt += 1;
-                                continue;
-                            }
-                            return fail(
-                                OperatorError::Unrecovered(detail),
-                                report,
-                                &step.label,
-                                attempt,
-                                rung_variant,
-                                rung_force,
-                            );
-                        }
-                    }
+                        },
+                        recovery: report,
+                        cache,
+                        facts,
+                    });
+                }
+                Err(detail) if retries_left => {
+                    log(&mut report, &step, attempt, Retried, detail, launch_us);
+                    attempt += 1;
+                }
+                Err(detail) => {
+                    return surface(report, &step, attempt, OperatorError::Unrecovered(detail));
                 }
             }
-        }
-        if attempt >= cfg.max_attempts.max(1) {
-            // Retries exhausted without a break-to-degrade: surface.
-            return fail(
-                OperatorError::Unrecovered(format!(
-                    "{} attempt(s) exhausted on step `{}`",
-                    cfg.max_attempts, step.label
-                )),
-                report,
-                &step.label,
-                attempt.saturating_sub(1),
-                rung_variant,
-                rung_force,
-            );
         }
         step_idx += 1;
     }
 
+    let ladder_end = StepSpec {
+        label: "ladder".into(),
+        variant: op.options.variant,
+        force_config: None,
+    };
     let err = OperatorError::Unrecovered("configuration ladder exhausted".into());
-    fail(err, report, "ladder", 0, op.options.variant, None)
-}
-
-/// The degradation ladder as supervisor steps.
-fn ladder_steps(
-    requested: MemVariant,
-    config: Option<hipacc_hwmodel::LaunchConfig>,
-) -> Vec<StepSpec> {
-    fallback_chain(requested, config)
-        .into_iter()
-        .map(|s| StepSpec {
-            label: s.label,
-            variant: s.variant,
-            force_config: s.force_config,
-        })
-        .collect()
+    surface(report, &ladder_end, 0, err)
 }
 
 /// Selectively re-execute `corrupted` blocks on clean memory, validate
 /// the recomputed stores against the ledger's expected checksums, and
-/// patch them into the run's output. Returns the repaired run, or a
-/// description of why the repair did not validate.
+/// patch them into `output`. Returns a description of why the repair did
+/// not validate.
 fn try_repair(
     compiled: &CompiledKernel,
     spec: &hipacc_sim::launch::LaunchSpec<'_>,
     engine: Engine,
     corrupted: &[(u32, u32)],
-    mut run: FaultedLaunch,
-) -> Result<FaultedLaunch, String> {
+    faults: &hipacc_sim::FaultedRun,
+    output: &mut Image<f32>,
+) -> Result<(), String> {
     let (stores, _stats) = repair_blocks(&compiled.device_kernel, spec, engine, corrupted)
         .map_err(|e| format!("repair failed: {e}"))?;
-    let expected: u64 = run
-        .run
+    let expected: u64 = faults
         .ledger
         .iter()
         .filter(|l| corrupted.contains(&(l.bx, l.by)))
@@ -745,85 +643,13 @@ fn try_repair(
             block_list(corrupted)
         ));
     }
-    let raw = run.output.raw_mut();
+    let raw = output.raw_mut();
     for s in &stores {
         if s.buf == "OUT" && s.idx < raw.len() {
             raw[s.idx] = s.value;
         }
     }
-    Ok(run)
-}
-
-/// Assemble the successful result: execution, profile (fault plan and
-/// recovery spans included), and the recovery report.
-#[allow(clippy::too_many_arguments, clippy::result_large_err)]
-fn finish(
-    op: &Operator,
-    target: &Target,
-    engine: Engine,
-    plan: &FaultPlan,
-    compiled: CompiledKernel,
-    run: FaultedLaunch,
-    mut rec: Recorder,
-    report: RecoveryReport,
-    cache_report: Option<crate::cache::CacheReport>,
-) -> Result<Supervised, SupervisedError> {
-    let time = op.estimate(&compiled, target);
-    let launch_start = now_us();
-    rec.record(
-        Span::new("execute", "launch", launch_start, run.run.virtual_us.max(1))
-            .arg("engine", engine.label())
-            .arg("workers", run.exec.n_workers.to_string())
-            .arg("blocks", run.exec.blocks.len().to_string()),
-    );
-    let mut spans = rec.into_spans();
-    spans.extend(report.spans(launch_start));
-
-    let regions = LaunchProfile::attribute_regions(&run.exec, |bx, by| {
-        compiled
-            .region_grid
-            .as_ref()
-            .map(|g| g.region_of(bx, by))
-            .unwrap_or(hipacc_codegen::Region::Interior)
-    });
-    // A cache hit means the compile phases never ran for this launch.
-    let phase_times = if cache_report.as_ref().is_some_and(|c| c.is_hit()) {
-        Vec::new()
-    } else {
-        compiled.phase_times.clone()
-    };
-    let profile = LaunchProfile {
-        kernel: op.def.name.clone(),
-        target: target.label(),
-        engine: engine.label(),
-        grid: compiled.grid,
-        block: (compiled.config.bx, compiled.config.by),
-        n_workers: run.exec.n_workers,
-        regions,
-        totals: run.stats,
-        blocks_per_worker: run.exec.blocks_per_worker(),
-        time,
-        occupancy: compiled.occupancy,
-        phase_times,
-        spans,
-        fault_plan: plan.any_armed().then(|| plan.summary()),
-        cache: cache_report,
-        warp_occupancy: run.exec.simd.and_then(|t| t.mean_active_fraction()),
-        override_conflicts: hipacc_sim::override_conflicts(Some(engine), op.options.sim_threads)
-            .into_iter()
-            .map(|c| c.to_string())
-            .collect(),
-    };
-    Ok(Supervised {
-        execution: Execution {
-            output: run.output,
-            stats: run.stats,
-            time,
-            compiled,
-        },
-        recovery: report,
-        profile,
-    })
+    Ok(())
 }
 
 impl Operator {

@@ -384,12 +384,7 @@ impl ReplayBundle {
 }
 
 fn parse_engine(label: &str) -> Result<Engine, String> {
-    match label {
-        "bytecode" => Ok(Engine::Bytecode),
-        "tree-walk" => Ok(Engine::TreeWalk),
-        "simd" => Ok(Engine::Simd),
-        other => Err(format!("replay: unknown engine `{other}`")),
-    }
+    hipacc_sim::parse_engine_env(label).map_err(|_| format!("replay: unknown engine `{label}`"))
 }
 
 /// Apply a recorded pin and deadline to a stage's operator and

@@ -111,8 +111,9 @@ fn env_usize(var: &str) -> Option<usize> {
 #[derive(Debug)]
 pub enum StreamError {
     /// The stream configuration is invalid (`R0605`): a zero worker
-    /// count, queue capacity, deadline, budget or breaker knob, or a
-    /// malformed `HIPACC_STREAM_*` / `HIPACC_BREAKER_*` value.
+    /// count, queue capacity, deadline, budget or breaker knob, a
+    /// malformed `HIPACC_STREAM_*` / `HIPACC_BREAKER_*` value, or an
+    /// empty stage chain.
     InvalidConfig {
         /// What exactly was rejected.
         what: String,
@@ -149,6 +150,32 @@ impl From<SimError> for StreamError {
 
 fn invalid(what: impl Into<String>) -> StreamError {
     StreamError::InvalidConfig { what: what.into() }
+}
+
+/// Strict resolution of one `>= 1` knob, explicit > `env` > `None`: an
+/// explicit zero (reported as `zero`) or a present but malformed / zero
+/// `env` value is `R0605`.
+fn resolve_knob<T>(explicit: Option<T>, env: &str, zero: &str) -> Result<Option<T>, StreamError>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    if let Some(n) = explicit {
+        return if n >= T::from(1) {
+            Ok(Some(n))
+        } else {
+            Err(invalid(zero))
+        };
+    }
+    match std::env::var(env) {
+        Ok(raw) => match raw.trim().parse::<T>() {
+            Ok(n) if n >= T::from(1) => Ok(Some(n)),
+            _ => Err(invalid(format!(
+                "{env}=`{}` must be an integer >= 1",
+                raw.trim()
+            ))),
+        },
+        Err(_) => Ok(None),
+    }
 }
 
 /// One input frame, or one fully processed output frame.
@@ -282,88 +309,39 @@ impl StreamConfig {
     /// Strict worker count: an explicit `Some(0)` or a present but
     /// malformed / zero [`WORKERS_ENV`] is rejected with `R0605`.
     pub fn resolve_workers(&self) -> Result<usize, StreamError> {
-        if let Some(n) = self.workers {
-            return if n >= 1 {
-                Ok(n)
-            } else {
-                Err(invalid("workers must be >= 1"))
-            };
-        }
-        match std::env::var(WORKERS_ENV) {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(invalid(format!(
-                    "{WORKERS_ENV}=`{}` must be an integer >= 1",
-                    raw.trim()
-                ))),
-            },
-            Err(_) => Ok(DEFAULT_WORKERS),
-        }
+        let n = resolve_knob(self.workers, WORKERS_ENV, "workers must be >= 1")?;
+        Ok(n.unwrap_or(DEFAULT_WORKERS))
     }
 
     /// Strict queue bound: rejects zero / malformed values with `R0605`.
     pub fn resolve_queue_capacity(&self) -> Result<usize, StreamError> {
-        if let Some(n) = self.queue_capacity {
-            return if n >= 1 {
-                Ok(n)
-            } else {
-                Err(invalid("queue capacity must be >= 1"))
-            };
-        }
-        match std::env::var(QUEUE_ENV) {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(invalid(format!(
-                    "{QUEUE_ENV}=`{}` must be an integer >= 1",
-                    raw.trim()
-                ))),
-            },
-            Err(_) => Ok(DEFAULT_QUEUE_CAPACITY),
-        }
+        let n = resolve_knob(
+            self.queue_capacity,
+            QUEUE_ENV,
+            "queue capacity must be >= 1",
+        )?;
+        Ok(n.unwrap_or(DEFAULT_QUEUE_CAPACITY))
     }
 
     /// Strict per-frame deadline budget: `None` means unbounded, but an
     /// explicit zero or a malformed / zero [`DEADLINE_ENV`] is `R0605`.
     pub fn resolve_frame_deadline(&self) -> Result<Option<u64>, StreamError> {
-        if let Some(us) = self.frame_deadline_us {
-            return if us >= 1 {
-                Ok(Some(us))
-            } else {
-                Err(invalid("frame deadline must be >= 1 virtual us"))
-            };
-        }
-        match std::env::var(DEADLINE_ENV) {
-            Ok(raw) => match raw.trim().parse::<u64>() {
-                Ok(us) if us >= 1 => Ok(Some(us)),
-                _ => Err(invalid(format!(
-                    "{DEADLINE_ENV}=`{}` must be an integer >= 1",
-                    raw.trim()
-                ))),
-            },
-            Err(_) => Ok(None),
-        }
+        resolve_knob(
+            self.frame_deadline_us,
+            DEADLINE_ENV,
+            "frame deadline must be >= 1 virtual us",
+        )
     }
 
     /// Strict breaker threshold: explicit zero or malformed / zero
     /// [`BREAKER_ENV`] is `R0605`.
     pub fn resolve_breaker_threshold(&self) -> Result<u32, StreamError> {
-        if let Some(n) = self.breaker_threshold {
-            return if n >= 1 {
-                Ok(n)
-            } else {
-                Err(invalid("breaker threshold must be >= 1"))
-            };
-        }
-        match std::env::var(BREAKER_ENV) {
-            Ok(raw) => match raw.trim().parse::<u32>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(invalid(format!(
-                    "{BREAKER_ENV}=`{}` must be an integer >= 1",
-                    raw.trim()
-                ))),
-            },
-            Err(_) => Ok(DEFAULT_BREAKER_THRESHOLD),
-        }
+        let n = resolve_knob(
+            self.breaker_threshold,
+            BREAKER_ENV,
+            "breaker threshold must be >= 1",
+        )?;
+        Ok(n.unwrap_or(DEFAULT_BREAKER_THRESHOLD))
     }
 
     /// Validate every knob at construction time; the first offending
@@ -397,6 +375,25 @@ struct Budgets {
     /// Worker-pool size, recorded into replay bundles (the virtual
     /// clock depends on it).
     workers: usize,
+}
+
+/// What [`Stream::run`] and [`Stream::run_sequential`] resolve before the
+/// first frame and every stage launch of the run then shares.
+struct RunCtx {
+    engine: Engine,
+    /// The planned chain (fused groups replaced by one stage each).
+    stages: Vec<Stage>,
+    fusion: Vec<FusionDecision>,
+    /// The configured worker count; `pool` may be a shared one of
+    /// another width.
+    workers: usize,
+    pool: Arc<WorkerPool>,
+    cache: Option<Arc<KernelCache>>,
+    gov: Governor,
+    budgets: Budgets,
+    frames_in: usize,
+    /// Cache hits and misses before the run, for the per-run deltas.
+    counters_before: (u64, u64),
 }
 
 /// A frame travelling through the pipeline.
@@ -447,17 +444,6 @@ impl InFlight {
             spans: Vec::new(),
         }
     }
-}
-
-/// Everything a failure record needs beyond the frame itself.
-struct FailSpec {
-    code: String,
-    error: String,
-    rung: String,
-    attempt: u32,
-    deadline_us: Option<u64>,
-    stream_check: Option<(u64, u64)>,
-    spent_before_us: u64,
 }
 
 /// The outputs and telemetry of one stream run.
@@ -649,70 +635,13 @@ impl Stream {
         (planned, decisions)
     }
 
-    /// Mark the frame failed with a typed diagnostic and record its
-    /// replay bundle. The frame keeps flowing so later frames are never
-    /// stalled.
-    #[allow(clippy::too_many_arguments)]
-    fn note_failure(
-        &self,
-        frame: &mut InFlight,
-        stage: &Stage,
-        idx: usize,
-        engine: Engine,
-        base_plan: &FaultPlan,
-        pinned: &Option<PinSpec>,
-        budgets: &Budgets,
-        spec: FailSpec,
-    ) {
-        frame.failed = Some(FrameFailure {
-            seq: frame.seq,
-            stage: stage.name.clone(),
-            code: spec.code.clone(),
-            error: spec.error,
-        });
-        frame.replay = Some(ReplayBundle {
-            stream: self.name.clone(),
-            seq: frame.seq,
-            stage: stage.name.clone(),
-            stage_index: idx,
-            engine: engine.label().to_string(),
-            opt_level: stage.op.options.opt_level,
-            rung: spec.rung,
-            attempt: spec.attempt,
-            pinned: pinned.clone(),
-            deadline_us: spec.deadline_us,
-            frame_budget_us: budgets.frame_us,
-            spent_before_us: spec.spent_before_us,
-            stream_check: spec.stream_check,
-            fault: base_plan.clone(),
-            max_attempts: self.config.supervisor.max_attempts,
-            backoff_base_us: self.config.supervisor.backoff_base_us,
-            fallback: self.config.supervisor.fallback,
-            workers: budgets.workers,
-            width: frame.width,
-            height: frame.height,
-            trail: frame.trail.clone(),
-            expected_code: spec.code,
-        });
-    }
-
     /// Run one stage's operator on one frame under the supervisor,
     /// governed by the breaker and the watchdog, inside a panic shield.
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments, clippy::result_large_err)]
-    fn process_stage(
-        &self,
-        idx: usize,
-        stage: &Stage,
-        engine: Engine,
-        pool: Option<&Arc<WorkerPool>>,
-        cache: Option<&Arc<KernelCache>>,
-        gov: &Governor,
-        budgets: &Budgets,
-        col_us: &mut u64,
-        frame: &mut InFlight,
-    ) {
+    #[allow(clippy::result_large_err)] // the supervised closure's Err carries the full report
+    fn process_stage(&self, ctx: &RunCtx, idx: usize, col_us: &mut u64, frame: &mut InFlight) {
+        let (stage, engine, gov, budgets) = (&ctx.stages[idx], ctx.engine, &ctx.gov, &ctx.budgets);
         let start = now_us();
+        let seq = frame.seq;
         let spent_before = frame.spent_us;
         let stage_plan = gov.plan(idx);
         let pinned_spec = stage_plan.pinned.as_ref().map(|p| PinSpec {
@@ -723,20 +652,68 @@ impl Stream {
         let base_plan = self
             .config
             .faults
-            .get(&frame.seq)
+            .get(&seq)
             .cloned()
             .unwrap_or_else(FaultPlan::none);
         let span = |outcome: &str, detail: String| {
             Span::new(
-                format!("{}:{}", stage.name, frame.seq),
+                format!("{}:{seq}", stage.name),
                 "stream",
                 start,
                 now_us().saturating_sub(start).max(1),
             )
             .lane(self.config.lane)
             .arg("stream", self.name.clone())
-            .arg("seq", frame.seq.to_string())
+            .arg("seq", seq.to_string())
             .arg(outcome, detail)
+        };
+        // Mark the frame failed with a typed diagnostic, tell the breaker
+        // and record the replay bundle. The frame keeps flowing so later
+        // frames are never stalled.
+        let fail = |frame: &mut InFlight,
+                    code: &str,
+                    error: String,
+                    rung: String,
+                    attempt: u32,
+                    deadline_us: Option<u64>,
+                    stream_check: Option<(u64, u64)>| {
+            frame.spans.push(span("failed", error.clone()));
+            gov.record(idx, &stage.name, seq, FrameOutcome::Failed);
+            frame.failed = Some(FrameFailure {
+                seq,
+                stage: stage.name.clone(),
+                code: code.to_string(),
+                error,
+            });
+            frame.replay = Some(ReplayBundle {
+                stream: self.name.clone(),
+                seq,
+                stage: stage.name.clone(),
+                stage_index: idx,
+                engine: engine.label().to_string(),
+                opt_level: stage.op.options.opt_level,
+                rung,
+                attempt,
+                pinned: pinned_spec.clone(),
+                deadline_us,
+                frame_budget_us: budgets.frame_us,
+                spent_before_us: spent_before,
+                stream_check,
+                fault: base_plan.clone(),
+                max_attempts: self.config.supervisor.max_attempts,
+                backoff_base_us: self.config.supervisor.backoff_base_us,
+                fallback: self.config.supervisor.fallback,
+                workers: budgets.workers,
+                width: frame.width,
+                height: frame.height,
+                trail: frame.trail.clone(),
+                expected_code: code.to_string(),
+            });
+        };
+        let final_rung = |report: &hipacc_core::RecoveryReport| {
+            report
+                .final_rung()
+                .map_or_else(|| "initial".to_string(), |r| r.rung.clone())
         };
 
         // Watchdog, frame budget: a frame that arrives with nothing
@@ -747,26 +724,7 @@ impl Stream {
                     "R0602: frame budget {budget}us exhausted before stage `{}` (spent {}us)",
                     stage.name, frame.spent_us
                 );
-                frame.spans.push(span("failed", error.clone()));
-                gov.record(idx, &stage.name, frame.seq, FrameOutcome::Failed);
-                self.note_failure(
-                    frame,
-                    stage,
-                    idx,
-                    engine,
-                    &base_plan,
-                    &pinned_spec,
-                    budgets,
-                    FailSpec {
-                        code: "R0602".into(),
-                        error,
-                        rung: "initial".into(),
-                        attempt: 0,
-                        deadline_us: None,
-                        stream_check: None,
-                        spent_before_us: spent_before,
-                    },
-                );
+                fail(frame, "R0602", error, "initial".into(), 0, None, None);
                 return;
             }
             Some(budget) => Some(budget - frame.spent_us),
@@ -784,26 +742,8 @@ impl Stream {
                      (projected {projected}us)",
                     stage.name
                 );
-                frame.spans.push(span("failed", error.clone()));
-                gov.record(idx, &stage.name, frame.seq, FrameOutcome::Failed);
-                self.note_failure(
-                    frame,
-                    stage,
-                    idx,
-                    engine,
-                    &base_plan,
-                    &pinned_spec,
-                    budgets,
-                    FailSpec {
-                        code: "R0603".into(),
-                        error,
-                        rung: "initial".into(),
-                        attempt: 0,
-                        deadline_us: None,
-                        stream_check: Some((projected, budget)),
-                        spent_before_us: spent_before,
-                    },
-                );
+                let check = Some((projected, budget));
+                fail(frame, "R0603", error, "initial".into(), 0, None, check);
                 return;
             }
         }
@@ -822,8 +762,8 @@ impl Stream {
 
         let mut op = stage.op.clone();
         op.options.engine = Some(engine);
-        op.options.cache = cache.map(Arc::clone);
-        op.options.pool = pool.map(Arc::clone);
+        op.options.cache = ctx.cache.clone();
+        op.options.pool = Some(Arc::clone(&ctx.pool));
         let mut sup_cfg = self.config.supervisor.clone();
         if let Some(pin) = &stage_plan.pinned {
             // Breaker open: run the proven rung as the *initial* (and
@@ -860,56 +800,22 @@ impl Stream {
                     "R0601: stage worker panic contained at `{}`: {what}",
                     stage.name
                 );
-                frame.spans.push(span("failed", error.clone()));
-                gov.record(idx, &stage.name, frame.seq, FrameOutcome::Failed);
-                self.note_failure(
-                    frame,
-                    stage,
-                    idx,
-                    engine,
-                    &base_plan,
-                    &pinned_spec,
-                    budgets,
-                    FailSpec {
-                        code: "R0601".into(),
-                        error,
-                        rung: "initial".into(),
-                        attempt: 1,
-                        deadline_us: effective_deadline,
-                        stream_check: None,
-                        spent_before_us: spent_before,
-                    },
-                );
+                let rung = "initial".into();
+                fail(frame, "R0601", error, rung, 1, effective_deadline, None);
             }
             Ok(Err(e)) => {
                 frame.actions.absorb(&e.report);
                 frame.spent_us = frame.spent_us.saturating_add(e.report.virtual_us);
-                let code = e.error.diagnostic().code.to_string();
-                let rung = e
-                    .report
-                    .final_rung()
-                    .map(|r| r.rung.clone())
-                    .unwrap_or_else(|| "initial".into());
-                let error = e.to_string();
-                frame.spans.push(span("failed", error.clone()));
-                gov.record(idx, &stage.name, frame.seq, FrameOutcome::Failed);
-                self.note_failure(
+                let (code, rung) = (e.error.diagnostic().code, final_rung(&e.report));
+                let attempts = e.report.attempts;
+                fail(
                     frame,
-                    stage,
-                    idx,
-                    engine,
-                    &base_plan,
-                    &pinned_spec,
-                    budgets,
-                    FailSpec {
-                        code,
-                        error,
-                        rung,
-                        attempt: e.report.attempts,
-                        deadline_us: effective_deadline,
-                        stream_check: None,
-                        spent_before_us: spent_before,
-                    },
+                    code,
+                    e.to_string(),
+                    rung,
+                    attempts,
+                    effective_deadline,
+                    None,
                 );
             }
             Ok(Ok(sup)) => {
@@ -924,29 +830,15 @@ impl Stream {
                              (spent {}us)",
                             stage.name, frame.spent_us
                         );
-                        frame.spans.push(span("failed", error.clone()));
-                        gov.record(idx, &stage.name, frame.seq, FrameOutcome::Failed);
-                        self.note_failure(
+                        let (rung, attempts) = (final_rung(&sup.recovery), sup.recovery.attempts);
+                        fail(
                             frame,
-                            stage,
-                            idx,
-                            engine,
-                            &base_plan,
-                            &pinned_spec,
-                            budgets,
-                            FailSpec {
-                                code: "R0602".into(),
-                                error,
-                                rung: sup
-                                    .recovery
-                                    .final_rung()
-                                    .map(|r| r.rung.clone())
-                                    .unwrap_or_else(|| "initial".into()),
-                                attempt: sup.recovery.attempts,
-                                deadline_us: effective_deadline,
-                                stream_check: None,
-                                spent_before_us: spent_before,
-                            },
+                            "R0602",
+                            error,
+                            rung,
+                            attempts,
+                            effective_deadline,
+                            None,
                         );
                         return;
                     }
@@ -967,16 +859,11 @@ impl Stream {
                 } else {
                     FrameOutcome::Clean
                 };
-                gov.record(idx, &stage.name, frame.seq, outcome);
+                gov.record(idx, &stage.name, seq, outcome);
                 if sup.recovery.recovered() {
                     frame.recovered = true;
                 }
-                let cache_outcome = sup
-                    .profile
-                    .cache
-                    .as_ref()
-                    .map(|c| c.outcome.clone())
-                    .unwrap_or_else(|| "uncached".into());
+                let cache_outcome = sup.cache.map_or_else(|| "uncached".into(), |c| c.outcome);
                 frame.spans.push(span("cache", cache_outcome));
                 frame.trail.push(TrailEntry {
                     stage: stage.name.clone(),
@@ -988,6 +875,47 @@ impl Stream {
         }
     }
 
+    /// Validate the configuration, plan the chain and build what every
+    /// launch of one run shares. Fails only on an invalid configuration
+    /// (`R0605`) or an unresolvable engine override.
+    fn begin(&self, frames: &[Image<f32>]) -> Result<RunCtx, StreamError> {
+        self.config.validate()?;
+        let engine = resolve_engine(self.config.engine)?;
+        if self.stages.is_empty() {
+            return Err(invalid("stream has no stages"));
+        }
+        let (stages, fusion) = self.plan_stages(frames.first().map(|f| (f.width(), f.height())));
+        let workers = self.config.resolve_workers()?;
+        let pool = self
+            .pool
+            .clone()
+            .unwrap_or_else(|| Arc::new(WorkerPool::new(workers)));
+        Ok(RunCtx {
+            budgets: Budgets {
+                frame_us: self.config.resolve_frame_deadline()?,
+                stream_us: self.config.stream_budget_us,
+                // A shared pool's real size wins over the config: the
+                // virtual clock follows the threads that actually run
+                // the blocks.
+                workers: pool.workers(),
+            },
+            gov: Governor::new(
+                stages.len(),
+                self.config.resolve_breaker_threshold()?,
+                self.config.probe_after,
+                self.config.close_after,
+            ),
+            cache: self.config.share_cache.then(|| Arc::clone(&self.cache)),
+            frames_in: frames.len(),
+            counters_before: (self.cache.hits(), self.cache.misses()),
+            engine,
+            stages,
+            fusion,
+            workers,
+            pool,
+        })
+    }
+
     /// Run the chain over `frames` as a streaming pipeline: one thread
     /// per stage, bounded queues between them, block work multiplexed
     /// over the shared pool, all under the resilience governor. Fails
@@ -995,44 +923,18 @@ impl Stream {
     /// engine override; per-frame failures, sheds and breaker
     /// transitions are typed events in the report instead.
     pub fn run(&self, frames: Vec<Image<f32>>) -> Result<StreamRun, StreamError> {
-        self.config.validate()?;
-        let engine = resolve_engine(self.config.engine)?;
-        assert!(!self.stages.is_empty(), "stream has no stages");
-        let probe = frames.first().map(|f| (f.width(), f.height()));
-        let (stages, fusion) = self.plan_stages(probe);
-        let n_stages = stages.len();
+        let ctx = self.begin(&frames)?;
+        let n_stages = ctx.stages.len();
         let cap = self.config.resolve_queue_capacity()?;
-        let workers = self.config.resolve_workers()?;
-        // A shared pool's real size wins over the config: the virtual
-        // clock follows the threads that actually run the blocks.
-        let pool_workers = self.pool.as_ref().map(|p| p.workers()).unwrap_or(workers);
-        let budgets = Budgets {
-            frame_us: self.config.resolve_frame_deadline()?,
-            stream_us: self.config.stream_budget_us,
-            workers: pool_workers,
-        };
-        let gov = Governor::new(
-            n_stages,
-            self.config.resolve_breaker_threshold()?,
-            self.config.probe_after,
-            self.config.close_after,
-        );
         let shed_after = self.config.shed_after_us;
-        let pool = self
-            .pool
-            .clone()
-            .unwrap_or_else(|| Arc::new(WorkerPool::new(workers)));
-        let cache = self.config.share_cache.then(|| Arc::clone(&self.cache));
-        let frames_in = frames.len();
-        let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
 
         let queues: Vec<FrameQueue<InFlight>> =
             (0..=n_stages).map(|_| FrameQueue::new(cap)).collect();
-        let mut collected: Vec<InFlight> = Vec::with_capacity(frames_in);
+        let mut collected: Vec<InFlight> = Vec::with_capacity(ctx.frames_in);
         let mut shed_seqs: Vec<u64> = Vec::new();
         let t0 = Instant::now();
         std::thread::scope(|scope| {
-            let queues = &queues;
+            let (queues, ctx) = (&queues, &ctx);
             let producer = scope.spawn(move || {
                 let mut shed: Vec<u64> = Vec::new();
                 for (seq, image) in frames.into_iter().enumerate() {
@@ -1054,25 +956,14 @@ impl Stream {
                 queues[0].close();
                 shed
             });
-            for (idx, stage) in stages.iter().enumerate() {
-                let (pool, cache, gov, budgets) = (&pool, &cache, &gov, &budgets);
+            for idx in 0..n_stages {
                 scope.spawn(move || {
                     // The stage's column of the stream-clock rectangle
                     // sum; owned by this thread, advanced in seq order.
                     let mut col_us: u64 = 0;
                     while let Some(mut frame) = queues[idx].pop() {
                         if frame.failed.is_none() {
-                            self.process_stage(
-                                idx,
-                                stage,
-                                engine,
-                                Some(pool),
-                                cache.as_ref(),
-                                gov,
-                                budgets,
-                                &mut col_us,
-                                &mut frame,
-                            );
+                            self.process_stage(ctx, idx, &mut col_us, &mut frame);
                         }
                         if queues[idx + 1].push(frame).is_err() {
                             break;
@@ -1090,18 +981,13 @@ impl Stream {
         });
         let wall_us = (t0.elapsed().as_micros() as u64).max(1);
         let queue_max_depths = queues.iter().map(|q| q.max_depth()).collect();
+        let workers = ctx.workers;
         Ok(self.assemble(
-            engine,
-            workers,
-            cap,
-            frames_in,
+            ctx,
+            (workers, cap),
             wall_us,
             queue_max_depths,
-            (hits0, misses0),
             shed_seqs,
-            gov.transitions(),
-            stages.iter().map(|s| s.name.clone()).collect(),
-            fusion,
             collected,
         ))
     }
@@ -1114,91 +1000,34 @@ impl Stream {
     /// the *same* worker count, so the virtual clock — and therefore
     /// every watchdog and breaker decision — agrees exactly.
     pub fn run_sequential(&self, frames: Vec<Image<f32>>) -> Result<StreamRun, StreamError> {
-        self.config.validate()?;
-        let engine = resolve_engine(self.config.engine)?;
-        assert!(!self.stages.is_empty(), "stream has no stages");
-        let probe = frames.first().map(|f| (f.width(), f.height()));
-        let (stages, fusion) = self.plan_stages(probe);
-        let n_stages = stages.len();
-        let workers = self.config.resolve_workers()?;
-        let pool = self
-            .pool
-            .clone()
-            .unwrap_or_else(|| Arc::new(WorkerPool::new(workers)));
-        // A shared pool's real size wins over the config: the virtual
-        // clock follows the threads that actually run the blocks.
-        let pool_workers = self.pool.as_ref().map(|p| p.workers()).unwrap_or(workers);
-        let budgets = Budgets {
-            frame_us: self.config.resolve_frame_deadline()?,
-            stream_us: self.config.stream_budget_us,
-            workers: pool_workers,
-        };
-        let gov = Governor::new(
-            n_stages,
-            self.config.resolve_breaker_threshold()?,
-            self.config.probe_after,
-            self.config.close_after,
-        );
-        let cache = self.config.share_cache.then(|| Arc::clone(&self.cache));
-        let frames_in = frames.len();
-        let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
-
+        let ctx = self.begin(&frames)?;
         let t0 = Instant::now();
-        let mut cols = vec![0u64; n_stages];
-        let mut collected: Vec<InFlight> = Vec::with_capacity(frames_in);
+        let mut cols = vec![0u64; ctx.stages.len()];
+        let mut collected: Vec<InFlight> = Vec::with_capacity(ctx.frames_in);
         for (seq, image) in frames.into_iter().enumerate() {
             let mut frame = InFlight::new(seq as u64, image);
-            for (idx, stage) in stages.iter().enumerate() {
+            for (idx, col_us) in cols.iter_mut().enumerate() {
                 if frame.failed.is_some() {
                     break;
                 }
-                self.process_stage(
-                    idx,
-                    stage,
-                    engine,
-                    Some(&pool),
-                    cache.as_ref(),
-                    &gov,
-                    &budgets,
-                    &mut cols[idx],
-                    &mut frame,
-                );
+                self.process_stage(&ctx, idx, col_us, &mut frame);
             }
             frame.done_us = now_us();
             collected.push(frame);
         }
         let wall_us = (t0.elapsed().as_micros() as u64).max(1);
-        Ok(self.assemble(
-            engine,
-            1,
-            0,
-            frames_in,
-            wall_us,
-            Vec::new(),
-            (hits0, misses0),
-            Vec::new(),
-            gov.transitions(),
-            stages.iter().map(|s| s.name.clone()).collect(),
-            fusion,
-            collected,
-        ))
+        Ok(self.assemble(ctx, (1, 0), wall_us, Vec::new(), Vec::new(), collected))
     }
 
-    /// Fold the collected frames into outputs plus a [`StreamReport`].
-    #[allow(clippy::too_many_arguments)]
+    /// Fold the collected frames into outputs plus a [`StreamReport`];
+    /// `sizing` is the reported `(workers, queue capacity)`.
     fn assemble(
         &self,
-        engine: Engine,
-        workers: usize,
-        queue_capacity: usize,
-        frames_in: usize,
+        ctx: RunCtx,
+        (workers, queue_capacity): (usize, usize),
         wall_us: u64,
         queue_max_depths: Vec<usize>,
-        counters_before: (u64, u64),
         mut shed_seqs: Vec<u64>,
-        breaker_transitions: Vec<crate::governor::BreakerTransition>,
-        stage_names: Vec<String>,
-        fusion: Vec<FusionDecision>,
         mut collected: Vec<InFlight>,
     ) -> StreamRun {
         collected.sort_by_key(|f| f.seq);
@@ -1246,24 +1075,24 @@ impl Stream {
             })
             .collect();
         let (hits, misses) = (
-            self.cache.hits().saturating_sub(counters_before.0),
-            self.cache.misses().saturating_sub(counters_before.1),
+            self.cache.hits().saturating_sub(ctx.counters_before.0),
+            self.cache.misses().saturating_sub(ctx.counters_before.1),
         );
         let traffic = hits + misses;
         let report = StreamReport {
             stream: self.name.clone(),
-            stages: stage_names,
-            fusion,
-            engine: engine.label().to_string(),
+            stages: ctx.stages.into_iter().map(|s| s.name).collect(),
+            fusion: ctx.fusion,
+            engine: ctx.engine.label().to_string(),
             workers,
             queue_capacity,
-            frames_in,
+            frames_in: ctx.frames_in,
             frames_out: outputs.len(),
             failed,
             shed,
             recovered_frames,
             actions,
-            breaker_transitions,
+            breaker_transitions: ctx.gov.transitions(),
             replay,
             wall_us,
             frames_per_sec: outputs.len() as f64 / (wall_us as f64 / 1e6),

@@ -183,7 +183,7 @@ pub(crate) struct StoreRec {
 
 /// A kernel lowered to register-machine tapes for one launch configuration.
 ///
-/// Produced by [`compile`]; run with [`CompiledKernel::run`] (or use
+/// Produced by [`compile`]; run with [`CompiledKernel::run_with`] (or use
 /// [`execute`] for the one-shot compile-and-run path). The program bakes in
 /// the launch's grid/block dimensions and scalar arguments, so it is only
 /// valid for the `LaunchParams` it was compiled against.
@@ -2230,10 +2230,12 @@ pub(crate) fn run_block(
     Ok((start..end, run.stats))
 }
 
-/// Run one block under `mode`. The simd engine rolls back its partial
-/// journal and re-runs the whole block on the scalar path whenever it
-/// hits an error, so error identity — like everything else observable —
-/// is always decided by the scalar engine.
+/// Run one block. `simd` is `None` on the scalar engine and otherwise
+/// says whether the tape passed [`crate::simd::plan_supported`]. The simd
+/// engine rolls back its partial journal and re-runs the whole block on
+/// the scalar path whenever it hits an error, so error identity — like
+/// everything else observable — is always decided by the scalar engine.
+/// A simd launch counts every block it runs scalar in `tel`.
 #[allow(clippy::too_many_arguments)]
 fn run_block_dispatch(
     prog: &CompiledKernel,
@@ -2242,114 +2244,38 @@ fn run_block_dispatch(
     by: u32,
     scratch: &mut BlockScratch,
     journal: &mut Vec<StoreRec>,
-    simd_ok: bool,
+    simd: Option<bool>,
     tel: &mut crate::sched::SimdTelemetry,
 ) -> Result<(std::ops::Range<usize>, ExecStats), SimError> {
-    if simd_ok {
-        if let Ok(out) = crate::simd::run_block_simd(prog, bufs, bx, by, scratch, journal, tel) {
-            return Ok(out);
+    if let Some(plan_ok) = simd {
+        if plan_ok {
+            if let Ok(out) = crate::simd::run_block_simd(prog, bufs, bx, by, scratch, journal, tel)
+            {
+                return Ok(out);
+            }
         }
+        tel.scalar_fallback_blocks += 1;
     }
     run_block(prog, bufs, bx, by, scratch, journal)
 }
 
 impl CompiledKernel {
-    /// Execute the compiled program over the whole grid. Blocks run in
-    /// parallel across host cores; buffered stores are applied in
-    /// deterministic block order afterwards, exactly like the tree-walk
-    /// engine.
+    /// Execute the compiled program over the whole grid under `mode`.
+    /// Blocks run in parallel across host cores; buffered stores are
+    /// applied in deterministic block order afterwards, exactly like the
+    /// tree-walk engine.
     ///
     /// The bound buffers must still have the geometry observed at compile
     /// time (the interior checks were derived from it).
-    pub fn run(&self, mem: &mut DeviceMemory) -> Result<ExecStats, SimError> {
-        self.run_with(mem, ExecMode::Scalar)
-    }
-
-    /// [`Self::run`] under an explicit [`ExecMode`].
     pub fn run_with(&self, mem: &mut DeviceMemory, mode: ExecMode) -> Result<ExecStats, SimError> {
-        self.run_inner(mem, false, None, mode)
-            .map(|(stats, _, _)| stats)
-    }
-
-    /// [`Self::run`] while recording per-block statistics: identical
-    /// semantics and totals, plus an [`ExecProfile`] with one
-    /// [`ExecStats`] record per block and the worker that ran it.
-    ///
-    /// [`ExecProfile`]: crate::sched::ExecProfile
-    pub fn run_profiled(
-        &self,
-        mem: &mut DeviceMemory,
-    ) -> Result<(ExecStats, crate::sched::ExecProfile), SimError> {
-        self.run_profiled_with(mem, ExecMode::Scalar)
-    }
-
-    /// [`Self::run_profiled`] under an explicit [`ExecMode`].
-    pub fn run_profiled_with(
-        &self,
-        mem: &mut DeviceMemory,
-        mode: ExecMode,
-    ) -> Result<(ExecStats, crate::sched::ExecProfile), SimError> {
-        let (stats, profile, _) = self.run_inner(mem, true, None, mode)?;
-        Ok((stats, profile.expect("profiling requested")))
-    }
-
-    /// [`Self::run_profiled`] with a fault injector attached: the hook may
-    /// corrupt memory, stall or hang workers on the virtual clock, and
-    /// mutate or drop block stores before commit, mirroring
-    /// [`crate::interp::execute_faulted`] exactly. Note that constant
-    /// banks are captured at [`compile`] time, so constant-memory
-    /// corruption must be applied to the [`DeviceMemory`] *before*
-    /// compiling (the launch-level entry point does this).
-    pub fn run_faulted(
-        &self,
-        mem: &mut DeviceMemory,
-        hook: &dyn crate::inject::FaultHook,
-    ) -> Result<
-        (
-            ExecStats,
-            crate::sched::ExecProfile,
-            crate::inject::FaultedRun,
-        ),
-        SimError,
-    > {
-        self.run_faulted_with(mem, hook, ExecMode::Scalar)
-    }
-
-    /// [`Self::run_faulted`] under an explicit [`ExecMode`].
-    pub fn run_faulted_with(
-        &self,
-        mem: &mut DeviceMemory,
-        hook: &dyn crate::inject::FaultHook,
-        mode: ExecMode,
-    ) -> Result<
-        (
-            ExecStats,
-            crate::sched::ExecProfile,
-            crate::inject::FaultedRun,
-        ),
-        SimError,
-    > {
-        let (stats, profile, faults) = self.run_inner(mem, true, Some(hook), mode)?;
-        Ok((
-            stats,
-            profile.expect("profiling requested"),
-            faults.expect("fault hook attached"),
-        ))
+        self.run_instrumented(mem, mode, false, None)
+            .map(|run| run.stats)
     }
 
     /// Re-execute the listed blocks fault-free and return their stores
     /// *without committing them* — the bytecode half of the
     /// selective-repair primitive ([`crate::interp::execute_blocks`] is
     /// the tree-walk half).
-    pub fn run_blocks(
-        &self,
-        mem: &DeviceMemory,
-        blocks: &[(u32, u32)],
-    ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
-        self.run_blocks_with(mem, blocks, ExecMode::Scalar)
-    }
-
-    /// [`Self::run_blocks`] under an explicit [`ExecMode`].
     pub fn run_blocks_with(
         &self,
         mem: &DeviceMemory,
@@ -2357,7 +2283,7 @@ impl CompiledKernel {
         mode: ExecMode,
     ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
         let bufs = self.buffer_views(mem)?;
-        let simd_ok = mode == ExecMode::Simd && crate::simd::plan_supported(self);
+        let simd = (mode == ExecMode::Simd).then(|| crate::simd::plan_supported(self));
         let mut scratch = BlockScratch::default();
         let mut journal = Vec::new();
         let mut tel = crate::sched::SimdTelemetry::default();
@@ -2372,7 +2298,7 @@ impl CompiledKernel {
                 by,
                 &mut scratch,
                 &mut journal,
-                simd_ok,
+                simd,
                 &mut tel,
             )?;
             stats.merge(&block_stats);
@@ -2410,29 +2336,28 @@ impl CompiledKernel {
         Ok(bufs)
     }
 
-    fn run_inner(
+    /// [`Self::run_with`] with the optional instrumentation every other
+    /// launch flavour is built from: `profile` additionally records one
+    /// [`ExecStats`] per block and the worker that ran it, and an enabled
+    /// `hook` may stall or hang workers on the virtual clock and mutate or
+    /// drop block stores before commit, mirroring
+    /// [`crate::interp::execute_instrumented`] exactly. A missing or
+    /// disabled hook leaves the run byte-for-byte on the plain path.
+    ///
+    /// Constant banks are captured at [`compile`] time, so constant-memory
+    /// corruption must be applied to the [`DeviceMemory`] *before*
+    /// compiling (the launch-level entry point does this).
+    pub fn run_instrumented(
         &self,
         mem: &mut DeviceMemory,
+        mode: ExecMode,
         profile: bool,
         hook: Option<&dyn crate::inject::FaultHook>,
-        mode: ExecMode,
-    ) -> Result<
-        (
-            ExecStats,
-            Option<crate::sched::ExecProfile>,
-            Option<crate::inject::FaultedRun>,
-        ),
-        SimError,
-    > {
-        // A disabled hook leaves this launch byte-for-byte on the plain
-        // path. Constant banks were captured at compile time, so
-        // corrupt_memory must already have run before [`compile`]; the
-        // launch-level entry point owns that ordering.
-        let hook = hook.filter(|h| h.enabled());
-        let deadline = hook.and_then(|h| h.deadline_us());
+    ) -> Result<crate::sched::GridRun, SimError> {
+        let hook = crate::inject::ArmedHook::attach(hook);
 
         let bufs = self.buffer_views(mem)?;
-        let simd_ok = mode == ExecMode::Simd && crate::simd::plan_supported(self);
+        let simd = (mode == ExecMode::Simd).then(|| crate::simd::plan_supported(self));
         let key = self.scratch_key();
 
         let (gx, gy) = self.grid;
@@ -2470,23 +2395,10 @@ impl CompiledKernel {
                 let mut vtime: u64 = 0;
                 for i in crate::sched::worker_indices(blocks_ref.len(), n_workers, w) {
                     let (bx, by) = blocks_ref[i];
-                    let mut lat = 0u64;
-                    if let Some(h) = hook {
-                        if h.block_panic(bx, by) {
-                            panic!("injected worker panic at block ({bx},{by})");
-                        }
-                        lat = h.block_latency_us(bx, by);
-                        vtime = vtime.saturating_add(lat);
-                        if let Some(d) = deadline {
-                            if vtime > d {
-                                return Err(SimError::DeadlineExceeded {
-                                    worker: w,
-                                    elapsed_us: vtime,
-                                    deadline_us: d,
-                                });
-                            }
-                        }
-                    }
+                    let lat = match &hook {
+                        Some(h) => h.admit(w, &mut vtime, bx, by)?,
+                        None => 0,
+                    };
                     let (range, block_stats) = run_block_dispatch(
                         self,
                         bufs_ref,
@@ -2494,7 +2406,7 @@ impl CompiledKernel {
                         by,
                         &mut scratch,
                         &mut journal,
-                        simd_ok,
+                        simd,
                         &mut tel,
                     )?;
                     out.push((i, range, block_stats, lat));
@@ -2525,9 +2437,11 @@ impl CompiledKernel {
             blocks: Vec::with_capacity(blocks.len()),
             simd: (mode == ExecMode::Simd).then_some(tel_total),
         });
-        let mut faulted = hook.map(|_| crate::inject::FaultedRun {
-            ledger: Vec::with_capacity(blocks.len()),
-            virtual_us: worker_vtime.iter().copied().max().unwrap_or(0),
+        let mut faulted = hook.map(|h| {
+            (
+                h,
+                crate::inject::FaultedRun::with_clock(blocks.len(), &worker_vtime),
+            )
         });
         for (i, slot) in slots.into_iter().enumerate() {
             let (worker, range, block_stats, lat) = slot.expect("every block ran");
@@ -2541,51 +2455,24 @@ impl CompiledKernel {
                     stats: block_stats,
                 });
             }
-            // Faults mutate the journal range in place; `Drop` skips the
-            // commit entirely (the former `stores.clear()`).
-            let mut dropped = false;
-            if let (Some(h), Some(run)) = (hook, faulted.as_mut()) {
-                use crate::inject::{combine_hash, store_hash, BlockFault, POISON_BITS};
-                let border = crate::inject::is_border_block(bx, by, self.grid);
-                let stores = &mut journals[worker][range.clone()];
-                let mut expected = 0u64;
-                for st in stores.iter() {
-                    let name = &self.globals[st.buf as usize].name;
-                    expected = combine_hash(expected, store_hash(name, st.idx as usize, st.value));
-                }
-                match h.block_fault(bx, by, border) {
-                    BlockFault::None => {}
-                    BlockFault::Drop => dropped = true,
-                    BlockFault::FlipBits { nth, mask } => {
-                        if !stores.is_empty() {
-                            let t = nth as usize % stores.len();
-                            stores[t].value = f32::from_bits(stores[t].value.to_bits() ^ mask);
-                        }
-                    }
-                    BlockFault::Poison => {
-                        for st in stores.iter_mut() {
-                            st.value = f32::from_bits(POISON_BITS);
-                        }
-                    }
-                }
-                let mut committed = 0u64;
-                if !dropped {
-                    for st in stores.iter() {
+            // Faults mutate the journal range in place; a dropped block
+            // skips the commit entirely.
+            let keep = match faulted.as_mut() {
+                Some((h, run)) => h.commit(
+                    run,
+                    (bx, by),
+                    self.grid,
+                    lat,
+                    &mut journals[worker][range.clone()],
+                    |st| {
                         let name = &self.globals[st.buf as usize].name;
-                        committed =
-                            combine_hash(committed, store_hash(name, st.idx as usize, st.value));
-                    }
-                }
-                run.ledger.push(crate::inject::BlockLedger {
-                    bx,
-                    by,
-                    border,
-                    expected,
-                    committed,
-                    virtual_us: lat,
-                });
-            }
-            if !dropped {
+                        crate::inject::store_hash(name, st.idx as usize, st.value)
+                    },
+                    |st| &mut st.value,
+                ),
+                None => true,
+            };
+            if keep {
                 for st in &journals[worker][range] {
                     let name = &self.globals[st.buf as usize].name;
                     let buf = mem
@@ -2603,7 +2490,11 @@ impl CompiledKernel {
             scratch.journal.clear();
             SCRATCH_POOL.publish(key, scratch);
         }
-        Ok((stats_total, exec_profile, faulted))
+        Ok(crate::sched::GridRun {
+            stats: stats_total,
+            exec: exec_profile,
+            faults: faulted.map(|(_, run)| run),
+        })
     }
 }
 
@@ -2614,7 +2505,7 @@ pub fn execute(
     params: &LaunchParams,
     mem: &mut DeviceMemory,
 ) -> Result<ExecStats, SimError> {
-    compile(kernel, params, mem)?.run(mem)
+    compile(kernel, params, mem)?.run_with(mem, ExecMode::Scalar)
 }
 
 #[cfg(test)]
@@ -2813,9 +2704,10 @@ mod tests {
         assert_eq!(stats.oob_reads, 5);
     }
 
-    #[test]
-    fn barrier_phases_match_interpreter() {
-        let k = DeviceKernelDef {
+    /// OUT[gid] = the block-reversed IN, staged through one shared tile
+    /// with a barrier between the fill and the read.
+    fn reversal_kernel() -> DeviceKernelDef {
+        DeviceKernelDef {
             name: "rev".into(),
             buffers: double_kernel().buffers,
             scalars: vec![],
@@ -2859,15 +2751,41 @@ mod tests {
                     },
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn barrier_phases_match_interpreter() {
         let mem = linear_mem(64);
         let p = LaunchParams::new((2, 1), (32, 1));
-        let (mem, stats) = engines_agree(&k, &p, &mem);
+        let (mem, stats) = engines_agree(&reversal_kernel(), &p, &mem);
         let out = &mem.buffer("OUT").unwrap().data;
         assert_eq!(out[0], 31.0);
         assert_eq!(out[31], 0.0);
         assert_eq!(out[32], 63.0);
         assert_eq!(stats.barriers, 64);
+    }
+
+    /// Without the barrier one phase both stores and loads the tile — the
+    /// case `simd::plan_supported` refuses. A simd launch then runs every
+    /// block scalar, and says so.
+    #[test]
+    fn same_phase_tile_load_and_store_is_counted_as_scalar_fallback() {
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let fallbacks = |k: &DeviceKernelDef, mode| {
+            let (mut mem, _) = engines_agree(k, &p, &linear_mem(64));
+            let run = compile(k, &p, &mem)
+                .unwrap()
+                .run_instrumented(&mut mem, mode, true, None)
+                .unwrap();
+            run.exec.unwrap().simd.map(|t| t.scalar_fallback_blocks)
+        };
+        let staged = reversal_kernel();
+        let mut racy = staged.clone();
+        racy.body.retain(|s| !matches!(s, Stmt::Barrier));
+        assert_eq!(fallbacks(&racy, ExecMode::Simd), Some(2), "both blocks");
+        assert_eq!(fallbacks(&staged, ExecMode::Simd), Some(0));
+        assert_eq!(fallbacks(&racy, ExecMode::Scalar), None);
     }
 
     fn stencil_kernel(mode: AddressMode) -> DeviceKernelDef {
@@ -3056,15 +2974,15 @@ mod tests {
         p.set_int("n", 64);
         let mut mem = linear_mem(64);
         let ck = compile(&k, &p, &mem).unwrap();
-        ck.run(&mut mem).unwrap();
+        ck.run_with(&mut mem, ExecMode::Scalar).unwrap();
         let first = mem.buffer("OUT").unwrap().data.clone();
         let mut mem2 = linear_mem(64);
-        ck.run(&mut mem2).unwrap();
+        ck.run_with(&mut mem2, ExecMode::Scalar).unwrap();
         assert_eq!(first, mem2.buffer("OUT").unwrap().data);
 
         let mut small = linear_mem(32);
         assert!(matches!(
-            ck.run(&mut small).unwrap_err(),
+            ck.run_with(&mut small, ExecMode::Scalar).unwrap_err(),
             SimError::EvalError(_)
         ));
     }

@@ -31,8 +31,12 @@
 //!
 //! With no hook attached (every plain `execute`/`run` path) none of this
 //! exists: the engines check the `Option` once per launch and the hot
-//! per-thread loops are untouched.
+//! per-thread loops are untouched. The hook-facing code itself — the
+//! per-block worker gate and the commit-time store fault with its ledger
+//! entry — lives here once (`ArmedHook`); the engines only say how to
+//! hash and mutate their own store records.
 
+use crate::interp::SimError;
 use crate::memory::DeviceMemory;
 
 /// The store-level fault an injector chose for one block.
@@ -135,6 +139,15 @@ pub struct FaultedRun {
 }
 
 impl FaultedRun {
+    /// An empty ledger for `n_blocks` blocks whose virtual launch time is
+    /// the slowest worker's clock.
+    pub(crate) fn with_clock(n_blocks: usize, worker_vtime: &[u64]) -> Self {
+        Self {
+            ledger: Vec::with_capacity(n_blocks),
+            virtual_us: worker_vtime.iter().copied().max().unwrap_or(0),
+        }
+    }
+
     /// Blocks whose committed stores diverge from what they computed.
     pub fn corrupted_blocks(&self) -> Vec<(u32, u32)> {
         self.ledger
@@ -142,6 +155,102 @@ impl FaultedRun {
             .filter(|l| !l.is_clean())
             .map(|l| (l.bx, l.by))
             .collect()
+    }
+}
+
+/// An enabled [`FaultHook`] with its deadline resolved once per launch.
+///
+/// [`Self::attach`] yields `None` for a missing *or disabled* hook, which
+/// leaves such a launch byte-for-byte on the plain path. Memory corruption
+/// is not applied here: the launch-level entry point owns that ordering
+/// (it must land before the bytecode compile captures the constant banks).
+#[derive(Clone, Copy)]
+pub(crate) struct ArmedHook<'h> {
+    hook: &'h dyn FaultHook,
+    deadline: Option<u64>,
+}
+
+impl<'h> ArmedHook<'h> {
+    pub(crate) fn attach(hook: Option<&'h dyn FaultHook>) -> Option<Self> {
+        let hook = hook.filter(|h| h.enabled())?;
+        Some(Self {
+            hook,
+            deadline: hook.deadline_us(),
+        })
+    }
+
+    /// The worker-side gate, run before block `(bx, by)` executes: an
+    /// injected panic unwinds from here, the block's virtual latency is
+    /// charged to the worker's clock `vtime`, and a clock past the
+    /// deadline cancels the launch. Returns the block's latency.
+    pub(crate) fn admit(
+        &self,
+        worker: usize,
+        vtime: &mut u64,
+        bx: u32,
+        by: u32,
+    ) -> Result<u64, SimError> {
+        if self.hook.block_panic(bx, by) {
+            panic!("injected worker panic at block ({bx},{by})");
+        }
+        let lat = self.hook.block_latency_us(bx, by);
+        *vtime = vtime.saturating_add(lat);
+        match self.deadline {
+            // A hung (or badly stalled) block: the supervisor's deadline
+            // cancels the launch.
+            Some(d) if *vtime > d => Err(SimError::DeadlineExceeded {
+                worker,
+                elapsed_us: *vtime,
+                deadline_us: d,
+            }),
+            _ => Ok(lat),
+        }
+    }
+
+    /// The commit-time step, run on the main thread in linear block
+    /// order: checksum the stores the block computed, apply the hook's
+    /// store fault to them in place, checksum what is left and append the
+    /// block's ledger entry to `run`. Returns `false` when the stores
+    /// were dropped and must not be committed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn commit<S>(
+        &self,
+        run: &mut FaultedRun,
+        (bx, by): (u32, u32),
+        grid: (u32, u32),
+        virtual_us: u64,
+        stores: &mut [S],
+        hash: impl Fn(&S) -> u64,
+        value: impl Fn(&mut S) -> &mut f32,
+    ) -> bool {
+        let border = is_border_block(bx, by, grid);
+        let checksum = |stores: &[S]| stores.iter().fold(0, |acc, s| combine_hash(acc, hash(s)));
+        let expected = checksum(stores);
+        let mut keep = true;
+        match self.hook.block_fault(bx, by, border) {
+            BlockFault::None => {}
+            BlockFault::Drop => keep = false,
+            BlockFault::FlipBits { nth, mask } => {
+                if !stores.is_empty() {
+                    let v = value(&mut stores[nth as usize % stores.len()]);
+                    *v = f32::from_bits(v.to_bits() ^ mask);
+                }
+            }
+            BlockFault::Poison => {
+                for s in stores.iter_mut() {
+                    *value(s) = f32::from_bits(POISON_BITS);
+                }
+            }
+        }
+        run.ledger.push(BlockLedger {
+            bx,
+            by,
+            border,
+            expected,
+            committed: if keep { checksum(stores) } else { 0 },
+            virtual_us,
+        });
+        keep
     }
 }
 

@@ -654,48 +654,24 @@ pub fn execute(
     params: &LaunchParams,
     mem: &mut DeviceMemory,
 ) -> Result<ExecStats, SimError> {
-    execute_inner(kernel, params, mem, false, false, None).map(|(stats, _, _, _)| stats)
+    execute_inner(kernel, params, mem, false, false, None).map(|(run, _)| run.stats)
 }
 
-/// Execute a kernel launch while recording per-block statistics: identical
-/// semantics and totals to [`execute`], plus an [`ExecProfile`] with one
-/// [`ExecStats`] record per block (in linear block order) and the worker
-/// that ran it.
-///
-/// [`ExecProfile`]: crate::sched::ExecProfile
-pub fn execute_profiled(
+/// [`execute`] with the optional instrumentation every other launch
+/// flavour is built from: `profile` additionally records one
+/// [`ExecStats`] per block (in linear block order) and the worker that
+/// ran it; an enabled `hook` may stall or hang workers on the virtual
+/// clock and mutate or drop block stores before commit, and yields the
+/// per-block checksum ledger (see [`crate::inject`]). A missing or
+/// disabled hook leaves the launch byte-for-byte on the plain path.
+pub fn execute_instrumented(
     kernel: &DeviceKernelDef,
     params: &LaunchParams,
     mem: &mut DeviceMemory,
-) -> Result<(ExecStats, crate::sched::ExecProfile), SimError> {
-    let (stats, _, profile, _) = execute_inner(kernel, params, mem, false, true, None)?;
-    Ok((stats, profile.expect("profiling requested")))
-}
-
-/// Execute a kernel launch with a fault injector attached: semantics are
-/// identical to [`execute_profiled`] except that the hook may corrupt
-/// memory, stall or hang workers on the virtual clock, and mutate or drop
-/// block stores before commit. Returns the per-block execution profile
-/// plus the per-block checksum ledger (see [`crate::inject`]).
-pub fn execute_faulted(
-    kernel: &DeviceKernelDef,
-    params: &LaunchParams,
-    mem: &mut DeviceMemory,
-    hook: &dyn crate::inject::FaultHook,
-) -> Result<
-    (
-        ExecStats,
-        crate::sched::ExecProfile,
-        crate::inject::FaultedRun,
-    ),
-    SimError,
-> {
-    let (stats, _, profile, faults) = execute_inner(kernel, params, mem, false, true, Some(hook))?;
-    Ok((
-        stats,
-        profile.expect("profiling requested"),
-        faults.expect("fault hook attached"),
-    ))
+    profile: bool,
+    hook: Option<&dyn crate::inject::FaultHook>,
+) -> Result<crate::sched::GridRun, SimError> {
+    execute_inner(kernel, params, mem, false, profile, hook).map(|(run, _)| run)
 }
 
 /// Re-execute the listed blocks fault-free against the bound memory and
@@ -732,22 +708,13 @@ pub fn execute_observed(
     params: &LaunchParams,
     mem: &mut DeviceMemory,
 ) -> Result<(ExecStats, ObserverReport), SimError> {
-    let (stats, report, _, _) = execute_inner(kernel, params, mem, true, false, None)?;
+    let (run, report) = execute_inner(kernel, params, mem, true, false, None)?;
+    let stats = run.stats;
     let mut report = report.unwrap_or_default();
     report.global_oob_reads = stats.oob_reads;
     report.global_oob_stores = stats.oob_stores;
     Ok((stats, report))
 }
-
-/// Everything [`execute_inner`] can produce, depending on what the entry
-/// point asked for: stats always, plus the optional observer report,
-/// per-block profile, and fault-plane ledger.
-type InnerOutcome = (
-    ExecStats,
-    Option<ObserverReport>,
-    Option<crate::sched::ExecProfile>,
-    Option<crate::inject::FaultedRun>,
-);
 
 fn execute_inner(
     kernel: &DeviceKernelDef,
@@ -756,7 +723,7 @@ fn execute_inner(
     observe: bool,
     profile: bool,
     hook: Option<&dyn crate::inject::FaultHook>,
-) -> Result<InnerOutcome, SimError> {
+) -> Result<(crate::sched::GridRun, Option<ObserverReport>), SimError> {
     // Every scalar parameter must be supplied.
     for p in &kernel.scalars {
         if !params.scalars.contains_key(&p.name) {
@@ -769,14 +736,11 @@ fn execute_inner(
         }
     }
 
-    // The fault hook participates only when it says it can fire; a
-    // disabled hook leaves this launch byte-for-byte on the plain path.
     // Memory corruption is NOT applied here: the launch-level entry point
     // owns that ordering (it must corrupt before bytecode compilation
     // captures the constant banks), and both engines must see identically
     // corrupted memory.
-    let hook = hook.filter(|h| h.enabled());
-    let deadline = hook.and_then(|h| h.deadline_us());
+    let hook = crate::inject::ArmedHook::attach(hook);
 
     let (gx, gy) = params.grid;
     let blocks: Vec<(u32, u32)> = (0..gy)
@@ -807,25 +771,10 @@ fn execute_inner(
             let mut vtime: u64 = 0;
             for i in crate::sched::worker_indices(blocks_ref.len(), n_workers, w) {
                 let (bx, by) = blocks_ref[i];
-                let mut lat = 0u64;
-                if let Some(h) = hook {
-                    if h.block_panic(bx, by) {
-                        panic!("injected worker panic at block ({bx},{by})");
-                    }
-                    lat = h.block_latency_us(bx, by);
-                    vtime = vtime.saturating_add(lat);
-                    if let Some(d) = deadline {
-                        if vtime > d {
-                            // A hung (or badly stalled) block: the
-                            // supervisor's deadline cancels the launch.
-                            return Err(SimError::DeadlineExceeded {
-                                worker: w,
-                                elapsed_us: vtime,
-                                deadline_us: d,
-                            });
-                        }
-                    }
-                }
+                let lat = match &hook {
+                    Some(h) => h.admit(w, &mut vtime, bx, by)?,
+                    None => 0,
+                };
                 let (s, block_stats, block_report) =
                     run_block(kernel, mem_ro, params, bx, by, observe)?;
                 out.push((i, s, block_stats, block_report, lat));
@@ -851,9 +800,11 @@ fn execute_inner(
         blocks: Vec::with_capacity(blocks.len()),
         simd: None,
     });
-    let mut faulted = hook.map(|_| crate::inject::FaultedRun {
-        ledger: Vec::with_capacity(blocks.len()),
-        virtual_us: worker_vtime.iter().copied().max().unwrap_or(0),
+    let mut faulted = hook.map(|h| {
+        (
+            h,
+            crate::inject::FaultedRun::with_clock(blocks.len(), &worker_vtime),
+        )
     });
     // Generated kernels write each output pixel exactly once, so two
     // stores landing on one cell mean overlapping iteration spaces.
@@ -873,40 +824,19 @@ fn execute_inner(
                 stats: block_stats,
             });
         }
-        if let (Some(h), Some(run)) = (hook, faulted.as_mut()) {
-            use crate::inject::{combine_hash, store_hash, BlockFault, POISON_BITS};
-            let border = crate::inject::is_border_block(bx, by, params.grid);
-            let mut expected = 0u64;
-            for st in &stores {
-                expected = combine_hash(expected, store_hash(&st.buf, st.idx, st.value));
+        if let Some((h, run)) = faulted.as_mut() {
+            let keep = h.commit(
+                run,
+                (bx, by),
+                params.grid,
+                lat,
+                &mut stores,
+                |st| crate::inject::store_hash(&st.buf, st.idx, st.value),
+                |st| &mut st.value,
+            );
+            if !keep {
+                stores.clear();
             }
-            match h.block_fault(bx, by, border) {
-                BlockFault::None => {}
-                BlockFault::Drop => stores.clear(),
-                BlockFault::FlipBits { nth, mask } => {
-                    if !stores.is_empty() {
-                        let t = nth as usize % stores.len();
-                        stores[t].value = f32::from_bits(stores[t].value.to_bits() ^ mask);
-                    }
-                }
-                BlockFault::Poison => {
-                    for st in &mut stores {
-                        st.value = f32::from_bits(POISON_BITS);
-                    }
-                }
-            }
-            let mut committed = 0u64;
-            for st in &stores {
-                committed = combine_hash(committed, store_hash(&st.buf, st.idx, st.value));
-            }
-            run.ledger.push(crate::inject::BlockLedger {
-                bx,
-                by,
-                border,
-                expected,
-                committed,
-                virtual_us: lat,
-            });
         }
         for st in stores {
             if observe {
@@ -926,7 +856,12 @@ fn execute_inner(
         }
     }
 
-    Ok((stats_total, report_total, exec_profile, faulted))
+    let run = crate::sched::GridRun {
+        stats: stats_total,
+        exec: exec_profile,
+        faults: faulted.map(|(_, run)| run),
+    };
+    Ok((run, report_total))
 }
 
 #[cfg(test)]

@@ -9,13 +9,18 @@
 //!
 //! Launches go through the [`Engine::Bytecode`] register machine by
 //! default (compile once, run blocks on a flat tape — see
-//! [`crate::bytecode`]); [`Engine::TreeWalk`] keeps the original
+//! [`crate::bytecode`]); [`Engine::Simd`] runs the same tape
+//! warp-vectorized and [`Engine::TreeWalk`] keeps the original
 //! tree-walking interpreter available as the reference implementation.
-//! Both produce bit-identical outputs and statistics.
+//! All three produce bit-identical outputs and statistics.
+//!
+//! There is one launch step, [`run_on_image_instrumented`]: bind, run the
+//! chosen engine's whole-grid entry with whatever instrumentation was
+//! asked for, download. [`run_on_image`] and [`run_on_image_with`] are
+//! that step with the instrumentation off.
 
 use crate::interp::{ExecStats, SimError};
 use crate::memory::{BufferGeometry, DeviceBuffer, DeviceMemory, LaunchParams};
-use crate::observer::ObserverReport;
 use hipacc_image::Image;
 use hipacc_ir::kernel::{BufferAccess, DeviceKernelDef};
 use hipacc_ir::ty::Const;
@@ -63,13 +68,27 @@ pub struct LaunchSpec<'a> {
     pub pool: Option<Arc<crate::pool::WorkerPool>>,
 }
 
-/// Result of a simulated launch.
+/// Result of a simulated launch: output and statistics always, the rest
+/// only when [`run_on_image_instrumented`] was asked for it.
 #[derive(Clone, Debug)]
 pub struct LaunchResult {
-    /// The output image (downloaded `OUT` buffer).
+    /// The output image (downloaded `OUT` buffer, injected faults
+    /// included).
     pub output: Image<f32>,
     /// Dynamic execution statistics.
     pub stats: ExecStats,
+    /// Per-block execution profile, when one was requested.
+    pub exec: Option<crate::sched::ExecProfile>,
+    /// Per-block checksum ledger and virtual launch time. `None` without
+    /// a fault hook and for a disabled one (an inert plan, or a transient
+    /// session past its faulty attempts) — such a launch is trivially
+    /// clean.
+    pub faults: Option<crate::inject::FaultedRun>,
+    /// Constant banks whose contents no longer match what was uploaded —
+    /// the result of the post-launch constant-memory scrub that follows
+    /// every launch under an enabled hook. Non-empty means every output
+    /// of this launch is suspect.
+    pub corrupt_const_banks: Vec<String>,
 }
 
 /// Which execution engine runs the kernel.
@@ -232,118 +251,52 @@ pub fn run_on_image_with(
     spec: &LaunchSpec<'_>,
     engine: Engine,
 ) -> Result<LaunchResult, SimError> {
-    let (mut mem, params) = prepare(kernel, spec)?;
-    let stats = match engine.exec_mode() {
-        Some(mode) => crate::bytecode::compile(kernel, &params, &mem)?.run_with(&mut mem, mode)?,
-        None => crate::interp::execute(kernel, &params, &mut mem)?,
-    };
-    let output = download_output(&mem)?;
-    Ok(LaunchResult { output, stats })
+    run_on_image_instrumented(kernel, spec, engine, false, None)
 }
 
-/// Run a device kernel with the dynamic observer attached (tree-walk
-/// engine): the launch result plus an [`ObserverReport`] witnessing
-/// races, out-of-bounds accesses and store conflicts. Execution semantics
-/// and statistics are identical to [`run_on_image`].
-pub fn run_on_image_observed(
-    kernel: &DeviceKernelDef,
-    spec: &LaunchSpec<'_>,
-) -> Result<(LaunchResult, ObserverReport), SimError> {
-    let (mut mem, params) = prepare(kernel, spec)?;
-    let (stats, report) = crate::interp::execute_observed(kernel, &params, &mut mem)?;
-    let output = download_output(&mem)?;
-    Ok((LaunchResult { output, stats }, report))
-}
-
-/// Run a device kernel while recording a per-block execution profile on
-/// an explicitly chosen engine. Execution semantics and statistics are
-/// identical to [`run_on_image_with`]; the extra [`ExecProfile`] carries
-/// one [`ExecStats`] record per block plus the effective worker count.
+/// The launch step every entry point goes through: bind the spec's
+/// images, masks and scalars, run `kernel` on `engine`, download `OUT`.
 ///
-/// [`ExecProfile`]: crate::sched::ExecProfile
-pub fn run_on_image_profiled(
-    kernel: &DeviceKernelDef,
-    spec: &LaunchSpec<'_>,
-    engine: Engine,
-) -> Result<(LaunchResult, crate::sched::ExecProfile), SimError> {
-    let (mut mem, params) = prepare(kernel, spec)?;
-    let (stats, profile) = match engine.exec_mode() {
-        Some(mode) => {
-            crate::bytecode::compile(kernel, &params, &mem)?.run_profiled_with(&mut mem, mode)?
-        }
-        None => crate::interp::execute_profiled(kernel, &params, &mut mem)?,
-    };
-    let output = download_output(&mem)?;
-    Ok((LaunchResult { output, stats }, profile))
-}
-
-/// Result of a simulated launch under fault injection.
-#[derive(Clone, Debug)]
-pub struct FaultedLaunch {
-    /// The output image (downloaded `OUT` buffer, faults included).
-    pub output: Image<f32>,
-    /// Dynamic execution statistics of the (faulted) launch.
-    pub stats: ExecStats,
-    /// Per-block execution profile.
-    pub exec: crate::sched::ExecProfile,
-    /// Per-block checksum ledger and virtual launch time.
-    pub run: crate::inject::FaultedRun,
-    /// Constant banks whose contents no longer match what was uploaded —
-    /// the result of the post-launch constant-memory scrub. Non-empty
-    /// means every output of this launch is suspect.
-    pub corrupt_const_banks: Vec<String>,
-}
-
-/// Run a device kernel with a fault injector attached.
-///
-/// Semantics with a disabled hook are identical to
-/// [`run_on_image_with`]; an enabled hook may corrupt constant banks
-/// before execution, stall or hang workers on the virtual clock
-/// (cancelled via [`SimError::DeadlineExceeded`] when the hook sets a
-/// deadline), and drop or corrupt block stores before commit. After the
-/// launch the uploaded constant banks are scrubbed against the spec's
+/// `profile` additionally collects the per-block
+/// [`ExecProfile`](crate::sched::ExecProfile). An enabled `hook` may
+/// corrupt constant banks before execution, stall or hang workers on the
+/// virtual clock (cancelled via [`SimError::DeadlineExceeded`] when the
+/// hook sets a deadline), and drop or corrupt block stores before commit;
+/// afterwards the uploaded constant banks are scrubbed against the spec's
 /// coefficients, the simulator-side equivalent of a parameter-bank CRC.
-pub fn run_on_image_faulted(
+/// A disabled hook is dropped here, so the launch is byte-for-byte and
+/// cost-for-cost the unhooked one.
+pub fn run_on_image_instrumented(
     kernel: &DeviceKernelDef,
     spec: &LaunchSpec<'_>,
     engine: Engine,
-    hook: &dyn crate::inject::FaultHook,
-) -> Result<FaultedLaunch, SimError> {
+    profile: bool,
+    hook: Option<&dyn crate::inject::FaultHook>,
+) -> Result<LaunchResult, SimError> {
     let (mut mem, params) = prepare(kernel, spec)?;
-    if !hook.enabled() {
-        // Disabled hook (inert plan, or a transient session past its
-        // faulty attempts): take the plain profiled path so the launch
-        // is byte-for-byte and cost-for-cost identical to an unfaulted
-        // one, and report an empty (trivially clean) ledger.
-        let (stats, exec) = match engine.exec_mode() {
-            Some(mode) => crate::bytecode::compile(kernel, &params, &mem)?
-                .run_profiled_with(&mut mem, mode)?,
-            None => crate::interp::execute_profiled(kernel, &params, &mut mem)?,
-        };
-        let output = download_output(&mem)?;
-        return Ok(FaultedLaunch {
-            output,
-            stats,
-            exec,
-            run: crate::inject::FaultedRun::default(),
-            corrupt_const_banks: Vec::new(),
-        });
+    let hook = hook.filter(|h| h.enabled());
+    if let Some(h) = hook {
+        // The bytecode engines capture constant banks at compile time, so
+        // memory corruption must land before any engine compiles.
+        h.corrupt_memory(&mut mem);
     }
-    // The bytecode engine captures constant banks at compile time, so
-    // memory corruption must land before either engine compiles.
-    hook.corrupt_memory(&mut mem);
-    let (stats, exec, run) = match engine.exec_mode() {
+    let run = match engine.exec_mode() {
         Some(mode) => crate::bytecode::compile(kernel, &params, &mem)?
-            .run_faulted_with(&mut mem, hook, mode)?,
-        None => crate::interp::execute_faulted(kernel, &params, &mut mem, hook)?,
+            .run_instrumented(&mut mem, mode, profile, hook)?,
+        None => crate::interp::execute_instrumented(kernel, &params, &mut mem, profile, hook)?,
     };
-    let output = download_output(&mem)?;
-    Ok(FaultedLaunch {
-        output,
-        stats,
-        exec,
-        run,
-        corrupt_const_banks: scrub_const_banks(&mem, spec),
+    let out = mem
+        .buffer("OUT")
+        .ok_or_else(|| SimError::UnboundBuffer("OUT".into()))?;
+    Ok(LaunchResult {
+        output: out.to_image(),
+        stats: run.stats,
+        exec: run.exec,
+        faults: run.faults,
+        corrupt_const_banks: match hook {
+            Some(_) => scrub_const_banks(&mem, spec),
+            None => Vec::new(),
+        },
     })
 }
 
@@ -392,13 +345,6 @@ pub fn repair_blocks(
     }
 }
 
-fn download_output(mem: &DeviceMemory) -> Result<Image<f32>, SimError> {
-    Ok(mem
-        .buffer("OUT")
-        .ok_or_else(|| SimError::UnboundBuffer("OUT".into()))?
-        .to_image())
-}
-
 /// Reject launch geometries that would otherwise dispatch nothing or
 /// panic mid-launch: zero-sized grids or blocks and empty iteration
 /// spaces fail here, before any buffer is bound.
@@ -433,16 +379,35 @@ fn prepare(
     spec: &LaunchSpec<'_>,
 ) -> Result<(DeviceMemory, LaunchParams), SimError> {
     validate_spec(spec)?;
-    let reference = spec
-        .inputs
-        .values()
-        .next()
+    // The output takes its geometry from the kernel's first declared image
+    // input (any bound image when the kernel declares none), never from
+    // `HashMap` iteration order — and every bound image must agree with it.
+    let (ref_name, reference) = kernel
+        .buffers
+        .iter()
+        .filter(|b| matches!(b.access, BufferAccess::ReadOnly))
+        .find_map(|b| spec.inputs.get_key_value(&b.name))
+        .or_else(|| spec.inputs.iter().next())
         .ok_or_else(|| SimError::UnboundBuffer("no input images".into()))?;
     let geom = BufferGeometry {
         width: reference.width(),
         height: reference.height(),
         stride: reference.stride(),
     };
+    for (name, img) in &spec.inputs {
+        if (img.width(), img.height(), img.stride()) != (geom.width, geom.height, geom.stride) {
+            return Err(SimError::InvalidLaunch(format!(
+                "input `{name}` is {}x{} (stride {}) but `{ref_name}` sets the launch geometry \
+                 to {}x{} (stride {})",
+                img.width(),
+                img.height(),
+                img.stride(),
+                geom.width,
+                geom.height,
+                geom.stride
+            )));
+        }
+    }
 
     let mut mem = DeviceMemory::new();
     for buf in &kernel.buffers {
@@ -653,6 +618,35 @@ mod tests {
                     SimError::InvalidLaunch(_)
                 ),
                 "grid {grid:?} block {block:?} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn mismatched_input_sizes_are_rejected_before_dispatch() {
+        let mut k = add_one_kernel();
+        let second = BufferParam {
+            name: "IN2".into(),
+            ..k.buffers[0].clone()
+        };
+        k.buffers.insert(1, second);
+        let (a, b) = (Image::from_fn(8, 8, |x, _| x as f32), Image::new(16, 8));
+        // Either insertion order, and either image as the declared-first
+        // input: the launch never picks a geometry, it refuses.
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            let mut inputs = HashMap::new();
+            inputs.insert("IN2".to_string(), second);
+            inputs.insert("IN".to_string(), first);
+            let spec = LaunchSpec {
+                grid: (1, 8),
+                block: (8, 1),
+                inputs,
+                ..Default::default()
+            };
+            let err = run_on_image(&k, &spec).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidLaunch(ref m) if m.contains("`IN2`") && m.contains("`IN`")),
+                "{err}"
             );
         }
     }

@@ -15,7 +15,7 @@
 //!   engine: a direct tree walk over the IR, easy to audit.
 //!
 //! * [`bytecode`] — the **default execution engine**: the same kernel IR
-//!   lowered once per launch into a flat register-machine program
+//!   lowered on every launch into a flat register-machine program
 //!   (variables become dense register slots, buffer references become
 //!   binding-table indices, launch constants are folded, block-uniform
 //!   subexpressions are hoisted into a once-per-block prologue, and
@@ -37,10 +37,9 @@
 //! (validating the paper's +1-column pad); [`memory`] holds the simulated
 //! device memory (buffers with strides and
 //! texture geometry); [`launch`] wires compiled kernels, images and the
-//! interpreter together. [`observer`] attaches a dynamic race and
-//! bounds watcher to a launch ([`execute_observed`] /
-//! [`run_on_image_observed`]) — the runtime cross-check of the static
-//! verifier in `hipacc-analysis`.
+//! engines together. [`observer`] attaches a dynamic race and bounds
+//! watcher to a tree-walk run ([`execute_observed`]) — the runtime
+//! cross-check of the static verifier in `hipacc-analysis`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -59,14 +58,16 @@ pub mod timing;
 
 pub use bytecode::{compile, execute as execute_bytecode, CompiledKernel, ExecMode};
 pub use inject::{BlockFault, BlockLedger, FaultHook, FaultedRun, RepairStore};
-pub use interp::{execute, execute_observed, execute_profiled, ExecStats, SimError};
+pub use interp::{execute, execute_observed, ExecStats, SimError};
 pub use launch::{
     override_conflicts, parse_engine_env, repair_blocks, resolve_engine, run_on_image,
-    run_on_image_faulted, run_on_image_observed, run_on_image_profiled, run_on_image_with, Engine,
-    FaultedLaunch, LaunchResult, OverrideConflict, ENGINE_ENV,
+    run_on_image_instrumented, run_on_image_with, Engine, LaunchResult, OverrideConflict,
+    ENGINE_ENV,
 };
 pub use memory::{DeviceMemory, LaunchParams};
 pub use observer::ObserverReport;
 pub use pool::WorkerPool;
-pub use sched::{effective_workers, parse_thread_env, BlockProfile, ExecProfile, SimdTelemetry};
+pub use sched::{
+    effective_workers, parse_thread_env, BlockProfile, ExecProfile, GridRun, SimdTelemetry,
+};
 pub use timing::{estimate_time, TimeBreakdown, TimingInput};

@@ -203,6 +203,11 @@ pub struct SimdTelemetry {
     pub warp_steps: u64,
     /// Sum over steps of the number of active lanes.
     pub active_lane_sum: u64,
+    /// Blocks that ran on the scalar engine although the launch asked
+    /// for simd: every block of a launch whose tape fails
+    /// `simd::plan_supported`, plus each block whose vector run errored
+    /// and was re-run scalar.
+    pub scalar_fallback_blocks: u64,
 }
 
 impl SimdTelemetry {
@@ -211,6 +216,7 @@ impl SimdTelemetry {
         self.warp_width = self.warp_width.max(other.warp_width);
         self.warp_steps += other.warp_steps;
         self.active_lane_sum += other.active_lane_sum;
+        self.scalar_fallback_blocks += other.scalar_fallback_blocks;
     }
 
     /// Mean fraction of the warp active per executed instruction group,
@@ -245,6 +251,19 @@ pub struct ExecProfile {
     pub blocks: Vec<BlockProfile>,
     /// Warp-occupancy telemetry when the launch ran on the simd engine.
     pub simd: Option<SimdTelemetry>,
+}
+
+/// What one whole-grid run of either engine produced: the launch totals
+/// always, the rest only when asked for.
+#[derive(Clone, Debug, Default)]
+pub struct GridRun {
+    /// Launch-total dynamic statistics.
+    pub stats: ExecStats,
+    /// Per-block profile, when the caller asked to collect one.
+    pub exec: Option<ExecProfile>,
+    /// Checksum ledger and virtual launch time, when an enabled
+    /// [`FaultHook`](crate::inject::FaultHook) was attached.
+    pub faults: Option<crate::inject::FaultedRun>,
 }
 
 impl ExecProfile {
@@ -383,7 +402,9 @@ mod tests {
             warp_width: 16,
             warp_steps: 10,
             active_lane_sum: 120,
+            scalar_fallback_blocks: 2,
         });
         assert_eq!(t.mean_active_fraction(), Some(0.75));
+        assert_eq!(t.scalar_fallback_blocks, 2);
     }
 }

@@ -134,7 +134,7 @@ fn main() {
         print!("{}", sup.recovery.render_text());
         println!("   recovered: output bit-identical to fault-free reference");
         println!();
-        spans.extend(sup.profile.spans.iter().cloned());
+        spans.extend(sup.profile().spans.iter().cloned());
     }
 
     // Export and self-validate the combined trace, recovery spans included.

@@ -170,7 +170,7 @@ fn degraded_rungs_bypass_the_cache_and_leave_no_stale_tape() {
         sup.execution.compiled.mem_path,
         hipacc_codegen::lower::MemPath::Global
     );
-    let report = sup.profile.cache.as_ref().expect("cache was installed");
+    let report = sup.profile().cache.expect("cache was installed");
     assert!(
         report.outcome.starts_with("bypass"),
         "degraded rung must bypass, got {:?}",
@@ -221,11 +221,11 @@ fn supervised_steady_state_hits_the_cache() {
     let cold = run(&op);
     let warm = run(&op);
     assert_eq!(
-        warm.profile.cache.as_ref().map(|c| c.outcome.as_str()),
+        warm.profile().cache.as_ref().map(|c| c.outcome.as_str()),
         Some("hit")
     );
-    assert!(warm.profile.phase_times.is_empty());
-    assert!(warm.profile.spans.iter().all(|s| s.cat != "compile"));
+    assert!(warm.profile().phase_times.is_empty());
+    assert!(warm.profile().spans.iter().all(|s| s.cat != "compile"));
     assert_eq!(
         cold.execution.output.max_abs_diff(&warm.execution.output),
         0.0

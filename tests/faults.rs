@@ -108,12 +108,16 @@ fn mixed_plan(seed: u64) -> FaultPlan {
 }
 
 /// Property: with `FaultPlan::none()` the supervisor is a bit-identical
-/// wrapper around the plain execute path, on both engines.
+/// wrapper around the plain execute path, on both engines — and so is
+/// every other point of the launch lattice: 3 engines × {`execute_with`,
+/// `execute_profiled`, supervised under an inert plan, supervised under
+/// an armed plan whose one fault targets a block outside the grid}.
 #[test]
 fn inert_plan_is_bit_identical_to_plain_execute_on_both_engines() {
     let img = test_image();
     let cfg = SupervisorConfig::default();
     let target = Target::cuda(device::tesla_c2050());
+    let never_fires = FaultPlan::drop_block(7, (u32::MAX, u32::MAX));
     for (name, op) in shipped_operators() {
         for engine in [Engine::Bytecode, Engine::TreeWalk, Engine::Simd] {
             let ins = inputs(name, &img);
@@ -132,7 +136,35 @@ fn inert_plan_is_bit_identical_to_plain_execute_on_both_engines() {
                 "{name}/{engine:?}: no recovery should be needed"
             );
             assert_eq!(sup.recovery.attempts, 1);
-            assert_eq!(sup.profile.fault_plan, None);
+            assert_eq!(sup.profile().fault_plan, None);
+
+            let (profiled, profile) = op.execute_profiled(&ins, &target, engine).unwrap();
+            let armed = op
+                .execute_supervised(&ins, &target, engine, &never_fires, &cfg)
+                .unwrap_or_else(|e| panic!("{name}/{engine:?} armed: {e}"));
+            assert!(!armed.recovery.recovered(), "{name}/{engine:?}");
+            assert_eq!(armed.profile().fault_plan, Some(never_fires.summary()));
+            for (path, run, sup_profile) in [
+                ("profiled", &profiled, None),
+                ("inert", &sup.execution, Some(sup.profile())),
+                ("armed", &armed.execution, Some(armed.profile())),
+            ] {
+                let at = format!("{name}/{engine:?}/{path}");
+                let same_bits = (plain.output.raw().iter())
+                    .zip(run.output.raw())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same_bits, "{at}: output bits diverged");
+                assert_eq!(plain.stats, run.stats, "{at}");
+                assert_eq!(plain.time, run.time, "{at}");
+                // One constructor builds both profiles; keep them one.
+                let Some(p) = sup_profile else { continue };
+                assert_eq!(profile.regions, p.regions, "{at}");
+                assert_eq!(profile.totals, p.totals, "{at}");
+                assert_eq!(profile.blocks_per_worker, p.blocks_per_worker, "{at}");
+                assert_eq!(profile.occupancy, p.occupancy, "{at}");
+                assert_eq!(profile.warp_occupancy, p.warp_occupancy, "{at}");
+                assert_eq!((profile.grid, profile.block), (p.grid, p.block), "{at}");
+            }
         }
     }
 }
@@ -232,7 +264,7 @@ fn hung_worker_is_cancelled_and_cured_by_retry() {
             "{engine:?}: deadline time must be charged to the virtual clock"
         );
         assert_eq!(
-            sup.profile.fault_plan.as_deref(),
+            sup.profile().fault_plan.as_deref(),
             Some(plan.summary().as_str())
         );
     }
@@ -462,16 +494,16 @@ fn supervised_profile_records_plan_and_recovery_spans() {
     let sup = op
         .execute_supervised(&[("Input", &img)], &target, Engine::default(), &plan, &cfg)
         .unwrap();
-    assert_eq!(sup.profile.fault_plan, Some(plan.summary()));
+    assert_eq!(sup.profile().fault_plan, Some(plan.summary()));
     let recovery_spans = sup
-        .profile
+        .profile()
         .spans
         .iter()
         .filter(|s| s.cat == "recovery")
         .count();
     assert_eq!(recovery_spans, sup.recovery.events.len());
-    let trace = sup.profile.chrome_trace();
+    let trace = sup.profile().chrome_trace();
     let n = hipacc_profile::chrome::validate(&trace).expect("trace must validate");
-    assert_eq!(n, sup.profile.spans.len());
-    assert!(sup.profile.render_text().contains("injected: fault-plan"));
+    assert_eq!(n, sup.profile().spans.len());
+    assert!(sup.profile().render_text().contains("injected: fault-plan"));
 }

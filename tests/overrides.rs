@@ -241,6 +241,25 @@ fn zero_valued_stream_knobs_are_rejected_with_r0605() {
     );
 }
 
+/// A stream without stages is an unusable configuration like any other:
+/// typed R0605 from both run modes, not an assertion failure.
+#[test]
+fn an_empty_stage_chain_is_rejected_with_r0605() {
+    let _g = ENV_LOCK.lock().unwrap();
+    std::env::remove_var(ENGINE_ENV);
+    let empty = Stream::new("empty", Target::cuda(device::tesla_c2050()));
+    for result in [
+        empty.run(vec![test_image()]),
+        empty.run_sequential(vec![test_image()]),
+    ] {
+        let msg = result.expect_err("no stages, no run").to_string();
+        assert!(
+            msg.contains("R0605") && msg.contains("no stages"),
+            "got: {msg}"
+        );
+    }
+}
+
 /// A present-but-malformed resilience env var is a loud R0605, not a
 /// silently ignored knob — unlike the lenient `effective_*` accessors,
 /// which the legacy precedence test above exercises.

@@ -688,10 +688,19 @@ mod engines {
                 session.corrupt_memory(&mut m);
                 let r = match mode {
                     Some(mode) => hipacc_sim::compile(&k, &params, &m)
-                        .and_then(|c| c.run_faulted_with(&mut m, &session, mode)),
-                    None => hipacc_sim::interp::execute_faulted(&k, &params, &mut m, &session),
+                        .and_then(|c| c.run_instrumented(&mut m, mode, true, Some(&session))),
+                    None => hipacc_sim::interp::execute_instrumented(
+                        &k,
+                        &params,
+                        &mut m,
+                        true,
+                        Some(&session),
+                    ),
                 };
-                r.map(|(stats, _, frun)| (stats, frun.corrupted_blocks(), m))
+                r.map(|run| {
+                    let faults = run.faults.expect("the session is armed");
+                    (run.stats, faults.corrupted_blocks(), m)
+                })
             };
             let r_tree = run(None);
             let r_bc = run(Some(hipacc_sim::ExecMode::Scalar));
