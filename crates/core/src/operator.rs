@@ -58,7 +58,7 @@ pub struct PipelineOptions {
     /// parallelism). Outputs are bit-identical for any value.
     pub sim_threads: Option<usize>,
     /// Simulator execution engine (`None` = the `HIPACC_SIM_ENGINE` env
-    /// var, then the default bytecode engine). Outputs and statistics are
+    /// var, then the default simd engine). Outputs and statistics are
     /// bit-identical across engines.
     pub engine: Option<hipacc_sim::Engine>,
     /// Cross-launch compiled-kernel cache (see [`crate::cache`]). `None`
@@ -365,7 +365,7 @@ impl Operator {
     /// Full pipeline: compile, execute on the simulated device, estimate
     /// the time. Runs on the engine selected by
     /// [`PipelineOptions::engine`] (falling back to `HIPACC_SIM_ENGINE`,
-    /// then the default bytecode engine).
+    /// then the default simd engine).
     pub fn execute(
         &self,
         inputs: &[(&str, &Image<f32>)],

@@ -99,6 +99,13 @@ pub struct LaunchProfile {
     /// ([`hipacc_sim::SimdTelemetry::scalar_fallback_blocks`]); 0 on the
     /// other engines.
     pub scalar_fallback_blocks: u64,
+    /// `scalar_fallback_blocks` by cause (only the causes that occurred):
+    /// a kernel the simd engine cannot type runs at bytecode speed, and
+    /// its profile says so.
+    pub fallback_causes: Vec<(hipacc_sim::FallbackCause, u64)>,
+    /// Fraction of the simd engine's warp steps served by the per-warp
+    /// scalar file — one operation for sixteen lanes.
+    pub warp_uniform_share: Option<f64>,
     /// Explicit-vs-environment override conflicts detected for this
     /// launch (rendered [`hipacc_sim::OverrideConflict`]s): the explicit
     /// spec value won, the listed `HIPACC_SIM_*` variable was ignored.
@@ -184,7 +191,9 @@ impl LaunchProfile {
             fault_plan: facts.fault_plan.clone(),
             cache,
             warp_occupancy: simd.and_then(|t| t.mean_active_fraction()),
-            scalar_fallback_blocks: simd.map_or(0, |t| t.scalar_fallback_blocks),
+            scalar_fallback_blocks: simd.map_or(0, |t| t.scalar_fallback_blocks()),
+            fallback_causes: simd.map_or_else(Vec::new, |t| t.fallbacks().collect()),
+            warp_uniform_share: simd.and_then(|t| t.uniform_fraction()),
             override_conflicts,
         }
     }
@@ -289,10 +298,13 @@ impl LaunchProfile {
                 w
             ));
         }
-        if self.scalar_fallback_blocks > 0 {
+        if let Some(u) = self.warp_uniform_share {
+            out.push_str(&format!("  warp-uniform: {:.1} % of steps\n", u * 100.0));
+        }
+        for (cause, blocks) in &self.fallback_causes {
             out.push_str(&format!(
-                "  simd fallback: {} block(s) ran on the scalar engine\n",
-                self.scalar_fallback_blocks
+                "  simd fallback: {blocks} blocks ({})\n",
+                cause.label()
             ));
         }
         if let Some(o) = &self.occupancy {
@@ -391,6 +403,8 @@ mod tests {
             cache: None,
             warp_occupancy: None,
             scalar_fallback_blocks: 0,
+            fallback_causes: Vec::new(),
+            warp_uniform_share: None,
             override_conflicts: Vec::new(),
         }
     }
@@ -450,5 +464,22 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn text_report_names_simd_fallbacks_and_uniform_share() {
+        use hipacc_sim::FallbackCause;
+        let exec = exec_grid(4, 3);
+        let mut p = profile_of(&exec, (4, 3));
+        assert!(!p.render_text().contains("simd fallback"));
+        p.scalar_fallback_blocks = 12;
+        p.fallback_causes = vec![(FallbackCause::PolymorphicRegister, 12)];
+        p.warp_uniform_share = Some(0.625);
+        let text = p.render_text();
+        assert!(
+            text.contains("simd fallback: 12 blocks (polymorphic register)"),
+            "{text}"
+        );
+        assert!(text.contains("warp-uniform: 62.5 % of steps"), "{text}");
     }
 }

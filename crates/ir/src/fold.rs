@@ -73,10 +73,11 @@ pub fn eval_binop(op: BinOp, a: Const, b: Const) -> Option<Const> {
     }
 }
 
-/// Evaluate a unary operation on a constant.
+/// Evaluate a unary operation on a constant. Integer negation is checked
+/// like every other integer operation: `-i64::MIN` is `None`.
 pub fn eval_unop(op: UnOp, a: Const) -> Option<Const> {
     match (op, a) {
-        (UnOp::Neg, Const::Int(i)) => Some(Const::Int(-i)),
+        (UnOp::Neg, Const::Int(i)) => i.checked_neg().map(Const::Int),
         (UnOp::Neg, Const::Float(f)) => Some(Const::Float(-f)),
         (UnOp::Not, c) => Some(Const::Bool(!c.as_bool())),
         (UnOp::Neg, Const::Bool(_)) => None,
@@ -508,6 +509,20 @@ mod tests {
     fn folds_exp_of_constant() {
         let e = Expr::exp(Expr::float(0.0));
         assert_eq!(fold_expr(e, &env()), Expr::float(1.0));
+    }
+
+    #[test]
+    fn integer_negation_overflow_is_refused_not_wrapped() {
+        assert_eq!(eval_unop(UnOp::Neg, Const::Int(i64::MIN)), None);
+        assert_eq!(
+            eval_unop(UnOp::Neg, Const::Int(i64::MAX)),
+            Some(Const::Int(-i64::MAX))
+        );
+        // Like `i64::MAX + 1`, the expression is left for the engines,
+        // which raise the typed error.
+        let e = -Expr::int(i64::MIN);
+        assert_eq!(eval_const(&e, &env()), None);
+        assert_eq!(fold_expr(e.clone(), &env()), e);
     }
 
     #[test]

@@ -215,7 +215,7 @@ pub struct StreamConfig {
     /// [`DEFAULT_QUEUE_CAPACITY`]).
     pub queue_capacity: Option<usize>,
     /// Engine for every launch (`None` = `HIPACC_SIM_ENGINE`, then the
-    /// default bytecode engine).
+    /// default simd engine).
     pub engine: Option<Engine>,
     /// Serve steady-state launches from the stream's kernel cache.
     /// `false` compiles fresh on every frame (the per-frame baseline).

@@ -204,10 +204,13 @@ pub struct CompiledKernel {
     pub(crate) consts: Vec<ConstBinding>,
     pub(crate) shared: Vec<SharedLayout>,
     pub(crate) checks: Vec<InteriorCheck>,
+    /// The simd engine's typed lowering of the tapes (or why it has
+    /// none), built by the first `ExecMode::Simd` run.
+    warp: std::sync::OnceLock<WarpPlan>,
 }
 
 /// How block bodies execute: one thread at a time on the scalar register
-/// machine, or a whole warp per instruction on the SoA lanes of
+/// machine, or a whole warp per instruction on the two register files of
 /// [`crate::simd`]. Both modes are bit- and stat-identical; the mode only
 /// changes cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -215,8 +218,8 @@ pub enum ExecMode {
     /// The scalar bytecode engine (one thread at a time).
     #[default]
     Scalar,
-    /// The warp-vectorized SoA engine, falling back to the scalar path
-    /// per block on anything it cannot vectorize.
+    /// The warp-vectorized engine, falling back to the scalar path on a
+    /// tape it cannot type and per block on anything it cannot reproduce.
     Simd,
 }
 
@@ -446,6 +449,7 @@ pub fn compile(
         consts: std::mem::take(&mut c.consts),
         shared: std::mem::take(&mut c.shared),
         checks,
+        warp: std::sync::OnceLock::new(),
     })
 }
 
@@ -2231,11 +2235,12 @@ pub(crate) fn run_block(
 }
 
 /// Run one block. `simd` is `None` on the scalar engine and otherwise
-/// says whether the tape passed [`crate::simd::plan_supported`]. The simd
-/// engine rolls back its partial journal and re-runs the whole block on
-/// the scalar path whenever it hits an error, so error identity — like
-/// everything else observable — is always decided by the scalar engine.
-/// A simd launch counts every block it runs scalar in `tel`.
+/// the launch's warp program, or why [`crate::warp::lower`] refused the
+/// tape. The simd engine rolls back its partial journal and re-runs the
+/// whole block on the scalar path whenever it hits an error, so error
+/// identity — like everything else observable — is always decided by the
+/// scalar engine. A simd launch counts every block it runs scalar in
+/// `tel`, by cause.
 #[allow(clippy::too_many_arguments)]
 fn run_block_dispatch(
     prog: &CompiledKernel,
@@ -2244,20 +2249,27 @@ fn run_block_dispatch(
     by: u32,
     scratch: &mut BlockScratch,
     journal: &mut Vec<StoreRec>,
-    simd: Option<bool>,
+    simd: Option<&WarpPlan>,
     tel: &mut crate::sched::SimdTelemetry,
 ) -> Result<(std::ops::Range<usize>, ExecStats), SimError> {
-    if let Some(plan_ok) = simd {
-        if plan_ok {
-            if let Ok(out) = crate::simd::run_block_simd(prog, bufs, bx, by, scratch, journal, tel)
+    match simd {
+        Some(Ok(wp)) => {
+            if let Ok(out) =
+                crate::simd::run_block_simd(prog, wp, bufs, bx, by, scratch, journal, tel)
             {
                 return Ok(out);
             }
+            tel.note_fallback(crate::sched::FallbackCause::BlockBail);
         }
-        tel.scalar_fallback_blocks += 1;
+        Some(Err(cause)) => tel.note_fallback(*cause),
+        None => {}
     }
     run_block(prog, bufs, bx, by, scratch, journal)
 }
+
+/// What a simd launch runs: the typed warp program, or the launch-wide
+/// reason every block goes to the scalar engine.
+type WarpPlan = Result<crate::warp::WarpProgram, crate::sched::FallbackCause>;
 
 impl CompiledKernel {
     /// Execute the compiled program over the whole grid under `mode`.
@@ -2283,7 +2295,7 @@ impl CompiledKernel {
         mode: ExecMode,
     ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
         let bufs = self.buffer_views(mem)?;
-        let simd = (mode == ExecMode::Simd).then(|| crate::simd::plan_supported(self));
+        let simd = self.warp_plan(mode);
         let mut scratch = BlockScratch::default();
         let mut journal = Vec::new();
         let mut tel = crate::sched::SimdTelemetry::default();
@@ -2309,6 +2321,12 @@ impl CompiledKernel {
             }));
         }
         Ok((out, stats))
+    }
+
+    /// The simd engine's plan for this program, lowered on first use;
+    /// `None` on the scalar engine.
+    fn warp_plan(&self, mode: ExecMode) -> Option<&WarpPlan> {
+        (mode == ExecMode::Simd).then(|| self.warp.get_or_init(|| crate::warp::lower(self)))
     }
 
     /// Resolve the binding table against bound memory (shared by the run
@@ -2357,7 +2375,7 @@ impl CompiledKernel {
         let hook = crate::inject::ArmedHook::attach(hook);
 
         let bufs = self.buffer_views(mem)?;
-        let simd = (mode == ExecMode::Simd).then(|| crate::simd::plan_supported(self));
+        let simd = self.warp_plan(mode);
         let key = self.scratch_key();
 
         let (gx, gy) = self.grid;
@@ -2368,13 +2386,16 @@ impl CompiledKernel {
         let n_workers =
             crate::sched::effective_workers_pooled(self.sim_threads, blocks.len(), pool)?;
 
-        // Strided block-to-worker assignment with results keyed by the
-        // linear block index, exactly like the tree-walk engine: stores
-        // are applied in block order afterwards, so outputs stay
-        // bit-identical regardless of the worker count. Each worker owns
-        // one pooled journal; a block's stores are a range of it. The
-        // trailing u64 is the block's virtual latency (0 without a fault
-        // hook).
+        // Results are keyed by the linear block index and stores applied
+        // in block order afterwards, exactly like the tree-walk engine, so
+        // outputs stay bit-identical whichever worker ran which block.
+        // Each worker owns one pooled journal; a block's stores are a
+        // range of it. With a fault hook armed the workers walk their
+        // strided shares, because the hook charges a per-worker virtual
+        // clock; without one they claim chunks of blocks first come first
+        // served, so the launch is not gated by its slowest host thread.
+        // The trailing u64 is the block's virtual latency (0 without a
+        // fault hook).
         type BlockOut = (usize, std::ops::Range<usize>, ExecStats, u64);
         type WorkerOut = (
             Vec<BlockOut>,
@@ -2384,21 +2405,17 @@ impl CompiledKernel {
         );
         let bufs_ref = &bufs;
         let blocks_ref = &blocks;
-        let results: Vec<Result<WorkerOut, SimError>> =
-            crate::sched::run_workers(pool, n_workers, |w| {
+        let hook_ref = &hook;
+        let run_grid = |claims: Option<&crate::sched::BlockClaims>| {
+            crate::sched::run_workers(pool, n_workers, |w| -> Result<WorkerOut, SimError> {
                 let mut scratch = SCRATCH_POOL.checkout(key).unwrap_or_default();
                 let mut journal = std::mem::take(&mut scratch.journal);
                 journal.clear();
                 let mut tel = crate::sched::SimdTelemetry::default();
                 let mut out: Vec<BlockOut> =
                     Vec::with_capacity(crate::sched::worker_share(blocks_ref.len(), n_workers, w));
-                let mut vtime: u64 = 0;
-                for i in crate::sched::worker_indices(blocks_ref.len(), n_workers, w) {
+                let mut run_one = |i: usize, lat: u64| -> Result<(), SimError> {
                     let (bx, by) = blocks_ref[i];
-                    let lat = match &hook {
-                        Some(h) => h.admit(w, &mut vtime, bx, by)?,
-                        None => 0,
-                    };
                     let (range, block_stats) = run_block_dispatch(
                         self,
                         bufs_ref,
@@ -2410,9 +2427,39 @@ impl CompiledKernel {
                         &mut tel,
                     )?;
                     out.push((i, range, block_stats, lat));
+                    Ok(())
+                };
+                match claims {
+                    Some(claims) => {
+                        while let Some(chunk) = claims.claim() {
+                            for i in chunk {
+                                run_one(i, 0)?;
+                            }
+                        }
+                    }
+                    None => {
+                        let mut vtime: u64 = 0;
+                        for i in crate::sched::worker_indices(blocks_ref.len(), n_workers, w) {
+                            let (bx, by) = blocks_ref[i];
+                            let lat = match hook_ref {
+                                Some(h) => h.admit(w, &mut vtime, bx, by)?,
+                                None => 0,
+                            };
+                            run_one(i, lat)?;
+                        }
+                    }
                 }
                 Ok((out, journal, tel, scratch))
-            });
+            })
+        };
+        let claims = (hook.is_none() && n_workers > 1)
+            .then(|| crate::sched::BlockClaims::new(blocks.len(), n_workers));
+        let mut results = run_grid(claims.as_ref());
+        if claims.is_some() && results.iter().any(Result::is_err) {
+            // Which blocks ran before the failing one was a matter of
+            // timing; the strided walk owns the identity of the error.
+            results = run_grid(None);
+        }
         drop(bufs);
 
         let mut slots: Vec<Option<BlockOut>> = (0..blocks.len()).map(|_| None).collect();
@@ -2425,6 +2472,7 @@ impl CompiledKernel {
             tel_total.merge(&tel);
             for (i, range, stats, lat) in outs {
                 worker_vtime[w] = worker_vtime[w].saturating_add(lat);
+                // The journal is the executing worker's.
                 slots[i] = Some((w, range, stats, lat));
             }
             journals.push(journal);
@@ -2444,14 +2492,14 @@ impl CompiledKernel {
             )
         });
         for (i, slot) in slots.into_iter().enumerate() {
-            let (worker, range, block_stats, lat) = slot.expect("every block ran");
+            let (ran_on, range, block_stats, lat) = slot.expect("every block ran");
             stats_total.merge(&block_stats);
             let (bx, by) = blocks[i];
             if let Some(p) = exec_profile.as_mut() {
                 p.blocks.push(crate::sched::BlockProfile {
                     bx,
                     by,
-                    worker,
+                    worker: i % n_workers,
                     stats: block_stats,
                 });
             }
@@ -2463,7 +2511,7 @@ impl CompiledKernel {
                     (bx, by),
                     self.grid,
                     lat,
-                    &mut journals[worker][range.clone()],
+                    &mut journals[ran_on][range.clone()],
                     |st| {
                         let name = &self.globals[st.buf as usize].name;
                         crate::inject::store_hash(name, st.idx as usize, st.value)
@@ -2473,12 +2521,20 @@ impl CompiledKernel {
                 None => true,
             };
             if keep {
-                for st in &journals[worker][range] {
-                    let name = &self.globals[st.buf as usize].name;
+                // Stores of one kernel target one or two bindings: resolve
+                // the output buffer once per run of equal bindings, not
+                // once per store.
+                let mut rest = &journals[ran_on][range];
+                while let Some(first) = rest.first() {
+                    let run = rest.iter().take_while(|st| st.buf == first.buf).count();
+                    let name = &self.globals[first.buf as usize].name;
                     let buf = mem
                         .buffer_mut(name)
                         .ok_or_else(|| SimError::UnboundBuffer(name.clone()))?;
-                    buf.data[st.idx as usize] = st.value;
+                    for st in &rest[..run] {
+                        buf.data[st.idx as usize] = st.value;
+                    }
+                    rest = &rest[run..];
                 }
             }
         }
@@ -2551,6 +2607,19 @@ mod tests {
             }
         }
         (mem_bc, stats_bc)
+    }
+
+    /// Run a launch every engine must refuse, assert they refuse it with
+    /// the same error (the simd engine through its scalar re-run), and
+    /// return that error.
+    fn engines_reject(k: &DeviceKernelDef, p: &LaunchParams, mem: &DeviceMemory) -> SimError {
+        let tree = interp::execute(k, p, &mut mem.clone()).unwrap_err();
+        assert_eq!(execute(k, p, &mut mem.clone()).unwrap_err(), tree);
+        let simd = compile(k, p, mem)
+            .unwrap()
+            .run_with(&mut mem.clone(), ExecMode::Simd);
+        assert_eq!(simd.unwrap_err(), tree);
+        tree
     }
 
     /// OUT[gid] = 2 * IN[gid] over a 1-D launch (mirrors the interpreter's
@@ -2767,7 +2836,7 @@ mod tests {
     }
 
     /// Without the barrier one phase both stores and loads the tile — the
-    /// case `simd::plan_supported` refuses. A simd launch then runs every
+    /// case `warp::lower` refuses. A simd launch then runs every
     /// block scalar, and says so.
     #[test]
     fn same_phase_tile_load_and_store_is_counted_as_scalar_fallback() {
@@ -2778,13 +2847,15 @@ mod tests {
                 .unwrap()
                 .run_instrumented(&mut mem, mode, true, None)
                 .unwrap();
-            run.exec.unwrap().simd.map(|t| t.scalar_fallback_blocks)
+            let tel = run.exec.unwrap().simd;
+            tel.map(|t| t.fallbacks().collect::<Vec<_>>())
         };
         let staged = reversal_kernel();
         let mut racy = staged.clone();
         racy.body.retain(|s| !matches!(s, Stmt::Barrier));
-        assert_eq!(fallbacks(&racy, ExecMode::Simd), Some(2), "both blocks");
-        assert_eq!(fallbacks(&staged, ExecMode::Simd), Some(0));
+        let both_blocks = vec![(crate::sched::FallbackCause::SharedTileHazard, 2)];
+        assert_eq!(fallbacks(&racy, ExecMode::Simd), Some(both_blocks));
+        assert_eq!(fallbacks(&staged, ExecMode::Simd), Some(vec![]));
         assert_eq!(fallbacks(&racy, ExecMode::Scalar), None);
     }
 
@@ -2967,6 +3038,65 @@ mod tests {
         );
     }
 
+    /// `-i64::MIN` is an integer overflow like any other: the same typed
+    /// error from the tree-walk, the scalar tape and the simd engine
+    /// (whose block bails to the scalar re-run).
+    #[test]
+    fn integer_negation_overflow_matches_interpreter() {
+        let mut k = double_kernel();
+        k.body = vec![Stmt::GlobalStore {
+            buf: "OUT".into(),
+            idx: Expr::int(0),
+            value: (-(Expr::var("n") - Expr::int(8) + Expr::int(i64::MIN))).cast(ScalarType::F32),
+        }];
+        let mut p = LaunchParams::new((1, 1), (1, 1));
+        p.set_int("n", 8);
+        assert_eq!(
+            engines_reject(&k, &p, &linear_mem(8)),
+            SimError::EvalError(format!("Neg on Int({})", i64::MIN))
+        );
+    }
+
+    /// Two blocks fail differently: block 6 (worker 0's share of a
+    /// two-worker strided split) divides by zero, block 1 (worker 1's)
+    /// overflows a negation. Workers that claim blocks meet block 1
+    /// first; the error every engine reports is still the strided
+    /// walk's — worker 0's — because a failed claimed run is repeated
+    /// strided.
+    #[test]
+    fn error_identity_does_not_depend_on_which_worker_ran_a_block() {
+        let mut k = double_kernel();
+        let fail = |value: Expr| {
+            vec![Stmt::GlobalStore {
+                buf: "OUT".into(),
+                idx: Expr::int(0),
+                value: value.cast(ScalarType::F32),
+            }]
+        };
+        let bid = || Expr::Builtin(Builtin::BlockIdxX);
+        k.body = vec![
+            Stmt::If {
+                cond: bid().eq_(Expr::int(6)),
+                then: fail(Expr::int(1) / (Expr::var("n") - Expr::int(64))),
+                els: vec![],
+            },
+            Stmt::If {
+                cond: bid().eq_(Expr::int(1)),
+                then: fail(-(Expr::var("n") - Expr::int(64) + Expr::int(i64::MIN))),
+                els: vec![],
+            },
+        ];
+        let mut p = LaunchParams::new((8, 1), (8, 1));
+        p.set_int("n", 64);
+        p.sim_threads = Some(2);
+        for _ in 0..8 {
+            assert_eq!(
+                engines_reject(&k, &p, &linear_mem(64)),
+                SimError::DivisionByZero
+            );
+        }
+    }
+
     #[test]
     fn compiled_kernel_is_reusable_and_validates_geometry() {
         let k = double_kernel();
@@ -2985,5 +3115,273 @@ mod tests {
             ck.run_with(&mut small, ExecMode::Scalar).unwrap_err(),
             SimError::EvalError(_)
         ));
+    }
+
+    // -----------------------------------------------------------------
+    // The warp program's semantic traps: places where the typed, two-file
+    // lowering could plausibly differ from the dynamically typed engines.
+    // Each kernel is checked three ways on output bits and `ExecStats`
+    // (`engines_agree`), and its warp telemetry — counted in source-tape
+    // instructions — is pinned to what the tagged simd engine this one
+    // replaced reported for the same launch.
+    // -----------------------------------------------------------------
+
+    /// `engines_agree`, then the simd engine's telemetry for the launch.
+    fn warp_telemetry(
+        k: &DeviceKernelDef,
+        p: &LaunchParams,
+        mem: &DeviceMemory,
+    ) -> crate::sched::SimdTelemetry {
+        let (mut mem, _) = engines_agree(k, p, mem);
+        let run = compile(k, p, &mem)
+            .unwrap()
+            .run_instrumented(&mut mem, ExecMode::Simd, true, None)
+            .unwrap();
+        run.exec.unwrap().simd.expect("a simd launch has telemetry")
+    }
+
+    fn gid_decl() -> Stmt {
+        Stmt::Decl {
+            name: "gid".into(),
+            ty: ScalarType::I32,
+            init: Some(
+                Expr::Builtin(Builtin::BlockIdxX) * Expr::Builtin(Builtin::BlockDimX)
+                    + Expr::Builtin(Builtin::ThreadIdxX),
+            ),
+        }
+    }
+
+    fn load_in(idx: Expr) -> Expr {
+        Expr::GlobalLoad {
+            buf: "IN".into(),
+            idx: Box::new(idx),
+        }
+    }
+
+    /// A kernel over `double_kernel`'s buffers with no scalar arguments.
+    fn trap_kernel(name: &str, body: Vec<Stmt>) -> DeviceKernelDef {
+        DeviceKernelDef {
+            name: name.into(),
+            scalars: vec![],
+            body,
+            ..double_kernel()
+        }
+    }
+
+    fn store_out(value: Expr) -> Stmt {
+        Stmt::GlobalStore {
+            buf: "OUT".into(),
+            idx: Expr::var("gid"),
+            value,
+        }
+    }
+
+    fn assign(name: &str, value: Expr) -> Stmt {
+        Stmt::Assign {
+            target: LValue::Var(name.into()),
+            value,
+        }
+    }
+
+    fn decl(name: &str, ty: ScalarType, init: Option<Expr>) -> Stmt {
+        Stmt::Decl {
+            name: name.into(),
+            ty,
+            init,
+        }
+    }
+
+    /// `acc += IN[gid + i]` for `i` in `0..=hi`.
+    fn tap_loop(var: &str, hi: Expr) -> Stmt {
+        Stmt::For {
+            var: var.into(),
+            from: Expr::int(0),
+            to: hi,
+            body: vec![assign(
+                "acc",
+                Expr::var("acc") + load_in(Expr::var("gid") + Expr::var(var)),
+            )],
+        }
+    }
+
+    #[test]
+    fn int_compare_goes_through_f32() {
+        // 2^24 + 1 == 2^24 once both sides are `as_f32`, also for two
+        // ints; an exact integer compare would store 0 everywhere.
+        let big = 1i64 << 24;
+        let k = trap_kernel(
+            "cmp",
+            vec![
+                gid_decl(),
+                store_out(Expr::select(
+                    (Expr::var("gid") * Expr::int(0) + Expr::int(big + 1))
+                        .eq_(Expr::var("gid") * Expr::int(0) + Expr::int(big)),
+                    Expr::float(1.0),
+                    Expr::float(0.0),
+                )),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let (mem, _) = engines_agree(&k, &p, &linear_mem(64));
+        assert!(mem.buffer("OUT").unwrap().data.iter().all(|v| *v == 1.0));
+        let tel = warp_telemetry(&k, &p, &linear_mem(64));
+        assert_eq!((tel.warp_steps, tel.active_lane_sum), (72, 1152));
+        assert_eq!(tel.scalar_fallback_blocks(), 0);
+    }
+
+    #[test]
+    fn integer_overflow_keeps_the_scalar_error_identity() {
+        // Only the last thread of the second block overflows: the simd
+        // block bails, the scalar re-run owns the message.
+        let k = trap_kernel(
+            "ovf",
+            vec![
+                gid_decl(),
+                store_out((Expr::var("gid") + Expr::int(i64::MAX - 62)).cast(ScalarType::F32)),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let err = engines_reject(&k, &p, &linear_mem(64));
+        assert!(matches!(&err, SimError::EvalError(m) if m.starts_with("Add on")));
+    }
+
+    #[test]
+    fn float_to_int_cast_saturates() {
+        // `as i64` on a float saturates and maps NaN to 0; the int goes
+        // back out through `as f32`.
+        let k = trap_kernel(
+            "sat",
+            vec![
+                gid_decl(),
+                store_out(
+                    ((load_in(Expr::var("gid")) - Expr::float(31.5)) * Expr::float(1e30))
+                        .cast(ScalarType::I32)
+                        .cast(ScalarType::F32),
+                ),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let mut input = linear_mem(64);
+        input.buffer_mut("IN").unwrap().data[5] = f32::NAN;
+        let (mem, _) = engines_agree(&k, &p, &input);
+        let out = &mem.buffer("OUT").unwrap().data;
+        assert_eq!(out[0], i64::MIN as f32);
+        assert_eq!(out[5], 0.0);
+        assert_eq!(out[63], i64::MAX as f32);
+        let tel = warp_telemetry(&k, &p, &input);
+        assert_eq!((tel.warp_steps, tel.active_lane_sum), (48, 768));
+        assert_eq!(tel.scalar_fallback_blocks(), 0);
+    }
+
+    #[test]
+    fn untyped_decl_feeding_a_float_loop_is_refused_and_counted() {
+        // `float acc;` is `Int(0)` whatever it declares, so the loop head
+        // sees an int from above and a float from the back edge. The
+        // tape cannot be typed: every block runs scalar, counted, with
+        // the same bits.
+        let k = trap_kernel(
+            "untyped",
+            vec![
+                gid_decl(),
+                decl("acc", ScalarType::F32, None),
+                tap_loop("i", Expr::int(2)),
+                store_out(Expr::var("acc")),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let tel = warp_telemetry(&k, &p, &linear_mem(64));
+        assert_eq!((tel.warp_steps, tel.active_lane_sum), (0, 0));
+        assert_eq!(tel.scalar_fallback_blocks(), 2);
+        let causes: Vec<_> = tel.fallbacks().collect();
+        assert_eq!(
+            causes,
+            [(crate::sched::FallbackCause::PolymorphicRegister, 2)]
+        );
+        // Initialised with a float, the same kernel is typed.
+        let mut typed = k.clone();
+        typed.body[1] = decl("acc", ScalarType::F32, Some(Expr::float(0.0)));
+        let tel = warp_telemetry(&typed, &p, &linear_mem(64));
+        assert_eq!(tel.scalar_fallback_blocks(), 0);
+        assert!(tel.uniform_steps > 0);
+    }
+
+    #[test]
+    fn uniform_counter_under_a_varying_branch_stays_per_lane() {
+        // The tap counter is warp-uniform in value, but only the even
+        // lanes run the loop: its definitions must not land in the
+        // scalar file (and the guard must not fire).
+        let k = trap_kernel(
+            "varying-if",
+            vec![
+                gid_decl(),
+                decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
+                Stmt::If {
+                    cond: Expr::var("gid").rem(Expr::int(2)).eq_(Expr::int(0)),
+                    then: vec![tap_loop("i", Expr::int(2))],
+                    els: vec![assign("acc", Expr::float(-1.0))],
+                },
+                store_out(Expr::var("acc")),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let (mem, stats) = engines_agree(&k, &p, &linear_mem(72));
+        assert_eq!(stats.global_loads, 32 * 3);
+        let out = &mem.buffer("OUT").unwrap().data;
+        assert_eq!((out[4], out[5]), (4.0 + 5.0 + 6.0, -1.0));
+        let tel = warp_telemetry(&k, &p, &linear_mem(72));
+        assert_eq!((tel.warp_steps, tel.active_lane_sum), (180, 1824));
+        assert_eq!(tel.scalar_fallback_blocks(), 0);
+    }
+
+    #[test]
+    fn uniform_counter_inside_a_varying_trip_count_loop() {
+        // The inner loop's bounds are uniform, the outer trip count is
+        // `gid % 3`: lanes leave the outer loop at different times, so
+        // the inner counter is control-dependent on a varying branch.
+        let k = trap_kernel(
+            "varying-trips",
+            vec![
+                gid_decl(),
+                decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
+                Stmt::For {
+                    var: "j".into(),
+                    from: Expr::int(0),
+                    to: Expr::var("gid").rem(Expr::int(3)),
+                    body: vec![tap_loop("i", Expr::int(1))],
+                },
+                store_out(Expr::var("acc") + Expr::var("gid").cast(ScalarType::F32)),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let (_, stats) = engines_agree(&k, &p, &linear_mem(72));
+        // Trip counts 1, 2, 3 by `gid % 3`, two loads per trip.
+        assert_eq!(stats.global_loads, 2 * (22 + 2 * 21 + 3 * 21));
+        let tel = warp_telemetry(&k, &p, &linear_mem(72));
+        assert_eq!((tel.warp_steps, tel.active_lane_sum), (376, 4326));
+        assert_eq!(tel.scalar_fallback_blocks(), 0);
+    }
+
+    #[test]
+    fn scalar_file_value_lives_across_a_barrier() {
+        // `k` is assigned (so never promoted to the block-uniform file)
+        // and warp-uniform: it sits in each warp's scalar file while the
+        // barrier separates its definition from its use.
+        let mut k = reversal_kernel();
+        k.name = "uniform-across-barrier".into();
+        k.body
+            .insert(1, decl("k", ScalarType::I32, Some(Expr::int(3))));
+        k.body.insert(2, assign("k", Expr::var("k") * Expr::int(5)));
+        let Some(Stmt::GlobalStore { value, .. }) = k.body.last_mut() else {
+            unreachable!("the reversal kernel ends in its store")
+        };
+        *value = value.clone() + Expr::var("k").cast(ScalarType::F32);
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let (mem, stats) = engines_agree(&k, &p, &linear_mem(64));
+        assert_eq!(mem.buffer("OUT").unwrap().data[0], 31.0 + 15.0);
+        assert_eq!(stats.barriers, 64);
+        let tel = warp_telemetry(&k, &p, &linear_mem(64));
+        assert_eq!((tel.warp_steps, tel.active_lane_sum), (84, 1344));
+        assert_eq!(tel.scalar_fallback_blocks(), 0);
+        assert!(tel.uniform_steps > 0);
     }
 }

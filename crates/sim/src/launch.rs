@@ -7,12 +7,15 @@
 //! `is_height`), runs one of the execution engines and downloads the
 //! output.
 //!
-//! Launches go through the [`Engine::Bytecode`] register machine by
-//! default (compile once, run blocks on a flat tape — see
-//! [`crate::bytecode`]); [`Engine::Simd`] runs the same tape
-//! warp-vectorized and [`Engine::TreeWalk`] keeps the original
-//! tree-walking interpreter available as the reference implementation.
-//! All three produce bit-identical outputs and statistics.
+//! Launches go through [`Engine::Simd`] by default: the kernel is
+//! compiled once to a flat register-machine tape (see
+//! [`crate::bytecode`]), the tape is lowered to a typed warp program and
+//! run sixteen lanes per instruction (see [`crate::simd`]).
+//! [`Engine::Bytecode`] runs the same tape one thread at a time with
+//! dynamically typed registers — the simd engine's oracle and fallback —
+//! and [`Engine::TreeWalk`] keeps the original tree-walking interpreter
+//! available as the reference implementation. All three produce
+//! bit-identical outputs and statistics.
 //!
 //! There is one launch step, [`run_on_image_instrumented`]: bind, run the
 //! chosen engine's whole-grid entry with whatever instrumentation was
@@ -94,16 +97,19 @@ pub struct LaunchResult {
 /// Which execution engine runs the kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Compile to a register-machine tape once, then run blocks on it
-    /// (see [`crate::bytecode`]). The default.
-    #[default]
+    /// Compile to a register-machine tape once, then run blocks on it one
+    /// thread at a time (see [`crate::bytecode`]): the dynamically typed
+    /// oracle the simd engine is checked against, and its fallback.
     Bytecode,
     /// Walk the IR tree directly per thread (see [`crate::interp`]).
     /// Reference semantics; slower.
     TreeWalk,
-    /// The bytecode tape executed warp-vectorized over SoA register
-    /// lanes (see [`crate::simd`]). Bit- and stat-identical to the other
-    /// engines; fastest on convergent stencil kernels.
+    /// The bytecode tape lowered to a typed warp program and executed
+    /// sixteen lanes per instruction (see [`crate::simd`]). Bit- and
+    /// stat-identical to the other engines and several times faster; a
+    /// tape it cannot type runs on the bytecode engine, counted in the
+    /// launch profile. The default.
+    #[default]
     Simd,
 }
 
@@ -233,7 +239,7 @@ pub fn override_conflicts(
 
 /// Run a device kernel over host images with the resolved engine:
 /// [`LaunchSpec::engine`] if set, else `HIPACC_SIM_ENGINE`, else
-/// [`Engine::Bytecode`].
+/// [`Engine::default`] (simd).
 ///
 /// The first input image defines the output geometry. Buffers named in the
 /// kernel but missing from `inputs`/`mask_data` produce

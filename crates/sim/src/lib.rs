@@ -3,7 +3,7 @@
 //! The GPU substrate of the reproduction: a software model of the graphics
 //! cards the paper evaluates on.
 //!
-//! Three cooperating parts:
+//! Four cooperating parts:
 //!
 //! * [`interp`] — a **functional SIMT interpreter** that executes
 //!   device-level kernel IR over a grid of thread blocks, with shared
@@ -14,14 +14,22 @@
 //!   against the CPU references in `hipacc-image`. This is the reference
 //!   engine: a direct tree walk over the IR, easy to audit.
 //!
-//! * [`bytecode`] — the **default execution engine**: the same kernel IR
-//!   lowered on every launch into a flat register-machine program
-//!   (variables become dense register slots, buffer references become
-//!   binding-table indices, launch constants are folded, block-uniform
-//!   subexpressions are hoisted into a once-per-block prologue, and
-//!   interior blocks skip address-mode handling). Semantics — outputs *and*
-//!   [`ExecStats`] — are bit-identical to [`interp`] by construction and
-//!   by differential test.
+//! * [`bytecode`] — the **tape compiler and scalar engine**: the same
+//!   kernel IR lowered on every launch into a flat register-machine
+//!   program (variables become dense register slots, buffer references
+//!   become binding-table indices, launch constants are folded,
+//!   block-uniform subexpressions are hoisted into a once-per-block
+//!   prologue, and interior blocks skip address-mode handling), run one
+//!   thread at a time over dynamically typed registers. Semantics —
+//!   outputs *and* [`ExecStats`] — are bit-identical to [`interp`] by
+//!   construction and by differential test.
+//!
+//! * [`simd`] — the **default execution engine**: the tape lowered once
+//!   more, to a typed two-file warp program (register tags resolved by
+//!   inference over the tape, warp-uniform values in a per-warp scalar
+//!   file), and run sixteen lanes per instruction. Bit- and
+//!   stat-identical to the scalar engine, which stays its oracle and its
+//!   counted fallback.
 //!
 //! * [`timing`] — an **analytical timing model** in the spirit of
 //!   first-order GPU performance models: per-region operation counts (with
@@ -55,6 +63,7 @@ pub mod pool;
 pub mod sched;
 pub mod simd;
 pub mod timing;
+mod warp;
 
 pub use bytecode::{compile, execute as execute_bytecode, CompiledKernel, ExecMode};
 pub use inject::{BlockFault, BlockLedger, FaultHook, FaultedRun, RepairStore};
@@ -68,6 +77,7 @@ pub use memory::{DeviceMemory, LaunchParams};
 pub use observer::ObserverReport;
 pub use pool::WorkerPool;
 pub use sched::{
-    effective_workers, parse_thread_env, BlockProfile, ExecProfile, GridRun, SimdTelemetry,
+    effective_workers, parse_thread_env, BlockProfile, ExecProfile, FallbackCause, GridRun,
+    SimdTelemetry,
 };
 pub use timing::{estimate_time, TimeBreakdown, TimingInput};

@@ -8,19 +8,26 @@
 //! interior blocks across all workers, keeping per-worker block counts
 //! within one of each other for any grid.
 //!
+//! The strided split is the *accounting* assignment everywhere (profiles,
+//! the fault injector's per-worker virtual clock). The bytecode engines
+//! also *execute* by it whenever a fault hook is armed; otherwise their
+//! workers take blocks from [`BlockClaims`], so a launch is not gated by
+//! the worker whose host thread the OS treated worst.
+//!
 //! The worker count defaults to the host's available parallelism but can
 //! be pinned for reproducible profiles and benches, either per launch
 //! ([`LaunchParams::sim_threads`]) or process-wide with the
 //! `HIPACC_SIM_THREADS` environment variable (the explicit field wins).
 //!
-//! Per-block execution profiles ([`ExecProfile`]) record which worker ran
-//! each block along with the block's [`ExecStats`], so the launch report
-//! can attribute dynamic counters to boundary regions.
+//! Per-block execution profiles ([`ExecProfile`]) record each block's
+//! strided worker along with the block's [`ExecStats`], so the launch
+//! report can attribute dynamic counters to boundary regions.
 //!
 //! [`LaunchParams::sim_threads`]: crate::memory::LaunchParams::sim_threads
 
 use crate::interp::{ExecStats, SimError};
 use crate::pool::WorkerPool;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable overriding the worker count (lowest precedence).
@@ -93,10 +100,10 @@ pub fn effective_workers_pooled(
 /// With a pool, jobs are queued on its persistent threads
 /// ([`WorkerPool::run_scoped`]); without one, fresh scoped threads are
 /// spawned per launch — `n_workers == 1` runs inline either way. The
-/// closure receives the worker index and must use
-/// [`worker_indices`] for block assignment, so results (and therefore
-/// store order, applied by the caller in linear block order) are
-/// identical on both paths.
+/// closure receives the worker index and takes its blocks from
+/// [`worker_indices`] or a shared [`BlockClaims`]; results are keyed by
+/// block index and stores applied by the caller in linear block order,
+/// so outputs are identical on both paths.
 pub fn run_workers<T, F>(pool: Option<&WorkerPool>, n_workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -133,6 +140,44 @@ pub fn worker_share(n_blocks: usize, n_workers: usize, worker: usize) -> usize {
         return 0;
     }
     (n_blocks - worker).div_ceil(n_workers.max(1))
+}
+
+/// First-come-first-served hand-out of one launch's blocks in small
+/// contiguous chunks — the dynamic alternative to [`worker_indices`].
+///
+/// A strided split fixes every worker's share before the launch starts,
+/// so the launch ends when its *slowest* worker does: a worker whose host
+/// thread starts late, shares its core with another stage's thread or is
+/// slowed by a neighbour holds the others idle at the join. With claims
+/// the work flows to whichever worker is running, and the join waits for
+/// at most one chunk. Which worker *executes* a block is then a matter of
+/// timing, so nothing observable may depend on it: results stay keyed by
+/// the linear block index, and profiles attribute a block to its strided
+/// worker (`index % n_workers`) on both paths.
+pub struct BlockClaims {
+    next: AtomicUsize,
+    n_blocks: usize,
+    chunk: usize,
+}
+
+impl BlockClaims {
+    /// Claims over `n_blocks` blocks for `n_workers` workers: about 16
+    /// chunks per worker, so the tail a fast worker waits for is a few
+    /// percent of its share.
+    pub fn new(n_blocks: usize, n_workers: usize) -> Self {
+        BlockClaims {
+            next: AtomicUsize::new(0),
+            n_blocks,
+            chunk: n_blocks.div_ceil(n_workers.max(1) * 16).max(1),
+        }
+    }
+
+    /// The next unclaimed run of linear block indices, or `None` when
+    /// every block has been handed out.
+    pub fn claim(&self) -> Option<std::ops::Range<usize>> {
+        let lo = self.next.fetch_add(self.chunk, Ordering::Relaxed);
+        (lo < self.n_blocks).then(|| lo..(lo + self.chunk).min(self.n_blocks))
+    }
 }
 
 /// A bounded pool of reusable per-worker scratch allocations, shared
@@ -187,14 +232,48 @@ impl<T> ScratchPool<T> {
     }
 }
 
+/// Why a block of a simd launch ran on the scalar engine instead.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FallbackCause {
+    /// The tape reads a register whose dynamic tag is not fixed at that
+    /// point (a `Select` with an int and a float arm): the warp program
+    /// cannot be typed, every block of the launch runs scalar.
+    PolymorphicRegister,
+    /// One phase loads and stores the same shared tile, so deferred lane
+    /// stores would be visible: every block of the launch runs scalar.
+    SharedTileHazard,
+    /// This block's vector run hit an evaluation error (or a scalar-file
+    /// write under a partial mask) and was re-run scalar, which owns the
+    /// error.
+    BlockBail,
+}
+
+impl FallbackCause {
+    /// Every cause, in the order of [`SimdTelemetry::fallback_causes`].
+    pub const ALL: [FallbackCause; 3] = [
+        FallbackCause::PolymorphicRegister,
+        FallbackCause::SharedTileHazard,
+        FallbackCause::BlockBail,
+    ];
+
+    /// The phrase profiles print.
+    pub fn label(self) -> &'static str {
+        match self {
+            FallbackCause::PolymorphicRegister => "polymorphic register",
+            FallbackCause::SharedTileHazard => "shared tile loaded and stored in one phase",
+            FallbackCause::BlockBail => "per-block bail",
+        }
+    }
+}
+
 /// Warp-level occupancy telemetry of the simd engine: how full the
 /// active-lane mask was, averaged over every executed instruction group.
 ///
-/// One "step" is one instruction executed for one set of lanes; fully
-/// converged warps contribute one step per instruction with all live
-/// lanes active, while divergent warps take extra steps with partial
-/// masks — so `mean_active_fraction` is exactly the classic SIMT
-/// "warp execution efficiency" metric.
+/// One "step" is one tape instruction executed for one set of lanes;
+/// fully converged warps contribute one step per instruction
+/// with all live lanes active, while divergent warps take extra steps
+/// with partial masks — so `mean_active_fraction` is exactly the classic
+/// SIMT "warp execution efficiency" metric.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimdTelemetry {
     /// Lanes per warp (the engine's compile-time warp width).
@@ -203,11 +282,13 @@ pub struct SimdTelemetry {
     pub warp_steps: u64,
     /// Sum over steps of the number of active lanes.
     pub active_lane_sum: u64,
+    /// Steps served by the per-warp scalar file (warp-uniform values,
+    /// branches on them, unconditional jumps): one operation for the
+    /// whole warp instead of one per lane.
+    pub uniform_steps: u64,
     /// Blocks that ran on the scalar engine although the launch asked
-    /// for simd: every block of a launch whose tape fails
-    /// `simd::plan_supported`, plus each block whose vector run errored
-    /// and was re-run scalar.
-    pub scalar_fallback_blocks: u64,
+    /// for simd, by cause, in [`FallbackCause::ALL`] order.
+    pub fallback_causes: [u64; 3],
 }
 
 impl SimdTelemetry {
@@ -216,7 +297,29 @@ impl SimdTelemetry {
         self.warp_width = self.warp_width.max(other.warp_width);
         self.warp_steps += other.warp_steps;
         self.active_lane_sum += other.active_lane_sum;
-        self.scalar_fallback_blocks += other.scalar_fallback_blocks;
+        self.uniform_steps += other.uniform_steps;
+        for (a, b) in self.fallback_causes.iter_mut().zip(other.fallback_causes) {
+            *a += b;
+        }
+    }
+
+    /// Count one block that ran scalar because of `cause`.
+    pub fn note_fallback(&mut self, cause: FallbackCause) {
+        self.fallback_causes[cause as usize] += 1;
+    }
+
+    /// Blocks that ran on the scalar engine although the launch asked
+    /// for simd, whatever the cause.
+    pub fn scalar_fallback_blocks(&self) -> u64 {
+        self.fallback_causes.iter().sum()
+    }
+
+    /// The causes that occurred, with their block counts.
+    pub fn fallbacks(&self) -> impl Iterator<Item = (FallbackCause, u64)> + '_ {
+        FallbackCause::ALL
+            .into_iter()
+            .zip(self.fallback_causes)
+            .filter(|(_, n)| *n > 0)
     }
 
     /// Mean fraction of the warp active per executed instruction group,
@@ -225,6 +328,12 @@ impl SimdTelemetry {
     pub fn mean_active_fraction(&self) -> Option<f64> {
         let denom = self.warp_steps as f64 * self.warp_width as f64;
         (denom > 0.0).then(|| self.active_lane_sum as f64 / denom)
+    }
+
+    /// Fraction of warp steps served by the scalar file. `None` when no
+    /// warp instructions ran.
+    pub fn uniform_fraction(&self) -> Option<f64> {
+        (self.warp_steps > 0).then(|| self.uniform_steps as f64 / self.warp_steps as f64)
     }
 }
 
@@ -235,7 +344,9 @@ pub struct BlockProfile {
     pub bx: u32,
     /// Block index along y.
     pub by: u32,
-    /// Which worker thread ran the block.
+    /// The block's worker under the strided assignment
+    /// (`index % n_workers`): the one that ran it when the launch executed
+    /// strided, the one it is accounted to when workers claimed blocks.
     pub worker: usize,
     /// The block's dynamic statistics.
     pub stats: ExecStats,
@@ -359,6 +470,35 @@ mod tests {
     }
 
     #[test]
+    fn claims_hand_out_every_block_exactly_once() {
+        for (n_blocks, n_workers) in [
+            (0usize, 2usize),
+            (1, 2),
+            (16, 2),
+            (37, 3),
+            (512, 2),
+            (4096, 7),
+        ] {
+            let claims = BlockClaims::new(n_blocks, n_workers);
+            let seen: Vec<AtomicUsize> = (0..n_blocks).map(|_| AtomicUsize::new(0)).collect();
+            std::thread::scope(|scope| {
+                for _ in 0..n_workers {
+                    scope.spawn(|| {
+                        while let Some(chunk) = claims.claim() {
+                            assert!(chunk.len() <= n_blocks.div_ceil(n_workers * 16).max(1));
+                            for i in chunk {
+                                seen[i].fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    });
+                }
+            });
+            assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
+            assert_eq!(claims.claim(), None, "exhausted claims stay exhausted");
+        }
+    }
+
+    #[test]
     fn profile_totals_and_worker_counts() {
         let mut p = ExecProfile {
             n_workers: 2,
@@ -398,13 +538,27 @@ mod tests {
     fn simd_telemetry_mean_active_fraction() {
         let mut t = SimdTelemetry::default();
         assert_eq!(t.mean_active_fraction(), None, "no steps, no fraction");
-        t.merge(&SimdTelemetry {
+        let mut block = SimdTelemetry {
             warp_width: 16,
             warp_steps: 10,
             active_lane_sum: 120,
-            scalar_fallback_blocks: 2,
-        });
+            uniform_steps: 4,
+            ..SimdTelemetry::default()
+        };
+        block.note_fallback(FallbackCause::BlockBail);
+        block.note_fallback(FallbackCause::PolymorphicRegister);
+        t.merge(&block);
+        t.merge(&block);
         assert_eq!(t.mean_active_fraction(), Some(0.75));
-        assert_eq!(t.scalar_fallback_blocks, 2);
+        assert_eq!(t.uniform_fraction(), Some(0.4));
+        assert_eq!(t.scalar_fallback_blocks(), 4);
+        let causes: Vec<_> = t.fallbacks().collect();
+        assert_eq!(
+            causes,
+            [
+                (FallbackCause::PolymorphicRegister, 2),
+                (FallbackCause::BlockBail, 2)
+            ]
+        );
     }
 }

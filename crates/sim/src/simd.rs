@@ -1,18 +1,32 @@
 //! The warp-vectorized execution engine: one instruction, sixteen lanes.
 //!
 //! [`crate::bytecode`] already pays the specialization cost once per
-//! launch, but its hot loop still steps one *thread* at a time: every
-//! instruction is re-dispatched (one `match` arm) per thread per
-//! execution. This module exploits the lane-parallel structure the DSL
-//! guarantees — all threads of a block run the same tape — and executes
-//! each instruction for all lanes of a 16-wide warp before advancing the
-//! program counter:
+//! launch, but its hot loop still steps one *thread* at a time and
+//! matches a `Const` tag on every operand. This module runs the typed
+//! **warp program** that `crate::warp` lowers from the same tape: all
+//! threads of a block run the same tape, so each instruction executes for
+//! a whole 16-wide warp before the program counter advances, and
+//! everything the tape compiler could decide ahead of time is not decided
+//! again here.
 //!
-//! * **SoA register file** — instead of an array-of-`Const` per thread,
-//!   the warp's registers live in three parallel slabs (`tag`/`f32`/`i64`,
-//!   one 16-lane group per register slot). The per-instruction inner loop
-//!   walks contiguous memory and is written so the compiler can
-//!   autovectorize the tag-uniform arithmetic fast paths.
+//! * **Two register files, no tags** — a warp's registers live in an
+//!   untagged 16-lane *vector file* (`f32` and `i64` slabs, one lane
+//!   group per register; bools are 0/1 in the `i64` slab) and a per-warp
+//!   *scalar file* for values that are the same in every lane:
+//!   immediates, block-uniform registers, loop counters and bounds,
+//!   constant-bank loads at a uniform index, branch conditions built from
+//!   them. Which slab and which file an operand lives in is a bit of the
+//!   lowered `Slot`; which conversion a read needs (`as_f32`, `as_i64`,
+//!   `as_bool`) follows from the op. A vector op over a full mask is a
+//!   dense `for l in 0..WARP` loop over plain arrays; a scalar-file op
+//!   runs once per warp step and is splatted where a vector op reads it.
+//! * **`mask == live` guard** — a scalar-file write is only meaningful
+//!   when every live lane executes it together. The lowering only places
+//!   a definition there when it is not control-dependent on a varying
+//!   branch, and min-pc scheduling reconverges structured code at the
+//!   join, so the guard holds; the executor checks it on every such write
+//!   anyway and abandons the block when it does not. Misclassification
+//!   can cost time, never bits.
 //! * **Divergence mask** — a warp starts *converged* (single shared `pc`,
 //!   no per-lane bookkeeping). A conditional jump whose outcome differs
 //!   across lanes materializes per-lane program counters; from then on the
@@ -21,39 +35,38 @@
 //!   Min-pc scheduling preserves each lane's dynamic instruction trace
 //!   exactly as the serial engine would have produced it, which is what
 //!   makes stat-exactness possible at all.
-//! * **Per-lane stat counting** — `ExecStats` counters are *per access*,
-//!   so a masked-off lane must contribute nothing and an active lane must
-//!   contribute exactly one count per load/store/fetch, including the
-//!   out-of-bounds side counts. Every memory arm below mirrors the scalar
-//!   `exec_tape` arm line for line.
+//! * **Exact statistics and telemetry** — `ExecStats` counters are *per
+//!   access*: every memory op adds `popcount(mask)`, a scalar-file
+//!   constant load adds `popcount(live)`, out-of-bounds side counts are
+//!   per active lane. Warp telemetry is counted in *source-tape*
+//!   instructions: the warp program's steps are 1:1 with the tape's.
 //! * **Journaled stores** — the fault injector addresses global stores by
 //!   their position in the block's journal ("flip the nth store"), and
 //!   journal order on the scalar engine is thread-major. Lanes therefore
 //!   buffer their global (and shared) stores privately and the warp drains
 //!   them lane-major at the end of each phase, reproducing the serial
 //!   order bit for bit. Shared-memory deferral is only correct when no
-//!   phase both reads and writes the same tile, which [`plan_supported`]
-//!   checks up front (the tiling codegen always separates the fill phase
-//!   from the read phase with a barrier).
-//! * **Scalar fallback** — anything the vector path cannot reproduce
-//!   exactly (evaluation errors, overflow, malformed tapes) abandons the
-//!   block: the partial journal is rolled back and the caller re-runs the
-//!   whole block on the scalar engine, which owns both the result and the
-//!   error message. Because both engines execute identical per-lane
-//!   traces, a block that errors on one engine errors on the other.
+//!   phase both reads and writes the same tile, which the lowering checks
+//!   up front.
+//! * **Scalar fallback, counted** — a tape the lowering cannot type (a
+//!   register read where its tag is not fixed) or whose tile accesses
+//!   cannot be deferred runs every block on the scalar engine; a block
+//!   that hits an evaluation error (division by zero, checked-integer
+//!   overflow, an always-erroring op) rolls its journal back and re-runs
+//!   scalar, which owns both the result and the error message. Every such
+//!   block is counted by cause in [`SimdTelemetry`].
 //!
-//! The engine is opt-in (`ExecMode::Simd`) and is differentially tested
-//! against the tree-walk and scalar bytecode engines for bit-identical
-//! outputs, `ExecStats`, and fault-injection behaviour.
+//! The engine is differentially tested against the tree-walk and scalar
+//! bytecode engines for bit-identical outputs, `ExecStats`, and
+//! fault-injection behaviour.
 
-use crate::bytecode::{exec_prologue, BlockScratch, BufView, CompiledKernel, Inst, Reg, StoreRec};
+use crate::bytecode::{exec_prologue, BlockScratch, BufView, CompiledKernel, StoreRec};
 use crate::interp::{ExecStats, SimError};
 use crate::sched::SimdTelemetry;
+use crate::warp::{BinFn, Op, Slot, Step, Tag, UnFn, WarpProgram};
 use hipacc_image::boundary::{clamp_index, repeat_index};
-use hipacc_ir::fold::{eval_binop, eval_unop};
 use hipacc_ir::kernel::AddressMode;
-use hipacc_ir::ty::{Const, ScalarType};
-use hipacc_ir::{BinOp, MathFn};
+use hipacc_ir::ty::Const;
 use std::ops::Range;
 
 /// Lanes per warp. 16 keeps every slab group inside one or two cache
@@ -64,29 +77,26 @@ pub const WARP: usize = 16;
 /// Mask with all `WARP` lanes active.
 const FULL: u32 = (1u32 << WARP) - 1;
 
-/// Dynamic type tags for the SoA register file. Booleans live in the
-/// integer slab as 0/1.
-const TB: u8 = 0;
-const TI: u8 = 1;
-const TF: u8 = 2;
-
 /// A deferred shared-memory write: `(tile, element index, value)`.
 type SharedWrite = (u16, usize, f32);
 
-/// Reusable SoA state for the simd engine, owned by the worker's
+/// Reusable register files for the simd engine, owned by the worker's
 /// [`BlockScratch`] and created lazily on the first vectorized block.
 ///
-/// Register slabs are sized to one 16-lane group per register slot; a
-/// multi-phase kernel gets one group region per warp (registers must
-/// survive barriers), a single-phase kernel reuses a single region for
-/// every warp. Like the scalar engine's register file, single-phase
-/// slabs are *not* cleared between blocks: the compiler only emits reads
-/// dominated by writes, so stale lanes are never observed.
+/// A multi-phase kernel gets one vector and one scalar file per warp
+/// (registers must survive barriers), a single-phase kernel reuses one of
+/// each for every warp. Like the scalar engine's register file,
+/// single-phase files are *not* cleared between blocks: the compiler only
+/// emits reads dominated by writes, so stale values are never observed.
 #[derive(Default)]
 pub(crate) struct SimdScratch {
-    tag: Vec<u8>,
-    fv: Vec<f32>,
-    iv: Vec<i64>,
+    /// Vector file: `WARP` lanes per register, one slab per machine type.
+    vf: Vec<f32>,
+    vi: Vec<i64>,
+    /// Scalar file: registers, then the read-only block-uniform,
+    /// block-index and immediate slots.
+    sf: Vec<f32>,
+    si: Vec<i64>,
     /// Per-lane program counters, materialized only while diverged.
     pcs: [u32; WARP],
     /// Per-lane global-store journals, drained lane-major per phase.
@@ -98,14 +108,18 @@ pub(crate) struct SimdScratch {
 }
 
 impl SimdScratch {
-    fn ensure(&mut self, slab: usize, nthreads: usize) {
-        if self.tag.len() != slab {
-            self.tag.clear();
-            self.tag.resize(slab, TI);
-            self.fv.clear();
-            self.fv.resize(slab, 0.0);
-            self.iv.clear();
-            self.iv.resize(slab, 0);
+    fn ensure(&mut self, vector: usize, scalar: usize, nthreads: usize) {
+        if self.vf.len() != vector {
+            self.vf.clear();
+            self.vf.resize(vector, 0.0);
+            self.vi.clear();
+            self.vi.resize(vector, 0);
+        }
+        if self.sf.len() != scalar {
+            self.sf.clear();
+            self.sf.resize(scalar, 0.0);
+            self.si.clear();
+            self.si.resize(scalar, 0);
         }
         if self.lane_stores.len() != WARP {
             self.lane_stores.resize_with(WARP, Vec::new);
@@ -116,36 +130,6 @@ impl SimdScratch {
     }
 }
 
-/// Whether the whole launch can attempt the vector path.
-///
-/// The only structural limit is shared memory: deferring a lane's tile
-/// writes to the end of the phase is invisible exactly when no phase both
-/// loads and stores the *same* tile. Arrays a phase only stores commit in
-/// lane order per warp, reproducing the scalar engine's thread-major
-/// final state; arrays a phase only loads are immutable for the whole
-/// phase. The check is therefore per shared array, not per phase: fused
-/// chains whose middle stages read the previous stage's tile while
-/// filling their own stay on the vector path. Single-stage tiling emits
-/// a store-only fill phase, a barrier, then load-only compute phases, so
-/// shipped kernels pass either way; a hand-built tape that loads and
-/// stores one tile in the same phase falls back to the scalar engine for
-/// every block.
-pub(crate) fn plan_supported(prog: &CompiledKernel) -> bool {
-    prog.phases.iter().all(|tape| {
-        let n = prog.shared.len();
-        let mut loaded = vec![false; n];
-        let mut stored = vec![false; n];
-        for inst in tape.iter() {
-            match inst {
-                Inst::SLoad { sb, .. } => loaded[*sb as usize] = true,
-                Inst::SStore { sb, .. } => stored[*sb as usize] = true,
-                _ => {}
-            }
-        }
-        (0..n).all(|i| !(loaded[i] && stored[i]))
-    })
-}
-
 /// Execute one block on the vector engine.
 ///
 /// On success the block's stores occupy `journal[start..]` in exactly the
@@ -153,8 +137,10 @@ pub(crate) fn plan_supported(prog: &CompiledKernel) -> bool {
 /// bit-identical; telemetry is merged into `tel` only then. On *any*
 /// error the journal is rolled back to `start` and the caller must re-run
 /// the block on the scalar engine (which reproduces the exact error).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_block_simd(
     prog: &CompiledKernel,
+    wp: &WarpProgram,
     bufs: &[BufView<'_>],
     bx: u32,
     by: u32,
@@ -163,7 +149,7 @@ pub(crate) fn run_block_simd(
     tel: &mut SimdTelemetry,
 ) -> Result<(Range<usize>, ExecStats), SimError> {
     let start = journal.len();
-    match run_block_inner(prog, bufs, bx, by, scratch, journal) {
+    match run_block_inner(prog, wp, bufs, bx, by, scratch, journal) {
         Ok((stats, warp_tel)) => {
             tel.merge(&warp_tel);
             Ok((start..journal.len(), stats))
@@ -185,6 +171,7 @@ pub(crate) fn run_block_simd(
 
 fn run_block_inner(
     prog: &CompiledKernel,
+    wp: &WarpProgram,
     bufs: &[BufView<'_>],
     bx: u32,
     by: u32,
@@ -196,21 +183,45 @@ fn run_block_inner(
 
     let (tbx, tby) = prog.block;
     let nthreads = tbx as usize * tby as usize;
-    let n_regs = prog.n_regs.max(1);
-    let n_phases = prog.phases.len();
+    let n_phases = wp.phases.len();
     let n_warps = nthreads.div_ceil(WARP);
-    let span = n_regs * WARP;
-    let slots = if n_phases > 1 { n_warps } else { 1 };
+    let vspan = prog.n_regs.max(1) * WARP;
+    let sspan = wp.scalar_len;
+    let files = if n_phases > 1 { n_warps } else { 1 };
 
     let simd = scratch.simd.get_or_insert_with(SimdScratch::default);
-    simd.ensure(slots * span, nthreads);
+    simd.ensure(files * vspan, files * sspan, nthreads);
     if n_phases > 1 {
         // Registers must survive barriers per thread, so multi-phase
-        // slabs are zeroed per block exactly like the scalar engine's
-        // `Const::Int(0)` fill (the float slab can stay stale: a `TI`
-        // tag never reads it).
-        simd.tag.fill(TI);
-        simd.iv.fill(0);
+        // files start from the scalar engine's `Const::Int(0)` fill: the
+        // lowering types an unwritten register as a vector-file int.
+        simd.vi.fill(0);
+    }
+    // The read-only tail of every scalar file: this block's uniform
+    // registers (in the slab their inferred tag names), its index, and
+    // the tape's immediates.
+    for file in 0..files {
+        let sf = &mut simd.sf[file * sspan..(file + 1) * sspan];
+        let si = &mut simd.si[file * sspan..(file + 1) * sspan];
+        for (u, (tag, v)) in wp.utags.iter().zip(&scratch.uregs).enumerate() {
+            match (tag, v) {
+                (Tag::Float, Const::Float(f)) => sf[wp.ureg_base + u] = *f,
+                (Tag::Int, Const::Int(i)) => si[wp.ureg_base + u] = *i,
+                (Tag::Bool, Const::Bool(b)) => si[wp.ureg_base + u] = *b as i64,
+                // Never read: the lowering refuses a `LoadU` of these.
+                (Tag::Bot | Tag::Top, _) => {}
+                _ => return Err(Bail.into()),
+            }
+        }
+        si[wp.bid_base] = bx as i64;
+        si[wp.bid_base + 1] = by as i64;
+        for (k, c) in wp.consts.iter().enumerate() {
+            match c {
+                Const::Float(f) => sf[wp.const_base + k] = *f,
+                Const::Int(i) => si[wp.const_base + k] = *i,
+                Const::Bool(b) => si[wp.const_base + k] = *b as i64,
+            }
+        }
     }
 
     let fast = prog.block_is_interior(bx, by);
@@ -221,16 +232,17 @@ fn run_block_inner(
     };
 
     let SimdScratch {
-        tag,
-        fv,
-        iv,
+        vf,
+        vi,
+        sf,
+        si,
         pcs,
         lane_stores,
         lane_shared,
         halted,
     } = simd;
 
-    for (pi, tape) in prog.phases.iter().enumerate() {
+    for (pi, steps) in wp.phases.iter().enumerate() {
         for w in 0..n_warps {
             let base = w * WARP;
             let mut live: u32 = 0;
@@ -243,28 +255,24 @@ fn run_block_inner(
             if live == 0 {
                 continue;
             }
-            let sb = if n_phases > 1 { w * span } else { 0 };
+            let file = if n_phases > 1 { w } else { 0 };
             let mut ex = WarpExec {
                 prog,
                 bufs,
-                uregs: &scratch.uregs,
                 shared: &mut scratch.shared,
-                lanes: Lanes {
-                    tag: &mut tag[sb..sb + span],
-                    fv: &mut fv[sb..sb + span],
-                    iv: &mut iv[sb..sb + span],
-                },
+                vf: &mut vf[file * vspan..(file + 1) * vspan],
+                vi: &mut vi[file * vspan..(file + 1) * vspan],
+                sf: &mut sf[file * sspan..(file + 1) * sspan],
+                si: &mut si[file * sspan..(file + 1) * sspan],
                 lane_stores,
                 lane_shared,
                 base: base as i64,
                 tbx: tbx as i64,
-                bx: bx as i64,
-                by: by as i64,
                 fast,
                 stats: &mut stats,
                 tel: &mut tel,
             };
-            let halted_mask = ex.run_phase(tape, live, pcs)?;
+            let halted_mask = ex.run_phase(steps, live, pcs)?;
 
             // Drain this warp's lane journals in lane order: lane order
             // is thread order, so the block journal and the tile end up
@@ -292,135 +300,78 @@ fn run_block_inner(
     Ok((stats, tel))
 }
 
-/// The SoA register view of one warp: `tag`/`fv`/`iv` hold `WARP`
-/// consecutive lanes per register slot. Booleans live in `iv` as 0/1;
-/// only the slab selected by the tag is ever read.
-struct Lanes<'a> {
-    tag: &'a mut [u8],
-    fv: &'a mut [f32],
-    iv: &'a mut [i64],
-}
-
-impl Lanes<'_> {
-    #[inline(always)]
-    fn off(r: Reg, l: usize) -> usize {
-        r as usize * WARP + l
-    }
-
-    #[inline(always)]
-    fn tag_of(&self, r: Reg, l: usize) -> u8 {
-        self.tag[Self::off(r, l)]
-    }
-
-    #[inline(always)]
-    fn get(&self, r: Reg, l: usize) -> Const {
-        let o = Self::off(r, l);
-        match self.tag[o] {
-            TF => Const::Float(self.fv[o]),
-            TI => Const::Int(self.iv[o]),
-            _ => Const::Bool(self.iv[o] != 0),
-        }
-    }
-
-    #[inline(always)]
-    fn set(&mut self, r: Reg, l: usize, v: Const) {
-        let o = Self::off(r, l);
-        match v {
-            Const::Float(f) => {
-                self.tag[o] = TF;
-                self.fv[o] = f;
-            }
-            Const::Int(i) => {
-                self.tag[o] = TI;
-                self.iv[o] = i;
-            }
-            Const::Bool(b) => {
-                self.tag[o] = TB;
-                self.iv[o] = b as i64;
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn set_f(&mut self, r: Reg, l: usize, v: f32) {
-        let o = Self::off(r, l);
-        self.tag[o] = TF;
-        self.fv[o] = v;
-    }
-
-    #[inline(always)]
-    fn set_i(&mut self, r: Reg, l: usize, v: i64) {
-        let o = Self::off(r, l);
-        self.tag[o] = TI;
-        self.iv[o] = v;
-    }
-
-    #[inline(always)]
-    fn set_b(&mut self, r: Reg, l: usize, v: bool) {
-        let o = Self::off(r, l);
-        self.tag[o] = TB;
-        self.iv[o] = v as i64;
-    }
-
-    /// `Const::as_f32` without building the enum.
-    #[inline(always)]
-    fn f32_of(&self, r: Reg, l: usize) -> f32 {
-        let o = Self::off(r, l);
-        match self.tag[o] {
-            TF => self.fv[o],
-            TI => self.iv[o] as f32,
-            _ => {
-                if self.iv[o] != 0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    /// `Const::as_i64` without building the enum.
-    #[inline(always)]
-    fn i64_of(&self, r: Reg, l: usize) -> i64 {
-        let o = Self::off(r, l);
-        match self.tag[o] {
-            TF => self.fv[o] as i64,
-            _ => self.iv[o],
-        }
-    }
-
-    /// `Const::as_bool` without building the enum.
-    #[inline(always)]
-    fn bool_of(&self, r: Reg, l: usize) -> bool {
-        let o = Self::off(r, l);
-        match self.tag[o] {
-            TF => self.fv[o] != 0.0,
-            _ => self.iv[o] != 0,
-        }
-    }
-}
-
 /// Any condition the vector path cannot reproduce exactly abandons the
 /// block; the scalar re-run owns the user-visible error.
-#[cold]
-fn bail() -> SimError {
-    SimError::EvalError("simd lane bailout (block re-runs on the scalar engine)".into())
+struct Bail;
+
+impl From<Bail> for SimError {
+    #[cold]
+    fn from(_: Bail) -> SimError {
+        SimError::EvalError("simd lane bailout (block re-runs on the scalar engine)".into())
+    }
 }
 
-/// One warp's execution state for one phase tape.
+/// A `checked_*` result as `map_ii` wants it: a value, and whether the
+/// scalar engine got `None`.
+#[inline(always)]
+fn checked(r: Option<i64>) -> (i64, bool) {
+    (r.unwrap_or(0), r.is_none())
+}
+
+/// One lane group of a vector-file slab, by value.
+#[inline(always)]
+fn group<T: Copy>(slab: &[T], idx: usize) -> [T; WARP] {
+    slab[idx * WARP..(idx + 1) * WARP]
+        .try_into()
+        .expect("a lane group is WARP wide")
+}
+
+/// Write `r` to the lanes of `mask` in lane group `idx`.
+#[inline(always)]
+fn put<T: Copy>(slab: &mut [T], idx: usize, r: &[T; WARP], mask: u32) {
+    let d = &mut slab[idx * WARP..(idx + 1) * WARP];
+    if mask == FULL {
+        d.copy_from_slice(r);
+    } else {
+        for l in 0..WARP {
+            if mask >> l & 1 != 0 {
+                d[l] = r[l];
+            }
+        }
+    }
+}
+
+/// Run `$body` with `$l` bound to every lane of `$mask`: a dense loop
+/// over a full mask, a bit walk otherwise.
+macro_rules! lanes {
+    ($mask:expr, $l:ident => $body:block) => {
+        if $mask == FULL {
+            for $l in 0..WARP $body
+        } else {
+            let mut m = $mask;
+            while m != 0 {
+                let $l = m.trailing_zeros() as usize;
+                $body
+                m &= m - 1;
+            }
+        }
+    };
+}
+
+/// One warp's execution state for one phase.
 struct WarpExec<'a, 'm> {
     prog: &'a CompiledKernel,
     bufs: &'a [BufView<'m>],
-    uregs: &'a [Const],
     shared: &'a mut Vec<Vec<f32>>,
-    lanes: Lanes<'a>,
+    vf: &'a mut [f32],
+    vi: &'a mut [i64],
+    sf: &'a mut [f32],
+    si: &'a mut [i64],
     lane_stores: &'a mut [Vec<StoreRec>],
     lane_shared: &'a mut [Vec<SharedWrite>],
     /// Linear thread id of lane 0.
     base: i64,
     tbx: i64,
-    bx: i64,
-    by: i64,
     fast: bool,
     stats: &'a mut ExecStats,
     tel: &'a mut SimdTelemetry,
@@ -456,25 +407,29 @@ fn try_reconverge(converged: &mut bool, pc: &mut u32, live: u32, pcs: &[u32; WAR
 }
 
 impl WarpExec<'_, '_> {
-    /// Run one phase tape for the warp. `live` marks the lanes that are
+    /// Run one phase for the warp. `live` marks the lanes that are
     /// in-extent and not halted by an earlier phase. Returns the mask of
     /// lanes that hit `Halt` during this phase.
     fn run_phase(
         &mut self,
-        tape: &[Inst],
+        steps: &[Step],
         mut live: u32,
         pcs: &mut [u32; WARP],
-    ) -> Result<u32, SimError> {
-        let len = tape.len() as u32;
+    ) -> Result<u32, Bail> {
+        let len = steps.len() as u32;
         let mut halted = 0u32;
         let mut converged = true;
         let mut pc = 0u32;
+        let mut live_lanes = u64::from(live.count_ones());
+        // Telemetry (steps are 1:1 with source-tape instructions), flushed
+        // once per phase.
+        let (mut n_steps, mut n_lanes, mut n_uniform) = (0u64, 0u64, 0u64);
         while live != 0 {
-            let (cur, mask) = if converged {
+            let (cur, mask, active) = if converged {
                 if pc >= len {
                     break;
                 }
-                (pc, live)
+                (pc, live, live_lanes)
             } else {
                 // Divergent: execute the lanes parked at the minimum pc.
                 let mut cur = u32::MAX;
@@ -496,37 +451,45 @@ impl WarpExec<'_, '_> {
                     }
                     m &= m - 1;
                 }
-                (cur, mask)
+                (cur, mask, u64::from(mask.count_ones()))
             };
-            self.tel.warp_steps += 1;
-            self.tel.active_lane_sum += u64::from(mask.count_ones());
-            match &tape[cur as usize] {
-                Inst::Jmp { to } => {
+            let step = &steps[cur as usize];
+            n_steps += 1;
+            n_lanes += active;
+            n_uniform += u64::from(step.uniform);
+            match step.op {
+                Op::Jmp { to } => {
                     if converged {
-                        pc = *to;
+                        pc = to;
                     } else {
-                        retarget(pcs, mask, *to);
+                        retarget(pcs, mask, to);
                     }
                 }
-                Inst::JmpIfFalse { cond, to } => {
-                    let jump = self.jump_mask(*cond, mask, false);
-                    Self::branch(&mut converged, &mut pc, pcs, mask, jump, *to, cur);
+                Op::Br { cond, when, to } => {
+                    let jump = self.jump_mask(cond, when, mask);
+                    Self::branch(&mut converged, &mut pc, pcs, mask, jump, to, cur);
                 }
-                Inst::JmpIfTrue { cond, to } => {
-                    let jump = self.jump_mask(*cond, mask, true);
-                    Self::branch(&mut converged, &mut pc, pcs, mask, jump, *to, cur);
-                }
-                Inst::Halt => {
+                Op::Halt => {
                     halted |= mask;
                     live &= !mask;
+                    live_lanes = u64::from(live.count_ones());
                     if converged {
                         // All live lanes returned together.
                         break;
                     }
                     retarget(pcs, mask, len);
                 }
-                inst => {
-                    self.exec(inst, mask)?;
+                ref op => {
+                    if step.guard {
+                        // One write for the whole warp is only right
+                        // when the whole warp is here.
+                        if mask != live {
+                            return Err(Bail);
+                        }
+                        self.exec_scalar(op, active)?;
+                    } else {
+                        self.exec_vector(op, mask, active)?;
+                    }
                     if converged {
                         pc = cur + 1;
                     } else {
@@ -538,21 +501,25 @@ impl WarpExec<'_, '_> {
                 try_reconverge(&mut converged, &mut pc, live, pcs);
             }
         }
+        self.tel.warp_steps += n_steps;
+        self.tel.active_lane_sum += n_lanes;
+        self.tel.uniform_steps += n_uniform;
         Ok(halted)
     }
 
-    /// Lanes of `mask` whose condition register equals `when`.
-    fn jump_mask(&self, cond: Reg, mask: u32, when: bool) -> u32 {
-        let mut jump = 0u32;
-        let mut m = mask;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            if self.lanes.bool_of(cond, l) == when {
-                jump |= 1 << l;
-            }
-            m &= m - 1;
+    /// Lanes of `mask` whose condition equals `when`; all or none of
+    /// them when the condition lives in the scalar file.
+    #[inline(always)]
+    fn jump_mask(&self, cond: Slot, when: bool, mask: u32) -> u32 {
+        if cond.is_scalar() {
+            return if self.s_t(cond) == when { mask } else { 0 };
         }
-        jump
+        let t = self.ld_t(cond);
+        let mut jump = 0u32;
+        for (l, t) in t.iter().enumerate() {
+            jump |= u32::from((*t != 0) == when) << l;
+        }
+        jump & mask
     }
 
     /// Resolve a conditional jump: uniform outcomes keep the warp
@@ -586,176 +553,341 @@ impl WarpExec<'_, '_> {
         }
     }
 
-    /// Execute one non-control instruction for every lane in `mask`.
-    /// Every arm mirrors the corresponding scalar `exec_tape` arm
+    // --- operand reads: the slot says where, the op says as what ---
+
+    /// Scalar-file read as `as_f32`.
+    #[inline(always)]
+    fn s_f(&self, a: Slot) -> f32 {
+        debug_assert!(a.is_scalar());
+        if a.is_float() {
+            self.sf[a.idx()]
+        } else {
+            self.si[a.idx()] as f32
+        }
+    }
+
+    /// Scalar-file read as `as_i64` (a float saturates, like `as`).
+    #[inline(always)]
+    fn s_i(&self, a: Slot) -> i64 {
+        debug_assert!(a.is_scalar());
+        if a.is_float() {
+            self.sf[a.idx()] as i64
+        } else {
+            self.si[a.idx()]
+        }
+    }
+
+    /// Scalar-file read as `as_bool`.
+    #[inline(always)]
+    fn s_t(&self, a: Slot) -> bool {
+        debug_assert!(a.is_scalar());
+        if a.is_float() {
+            self.sf[a.idx()] != 0.0
+        } else {
+            self.si[a.idx()] != 0
+        }
+    }
+
+    /// All lanes of `a` as `as_f32`; a scalar-file value is splatted.
+    #[inline(always)]
+    fn ld_f(&self, a: Slot) -> [f32; WARP] {
+        match (a.is_scalar(), a.is_float()) {
+            (true, _) => [self.s_f(a); WARP],
+            (false, true) => group(self.vf, a.idx()),
+            (false, false) => group(self.vi, a.idx()).map(|i| i as f32),
+        }
+    }
+
+    /// All lanes of `a` as `as_i64`.
+    #[inline(always)]
+    fn ld_i(&self, a: Slot) -> [i64; WARP] {
+        match (a.is_scalar(), a.is_float()) {
+            (true, _) => [self.s_i(a); WARP],
+            (false, false) => group(self.vi, a.idx()),
+            (false, true) => group(self.vf, a.idx()).map(|f| f as i64),
+        }
+    }
+
+    /// All lanes of `a` as `as_bool`, 0/1.
+    #[inline(always)]
+    fn ld_t(&self, a: Slot) -> [i64; WARP] {
+        match (a.is_scalar(), a.is_float()) {
+            (true, _) => [self.s_t(a) as i64; WARP],
+            (false, false) => group(self.vi, a.idx()).map(|i| (i != 0) as i64),
+            (false, true) => group(self.vf, a.idx()).map(|f| (f != 0.0) as i64),
+        }
+    }
+
+    // --- typed maps: `S` picks the file of `dst` at compile time, so one
+    // table of closures serves the scalar file (one value, all operands
+    // scalar) and the vector file (sixteen lanes) ---
+
+    /// `dst = f(a)` over `f32`.
+    #[inline(always)]
+    fn map_f<const S: bool>(&mut self, dst: Slot, a: Slot, mask: u32, f: impl Fn(f32) -> f32) {
+        if S {
+            self.sf[dst.idx()] = f(self.s_f(a));
+            return;
+        }
+        let x = self.ld_f(a);
+        let mut r = [0.0f32; WARP];
+        lanes!(mask, l => { r[l] = f(x[l]); });
+        put(self.vf, dst.idx(), &r, mask);
+    }
+
+    /// `dst = f(a, b)` over `f32`.
+    #[inline(always)]
+    fn map_ff<const S: bool>(
+        &mut self,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        mask: u32,
+        f: impl Fn(f32, f32) -> f32,
+    ) {
+        if S {
+            self.sf[dst.idx()] = f(self.s_f(a), self.s_f(b));
+            return;
+        }
+        let (x, y) = (self.ld_f(a), self.ld_f(b));
+        let mut r = [0.0f32; WARP];
+        lanes!(mask, l => { r[l] = f(x[l], y[l]); });
+        put(self.vf, dst.idx(), &r, mask);
+    }
+
+    /// `dst = f(a, b)`: a comparison through `f32`, like `eval_binop`.
+    #[inline(always)]
+    fn cmp_ff<const S: bool>(
+        &mut self,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        mask: u32,
+        f: impl Fn(f32, f32) -> bool,
+    ) {
+        if S {
+            self.si[dst.idx()] = f(self.s_f(a), self.s_f(b)) as i64;
+            return;
+        }
+        let (x, y) = (self.ld_f(a), self.ld_f(b));
+        let mut r = [0i64; WARP];
+        lanes!(mask, l => { r[l] = f(x[l], y[l]) as i64; });
+        put(self.vi, dst.idx(), &r, mask);
+    }
+
+    /// `dst = f(a, b)` over `i64`; `f` also says whether the scalar
+    /// engine would have raised an error (overflow, division by zero).
+    /// The flag is OR-reduced over the active lanes so the loop stays
+    /// branch-free.
+    #[inline(always)]
+    fn map_ii<const S: bool>(
+        &mut self,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        mask: u32,
+        f: impl Fn(i64, i64) -> (i64, bool),
+    ) -> Result<(), Bail> {
+        let mut bad = false;
+        if S {
+            (self.si[dst.idx()], bad) = f(self.s_i(a), self.s_i(b));
+        } else {
+            let (x, y) = (self.ld_i(a), self.ld_i(b));
+            let mut r = [0i64; WARP];
+            lanes!(mask, l => {
+                let (v, o) = f(x[l], y[l]);
+                r[l] = v;
+                bad |= o;
+            });
+            put(self.vi, dst.idx(), &r, mask);
+        }
+        if bad {
+            return Err(Bail);
+        }
+        Ok(())
+    }
+
+    /// `Cvt`: copy or convert `a` into `dst`'s slab, or its truth value.
+    #[inline(always)]
+    fn cvt<const S: bool>(&mut self, dst: Slot, a: Slot, truth: bool, mask: u32) {
+        let d = dst.idx();
+        match (truth, dst.is_float()) {
+            (true, _) if S => self.si[d] = self.s_t(a) as i64,
+            (false, true) if S => self.sf[d] = self.s_f(a),
+            (false, false) if S => self.si[d] = self.s_i(a),
+            (true, _) => {
+                let r = self.ld_t(a);
+                put(self.vi, d, &r, mask);
+            }
+            (false, true) => {
+                let r = self.ld_f(a);
+                put(self.vf, d, &r, mask);
+            }
+            (false, false) => {
+                let r = self.ld_i(a);
+                put(self.vi, d, &r, mask);
+            }
+        }
+    }
+
+    /// The unary table. Every arm mirrors `eval_unop` / `eval_mathfn`.
+    #[inline(always)]
+    fn un<const S: bool>(&mut self, f: UnFn, dst: Slot, a: Slot, mask: u32) -> Result<(), Bail> {
+        match f {
+            UnFn::NegI => return self.map_ii::<S>(dst, a, a, mask, |x, _| x.overflowing_neg()),
+            UnFn::Not if S => self.si[dst.idx()] = !self.s_t(a) as i64,
+            UnFn::Not => {
+                let r = self.ld_t(a).map(|t| 1 - t);
+                put(self.vi, dst.idx(), &r, mask);
+            }
+            UnFn::NegF => self.map_f::<S>(dst, a, mask, |x| -x),
+            UnFn::Exp => self.map_f::<S>(dst, a, mask, f32::exp),
+            UnFn::Log => self.map_f::<S>(dst, a, mask, f32::ln),
+            UnFn::Sqrt => self.map_f::<S>(dst, a, mask, f32::sqrt),
+            UnFn::Rsqrt => self.map_f::<S>(dst, a, mask, |x| 1.0 / x.sqrt()),
+            UnFn::Abs => self.map_f::<S>(dst, a, mask, f32::abs),
+            UnFn::Sin => self.map_f::<S>(dst, a, mask, f32::sin),
+            UnFn::Cos => self.map_f::<S>(dst, a, mask, f32::cos),
+            UnFn::Floor => self.map_f::<S>(dst, a, mask, f32::floor),
+            UnFn::Round => self.map_f::<S>(dst, a, mask, f32::round),
+        }
+        Ok(())
+    }
+
+    /// The binary table. Integer arithmetic is checked on the scalar
+    /// engine; a `None` there is the flag here.
+    #[inline(always)]
+    fn bin<const S: bool>(
+        &mut self,
+        f: BinFn,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        mask: u32,
+    ) -> Result<(), Bail> {
+        match f {
+            BinFn::AddI => return self.map_ii::<S>(dst, a, b, mask, i64::overflowing_add),
+            BinFn::SubI => return self.map_ii::<S>(dst, a, b, mask, i64::overflowing_sub),
+            BinFn::MulI => return self.map_ii::<S>(dst, a, b, mask, i64::overflowing_mul),
+            BinFn::DivI => {
+                return self.map_ii::<S>(dst, a, b, mask, |x, y| checked(x.checked_div(y)))
+            }
+            BinFn::RemI => {
+                return self.map_ii::<S>(dst, a, b, mask, |x, y| checked(x.checked_rem(y)))
+            }
+            BinFn::MinI => return self.map_ii::<S>(dst, a, b, mask, |x, y| (x.min(y), false)),
+            BinFn::MaxI => return self.map_ii::<S>(dst, a, b, mask, |x, y| (x.max(y), false)),
+            BinFn::LeI => {
+                return self.map_ii::<S>(dst, a, b, mask, |x, y| ((x <= y) as i64, false))
+            }
+            BinFn::AddF => self.map_ff::<S>(dst, a, b, mask, |x, y| x + y),
+            BinFn::SubF => self.map_ff::<S>(dst, a, b, mask, |x, y| x - y),
+            BinFn::MulF => self.map_ff::<S>(dst, a, b, mask, |x, y| x * y),
+            BinFn::DivF => self.map_ff::<S>(dst, a, b, mask, |x, y| x / y),
+            BinFn::MinF => self.map_ff::<S>(dst, a, b, mask, f32::min),
+            BinFn::MaxF => self.map_ff::<S>(dst, a, b, mask, f32::max),
+            BinFn::PowF => self.map_ff::<S>(dst, a, b, mask, f32::powf),
+            BinFn::Eq => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x == y),
+            BinFn::Ne => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x != y),
+            BinFn::Lt => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x < y),
+            BinFn::Le => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x <= y),
+            BinFn::Gt => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x > y),
+            BinFn::Ge => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x >= y),
+        }
+        Ok(())
+    }
+
+    /// Execute one op that writes the scalar file: once, on behalf of the
+    /// `active` lanes that are all here (the caller checked).
+    #[inline(always)]
+    fn exec_scalar(&mut self, op: &Op, active: u64) -> Result<(), Bail> {
+        match *op {
+            Op::Cvt { dst, a, truth } => self.cvt::<true>(dst, a, truth, FULL),
+            Op::Un { f, dst, a } => return self.un::<true>(f, dst, a, FULL),
+            Op::Bin { f, dst, a, b } => return self.bin::<true>(f, dst, a, b, FULL),
+            Op::CLoad { dst, cb, idx } => {
+                // One load serves the warp; one count per thread served.
+                self.stats.const_loads += active;
+                let data = &self.prog.consts[cb as usize].data;
+                let i = self.s_i(idx).clamp(0, data.len() as i64 - 1);
+                self.sf[dst.idx()] = data[i as usize];
+            }
+            // The lowering puts no other definition in the scalar file.
+            _ => return Err(Bail),
+        }
+        Ok(())
+    }
+
+    /// Execute one non-control op for every lane in `mask` (`active` of
+    /// them). Every arm mirrors the corresponding scalar `exec_tape` arm
     /// exactly, including the order and conditions of stat counting.
-    fn exec(&mut self, inst: &Inst, mask: u32) -> Result<(), SimError> {
-        match inst {
-            Inst::Imm { dst, v } => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    self.lanes.set(*dst, l, *v);
-                    m &= m - 1;
-                }
-            }
-            Inst::Mov { dst, src } => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let (od, os) = (Lanes::off(*dst, l), Lanes::off(*src, l));
-                    self.lanes.tag[od] = self.lanes.tag[os];
-                    self.lanes.fv[od] = self.lanes.fv[os];
-                    self.lanes.iv[od] = self.lanes.iv[os];
-                    m &= m - 1;
-                }
-            }
-            Inst::LoadU { dst, src } => {
-                let v = self.uregs[*src as usize];
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    self.lanes.set(*dst, l, v);
-                    m &= m - 1;
-                }
-            }
-            Inst::Tid { dst, axis } => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
+    fn exec_vector(&mut self, op: &Op, mask: u32, active: u64) -> Result<(), Bail> {
+        match *op {
+            Op::Bail => return Err(Bail),
+            Op::Cvt { dst, a, truth } => self.cvt::<false>(dst, a, truth, mask),
+            Op::Un { f, dst, a } => return self.un::<false>(f, dst, a, mask),
+            Op::Bin { f, dst, a, b } => return self.bin::<false>(f, dst, a, b, mask),
+            Op::Tid { dst, axis } => {
+                let mut r = [0i64; WARP];
+                for (l, r) in r.iter_mut().enumerate() {
                     let t = self.base + l as i64;
-                    let v = if *axis == 0 {
+                    *r = if axis == 0 {
                         t % self.tbx
                     } else {
                         t / self.tbx
                     };
-                    self.lanes.set_i(*dst, l, v);
-                    m &= m - 1;
                 }
+                put(self.vi, dst.idx(), &r, mask);
             }
-            Inst::Bid { dst, axis } => {
-                let v = if *axis == 0 { self.bx } else { self.by };
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    self.lanes.set_i(*dst, l, v);
-                    m &= m - 1;
-                }
-            }
-            Inst::Un { dst, op, a } => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let v = self.lanes.get(*a, l);
-                    let r = eval_unop(*op, v).ok_or_else(bail)?;
-                    self.lanes.set(*dst, l, r);
-                    m &= m - 1;
-                }
-            }
-            Inst::Bin { dst, op, a, b } => self.exec_bin(*dst, *op, *a, *b, mask)?,
-            Inst::AsBool { dst, a } => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let v = self.lanes.bool_of(*a, l);
-                    self.lanes.set_b(*dst, l, v);
-                    m &= m - 1;
-                }
-            }
-            Inst::Call { dst, f, args } => self.exec_call(*dst, *f, args, mask)?,
-            Inst::Cast { dst, ty, a } => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    match ty {
-                        ScalarType::F32 => {
-                            let v = self.lanes.f32_of(*a, l);
-                            self.lanes.set_f(*dst, l, v);
-                        }
-                        ScalarType::I32 | ScalarType::U32 => {
-                            let v = self.lanes.i64_of(*a, l);
-                            self.lanes.set_i(*dst, l, v);
-                        }
-                        ScalarType::Bool => {
-                            let v = self.lanes.bool_of(*a, l);
-                            self.lanes.set_b(*dst, l, v);
-                        }
-                    }
-                    m &= m - 1;
-                }
-            }
-            Inst::LoopTest { dst, var, hi } => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let v = self.lanes.i64_of(*var, l) <= self.lanes.i64_of(*hi, l);
-                    self.lanes.set_b(*dst, l, v);
-                    m &= m - 1;
-                }
-            }
-            Inst::IncInt { reg } => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let v = self.lanes.i64_of(*reg, l);
-                    let next = v.checked_add(1).ok_or_else(bail)?;
-                    self.lanes.set_i(*reg, l, next);
-                    m &= m - 1;
-                }
-            }
-            Inst::GLoad { dst, buf, idx } | Inst::TexLin { dst, buf, idx } => {
-                let b = &self.bufs[*buf as usize];
-                let n = u64::from(mask.count_ones());
-                if matches!(inst, Inst::GLoad { .. }) {
-                    self.stats.global_loads += n;
+            Op::Load { dst, buf, idx, tex } => {
+                let b = &self.bufs[buf as usize];
+                if tex {
+                    self.stats.tex_fetches += active;
                 } else {
-                    self.stats.tex_fetches += n;
+                    self.stats.global_loads += active;
                 }
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let i = self.lanes.i64_of(*idx, l);
-                    let v = match b.data.get(i as usize) {
+                let i = self.ld_i(idx);
+                let mut r = [0.0f32; WARP];
+                let mut oob = 0u64;
+                lanes!(mask, l => {
+                    // Negative indices wrap to huge usize values, so one
+                    // `get` covers both OOB directions.
+                    r[l] = match b.data.get(i[l] as usize) {
                         Some(v) => *v,
                         None => {
-                            self.stats.oob_reads += 1;
-                            b.data[i.clamp(0, b.data.len() as i64 - 1) as usize]
+                            oob += 1;
+                            b.data[i[l].clamp(0, b.data.len() as i64 - 1) as usize]
                         }
                     };
-                    self.lanes.set_f(*dst, l, v);
-                    m &= m - 1;
-                }
+                });
+                self.stats.oob_reads += oob;
+                put(self.vf, dst.idx(), &r, mask);
             }
-            Inst::GStore { buf, idx, val } => {
-                self.stats.global_stores += u64::from(mask.count_ones());
-                let len = self.bufs[*buf as usize].data.len();
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let i = self.lanes.i64_of(*idx, l);
-                    let v = self.lanes.f32_of(*val, l);
-                    if i < 0 || i as usize >= len {
+            Op::Store { buf, idx, val } => {
+                self.stats.global_stores += active;
+                let len = self.bufs[buf as usize].data.len();
+                let (i, v) = (self.ld_i(idx), self.ld_f(val));
+                lanes!(mask, l => {
+                    if i[l] < 0 || i[l] as usize >= len {
                         self.stats.oob_stores += 1;
                     } else {
                         self.lane_stores[l].push(StoreRec {
-                            buf: *buf,
-                            idx: i as u32,
-                            value: v,
+                            buf,
+                            idx: i[l] as u32,
+                            value: v[l],
                         });
                     }
-                    m &= m - 1;
-                }
+                });
             }
-            Inst::TexXy { dst, buf, x, y } => {
-                self.stats.tex_fetches += u64::from(mask.count_ones());
-                let b = &self.bufs[*buf as usize];
+            Op::TexXy { dst, buf, x, y } => {
+                self.stats.tex_fetches += active;
+                let b = &self.bufs[buf as usize];
                 let stride = b.stride as usize;
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let xi = self.lanes.i64_of(*x, l) as i32;
-                    let yi = self.lanes.i64_of(*y, l) as i32;
-                    let v = if self.fast && (xi as u32) < b.w && (yi as u32) < b.h {
+                let (x, y) = (self.ld_i(x), self.ld_i(y));
+                let mut r = [0.0f32; WARP];
+                lanes!(mask, l => {
+                    let (xi, yi) = (x[l] as i32, y[l] as i32);
+                    r[l] = if self.fast && (xi as u32) < b.w && (yi as u32) < b.h {
                         b.data[yi as usize * stride + xi as usize]
                     } else {
                         let oob = xi < 0 || yi < 0 || xi >= b.w as i32 || yi >= b.h as i32;
@@ -785,249 +917,41 @@ impl WarpExec<'_, '_> {
                             }
                         }
                     };
-                    self.lanes.set_f(*dst, l, v);
-                    m &= m - 1;
-                }
+                });
+                put(self.vf, dst.idx(), &r, mask);
             }
-            Inst::CLoad { dst, cb, idx } => {
-                self.stats.const_loads += u64::from(mask.count_ones());
-                let data = &self.prog.consts[*cb as usize].data;
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let i = self.lanes.i64_of(*idx, l).clamp(0, data.len() as i64 - 1) as usize;
-                    self.lanes.set_f(*dst, l, data[i]);
-                    m &= m - 1;
-                }
+            Op::CLoad { dst, cb, idx } => {
+                self.stats.const_loads += active;
+                let data = &self.prog.consts[cb as usize].data;
+                let last = data.len() as i64 - 1;
+                let r = self.ld_i(idx).map(|i| data[i.clamp(0, last) as usize]);
+                put(self.vf, dst.idx(), &r, mask);
             }
-            Inst::SLoad { dst, sb, y, x } => {
-                self.stats.shared_loads += u64::from(mask.count_ones());
-                let tile = &self.shared[*sb as usize];
-                let cols = self.prog.shared[*sb as usize].cols as i64;
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let yi = self.lanes.i64_of(*y, l);
-                    let xi = self.lanes.i64_of(*x, l);
-                    let i = (yi * cols + xi).clamp(0, tile.len() as i64 - 1) as usize;
-                    self.lanes.set_f(*dst, l, tile[i]);
-                    m &= m - 1;
-                }
+            Op::SLoad { dst, sb, y, x } => {
+                self.stats.shared_loads += active;
+                let tile = &self.shared[sb as usize];
+                let cols = self.prog.shared[sb as usize].cols as i64;
+                let last = tile.len() as i64 - 1;
+                let (y, x) = (self.ld_i(y), self.ld_i(x));
+                let mut r = [0.0f32; WARP];
+                lanes!(mask, l => {
+                    r[l] = tile[(y[l] * cols + x[l]).clamp(0, last) as usize];
+                });
+                put(self.vf, dst.idx(), &r, mask);
             }
-            Inst::SStore { sb, y, x, val } => {
-                self.stats.shared_stores += u64::from(mask.count_ones());
-                let tile_len = self.shared[*sb as usize].len() as i64;
-                let cols = self.prog.shared[*sb as usize].cols as i64;
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let yi = self.lanes.i64_of(*y, l);
-                    let xi = self.lanes.i64_of(*x, l);
-                    let v = self.lanes.f32_of(*val, l);
-                    let i = (yi * cols + xi).clamp(0, tile_len - 1) as usize;
-                    self.lane_shared[l].push((*sb, i, v));
-                    m &= m - 1;
-                }
+            Op::SStore { sb, y, x, val } => {
+                self.stats.shared_stores += active;
+                let last = self.shared[sb as usize].len() as i64 - 1;
+                let cols = self.prog.shared[sb as usize].cols as i64;
+                let (y, x, v) = (self.ld_i(y), self.ld_i(x), self.ld_f(val));
+                lanes!(mask, l => {
+                    let i = (y[l] * cols + x[l]).clamp(0, last) as usize;
+                    self.lane_shared[l].push((sb, i, v[l]));
+                });
             }
             // Control flow is handled by `run_phase`.
-            Inst::Jmp { .. } | Inst::JmpIfFalse { .. } | Inst::JmpIfTrue { .. } | Inst::Halt => {
-                unreachable!("control flow reached WarpExec::exec")
-            }
-        }
-        Ok(())
-    }
-
-    /// Binary operation with tag-uniform fast paths. The float path is a
-    /// straight-line lane loop over the `f32` slabs — the case the SoA
-    /// layout exists for.
-    fn exec_bin(&mut self, dst: Reg, op: BinOp, a: Reg, b: Reg, mask: u32) -> Result<(), SimError> {
-        match op {
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                // `eval_binop` compares through `as_f32` whatever the
-                // operand types, so no tag scan is needed.
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let x = self.lanes.f32_of(a, l);
-                    let y = self.lanes.f32_of(b, l);
-                    let r = match op {
-                        BinOp::Eq => x == y,
-                        BinOp::Ne => x != y,
-                        BinOp::Lt => x < y,
-                        BinOp::Le => x <= y,
-                        BinOp::Gt => x > y,
-                        BinOp::Ge => x >= y,
-                        _ => unreachable!(),
-                    };
-                    self.lanes.set_b(dst, l, r);
-                    m &= m - 1;
-                }
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let (mut all_ff, mut all_ii) = (true, true);
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let (ta, tb) = (self.lanes.tag_of(a, l), self.lanes.tag_of(b, l));
-                    all_ff &= ta == TF && tb == TF;
-                    all_ii &= ta == TI && tb == TI;
-                    m &= m - 1;
-                }
-                if all_ff {
-                    if mask == FULL {
-                        // Dense float lanes: contiguous slab arithmetic the
-                        // compiler can vectorize outright.
-                        let (oa, ob, od) = (Lanes::off(a, 0), Lanes::off(b, 0), Lanes::off(dst, 0));
-                        for l in 0..WARP {
-                            let x = self.lanes.fv[oa + l];
-                            let y = self.lanes.fv[ob + l];
-                            self.lanes.fv[od + l] = match op {
-                                BinOp::Add => x + y,
-                                BinOp::Sub => x - y,
-                                BinOp::Mul => x * y,
-                                BinOp::Div => x / y,
-                                _ => unreachable!(),
-                            };
-                        }
-                        self.lanes.tag[od..od + WARP].fill(TF);
-                    } else {
-                        let mut m = mask;
-                        while m != 0 {
-                            let l = m.trailing_zeros() as usize;
-                            let x = self.lanes.fv[Lanes::off(a, l)];
-                            let y = self.lanes.fv[Lanes::off(b, l)];
-                            let r = match op {
-                                BinOp::Add => x + y,
-                                BinOp::Sub => x - y,
-                                BinOp::Mul => x * y,
-                                BinOp::Div => x / y,
-                                _ => unreachable!(),
-                            };
-                            self.lanes.set_f(dst, l, r);
-                            m &= m - 1;
-                        }
-                    }
-                } else if all_ii {
-                    let mut m = mask;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        let x = self.lanes.iv[Lanes::off(a, l)];
-                        let y = self.lanes.iv[Lanes::off(b, l)];
-                        let r = match op {
-                            BinOp::Add => x.checked_add(y),
-                            BinOp::Sub => x.checked_sub(y),
-                            BinOp::Mul => x.checked_mul(y),
-                            BinOp::Div => {
-                                if y == 0 {
-                                    None
-                                } else {
-                                    Some(x / y)
-                                }
-                            }
-                            _ => unreachable!(),
-                        }
-                        .ok_or_else(bail)?;
-                        self.lanes.set_i(dst, l, r);
-                        m &= m - 1;
-                    }
-                } else {
-                    self.bin_generic(dst, op, a, b, mask)?;
-                }
-            }
-            _ => self.bin_generic(dst, op, a, b, mask)?,
-        }
-        Ok(())
-    }
-
-    /// Mixed-tag / rare-op fallback: build the `Const`s and defer to the
-    /// shared `eval_binop`, so the generic path can never drift from the
-    /// scalar engine. `None` (division by zero, overflow, float `%`)
-    /// abandons the block to the scalar re-run.
-    fn bin_generic(
-        &mut self,
-        dst: Reg,
-        op: BinOp,
-        a: Reg,
-        b: Reg,
-        mask: u32,
-    ) -> Result<(), SimError> {
-        let mut m = mask;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            let va = self.lanes.get(a, l);
-            let vb = self.lanes.get(b, l);
-            let r = eval_binop(op, va, vb).ok_or_else(bail)?;
-            self.lanes.set(dst, l, r);
-            m &= m - 1;
-        }
-        Ok(())
-    }
-
-    /// Math-function call with per-lane `f32` fast paths for the common
-    /// unary transcendentals and `pow`/`min`/`max`; anything else goes
-    /// through `eval_mathfn` verbatim.
-    fn exec_call(&mut self, dst: Reg, f: MathFn, args: &[Reg], mask: u32) -> Result<(), SimError> {
-        let a0 = *args.first().ok_or_else(bail)?;
-        match f {
-            MathFn::Exp
-            | MathFn::Log
-            | MathFn::Sqrt
-            | MathFn::Rsqrt
-            | MathFn::Abs
-            | MathFn::Sin
-            | MathFn::Cos
-            | MathFn::Floor
-            | MathFn::Round => {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let x = self.lanes.f32_of(a0, l);
-                    let r = match f {
-                        MathFn::Exp => x.exp(),
-                        MathFn::Log => x.ln(),
-                        MathFn::Sqrt => x.sqrt(),
-                        MathFn::Rsqrt => 1.0 / x.sqrt(),
-                        MathFn::Abs => x.abs(),
-                        MathFn::Sin => x.sin(),
-                        MathFn::Cos => x.cos(),
-                        MathFn::Floor => x.floor(),
-                        MathFn::Round => x.round(),
-                        _ => unreachable!(),
-                    };
-                    self.lanes.set_f(dst, l, r);
-                    m &= m - 1;
-                }
-            }
-            MathFn::Pow => {
-                let a1 = *args.get(1).ok_or_else(bail)?;
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    let x = self.lanes.f32_of(a0, l);
-                    let y = self.lanes.f32_of(a1, l);
-                    self.lanes.set_f(dst, l, x.powf(y));
-                    m &= m - 1;
-                }
-            }
-            MathFn::Min | MathFn::Max => {
-                let a1 = *args.get(1).ok_or_else(bail)?;
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    // Integer min/max stay integer, like `eval_mathfn`.
-                    if self.lanes.tag_of(a0, l) == TI && self.lanes.tag_of(a1, l) == TI {
-                        let x = self.lanes.iv[Lanes::off(a0, l)];
-                        let y = self.lanes.iv[Lanes::off(a1, l)];
-                        let r = if f == MathFn::Min { x.min(y) } else { x.max(y) };
-                        self.lanes.set_i(dst, l, r);
-                    } else {
-                        let x = self.lanes.f32_of(a0, l);
-                        let y = self.lanes.f32_of(a1, l);
-                        let r = if f == MathFn::Min { x.min(y) } else { x.max(y) };
-                        self.lanes.set_f(dst, l, r);
-                    }
-                    m &= m - 1;
-                }
+            Op::Jmp { .. } | Op::Br { .. } | Op::Halt => {
+                unreachable!("control flow reached WarpExec::exec_vector")
             }
         }
         Ok(())

@@ -117,7 +117,7 @@ fn main() {
     let storm_config = StreamConfig {
         workers: Some(3),
         queue_capacity: Some(4),
-        engine: Some(Engine::Bytecode),
+        engine: Some(Engine::Simd),
         faults: storm_faults,
         frame_deadline_us: Some(100_000),
         ..StreamConfig::default()
@@ -222,7 +222,7 @@ fn main() {
     let breaker_config = StreamConfig {
         workers: Some(3),
         queue_capacity: Some(4),
-        engine: Some(Engine::Bytecode),
+        engine: Some(Engine::Simd),
         supervisor: SupervisorConfig {
             max_attempts: 3,
             ..SupervisorConfig::default()
@@ -289,7 +289,7 @@ fn main() {
         StreamConfig {
             workers: Some(3),
             queue_capacity: Some(1),
-            engine: Some(Engine::Bytecode),
+            engine: Some(Engine::Simd),
             faults: shed_faults,
             shed_after_us: Some(0),
             ..StreamConfig::default()

@@ -89,7 +89,7 @@ fn main() {
     let config = StreamConfig {
         workers: Some(3),
         queue_capacity: Some(4),
-        engine: Some(Engine::Bytecode),
+        engine: Some(Engine::Simd),
         ..StreamConfig::default()
     };
 

@@ -418,7 +418,13 @@ mod engines {
     /// random (sometimes out-of-bounds) offsets, lazy `Select`/`&&`/`||`
     /// and math calls — the operator mix the engines must agree on
     /// operation-for-operation, not just value-for-value.
-    fn gen_val_expr(rng: &mut Pcg32, depth: u32, vars: &[&str]) -> Expr {
+    ///
+    /// Untyped, a `Select` may pair an int arm with a float one, so its
+    /// result has no fixed dynamic tag — legal on the dynamically typed
+    /// engines, refused (and counted) by the simd engine's lowering.
+    /// `typed` is the well-typed arm family: every `Select` arm is cast to
+    /// `f32`, as code generated from a typechecked kernel would be.
+    fn gen_val_expr(rng: &mut Pcg32, depth: u32, vars: &[&str], typed: bool) -> Expr {
         if depth == 0 || rng.gen_below(4) == 0 {
             return match rng.gen_below(4) {
                 0 => Expr::float(rng.gen_range_f32(-2.0, 2.0)),
@@ -435,8 +441,9 @@ mod engines {
                 }
             };
         }
-        let x = gen_val_expr(rng, depth - 1, vars);
-        let y = gen_val_expr(rng, depth - 1, vars);
+        let x = gen_val_expr(rng, depth - 1, vars, typed);
+        let y = gen_val_expr(rng, depth - 1, vars, typed);
+        let arm = |e: Expr| if typed { e.cast(ScalarType::F32) } else { e };
         match rng.gen_below(8) {
             0 => x + y,
             1 => x - y,
@@ -444,29 +451,31 @@ mod engines {
             3 => Expr::min(x, y),
             4 => Expr::max(x, y),
             5 => {
-                let z = gen_val_expr(rng, depth - 1, vars);
-                Expr::select(x.lt(y), z, Expr::float(0.5))
+                let z = gen_val_expr(rng, depth - 1, vars, typed);
+                Expr::select(x.lt(y), arm(z), Expr::float(0.5))
             }
             6 => Expr::select(
                 x.clone()
                     .lt(Expr::float(0.0))
                     .and(y.clone().gt(Expr::float(-1.0))),
-                x,
-                y,
+                arm(x),
+                arm(y),
             ),
             _ => Expr::select(
                 x.clone()
                     .ge(Expr::float(1.0))
                     .or(y.clone().le(Expr::float(0.0))),
-                y,
-                x,
+                arm(y),
+                arm(x),
             ),
         }
     }
 
     /// A random one-dimensional kernel: thread id, an optional extra
-    /// local, an optional accumulation loop, and a guarded store.
+    /// local, an optional accumulation loop, and a guarded store. Two in
+    /// three kernels draw their expressions from the well-typed family.
     fn gen_kernel(rng: &mut Pcg32) -> DeviceKernelDef {
+        let typed = rng.gen_below(3) != 0;
         let mut vars: Vec<&str> = vec!["gid"];
         let mut body = vec![Stmt::Decl {
             name: "gid".into(),
@@ -477,7 +486,7 @@ mod engines {
             ),
         }];
         if rng.gen_below(2) == 0 {
-            let init = gen_val_expr(rng, 2, &vars);
+            let init = gen_val_expr(rng, 2, &vars, typed);
             body.push(Stmt::Decl {
                 name: "t".into(),
                 ty: ScalarType::F32,
@@ -534,7 +543,7 @@ mod engines {
             });
             vars.push("div");
         }
-        let value = gen_val_expr(rng, 3, &vars);
+        let value = gen_val_expr(rng, 3, &vars, typed);
         if rng.gen_below(3) == 0 {
             body.push(Stmt::If {
                 cond: Expr::var("gid").rem(Expr::int(3)).eq_(Expr::int(0)),
@@ -577,6 +586,9 @@ mod engines {
 
     #[test]
     fn random_kernels_agree_between_engines() {
+        // Launches that ran, and those of them the simd engine kept on
+        // its vector path from the first block to the last.
+        let (mut ran, mut vectorized) = (0u32, 0u32);
         cases(60, |seed, rng| {
             let k = gen_kernel(rng);
             let n = 48usize;
@@ -600,10 +612,27 @@ mod engines {
             let mut mem_simd = mem;
             let r_tree = hipacc_sim::execute(&k, &params, &mut mem_tree);
             let r_bc = hipacc_sim::execute_bytecode(&k, &params, &mut mem_bc);
-            let r_simd = hipacc_sim::compile(&k, &params, &mem_simd)
-                .and_then(|c| c.run_with(&mut mem_simd, hipacc_sim::ExecMode::Simd));
+            let r_simd = hipacc_sim::compile(&k, &params, &mem_simd).and_then(|c| {
+                c.run_instrumented(&mut mem_simd, hipacc_sim::ExecMode::Simd, true, None)
+            });
             match (r_tree, r_bc, r_simd) {
-                (Ok(stats_tree), Ok(stats_bc), Ok(stats_simd)) => {
+                (Ok(stats_tree), Ok(stats_bc), Ok(run_simd)) => {
+                    // No silent path: a launch either ran warp steps for
+                    // all its blocks or says how many it ran scalar, and
+                    // why.
+                    let tel = run_simd.exec.and_then(|e| e.simd).expect("simd telemetry");
+                    let by_cause: u64 = tel.fallbacks().map(|(_, n)| n).sum();
+                    assert_eq!(by_cause, tel.scalar_fallback_blocks(), "[seed {seed:#x}]");
+                    if tel.warp_steps == 0 {
+                        assert_eq!(
+                            tel.scalar_fallback_blocks(),
+                            2,
+                            "refused without being counted [seed {seed:#x}]"
+                        );
+                    }
+                    ran += 1;
+                    vectorized += u32::from(tel.scalar_fallback_blocks() == 0);
+                    let stats_simd = run_simd.stats;
                     assert_eq!(stats_tree, stats_bc, "ExecStats diverge [seed {seed:#x}]");
                     assert_eq!(
                         stats_tree, stats_simd,
@@ -641,6 +670,10 @@ mod engines {
                 }
             }
         });
+        assert!(
+            vectorized * 2 >= ran && ran >= 30,
+            "only {vectorized} of {ran} random kernels ran on the vector path"
+        );
     }
 
     /// Under an armed fault plan (memory corruption before compile, store
