@@ -229,9 +229,9 @@ fn print_inject(seed: u64) {
     }
 }
 
-/// Time every execution engine (tree-walk, bytecode, simd) on the
-/// representative cells and write the machine-readable report to `path`
-/// (the `BENCH_engine.json` artifact the CI bench-smoke job gates on).
+/// Time both execution engines (bytecode, simd) on the representative
+/// cells and write the machine-readable report to `path` (the
+/// `BENCH_engine.json` artifact the CI bench-smoke job gates on).
 fn print_bench_json(path: &str) {
     use hipacc_bench::enginebench;
 

@@ -1,6 +1,6 @@
 //! Cross-engine execution benchmark with a machine-readable export.
 //!
-//! Times one frame per engine (tree-walk, bytecode, simd) on the
+//! Times one frame per engine (bytecode, simd) on the
 //! representative local-operator cells of the evaluation — 3×3 and 5×5
 //! Gaussian, the 13×13 bilateral filter, and an interior-only 5×5
 //! Gaussian ROI that exercises the uniform-branch fast path — and
@@ -11,8 +11,8 @@
 //! region, so the numbers isolate launch + execution: exactly the part
 //! the bytecode and simd engines restructure. Before any timing, every
 //! engine's output and [`hipacc_sim::ExecStats`] are asserted
-//! bit-identical to the tree-walk reference, so a cell can never get
-//! faster by computing something else.
+//! bit-identical to the specification ([`hipacc_sim::interp`]), so a cell
+//! can never get faster by computing something else.
 //!
 //! This module uses plain [`std::time::Instant`] medians rather than the
 //! criterion stand-in because the stand-in is a dev-dependency of the
@@ -25,7 +25,7 @@ use hipacc_filters::bilateral::bilateral_operator;
 use hipacc_filters::gaussian::gaussian_operator;
 use hipacc_hwmodel::device::tesla_c2050;
 use hipacc_image::{phantom, BoundaryMode, Image};
-use hipacc_sim::run_on_image_with;
+use hipacc_sim::{interp, launch, run_on_image_with};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -36,8 +36,8 @@ pub const SIZE: u32 = 128;
 /// Default number of timed frames per engine (the median is reported).
 pub const DEFAULT_SAMPLES: usize = 9;
 
-/// The three engines, in the order they appear in every report.
-pub const ENGINES: [Engine; 3] = [Engine::TreeWalk, Engine::Bytecode, Engine::Simd];
+/// The two engines, in the order they appear in every report.
+pub const ENGINES: [Engine; 2] = [Engine::Bytecode, Engine::Simd];
 
 /// The cell whose simd-vs-bytecode speedup the CI bench-smoke job gates
 /// on: an interior-only ROI where every warp takes the uniform in-bounds
@@ -144,26 +144,29 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// Time one cell on all three engines, asserting cross-engine agreement
-/// (bit-identical output and [`hipacc_sim::ExecStats`]) first.
+/// Time one cell on both engines, asserting agreement with the
+/// specification (bit-identical output and [`hipacc_sim::ExecStats`])
+/// first.
 fn time_cell(name: &'static str, op: &Operator, img: &Image<f32>, samples: usize) -> CellTiming {
     let target = Target::cuda(tesla_c2050());
     let compiled = op.compile(&target, img.width(), img.height()).unwrap();
     let spec = launch_spec(&compiled, &[("Input", img)], &op.params, &op.mask_uploads);
 
-    let reference = run_on_image_with(&compiled.device_kernel, &spec, Engine::TreeWalk).unwrap();
-    for engine in [Engine::Bytecode, Engine::Simd] {
+    let (mut mem, params) = launch::bind(&compiled.device_kernel, &spec).unwrap();
+    let ref_stats = interp::execute(&compiled.device_kernel, &params, &mut mem).unwrap();
+    let ref_output = mem.buffer("OUT").unwrap().to_image();
+    for engine in ENGINES {
         let run = run_on_image_with(&compiled.device_kernel, &spec, engine).unwrap();
         assert_eq!(
-            reference.stats,
+            ref_stats,
             run.stats,
-            "{name}: {} stats diverge from tree-walk",
+            "{name}: {} stats diverge from the specification",
             engine.label()
         );
         assert_eq!(
-            reference.output.max_abs_diff(&run.output),
+            ref_output.max_abs_diff(&run.output),
             0.0,
-            "{name}: {} output diverges from tree-walk",
+            "{name}: {} output diverges from the specification",
             engine.label()
         );
     }
@@ -267,16 +270,15 @@ impl EngineBench {
         );
         let _ = writeln!(
             out,
-            "  {:<22} {:>12} {:>12} {:>12} {:>14}",
-            "cell", "tree-walk", "bytecode", "simd", "simd/bytecode"
+            "  {:<22} {:>12} {:>12} {:>14}",
+            "cell", "bytecode", "simd", "simd/bytecode"
         );
         for cell in &self.cells {
             let ms = |e: &str| cell.ns(e).unwrap_or(f64::NAN) / 1e6;
             let _ = writeln!(
                 out,
-                "  {:<22} {:>9.3} ms {:>9.3} ms {:>9.3} ms {:>13.2}x",
+                "  {:<22} {:>9.3} ms {:>9.3} ms {:>13.2}x",
                 cell.name,
-                ms("tree-walk"),
                 ms("bytecode"),
                 ms("simd"),
                 cell.speedup("simd", "bytecode").unwrap_or(f64::NAN)
@@ -325,8 +327,9 @@ mod tests {
         assert_eq!(cells.len(), 4);
         for cell in cells {
             let engines = cell.as_object().unwrap()["engines"].as_object().unwrap();
-            for engine in ["tree-walk", "bytecode", "simd"] {
-                assert!(engines[engine].as_number().unwrap() > 0.0);
+            assert_eq!(engines.len(), ENGINES.len());
+            for engine in ENGINES {
+                assert!(engines[engine.label()].as_number().unwrap() > 0.0);
             }
         }
     }
@@ -360,13 +363,7 @@ mod tests {
     fn text_report_names_every_engine() {
         let bench = run_at(1, 1);
         let text = bench.render_text();
-        for needle in [
-            "tree-walk",
-            "bytecode",
-            "simd",
-            "gaussian5x5_interior",
-            "opt 1",
-        ] {
+        for needle in ["bytecode", "simd", "gaussian5x5_interior", "opt 1"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
     }

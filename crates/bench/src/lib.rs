@@ -14,9 +14,8 @@
 //! * [`render`] — plain-text and Markdown rendering.
 //! * [`ablation`] — what each design choice is worth (region
 //!   specialization, constant masks, the heuristic, vectorization).
-//! * [`enginebench`] — per-engine frame times (tree-walk, bytecode,
-//!   simd) with the `BENCH_engine.json` export the CI bench-smoke job
-//!   gates on.
+//! * [`enginebench`] — per-engine frame times (bytecode, simd) with the
+//!   `BENCH_engine.json` export the CI bench-smoke job gates on.
 //! * [`fusionbench`] — fused vs unfused streaming throughput of the
 //!   3-stage chain, the cell the CI fusion-smoke job gates on.
 //!

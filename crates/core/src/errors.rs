@@ -43,7 +43,7 @@
 //! | R0105 | barrier inside control flow |
 //! | R0106 | expression evaluation failed |
 //! | R0201 | invalid `HIPACC_SIM_THREADS` value |
-//! | R0202 | invalid launch geometry |
+//! | R0202 | invalid launch geometry or `HIPACC_SIM_ENGINE` value |
 //! | R0203 | explicit launch override shadows a conflicting `HIPACC_SIM_*` variable — *warning* |
 //! | R0301 | launch deadline exceeded (hung worker) — *transient* |
 //! | R0401 | supervisor exhausted retries and fallbacks |
@@ -238,8 +238,8 @@ static REGISTRY: &[CodeInfo] = registry![
         "An expression produced no value (e.g. a type confusion); the message pinpoints the node.";
     "R0201", "runtime": "invalid HIPACC_SIM_THREADS value" =>
         "The worker-count override is not a positive integer; fix or unset the environment variable.";
-    "R0202", "runtime": "invalid launch geometry" =>
-        "Grid or block has a zero dimension, or the spec is otherwise degenerate; check the launch spec.";
+    "R0202", "runtime": "invalid launch geometry or HIPACC_SIM_ENGINE value" =>
+        "Grid or block has a zero dimension, the iteration space is empty or the inputs disagree on their size — check the launch spec; or the engine override names neither `bytecode` nor `simd` — fix or unset the environment variable. The message says which.";
     "R0203", "runtime": "explicit launch override shadows a conflicting HIPACC_SIM_* variable" =>
         "An explicit engine/sim_threads setting and the environment disagree; the explicit setting always wins — unset the stale variable if the environment was meant to apply.";
     "R0301", "runtime": "launch deadline exceeded (hung worker)" =>

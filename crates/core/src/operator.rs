@@ -379,8 +379,7 @@ impl Operator {
     }
 
     /// [`Self::execute`] on an explicitly chosen simulator engine
-    /// (bytecode register machine, warp-vectorized simd, or the reference
-    /// tree-walk).
+    /// (bytecode register machine or warp-vectorized simd).
     pub fn execute_with(
         &self,
         inputs: &[(&str, &Image<f32>)],

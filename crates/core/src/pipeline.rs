@@ -37,7 +37,6 @@ pub fn launch_spec<'a>(
         params: Arc::clone(params),
         scalars: HashMap::with_capacity(4),
         sim_threads: None,
-        engine: None,
         pool: None,
     };
     for (name, img) in inputs {

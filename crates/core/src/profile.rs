@@ -57,8 +57,7 @@ pub struct LaunchProfile {
     pub kernel: String,
     /// Target label (`"Tesla C2050 / CUDA"`).
     pub target: String,
-    /// Which simulator engine ran the launch (`"bytecode"` /
-    /// `"tree-walk"` / `"simd"`).
+    /// Which simulator engine ran the launch (`"bytecode"` / `"simd"`).
     pub engine: &'static str,
     /// Grid dimensions in blocks.
     pub grid: (u32, u32),

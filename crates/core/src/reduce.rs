@@ -187,7 +187,33 @@ pub fn reduction_kernel(op: ReduceOp, threads: u32) -> DeviceKernelDef {
     }
 }
 
-/// Run a global reduction over an image on a simulated target.
+/// Bind the image and the per-block partials buffer and size the grid
+/// for the stage-one kernel: one block row per image row.
+fn bind(img: &hipacc_image::Image<f32>, threads: u32) -> (DeviceMemory, LaunchParams) {
+    let grid_x = img.width().div_ceil(threads);
+    let grid_y = img.height();
+
+    let mut mem = DeviceMemory::new();
+    mem.bind_image("IN", img);
+    let partials = grid_x * grid_y;
+    mem.bind(
+        "OUT",
+        DeviceBuffer::new(BufferGeometry {
+            width: partials,
+            height: 1,
+            stride: partials,
+        }),
+    );
+    let mut params = LaunchParams::new((grid_x, grid_y), (threads, 1));
+    params
+        .set_int("width", img.width() as i64)
+        .set_int("height", img.height() as i64)
+        .set_int("stride", img.stride() as i64);
+    (mem, params)
+}
+
+/// Run a global reduction over an image on a simulated target, on the
+/// engine `HIPACC_SIM_ENGINE` selects (default simd).
 pub fn reduce_image(
     img: &hipacc_image::Image<f32>,
     op: ReduceOp,
@@ -204,32 +230,14 @@ pub fn reduce_image(
         128
     };
     let kernel = reduction_kernel(op, threads);
-    let grid_x = img.width().div_ceil(threads);
-    let grid_y = img.height();
+    let (mut mem, params) = bind(img, threads);
+    let engine = hipacc_sim::resolve_engine(None)?;
+    let stats = hipacc_sim::compile(&kernel, &params, &mem)?.run_with(&mut mem, engine)?;
 
-    let mut mem = DeviceMemory::new();
-    mem.bind_image("IN", img);
-    let partials = grid_x as usize * grid_y as usize;
-    mem.bind(
-        "OUT",
-        DeviceBuffer::new(BufferGeometry {
-            width: partials as u32,
-            height: 1,
-            stride: partials as u32,
-        }),
-    );
-    let mut params = LaunchParams::new((grid_x, grid_y), (threads, 1));
-    params
-        .set_int("width", img.width() as i64)
-        .set_int("height", img.height() as i64)
-        .set_int("stride", img.stride() as i64);
-    let stats = hipacc_sim::execute(&kernel, &params, &mut mem)?;
-
-    let out = &mem.buffer("OUT").unwrap().data;
-    let mut acc = op.identity() as f64;
-    for &p in out.iter().take(partials) {
-        acc = op.combine(acc, p as f64);
-    }
+    let partials = &mem.buffer("OUT").unwrap().data;
+    let acc = partials
+        .iter()
+        .fold(op.identity() as f64, |acc, &p| op.combine(acc, p as f64));
     Ok((acc, stats))
 }
 
@@ -278,6 +286,31 @@ mod tests {
         let (sum, _) = reduce_image(&img, ReduceOp::Sum, &t).unwrap();
         let expected = reference::reduce_sum(&img);
         assert!((sum - expected).abs() / expected.abs() < 1e-4);
+    }
+
+    /// The generated kernel (scratchpad, barriers, a strided loop) runs
+    /// on both engines exactly as the specification says: partials
+    /// bitwise, `ExecStats` equal.
+    #[test]
+    fn engines_match_the_specification() {
+        let img = phantom::vessel_tree(73, 21, &phantom::VesselParams::default());
+        for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+            let kernel = reduction_kernel(op, 64);
+            let (mem, params) = bind(&img, 64);
+            let mut spec_mem = mem.clone();
+            let spec = hipacc_sim::interp::execute(&kernel, &params, &mut spec_mem).unwrap();
+            let bits = |m: &DeviceMemory| -> Vec<u32> {
+                let out = &m.buffer("OUT").unwrap().data;
+                out.iter().map(|v| v.to_bits()).collect()
+            };
+            let tape = hipacc_sim::compile(&kernel, &params, &mem).unwrap();
+            for engine in [hipacc_sim::Engine::Bytecode, hipacc_sim::Engine::Simd] {
+                let mut m = mem.clone();
+                let stats = tape.run_with(&mut m, engine).unwrap();
+                assert_eq!(stats, spec, "{op:?} on {engine:?}");
+                assert_eq!(bits(&m), bits(&spec_mem), "{op:?} on {engine:?}");
+            }
+        }
     }
 
     #[test]

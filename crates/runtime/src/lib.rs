@@ -36,7 +36,7 @@
 //! Determinism: with a fixed engine and seeded fault plans the
 //! per-frame outputs **and** governor decisions of [`Stream::run`] are
 //! bit-identical to [`Stream::run_sequential`] for **any** worker
-//! count, on all three engines — the simulator's store commit order is
+//! count, on both engines — the simulator's store commit order is
 //! scheduling-invariant, supervision is a deterministic function of the
 //! plan, and each stage sees its frames in `seq` order in both modes.
 //!

@@ -384,7 +384,9 @@ impl ReplayBundle {
 }
 
 fn parse_engine(label: &str) -> Result<Engine, String> {
-    hipacc_sim::parse_engine_env(label).map_err(|_| format!("replay: unknown engine `{label}`"))
+    hipacc_sim::parse_engine_env(label).map_err(|_| {
+        format!("replay: unknown engine `{label}` (a bundle replays on `bytecode` or `simd`)")
+    })
 }
 
 /// Apply a recorded pin and deadline to a stage's operator and
@@ -620,5 +622,14 @@ mod tests {
         // nothing, and says so.
         b.stream_check = Some((9_999, 10_000));
         assert!(replay(&b, &[], &target).is_err());
+        // Nor does a bundle recorded on an engine that no longer exists;
+        // the error names the ones that do.
+        b.stream_check = Some((10_001, 10_000));
+        b.engine = "tree-walk".into();
+        let err = replay(&b, &[], &target).unwrap_err();
+        assert!(
+            err.contains("`tree-walk`") && err.contains("`bytecode`") && err.contains("`simd`"),
+            "{err}"
+        );
     }
 }

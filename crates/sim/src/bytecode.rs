@@ -33,11 +33,20 @@
 //!   branch runs) are preserved exactly, so out-of-bounds counting agrees
 //!   bit-for-bit with the tree-walk.
 //!
-//! Semantics are intentionally *identical* to the interpreter: the
-//! differential harness in the workspace test-suite asserts bit-identical
-//! outputs and identical [`ExecStats`] across both engines.
+//! Semantics are intentionally *identical* to the interpreter, which is
+//! the specification and not a launch engine: the differential harness in
+//! the workspace test-suite asserts bit-identical outputs, per-block store
+//! order, identical [`ExecStats`] and identical errors against it.
+//!
+//! This module also owns everything whole-grid about a launch, once, for
+//! both tape engines ([`Engine::Bytecode`] and [`Engine::Simd`]): the
+//! claimed/strided block loop, reassembly in block order, the fault hook's
+//! admit and commit steps, the execution profile and selective block
+//! re-execution ([`CompiledKernel::run_instrumented`],
+//! [`CompiledKernel::run_blocks_with`]).
 
 use crate::interp::{phases, ExecStats, SimError};
+use crate::launch::Engine;
 use crate::memory::{BufferGeometry, DeviceMemory, LaunchParams};
 use hipacc_image::boundary::{clamp_index, repeat_index};
 use hipacc_ir::fold::{eval_binop, eval_const, eval_mathfn, eval_unop};
@@ -205,22 +214,8 @@ pub struct CompiledKernel {
     pub(crate) shared: Vec<SharedLayout>,
     pub(crate) checks: Vec<InteriorCheck>,
     /// The simd engine's typed lowering of the tapes (or why it has
-    /// none), built by the first `ExecMode::Simd` run.
+    /// none), built by the first [`Engine::Simd`] run.
     warp: std::sync::OnceLock<WarpPlan>,
-}
-
-/// How block bodies execute: one thread at a time on the scalar register
-/// machine, or a whole warp per instruction on the two register files of
-/// [`crate::simd`]. Both modes are bit- and stat-identical; the mode only
-/// changes cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The scalar bytecode engine (one thread at a time).
-    #[default]
-    Scalar,
-    /// The warp-vectorized engine, falling back to the scalar path on a
-    /// tape it cannot type and per block on anything it cannot reproduce.
-    Simd,
 }
 
 impl CompiledKernel {
@@ -2272,30 +2267,32 @@ fn run_block_dispatch(
 type WarpPlan = Result<crate::warp::WarpProgram, crate::sched::FallbackCause>;
 
 impl CompiledKernel {
-    /// Execute the compiled program over the whole grid under `mode`.
+    /// Execute the compiled program over the whole grid on `engine`.
     /// Blocks run in parallel across host cores; buffered stores are
-    /// applied in deterministic block order afterwards, exactly like the
-    /// tree-walk engine.
+    /// applied in deterministic block order afterwards, exactly like
+    /// [`crate::interp::execute`].
     ///
     /// The bound buffers must still have the geometry observed at compile
     /// time (the interior checks were derived from it).
-    pub fn run_with(&self, mem: &mut DeviceMemory, mode: ExecMode) -> Result<ExecStats, SimError> {
-        self.run_instrumented(mem, mode, false, None)
+    pub fn run_with(&self, mem: &mut DeviceMemory, engine: Engine) -> Result<ExecStats, SimError> {
+        self.run_instrumented(mem, engine, false, None)
             .map(|run| run.stats)
     }
 
     /// Re-execute the listed blocks fault-free and return their stores
-    /// *without committing them* — the bytecode half of the
-    /// selective-repair primitive ([`crate::interp::execute_blocks`] is
-    /// the tree-walk half).
+    /// *without committing them* — the selective-repair primitive. Input
+    /// buffers are read-only during a launch and generated kernels write
+    /// disjoint cells per block, so re-running a block in isolation
+    /// reproduces exactly the stores of a clean launch, in the order
+    /// [`crate::interp::execute_blocks`] specifies.
     pub fn run_blocks_with(
         &self,
         mem: &DeviceMemory,
         blocks: &[(u32, u32)],
-        mode: ExecMode,
+        engine: Engine,
     ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
         let bufs = self.buffer_views(mem)?;
-        let simd = self.warp_plan(mode);
+        let simd = self.warp_plan(engine);
         let mut scratch = BlockScratch::default();
         let mut journal = Vec::new();
         let mut tel = crate::sched::SimdTelemetry::default();
@@ -2325,8 +2322,8 @@ impl CompiledKernel {
 
     /// The simd engine's plan for this program, lowered on first use;
     /// `None` on the scalar engine.
-    fn warp_plan(&self, mode: ExecMode) -> Option<&WarpPlan> {
-        (mode == ExecMode::Simd).then(|| self.warp.get_or_init(|| crate::warp::lower(self)))
+    fn warp_plan(&self, engine: Engine) -> Option<&WarpPlan> {
+        (engine == Engine::Simd).then(|| self.warp.get_or_init(|| crate::warp::lower(self)))
     }
 
     /// Resolve the binding table against bound memory (shared by the run
@@ -2358,9 +2355,8 @@ impl CompiledKernel {
     /// launch flavour is built from: `profile` additionally records one
     /// [`ExecStats`] per block and the worker that ran it, and an enabled
     /// `hook` may stall or hang workers on the virtual clock and mutate or
-    /// drop block stores before commit, mirroring
-    /// [`crate::interp::execute_instrumented`] exactly. A missing or
-    /// disabled hook leaves the run byte-for-byte on the plain path.
+    /// drop block stores before commit (see [`crate::inject`]). A missing
+    /// or disabled hook leaves the run byte-for-byte on the plain path.
     ///
     /// Constant banks are captured at [`compile`] time, so constant-memory
     /// corruption must be applied to the [`DeviceMemory`] *before*
@@ -2368,14 +2364,14 @@ impl CompiledKernel {
     pub fn run_instrumented(
         &self,
         mem: &mut DeviceMemory,
-        mode: ExecMode,
+        engine: Engine,
         profile: bool,
         hook: Option<&dyn crate::inject::FaultHook>,
     ) -> Result<crate::sched::GridRun, SimError> {
         let hook = crate::inject::ArmedHook::attach(hook);
 
         let bufs = self.buffer_views(mem)?;
-        let simd = self.warp_plan(mode);
+        let simd = self.warp_plan(engine);
         let key = self.scratch_key();
 
         let (gx, gy) = self.grid;
@@ -2387,7 +2383,7 @@ impl CompiledKernel {
             crate::sched::effective_workers_pooled(self.sim_threads, blocks.len(), pool)?;
 
         // Results are keyed by the linear block index and stores applied
-        // in block order afterwards, exactly like the tree-walk engine, so
+        // in block order afterwards, exactly like the specification, so
         // outputs stay bit-identical whichever worker ran which block.
         // Each worker owns one pooled journal; a block's stores are a
         // range of it. With a fault hook armed the workers walk their
@@ -2483,7 +2479,7 @@ impl CompiledKernel {
         let mut exec_profile = profile.then(|| crate::sched::ExecProfile {
             n_workers,
             blocks: Vec::with_capacity(blocks.len()),
-            simd: (mode == ExecMode::Simd).then_some(tel_total),
+            simd: (engine == Engine::Simd).then_some(tel_total),
         });
         let mut faulted = hook.map(|h| {
             (
@@ -2512,11 +2508,7 @@ impl CompiledKernel {
                     self.grid,
                     lat,
                     &mut journals[ran_on][range.clone()],
-                    |st| {
-                        let name = &self.globals[st.buf as usize].name;
-                        crate::inject::store_hash(name, st.idx as usize, st.value)
-                    },
-                    |st| &mut st.value,
+                    &self.globals,
                 ),
                 None => true,
             };
@@ -2561,7 +2553,7 @@ pub fn execute(
     params: &LaunchParams,
     mem: &mut DeviceMemory,
 ) -> Result<ExecStats, SimError> {
-    compile(kernel, params, mem)?.run_with(mem, ExecMode::Scalar)
+    compile(kernel, params, mem)?.run_with(mem, Engine::Bytecode)
 }
 
 #[cfg(test)]
@@ -2574,9 +2566,9 @@ mod tests {
     };
     use hipacc_ir::stmt::LValue;
 
-    /// Run the same launch through all three engines and assert
-    /// bit-identical outputs and identical dynamic statistics, then
-    /// return them.
+    /// Run the same launch through the specification and both engines
+    /// and assert bit-identical outputs and identical dynamic statistics,
+    /// then return them.
     fn engines_agree(
         k: &DeviceKernelDef,
         p: &LaunchParams,
@@ -2589,7 +2581,7 @@ mod tests {
         let stats_bc = execute(k, p, &mut mem_bc).unwrap();
         let stats_simd = compile(k, p, &mem_simd)
             .unwrap()
-            .run_with(&mut mem_simd, ExecMode::Simd)
+            .run_with(&mut mem_simd, Engine::Simd)
             .unwrap();
         assert_eq!(stats_tree, stats_bc, "ExecStats diverge for `{}`", k.name);
         assert_eq!(
@@ -2609,15 +2601,15 @@ mod tests {
         (mem_bc, stats_bc)
     }
 
-    /// Run a launch every engine must refuse, assert they refuse it with
-    /// the same error (the simd engine through its scalar re-run), and
-    /// return that error.
+    /// Run a launch the specification and both engines must refuse,
+    /// assert they refuse it with the same error (the simd engine through
+    /// its scalar re-run), and return that error.
     fn engines_reject(k: &DeviceKernelDef, p: &LaunchParams, mem: &DeviceMemory) -> SimError {
         let tree = interp::execute(k, p, &mut mem.clone()).unwrap_err();
         assert_eq!(execute(k, p, &mut mem.clone()).unwrap_err(), tree);
         let simd = compile(k, p, mem)
             .unwrap()
-            .run_with(&mut mem.clone(), ExecMode::Simd);
+            .run_with(&mut mem.clone(), Engine::Simd);
         assert_eq!(simd.unwrap_err(), tree);
         tree
     }
@@ -2854,9 +2846,9 @@ mod tests {
         let mut racy = staged.clone();
         racy.body.retain(|s| !matches!(s, Stmt::Barrier));
         let both_blocks = vec![(crate::sched::FallbackCause::SharedTileHazard, 2)];
-        assert_eq!(fallbacks(&racy, ExecMode::Simd), Some(both_blocks));
-        assert_eq!(fallbacks(&staged, ExecMode::Simd), Some(vec![]));
-        assert_eq!(fallbacks(&racy, ExecMode::Scalar), None);
+        assert_eq!(fallbacks(&racy, Engine::Simd), Some(both_blocks));
+        assert_eq!(fallbacks(&staged, Engine::Simd), Some(vec![]));
+        assert_eq!(fallbacks(&racy, Engine::Bytecode), None);
     }
 
     fn stencil_kernel(mode: AddressMode) -> DeviceKernelDef {
@@ -3060,9 +3052,11 @@ mod tests {
     /// Two blocks fail differently: block 6 (worker 0's share of a
     /// two-worker strided split) divides by zero, block 1 (worker 1's)
     /// overflows a negation. Workers that claim blocks meet block 1
-    /// first; the error every engine reports is still the strided
+    /// first; the error both engines report is still the strided
     /// walk's — worker 0's — because a failed claimed run is repeated
-    /// strided.
+    /// strided. The specification reports the lowest failing block's,
+    /// block 1's, and the engines agree with it on one worker: error
+    /// identity depends on the worker count, not on timing.
     #[test]
     fn error_identity_does_not_depend_on_which_worker_ran_a_block() {
         let mut k = double_kernel();
@@ -3088,13 +3082,23 @@ mod tests {
         ];
         let mut p = LaunchParams::new((8, 1), (8, 1));
         p.set_int("n", 64);
+        let mem = linear_mem(64);
         p.sim_threads = Some(2);
+        let ck = compile(&k, &p, &mem).unwrap();
         for _ in 0..8 {
-            assert_eq!(
-                engines_reject(&k, &p, &linear_mem(64)),
-                SimError::DivisionByZero
-            );
+            for engine in [Engine::Bytecode, Engine::Simd] {
+                assert_eq!(
+                    ck.run_with(&mut mem.clone(), engine).unwrap_err(),
+                    SimError::DivisionByZero,
+                    "{engine:?}"
+                );
+            }
         }
+        p.sim_threads = Some(1);
+        assert_eq!(
+            engines_reject(&k, &p, &mem),
+            SimError::EvalError(format!("Neg on Int({})", i64::MIN))
+        );
     }
 
     #[test]
@@ -3104,15 +3108,15 @@ mod tests {
         p.set_int("n", 64);
         let mut mem = linear_mem(64);
         let ck = compile(&k, &p, &mem).unwrap();
-        ck.run_with(&mut mem, ExecMode::Scalar).unwrap();
+        ck.run_with(&mut mem, Engine::Bytecode).unwrap();
         let first = mem.buffer("OUT").unwrap().data.clone();
         let mut mem2 = linear_mem(64);
-        ck.run_with(&mut mem2, ExecMode::Scalar).unwrap();
+        ck.run_with(&mut mem2, Engine::Bytecode).unwrap();
         assert_eq!(first, mem2.buffer("OUT").unwrap().data);
 
         let mut small = linear_mem(32);
         assert!(matches!(
-            ck.run_with(&mut small, ExecMode::Scalar).unwrap_err(),
+            ck.run_with(&mut small, Engine::Bytecode).unwrap_err(),
             SimError::EvalError(_)
         ));
     }
@@ -3135,7 +3139,7 @@ mod tests {
         let (mut mem, _) = engines_agree(k, p, mem);
         let run = compile(k, p, &mem)
             .unwrap()
-            .run_instrumented(&mut mem, ExecMode::Simd, true, None)
+            .run_instrumented(&mut mem, Engine::Simd, true, None)
             .unwrap();
         run.exec.unwrap().simd.expect("a simd launch has telemetry")
     }

@@ -1,8 +1,8 @@
 //! The fault-injection seam of the simulator.
 //!
-//! Both execution engines — the tree-walk interpreter and the bytecode
-//! register machine — expose the same three per-launch hook points to an
-//! optional [`FaultHook`]:
+//! The tape engines' whole-grid runner
+//! ([`CompiledKernel::run_instrumented`](crate::bytecode::CompiledKernel::run_instrumented))
+//! exposes three per-launch hook points to an optional [`FaultHook`]:
 //!
 //! 1. **memory corruption before launch** ([`FaultHook::corrupt_memory`]):
 //!    bit flips in the constant banks (dynamically uploaded mask
@@ -29,13 +29,15 @@
 //! repaired by re-executing only that block (see
 //! [`crate::launch::repair_blocks`]).
 //!
-//! With no hook attached (every plain `execute`/`run` path) none of this
-//! exists: the engines check the `Option` once per launch and the hot
-//! per-thread loops are untouched. The hook-facing code itself — the
-//! per-block worker gate and the commit-time store fault with its ledger
-//! entry — lives here once (`ArmedHook`); the engines only say how to
-//! hash and mutate their own store records.
+//! With no hook attached (every plain `run` path) none of this exists:
+//! the runner checks the `Option` once per launch and the hot per-thread
+//! loops are untouched. The hook-facing code itself — the per-block
+//! worker gate and the commit-time store fault with its ledger entry —
+//! lives here (`ArmedHook`). The specification in [`crate::interp`] takes
+//! no hook: which store a fault lands on follows from the per-block store
+//! order, and that is what the engines are checked against it on.
 
+use crate::bytecode::{GlobalBinding, StoreRec};
 use crate::interp::SimError;
 use crate::memory::DeviceMemory;
 
@@ -60,8 +62,7 @@ pub enum BlockFault {
     Poison,
 }
 
-/// Canonical quiet-NaN bit pattern used by [`BlockFault::Poison`], so both
-/// engines corrupt identically.
+/// Canonical quiet-NaN bit pattern used by [`BlockFault::Poison`].
 pub const POISON_BITS: u32 = 0x7fc0_0000;
 
 /// A fault injector attached to one launch.
@@ -208,23 +209,27 @@ impl<'h> ArmedHook<'h> {
     }
 
     /// The commit-time step, run on the main thread in linear block
-    /// order: checksum the stores the block computed, apply the hook's
-    /// store fault to them in place, checksum what is left and append the
+    /// order: checksum the stores the block computed (`globals` resolves
+    /// their binding indices to buffer names), apply the hook's store
+    /// fault to them in place, checksum what is left and append the
     /// block's ledger entry to `run`. Returns `false` when the stores
     /// were dropped and must not be committed.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn commit<S>(
+    pub(crate) fn commit(
         &self,
         run: &mut FaultedRun,
         (bx, by): (u32, u32),
         grid: (u32, u32),
         virtual_us: u64,
-        stores: &mut [S],
-        hash: impl Fn(&S) -> u64,
-        value: impl Fn(&mut S) -> &mut f32,
+        stores: &mut [StoreRec],
+        globals: &[GlobalBinding],
     ) -> bool {
         let border = is_border_block(bx, by, grid);
-        let checksum = |stores: &[S]| stores.iter().fold(0, |acc, s| combine_hash(acc, hash(s)));
+        let checksum = |stores: &[StoreRec]| {
+            stores.iter().fold(0, |acc, s| {
+                let name = &globals[s.buf as usize].name;
+                combine_hash(acc, store_hash(name, s.idx as usize, s.value))
+            })
+        };
         let expected = checksum(stores);
         let mut keep = true;
         match self.hook.block_fault(bx, by, border) {
@@ -232,13 +237,13 @@ impl<'h> ArmedHook<'h> {
             BlockFault::Drop => keep = false,
             BlockFault::FlipBits { nth, mask } => {
                 if !stores.is_empty() {
-                    let v = value(&mut stores[nth as usize % stores.len()]);
+                    let v = &mut stores[nth as usize % stores.len()].value;
                     *v = f32::from_bits(v.to_bits() ^ mask);
                 }
             }
             BlockFault::Poison => {
                 for s in stores.iter_mut() {
-                    *value(s) = f32::from_bits(POISON_BITS);
+                    s.value = f32::from_bits(POISON_BITS);
                 }
             }
         }
@@ -267,8 +272,8 @@ pub struct RepairStore {
 }
 
 /// Hash one store. Mixed with [`combine_hash`] into an order-independent
-/// block checksum, so the two engines need not agree on intra-block store
-/// order, only on the store *set* (which the differential tests pin).
+/// block checksum: a ledger entry depends on the store *set* of a block,
+/// not on the order the engine journalled it in.
 pub fn store_hash(buf: &str, idx: usize, value: f32) -> u64 {
     // FNV-1a over the buffer name, then a SplitMix64 finalizer over the
     // index and value bits.

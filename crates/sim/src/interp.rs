@@ -1,7 +1,12 @@
-//! The functional SIMT interpreter.
+//! The semantic specification: a tree-walking SIMT interpreter.
 //!
-//! Executes a device-level kernel over `grid × block` threads, faithfully
-//! enough to validate generated code against the CPU references:
+//! Executes a device-level kernel over `grid × block` threads directly on
+//! the IR, faithfully enough to validate generated code against the CPU
+//! references. It is not a launch engine: the tape engines
+//! ([`crate::bytecode`], [`crate::simd`]) are checked against it on
+//! outputs, per-block store order, [`ExecStats`] and error identity, and
+//! everything a production launch needs beyond that — worker threads,
+//! pools, fault hooks, execution profiles — lives with them.
 //!
 //! * **Barriers** split the kernel body into phases at the top level (the
 //!   only place the code generator emits them); all threads of a block
@@ -13,13 +18,17 @@
 //!   allocation) but *counted*, reproducing the paper's observation that
 //!   Undefined-handling kernels crash on some hardware: a launch reports
 //!   `oob_reads > 0` and the harness renders the cell as "crash".
-//! * Thread blocks run in parallel across host cores (std scoped
-//!   threads); stores are buffered per block and applied deterministically
-//!   in block order, which is exact for kernels whose blocks write
-//!   disjoint locations (all kernels in this system).
+//! * Blocks run one after another in linear block order against the
+//!   memory as bound; stores are buffered per block in program order and
+//!   applied in block order afterwards, which is exact for kernels whose
+//!   blocks write disjoint locations (all kernels in this system).
 //!
-//! Dynamic operation statistics are collected so tests can cross-check the
-//! static estimates of `hipacc-ir::metrics`.
+//! Three entries: [`execute`] (whole grid, committed), [`execute_blocks`]
+//! (listed blocks, ordered stores and statistics per block, nothing
+//! committed) and [`execute_observed`] ([`execute`] with the dynamic race
+//! and bounds observer attached). Dynamic operation statistics are
+//! collected so tests can cross-check the static estimates of
+//! `hipacc-ir::metrics`.
 
 use crate::memory::{DeviceMemory, LaunchParams};
 use crate::observer::ObserverReport;
@@ -50,8 +59,9 @@ pub enum SimError {
     /// The `HIPACC_SIM_THREADS` environment variable held a non-numeric
     /// or zero value (see [`crate::sched::parse_thread_env`]).
     InvalidThreadCount(String),
-    /// The launch geometry is invalid (zero-sized grid or block, or an
-    /// empty iteration space) — rejected before dispatch.
+    /// The launch is invalid — a zero-sized grid or block, an empty
+    /// iteration space, inputs of different sizes, or a `HIPACC_SIM_ENGINE`
+    /// value naming no engine — and was rejected before dispatch.
     InvalidLaunch(String),
     /// A worker's virtual clock passed the launch deadline (a hung or
     /// badly stalled worker under fault injection); the launch was
@@ -646,57 +656,64 @@ fn run_block(
     ))
 }
 
-/// Execute a kernel launch over the whole grid. Blocks run in parallel
-/// across host cores; buffered stores are applied in deterministic block
-/// order afterwards.
+/// The launch validation every engine performs first, in this order:
+/// every scalar parameter supplied, every buffer bound.
+fn validate(
+    kernel: &DeviceKernelDef,
+    params: &LaunchParams,
+    mem: &DeviceMemory,
+) -> Result<(), SimError> {
+    for p in &kernel.scalars {
+        if !params.scalars.contains_key(&p.name) {
+            return Err(SimError::MissingScalar(p.name.clone()));
+        }
+    }
+    for buf in &kernel.buffers {
+        if mem.buffer(&buf.name).is_none() {
+            return Err(SimError::UnboundBuffer(buf.name.clone()));
+        }
+    }
+    Ok(())
+}
+
+/// Execute a kernel launch over the whole grid: every block runs against
+/// the memory as bound, in linear block order, then the buffered stores
+/// are applied in that order.
 pub fn execute(
     kernel: &DeviceKernelDef,
     params: &LaunchParams,
     mem: &mut DeviceMemory,
 ) -> Result<ExecStats, SimError> {
-    execute_inner(kernel, params, mem, false, false, None).map(|(run, _)| run.stats)
+    execute_grid(kernel, params, mem, false).map(|(stats, _)| stats)
 }
 
-/// [`execute`] with the optional instrumentation every other launch
-/// flavour is built from: `profile` additionally records one
-/// [`ExecStats`] per block (in linear block order) and the worker that
-/// ran it; an enabled `hook` may stall or hang workers on the virtual
-/// clock and mutate or drop block stores before commit, and yields the
-/// per-block checksum ledger (see [`crate::inject`]). A missing or
-/// disabled hook leaves the launch byte-for-byte on the plain path.
-pub fn execute_instrumented(
-    kernel: &DeviceKernelDef,
-    params: &LaunchParams,
-    mem: &mut DeviceMemory,
-    profile: bool,
-    hook: Option<&dyn crate::inject::FaultHook>,
-) -> Result<crate::sched::GridRun, SimError> {
-    execute_inner(kernel, params, mem, false, profile, hook).map(|(run, _)| run)
-}
-
-/// Re-execute the listed blocks fault-free against the bound memory and
-/// return their stores *without committing them* — the selective-repair
-/// primitive. Input buffers are read-only during a launch and generated
-/// kernels write disjoint cells per block, so re-running a block in
-/// isolation reproduces exactly the stores of a clean launch.
+/// Execute the listed blocks against the bound memory and return, per
+/// block and in the order listed, the block's stores in program order and
+/// its statistics — *without committing anything*. Input buffers are
+/// read-only during a launch and generated kernels write disjoint cells
+/// per block, so a block run in isolation produces exactly the stores it
+/// contributes to a whole launch; the tape engines' commit order (and so
+/// which store a `FlipBits { nth }` fault lands on) is checked against
+/// this.
 pub fn execute_blocks(
     kernel: &DeviceKernelDef,
     params: &LaunchParams,
     mem: &DeviceMemory,
     blocks: &[(u32, u32)],
-) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
-    let mut out = Vec::new();
-    let mut stats = ExecStats::default();
-    for &(bx, by) in blocks {
-        let (stores, block_stats, _) = run_block(kernel, mem, params, bx, by, false)?;
-        stats.merge(&block_stats);
-        out.extend(stores.into_iter().map(|s| crate::inject::RepairStore {
-            buf: s.buf,
-            idx: s.idx,
-            value: s.value,
-        }));
-    }
-    Ok((out, stats))
+) -> Result<Vec<(Vec<crate::inject::RepairStore>, ExecStats)>, SimError> {
+    validate(kernel, params, mem)?;
+    blocks
+        .iter()
+        .map(|&(bx, by)| {
+            let (stores, stats, _) = run_block(kernel, mem, params, bx, by, false)?;
+            let stores = stores.into_iter().map(|s| crate::inject::RepairStore {
+                buf: s.buf,
+                idx: s.idx,
+                value: s.value,
+            });
+            Ok((stores.collect(), stats))
+        })
+        .collect()
 }
 
 /// Execute a kernel launch with the dynamic observer attached: identical
@@ -708,145 +725,43 @@ pub fn execute_observed(
     params: &LaunchParams,
     mem: &mut DeviceMemory,
 ) -> Result<(ExecStats, ObserverReport), SimError> {
-    let (run, report) = execute_inner(kernel, params, mem, true, false, None)?;
-    let stats = run.stats;
+    let (stats, report) = execute_grid(kernel, params, mem, true)?;
     let mut report = report.unwrap_or_default();
     report.global_oob_reads = stats.oob_reads;
     report.global_oob_stores = stats.oob_stores;
     Ok((stats, report))
 }
 
-fn execute_inner(
+fn execute_grid(
     kernel: &DeviceKernelDef,
     params: &LaunchParams,
     mem: &mut DeviceMemory,
     observe: bool,
-    profile: bool,
-    hook: Option<&dyn crate::inject::FaultHook>,
-) -> Result<(crate::sched::GridRun, Option<ObserverReport>), SimError> {
-    // Every scalar parameter must be supplied.
-    for p in &kernel.scalars {
-        if !params.scalars.contains_key(&p.name) {
-            return Err(SimError::MissingScalar(p.name.clone()));
-        }
-    }
-    for buf in &kernel.buffers {
-        if mem.buffer(&buf.name).is_none() {
-            return Err(SimError::UnboundBuffer(buf.name.clone()));
-        }
-    }
-
-    // Memory corruption is NOT applied here: the launch-level entry point
-    // owns that ordering (it must corrupt before bytecode compilation
-    // captures the constant banks), and both engines must see identically
-    // corrupted memory.
-    let hook = crate::inject::ArmedHook::attach(hook);
-
+) -> Result<(ExecStats, Option<ObserverReport>), SimError> {
+    validate(kernel, params, mem)?;
     let (gx, gy) = params.grid;
-    let blocks: Vec<(u32, u32)> = (0..gy)
+    let ran = (0..gy)
         .flat_map(|by| (0..gx).map(move |bx| (bx, by)))
-        .collect();
-
-    let pool = params.pool.as_deref();
-    let n_workers = crate::sched::effective_workers_pooled(params.sim_threads, blocks.len(), pool)?;
-
-    // Each worker returns its per-block results keyed by the linear block
-    // index; the main thread re-assembles them into block order below, so
-    // store application (and report merging) stays deterministic and
-    // independent of the worker count. The trailing u64 is the block's
-    // virtual latency (always 0 without a fault hook).
-    type BlockOut = (
-        usize,
-        Vec<PendingStore>,
-        ExecStats,
-        Option<ObserverReport>,
-        u64,
-    );
-    let mem_ro: &DeviceMemory = mem;
-    let blocks_ref = &blocks;
-    let results: Vec<Result<Vec<BlockOut>, SimError>> =
-        crate::sched::run_workers(pool, n_workers, |w| {
-            let mut out: Vec<BlockOut> =
-                Vec::with_capacity(crate::sched::worker_share(blocks_ref.len(), n_workers, w));
-            let mut vtime: u64 = 0;
-            for i in crate::sched::worker_indices(blocks_ref.len(), n_workers, w) {
-                let (bx, by) = blocks_ref[i];
-                let lat = match &hook {
-                    Some(h) => h.admit(w, &mut vtime, bx, by)?,
-                    None => 0,
-                };
-                let (s, block_stats, block_report) =
-                    run_block(kernel, mem_ro, params, bx, by, observe)?;
-                out.push((i, s, block_stats, block_report, lat));
-            }
-            Ok(out)
-        });
-
-    // Reassemble into linear block order ((worker, stores, stats, report,
-    // latency) per block, as in BlockOut but keyed by position).
-    let mut slots: Vec<Option<BlockOut>> = (0..blocks.len()).map(|_| None).collect();
-    let mut worker_vtime = vec![0u64; n_workers];
-    for (w, result) in results.into_iter().enumerate() {
-        for (i, stores, stats, report, lat) in result? {
-            worker_vtime[w] = worker_vtime[w].saturating_add(lat);
-            slots[i] = Some((w, stores, stats, report, lat));
-        }
-    }
+        .map(|(bx, by)| run_block(kernel, mem, params, bx, by, observe))
+        .collect::<Result<Vec<_>, SimError>>()?;
 
     let mut stats_total = ExecStats::default();
     let mut report_total: Option<ObserverReport> = observe.then(ObserverReport::default);
-    let mut exec_profile = profile.then(|| crate::sched::ExecProfile {
-        n_workers,
-        blocks: Vec::with_capacity(blocks.len()),
-        simd: None,
-    });
-    let mut faulted = hook.map(|h| {
-        (
-            h,
-            crate::inject::FaultedRun::with_clock(blocks.len(), &worker_vtime),
-        )
-    });
     // Generated kernels write each output pixel exactly once, so two
     // stores landing on one cell mean overlapping iteration spaces.
     let mut store_counts: HashMap<(String, usize), u64> = HashMap::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (worker, mut stores, block_stats, block_report, lat) = slot.expect("every block ran");
+    for (stores, block_stats, block_report) in ran {
         stats_total.merge(&block_stats);
         if let (Some(total), Some(r)) = (report_total.as_mut(), block_report.as_ref()) {
             total.merge(r);
         }
-        let (bx, by) = blocks[i];
-        if let Some(p) = exec_profile.as_mut() {
-            p.blocks.push(crate::sched::BlockProfile {
-                bx,
-                by,
-                worker,
-                stats: block_stats,
-            });
-        }
-        if let Some((h, run)) = faulted.as_mut() {
-            let keep = h.commit(
-                run,
-                (bx, by),
-                params.grid,
-                lat,
-                &mut stores,
-                |st| crate::inject::store_hash(&st.buf, st.idx, st.value),
-                |st| &mut st.value,
-            );
-            if !keep {
-                stores.clear();
-            }
-        }
         for st in stores {
-            if observe {
+            if let Some(total) = report_total.as_mut() {
                 let n = store_counts.entry((st.buf.clone(), st.idx)).or_insert(0);
                 *n += 1;
                 if *n == 2 {
-                    if let Some(total) = report_total.as_mut() {
-                        total.global_store_conflicts += 1;
-                        total.example(format!("multiple threads store `{}`[{}]", st.buf, st.idx));
-                    }
+                    total.global_store_conflicts += 1;
+                    total.example(format!("multiple threads store `{}`[{}]", st.buf, st.idx));
                 }
             }
             let buf = mem
@@ -855,13 +770,7 @@ fn execute_inner(
             buf.data[st.idx] = st.value;
         }
     }
-
-    let run = crate::sched::GridRun {
-        stats: stats_total,
-        exec: exec_profile,
-        faults: faulted.map(|(_, run)| run),
-    };
-    Ok((run, report_total))
+    Ok((stats_total, report_total))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! allocates device buffers from host images, binds textures with their
 //! address modes, uploads dynamic mask coefficients, fills the standard
 //! geometry scalars (`width`, `height`, `stride`, `is_width`,
-//! `is_height`), runs one of the execution engines and downloads the
+//! `is_height`), runs one of the two tape engines and downloads the
 //! output.
 //!
 //! Launches go through [`Engine::Simd`] by default: the kernel is
@@ -12,15 +12,17 @@
 //! [`crate::bytecode`]), the tape is lowered to a typed warp program and
 //! run sixteen lanes per instruction (see [`crate::simd`]).
 //! [`Engine::Bytecode`] runs the same tape one thread at a time with
-//! dynamically typed registers — the simd engine's oracle and fallback —
-//! and [`Engine::TreeWalk`] keeps the original tree-walking interpreter
-//! available as the reference implementation. All three produce
-//! bit-identical outputs and statistics.
+//! dynamically typed registers — the simd engine's oracle and fallback.
+//! Both produce bit-identical outputs and statistics, and both are
+//! checked against the tree-walking specification in [`crate::interp`],
+//! which is not an engine: tests reach it through [`bind`].
 //!
-//! There is one launch step, [`run_on_image_instrumented`]: bind, run the
-//! chosen engine's whole-grid entry with whatever instrumentation was
-//! asked for, download. [`run_on_image`] and [`run_on_image_with`] are
-//! that step with the instrumentation off.
+//! There is one launch step, [`run_on_image_instrumented`]: bind, compile
+//! the tape, run [`CompiledKernel::run_instrumented`] with whatever
+//! instrumentation was asked for, download. [`run_on_image`] and
+//! [`run_on_image_with`] are that step with the instrumentation off.
+//!
+//! [`CompiledKernel::run_instrumented`]: crate::bytecode::CompiledKernel::run_instrumented
 
 use crate::interp::{ExecStats, SimError};
 use crate::memory::{BufferGeometry, DeviceBuffer, DeviceMemory, LaunchParams};
@@ -60,12 +62,6 @@ pub struct LaunchSpec<'a> {
     /// available parallelism). When both this field and the environment
     /// variable are set, this field wins — see [`override_conflicts`].
     pub sim_threads: Option<usize>,
-    /// Explicit engine override (`None` = `HIPACC_SIM_ENGINE`, then
-    /// [`Engine::default`]). Only consulted by [`run_on_image`]; the
-    /// `*_with` entry points take the engine as an argument. When both
-    /// this field and the environment variable are set, this field wins —
-    /// see [`override_conflicts`].
-    pub engine: Option<Engine>,
     /// Shared worker pool executing the block loop (`None` = per-launch
     /// scoped threads, the historical behaviour).
     pub pool: Option<Arc<crate::pool::WorkerPool>>,
@@ -94,21 +90,19 @@ pub struct LaunchResult {
     pub corrupt_const_banks: Vec<String>,
 }
 
-/// Which execution engine runs the kernel.
+/// Which execution engine runs the compiled tape. Both are bit- and
+/// stat-identical; the choice only changes cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Compile to a register-machine tape once, then run blocks on it one
-    /// thread at a time (see [`crate::bytecode`]): the dynamically typed
-    /// oracle the simd engine is checked against, and its fallback.
+    /// Run blocks on the register-machine tape one thread at a time (see
+    /// [`crate::bytecode`]): the dynamically typed oracle the simd engine
+    /// is checked against, and its fallback.
     Bytecode,
-    /// Walk the IR tree directly per thread (see [`crate::interp`]).
-    /// Reference semantics; slower.
-    TreeWalk,
-    /// The bytecode tape lowered to a typed warp program and executed
-    /// sixteen lanes per instruction (see [`crate::simd`]). Bit- and
-    /// stat-identical to the other engines and several times faster; a
-    /// tape it cannot type runs on the bytecode engine, counted in the
-    /// launch profile. The default.
+    /// The tape lowered to a typed warp program and executed sixteen
+    /// lanes per instruction (see [`crate::simd`]), several times faster;
+    /// a tape it cannot type runs on the bytecode engine, counted in the
+    /// launch profile, and so does any block it cannot reproduce. The
+    /// default.
     #[default]
     Simd,
 }
@@ -118,29 +112,23 @@ impl Engine {
     pub fn label(self) -> &'static str {
         match self {
             Engine::Bytecode => "bytecode",
-            Engine::TreeWalk => "tree-walk",
             Engine::Simd => "simd",
         }
     }
 
-    /// The [`crate::bytecode::ExecMode`] implementing this engine on the
-    /// compiled-tape runner (`None` for the tree-walk interpreter, which
-    /// has no tape).
-    pub fn exec_mode(self) -> Option<crate::bytecode::ExecMode> {
-        match self {
-            Engine::Bytecode => Some(crate::bytecode::ExecMode::Scalar),
-            Engine::Simd => Some(crate::bytecode::ExecMode::Simd),
-            Engine::TreeWalk => None,
-        }
+    /// Always `Some(self)`. Exists for `benchmark/src/trace.rs`, which
+    /// unwraps it into `CompiledKernel::run_with`; goes when a
+    /// `[benchmark]` PR stops calling it.
+    pub fn exec_mode(self) -> Option<Engine> {
+        Some(self)
     }
 }
 
 /// Environment variable selecting the execution engine (lowest
-/// precedence, below [`LaunchSpec::engine`] and the explicit `*_with`
-/// arguments).
+/// precedence, below the explicit `*_with` arguments).
 pub const ENGINE_ENV: &str = "HIPACC_SIM_ENGINE";
 
-/// Parse a `HIPACC_SIM_ENGINE` value: `bytecode`, `tree-walk` or `simd`.
+/// Parse a `HIPACC_SIM_ENGINE` value: `bytecode` or `simd`.
 ///
 /// Unknown names are rejected with a description — a typo'd override
 /// must fail the launch, not silently run a different engine than the
@@ -148,10 +136,9 @@ pub const ENGINE_ENV: &str = "HIPACC_SIM_ENGINE";
 pub fn parse_engine_env(raw: &str) -> Result<Engine, String> {
     match raw.trim() {
         "bytecode" => Ok(Engine::Bytecode),
-        "tree-walk" => Ok(Engine::TreeWalk),
         "simd" => Ok(Engine::Simd),
         other => Err(format!(
-            "{ENGINE_ENV} must be one of `bytecode`, `tree-walk`, `simd`, got `{other}`"
+            "{ENGINE_ENV} must be one of `bytecode`, `simd`, got `{other}`"
         )),
     }
 }
@@ -198,8 +185,8 @@ impl std::fmt::Display for OverrideConflict {
 /// Detect explicit-vs-environment override conflicts for one launch.
 ///
 /// Precedence is always **explicit spec > environment > default**:
-/// [`LaunchSpec::engine`] (or a `*_with` engine argument) beats
-/// `HIPACC_SIM_ENGINE`, and [`LaunchSpec::sim_threads`] beats
+/// a `*_with` engine argument beats `HIPACC_SIM_ENGINE`, and
+/// [`LaunchSpec::sim_threads`] beats
 /// `HIPACC_SIM_THREADS`. This function reports every knob where the two
 /// levels are simultaneously set *and disagree* — including an
 /// unparsable environment value shadowed by an explicit setting, which
@@ -238,8 +225,7 @@ pub fn override_conflicts(
 }
 
 /// Run a device kernel over host images with the resolved engine:
-/// [`LaunchSpec::engine`] if set, else `HIPACC_SIM_ENGINE`, else
-/// [`Engine::default`] (simd).
+/// `HIPACC_SIM_ENGINE` if set, else [`Engine::default`] (simd).
 ///
 /// The first input image defines the output geometry. Buffers named in the
 /// kernel but missing from `inputs`/`mask_data` produce
@@ -248,7 +234,7 @@ pub fn run_on_image(
     kernel: &DeviceKernelDef,
     spec: &LaunchSpec<'_>,
 ) -> Result<LaunchResult, SimError> {
-    run_on_image_with(kernel, spec, resolve_engine(spec.engine)?)
+    run_on_image_with(kernel, spec, resolve_engine(None)?)
 }
 
 /// Run a device kernel over host images on an explicitly chosen engine.
@@ -279,18 +265,15 @@ pub fn run_on_image_instrumented(
     profile: bool,
     hook: Option<&dyn crate::inject::FaultHook>,
 ) -> Result<LaunchResult, SimError> {
-    let (mut mem, params) = prepare(kernel, spec)?;
+    let (mut mem, params) = bind(kernel, spec)?;
     let hook = hook.filter(|h| h.enabled());
     if let Some(h) = hook {
-        // The bytecode engines capture constant banks at compile time, so
-        // memory corruption must land before any engine compiles.
+        // The tape captures constant banks at compile time, so memory
+        // corruption must land before it is compiled.
         h.corrupt_memory(&mut mem);
     }
-    let run = match engine.exec_mode() {
-        Some(mode) => crate::bytecode::compile(kernel, &params, &mem)?
-            .run_instrumented(&mut mem, mode, profile, hook)?,
-        None => crate::interp::execute_instrumented(kernel, &params, &mut mem, profile, hook)?,
-    };
+    let run = crate::bytecode::compile(kernel, &params, &mem)?
+        .run_instrumented(&mut mem, engine, profile, hook)?;
     let out = mem
         .buffer("OUT")
         .ok_or_else(|| SimError::UnboundBuffer("OUT".into()))?;
@@ -342,13 +325,8 @@ pub fn repair_blocks(
     engine: Engine,
     blocks: &[(u32, u32)],
 ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
-    let (mem, params) = prepare(kernel, spec)?;
-    match engine.exec_mode() {
-        Some(mode) => {
-            crate::bytecode::compile(kernel, &params, &mem)?.run_blocks_with(&mem, blocks, mode)
-        }
-        None => crate::interp::execute_blocks(kernel, &params, &mem, blocks),
-    }
+    let (mem, params) = bind(kernel, spec)?;
+    crate::bytecode::compile(kernel, &params, &mem)?.run_blocks_with(&mem, blocks, engine)
 }
 
 /// Reject launch geometries that would otherwise dispatch nothing or
@@ -379,8 +357,10 @@ fn validate_spec(spec: &LaunchSpec<'_>) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Bind buffers, masks and geometry scalars for a launch.
-fn prepare(
+/// Bind buffers, masks and geometry scalars for a launch: the device
+/// memory and launch parameters every engine — and, in tests, the
+/// specification in [`crate::interp`] — runs a `spec` against.
+pub fn bind(
     kernel: &DeviceKernelDef,
     spec: &LaunchSpec<'_>,
 ) -> Result<(DeviceMemory, LaunchParams), SimError> {
@@ -595,10 +575,14 @@ mod tests {
             ..Default::default()
         };
         let k = add_one_kernel();
-        let bc = run_on_image_with(&k, &spec, Engine::Bytecode).unwrap();
-        let tw = run_on_image_with(&k, &spec, Engine::TreeWalk).unwrap();
-        assert_eq!(bc.stats, tw.stats);
-        assert_eq!(bc.output.max_abs_diff(&tw.output), 0.0);
+        let (mut mem, params) = bind(&k, &spec).unwrap();
+        let spec_stats = crate::interp::execute(&k, &params, &mut mem).unwrap();
+        let spec_out = mem.buffer("OUT").unwrap().to_image();
+        for engine in [Engine::Bytecode, Engine::Simd] {
+            let run = run_on_image_with(&k, &spec, engine).unwrap();
+            assert_eq!(run.stats, spec_stats, "{engine:?}");
+            assert_eq!(run.output.max_abs_diff(&spec_out), 0.0, "{engine:?}");
+        }
     }
 
     #[test]

@@ -3,16 +3,19 @@
 //! The GPU substrate of the reproduction: a software model of the graphics
 //! cards the paper evaluates on.
 //!
-//! Four cooperating parts:
+//! Two execution engines, the specification they are checked against,
+//! and a timing model:
 //!
-//! * [`interp`] — a **functional SIMT interpreter** that executes
-//!   device-level kernel IR over a grid of thread blocks, with shared
-//!   memory, barriers (phase-wise execution), texture samplers with
-//!   hardware address modes, constant memory and per-launch statistics
-//!   (including out-of-bounds reads, which reproduce the paper's "crash"
-//!   table entries for *Undefined* handling). Output images are checked
-//!   against the CPU references in `hipacc-image`. This is the reference
-//!   engine: a direct tree walk over the IR, easy to audit.
+//! * [`interp`] — the **semantic specification**: a functional SIMT
+//!   interpreter that executes device-level kernel IR over a grid of
+//!   thread blocks, with shared memory, barriers (phase-wise execution),
+//!   texture samplers with hardware address modes, constant memory and
+//!   per-launch statistics (including out-of-bounds reads, which
+//!   reproduce the paper's "crash" table entries for *Undefined*
+//!   handling). A direct, sequential tree walk over the IR, easy to
+//!   audit. It is not a launch engine — no threads, pools, fault hooks or
+//!   profiles — and defines what the engines must compute: outputs,
+//!   per-block store order, [`ExecStats`] and error identity.
 //!
 //! * [`bytecode`] — the **tape compiler and scalar engine**: the same
 //!   kernel IR lowered on every launch into a flat register-machine
@@ -22,7 +25,8 @@
 //!   prologue, and interior blocks skip address-mode handling), run one
 //!   thread at a time over dynamically typed registers. Semantics —
 //!   outputs *and* [`ExecStats`] — are bit-identical to [`interp`] by
-//!   construction and by differential test.
+//!   construction and by differential test. Also the one owner of the
+//!   whole-grid run: block loop, fault hook, execution profile.
 //!
 //! * [`simd`] — the **default execution engine**: the tape lowered once
 //!   more, to a typed two-file warp program (register tags resolved by
@@ -46,8 +50,8 @@
 //! device memory (buffers with strides and
 //! texture geometry); [`launch`] wires compiled kernels, images and the
 //! engines together. [`observer`] attaches a dynamic race and bounds
-//! watcher to a tree-walk run ([`execute_observed`]) — the runtime
-//! cross-check of the static verifier in `hipacc-analysis`.
+//! watcher to a run of the specification ([`execute_observed`]) — the
+//! runtime cross-check of the static verifier in `hipacc-analysis`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -65,9 +69,9 @@ pub mod simd;
 pub mod timing;
 mod warp;
 
-pub use bytecode::{compile, execute as execute_bytecode, CompiledKernel, ExecMode};
+pub use bytecode::{compile, execute as execute_bytecode, CompiledKernel};
 pub use inject::{BlockFault, BlockLedger, FaultHook, FaultedRun, RepairStore};
-pub use interp::{execute, execute_observed, ExecStats, SimError};
+pub use interp::{execute_observed, ExecStats, SimError};
 pub use launch::{
     override_conflicts, parse_engine_env, repair_blocks, resolve_engine, run_on_image,
     run_on_image_instrumented, run_on_image_with, Engine, LaunchResult, OverrideConflict,
@@ -77,7 +81,6 @@ pub use memory::{DeviceMemory, LaunchParams};
 pub use observer::ObserverReport;
 pub use pool::WorkerPool;
 pub use sched::{
-    effective_workers, parse_thread_env, BlockProfile, ExecProfile, FallbackCause, GridRun,
-    SimdTelemetry,
+    parse_thread_env, BlockProfile, ExecProfile, FallbackCause, GridRun, SimdTelemetry,
 };
 pub use timing::{estimate_time, TimeBreakdown, TimingInput};

@@ -1,8 +1,8 @@
 //! A shared, persistent worker pool for the block loop.
 //!
-//! Both execution engines historically spawned a fresh set of scoped
-//! threads for every launch ([`std::thread::scope`] in
-//! `bytecode::run_inner` / `interp::execute_inner`). That is correct but
+//! Without a pool the block loop spawns a fresh set of scoped threads
+//! for every launch ([`std::thread::scope`] in
+//! [`crate::sched::run_workers`]). That is correct but
 //! wasteful under streaming: two concurrent launches each spin up their
 //! own workers and oversubscribe the host, and per-launch thread spawn
 //! cost dominates small frames. A [`WorkerPool`] owns a fixed set of

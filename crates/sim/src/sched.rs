@@ -1,4 +1,6 @@
-//! Worker scheduling for the parallel block loop, shared by both engines.
+//! Worker scheduling for the parallel block loop of
+//! [`CompiledKernel::run_instrumented`](crate::bytecode::CompiledKernel::run_instrumented),
+//! which both tape engines run under.
 //!
 //! Blocks are assigned to host-thread workers **strided** (worker `w` of
 //! `n` runs blocks `w, w+n, w+2n, …` in linear block order). The earlier
@@ -9,8 +11,8 @@
 //! within one of each other for any grid.
 //!
 //! The strided split is the *accounting* assignment everywhere (profiles,
-//! the fault injector's per-worker virtual clock). The bytecode engines
-//! also *execute* by it whenever a fault hook is armed; otherwise their
+//! the fault injector's per-worker virtual clock). The block loop also
+//! *executes* by it whenever a fault hook is armed; otherwise its
 //! workers take blocks from [`BlockClaims`], so a launch is not gated by
 //! the worker whose host thread the OS treated worst.
 //!
@@ -54,8 +56,11 @@ pub fn parse_thread_env(raw: &str) -> Result<usize, String> {
 /// Resolve the effective worker count for a launch of `n_blocks` blocks.
 ///
 /// Precedence: the explicit `requested` override (a [`LaunchParams`]
-/// field), then the `HIPACC_SIM_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`]. The result is clamped to
+/// field), then the `HIPACC_SIM_THREADS` environment variable, then the
+/// shared [`WorkerPool`]'s thread count, then
+/// [`std::thread::available_parallelism`]. A launch running on a pool
+/// should default to exactly the pool's width — more would oversubscribe
+/// the queue, fewer would idle paid-for threads. The result is clamped to
 /// `1..=n_blocks` (at least one worker, never more workers than blocks).
 ///
 /// An invalid `HIPACC_SIM_THREADS` value (non-numeric or zero) is a
@@ -63,16 +68,6 @@ pub fn parse_thread_env(raw: &str) -> Result<usize, String> {
 /// fallback.
 ///
 /// [`LaunchParams`]: crate::memory::LaunchParams
-pub fn effective_workers(requested: Option<usize>, n_blocks: usize) -> Result<usize, SimError> {
-    effective_workers_pooled(requested, n_blocks, None)
-}
-
-/// [`effective_workers`] with an optional shared [`WorkerPool`] in the
-/// default chain: explicit `requested` > `HIPACC_SIM_THREADS` > the
-/// pool's thread count > [`std::thread::available_parallelism`]. A
-/// launch running on a pool should default to exactly the pool's width —
-/// more would oversubscribe the queue, fewer would idle paid-for
-/// threads.
 pub fn effective_workers_pooled(
     requested: Option<usize>,
     n_blocks: usize,
@@ -94,8 +89,7 @@ pub fn effective_workers_pooled(
 }
 
 /// Run `n_workers` copies of the per-worker closure and collect their
-/// results in worker order: the one seam both engines' block loops go
-/// through.
+/// results in worker order: the seam the block loop goes through.
 ///
 /// With a pool, jobs are queued on its persistent threads
 /// ([`WorkerPool::run_scoped`]); without one, fresh scoped threads are
@@ -406,22 +400,15 @@ mod tests {
 
     #[test]
     fn explicit_override_wins_and_is_clamped() {
-        assert_eq!(effective_workers(Some(3), 100).unwrap(), 3);
+        let workers = |requested, n_blocks| effective_workers_pooled(requested, n_blocks, None);
+        assert_eq!(workers(Some(3), 100).unwrap(), 3);
         assert_eq!(
-            effective_workers(Some(0), 100).unwrap(),
+            workers(Some(0), 100).unwrap(),
             1,
             "explicit zero clamps to one"
         );
-        assert_eq!(
-            effective_workers(Some(64), 10).unwrap(),
-            10,
-            "capped at blocks"
-        );
-        assert_eq!(
-            effective_workers(Some(4), 0).unwrap(),
-            1,
-            "empty grid still valid"
-        );
+        assert_eq!(workers(Some(64), 10).unwrap(), 10, "capped at blocks");
+        assert_eq!(workers(Some(4), 0).unwrap(), 1, "empty grid still valid");
     }
 
     #[test]

@@ -56,9 +56,10 @@
 //!   scalar, which owns both the result and the error message. Every such
 //!   block is counted by cause in [`SimdTelemetry`].
 //!
-//! The engine is differentially tested against the tree-walk and scalar
-//! bytecode engines for bit-identical outputs, `ExecStats`, and
-//! fault-injection behaviour.
+//! The engine is differentially tested against the specification
+//! ([`crate::interp`]) for bit-identical outputs, per-block store order,
+//! `ExecStats` and error identity, and against the scalar bytecode engine
+//! for fault-injection behaviour.
 
 use crate::bytecode::{exec_prologue, BlockScratch, BufView, CompiledKernel, StoreRec};
 use crate::interp::{ExecStats, SimError};

@@ -32,8 +32,8 @@
 //!   cannot hide memory latency and stretch compute time.
 //!
 //! The model is *static*: it never executes the kernel, so it is
-//! independent of which functional engine ([`crate::interp`] or
-//! [`crate::bytecode`]) ran the launch. The same interior/border
+//! independent of which functional engine ([`crate::bytecode`] or
+//! [`crate::simd`]) ran the launch. The same interior/border
 //! distinction it prices through per-region block counts is what the
 //! bytecode engine exploits dynamically: interior blocks skip the
 //! address-mode dispatch entirely, mirroring the paper's observation that

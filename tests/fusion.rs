@@ -3,10 +3,10 @@
 //! The contract under test:
 //!
 //! * **Bit-identity** — a fused operator chain produces outputs
-//!   bit-identical to the unfused chain, on all three engines, for
-//!   every legal handoff boundary mode, including frames small enough
-//!   that every pixel is border territory, and under fault injection
-//!   and breaker pinning;
+//!   bit-identical to the unfused chain, on both engines, for every
+//!   legal handoff boundary mode, including frames small enough that
+//!   every pixel is border territory, and under fault injection and
+//!   breaker pinning;
 //! * **Typed fallback** — chains that are illegal to fuse
 //!   (`F0101`–`F0104`) or whose fused kernel overflows device
 //!   resources (`F0105`) run per-stage, with the decision recorded in
@@ -69,7 +69,7 @@ fn assert_outputs_identical(
 /// engine, and the planner records one fused group covering the chain.
 #[test]
 fn fused_stream_matches_unfused_bit_for_bit_on_all_engines() {
-    for engine in [Engine::TreeWalk, Engine::Bytecode, Engine::Simd] {
+    for engine in [Engine::Bytecode, Engine::Simd] {
         let config = StreamConfig {
             workers: Some(3),
             engine: Some(engine),
@@ -349,11 +349,7 @@ fn fused_chain_is_bit_identical_across_geometry_sweep() {
         .into_iter()
         .enumerate()
     {
-        let engine = match i % 3 {
-            0 => Engine::TreeWalk,
-            1 => Engine::Bytecode,
-            _ => Engine::Simd,
-        };
+        let engine = [Engine::Bytecode, Engine::Simd][i % 2];
         let config = StreamConfig {
             workers: Some(2),
             engine: Some(engine),

@@ -8,7 +8,7 @@
 //!   under every fault class, with typed events for every loss;
 //! * **Determinism** — failure sets, diagnostic codes, and breaker
 //!   transitions are identical between the pipelined [`Stream::run`]
-//!   and [`Stream::run_sequential`] on all three engines;
+//!   and [`Stream::run_sequential`] on both engines;
 //! * **Breaker walk** — after the configured number of degraded frames
 //!   a stage is pinned to its proven rung (`R0606`), half-opens after
 //!   the probe interval, and closes again after clean probes;
@@ -96,10 +96,10 @@ fn assert_bundles_reproduce(run: &StreamRun) {
 
 /// A permanent hang and a worker panic in one sequence: both frames are
 /// surfaced with typed codes, everything else survives bit-identically
-/// to the sequential reference — on all three engines.
+/// to the sequential reference — on both engines.
 #[test]
 fn fault_storm_accounts_and_matches_sequential_on_all_engines() {
-    for engine in [Engine::TreeWalk, Engine::Bytecode, Engine::Simd] {
+    for engine in [Engine::Bytecode, Engine::Simd] {
         let faults = HashMap::from([
             (
                 1u64,

@@ -3,11 +3,11 @@
 //!
 //! * **Translation validation** — for randomized operators (filter,
 //!   boundary mode, memory variant, geometry) the optimized kernel must
-//!   produce *bit-identical* outputs to the unoptimized one on all three
+//!   produce *bit-identical* outputs to the unoptimized one on both
 //!   execution engines, and within each opt level the engines must agree
-//!   on outputs and execution statistics. (Statistics may legitimately
-//!   differ *between* levels — the optimizer deletes provably dead
-//!   barriers and branches.)
+//!   with the specification on outputs and execution statistics.
+//!   (Statistics may legitimately differ *between* levels — the optimizer
+//!   deletes provably dead barriers and branches.)
 //! * **Fire tests** — each pass rewrites the exact IR shape it exists
 //!   for, witnessed structurally.
 //! * **Mutant tests** — hand-unsound "optimizations" (stripped border
@@ -35,8 +35,7 @@ use hipacc_image::rng::Pcg32;
 use hipacc_ir::kernel::{AddressMode, BufferAccess, BufferParam, DeviceKernelDef, SharedDecl};
 use hipacc_ir::ty::Const;
 use hipacc_ir::{opt, BinOp, Builtin, Expr, KernelDef, LValue, MathFn, ScalarType, Stmt};
-use hipacc_sim::launch::run_on_image_with;
-use hipacc_sim::ExecStats;
+use hipacc_sim::launch::{bind, run_on_image_with};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -76,15 +75,15 @@ fn mix_kernel() -> KernelDef {
     b.finish()
 }
 
-/// Randomized operators × all three engines × opt 0 vs 1: engines agree
-/// within a level (outputs and stats, bitwise), levels agree on outputs
-/// (bitwise), and the optimizer actually fired somewhere in the sweep.
+/// Randomized operators × both engines × opt 0 vs 1: the engines agree
+/// with the specification within a level (outputs and stats, bitwise),
+/// levels agree on outputs (bitwise), and the optimizer actually fired
+/// somewhere in the sweep.
 #[test]
 fn translation_validation_on_random_operators() {
     let _g = ENV_LOCK.lock().unwrap();
     std::env::remove_var("HIPACC_OPT_DISABLE");
     let target = Target::cuda(device::tesla_c2050());
-    let engines = [Engine::Bytecode, Engine::TreeWalk, Engine::Simd];
     let modes = [
         BoundaryMode::Clamp,
         BoundaryMode::Repeat,
@@ -131,26 +130,26 @@ fn translation_validation_on_random_operators() {
             }
             let spec =
                 pipeline::launch_spec(&compiled, &[("Input", &img)], &op.params, &op.mask_uploads);
-            let mut reference: Option<(Vec<u32>, ExecStats)> = None;
-            for engine in engines {
+            // The reference leg: the specification on the same binding.
+            let (mut mem, params) = bind(&compiled.device_kernel, &spec)
+                .unwrap_or_else(|e| panic!("seed {seed} opt{level} bind: {e}"));
+            let ref_stats = hipacc_sim::interp::execute(&compiled.device_kernel, &params, &mut mem)
+                .unwrap_or_else(|e| panic!("seed {seed} opt{level} specification: {e}"));
+            let reference = bits(&mem.buffer("OUT").unwrap().to_image());
+            for engine in [Engine::Bytecode, Engine::Simd] {
                 let run = run_on_image_with(&compiled.device_kernel, &spec, engine)
                     .unwrap_or_else(|e| panic!("seed {seed} opt{level} {engine:?}: {e}"));
-                let out = bits(&run.output);
-                match &reference {
-                    None => reference = Some((out, run.stats)),
-                    Some((b, s)) => {
-                        assert_eq!(
-                            *b, out,
-                            "seed {seed} opt{level} {mode:?}/{variant:?}: {engine:?} output diverges"
-                        );
-                        assert_eq!(
-                            *s, run.stats,
-                            "seed {seed} opt{level} {mode:?}/{variant:?}: {engine:?} stats diverge"
-                        );
-                    }
-                }
+                assert_eq!(
+                    reference,
+                    bits(&run.output),
+                    "seed {seed} opt{level} {mode:?}/{variant:?}: {engine:?} output diverges"
+                );
+                assert_eq!(
+                    ref_stats, run.stats,
+                    "seed {seed} opt{level} {mode:?}/{variant:?}: {engine:?} stats diverge"
+                );
             }
-            per_level.push(reference.unwrap().0);
+            per_level.push(reference);
         }
         assert_eq!(
             per_level[0], per_level[1],

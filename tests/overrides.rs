@@ -138,13 +138,23 @@ fn invalid_env_without_an_explicit_override_fails_the_launch() {
     let img = test_image();
     let target = Target::cuda(device::tesla_c2050());
 
-    std::env::set_var(ENGINE_ENV, "warpdrive");
-    let err = op().execute(&[("Input", &img)], &target).unwrap_err();
-    std::env::remove_var(ENGINE_ENV);
-    assert!(
-        err.to_string().contains(ENGINE_ENV),
-        "a typo'd engine must fail loudly, got: {err}"
-    );
+    // A typo, and the label of the engine that became the specification.
+    for raw in ["warpdrive", "tree-walk"] {
+        std::env::set_var(ENGINE_ENV, raw);
+        let err = op().execute(&[("Input", &img)], &target).unwrap_err();
+        std::env::remove_var(ENGINE_ENV);
+        assert!(
+            err.to_string().contains(&format!(
+                "{ENGINE_ENV} must be one of `bytecode`, `simd`, got `{raw}`"
+            )),
+            "a bad engine value must fail loudly and name the valid ones, got: {err}"
+        );
+        // The code it surfaces under explains this cause, not only geometry.
+        let code = err.diagnostic().code;
+        assert_eq!(code, "R0202");
+        let info = hipacc_core::explain(code).unwrap();
+        assert!(info.summary.contains(ENGINE_ENV) && info.advice.contains("`simd`"));
+    }
 }
 
 #[test]

@@ -114,7 +114,7 @@ fn profiled_run_matches_plain_execute() {
     let img = test_image();
     let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
     let target = Target::cuda(device::tesla_c2050());
-    for engine in [Engine::Bytecode, Engine::TreeWalk, Engine::Simd] {
+    for engine in [Engine::Bytecode, Engine::Simd] {
         let plain = op
             .execute_with(&[("Input", &img)], &target, engine)
             .unwrap();
@@ -140,12 +140,12 @@ fn engines_agree_on_region_profiles() {
     let (run_bc, p_bc) = op
         .execute_profiled(&[("Input", &img)], &target, Engine::Bytecode)
         .unwrap();
-    let (run_tw, p_tw) = op
-        .execute_profiled(&[("Input", &img)], &target, Engine::TreeWalk)
+    let (run_sd, p_sd) = op
+        .execute_profiled(&[("Input", &img)], &target, Engine::Simd)
         .unwrap();
-    assert_eq!(run_bc.output.max_abs_diff(&run_tw.output), 0.0);
-    assert_eq!(p_bc.totals, p_tw.totals);
-    assert_eq!(p_bc.regions, p_tw.regions);
+    assert_eq!(run_bc.output.max_abs_diff(&run_sd.output), 0.0);
+    assert_eq!(p_bc.totals, p_sd.totals);
+    assert_eq!(p_bc.regions, p_sd.regions);
 }
 
 /// The strided scheduler: any worker count produces bit-identical
@@ -157,7 +157,7 @@ fn engines_agree_on_region_profiles() {
 fn outputs_bit_identical_across_worker_counts() {
     let img = test_image();
     let target = Target::cuda(device::tesla_c2050());
-    for engine in [Engine::Bytecode, Engine::TreeWalk, Engine::Simd] {
+    for engine in [Engine::Bytecode, Engine::Simd] {
         let mut reference: Option<(Image<f32>, hipacc_sim::ExecStats)> = None;
         for workers in [1usize, 3, 4, 7] {
             let mut op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);

@@ -383,7 +383,7 @@ fn interpreter_agrees_with_const_evaluator() {
         );
         let mut params = LaunchParams::new((1, 1), (1, 1));
         params.set_int("a", a).set_int("b", b);
-        match hipacc_sim::execute(&kernel, &params, &mut mem) {
+        match hipacc_sim::interp::execute(&kernel, &params, &mut mem) {
             Ok(_) => {
                 let got = mem.buffer("OUT").unwrap().data[0];
                 assert!(
@@ -401,9 +401,10 @@ fn interpreter_agrees_with_const_evaluator() {
 }
 
 // ---------------------------------------------------------------------
-// Execution-engine equivalence: for randomly generated small kernels the
-// bytecode engine and the tree-walking interpreter must produce identical
-// outputs and identical dynamic statistics (including `oob_reads`).
+// Execution-engine equivalence: for randomly generated small kernels both
+// tape engines and the tree-walking specification must produce identical
+// outputs, identical per-block store order and identical dynamic
+// statistics (including `oob_reads`).
 // ---------------------------------------------------------------------
 
 mod engines {
@@ -413,6 +414,7 @@ mod engines {
     };
     use hipacc_ir::{Builtin, LValue, ScalarType};
     use hipacc_sim::memory::{BufferGeometry, DeviceBuffer, DeviceMemory, LaunchParams};
+    use hipacc_sim::{Engine, SimError};
 
     /// A random value expression over the named locals, input loads with
     /// random (sometimes out-of-bounds) offsets, lazy `Select`/`&&`/`||`
@@ -584,37 +586,57 @@ mod engines {
         }
     }
 
+    /// A random kernel with the two-block launch it runs under: 48 random
+    /// input elements, a zeroed output, a random `bias`.
+    fn gen_launch(rng: &mut Pcg32) -> (DeviceKernelDef, DeviceMemory, LaunchParams) {
+        let k = gen_kernel(rng);
+        let geom = BufferGeometry {
+            width: 48,
+            height: 1,
+            stride: 48,
+        };
+        let mut mem = DeviceMemory::new();
+        let mut inp = DeviceBuffer::new(geom);
+        for v in inp.data.iter_mut() {
+            *v = rng.gen_range_f32(-3.0, 3.0);
+        }
+        mem.bind("IN", inp);
+        mem.bind("OUT", DeviceBuffer::new(geom));
+        let mut params = LaunchParams::new((2, 1), (32, 1));
+        params.set_float("bias", rng.gen_range_f32(-1.0, 1.0));
+        (k, mem, params)
+    }
+
+    /// `IN` and `OUT` as bit patterns.
+    fn buffer_bits(m: &DeviceMemory) -> [Vec<u32>; 2] {
+        ["IN", "OUT"].map(|name| {
+            let data = &m.buffer(name).unwrap().data;
+            data.iter().map(|v| v.to_bits()).collect()
+        })
+    }
+
+    /// If the specification or one of the two engines rejects a kernel,
+    /// all three must, with the same error.
+    fn assert_same_failure([spec, bc, simd]: [Result<(), SimError>; 3], seed: u64) {
+        assert_eq!(spec, bc, "bytecode disagrees on failure [seed {seed:#x}]");
+        assert_eq!(spec, simd, "simd disagrees on failure [seed {seed:#x}]");
+    }
+
     #[test]
     fn random_kernels_agree_between_engines() {
         // Launches that ran, and those of them the simd engine kept on
         // its vector path from the first block to the last.
         let (mut ran, mut vectorized) = (0u32, 0u32);
         cases(60, |seed, rng| {
-            let k = gen_kernel(rng);
-            let n = 48usize;
-            let geom = BufferGeometry {
-                width: n as u32,
-                height: 1,
-                stride: n as u32,
-            };
-            let mut mem = DeviceMemory::new();
-            let mut inp = DeviceBuffer::new(geom);
-            for v in inp.data.iter_mut() {
-                *v = rng.gen_range_f32(-3.0, 3.0);
-            }
-            mem.bind("IN", inp);
-            mem.bind("OUT", DeviceBuffer::new(geom));
-            let mut params = LaunchParams::new((2, 1), (32, 1));
-            params.set_float("bias", rng.gen_range_f32(-1.0, 1.0));
+            let (k, mem, params) = gen_launch(rng);
 
             let mut mem_tree = mem.clone();
             let mut mem_bc = mem.clone();
             let mut mem_simd = mem;
-            let r_tree = hipacc_sim::execute(&k, &params, &mut mem_tree);
+            let r_tree = hipacc_sim::interp::execute(&k, &params, &mut mem_tree);
             let r_bc = hipacc_sim::execute_bytecode(&k, &params, &mut mem_bc);
-            let r_simd = hipacc_sim::compile(&k, &params, &mem_simd).and_then(|c| {
-                c.run_instrumented(&mut mem_simd, hipacc_sim::ExecMode::Simd, true, None)
-            });
+            let r_simd = hipacc_sim::compile(&k, &params, &mem_simd)
+                .and_then(|c| c.run_instrumented(&mut mem_simd, Engine::Simd, true, None));
             match (r_tree, r_bc, r_simd) {
                 (Ok(stats_tree), Ok(stats_bc), Ok(run_simd)) => {
                     // No silent path: a launch either ran warp steps for
@@ -638,36 +660,14 @@ mod engines {
                         stats_tree, stats_simd,
                         "simd ExecStats diverge [seed {seed:#x}]"
                     );
-                    for name in ["IN", "OUT"] {
-                        let a = &mem_tree.buffer(name).unwrap().data;
-                        for (engine, m) in [("bytecode", &mem_bc), ("simd", &mem_simd)] {
-                            let b = &m.buffer(name).unwrap().data;
-                            let same = a.len() == b.len()
-                                && a.iter()
-                                    .zip(b.iter())
-                                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                            assert!(
-                                same,
-                                "buffer `{name}` diverges on {engine} [seed {seed:#x}]"
-                            );
-                        }
+                    for (engine, m) in [("bytecode", &mem_bc), ("simd", &mem_simd)] {
+                        assert!(
+                            buffer_bits(&mem_tree) == buffer_bits(m),
+                            "buffers diverge on {engine} [seed {seed:#x}]"
+                        );
                     }
                 }
-                (r_tree, r_bc, r_simd) => {
-                    // If one engine rejects the kernel, all must, with
-                    // the same error.
-                    let t = r_tree.map(|_| ());
-                    assert_eq!(
-                        t,
-                        r_bc.map(|_| ()),
-                        "engines disagree on failure [seed {seed:#x}]"
-                    );
-                    assert_eq!(
-                        t,
-                        r_simd.map(|_| ()),
-                        "simd disagrees on failure [seed {seed:#x}]"
-                    );
-                }
+                (t, b, s) => assert_same_failure([t.map(drop), b.map(drop), s.map(drop)], seed),
             }
         });
         assert!(
@@ -676,34 +676,22 @@ mod engines {
         );
     }
 
-    /// Under an armed fault plan (memory corruption before compile, store
-    /// drops and bit flips at commit) all three engines must still agree
-    /// bit-for-bit: same stats, same outputs, same corrupted-block
-    /// ledger. This pins the store-journal ordering contract — the nth
-    /// store a fault picks must be the same store on every engine.
+    /// Which store a `FlipBits { nth }` fault corrupts depends on the
+    /// order a block journals its stores in, so that order is part of the
+    /// specification: block by block, both engines must produce the
+    /// specification's stores entry for entry, and its statistics. Given
+    /// that, one commit step serves both engines, and under an armed fault
+    /// plan (memory corruption before compile, store drops and bit flips
+    /// at commit) they must still agree bit-for-bit with each other: same
+    /// stats, same outputs, same corrupted-block ledger.
     #[test]
     fn random_kernels_agree_under_faults() {
         use hipacc_core::{FaultPlan, FaultSession};
         use hipacc_sim::inject::FaultHook;
 
         cases(24, |seed, rng| {
-            let k = gen_kernel(rng);
-            let n = 48usize;
-            let geom = BufferGeometry {
-                width: n as u32,
-                height: 1,
-                stride: n as u32,
-            };
-            let mut mem = DeviceMemory::new();
-            let mut inp = DeviceBuffer::new(geom);
-            for v in inp.data.iter_mut() {
-                *v = rng.gen_range_f32(-3.0, 3.0);
-            }
-            mem.bind("IN", inp);
-            mem.bind("OUT", DeviceBuffer::new(geom));
-            let mut params = LaunchParams::new((2, 1), (32, 1));
-            params.set_float("bias", rng.gen_range_f32(-1.0, 1.0));
-
+            let (k, mem, params) = gen_launch(rng);
+            let blocks = [(0, 0), (1, 0)];
             let plan = FaultPlan {
                 seed,
                 global_flip_rate: 0.08,
@@ -713,67 +701,57 @@ mod engines {
                 ..FaultPlan::default()
             };
             // Mirrors the launch-layer ordering: memory corruption lands
-            // before either engine compiles (the bytecode engines capture
-            // constant banks at compile time).
-            let run = |mode: Option<hipacc_sim::ExecMode>| {
+            // before the tape is compiled (it captures constant banks).
+            let corrupted = || {
                 let mut m = mem.clone();
                 let session = FaultSession::new(plan.clone(), 0);
                 session.corrupt_memory(&mut m);
-                let r = match mode {
-                    Some(mode) => hipacc_sim::compile(&k, &params, &m)
-                        .and_then(|c| c.run_instrumented(&mut m, mode, true, Some(&session))),
-                    None => hipacc_sim::interp::execute_instrumented(
-                        &k,
-                        &params,
-                        &mut m,
-                        true,
-                        Some(&session),
-                    ),
-                };
-                r.map(|run| {
-                    let faults = run.faults.expect("the session is armed");
-                    (run.stats, faults.corrupted_blocks(), m)
-                })
+                (m, session)
             };
-            let r_tree = run(None);
-            let r_bc = run(Some(hipacc_sim::ExecMode::Scalar));
-            let r_simd = run(Some(hipacc_sim::ExecMode::Simd));
-            match (r_tree, r_bc, r_simd) {
-                (Ok(tree), Ok(bc), Ok(simd)) => {
+            let spec = hipacc_sim::interp::execute_blocks(&k, &params, &corrupted().0, &blocks);
+            let run = |engine: Engine| {
+                let (mut m, session) = corrupted();
+                let c = hipacc_sim::compile(&k, &params, &m)?;
+                let (stores, _) = c.run_blocks_with(&m, &blocks, engine)?;
+                let run = c.run_instrumented(&mut m, engine, true, Some(&session))?;
+                let faults = run.faults.expect("the session is armed");
+                let profile = run.exec.expect("a profile was asked for");
+                Ok((
+                    stores,
+                    profile.blocks,
+                    run.stats,
+                    faults.corrupted_blocks(),
+                    m,
+                ))
+            };
+            match (spec, run(Engine::Bytecode), run(Engine::Simd)) {
+                (Ok(spec), Ok(bc), Ok(simd)) => {
+                    let bits =
+                        |s: &hipacc_sim::RepairStore| (s.buf.clone(), s.idx, s.value.to_bits());
+                    let spec_stores: Vec<_> = spec.iter().flat_map(|(s, _)| s).map(bits).collect();
                     for (engine, r) in [("bytecode", &bc), ("simd", &simd)] {
                         assert_eq!(
-                            tree.0, r.0,
-                            "faulted ExecStats diverge on {engine} [seed {seed:#x}]"
+                            spec_stores,
+                            r.0.iter().map(bits).collect::<Vec<_>>(),
+                            "ordered stores diverge on {engine} [seed {seed:#x}]"
                         );
                         assert_eq!(
-                            tree.1, r.1,
-                            "corrupted-block ledgers diverge on {engine} [seed {seed:#x}]"
+                            spec.iter().map(|(_, stats)| *stats).collect::<Vec<_>>(),
+                            r.1.iter().map(|b| b.stats).collect::<Vec<_>>(),
+                            "per-block ExecStats diverge on {engine} [seed {seed:#x}]"
                         );
-                        for name in ["IN", "OUT"] {
-                            let a = &tree.2.buffer(name).unwrap().data;
-                            let b = &r.2.buffer(name).unwrap().data;
-                            assert!(
-                                a.iter()
-                                    .zip(b.iter())
-                                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                                "faulted buffer `{name}` diverges on {engine} [seed {seed:#x}]"
-                            );
-                        }
                     }
-                }
-                (t, b, s) => {
-                    let t = t.map(|_| ());
+                    assert_eq!(bc.2, simd.2, "faulted ExecStats diverge [seed {seed:#x}]");
                     assert_eq!(
-                        t,
-                        b.map(|_| ()),
-                        "faulted engines disagree on failure [seed {seed:#x}]"
+                        bc.3, simd.3,
+                        "corrupted-block ledgers diverge [seed {seed:#x}]"
                     );
-                    assert_eq!(
-                        t,
-                        s.map(|_| ()),
-                        "faulted simd disagrees on failure [seed {seed:#x}]"
+                    assert!(
+                        buffer_bits(&bc.4) == buffer_bits(&simd.4),
+                        "faulted buffers diverge [seed {seed:#x}]"
                     );
                 }
+                (t, b, s) => assert_same_failure([t.map(drop), b.map(drop), s.map(drop)], seed),
             }
         });
     }

@@ -1,9 +1,10 @@
 //! The shipped catalogue on the simd engine: every filter × four border
 //! modes × the six evaluation targets must run on the vector path — no
 //! block may fall back to the scalar engine, for any cause — and stay
-//! bit- and stat-identical to the scalar bytecode engine.
+//! bit- and stat-identical to the scalar bytecode engine and, on the
+//! first target, to the tree-walking specification.
 
-use hipacc_core::{Engine, KernelCache, Operator, Target};
+use hipacc_core::{pipeline, Engine, KernelCache, Operator, Target};
 use hipacc_filters::bilateral::bilateral_operator;
 use hipacc_filters::boxf::box_operator;
 use hipacc_filters::gaussian::{gaussian_operator, gaussian_separable_operators};
@@ -60,7 +61,11 @@ fn no_shipped_filter_falls_back_to_the_scalar_engine() {
     // Each kernel compiles once; the oracle launch is a cache hit.
     let cache = std::sync::Arc::new(KernelCache::new(8));
     let mut launches = 0;
-    for target in Target::evaluation_targets() {
+    let same_bits = |a: &Image<f32>, b: &Image<f32>| {
+        let bits = |v: &f32| v.to_bits();
+        a.raw().iter().map(bits).eq(b.raw().iter().map(bits))
+    };
+    for (ti, target) in Target::evaluation_targets().into_iter().enumerate() {
         for mode in MODES {
             for (name, mut op, accessors) in catalogue(mode) {
                 op.options.sim_threads = Some(1);
@@ -89,13 +94,26 @@ fn no_shipped_filter_falls_back_to_the_scalar_engine() {
                     .unwrap_or_else(|e| panic!("{at}: {e}"));
                 assert_eq!(simd.stats, scalar.stats, "{at}");
                 assert!(
-                    simd.output
-                        .raw()
-                        .iter()
-                        .zip(scalar.output.raw())
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    same_bits(&simd.output, &scalar.output),
                     "{at}: outputs differ"
                 );
+                if ti == 0 {
+                    // Reference equality for the whole catalogue: the
+                    // specification on the same kernel and binding.
+                    let kernel = &scalar.compiled.device_kernel;
+                    let spec = pipeline::launch_spec(
+                        &scalar.compiled,
+                        &inputs,
+                        &op.params,
+                        &op.mask_uploads,
+                    );
+                    let (mut mem, params) = hipacc_sim::launch::bind(kernel, &spec).unwrap();
+                    let stats = hipacc_sim::interp::execute(kernel, &params, &mut mem)
+                        .unwrap_or_else(|e| panic!("{at}: specification: {e}"));
+                    assert_eq!(simd.stats, stats, "{at}: specification");
+                    let reference = mem.buffer("OUT").unwrap().to_image();
+                    assert!(same_bits(&simd.output, &reference), "{at}: specification");
+                }
                 launches += 1;
             }
         }

@@ -5,8 +5,8 @@
 //!
 //! * **Determinism** — for a fixed engine and seeded fault plans, the
 //!   per-frame outputs of the pipelined [`Stream::run`] are
-//!   bit-identical to [`Stream::run_sequential`] on all three engines,
-//!   for any worker count;
+//!   bit-identical to [`Stream::run_sequential`] on both engines, for
+//!   any worker count;
 //! * **Fault isolation** — a fault on frame *N* is recovered (or the
 //!   frame is surfaced as failed and skipped) without ever stalling
 //!   frame *N+1*;
@@ -55,7 +55,7 @@ fn three_stage_stream(name: &str) -> Stream {
 /// outputs on every engine, with every frame accounted for in order.
 #[test]
 fn streaming_matches_sequential_bit_for_bit_on_all_engines() {
-    for engine in [Engine::TreeWalk, Engine::Bytecode, Engine::Simd] {
+    for engine in [Engine::Bytecode, Engine::Simd] {
         let frames = frame_sequence(4);
         let config = StreamConfig {
             workers: Some(3),
