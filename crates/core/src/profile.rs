@@ -102,9 +102,15 @@ pub struct LaunchProfile {
     /// a kernel the simd engine cannot type runs at bytecode speed, and
     /// its profile says so.
     pub fallback_causes: Vec<(hipacc_sim::FallbackCause, u64)>,
-    /// Fraction of the simd engine's warp steps served by the per-warp
-    /// scalar file — one operation for sixteen lanes.
+    /// Fraction of the simd engine's warp steps served by the scalar
+    /// file — one operation for all the lanes at the step.
     pub warp_uniform_share: Option<f64>,
+    /// Fraction of a simd launch's blocks that ran every phase in
+    /// lockstep — one program counter and one scalar file for the whole
+    /// block ([`hipacc_sim::SimdTelemetry::lockstep_fraction`]). The
+    /// others met a branch their lanes disagreed on and went on warp by
+    /// warp, or fell back to the scalar engine.
+    pub lockstep_block_share: Option<f64>,
     /// Explicit-vs-environment override conflicts detected for this
     /// launch (rendered [`hipacc_sim::OverrideConflict`]s): the explicit
     /// spec value won, the listed `HIPACC_SIM_*` variable was ignored.
@@ -153,12 +159,16 @@ impl LaunchProfile {
         spans.extend(override_conflicts.iter().map(|c| {
             Span::new("override-conflict", "diagnostic", start, 0).arg("detail", c.clone())
         }));
-        spans.push(
-            Span::new("execute", "launch", start, dur)
-                .arg("engine", engine)
-                .arg("workers", facts.exec.n_workers.to_string())
-                .arg("blocks", facts.exec.blocks.len().to_string()),
-        );
+        let simd = facts.exec.simd;
+        let lockstep_block_share = simd.and_then(|t| t.lockstep_fraction());
+        let mut execute = Span::new("execute", "launch", start, dur)
+            .arg("engine", engine)
+            .arg("workers", facts.exec.n_workers.to_string())
+            .arg("blocks", facts.exec.blocks.len().to_string());
+        if let Some(share) = lockstep_block_share {
+            execute = execute.arg("lockstep_block_share", format!("{share:.4}"));
+        }
+        spans.push(execute);
         // On a cache hit the compile phases never ran this launch: the
         // profile must show zero compile time, even though the cached
         // artifact still carries its original `phase_times`.
@@ -167,7 +177,6 @@ impl LaunchProfile {
         } else {
             compiled.phase_times.clone()
         };
-        let simd = facts.exec.simd;
         LaunchProfile {
             kernel: facts.kernel.clone(),
             target: facts.target.clone(),
@@ -193,6 +202,7 @@ impl LaunchProfile {
             scalar_fallback_blocks: simd.map_or(0, |t| t.scalar_fallback_blocks()),
             fallback_causes: simd.map_or_else(Vec::new, |t| t.fallbacks().collect()),
             warp_uniform_share: simd.and_then(|t| t.uniform_fraction()),
+            lockstep_block_share,
             override_conflicts,
         }
     }
@@ -300,6 +310,9 @@ impl LaunchProfile {
         if let Some(u) = self.warp_uniform_share {
             out.push_str(&format!("  warp-uniform: {:.1} % of steps\n", u * 100.0));
         }
+        if let Some(l) = self.lockstep_block_share {
+            out.push_str(&format!("  lockstep: {:.1} % of blocks\n", l * 100.0));
+        }
         for (cause, blocks) in &self.fallback_causes {
             out.push_str(&format!(
                 "  simd fallback: {blocks} blocks ({})\n",
@@ -404,6 +417,7 @@ mod tests {
             scalar_fallback_blocks: 0,
             fallback_causes: Vec::new(),
             warp_uniform_share: None,
+            lockstep_block_share: None,
             override_conflicts: Vec::new(),
         }
     }
@@ -474,11 +488,13 @@ mod tests {
         p.scalar_fallback_blocks = 12;
         p.fallback_causes = vec![(FallbackCause::PolymorphicRegister, 12)];
         p.warp_uniform_share = Some(0.625);
+        p.lockstep_block_share = Some(1360.0 / 1376.0);
         let text = p.render_text();
         assert!(
             text.contains("simd fallback: 12 blocks (polymorphic register)"),
             "{text}"
         );
         assert!(text.contains("warp-uniform: 62.5 % of steps"), "{text}");
+        assert!(text.contains("lockstep: 98.8 % of blocks"), "{text}");
     }
 }

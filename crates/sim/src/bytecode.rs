@@ -1874,7 +1874,8 @@ pub(crate) struct BufView<'m> {
 }
 
 /// Reusable per-worker execution scratch: register files, shared-memory
-/// tiles, the store journal and (lazily) the simd engine's SoA slabs.
+/// tiles, the store journal and (lazily) the simd engine's register
+/// files.
 ///
 /// One instance lives per worker for the duration of a launch and is
 /// parked in [`SCRATCH_POOL`] between launches, so steady-state frames
@@ -1897,7 +1898,8 @@ pub(crate) struct BlockScratch {
     pub(crate) call_scratch: Vec<Const>,
     /// The worker's store journal; blocks own disjoint ranges of it.
     pub(crate) journal: Vec<StoreRec>,
-    /// SoA lane slabs, created on first use by the simd engine.
+    /// The simd engine's register files, created by the launch's first
+    /// vectorized block and dropped when the scratch is parked.
     pub(crate) simd: Option<crate::simd::SimdScratch>,
 }
 
@@ -2391,7 +2393,8 @@ impl CompiledKernel {
         // clock; without one they claim chunks of blocks first come first
         // served, so the launch is not gated by its slowest host thread.
         // The trailing u64 is the block's virtual latency (0 without a
-        // fault hook).
+        // fault hook). A worker stops at its first failing block and
+        // says which one it was.
         type BlockOut = (usize, std::ops::Range<usize>, ExecStats, u64);
         type WorkerOut = (
             Vec<BlockOut>,
@@ -2399,22 +2402,28 @@ impl CompiledKernel {
             crate::sched::SimdTelemetry,
             BlockScratch,
         );
-        let bufs_ref = &bufs;
-        let blocks_ref = &blocks;
-        let hook_ref = &hook;
-        let run_grid = |claims: Option<&crate::sched::BlockClaims>| {
-            crate::sched::run_workers(pool, n_workers, |w| -> Result<WorkerOut, SimError> {
+        let claims = (hook.is_none() && n_workers > 1)
+            .then(|| crate::sched::BlockClaims::new(blocks.len(), n_workers));
+        let results = crate::sched::run_workers(
+            pool,
+            n_workers,
+            |w| -> Result<WorkerOut, (usize, SimError)> {
                 let mut scratch = SCRATCH_POOL.checkout(key).unwrap_or_default();
                 let mut journal = std::mem::take(&mut scratch.journal);
                 journal.clear();
                 let mut tel = crate::sched::SimdTelemetry::default();
                 let mut out: Vec<BlockOut> =
-                    Vec::with_capacity(crate::sched::worker_share(blocks_ref.len(), n_workers, w));
-                let mut run_one = |i: usize, lat: u64| -> Result<(), SimError> {
-                    let (bx, by) = blocks_ref[i];
+                    Vec::with_capacity(crate::sched::worker_share(blocks.len(), n_workers, w));
+                let mut vtime: u64 = 0;
+                let mut run_one = |i: usize| -> Result<(), SimError> {
+                    let (bx, by) = blocks[i];
+                    let lat = match &hook {
+                        Some(h) => h.admit(w, &mut vtime, bx, by)?,
+                        None => 0,
+                    };
                     let (range, block_stats) = run_block_dispatch(
                         self,
-                        bufs_ref,
+                        &bufs,
                         bx,
                         by,
                         &mut scratch,
@@ -2425,36 +2434,43 @@ impl CompiledKernel {
                     out.push((i, range, block_stats, lat));
                     Ok(())
                 };
-                match claims {
+                match &claims {
                     Some(claims) => {
                         while let Some(chunk) = claims.claim() {
                             for i in chunk {
-                                run_one(i, 0)?;
+                                run_one(i).map_err(|e| (i, e))?;
                             }
                         }
                     }
                     None => {
-                        let mut vtime: u64 = 0;
-                        for i in crate::sched::worker_indices(blocks_ref.len(), n_workers, w) {
-                            let (bx, by) = blocks_ref[i];
-                            let lat = match hook_ref {
-                                Some(h) => h.admit(w, &mut vtime, bx, by)?,
-                                None => 0,
-                            };
-                            run_one(i, lat)?;
+                        for i in crate::sched::worker_indices(blocks.len(), n_workers, w) {
+                            run_one(i).map_err(|e| (i, e))?;
                         }
                     }
                 }
                 Ok((out, journal, tel, scratch))
-            })
-        };
-        let claims = (hook.is_none() && n_workers > 1)
-            .then(|| crate::sched::BlockClaims::new(blocks.len(), n_workers));
-        let mut results = run_grid(claims.as_ref());
-        if claims.is_some() && results.iter().any(Result::is_err) {
-            // Which blocks ran before the failing one was a matter of
-            // timing; the strided walk owns the identity of the error.
-            results = run_grid(None);
+            },
+        );
+
+        // The error of a failed launch is the one of its lowest failing
+        // block, as the specification has it. A worker walks its blocks
+        // in rising order and chunks are claimed in rising order, so each
+        // worker's failure is the lowest of the blocks it was given and
+        // the minimum over workers is the lowest of the launch, whatever
+        // the worker count and whoever claimed what.
+        let mut finished = Vec::with_capacity(n_workers);
+        let mut failure: Option<(usize, SimError)> = None;
+        for result in results {
+            match result {
+                Ok(worker) => finished.push(worker),
+                Err(f) => match &failure {
+                    Some(lowest) if lowest.0 < f.0 => {}
+                    _ => failure = Some(f),
+                },
+            }
+        }
+        if let Some((_, e)) = failure {
+            return Err(e);
         }
         drop(bufs);
 
@@ -2463,8 +2479,7 @@ impl CompiledKernel {
         let mut journals: Vec<Vec<StoreRec>> = Vec::with_capacity(n_workers);
         let mut scratches: Vec<BlockScratch> = Vec::with_capacity(n_workers);
         let mut tel_total = crate::sched::SimdTelemetry::default();
-        for (w, result) in results.into_iter().enumerate() {
-            let (outs, journal, tel, scratch) = result?;
+        for (w, (outs, journal, tel, scratch)) in finished.into_iter().enumerate() {
             tel_total.merge(&tel);
             for (i, range, stats, lat) in outs {
                 worker_vtime[w] = worker_vtime[w].saturating_add(lat);
@@ -2533,9 +2548,14 @@ impl CompiledKernel {
 
         // Park the per-worker scratch for the next launch of the same
         // geometry (journals keep their capacity, not their contents).
+        // The simd register files are not parked: a row per register per
+        // thread is up to 0.9 MB for the catalogue's largest blocks, the
+        // pool keeps 32 scratches, and sizing fresh files costs a launch
+        // about 10 µs.
         for (journal, mut scratch) in journals.into_iter().zip(scratches) {
             scratch.journal = journal;
             scratch.journal.clear();
+            scratch.simd = None;
             SCRATCH_POOL.publish(key, scratch);
         }
         Ok(crate::sched::GridRun {
@@ -3051,12 +3071,10 @@ mod tests {
 
     /// Two blocks fail differently: block 6 (worker 0's share of a
     /// two-worker strided split) divides by zero, block 1 (worker 1's)
-    /// overflows a negation. Workers that claim blocks meet block 1
-    /// first; the error both engines report is still the strided
-    /// walk's — worker 0's — because a failed claimed run is repeated
-    /// strided. The specification reports the lowest failing block's,
-    /// block 1's, and the engines agree with it on one worker: error
-    /// identity depends on the worker count, not on timing.
+    /// overflows a negation. Whichever worker meets which of them first,
+    /// the launch reports what the specification reports: the error of
+    /// the lowest failing block, block 1's, under every worker count and
+    /// on both engines.
     #[test]
     fn error_identity_does_not_depend_on_which_worker_ran_a_block() {
         let mut k = double_kernel();
@@ -3083,22 +3101,16 @@ mod tests {
         let mut p = LaunchParams::new((8, 1), (8, 1));
         p.set_int("n", 64);
         let mem = linear_mem(64);
-        p.sim_threads = Some(2);
-        let ck = compile(&k, &p, &mem).unwrap();
-        for _ in 0..8 {
-            for engine in [Engine::Bytecode, Engine::Simd] {
+        for sim_threads in [1, 2, 3] {
+            p.sim_threads = Some(sim_threads);
+            for _ in 0..8 {
                 assert_eq!(
-                    ck.run_with(&mut mem.clone(), engine).unwrap_err(),
-                    SimError::DivisionByZero,
-                    "{engine:?}"
+                    engines_reject(&k, &p, &mem),
+                    SimError::EvalError(format!("Neg on Int({})", i64::MIN)),
+                    "{sim_threads} workers"
                 );
             }
         }
-        p.sim_threads = Some(1);
-        assert_eq!(
-            engines_reject(&k, &p, &mem),
-            SimError::EvalError(format!("Neg on Int({})", i64::MIN))
-        );
     }
 
     #[test]
@@ -3387,5 +3399,296 @@ mod tests {
         assert_eq!((tel.warp_steps, tel.active_lane_sum), (84, 1344));
         assert_eq!(tel.scalar_fallback_blocks(), 0);
         assert!(tel.uniform_steps > 0);
+    }
+
+    // -----------------------------------------------------------------
+    // Lockstep against per-warp: what the scalar engine cannot witness.
+    // A block that runs on one program counter must be indistinguishable
+    // from the same block run warp by warp — not only in its output bits
+    // and `ExecStats`, which the specification pins, but in the order of
+    // its journal and in the warp telemetry, which is counted per 16-lane
+    // warp whoever ran the step.
+    // -----------------------------------------------------------------
+
+    /// `engines_agree`, then every block of the launch through the simd
+    /// engine's lockstep entry, its per-warp-only entry and the scalar
+    /// engine, each on one scratch as a worker would: the three journals
+    /// must match entry for entry, the `ExecStats` must match, and the
+    /// two simd runs must count the same warp steps, active lanes and
+    /// uniform steps. Returns the lockstep run's telemetry.
+    fn lockstep_matches_per_warp(
+        k: &DeviceKernelDef,
+        p: &LaunchParams,
+        mem: &DeviceMemory,
+    ) -> crate::sched::SimdTelemetry {
+        use crate::simd::{run_block_per_warp, run_block_simd};
+        engines_agree(k, p, mem);
+        let ck = compile(k, p, mem).unwrap();
+        let Some(Ok(wp)) = ck.warp_plan(Engine::Simd) else {
+            panic!("`{}` has no warp program", k.name);
+        };
+        let bufs = ck.buffer_views(mem).unwrap();
+        let bits = |journal: &[StoreRec]| -> Vec<(u16, u32, u32)> {
+            let rec = |s: &StoreRec| (s.buf, s.idx, s.value.to_bits());
+            journal.iter().map(rec).collect()
+        };
+        let mut scratch: [BlockScratch; 3] = Default::default();
+        let mut tel: [crate::sched::SimdTelemetry; 2] = Default::default();
+        for by in 0..p.grid.1 {
+            for bx in 0..p.grid.0 {
+                let at = format!("`{}` block ({bx},{by})", k.name);
+                let [s0, s1, s2] = &mut scratch;
+                let mut journal: [Vec<StoreRec>; 3] = Default::default();
+                let [j0, j1, j2] = &mut journal;
+                let (_, lock) = run_block_simd(&ck, wp, &bufs, bx, by, s0, j0, &mut tel[0])
+                    .unwrap_or_else(|e| panic!("{at}: lockstep: {e}"));
+                let (_, warp) = run_block_per_warp(&ck, wp, &bufs, bx, by, s1, j1, &mut tel[1])
+                    .unwrap_or_else(|e| panic!("{at}: per-warp: {e}"));
+                let (_, scalar) = run_block(&ck, &bufs, bx, by, s2, j2).unwrap();
+                assert_eq!(bits(j0), bits(j2), "{at}: lockstep journal order");
+                assert_eq!(bits(j1), bits(j2), "{at}: per-warp journal order");
+                assert_eq!(lock, scalar, "{at}: lockstep ExecStats");
+                assert_eq!(warp, scalar, "{at}: per-warp ExecStats");
+                let steps = |t: &crate::sched::SimdTelemetry| {
+                    (t.warp_steps, t.active_lane_sum, t.uniform_steps)
+                };
+                assert_eq!(steps(&tel[0]), steps(&tel[1]), "{at}: warp telemetry");
+            }
+        }
+        let blocks = u64::from(p.grid.0 * p.grid.1);
+        assert_eq!(tel[0].lockstep_blocks + tel[0].split_blocks, blocks);
+        assert_eq!((tel[1].lockstep_blocks, tel[1].split_blocks), (0, blocks));
+        tel[0]
+    }
+
+    /// `gid` over a two-dimensional block: the block's threads in linear
+    /// order, blocks side by side.
+    fn gid_2d_decl() -> Stmt {
+        let b = Expr::Builtin;
+        let per_block = b(Builtin::BlockDimX) * b(Builtin::BlockDimY);
+        decl(
+            "gid",
+            ScalarType::I32,
+            Some(
+                b(Builtin::BlockIdxX) * per_block
+                    + b(Builtin::ThreadIdxY) * b(Builtin::BlockDimX)
+                    + b(Builtin::ThreadIdxX),
+            ),
+        )
+    }
+
+    #[test]
+    fn lockstep_runs_blocks_of_any_shape() {
+        // A uniform tap loop never splits, whatever the block: threads
+        // that do not fill their last warp (24×1, 28×3), one warp per
+        // block (16×1, 5×2), many (32×6).
+        let k = trap_kernel(
+            "taps",
+            vec![
+                gid_2d_decl(),
+                decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
+                tap_loop("i", Expr::int(2)),
+                store_out(Expr::var("acc")),
+            ],
+        );
+        for block in [(24, 1), (28, 3), (16, 1), (5, 2), (32, 6)] {
+            let p = LaunchParams::new((2, 1), block);
+            let n = 2 * (block.0 * block.1) as usize;
+            let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n + 2));
+            assert_eq!((tel.lockstep_blocks, tel.split_blocks), (2, 0), "{block:?}");
+            let warps = u64::from(block.0 * block.1).div_ceil(16);
+            assert_eq!(tel.warp_steps % warps, 0, "{block:?}: one step, every warp");
+        }
+    }
+
+    #[test]
+    fn a_split_keeps_earlier_stores_ahead_per_lane() {
+        // Every thread stores in lockstep, the even ones again after the
+        // block split, all once more after they reconverged: thread-major
+        // means each thread's two or three in a row.
+        let k = trap_kernel(
+            "store-split-store",
+            vec![
+                gid_2d_decl(),
+                store_out(Expr::float(1.0)),
+                Stmt::If {
+                    cond: Expr::var("gid").rem(Expr::int(2)).eq_(Expr::int(0)),
+                    then: vec![store_out(load_in(Expr::var("gid")))],
+                    els: vec![],
+                },
+                store_out(Expr::var("gid").cast(ScalarType::F32) + Expr::float(0.5)),
+            ],
+        );
+        for block in [(32, 1), (28, 3)] {
+            let p = LaunchParams::new((2, 1), block);
+            let n = 2 * (block.0 * block.1) as usize;
+            let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n));
+            assert_eq!((tel.lockstep_blocks, tel.split_blocks), (0, 2), "{block:?}");
+        }
+    }
+
+    #[test]
+    fn a_block_can_split_inside_a_loop() {
+        // Two unanimous trips, then the third trip's `if` disagrees: the
+        // warps pick the loop up mid-flight with the counter in their own
+        // scalar files. The inner test is `&&`-lazy, so the scalar-file
+        // half of it is a branch of its own.
+        let k = trap_kernel(
+            "split-in-loop",
+            vec![
+                gid_2d_decl(),
+                decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
+                Stmt::For {
+                    var: "i".into(),
+                    from: Expr::int(0),
+                    to: Expr::int(4),
+                    body: vec![Stmt::If {
+                        cond: Expr::var("i")
+                            .ge(Expr::int(2))
+                            .and(Expr::var("gid").rem(Expr::int(3)).eq_(Expr::int(0))),
+                        then: vec![assign(
+                            "acc",
+                            Expr::var("acc") + load_in(Expr::var("gid") + Expr::var("i")),
+                        )],
+                        els: vec![assign("acc", Expr::var("acc") + Expr::float(1.0))],
+                    }],
+                },
+                store_out(Expr::var("acc")),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (24, 2));
+        let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(100));
+        assert_eq!((tel.lockstep_blocks, tel.split_blocks), (0, 2));
+    }
+
+    #[test]
+    fn a_whole_block_can_return_in_lockstep() {
+        // Block 1 returns before the barrier, all of it on a block-uniform
+        // condition: one `Halt` for the block, no thread left to count at
+        // the barrier or to run the second phase.
+        let mut k = reversal_kernel();
+        k.name = "unanimous-halt".into();
+        k.body.insert(
+            1,
+            Stmt::If {
+                cond: Expr::Builtin(Builtin::BlockIdxX).eq_(Expr::int(1)),
+                then: vec![Stmt::Return],
+                els: vec![],
+            },
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let (_, stats) = engines_agree(&k, &p, &linear_mem(64));
+        assert_eq!((stats.barriers, stats.global_stores), (32, 32));
+        let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(64));
+        assert_eq!((tel.lockstep_blocks, tel.split_blocks), (2, 0));
+    }
+
+    #[test]
+    fn one_lane_out_of_range_drops_one_store() {
+        // Thread 5 stores far outside `OUT`, branch-free, so the block
+        // stays in lockstep: its record is dropped and counted, its
+        // neighbours' are not.
+        let far = Expr::var("gid").eq_(Expr::int(5)).cast(ScalarType::I32) * Expr::int(1 << 20);
+        let k = trap_kernel(
+            "one-oob-store",
+            vec![
+                gid_2d_decl(),
+                Stmt::GlobalStore {
+                    buf: "OUT".into(),
+                    idx: Expr::var("gid") + far,
+                    value: load_in(Expr::var("gid")),
+                },
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (24, 2));
+        let (_, stats) = engines_agree(&k, &p, &linear_mem(96));
+        assert_eq!((stats.global_stores, stats.oob_stores), (96, 1));
+        let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(96));
+        assert_eq!((tel.lockstep_blocks, tel.split_blocks), (2, 0));
+    }
+
+    #[test]
+    fn scalar_file_value_crosses_a_barrier_in_lockstep_and_after_a_split() {
+        // `k` is assigned (never promoted to the block-uniform file) and
+        // uniform: it waits in the scalar file while the barrier separates
+        // its definition from its use. Without a split the block crosses
+        // the barrier on the one file it has; with one in phase 0 every
+        // warp carries a copy, the copies still agree at the barrier and
+        // the block goes back to lockstep for phase 1.
+        let mut unsplit = reversal_kernel();
+        unsplit.name = "uniform-across-barrier".into();
+        unsplit
+            .body
+            .insert(1, decl("k", ScalarType::I32, Some(Expr::int(3))));
+        unsplit
+            .body
+            .insert(2, assign("k", Expr::var("k") * Expr::int(5)));
+        let Some(Stmt::GlobalStore { value, .. }) = unsplit.body.last_mut() else {
+            unreachable!("the reversal kernel ends in its store")
+        };
+        *value = value.clone() + Expr::var("k").cast(ScalarType::F32);
+        let mut split = unsplit.clone();
+        split.name = "uniform-across-barrier-after-a-split".into();
+        split
+            .body
+            .insert(3, decl("odd", ScalarType::F32, Some(Expr::float(0.0))));
+        split.body.insert(
+            4,
+            Stmt::If {
+                cond: Expr::var("gid").rem(Expr::int(2)).eq_(Expr::int(1)),
+                then: vec![assign("odd", load_in(Expr::var("gid")))],
+                els: vec![],
+            },
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        for (k, split_blocks) in [(&unsplit, 0), (&split, 2)] {
+            let (mem, stats) = engines_agree(k, &p, &linear_mem(64));
+            assert_eq!(mem.buffer("OUT").unwrap().data[0], 31.0 + 15.0);
+            assert_eq!(stats.barriers, 64);
+            let tel = lockstep_matches_per_warp(k, &p, &linear_mem(64));
+            assert_eq!(tel.split_blocks, split_blocks, "`{}`", k.name);
+        }
+    }
+
+    #[test]
+    fn an_error_in_lockstep_sends_the_block_to_the_scalar_engine() {
+        // The last thread of block 1 overflows while the block is in
+        // lockstep: the vector run is abandoned with nothing journalled,
+        // counted as a per-block bail, and the scalar re-run owns the
+        // error. Block 0 is untouched by it.
+        let k = trap_kernel(
+            "ovf",
+            vec![
+                gid_decl(),
+                store_out(Expr::float(1.0)),
+                store_out((Expr::var("gid") + Expr::int(i64::MAX - 62)).cast(ScalarType::F32)),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let mem = linear_mem(64);
+        let ck = compile(&k, &p, &mem).unwrap();
+        let plan = ck.warp_plan(Engine::Simd);
+        let bufs = ck.buffer_views(&mem).unwrap();
+        let mut scratch = BlockScratch::default();
+        let mut journal = Vec::new();
+        let mut tel = crate::sched::SimdTelemetry::default();
+        let mut run = |bx| {
+            run_block_dispatch(
+                &ck,
+                &bufs,
+                bx,
+                0,
+                &mut scratch,
+                &mut journal,
+                plan,
+                &mut tel,
+            )
+        };
+        assert_eq!(run(0).unwrap().0, 0..64);
+        let err = run(1).unwrap_err();
+        assert!(matches!(&err, SimError::EvalError(m) if m.starts_with("Add on")));
+        assert_eq!((tel.lockstep_blocks, tel.split_blocks), (1, 0));
+        let bail = crate::sched::FallbackCause::BlockBail;
+        assert_eq!(tel.fallbacks().collect::<Vec<_>>(), [(bail, 1)]);
     }
 }

@@ -30,10 +30,10 @@
 //!
 //! * [`simd`] — the **default execution engine**: the tape lowered once
 //!   more, to a typed two-file warp program (register tags resolved by
-//!   inference over the tape, warp-uniform values in a per-warp scalar
-//!   file), and run sixteen lanes per instruction. Bit- and
-//!   stat-identical to the scalar engine, which stays its oracle and its
-//!   counted fallback.
+//!   inference over the tape, uniform values in a scalar file), and run a
+//!   whole block of lanes per instruction while the block's branches are
+//!   unanimous, sixteen once they are not. Bit- and stat-identical to the
+//!   scalar engine, which stays its oracle and its counted fallback.
 //!
 //! * [`timing`] — an **analytical timing model** in the spirit of
 //!   first-order GPU performance models: per-region operation counts (with

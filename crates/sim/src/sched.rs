@@ -263,11 +263,13 @@ impl FallbackCause {
 /// Warp-level occupancy telemetry of the simd engine: how full the
 /// active-lane mask was, averaged over every executed instruction group.
 ///
-/// One "step" is one tape instruction executed for one set of lanes;
-/// fully converged warps contribute one step per instruction
+/// One "step" is one tape instruction executed for one set of lanes of
+/// one warp; fully converged warps contribute one step per instruction
 /// with all live lanes active, while divergent warps take extra steps
 /// with partial masks — so `mean_active_fraction` is exactly the classic
-/// SIMT "warp execution efficiency" metric.
+/// SIMT "warp execution efficiency" metric. A block in lockstep runs an
+/// instruction once for all its warps and counts it once per warp, so
+/// the numbers do not depend on which way a block ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimdTelemetry {
     /// Lanes per warp (the engine's compile-time warp width).
@@ -276,10 +278,15 @@ pub struct SimdTelemetry {
     pub warp_steps: u64,
     /// Sum over steps of the number of active lanes.
     pub active_lane_sum: u64,
-    /// Steps served by the per-warp scalar file (warp-uniform values,
-    /// branches on them, unconditional jumps): one operation for the
-    /// whole warp instead of one per lane.
+    /// Steps served by the scalar file (uniform values, branches on
+    /// them, unconditional jumps): one operation instead of one per lane.
     pub uniform_steps: u64,
+    /// Blocks that ran every phase in lockstep: one program counter and
+    /// one scalar file for the whole block, every branch unanimous.
+    pub lockstep_blocks: u64,
+    /// Blocks that met a branch their lanes disagreed on and went on warp
+    /// by warp from there: the slower path.
+    pub split_blocks: u64,
     /// Blocks that ran on the scalar engine although the launch asked
     /// for simd, by cause, in [`FallbackCause::ALL`] order.
     pub fallback_causes: [u64; 3],
@@ -292,6 +299,8 @@ impl SimdTelemetry {
         self.warp_steps += other.warp_steps;
         self.active_lane_sum += other.active_lane_sum;
         self.uniform_steps += other.uniform_steps;
+        self.lockstep_blocks += other.lockstep_blocks;
+        self.split_blocks += other.split_blocks;
         for (a, b) in self.fallback_causes.iter_mut().zip(other.fallback_causes) {
             *a += b;
         }
@@ -328,6 +337,14 @@ impl SimdTelemetry {
     /// warp instructions ran.
     pub fn uniform_fraction(&self) -> Option<f64> {
         (self.warp_steps > 0).then(|| self.uniform_steps as f64 / self.warp_steps as f64)
+    }
+
+    /// Fraction of the launch's blocks that ran in lockstep throughout
+    /// (the others split or fell back to the scalar engine). `None` when
+    /// no block ran.
+    pub fn lockstep_fraction(&self) -> Option<f64> {
+        let blocks = self.lockstep_blocks + self.split_blocks + self.scalar_fallback_blocks();
+        (blocks > 0).then(|| self.lockstep_blocks as f64 / blocks as f64)
     }
 }
 
@@ -525,11 +542,14 @@ mod tests {
     fn simd_telemetry_mean_active_fraction() {
         let mut t = SimdTelemetry::default();
         assert_eq!(t.mean_active_fraction(), None, "no steps, no fraction");
+        assert_eq!(t.lockstep_fraction(), None, "no blocks, no fraction");
         let mut block = SimdTelemetry {
             warp_width: 16,
             warp_steps: 10,
             active_lane_sum: 120,
             uniform_steps: 4,
+            lockstep_blocks: 5,
+            split_blocks: 1,
             ..SimdTelemetry::default()
         };
         block.note_fallback(FallbackCause::BlockBail);
@@ -539,6 +559,8 @@ mod tests {
         assert_eq!(t.mean_active_fraction(), Some(0.75));
         assert_eq!(t.uniform_fraction(), Some(0.4));
         assert_eq!(t.scalar_fallback_blocks(), 4);
+        assert_eq!((t.lockstep_blocks, t.split_blocks), (10, 2));
+        assert_eq!(t.lockstep_fraction(), Some(0.625), "10 of 16 blocks");
         let causes: Vec<_> = t.fallbacks().collect();
         assert_eq!(
             causes,

@@ -1,32 +1,49 @@
-//! The warp-vectorized execution engine: one instruction, sixteen lanes.
+//! The warp-vectorized execution engine: one instruction, a whole block
+//! of lanes while the block agrees, sixteen once it does not.
 //!
 //! [`crate::bytecode`] already pays the specialization cost once per
 //! launch, but its hot loop still steps one *thread* at a time and
 //! matches a `Const` tag on every operand. This module runs the typed
 //! **warp program** that `crate::warp` lowers from the same tape: all
 //! threads of a block run the same tape, so each instruction executes for
-//! a whole 16-wide warp before the program counter advances, and
+//! every thread that is at it before the program counter advances, and
 //! everything the tape compiler could decide ahead of time is not decided
 //! again here.
 //!
-//! * **Two register files, no tags** — a warp's registers live in an
-//!   untagged 16-lane *vector file* (`f32` and `i64` slabs, one lane
-//!   group per register; bools are 0/1 in the `i64` slab) and a per-warp
-//!   *scalar file* for values that are the same in every lane:
-//!   immediates, block-uniform registers, loop counters and bounds,
-//!   constant-bank loads at a uniform index, branch conditions built from
-//!   them. Which slab and which file an operand lives in is a bit of the
-//!   lowered `Slot`; which conversion a read needs (`as_f32`, `as_i64`,
-//!   `as_bool`) follows from the op. A vector op over a full mask is a
-//!   dense `for l in 0..WARP` loop over plain arrays; a scalar-file op
-//!   runs once per warp step and is splatted where a vector op reads it.
-//! * **`mask == live` guard** — a scalar-file write is only meaningful
-//!   when every live lane executes it together. The lowering only places
-//!   a definition there when it is not control-dependent on a varying
-//!   branch, and min-pc scheduling reconverges structured code at the
-//!   join, so the guard holds; the executor checks it on every such write
-//!   anyway and abandons the block when it does not. Misclassification
-//!   can cost time, never bits.
+//! * **Two register files, no tags** — a block's registers live in an
+//!   untagged *vector file* (`f32` and `i64` slabs, one row of `lanes` =
+//!   `nthreads` rounded up to [`WARP`] per register; bools are 0/1 in the
+//!   `i64` slab) and a *scalar file* for values that are the same in
+//!   every lane: immediates, block-uniform registers, loop counters and
+//!   bounds, constant-bank loads at a uniform index, branch conditions
+//!   built from them. Which slab and which file an operand lives in is a
+//!   bit of the lowered `Slot`; which conversion a read needs (`as_f32`,
+//!   `as_i64`, `as_bool`) follows from the op. A vector op is written
+//!   once over a span of a row plus an optional mask: a dense loop
+//!   over plain rows when the mask is absent, a bit walk otherwise. A
+//!   scalar-file op runs once per step and is read as a splat where a
+//!   vector op uses it.
+//! * **Lockstep blocks** — every scalar-file value is block-uniform by
+//!   construction: its only sources are immediates, `LoadU`, `Bid` and
+//!   `CLoad` at a scalar index (`exec_scalar` accepts nothing else; `Tid`
+//!   always writes the vector file). Warps at the same pc therefore hold
+//!   the same scalar file, and a phase starts with *one* program counter
+//!   and *one* scalar file for the whole block, each vector op one dense
+//!   loop over all `nthreads` lanes. This lasts while every thread is
+//!   live and every branch is unanimous across the block. At the first
+//!   branch whose outcome differs between lanes the block **splits**:
+//!   each warp gets a copy of the scalar file and resumes *at that
+//!   branch* under the per-warp scheduler below, on its own 16-lane span
+//!   of the same rows. At a barrier a split block re-enters lockstep only
+//!   when no thread has returned and the warps' scalar files compare
+//!   bit-equal — checked, not assumed.
+//! * **`mask == live` guard** — after a split, a scalar-file write is
+//!   only meaningful when every live lane of the warp executes it
+//!   together. The lowering only places a definition there when it is not
+//!   control-dependent on a varying branch, and min-pc scheduling
+//!   reconverges structured code at the join, so the guard holds; the
+//!   executor checks it on every such write anyway and abandons the block
+//!   when it does not. Misclassification can cost time, never bits.
 //! * **Divergence mask** — a warp starts *converged* (single shared `pc`,
 //!   no per-lane bookkeeping). A conditional jump whose outcome differs
 //!   across lanes materializes per-lane program counters; from then on the
@@ -36,30 +53,38 @@
 //!   exactly as the serial engine would have produced it, which is what
 //!   makes stat-exactness possible at all.
 //! * **Exact statistics and telemetry** — `ExecStats` counters are *per
-//!   access*: every memory op adds `popcount(mask)`, a scalar-file
-//!   constant load adds `popcount(live)`, out-of-bounds side counts are
-//!   per active lane. Warp telemetry is counted in *source-tape*
-//!   instructions: the warp program's steps are 1:1 with the tape's.
+//!   access*: every memory op adds the number of lanes it ran for, a
+//!   scalar-file constant load the number of threads it served,
+//!   out-of-bounds side counts are per active lane. Warp telemetry is
+//!   counted in *source-tape* instructions per 16-lane warp, whoever ran
+//!   them: the warp program's steps are 1:1 with the tape's, and a
+//!   lockstep step counts as one step of every warp of the block
+//!   (`n_warps` steps, `nthreads` active lanes).
 //! * **Journaled stores** — the fault injector addresses global stores by
 //!   their position in the block's journal ("flip the nth store"), and
-//!   journal order on the scalar engine is thread-major. Lanes therefore
-//!   buffer their global (and shared) stores privately and the warp drains
-//!   them lane-major at the end of each phase, reproducing the serial
-//!   order bit for bit. Shared-memory deferral is only correct when no
-//!   phase both reads and writes the same tile, which the lowering checks
-//!   up front.
+//!   journal order on the scalar engine is thread-major. Global (and
+//!   shared) stores are therefore recorded with their thread in the order
+//!   the steps run and drained thread-major at the end of each phase,
+//!   reproducing the serial order bit for bit; a store made before a
+//!   split stays ahead of the same thread's later ones. Shared-memory
+//!   deferral is only correct when no phase both reads and writes the
+//!   same tile, which the lowering checks up front.
 //! * **Scalar fallback, counted** — a tape the lowering cannot type (a
 //!   register read where its tag is not fixed) or whose tile accesses
 //!   cannot be deferred runs every block on the scalar engine; a block
 //!   that hits an evaluation error (division by zero, checked-integer
-//!   overflow, an always-erroring op) rolls its journal back and re-runs
-//!   scalar, which owns both the result and the error message. Every such
-//!   block is counted by cause in [`SimdTelemetry`].
+//!   overflow, an always-erroring op) — in lockstep or after a split —
+//!   rolls its journal back and re-runs scalar, which owns both the
+//!   result and the error message. Every such block is counted by cause
+//!   in [`SimdTelemetry`], beside the blocks that stayed in lockstep and
+//!   the ones that split.
 //!
 //! The engine is differentially tested against the specification
 //! ([`crate::interp`]) for bit-identical outputs, per-block store order,
-//! `ExecStats` and error identity, and against the scalar bytecode engine
-//! for fault-injection behaviour.
+//! `ExecStats` and error identity, against the scalar bytecode engine
+//! for fault-injection behaviour, and lockstep against per-warp-only
+//! execution of the same blocks for journal order, statistics and
+//! telemetry.
 
 use crate::bytecode::{exec_prologue, BlockScratch, BufView, CompiledKernel, StoreRec};
 use crate::interp::{ExecStats, SimError};
@@ -68,11 +93,14 @@ use crate::warp::{BinFn, Op, Slot, Step, Tag, UnFn, WarpProgram};
 use hipacc_image::boundary::{clamp_index, repeat_index};
 use hipacc_ir::kernel::AddressMode;
 use hipacc_ir::ty::Const;
+use std::cell::Cell;
 use std::ops::Range;
 
-/// Lanes per warp. 16 keeps every slab group inside one or two cache
-/// lines (16×4 B floats, 16×8 B ints) and matches the half-warp
-/// granularity of the paper's target devices.
+/// Lanes per warp: the unit of divergence, of `warp_steps` /
+/// `active_lane_sum` accounting and of scheduling after a block splits.
+/// 16 matches the half-warp granularity of the paper's target devices.
+/// It is *not* the width of a vector op: a block in lockstep runs each op
+/// over all of its lanes at once.
 pub const WARP: usize = 16;
 
 /// Mask with all `WARP` lanes active.
@@ -81,51 +109,43 @@ const FULL: u32 = (1u32 << WARP) - 1;
 /// A deferred shared-memory write: `(tile, element index, value)`.
 type SharedWrite = (u16, usize, f32);
 
-/// Reusable register files for the simd engine, owned by the worker's
-/// [`BlockScratch`] and created lazily on the first vectorized block.
+/// Register files for the simd engine, owned by the worker's
+/// [`BlockScratch`]: created by a launch's first vectorized block, reused
+/// by its later ones and dropped when the scratch is parked.
 ///
-/// A multi-phase kernel gets one vector and one scalar file per warp
-/// (registers must survive barriers), a single-phase kernel reuses one of
-/// each for every warp. Like the scalar engine's register file,
-/// single-phase files are *not* cleared between blocks: the compiler only
-/// emits reads dominated by writes, so stale values are never observed.
+/// Like the scalar engine's register file, a single-phase kernel's files
+/// are *not* cleared between blocks: the compiler only emits reads
+/// dominated by writes, so stale values are never observed.
 #[derive(Default)]
 pub(crate) struct SimdScratch {
-    /// Vector file: `WARP` lanes per register, one slab per machine type.
+    /// Vector file: one row of `lanes` per register, one slab per
+    /// machine type.
     vf: Vec<f32>,
     vi: Vec<i64>,
-    /// Scalar file: registers, then the read-only block-uniform,
-    /// block-index and immediate slots.
+    /// Scalar files, one per warp: registers, then the read-only
+    /// block-uniform, block-index and immediate slots. A block in
+    /// lockstep uses the first only.
     sf: Vec<f32>,
     si: Vec<i64>,
     /// Per-lane program counters, materialized only while diverged.
     pcs: [u32; WARP],
-    /// Per-lane global-store journals, drained lane-major per phase.
-    lane_stores: Vec<Vec<StoreRec>>,
-    /// Per-lane shared-store journals, drained lane-major per phase.
-    lane_shared: Vec<Vec<SharedWrite>>,
+    /// The phase's global stores with their threads, in the order the
+    /// steps ran; drained thread-major per phase.
+    stores: Vec<(u32, StoreRec)>,
+    /// The phase's shared stores, likewise.
+    shared_writes: Vec<(u32, SharedWrite)>,
     /// Threads that hit `Halt` in an earlier phase of this block.
     halted: Vec<bool>,
 }
 
 impl SimdScratch {
+    /// Size the files on the launch's first block (every block of a
+    /// launch asks for the same sizes) and clear the per-block state.
     fn ensure(&mut self, vector: usize, scalar: usize, nthreads: usize) {
-        if self.vf.len() != vector {
-            self.vf.clear();
-            self.vf.resize(vector, 0.0);
-            self.vi.clear();
-            self.vi.resize(vector, 0);
-        }
-        if self.sf.len() != scalar {
-            self.sf.clear();
-            self.sf.resize(scalar, 0.0);
-            self.si.clear();
-            self.si.resize(scalar, 0);
-        }
-        if self.lane_stores.len() != WARP {
-            self.lane_stores.resize_with(WARP, Vec::new);
-            self.lane_shared.resize_with(WARP, Vec::new);
-        }
+        self.vf.resize(vector, 0.0);
+        self.vi.resize(vector, 0);
+        self.sf.resize(scalar, 0.0);
+        self.si.resize(scalar, 0);
         self.halted.clear();
         self.halted.resize(nthreads, false);
     }
@@ -149,21 +169,49 @@ pub(crate) fn run_block_simd(
     journal: &mut Vec<StoreRec>,
     tel: &mut SimdTelemetry,
 ) -> Result<(Range<usize>, ExecStats), SimError> {
+    run_block_rolled_back(prog, wp, bufs, (bx, by), scratch, journal, tel, true)
+}
+
+/// [`run_block_simd`] with the block split before its first step, so
+/// every warp is scheduled on its own from start to end: what lockstep
+/// must be indistinguishable from.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_block_per_warp(
+    prog: &CompiledKernel,
+    wp: &WarpProgram,
+    bufs: &[BufView<'_>],
+    bx: u32,
+    by: u32,
+    scratch: &mut BlockScratch,
+    journal: &mut Vec<StoreRec>,
+    tel: &mut SimdTelemetry,
+) -> Result<(Range<usize>, ExecStats), SimError> {
+    run_block_rolled_back(prog, wp, bufs, (bx, by), scratch, journal, tel, false)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_block_rolled_back(
+    prog: &CompiledKernel,
+    wp: &WarpProgram,
+    bufs: &[BufView<'_>],
+    block: (u32, u32),
+    scratch: &mut BlockScratch,
+    journal: &mut Vec<StoreRec>,
+    tel: &mut SimdTelemetry,
+    allow_lockstep: bool,
+) -> Result<(Range<usize>, ExecStats), SimError> {
     let start = journal.len();
-    match run_block_inner(prog, wp, bufs, bx, by, scratch, journal) {
-        Ok((stats, warp_tel)) => {
-            tel.merge(&warp_tel);
+    match run_block_inner(prog, wp, bufs, block, scratch, journal, allow_lockstep) {
+        Ok((stats, block_tel)) => {
+            tel.merge(&block_tel);
             Ok((start..journal.len(), stats))
         }
         Err(e) => {
             journal.truncate(start);
             if let Some(simd) = scratch.simd.as_mut() {
-                for v in &mut simd.lane_stores {
-                    v.clear();
-                }
-                for v in &mut simd.lane_shared {
-                    v.clear();
-                }
+                simd.stores.clear();
+                simd.shared_writes.clear();
             }
             Err(e)
         }
@@ -174,10 +222,10 @@ fn run_block_inner(
     prog: &CompiledKernel,
     wp: &WarpProgram,
     bufs: &[BufView<'_>],
-    bx: u32,
-    by: u32,
+    (bx, by): (u32, u32),
     scratch: &mut BlockScratch,
     journal: &mut Vec<StoreRec>,
+    allow_lockstep: bool,
 ) -> Result<(ExecStats, SimdTelemetry), SimError> {
     scratch.reset_tiles(prog);
     exec_prologue(prog, bufs, bx, by, scratch)?;
@@ -186,51 +234,40 @@ fn run_block_inner(
     let nthreads = tbx as usize * tby as usize;
     let n_phases = wp.phases.len();
     let n_warps = nthreads.div_ceil(WARP);
-    let vspan = prog.n_regs.max(1) * WARP;
+    let lanes = n_warps * WARP;
     let sspan = wp.scalar_len;
-    let files = if n_phases > 1 { n_warps } else { 1 };
 
     let simd = scratch.simd.get_or_insert_with(SimdScratch::default);
-    simd.ensure(files * vspan, files * sspan, nthreads);
+    simd.ensure(prog.n_regs.max(1) * lanes, n_warps * sspan, nthreads);
     if n_phases > 1 {
         // Registers must survive barriers per thread, so multi-phase
         // files start from the scalar engine's `Const::Int(0)` fill: the
         // lowering types an unwritten register as a vector-file int.
         simd.vi.fill(0);
     }
-    // The read-only tail of every scalar file: this block's uniform
+    // The read-only tail of the block's scalar file: its uniform
     // registers (in the slab their inferred tag names), its index, and
-    // the tape's immediates.
-    for file in 0..files {
-        let sf = &mut simd.sf[file * sspan..(file + 1) * sspan];
-        let si = &mut simd.si[file * sspan..(file + 1) * sspan];
-        for (u, (tag, v)) in wp.utags.iter().zip(&scratch.uregs).enumerate() {
-            match (tag, v) {
-                (Tag::Float, Const::Float(f)) => sf[wp.ureg_base + u] = *f,
-                (Tag::Int, Const::Int(i)) => si[wp.ureg_base + u] = *i,
-                (Tag::Bool, Const::Bool(b)) => si[wp.ureg_base + u] = *b as i64,
-                // Never read: the lowering refuses a `LoadU` of these.
-                (Tag::Bot | Tag::Top, _) => {}
-                _ => return Err(Bail.into()),
-            }
-        }
-        si[wp.bid_base] = bx as i64;
-        si[wp.bid_base + 1] = by as i64;
-        for (k, c) in wp.consts.iter().enumerate() {
-            match c {
-                Const::Float(f) => sf[wp.const_base + k] = *f,
-                Const::Int(i) => si[wp.const_base + k] = *i,
-                Const::Bool(b) => si[wp.const_base + k] = *b as i64,
-            }
+    // the tape's immediates. A split copies it to every warp's file.
+    let (sf, si) = (&mut simd.sf[..sspan], &mut simd.si[..sspan]);
+    for (u, (tag, v)) in wp.utags.iter().zip(&scratch.uregs).enumerate() {
+        match (tag, v) {
+            (Tag::Float, Const::Float(f)) => sf[wp.ureg_base + u] = *f,
+            (Tag::Int, Const::Int(i)) => si[wp.ureg_base + u] = *i,
+            (Tag::Bool, Const::Bool(b)) => si[wp.ureg_base + u] = *b as i64,
+            // Never read: the lowering refuses a `LoadU` of these.
+            (Tag::Bot | Tag::Top, _) => {}
+            _ => return Err(Bail.into()),
         }
     }
-
-    let fast = prog.block_is_interior(bx, by);
-    let mut stats = ExecStats::default();
-    let mut tel = SimdTelemetry {
-        warp_width: WARP as u32,
-        ..SimdTelemetry::default()
-    };
+    si[wp.bid_base] = bx as i64;
+    si[wp.bid_base + 1] = by as i64;
+    for (k, c) in wp.consts.iter().enumerate() {
+        match c {
+            Const::Float(f) => sf[wp.const_base + k] = *f,
+            Const::Int(i) => si[wp.const_base + k] = *i,
+            Const::Bool(b) => si[wp.const_base + k] = *b as i64,
+        }
+    }
 
     let SimdScratch {
         vf,
@@ -238,67 +275,92 @@ fn run_block_inner(
         sf,
         si,
         pcs,
-        lane_stores,
-        lane_shared,
+        stores,
+        shared_writes,
         halted,
     } = simd;
+    let mut ex = BlockExec {
+        prog,
+        bufs,
+        shared: &mut scratch.shared,
+        vf: Cell::from_mut(&mut vf[..]).as_slice_of_cells(),
+        vi: Cell::from_mut(&mut vi[..]).as_slice_of_cells(),
+        lanes,
+        sf,
+        si,
+        file: 0,
+        sspan,
+        stores,
+        shared_writes,
+        tbx: tbx as usize,
+        fast: prog.block_is_interior(bx, by),
+        stats: ExecStats::default(),
+        tel: SimdTelemetry {
+            warp_width: WARP as u32,
+            ..SimdTelemetry::default()
+        },
+    };
 
+    // Without lockstep the block is split before its first step and
+    // stays split.
+    let (mut lockstep, mut split) = (allow_lockstep, !allow_lockstep);
+    if split {
+        ex.fork_scalar_file(n_warps);
+    }
     for (pi, steps) in wp.phases.iter().enumerate() {
-        for w in 0..n_warps {
-            let base = w * WARP;
-            let mut live: u32 = 0;
-            for l in 0..WARP {
-                let t = base + l;
-                if t < nthreads && !halted[t] {
-                    live |= 1 << l;
+        // Where the warps pick the phase up: its start, or the branch
+        // the block split at.
+        let mut from = 0;
+        if lockstep {
+            match ex.run_lockstep(steps, nthreads)? {
+                Lockstep::Done => {}
+                Lockstep::Halted => halted.fill(true),
+                Lockstep::Split(pc) => {
+                    ex.fork_scalar_file(n_warps);
+                    (lockstep, split, from) = (false, true, pc);
                 }
-            }
-            if live == 0 {
-                continue;
-            }
-            let file = if n_phases > 1 { w } else { 0 };
-            let mut ex = WarpExec {
-                prog,
-                bufs,
-                shared: &mut scratch.shared,
-                vf: &mut vf[file * vspan..(file + 1) * vspan],
-                vi: &mut vi[file * vspan..(file + 1) * vspan],
-                sf: &mut sf[file * sspan..(file + 1) * sspan],
-                si: &mut si[file * sspan..(file + 1) * sspan],
-                lane_stores,
-                lane_shared,
-                base: base as i64,
-                tbx: tbx as i64,
-                fast,
-                stats: &mut stats,
-                tel: &mut tel,
-            };
-            let halted_mask = ex.run_phase(steps, live, pcs)?;
-
-            // Drain this warp's lane journals in lane order: lane order
-            // is thread order, so the block journal and the tile end up
-            // exactly as the serial engine leaves them.
-            for l in 0..WARP {
-                for &(sbi, i, v) in lane_shared[l].iter() {
-                    scratch.shared[sbi as usize][i] = v;
-                }
-                lane_shared[l].clear();
-                journal.append(&mut lane_stores[l]);
-            }
-            let mut m = halted_mask;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                halted[base + l] = true;
-                m &= m - 1;
             }
         }
+        if !lockstep {
+            for w in 0..n_warps {
+                let base = w * WARP;
+                let mut live: u32 = 0;
+                for l in 0..WARP.min(nthreads - base) {
+                    live |= u32::from(!halted[base + l]) << l;
+                }
+                if live == 0 {
+                    continue;
+                }
+                ex.file = w * sspan;
+                let mut m = ex.run_warp(steps, base, live, from, pcs)?;
+                while m != 0 {
+                    halted[base + m.trailing_zeros() as usize] = true;
+                    m &= m - 1;
+                }
+            }
+        }
+        ex.drain_stores(journal);
         if pi + 1 < n_phases {
             // One barrier per thread still running, like the scalar
             // engine's per-phase count of non-returned threads.
-            stats.barriers += halted.iter().filter(|h| !**h).count() as u64;
+            let running = halted.iter().filter(|h| !**h).count();
+            ex.stats.barriers += running as u64;
+            if running == 0 {
+                break;
+            }
+            if !lockstep && allow_lockstep && running == nthreads && ex.scalar_files_agree(n_warps)
+            {
+                lockstep = true;
+                ex.file = 0;
+            }
         }
     }
-    Ok((stats, tel))
+    if split {
+        ex.tel.split_blocks = 1;
+    } else {
+        ex.tel.lockstep_blocks = 1;
+    }
+    Ok((ex.stats, ex.tel))
 }
 
 /// Any condition the vector path cannot reproduce exactly abandons the
@@ -319,63 +381,159 @@ fn checked(r: Option<i64>) -> (i64, bool) {
     (r.unwrap_or(0), r.is_none())
 }
 
-/// One lane group of a vector-file slab, by value.
-#[inline(always)]
-fn group<T: Copy>(slab: &[T], idx: usize) -> [T; WARP] {
-    slab[idx * WARP..(idx + 1) * WARP]
-        .try_into()
-        .expect("a lane group is WARP wide")
+/// The lanes one step runs for: a span of the block's threads and, when
+/// not all of the span is active, the active lanes as bits counted from
+/// its first (the span is then one warp's).
+#[derive(Clone, Copy)]
+struct Lanes {
+    lo: usize,
+    hi: usize,
+    mask: Option<u32>,
 }
 
-/// Write `r` to the lanes of `mask` in lane group `idx`.
-#[inline(always)]
-fn put<T: Copy>(slab: &mut [T], idx: usize, r: &[T; WARP], mask: u32) {
-    let d = &mut slab[idx * WARP..(idx + 1) * WARP];
-    if mask == FULL {
-        d.copy_from_slice(r);
-    } else {
-        for l in 0..WARP {
-            if mask >> l & 1 != 0 {
-                d[l] = r[l];
-            }
+impl Lanes {
+    /// Every thread of a block in lockstep.
+    fn block(nthreads: usize) -> Lanes {
+        Lanes {
+            lo: 0,
+            hi: nthreads,
+            mask: None,
+        }
+    }
+
+    /// The lanes of `mask` in the warp whose lane 0 is thread `base`.
+    #[inline(always)]
+    fn warp(base: usize, mask: u32) -> Lanes {
+        Lanes {
+            lo: base,
+            hi: base + WARP,
+            mask: (mask != FULL).then_some(mask),
+        }
+    }
+
+    /// Whether lane `k`, counted from the span's first, is active.
+    #[inline(always)]
+    fn has(self, k: usize) -> bool {
+        match self.mask {
+            None => true,
+            Some(m) => m >> k & 1 != 0,
+        }
+    }
+
+    /// How many lanes are active.
+    #[inline(always)]
+    fn count(self) -> u64 {
+        match self.mask {
+            None => (self.hi - self.lo) as u64,
+            Some(m) => u64::from(m.count_ones()),
         }
     }
 }
 
-/// Run `$body` with `$l` bound to every lane of `$mask`: a dense loop
-/// over a full mask, a bit walk otherwise.
+/// Run `$body` with `$k` bound to every active lane of `$on`, counted
+/// from the span's first: a dense loop without a mask, a bit walk with
+/// one.
 macro_rules! lanes {
-    ($mask:expr, $l:ident => $body:block) => {
-        if $mask == FULL {
-            for $l in 0..WARP $body
-        } else {
-            let mut m = $mask;
-            while m != 0 {
-                let $l = m.trailing_zeros() as usize;
-                $body
-                m &= m - 1;
+    ($on:expr, $k:ident => $body:block) => {
+        match $on.mask {
+            None => {
+                // The body indexes several rows of the span's length.
+                #[allow(clippy::needless_range_loop)]
+                for $k in 0..$on.hi - $on.lo $body
+            }
+            Some(mut m) => {
+                while m != 0 {
+                    let $k = m.trailing_zeros() as usize;
+                    $body
+                    m &= m - 1;
+                }
             }
         }
     };
 }
 
-/// One warp's execution state for one phase.
-struct WarpExec<'a, 'm> {
+/// Run `$body` with `$x` bound to a reader (`Fn(usize) -> T`, lanes
+/// counted like [`lanes!`] counts them) of operand `$a` over the span
+/// `$on`: the scalar file's value for every lane, or the register's row
+/// through `$f` / `$i`. The body is expanded once per place the operand
+/// can live, so each expansion's loop is monomorphic.
+macro_rules! operand {
+    ($s:ident.$scalar:ident($a:expr), $on:expr, $f:expr, $i:expr, |$x:ident| $body:expr) => {
+        match ($a.is_scalar(), $a.is_float()) {
+            (true, _) => {
+                let v = $s.$scalar($a);
+                let $x = move |_: usize| v;
+                $body
+            }
+            (false, true) => {
+                let row = $s.frow($a, $on);
+                let $x = move |k: usize| ($f)(row[k].get());
+                $body
+            }
+            (false, false) => {
+                let row = $s.irow($a, $on);
+                let $x = move |k: usize| ($i)(row[k].get());
+                $body
+            }
+        }
+    };
+}
+
+/// [`operand!`] read as `as_f32`.
+macro_rules! with_f {
+    ($s:ident, $a:expr, $on:expr, |$x:ident| $body:expr) => {
+        operand!($s.s_f($a), $on, |f: f32| f, |i: i64| i as f32, |$x| $body)
+    };
+}
+
+/// [`operand!`] read as `as_i64` (a float saturates, like `as`).
+macro_rules! with_i {
+    ($s:ident, $a:expr, $on:expr, |$x:ident| $body:expr) => {
+        operand!($s.s_i($a), $on, |f: f32| f as i64, |i: i64| i, |$x| $body)
+    };
+}
+
+/// [`operand!`] read as `as_bool`.
+macro_rules! with_t {
+    ($s:ident, $a:expr, $on:expr, |$x:ident| $body:expr) => {
+        operand!($s.s_t($a), $on, |f: f32| f != 0.0, |i: i64| i != 0, |$x| {
+            $body
+        })
+    };
+}
+
+/// One block's execution state.
+struct BlockExec<'a, 'm> {
     prog: &'a CompiledKernel,
     bufs: &'a [BufView<'m>],
-    shared: &'a mut Vec<Vec<f32>>,
-    vf: &'a mut [f32],
-    vi: &'a mut [i64],
+    shared: &'a mut [Vec<f32>],
+    /// Vector file, `lanes` per register row. Cells, because an op's
+    /// destination row may be one of its operand rows.
+    vf: &'a [Cell<f32>],
+    vi: &'a [Cell<i64>],
+    lanes: usize,
+    /// Scalar files, `sspan` each; `file` is the offset of the one in
+    /// use: 0 in lockstep, the running warp's after a split.
     sf: &'a mut [f32],
     si: &'a mut [i64],
-    lane_stores: &'a mut [Vec<StoreRec>],
-    lane_shared: &'a mut [Vec<SharedWrite>],
-    /// Linear thread id of lane 0.
-    base: i64,
-    tbx: i64,
+    file: usize,
+    sspan: usize,
+    stores: &'a mut Vec<(u32, StoreRec)>,
+    shared_writes: &'a mut Vec<(u32, SharedWrite)>,
+    tbx: usize,
     fast: bool,
-    stats: &'a mut ExecStats,
-    tel: &'a mut SimdTelemetry,
+    stats: ExecStats,
+    tel: SimdTelemetry,
+}
+
+/// How a lockstep phase ended.
+enum Lockstep {
+    /// Every thread ran off the end of the phase.
+    Done,
+    /// Every thread returned.
+    Halted,
+    /// The lanes disagree on the branch at this pc, which has not run.
+    Split(u32),
 }
 
 /// Point the masked lanes' program counters at `to`.
@@ -407,20 +565,131 @@ fn try_reconverge(converged: &mut bool, pc: &mut u32, live: u32, pcs: &[u32; WAR
     *pc = first;
 }
 
-impl WarpExec<'_, '_> {
-    /// Run one phase for the warp. `live` marks the lanes that are
-    /// in-extent and not halted by an earlier phase. Returns the mask of
-    /// lanes that hit `Halt` during this phase.
-    fn run_phase(
+/// Move `recs` out in thread order, each thread's in the order it made
+/// them. Converged code records them that way already; only stores made
+/// while lanes or warps were apart need the (stable) sort.
+fn drain_thread_major<T>(recs: &mut Vec<(u32, T)>) -> impl Iterator<Item = T> + '_ {
+    if recs.windows(2).any(|w| w[0].0 > w[1].0) {
+        recs.sort_by_key(|r| r.0);
+    }
+    recs.drain(..).map(|(_, rec)| rec)
+}
+
+impl<'a> BlockExec<'a, '_> {
+    /// Run one phase for the whole block on one program counter and one
+    /// scalar file, every thread live, until the phase ends or a branch
+    /// is not unanimous.
+    fn run_lockstep(&mut self, steps: &[Step], nthreads: usize) -> Result<Lockstep, Bail> {
+        let on = Lanes::block(nthreads);
+        let (mut n_steps, mut n_uniform) = (0u64, 0u64);
+        let mut pc = 0u32;
+        let end = loop {
+            let Some(step) = steps.get(pc as usize) else {
+                break Lockstep::Done;
+            };
+            match step.op {
+                Op::Jmp { to } => pc = to,
+                Op::Br { cond, when, to } => match self.unanimous(cond, when, nthreads) {
+                    Some(true) => pc = to,
+                    Some(false) => pc += 1,
+                    // Each warp counts this branch when it resumes here.
+                    None => break Lockstep::Split(pc),
+                },
+                Op::Halt => {
+                    n_steps += 1;
+                    break Lockstep::Halted;
+                }
+                ref op => {
+                    if step.guard {
+                        self.exec_scalar(op, nthreads as u64)?;
+                    } else {
+                        self.exec_vector(op, on)?;
+                    }
+                    pc += 1;
+                }
+            }
+            n_steps += 1;
+            n_uniform += u64::from(step.uniform);
+        };
+        // One step here is one step of every warp, all lanes active.
+        let n_warps = nthreads.div_ceil(WARP) as u64;
+        self.tel.warp_steps += n_steps * n_warps;
+        self.tel.active_lane_sum += n_steps * nthreads as u64;
+        self.tel.uniform_steps += n_uniform * n_warps;
+        Ok(end)
+    }
+
+    /// Whether every thread of the block takes the branch, none does
+    /// (`Some(false)`), or they differ (`None`).
+    fn unanimous(&self, cond: Slot, when: bool, nthreads: usize) -> Option<bool> {
+        let mut verdict = None;
+        for base in (0..nthreads).step_by(WARP) {
+            let live = match nthreads - base {
+                n if n < WARP => (1u32 << n) - 1,
+                _ => FULL,
+            };
+            let jump = self.jump_mask(cond, when, base, live);
+            let all = jump == live;
+            if !(all || jump == 0) || verdict.is_some_and(|v| v != all) {
+                return None;
+            }
+            verdict = Some(all);
+            if cond.is_scalar() {
+                // One value, one answer for the block.
+                break;
+            }
+        }
+        verdict
+    }
+
+    /// Give every warp its copy of the block's scalar file.
+    fn fork_scalar_file(&mut self, n_warps: usize) {
+        for w in 1..n_warps {
+            self.sf.copy_within(..self.sspan, w * self.sspan);
+            self.si.copy_within(..self.sspan, w * self.sspan);
+        }
+    }
+
+    /// Whether the warps' scalar files are bit for bit the first one.
+    fn scalar_files_agree(&self, n_warps: usize) -> bool {
+        let (sf0, si0) = (&self.sf[..self.sspan], &self.si[..self.sspan]);
+        (1..n_warps).all(|w| {
+            let file = w * self.sspan..(w + 1) * self.sspan;
+            self.si[file.clone()] == *si0
+                && self.sf[file]
+                    .iter()
+                    .zip(sf0)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        })
+    }
+
+    /// Commit the phase's shared stores to the tiles and move its global
+    /// stores to the block journal, both in thread order: thread order is
+    /// the serial engine's order, so the journal and the tiles end up
+    /// exactly as it leaves them.
+    fn drain_stores(&mut self, journal: &mut Vec<StoreRec>) {
+        for (sb, i, v) in drain_thread_major(self.shared_writes) {
+            self.shared[sb as usize][i] = v;
+        }
+        journal.extend(drain_thread_major(self.stores));
+    }
+
+    /// Run one phase from `from` for the warp whose lane 0 is thread
+    /// `base`, on the scalar file `self.file` names. `live` marks the
+    /// lanes that are in-extent and not halted by an earlier phase.
+    /// Returns the mask of lanes that hit `Halt` during this phase.
+    fn run_warp(
         &mut self,
         steps: &[Step],
+        base: usize,
         mut live: u32,
+        from: u32,
         pcs: &mut [u32; WARP],
     ) -> Result<u32, Bail> {
         let len = steps.len() as u32;
         let mut halted = 0u32;
         let mut converged = true;
-        let mut pc = 0u32;
+        let mut pc = from;
         let mut live_lanes = u64::from(live.count_ones());
         // Telemetry (steps are 1:1 with source-tape instructions), flushed
         // once per phase.
@@ -467,7 +736,7 @@ impl WarpExec<'_, '_> {
                     }
                 }
                 Op::Br { cond, when, to } => {
-                    let jump = self.jump_mask(cond, when, mask);
+                    let jump = self.jump_mask(cond, when, base, mask);
                     Self::branch(&mut converged, &mut pc, pcs, mask, jump, to, cur);
                 }
                 Op::Halt => {
@@ -489,7 +758,7 @@ impl WarpExec<'_, '_> {
                         }
                         self.exec_scalar(op, active)?;
                     } else {
-                        self.exec_vector(op, mask, active)?;
+                        self.exec_vector(op, Lanes::warp(base, mask))?;
                     }
                     if converged {
                         pc = cur + 1;
@@ -508,18 +777,19 @@ impl WarpExec<'_, '_> {
         Ok(halted)
     }
 
-    /// Lanes of `mask` whose condition equals `when`; all or none of
-    /// them when the condition lives in the scalar file.
+    /// Lanes of `mask`, in the warp whose lane 0 is thread `base`, whose
+    /// condition equals `when`; all or none of them when the condition
+    /// lives in the scalar file.
     #[inline(always)]
-    fn jump_mask(&self, cond: Slot, when: bool, mask: u32) -> u32 {
+    fn jump_mask(&self, cond: Slot, when: bool, base: usize, mask: u32) -> u32 {
         if cond.is_scalar() {
             return if self.s_t(cond) == when { mask } else { 0 };
         }
-        let t = self.ld_t(cond);
+        let on = Lanes::warp(base, FULL);
         let mut jump = 0u32;
-        for (l, t) in t.iter().enumerate() {
-            jump |= u32::from((*t != 0) == when) << l;
-        }
+        with_t!(self, cond, on, |t| for k in 0..WARP {
+            jump |= u32::from(t(k) == when) << k;
+        });
         jump & mask
     }
 
@@ -561,9 +831,9 @@ impl WarpExec<'_, '_> {
     fn s_f(&self, a: Slot) -> f32 {
         debug_assert!(a.is_scalar());
         if a.is_float() {
-            self.sf[a.idx()]
+            self.sf[self.file + a.idx()]
         } else {
-            self.si[a.idx()] as f32
+            self.si[self.file + a.idx()] as f32
         }
     }
 
@@ -572,9 +842,9 @@ impl WarpExec<'_, '_> {
     fn s_i(&self, a: Slot) -> i64 {
         debug_assert!(a.is_scalar());
         if a.is_float() {
-            self.sf[a.idx()] as i64
+            self.sf[self.file + a.idx()] as i64
         } else {
-            self.si[a.idx()]
+            self.si[self.file + a.idx()]
         }
     }
 
@@ -583,57 +853,39 @@ impl WarpExec<'_, '_> {
     fn s_t(&self, a: Slot) -> bool {
         debug_assert!(a.is_scalar());
         if a.is_float() {
-            self.sf[a.idx()] != 0.0
+            self.sf[self.file + a.idx()] != 0.0
         } else {
-            self.si[a.idx()] != 0
+            self.si[self.file + a.idx()] != 0
         }
     }
 
-    /// All lanes of `a` as `as_f32`; a scalar-file value is splatted.
+    /// The lanes `on` spans of the `f32` row of vector-file slot `a`.
     #[inline(always)]
-    fn ld_f(&self, a: Slot) -> [f32; WARP] {
-        match (a.is_scalar(), a.is_float()) {
-            (true, _) => [self.s_f(a); WARP],
-            (false, true) => group(self.vf, a.idx()),
-            (false, false) => group(self.vi, a.idx()).map(|i| i as f32),
-        }
+    fn frow(&self, a: Slot, on: Lanes) -> &'a [Cell<f32>] {
+        let row = a.idx() * self.lanes;
+        &self.vf[row + on.lo..row + on.hi]
     }
 
-    /// All lanes of `a` as `as_i64`.
+    /// The lanes `on` spans of the `i64` row of vector-file slot `a`.
     #[inline(always)]
-    fn ld_i(&self, a: Slot) -> [i64; WARP] {
-        match (a.is_scalar(), a.is_float()) {
-            (true, _) => [self.s_i(a); WARP],
-            (false, false) => group(self.vi, a.idx()),
-            (false, true) => group(self.vf, a.idx()).map(|f| f as i64),
-        }
-    }
-
-    /// All lanes of `a` as `as_bool`, 0/1.
-    #[inline(always)]
-    fn ld_t(&self, a: Slot) -> [i64; WARP] {
-        match (a.is_scalar(), a.is_float()) {
-            (true, _) => [self.s_t(a) as i64; WARP],
-            (false, false) => group(self.vi, a.idx()).map(|i| (i != 0) as i64),
-            (false, true) => group(self.vf, a.idx()).map(|f| (f != 0.0) as i64),
-        }
+    fn irow(&self, a: Slot, on: Lanes) -> &'a [Cell<i64>] {
+        let row = a.idx() * self.lanes;
+        &self.vi[row + on.lo..row + on.hi]
     }
 
     // --- typed maps: `S` picks the file of `dst` at compile time, so one
     // table of closures serves the scalar file (one value, all operands
-    // scalar) and the vector file (sixteen lanes) ---
+    // scalar) and the vector file (the lanes of `on`) ---
 
     /// `dst = f(a)` over `f32`.
     #[inline(always)]
-    fn map_f<const S: bool>(&mut self, dst: Slot, a: Slot, mask: u32, f: impl Fn(f32) -> f32) {
+    fn map_f<const S: bool>(&mut self, dst: Slot, a: Slot, on: Lanes, f: impl Fn(f32) -> f32) {
         if S {
-            self.sf[dst.idx()] = f(self.s_f(a));
+            self.sf[self.file + dst.idx()] = f(self.s_f(a));
             return;
         }
-        let x = self.ld_f(a);
-        let mut r = [0.0f32; WARP];
-        lanes!(mask, l => { r[l] = f(x[l]); });
-        put(self.vf, dst.idx(), &r, mask);
+        let d = self.frow(dst, on);
+        with_f!(self, a, on, |x| lanes!(on, k => { d[k].set(f(x(k))); }));
     }
 
     /// `dst = f(a, b)` over `f32`.
@@ -643,17 +895,17 @@ impl WarpExec<'_, '_> {
         dst: Slot,
         a: Slot,
         b: Slot,
-        mask: u32,
+        on: Lanes,
         f: impl Fn(f32, f32) -> f32,
     ) {
         if S {
-            self.sf[dst.idx()] = f(self.s_f(a), self.s_f(b));
+            self.sf[self.file + dst.idx()] = f(self.s_f(a), self.s_f(b));
             return;
         }
-        let (x, y) = (self.ld_f(a), self.ld_f(b));
-        let mut r = [0.0f32; WARP];
-        lanes!(mask, l => { r[l] = f(x[l], y[l]); });
-        put(self.vf, dst.idx(), &r, mask);
+        let d = self.frow(dst, on);
+        with_f!(self, a, on, |x| with_f!(self, b, on, |y| lanes!(on, k => {
+            d[k].set(f(x(k), y(k)));
+        })));
     }
 
     /// `dst = f(a, b)`: a comparison through `f32`, like `eval_binop`.
@@ -663,17 +915,17 @@ impl WarpExec<'_, '_> {
         dst: Slot,
         a: Slot,
         b: Slot,
-        mask: u32,
+        on: Lanes,
         f: impl Fn(f32, f32) -> bool,
     ) {
         if S {
-            self.si[dst.idx()] = f(self.s_f(a), self.s_f(b)) as i64;
+            self.si[self.file + dst.idx()] = f(self.s_f(a), self.s_f(b)) as i64;
             return;
         }
-        let (x, y) = (self.ld_f(a), self.ld_f(b));
-        let mut r = [0i64; WARP];
-        lanes!(mask, l => { r[l] = f(x[l], y[l]) as i64; });
-        put(self.vi, dst.idx(), &r, mask);
+        let d = self.irow(dst, on);
+        with_f!(self, a, on, |x| with_f!(self, b, on, |y| lanes!(on, k => {
+            d[k].set(f(x(k), y(k)) as i64);
+        })));
     }
 
     /// `dst = f(a, b)` over `i64`; `f` also says whether the scalar
@@ -686,21 +938,19 @@ impl WarpExec<'_, '_> {
         dst: Slot,
         a: Slot,
         b: Slot,
-        mask: u32,
+        on: Lanes,
         f: impl Fn(i64, i64) -> (i64, bool),
     ) -> Result<(), Bail> {
         let mut bad = false;
         if S {
-            (self.si[dst.idx()], bad) = f(self.s_i(a), self.s_i(b));
+            (self.si[self.file + dst.idx()], bad) = f(self.s_i(a), self.s_i(b));
         } else {
-            let (x, y) = (self.ld_i(a), self.ld_i(b));
-            let mut r = [0i64; WARP];
-            lanes!(mask, l => {
-                let (v, o) = f(x[l], y[l]);
-                r[l] = v;
+            let d = self.irow(dst, on);
+            with_i!(self, a, on, |x| with_i!(self, b, on, |y| lanes!(on, k => {
+                let (v, o) = f(x(k), y(k));
+                d[k].set(v);
                 bad |= o;
-            });
-            put(self.vi, dst.idx(), &r, mask);
+            })));
         }
         if bad {
             return Err(Bail);
@@ -710,47 +960,52 @@ impl WarpExec<'_, '_> {
 
     /// `Cvt`: copy or convert `a` into `dst`'s slab, or its truth value.
     #[inline(always)]
-    fn cvt<const S: bool>(&mut self, dst: Slot, a: Slot, truth: bool, mask: u32) {
-        let d = dst.idx();
+    fn cvt<const S: bool>(&mut self, dst: Slot, a: Slot, truth: bool, on: Lanes) {
+        let s = self.file + dst.idx();
         match (truth, dst.is_float()) {
-            (true, _) if S => self.si[d] = self.s_t(a) as i64,
-            (false, true) if S => self.sf[d] = self.s_f(a),
-            (false, false) if S => self.si[d] = self.s_i(a),
+            (true, _) if S => self.si[s] = self.s_t(a) as i64,
+            (false, true) if S => self.sf[s] = self.s_f(a),
+            (false, false) if S => self.si[s] = self.s_i(a),
             (true, _) => {
-                let r = self.ld_t(a);
-                put(self.vi, d, &r, mask);
+                let d = self.irow(dst, on);
+                with_t!(self, a, on, |t| lanes!(on, k => { d[k].set(t(k) as i64); }));
             }
             (false, true) => {
-                let r = self.ld_f(a);
-                put(self.vf, d, &r, mask);
+                let d = self.frow(dst, on);
+                with_f!(self, a, on, |x| lanes!(on, k => { d[k].set(x(k)); }));
             }
             (false, false) => {
-                let r = self.ld_i(a);
-                put(self.vi, d, &r, mask);
+                let d = self.irow(dst, on);
+                with_i!(self, a, on, |x| lanes!(on, k => { d[k].set(x(k)); }));
             }
         }
     }
 
     /// The unary table. Every arm mirrors `eval_unop` / `eval_mathfn`.
     #[inline(always)]
-    fn un<const S: bool>(&mut self, f: UnFn, dst: Slot, a: Slot, mask: u32) -> Result<(), Bail> {
+    fn un<const S: bool>(&mut self, f: UnFn, dst: Slot, a: Slot, on: Lanes) -> Result<(), Bail> {
         match f {
-            UnFn::NegI => return self.map_ii::<S>(dst, a, a, mask, |x, _| x.overflowing_neg()),
-            UnFn::Not if S => self.si[dst.idx()] = !self.s_t(a) as i64,
+            UnFn::NegI => return self.map_ii::<S>(dst, a, a, on, |x, _| x.overflowing_neg()),
+            UnFn::Not if S => self.si[self.file + dst.idx()] = !self.s_t(a) as i64,
             UnFn::Not => {
-                let r = self.ld_t(a).map(|t| 1 - t);
-                put(self.vi, dst.idx(), &r, mask);
+                let d = self.irow(dst, on);
+                with_t!(
+                    self,
+                    a,
+                    on,
+                    |t| lanes!(on, k => { d[k].set(!t(k) as i64); })
+                );
             }
-            UnFn::NegF => self.map_f::<S>(dst, a, mask, |x| -x),
-            UnFn::Exp => self.map_f::<S>(dst, a, mask, f32::exp),
-            UnFn::Log => self.map_f::<S>(dst, a, mask, f32::ln),
-            UnFn::Sqrt => self.map_f::<S>(dst, a, mask, f32::sqrt),
-            UnFn::Rsqrt => self.map_f::<S>(dst, a, mask, |x| 1.0 / x.sqrt()),
-            UnFn::Abs => self.map_f::<S>(dst, a, mask, f32::abs),
-            UnFn::Sin => self.map_f::<S>(dst, a, mask, f32::sin),
-            UnFn::Cos => self.map_f::<S>(dst, a, mask, f32::cos),
-            UnFn::Floor => self.map_f::<S>(dst, a, mask, f32::floor),
-            UnFn::Round => self.map_f::<S>(dst, a, mask, f32::round),
+            UnFn::NegF => self.map_f::<S>(dst, a, on, |x| -x),
+            UnFn::Exp => self.map_f::<S>(dst, a, on, f32::exp),
+            UnFn::Log => self.map_f::<S>(dst, a, on, f32::ln),
+            UnFn::Sqrt => self.map_f::<S>(dst, a, on, f32::sqrt),
+            UnFn::Rsqrt => self.map_f::<S>(dst, a, on, |x| 1.0 / x.sqrt()),
+            UnFn::Abs => self.map_f::<S>(dst, a, on, f32::abs),
+            UnFn::Sin => self.map_f::<S>(dst, a, on, f32::sin),
+            UnFn::Cos => self.map_f::<S>(dst, a, on, f32::cos),
+            UnFn::Floor => self.map_f::<S>(dst, a, on, f32::floor),
+            UnFn::Round => self.map_f::<S>(dst, a, on, f32::round),
         }
         Ok(())
     }
@@ -764,54 +1019,54 @@ impl WarpExec<'_, '_> {
         dst: Slot,
         a: Slot,
         b: Slot,
-        mask: u32,
+        on: Lanes,
     ) -> Result<(), Bail> {
         match f {
-            BinFn::AddI => return self.map_ii::<S>(dst, a, b, mask, i64::overflowing_add),
-            BinFn::SubI => return self.map_ii::<S>(dst, a, b, mask, i64::overflowing_sub),
-            BinFn::MulI => return self.map_ii::<S>(dst, a, b, mask, i64::overflowing_mul),
+            BinFn::AddI => return self.map_ii::<S>(dst, a, b, on, i64::overflowing_add),
+            BinFn::SubI => return self.map_ii::<S>(dst, a, b, on, i64::overflowing_sub),
+            BinFn::MulI => return self.map_ii::<S>(dst, a, b, on, i64::overflowing_mul),
             BinFn::DivI => {
-                return self.map_ii::<S>(dst, a, b, mask, |x, y| checked(x.checked_div(y)))
+                return self.map_ii::<S>(dst, a, b, on, |x, y| checked(x.checked_div(y)))
             }
             BinFn::RemI => {
-                return self.map_ii::<S>(dst, a, b, mask, |x, y| checked(x.checked_rem(y)))
+                return self.map_ii::<S>(dst, a, b, on, |x, y| checked(x.checked_rem(y)))
             }
-            BinFn::MinI => return self.map_ii::<S>(dst, a, b, mask, |x, y| (x.min(y), false)),
-            BinFn::MaxI => return self.map_ii::<S>(dst, a, b, mask, |x, y| (x.max(y), false)),
-            BinFn::LeI => {
-                return self.map_ii::<S>(dst, a, b, mask, |x, y| ((x <= y) as i64, false))
-            }
-            BinFn::AddF => self.map_ff::<S>(dst, a, b, mask, |x, y| x + y),
-            BinFn::SubF => self.map_ff::<S>(dst, a, b, mask, |x, y| x - y),
-            BinFn::MulF => self.map_ff::<S>(dst, a, b, mask, |x, y| x * y),
-            BinFn::DivF => self.map_ff::<S>(dst, a, b, mask, |x, y| x / y),
-            BinFn::MinF => self.map_ff::<S>(dst, a, b, mask, f32::min),
-            BinFn::MaxF => self.map_ff::<S>(dst, a, b, mask, f32::max),
-            BinFn::PowF => self.map_ff::<S>(dst, a, b, mask, f32::powf),
-            BinFn::Eq => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x == y),
-            BinFn::Ne => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x != y),
-            BinFn::Lt => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x < y),
-            BinFn::Le => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x <= y),
-            BinFn::Gt => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x > y),
-            BinFn::Ge => self.cmp_ff::<S>(dst, a, b, mask, |x, y| x >= y),
+            BinFn::MinI => return self.map_ii::<S>(dst, a, b, on, |x, y| (x.min(y), false)),
+            BinFn::MaxI => return self.map_ii::<S>(dst, a, b, on, |x, y| (x.max(y), false)),
+            BinFn::LeI => return self.map_ii::<S>(dst, a, b, on, |x, y| ((x <= y) as i64, false)),
+            BinFn::AddF => self.map_ff::<S>(dst, a, b, on, |x, y| x + y),
+            BinFn::SubF => self.map_ff::<S>(dst, a, b, on, |x, y| x - y),
+            BinFn::MulF => self.map_ff::<S>(dst, a, b, on, |x, y| x * y),
+            BinFn::DivF => self.map_ff::<S>(dst, a, b, on, |x, y| x / y),
+            BinFn::MinF => self.map_ff::<S>(dst, a, b, on, f32::min),
+            BinFn::MaxF => self.map_ff::<S>(dst, a, b, on, f32::max),
+            BinFn::PowF => self.map_ff::<S>(dst, a, b, on, f32::powf),
+            BinFn::Eq => self.cmp_ff::<S>(dst, a, b, on, |x, y| x == y),
+            BinFn::Ne => self.cmp_ff::<S>(dst, a, b, on, |x, y| x != y),
+            BinFn::Lt => self.cmp_ff::<S>(dst, a, b, on, |x, y| x < y),
+            BinFn::Le => self.cmp_ff::<S>(dst, a, b, on, |x, y| x <= y),
+            BinFn::Gt => self.cmp_ff::<S>(dst, a, b, on, |x, y| x > y),
+            BinFn::Ge => self.cmp_ff::<S>(dst, a, b, on, |x, y| x >= y),
         }
         Ok(())
     }
 
     /// Execute one op that writes the scalar file: once, on behalf of the
-    /// `active` lanes that are all here (the caller checked).
+    /// `active` threads that are all here (the caller checked).
     #[inline(always)]
     fn exec_scalar(&mut self, op: &Op, active: u64) -> Result<(), Bail> {
+        // No lanes: a scalar-file op reads and writes the scalar file only.
+        let on = Lanes::block(0);
         match *op {
-            Op::Cvt { dst, a, truth } => self.cvt::<true>(dst, a, truth, FULL),
-            Op::Un { f, dst, a } => return self.un::<true>(f, dst, a, FULL),
-            Op::Bin { f, dst, a, b } => return self.bin::<true>(f, dst, a, b, FULL),
+            Op::Cvt { dst, a, truth } => self.cvt::<true>(dst, a, truth, on),
+            Op::Un { f, dst, a } => return self.un::<true>(f, dst, a, on),
+            Op::Bin { f, dst, a, b } => return self.bin::<true>(f, dst, a, b, on),
             Op::CLoad { dst, cb, idx } => {
-                // One load serves the warp; one count per thread served.
+                // One load serves them all; one count per thread served.
                 self.stats.const_loads += active;
                 let data = &self.prog.consts[cb as usize].data;
                 let i = self.s_i(idx).clamp(0, data.len() as i64 - 1);
-                self.sf[dst.idx()] = data[i as usize];
+                self.sf[self.file + dst.idx()] = data[i as usize];
             }
             // The lowering puts no other definition in the scalar file.
             _ => return Err(Bail),
@@ -819,142 +1074,149 @@ impl WarpExec<'_, '_> {
         Ok(())
     }
 
-    /// Execute one non-control op for every lane in `mask` (`active` of
-    /// them). Every arm mirrors the corresponding scalar `exec_tape` arm
-    /// exactly, including the order and conditions of stat counting.
-    fn exec_vector(&mut self, op: &Op, mask: u32, active: u64) -> Result<(), Bail> {
+    /// Execute one non-control op for the lanes `on`. Every arm mirrors
+    /// the corresponding scalar `exec_tape` arm exactly, including the
+    /// order and conditions of stat counting.
+    fn exec_vector(&mut self, op: &Op, on: Lanes) -> Result<(), Bail> {
         match *op {
             Op::Bail => return Err(Bail),
-            Op::Cvt { dst, a, truth } => self.cvt::<false>(dst, a, truth, mask),
-            Op::Un { f, dst, a } => return self.un::<false>(f, dst, a, mask),
-            Op::Bin { f, dst, a, b } => return self.bin::<false>(f, dst, a, b, mask),
+            Op::Cvt { dst, a, truth } => self.cvt::<false>(dst, a, truth, on),
+            Op::Un { f, dst, a } => return self.un::<false>(f, dst, a, on),
+            Op::Bin { f, dst, a, b } => return self.bin::<false>(f, dst, a, b, on),
             Op::Tid { dst, axis } => {
-                let mut r = [0i64; WARP];
-                for (l, r) in r.iter_mut().enumerate() {
-                    let t = self.base + l as i64;
-                    *r = if axis == 0 {
-                        t % self.tbx
-                    } else {
-                        t / self.tbx
-                    };
+                // Walk (x, y) along the span: one division, not one per
+                // lane.
+                let d = self.irow(dst, on);
+                let (mut x, mut y) = (on.lo % self.tbx, on.lo / self.tbx);
+                for (k, d) in d.iter().enumerate() {
+                    if on.has(k) {
+                        d.set(if axis == 0 { x } else { y } as i64);
+                    }
+                    x += 1;
+                    if x == self.tbx {
+                        (x, y) = (0, y + 1);
+                    }
                 }
-                put(self.vi, dst.idx(), &r, mask);
             }
             Op::Load { dst, buf, idx, tex } => {
-                let b = &self.bufs[buf as usize];
+                let data = self.bufs[buf as usize].data;
                 if tex {
-                    self.stats.tex_fetches += active;
+                    self.stats.tex_fetches += on.count();
                 } else {
-                    self.stats.global_loads += active;
+                    self.stats.global_loads += on.count();
                 }
-                let i = self.ld_i(idx);
-                let mut r = [0.0f32; WARP];
+                let d = self.frow(dst, on);
                 let mut oob = 0u64;
-                lanes!(mask, l => {
+                with_i!(self, idx, on, |i| lanes!(on, k => {
                     // Negative indices wrap to huge usize values, so one
                     // `get` covers both OOB directions.
-                    r[l] = match b.data.get(i[l] as usize) {
+                    d[k].set(match data.get(i(k) as usize) {
                         Some(v) => *v,
                         None => {
                             oob += 1;
-                            b.data[i[l].clamp(0, b.data.len() as i64 - 1) as usize]
+                            data[i(k).clamp(0, data.len() as i64 - 1) as usize]
                         }
-                    };
-                });
+                    });
+                }));
                 self.stats.oob_reads += oob;
-                put(self.vf, dst.idx(), &r, mask);
             }
             Op::Store { buf, idx, val } => {
-                self.stats.global_stores += active;
+                self.stats.global_stores += on.count();
                 let len = self.bufs[buf as usize].data.len();
-                let (i, v) = (self.ld_i(idx), self.ld_f(val));
-                lanes!(mask, l => {
-                    if i[l] < 0 || i[l] as usize >= len {
-                        self.stats.oob_stores += 1;
-                    } else {
-                        self.lane_stores[l].push(StoreRec {
-                            buf,
-                            idx: i[l] as u32,
-                            value: v[l],
-                        });
-                    }
-                });
+                with_i!(self, idx, on, |i| with_f!(
+                    self,
+                    val,
+                    on,
+                    |v| lanes!(on, k => {
+                        let i = i(k);
+                        if i < 0 || i as usize >= len {
+                            self.stats.oob_stores += 1;
+                        } else {
+                            let rec = StoreRec {
+                                buf,
+                                idx: i as u32,
+                                value: v(k),
+                            };
+                            self.stores.push(((on.lo + k) as u32, rec));
+                        }
+                    })
+                ));
             }
             Op::TexXy { dst, buf, x, y } => {
-                self.stats.tex_fetches += active;
+                self.stats.tex_fetches += on.count();
                 let b = &self.bufs[buf as usize];
-                let stride = b.stride as usize;
-                let (x, y) = (self.ld_i(x), self.ld_i(y));
-                let mut r = [0.0f32; WARP];
-                lanes!(mask, l => {
-                    let (xi, yi) = (x[l] as i32, y[l] as i32);
-                    r[l] = if self.fast && (xi as u32) < b.w && (yi as u32) < b.h {
-                        b.data[yi as usize * stride + xi as usize]
-                    } else {
-                        let oob = xi < 0 || yi < 0 || xi >= b.w as i32 || yi >= b.h as i32;
-                        match b.mode {
-                            // Exactly like the scalar arm: the border
-                            // constant is returned without any oob count.
-                            AddressMode::BorderConstant(c) if oob => c,
-                            mode => {
-                                let (ax, ay) = match mode {
-                                    AddressMode::Clamp => {
-                                        (clamp_index(xi, b.w), clamp_index(yi, b.h))
-                                    }
-                                    AddressMode::Repeat => {
-                                        (repeat_index(xi, b.w), repeat_index(yi, b.h))
-                                    }
-                                    AddressMode::BorderConstant(_) => (xi, yi),
-                                    AddressMode::None => {
-                                        if oob {
-                                            self.stats.oob_reads += 1;
-                                            (clamp_index(xi, b.w), clamp_index(yi, b.h))
-                                        } else {
-                                            (xi, yi)
-                                        }
-                                    }
-                                };
-                                b.data[ay as usize * stride + ax as usize]
-                            }
-                        }
-                    };
-                });
-                put(self.vf, dst.idx(), &r, mask);
+                let d = self.frow(dst, on);
+                let mut oob = 0u64;
+                with_i!(self, x, on, |x| with_i!(self, y, on, |y| lanes!(on, k => {
+                    d[k].set(texel(b, self.fast, x(k) as i32, y(k) as i32, &mut oob));
+                })));
+                self.stats.oob_reads += oob;
             }
             Op::CLoad { dst, cb, idx } => {
-                self.stats.const_loads += active;
+                self.stats.const_loads += on.count();
                 let data = &self.prog.consts[cb as usize].data;
                 let last = data.len() as i64 - 1;
-                let r = self.ld_i(idx).map(|i| data[i.clamp(0, last) as usize]);
-                put(self.vf, dst.idx(), &r, mask);
+                let d = self.frow(dst, on);
+                with_i!(self, idx, on, |i| lanes!(on, k => {
+                    d[k].set(data[i(k).clamp(0, last) as usize]);
+                }));
             }
             Op::SLoad { dst, sb, y, x } => {
-                self.stats.shared_loads += active;
+                self.stats.shared_loads += on.count();
                 let tile = &self.shared[sb as usize];
                 let cols = self.prog.shared[sb as usize].cols as i64;
                 let last = tile.len() as i64 - 1;
-                let (y, x) = (self.ld_i(y), self.ld_i(x));
-                let mut r = [0.0f32; WARP];
-                lanes!(mask, l => {
-                    r[l] = tile[(y[l] * cols + x[l]).clamp(0, last) as usize];
-                });
-                put(self.vf, dst.idx(), &r, mask);
+                let d = self.frow(dst, on);
+                with_i!(self, y, on, |y| with_i!(self, x, on, |x| lanes!(on, k => {
+                    d[k].set(tile[(y(k) * cols + x(k)).clamp(0, last) as usize]);
+                })));
             }
             Op::SStore { sb, y, x, val } => {
-                self.stats.shared_stores += active;
+                self.stats.shared_stores += on.count();
                 let last = self.shared[sb as usize].len() as i64 - 1;
                 let cols = self.prog.shared[sb as usize].cols as i64;
-                let (y, x, v) = (self.ld_i(y), self.ld_i(x), self.ld_f(val));
-                lanes!(mask, l => {
-                    let i = (y[l] * cols + x[l]).clamp(0, last) as usize;
-                    self.lane_shared[l].push((sb, i, v[l]));
-                });
+                with_i!(self, y, on, |y| with_i!(self, x, on, |x| with_f!(
+                    self,
+                    val,
+                    on,
+                    |v| lanes!(on, k => {
+                        let i = (y(k) * cols + x(k)).clamp(0, last) as usize;
+                        self.shared_writes.push(((on.lo + k) as u32, (sb, i, v(k))));
+                    })
+                )));
             }
-            // Control flow is handled by `run_phase`.
+            // Control flow is handled by `run_lockstep` and `run_warp`.
             Op::Jmp { .. } | Op::Br { .. } | Op::Halt => {
-                unreachable!("control flow reached WarpExec::exec_vector")
+                unreachable!("control flow reached BlockExec::exec_vector")
             }
         }
         Ok(())
     }
+}
+
+/// One texel of `b` at `(xi, yi)` under its address mode, counting an
+/// out-of-range read of an unaddressed buffer in `oob_reads`. Mirrors
+/// the scalar `TexXy` arm.
+#[inline(always)]
+fn texel(b: &BufView<'_>, fast: bool, xi: i32, yi: i32, oob_reads: &mut u64) -> f32 {
+    let stride = b.stride as usize;
+    // Interior blocks skip the address-mode dispatch: any mode is the
+    // identity for in-range coordinates.
+    if fast && (xi as u32) < b.w && (yi as u32) < b.h {
+        return b.data[yi as usize * stride + xi as usize];
+    }
+    let oob = xi < 0 || yi < 0 || xi >= b.w as i32 || yi >= b.h as i32;
+    let (ax, ay) = match b.mode {
+        // Exactly like the scalar arm: the border constant is returned
+        // without any oob count.
+        AddressMode::BorderConstant(c) if oob => return c,
+        AddressMode::Clamp => (clamp_index(xi, b.w), clamp_index(yi, b.h)),
+        AddressMode::Repeat => (repeat_index(xi, b.w), repeat_index(yi, b.h)),
+        AddressMode::None if oob => {
+            *oob_reads += 1;
+            (clamp_index(xi, b.w), clamp_index(yi, b.h))
+        }
+        AddressMode::BorderConstant(_) | AddressMode::None => (xi, yi),
+    };
+    b.data[ay as usize * stride + ax as usize]
 }

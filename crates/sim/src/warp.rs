@@ -18,10 +18,15 @@
 //!   that is ⊤ or ⊥ where it is *read* makes the tape unsupported; the
 //!   launch then runs on the scalar engine, counted.
 //! * **Files** — the same pass classifies every *definition* as
-//!   warp-uniform (operands uniform, instruction pure, not
-//!   control-dependent on a varying branch) or varying. Uniform
-//!   definitions write the per-warp **scalar file** and run once per warp
-//!   step; varying ones write the 16-lane **vector file**. A register is
+//!   uniform (operands uniform, instruction pure, not control-dependent
+//!   on a varying branch) or varying. Uniform definitions write the
+//!   **scalar file** and run once per step — once for the whole block
+//!   while it is in lockstep, once per warp after it split; their only
+//!   sources are immediates, `LoadU`, `Bid` and `CLoad` at a scalar
+//!   index, so they are uniform across the *block*, which is what lets
+//!   the executor keep one scalar file per block until a branch divides
+//!   it. Varying ones write the **vector file**, a row of lanes per
+//!   register. A register is
 //!   read from the file its reaching definitions wrote; where a uniform
 //!   and a varying definition of one register meet at a join and the
 //!   register is read afterwards, the uniform definition is demoted (the
@@ -29,9 +34,9 @@
 //!   Immediates, block-uniform registers and the block index live in
 //!   read-only slots behind the registers of the scalar file.
 //!
-//! Classification can only cost time: the executor re-checks
-//! `mask == live` on every scalar-file write and abandons the block to
-//! the scalar engine when it does not hold.
+//! Classification can only cost time: after a split the executor
+//! re-checks `mask == live` on every scalar-file write and abandons the
+//! block to the scalar engine when it does not hold.
 //!
 //! Steps are 1:1 with the tape's instructions — same pcs, same jump
 //! targets — so warp telemetry counted in steps is counted in source
@@ -60,7 +65,7 @@ impl Slot {
         )
     }
 
-    /// Lives in the per-warp scalar file (else in the vector file).
+    /// Lives in the scalar file (else in the vector file).
     #[inline(always)]
     pub(crate) fn is_scalar(self) -> bool {
         self.0 & Self::SCALAR != 0
@@ -72,7 +77,7 @@ impl Slot {
         self.0 & Self::FLOAT != 0
     }
 
-    /// Slot index: the scalar-file index, or the vector-file lane group.
+    /// Slot index: the scalar-file index, or the vector-file row.
     #[inline(always)]
     pub(crate) fn idx(self) -> usize {
         (self.0 & !(Self::SCALAR | Self::FLOAT)) as usize
@@ -467,7 +472,7 @@ pub(crate) fn lower(prog: &CompiledKernel) -> Result<WarpProgram, FallbackCause>
 
 /// Deferring a lane's tile writes to the end of the phase is invisible
 /// exactly when no phase both loads and stores the *same* tile. Arrays a
-/// phase only stores commit in lane order per warp, reproducing the
+/// phase only stores commit in thread order at its end, reproducing the
 /// scalar engine's thread-major final state; arrays a phase only loads
 /// are immutable for the whole phase. The check is per shared array, not
 /// per phase: fused chains whose middle stages read the previous stage's

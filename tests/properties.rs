@@ -586,6 +586,21 @@ mod engines {
         }
     }
 
+    /// The block shapes every random kernel runs under: one row of two
+    /// warps, then shapes with several warps to a block whose rows do not
+    /// end where warps do. Rows share their `gid`s, so threads of
+    /// different warps store to one cell and only thread order decides
+    /// which value stays.
+    const BLOCK_SHAPES: [(u32, u32); 4] = [(32, 1), (32, 6), (24, 2), (8, 8)];
+
+    /// `params` once per entry of [`BLOCK_SHAPES`].
+    fn block_shapes(params: &LaunchParams) -> impl Iterator<Item = LaunchParams> + '_ {
+        BLOCK_SHAPES.into_iter().map(|block| LaunchParams {
+            block,
+            ..params.clone()
+        })
+    }
+
     /// A random kernel with the two-block launch it runs under: 48 random
     /// input elements, a zeroed output, a random `bias`.
     fn gen_launch(rng: &mut Pcg32) -> (DeviceKernelDef, DeviceMemory, LaunchParams) {
@@ -617,9 +632,9 @@ mod engines {
 
     /// If the specification or one of the two engines rejects a kernel,
     /// all three must, with the same error.
-    fn assert_same_failure([spec, bc, simd]: [Result<(), SimError>; 3], seed: u64) {
-        assert_eq!(spec, bc, "bytecode disagrees on failure [seed {seed:#x}]");
-        assert_eq!(spec, simd, "simd disagrees on failure [seed {seed:#x}]");
+    fn assert_same_failure([spec, bc, simd]: [Result<(), SimError>; 3], at: &str) {
+        assert_eq!(spec, bc, "bytecode disagrees on failure, {at}");
+        assert_eq!(spec, simd, "simd disagrees on failure, {at}");
     }
 
     #[test]
@@ -629,49 +644,53 @@ mod engines {
         let (mut ran, mut vectorized) = (0u32, 0u32);
         cases(60, |seed, rng| {
             let (k, mem, params) = gen_launch(rng);
-
-            let mut mem_tree = mem.clone();
-            let mut mem_bc = mem.clone();
-            let mut mem_simd = mem;
-            let r_tree = hipacc_sim::interp::execute(&k, &params, &mut mem_tree);
-            let r_bc = hipacc_sim::execute_bytecode(&k, &params, &mut mem_bc);
-            let r_simd = hipacc_sim::compile(&k, &params, &mem_simd)
-                .and_then(|c| c.run_instrumented(&mut mem_simd, Engine::Simd, true, None));
-            match (r_tree, r_bc, r_simd) {
-                (Ok(stats_tree), Ok(stats_bc), Ok(run_simd)) => {
-                    // No silent path: a launch either ran warp steps for
-                    // all its blocks or says how many it ran scalar, and
-                    // why.
-                    let tel = run_simd.exec.and_then(|e| e.simd).expect("simd telemetry");
-                    let by_cause: u64 = tel.fallbacks().map(|(_, n)| n).sum();
-                    assert_eq!(by_cause, tel.scalar_fallback_blocks(), "[seed {seed:#x}]");
-                    if tel.warp_steps == 0 {
+            for params in block_shapes(&params) {
+                let at = format!("block {:?} [seed {seed:#x}]", params.block);
+                let mut mem_tree = mem.clone();
+                let mut mem_bc = mem.clone();
+                let mut mem_simd = mem.clone();
+                let r_tree = hipacc_sim::interp::execute(&k, &params, &mut mem_tree);
+                let r_bc = hipacc_sim::execute_bytecode(&k, &params, &mut mem_bc);
+                let r_simd = hipacc_sim::compile(&k, &params, &mem_simd)
+                    .and_then(|c| c.run_instrumented(&mut mem_simd, Engine::Simd, true, None));
+                match (r_tree, r_bc, r_simd) {
+                    (Ok(stats_tree), Ok(stats_bc), Ok(run_simd)) => {
+                        // No silent path: every block ran in lockstep,
+                        // split, or ran scalar, and the launch says how
+                        // many did which, and why.
+                        let tel = run_simd.exec.and_then(|e| e.simd).expect("simd telemetry");
+                        let by_cause: u64 = tel.fallbacks().map(|(_, n)| n).sum();
+                        assert_eq!(by_cause, tel.scalar_fallback_blocks(), "{at}");
                         assert_eq!(
-                            tel.scalar_fallback_blocks(),
+                            tel.lockstep_blocks + tel.split_blocks + tel.scalar_fallback_blocks(),
                             2,
-                            "refused without being counted [seed {seed:#x}]"
+                            "a block is not accounted for, {at}"
                         );
+                        if tel.warp_steps == 0 {
+                            assert_eq!(
+                                tel.scalar_fallback_blocks(),
+                                2,
+                                "refused without being counted, {at}"
+                            );
+                        }
+                        ran += 1;
+                        vectorized += u32::from(tel.scalar_fallback_blocks() == 0);
+                        let stats_simd = run_simd.stats;
+                        assert_eq!(stats_tree, stats_bc, "ExecStats diverge, {at}");
+                        assert_eq!(stats_tree, stats_simd, "simd ExecStats diverge, {at}");
+                        for (engine, m) in [("bytecode", &mem_bc), ("simd", &mem_simd)] {
+                            assert!(
+                                buffer_bits(&mem_tree) == buffer_bits(m),
+                                "buffers diverge on {engine}, {at}"
+                            );
+                        }
                     }
-                    ran += 1;
-                    vectorized += u32::from(tel.scalar_fallback_blocks() == 0);
-                    let stats_simd = run_simd.stats;
-                    assert_eq!(stats_tree, stats_bc, "ExecStats diverge [seed {seed:#x}]");
-                    assert_eq!(
-                        stats_tree, stats_simd,
-                        "simd ExecStats diverge [seed {seed:#x}]"
-                    );
-                    for (engine, m) in [("bytecode", &mem_bc), ("simd", &mem_simd)] {
-                        assert!(
-                            buffer_bits(&mem_tree) == buffer_bits(m),
-                            "buffers diverge on {engine} [seed {seed:#x}]"
-                        );
-                    }
+                    (t, b, s) => assert_same_failure([t.map(drop), b.map(drop), s.map(drop)], &at),
                 }
-                (t, b, s) => assert_same_failure([t.map(drop), b.map(drop), s.map(drop)], seed),
             }
         });
         assert!(
-            vectorized * 2 >= ran && ran >= 30,
+            vectorized * 2 >= ran && ran >= 120,
             "only {vectorized} of {ran} random kernels ran on the vector path"
         );
     }
@@ -708,50 +727,51 @@ mod engines {
                 session.corrupt_memory(&mut m);
                 (m, session)
             };
-            let spec = hipacc_sim::interp::execute_blocks(&k, &params, &corrupted().0, &blocks);
-            let run = |engine: Engine| {
-                let (mut m, session) = corrupted();
-                let c = hipacc_sim::compile(&k, &params, &m)?;
-                let (stores, _) = c.run_blocks_with(&m, &blocks, engine)?;
-                let run = c.run_instrumented(&mut m, engine, true, Some(&session))?;
-                let faults = run.faults.expect("the session is armed");
-                let profile = run.exec.expect("a profile was asked for");
-                Ok((
-                    stores,
-                    profile.blocks,
-                    run.stats,
-                    faults.corrupted_blocks(),
-                    m,
-                ))
-            };
-            match (spec, run(Engine::Bytecode), run(Engine::Simd)) {
-                (Ok(spec), Ok(bc), Ok(simd)) => {
-                    let bits =
-                        |s: &hipacc_sim::RepairStore| (s.buf.clone(), s.idx, s.value.to_bits());
-                    let spec_stores: Vec<_> = spec.iter().flat_map(|(s, _)| s).map(bits).collect();
-                    for (engine, r) in [("bytecode", &bc), ("simd", &simd)] {
-                        assert_eq!(
-                            spec_stores,
-                            r.0.iter().map(bits).collect::<Vec<_>>(),
-                            "ordered stores diverge on {engine} [seed {seed:#x}]"
-                        );
-                        assert_eq!(
-                            spec.iter().map(|(_, stats)| *stats).collect::<Vec<_>>(),
-                            r.1.iter().map(|b| b.stats).collect::<Vec<_>>(),
-                            "per-block ExecStats diverge on {engine} [seed {seed:#x}]"
+            for params in block_shapes(&params) {
+                let at = format!("block {:?} [seed {seed:#x}]", params.block);
+                let spec = hipacc_sim::interp::execute_blocks(&k, &params, &corrupted().0, &blocks);
+                let run = |engine: Engine| {
+                    let (mut m, session) = corrupted();
+                    let c = hipacc_sim::compile(&k, &params, &m)?;
+                    let (stores, _) = c.run_blocks_with(&m, &blocks, engine)?;
+                    let run = c.run_instrumented(&mut m, engine, true, Some(&session))?;
+                    let faults = run.faults.expect("the session is armed");
+                    let profile = run.exec.expect("a profile was asked for");
+                    Ok((
+                        stores,
+                        profile.blocks,
+                        run.stats,
+                        faults.corrupted_blocks(),
+                        m,
+                    ))
+                };
+                match (spec, run(Engine::Bytecode), run(Engine::Simd)) {
+                    (Ok(spec), Ok(bc), Ok(simd)) => {
+                        let bits =
+                            |s: &hipacc_sim::RepairStore| (s.buf.clone(), s.idx, s.value.to_bits());
+                        let spec_stores: Vec<_> =
+                            spec.iter().flat_map(|(s, _)| s).map(bits).collect();
+                        for (engine, r) in [("bytecode", &bc), ("simd", &simd)] {
+                            assert_eq!(
+                                spec_stores,
+                                r.0.iter().map(bits).collect::<Vec<_>>(),
+                                "ordered stores diverge on {engine} {at}"
+                            );
+                            assert_eq!(
+                                spec.iter().map(|(_, stats)| *stats).collect::<Vec<_>>(),
+                                r.1.iter().map(|b| b.stats).collect::<Vec<_>>(),
+                                "per-block ExecStats diverge on {engine} {at}"
+                            );
+                        }
+                        assert_eq!(bc.2, simd.2, "faulted ExecStats diverge {at}");
+                        assert_eq!(bc.3, simd.3, "corrupted-block ledgers diverge {at}");
+                        assert!(
+                            buffer_bits(&bc.4) == buffer_bits(&simd.4),
+                            "faulted buffers diverge {at}"
                         );
                     }
-                    assert_eq!(bc.2, simd.2, "faulted ExecStats diverge [seed {seed:#x}]");
-                    assert_eq!(
-                        bc.3, simd.3,
-                        "corrupted-block ledgers diverge [seed {seed:#x}]"
-                    );
-                    assert!(
-                        buffer_bits(&bc.4) == buffer_bits(&simd.4),
-                        "faulted buffers diverge [seed {seed:#x}]"
-                    );
+                    (t, b, s) => assert_same_failure([t.map(drop), b.map(drop), s.map(drop)], &at),
                 }
-                (t, b, s) => assert_same_failure([t.map(drop), b.map(drop), s.map(drop)], seed),
             }
         });
     }

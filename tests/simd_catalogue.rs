@@ -1,8 +1,9 @@
 //! The shipped catalogue on the simd engine: every filter × four border
 //! modes × the six evaluation targets must run on the vector path — no
-//! block may fall back to the scalar engine, for any cause — and stay
-//! bit- and stat-identical to the scalar bytecode engine and, on the
-//! first target, to the tree-walking specification.
+//! block may fall back to the scalar engine, for any cause, and every
+//! block is accounted for as lockstep or split — and stay bit- and
+//! stat-identical to the scalar bytecode engine and, on the first target,
+//! to the tree-walking specification.
 
 use hipacc_core::{pipeline, Engine, KernelCache, Operator, Target};
 use hipacc_filters::bilateral::bilateral_operator;
@@ -53,6 +54,16 @@ fn catalogue(mode: BoundaryMode) -> Vec<(&'static str, Operator, Vec<&'static st
     ]
 }
 
+/// The simd engine's own account of one launch of `kernel` under `spec`.
+fn simd_telemetry(
+    kernel: &hipacc_ir::kernel::DeviceKernelDef,
+    spec: &hipacc_sim::launch::LaunchSpec<'_>,
+) -> hipacc_sim::SimdTelemetry {
+    let run = hipacc_sim::launch::run_on_image_instrumented(kernel, spec, Engine::Simd, true, None)
+        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+    run.exec.and_then(|e| e.simd).expect("simd telemetry")
+}
+
 #[test]
 fn no_shipped_filter_falls_back_to_the_scalar_engine() {
     // Not a multiple of any block size: partial warps and border blocks
@@ -97,16 +108,23 @@ fn no_shipped_filter_falls_back_to_the_scalar_engine() {
                     same_bits(&simd.output, &scalar.output),
                     "{at}: outputs differ"
                 );
+                // Every block of the launch ran in lockstep or split;
+                // the profile's share is that count over the grid.
+                let kernel = &scalar.compiled.device_kernel;
+                let spec =
+                    pipeline::launch_spec(&scalar.compiled, &inputs, &op.params, &op.mask_uploads);
+                let tel = simd_telemetry(kernel, &spec);
+                let blocks = u64::from(spec.grid.0 * spec.grid.1);
+                assert_eq!(tel.scalar_fallback_blocks(), 0, "{at}");
+                assert_eq!(tel.lockstep_blocks + tel.split_blocks, blocks, "{at}");
+                assert_eq!(
+                    profile.lockstep_block_share,
+                    Some(tel.lockstep_blocks as f64 / blocks as f64),
+                    "{at}"
+                );
                 if ti == 0 {
                     // Reference equality for the whole catalogue: the
                     // specification on the same kernel and binding.
-                    let kernel = &scalar.compiled.device_kernel;
-                    let spec = pipeline::launch_spec(
-                        &scalar.compiled,
-                        &inputs,
-                        &op.params,
-                        &op.mask_uploads,
-                    );
                     let (mut mem, params) = hipacc_sim::launch::bind(kernel, &spec).unwrap();
                     let stats = hipacc_sim::interp::execute(kernel, &params, &mut mem)
                         .unwrap_or_else(|e| panic!("{at}: specification: {e}"));
@@ -119,4 +137,36 @@ fn no_shipped_filter_falls_back_to_the_scalar_engine() {
         }
     }
     assert_eq!(launches, 6 * 4 * 15);
+}
+
+/// The `steady_gauss512` kernel: grid 16×86 of 32×6 blocks over 512 rows,
+/// 86·6 = 516, so only the 16 bottom-row blocks hold threads outside the
+/// image and split at the extent guard. Every other block — border blocks
+/// included, whose clamped taps are branch-free — runs on one program
+/// counter from start to end.
+#[test]
+fn gaussian5_at_512_splits_only_its_bottom_row_of_blocks() {
+    let img: Image<f32> = phantom::vessel_tree(512, 512, &phantom::VesselParams::default());
+    let target = Target::cuda(hipacc_hwmodel::device::tesla_c2050());
+    let mut op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
+    op.options.sim_threads = Some(2);
+    let inputs = [("Input", &img)];
+    let (run, profile) = op.execute_profiled(&inputs, &target, Engine::Simd).unwrap();
+    assert_eq!((profile.grid, profile.block), ((16, 86), (32, 6)));
+    assert_eq!(profile.lockstep_block_share, Some(1360.0 / 1376.0));
+    assert!(
+        profile.render_text().contains("lockstep: 98.8 % of blocks"),
+        "{}",
+        profile.render_text()
+    );
+    assert!(
+        profile
+            .chrome_trace()
+            .contains("\"lockstep_block_share\":\"0.9884\""),
+        "the execute span carries the share"
+    );
+    let spec = pipeline::launch_spec(&run.compiled, &inputs, &op.params, &op.mask_uploads);
+    let tel = simd_telemetry(&run.compiled.device_kernel, &spec);
+    assert_eq!((tel.lockstep_blocks, tel.split_blocks), (1360, 16));
+    assert_eq!(tel.scalar_fallback_blocks(), 0);
 }
