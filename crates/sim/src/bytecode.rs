@@ -1874,13 +1874,13 @@ pub(crate) struct BufView<'m> {
 }
 
 /// Reusable per-worker execution scratch: register files, shared-memory
-/// tiles, the store journal and (lazily) the simd engine's register
-/// files.
+/// tiles, the store journal and the simd engine's register files.
 ///
 /// One instance lives per worker for the duration of a launch and is
-/// parked in [`SCRATCH_POOL`] between launches, so steady-state frames
-/// allocate nothing in the block loop. Every per-block reset is a fill
-/// of an existing allocation, never a fresh `Vec`.
+/// parked in [`SCRATCH_POOL`] (the simd files in [`SIMD_POOL`]) between
+/// launches, so steady-state frames allocate nothing in the block loop
+/// or around it. Every per-block reset is a fill of an existing
+/// allocation, never a fresh `Vec`.
 #[derive(Default)]
 pub(crate) struct BlockScratch {
     /// Block-uniform register file (the prologue's output).
@@ -1898,8 +1898,9 @@ pub(crate) struct BlockScratch {
     pub(crate) call_scratch: Vec<Const>,
     /// The worker's store journal; blocks own disjoint ranges of it.
     pub(crate) journal: Vec<StoreRec>,
-    /// The simd engine's register files, created by the launch's first
-    /// vectorized block and dropped when the scratch is parked.
+    /// The simd engine's register files: taken from [`SIMD_POOL`] (or
+    /// created by the worker's first vectorized block) and parked there
+    /// again as soon as the worker has run its blocks.
     pub(crate) simd: Option<crate::simd::SimdScratch>,
 }
 
@@ -1918,6 +1919,22 @@ impl BlockScratch {
 /// [`CompiledKernel::scratch_key`] so reuse only happens between
 /// launches whose register files and tiles have identical shapes.
 static SCRATCH_POOL: crate::sched::ScratchPool<BlockScratch> = crate::sched::ScratchPool::new(32);
+
+/// Cross-launch pool of the simd engine's register files. A row per
+/// register per thread is 0.2–0.3 MB for a 256² stream stage and up to
+/// 0.9 MB for the catalogue's largest blocks: too much for one set per
+/// slot of [`SCRATCH_POOL`], and too much to allocate, zero and fault in
+/// for every worker of every launch (that quadrupled the page faults of
+/// a 64² stream frame). The files grow on demand and never depend on
+/// their earlier contents, so they are parked under one key whatever
+/// kernel used them, and a worker holds a set only while it runs blocks:
+/// the pool ends up with one set per host thread that does so at the
+/// same time, four under a three-stage stream on two pool workers.
+static SIMD_POOL: crate::sched::ScratchPool<crate::simd::SimdScratch> =
+    crate::sched::ScratchPool::new(8);
+
+/// The one key of [`SIMD_POOL`].
+const ANY_KERNEL: u64 = 0;
 
 /// Mutable per-block machine state, borrowing its allocations from the
 /// worker's [`BlockScratch`].
@@ -2409,6 +2426,9 @@ impl CompiledKernel {
             n_workers,
             |w| -> Result<WorkerOut, (usize, SimError)> {
                 let mut scratch = SCRATCH_POOL.checkout(key).unwrap_or_default();
+                if simd.is_some() {
+                    scratch.simd = SIMD_POOL.checkout(ANY_KERNEL);
+                }
                 let mut journal = std::mem::take(&mut scratch.journal);
                 journal.clear();
                 let mut tel = crate::sched::SimdTelemetry::default();
@@ -2447,6 +2467,12 @@ impl CompiledKernel {
                             run_one(i).map_err(|e| (i, e))?;
                         }
                     }
+                }
+                // The simd register files go back at once, not with the
+                // rest of the scratch after the commit: the fewer sets
+                // are out at one time, the fewer exist.
+                if let Some(files) = scratch.simd.take() {
+                    SIMD_POOL.publish(ANY_KERNEL, files);
                 }
                 Ok((out, journal, tel, scratch))
             },
@@ -2548,14 +2574,9 @@ impl CompiledKernel {
 
         // Park the per-worker scratch for the next launch of the same
         // geometry (journals keep their capacity, not their contents).
-        // The simd register files are not parked: a row per register per
-        // thread is up to 0.9 MB for the catalogue's largest blocks, the
-        // pool keeps 32 scratches, and sizing fresh files costs a launch
-        // about 10 µs.
         for (journal, mut scratch) in journals.into_iter().zip(scratches) {
             scratch.journal = journal;
             scratch.journal.clear();
-            scratch.simd = None;
             SCRATCH_POOL.publish(key, scratch);
         }
         Ok(crate::sched::GridRun {

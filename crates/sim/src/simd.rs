@@ -110,8 +110,9 @@ const FULL: u32 = (1u32 << WARP) - 1;
 type SharedWrite = (u16, usize, f32);
 
 /// Register files for the simd engine, owned by the worker's
-/// [`BlockScratch`]: created by a launch's first vectorized block, reused
-/// by its later ones and dropped when the scratch is parked.
+/// [`BlockScratch`] while it runs its blocks and parked in between in a
+/// small pool of their own that does not ask for a shape: the files only
+/// ever grow, so any parked set serves any kernel.
 ///
 /// Like the scalar engine's register file, a single-phase kernel's files
 /// are *not* cleared between blocks: the compiler only emits reads
@@ -139,13 +140,18 @@ pub(crate) struct SimdScratch {
 }
 
 impl SimdScratch {
-    /// Size the files on the launch's first block (every block of a
-    /// launch asks for the same sizes) and clear the per-block state.
+    /// Grow the files to at least these sizes (files parked by a launch
+    /// of a larger kernel stay as they are) and clear the per-block
+    /// state.
     fn ensure(&mut self, vector: usize, scalar: usize, nthreads: usize) {
-        self.vf.resize(vector, 0.0);
-        self.vi.resize(vector, 0);
-        self.sf.resize(scalar, 0.0);
-        self.si.resize(scalar, 0);
+        if self.vf.len() < vector {
+            self.vf.resize(vector, 0.0);
+            self.vi.resize(vector, 0);
+        }
+        if self.sf.len() < scalar {
+            self.sf.resize(scalar, 0.0);
+            self.si.resize(scalar, 0);
+        }
         self.halted.clear();
         self.halted.resize(nthreads, false);
     }
@@ -238,12 +244,13 @@ fn run_block_inner(
     let sspan = wp.scalar_len;
 
     let simd = scratch.simd.get_or_insert_with(SimdScratch::default);
-    simd.ensure(prog.n_regs.max(1) * lanes, n_warps * sspan, nthreads);
+    let vector = prog.n_regs.max(1) * lanes;
+    simd.ensure(vector, n_warps * sspan, nthreads);
     if n_phases > 1 {
         // Registers must survive barriers per thread, so multi-phase
         // files start from the scalar engine's `Const::Int(0)` fill: the
         // lowering types an unwritten register as a vector-file int.
-        simd.vi.fill(0);
+        simd.vi[..vector].fill(0);
     }
     // The read-only tail of the block's scalar file: its uniform
     // registers (in the slab their inferred tag names), its index, and
@@ -283,8 +290,8 @@ fn run_block_inner(
         prog,
         bufs,
         shared: &mut scratch.shared,
-        vf: Cell::from_mut(&mut vf[..]).as_slice_of_cells(),
-        vi: Cell::from_mut(&mut vi[..]).as_slice_of_cells(),
+        vf: Cell::from_mut(&mut vf[..vector]).as_slice_of_cells(),
+        vi: Cell::from_mut(&mut vi[..vector]).as_slice_of_cells(),
         lanes,
         sf,
         si,
