@@ -1,24 +1,29 @@
-//! Bounds analysis: interval arithmetic proving every memory access of a
-//! device kernel in range.
+//! Bounds analysis: proves every memory access of a device kernel in
+//! range, region by region.
 //!
 //! For each boundary-region seed (a rectangle of block indices — the nine
 //! specialized regions of the paper's boundary handling, Section IV-B),
-//! the pass evaluates the kernel body over integer intervals:
+//! the pass walks the kernel body with the crate's one interval
+//! interpreter, [`RangeState`] — the same state, driven through the same
+//! [`Oracle`] operations, as the IR optimizer's walker:
 //!
 //! * `threadIdx.x/y` range over `[0, blockDim-1]`, `blockIdx.x/y` over the
-//!   seed rectangle, and the geometry scalars (`width`, `is_offset_x`, …)
-//!   are points supplied by the compiler.
+//!   seed rectangle ([`RangeState::with_region`]), and the geometry
+//!   scalars (`width`, `is_offset_x`, …) are points supplied by the
+//!   compiler.
 //! * Branch conditions are *refined* into the taken branch: after
 //!   `if (gid_x >= is_offset_x + is_width) return;` the fall-through path
-//!   knows `gid_x < is_offset_x + is_width`. Refinement applies to
-//!   variables, builtins, and — via an override list keyed on structural
-//!   expression equality — arbitrary index expressions (the unrolled
-//!   staging guards compare the same `tid + step*bs` expression that later
-//!   indexes the tile).
-//! * `min`/`max` chains (clamping), `Select` chains (mirror/repeat and
-//!   constant-mode in-bounds tests, evaluated with per-branch refinement)
-//!   and loops (loop variable spans `[from.lo, to.hi]`; variables assigned
-//!   in the body widen to top) are all interpreted conservatively.
+//!   knows `gid_x < is_offset_x + is_width`. A guard decides or refines
+//!   only when both sides are provably integer and strictly inside
+//!   `±2^24`: the engines compare through `f32`
+//!   (`hipacc_ir::fold::eval_binop`), so a guard at the linear-index range
+//!   of a 4096² image does not do at runtime what its integers say, and
+//!   proves nothing here either.
+//! * Loops are walked once: the loop variable spans `[from.lo, to.hi]`
+//!   and variables assigned in the body are havocked.
+//! * A `Select` arm is checked under its refined condition, so the
+//!   Constant-mode pattern `in_bounds ? IN[idx] : k` only obliges `idx`
+//!   where the guard holds.
 //!
 //! Every `GlobalLoad`/`GlobalStore`/`TexFetch` index not provably inside
 //! the buffer raises [A0301] (a warning when the access sits on a buffer
@@ -32,36 +37,13 @@
 //! [A0303]: crate::diag#diagnostic-code-space
 
 use crate::diag::Diagnostic;
-use crate::interval::BOUND;
-use crate::{RegionSeed, VerifyInput};
-use hipacc_ir::{Builtin, Expr, MathFn, Stmt, TexCoords, UnOp};
-use std::collections::{HashMap, HashSet};
+use crate::range::RangeState;
+use crate::VerifyInput;
+use hipacc_ir::opt::Oracle;
+use hipacc_ir::{Expr, LValue, Stmt, TexCoords};
+use std::collections::HashSet;
 
 pub use crate::interval::Ival;
-
-/// The abstract store: variable intervals plus the eight builtins.
-#[derive(Clone)]
-struct Env {
-    vars: HashMap<String, Ival>,
-    builtins: [Ival; 8],
-}
-
-fn bidx(b: Builtin) -> usize {
-    match b {
-        Builtin::ThreadIdxX => 0,
-        Builtin::ThreadIdxY => 1,
-        Builtin::BlockIdxX => 2,
-        Builtin::BlockIdxY => 3,
-        Builtin::BlockDimX => 4,
-        Builtin::BlockDimY => 5,
-        Builtin::GridDimX => 6,
-        Builtin::GridDimY => 7,
-    }
-}
-
-/// Refinements for non-variable expressions, keyed on structural equality
-/// (the staging guards compare the exact index expression used later).
-type Overrides = Vec<(Expr, Ival)>;
 
 struct Ctx<'a> {
     input: &'a VerifyInput<'a>,
@@ -119,7 +101,8 @@ impl Ctx<'_> {
         let Some(&(w, h)) = self.input.buffer_dims.get(buf) else {
             return;
         };
-        if x.within(0, w - 1) && y.within(0, h - 1) {
+        // An empty coordinate means the access sits on an infeasible path.
+        if x.is_empty() || y.is_empty() || (x.within(0, w - 1) && y.within(0, h - 1)) {
             return;
         }
         let error = !self.input.oob_allowed.contains(buf);
@@ -139,7 +122,7 @@ impl Ctx<'_> {
             return;
         };
         let (rows, cols) = (decl.rows as i64, decl.cols as i64);
-        if y.within(0, rows - 1) && x.within(0, cols - 1) {
+        if y.is_empty() || x.is_empty() || (y.within(0, rows - 1) && x.within(0, cols - 1)) {
             return;
         }
         let what = if write { "store to" } else { "load from" };
@@ -180,490 +163,221 @@ impl Ctx<'_> {
     }
 }
 
-fn mentions_var(e: &Expr, name: &str) -> bool {
-    let mut m = false;
+/// Whether `e` performs a memory access anywhere inside.
+fn has_access(e: &Expr) -> bool {
+    let mut found = false;
     e.visit(&mut |n| {
-        if let Expr::Var(v) = n {
-            if v == name {
-                m = true;
-            }
-        }
+        found |= matches!(
+            n,
+            Expr::GlobalLoad { .. }
+                | Expr::TexFetch { .. }
+                | Expr::ConstLoad { .. }
+                | Expr::SharedLoad { .. }
+        )
     });
-    m
+    found
 }
 
-/// Evaluate an expression to an interval, running memory checks on every
-/// load encountered, then tighten with any matching override.
-fn eval(e: &Expr, env: &Env, ov: &Overrides, ctx: &mut Ctx<'_>) -> Ival {
-    let mut r = eval_raw(e, env, ov, ctx);
-    for (pat, iv) in ov {
-        if pat == e {
-            r = r.meet(*iv);
-        }
+/// Check every load inside `e` against the facts in `st`. Returns at
+/// once on a load-free subtree, so the state is never cloned for the
+/// `Select` arms of a pure index expression (mirror/repeat chains).
+fn check_expr(e: &Expr, st: &RangeState, ctx: &mut Ctx<'_>) {
+    if has_access(e) {
+        check_loads(e, st, ctx);
     }
-    r
 }
 
-fn eval_raw(e: &Expr, env: &Env, ov: &Overrides, ctx: &mut Ctx<'_>) -> Ival {
-    use hipacc_ir::BinOp::*;
+fn check_loads(e: &Expr, st: &RangeState, ctx: &mut Ctx<'_>) {
     match e {
-        Expr::ImmInt(v) => Ival::point(*v),
-        Expr::ImmFloat(_) | Expr::ImmBool(_) => Ival::top(),
-        Expr::Var(v) => env.vars.get(v).copied().unwrap_or_else(Ival::top),
-        Expr::Builtin(b) => env.builtins[bidx(*b)],
-        Expr::Unary(UnOp::Neg, a) => eval(a, env, ov, ctx).neg(),
-        Expr::Unary(UnOp::Not, a) => {
-            eval(a, env, ov, ctx);
-            Ival::new(0, 1)
+        Expr::Unary(_, a) | Expr::Cast(_, a) => check_loads(a, st, ctx),
+        Expr::Binary(_, a, b) => {
+            check_loads(a, st, ctx);
+            check_loads(b, st, ctx);
         }
-        Expr::Binary(op, a, b) => {
-            let ia = eval(a, env, ov, ctx);
-            let ib = eval(b, env, ov, ctx);
-            match op {
-                Add => ia.add(ib),
-                Sub => ia.sub(ib),
-                Mul => ia.mul(ib),
-                Div => ia.div(ib),
-                Rem => ia.rem(ib),
-                // Comparisons/logic produce 0/1; their refinement value
-                // comes from `truth`/`refine`, not from here.
-                Eq | Ne | Lt | Le | Gt | Ge | And | Or => Ival::new(0, 1),
-            }
-        }
-        Expr::Call(f, args) => {
-            let vals: Vec<Ival> = args.iter().map(|a| eval(a, env, ov, ctx)).collect();
-            match f {
-                MathFn::Min => vals[0].min_(vals[1]),
-                MathFn::Max => vals[0].max_(vals[1]),
-                MathFn::Abs => vals[0].abs(),
-                _ => Ival::top(),
-            }
-        }
-        Expr::Cast(_, a) => eval(a, env, ov, ctx),
+        Expr::Call(_, args) => args.iter().for_each(|a| check_loads(a, st, ctx)),
         Expr::Select(c, a, b) => {
-            // Evaluate each branch under the refined condition, so the
-            // Constant-mode pattern `in_bounds ? IN[idx] : k` only checks
-            // `idx` where the guard holds.
-            match truth(c, env, ov, ctx) {
-                Some(true) => branch_eval(c, true, a, env, ov, ctx),
-                Some(false) => branch_eval(c, false, b, env, ov, ctx),
-                None => {
-                    let ta = branch_eval(c, true, a, env, ov, ctx);
-                    let tb = branch_eval(c, false, b, env, ov, ctx);
-                    ta.join(tb)
+            check_loads(c, st, ctx);
+            // `Select` is lazy: an arm the condition rules out never
+            // runs, and the other one runs only where the condition
+            // holds.
+            let decided = st.truth(c);
+            for (want, arm) in [(true, a), (false, b)] {
+                if decided == Some(!want) || !has_access(arm) {
+                    continue;
+                }
+                let mut refined = st.clone();
+                if refined.refine(c, want) {
+                    check_loads(arm, &refined, ctx);
                 }
             }
         }
-        Expr::GlobalLoad { buf, idx } => {
-            let iv = eval(idx, env, ov, ctx);
-            if !iv.is_empty() {
-                ctx.check_linear(buf, iv, false);
-            }
-            Ival::top()
+        Expr::GlobalLoad { buf, idx }
+        | Expr::TexFetch {
+            buf,
+            coords: TexCoords::Linear(idx),
+        } => {
+            check_loads(idx, st, ctx);
+            ctx.check_linear(buf, st.interval(idx), false);
         }
-        Expr::TexFetch { buf, coords } => {
-            match coords {
-                TexCoords::Linear(idx) => {
-                    let iv = eval(idx, env, ov, ctx);
-                    if !iv.is_empty() {
-                        ctx.check_linear(buf, iv, false);
-                    }
-                }
-                TexCoords::Xy(x, y) => {
-                    let ix = eval(x, env, ov, ctx);
-                    let iy = eval(y, env, ov, ctx);
-                    if !ix.is_empty() && !iy.is_empty() {
-                        ctx.check_tex_xy(buf, ix, iy);
-                    }
-                }
-            }
-            Ival::top()
+        Expr::TexFetch {
+            buf,
+            coords: TexCoords::Xy(x, y),
+        } => {
+            check_loads(x, st, ctx);
+            check_loads(y, st, ctx);
+            ctx.check_tex_xy(buf, st.interval(x), st.interval(y));
         }
         Expr::ConstLoad { buf, idx } => {
-            let iv = eval(idx, env, ov, ctx);
-            if !iv.is_empty() {
-                ctx.check_const(buf, iv);
-            }
-            Ival::top()
+            check_loads(idx, st, ctx);
+            ctx.check_const(buf, st.interval(idx));
         }
         Expr::SharedLoad { buf, y, x } => {
-            let iy = eval(y, env, ov, ctx);
-            let ix = eval(x, env, ov, ctx);
-            if !iy.is_empty() && !ix.is_empty() {
-                ctx.check_shared(buf, iy, ix, false);
-            }
-            Ival::top()
+            check_loads(y, st, ctx);
+            check_loads(x, st, ctx);
+            ctx.check_shared(buf, st.interval(y), st.interval(x), false);
         }
-        // DSL-level nodes never reach the verifier (it runs on lowered
-        // device kernels), but evaluate conservatively anyway.
-        Expr::InputAt { .. } | Expr::MaskAt { .. } | Expr::OutputX | Expr::OutputY => Ival::top(),
+        // Leaves, and the DSL-level nodes that never reach the verifier
+        // (it runs on lowered device kernels).
+        _ => {}
     }
 }
 
-fn branch_eval(
-    cond: &Expr,
-    want: bool,
-    value: &Expr,
-    env: &Env,
-    ov: &Overrides,
-    ctx: &mut Ctx<'_>,
-) -> Ival {
-    let mut e2 = env.clone();
-    let mut o2 = ov.clone();
-    if refine(cond, want, &mut e2, &mut o2, ctx) {
-        eval(value, &e2, &o2, ctx)
-    } else {
-        Ival::empty()
-    }
-}
-
-/// Decide a condition where the intervals separate.
-fn truth(cond: &Expr, env: &Env, ov: &Overrides, ctx: &mut Ctx<'_>) -> Option<bool> {
-    use hipacc_ir::BinOp::*;
-    match cond {
-        Expr::ImmBool(b) => Some(*b),
-        Expr::Unary(UnOp::Not, a) => truth(a, env, ov, ctx).map(|b| !b),
-        Expr::Binary(And, a, b) => match (truth(a, env, ov, ctx), truth(b, env, ov, ctx)) {
-            (Some(false), _) | (_, Some(false)) => Some(false),
-            (Some(true), Some(true)) => Some(true),
-            _ => None,
-        },
-        Expr::Binary(Or, a, b) => match (truth(a, env, ov, ctx), truth(b, env, ov, ctx)) {
-            (Some(true), _) | (_, Some(true)) => Some(true),
-            (Some(false), Some(false)) => Some(false),
-            _ => None,
-        },
-        Expr::Binary(op @ (Eq | Ne | Lt | Le | Gt | Ge), a, b) => {
-            let ia = eval(a, env, ov, ctx);
-            let ib = eval(b, env, ov, ctx);
-            if ia.is_empty() || ib.is_empty() {
-                return None;
-            }
-            match op {
-                Lt => cmp_truth(ia, ib, 1),
-                Le => cmp_truth(ia, ib, 0),
-                Gt => cmp_truth(ib, ia, 1),
-                Ge => cmp_truth(ib, ia, 0),
-                Eq => {
-                    if ia.lo == ia.hi && ia == ib {
-                        Some(true)
-                    } else if ia.meet(ib).is_empty() {
-                        Some(false)
-                    } else {
-                        None
-                    }
-                }
-                Ne => {
-                    if ia.meet(ib).is_empty() {
-                        Some(true)
-                    } else if ia.lo == ia.hi && ia == ib {
-                        Some(false)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// `a < b` when `strict = 1`, `a <= b` when `strict = 0`.
-///
-/// The false side negates the comparison, which *flips* the strictness:
-/// `a <= b` is false only when `a > b` everywhere (`a.lo >= b.hi + 1`),
-/// and `a < b` is false when `a >= b` everywhere (`a.lo >= b.hi`).
-fn cmp_truth(a: Ival, b: Ival, strict: i64) -> Option<bool> {
-    if a.hi + strict <= b.lo {
-        Some(true)
-    } else if a.lo >= b.hi + 1 - strict {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Constrain `e` to lie within `iv`; returns `false` if that is infeasible
-/// (the branch is dead).
-fn constrain(e: &Expr, iv: Ival, env: &mut Env, ov: &mut Overrides, ctx: &mut Ctx<'_>) -> bool {
-    let cur = eval(e, env, ov, ctx);
-    let new = cur.meet(iv);
-    match e {
-        Expr::Var(v) => {
-            env.vars.insert(v.clone(), new);
-        }
-        Expr::Builtin(b) => env.builtins[bidx(*b)] = new,
-        Expr::ImmInt(_) => {} // a literal is already as tight as it gets
-        _ => ov.push((e.clone(), new)),
-    }
-    !new.is_empty()
-}
-
-/// Propagate a condition's truth value into the environment.
-fn refine(cond: &Expr, want: bool, env: &mut Env, ov: &mut Overrides, ctx: &mut Ctx<'_>) -> bool {
-    use hipacc_ir::BinOp::*;
-    match cond {
-        Expr::Unary(UnOp::Not, a) => refine(a, !want, env, ov, ctx),
-        Expr::Binary(And, a, b) if want => {
-            refine(a, true, env, ov, ctx) && refine(b, true, env, ov, ctx)
-        }
-        Expr::Binary(Or, a, b) if !want => {
-            refine(a, false, env, ov, ctx) && refine(b, false, env, ov, ctx)
-        }
-        Expr::Binary(op @ (Lt | Le | Gt | Ge | Eq), a, b) => {
-            // Normalize to `a REL b` with `REL` one of `<=`, `<`, `==`.
-            let (lhs, rhs, strict) = match (op, want) {
-                (Lt, true) => (&**a, &**b, 1),  // a <  b
-                (Lt, false) => (&**b, &**a, 0), // b <= a
-                (Le, true) => (&**a, &**b, 0),  // a <= b
-                (Le, false) => (&**b, &**a, 1), // b <  a
-                (Gt, true) => (&**b, &**a, 1),  // b <  a
-                (Gt, false) => (&**a, &**b, 0), // a <= b
-                (Ge, true) => (&**b, &**a, 0),  // b <= a
-                (Ge, false) => (&**a, &**b, 1), // a <  b
-                (Eq, true) => {
-                    let ia = eval(a, env, ov, ctx);
-                    let ib = eval(b, env, ov, ctx);
-                    return constrain(a, ib, env, ov, ctx) && constrain(b, ia, env, ov, ctx);
-                }
-                _ => return true, // Eq-false / Ne: no interval refinement
-            };
-            let il = eval(lhs, env, ov, ctx);
-            let ir = eval(rhs, env, ov, ctx);
-            if il.is_empty() || ir.is_empty() {
-                return false;
-            }
-            // lhs <= rhs.hi - strict, rhs >= lhs.lo + strict.
-            constrain(lhs, Ival::new(-BOUND, ir.hi - strict), env, ov, ctx)
-                && constrain(rhs, Ival::new(il.lo + strict, BOUND), env, ov, ctx)
-        }
-        _ => true, // opaque condition (boolean var, float compare, …)
-    }
-}
-
-fn join_env(a: &Env, b: &Env) -> Env {
-    let mut vars = HashMap::new();
-    for (k, va) in &a.vars {
-        if let Some(vb) = b.vars.get(k) {
-            vars.insert(k.clone(), va.join(*vb));
+/// Walk one branch arm on its own state; its top-level declarations go
+/// out of scope where it ends. Returns whether it definitely terminates.
+fn walk_arm(stmts: &[Stmt], st: &mut RangeState, ctx: &mut Ctx<'_>) -> bool {
+    let terminated = walk(stmts, st, ctx);
+    for s in stmts {
+        if let Stmt::Decl { name, .. } = s {
+            st.drop_var(name);
         }
     }
-    let mut builtins = [Ival::top(); 8];
-    for (i, slot) in builtins.iter_mut().enumerate() {
-        *slot = a.builtins[i].join(b.builtins[i]);
-    }
-    Env { vars, builtins }
-}
-
-fn join_ov(a: &Overrides, b: &Overrides) -> Overrides {
-    a.iter()
-        .filter_map(|(p, ia)| {
-            b.iter()
-                .find(|(q, _)| q == p)
-                .map(|(_, ib)| (p.clone(), ia.join(*ib)))
-        })
-        .collect()
-}
-
-fn kill_var(name: &str, ov: &mut Overrides) {
-    ov.retain(|(p, _)| !mentions_var(p, name));
-}
-
-fn assigned_vars(stmts: &[Stmt], out: &mut HashSet<String>) {
-    Stmt::visit_all(stmts, &mut |s| {
-        if let Stmt::Assign {
-            target: hipacc_ir::LValue::Var(v),
-            ..
-        } = s
-        {
-            out.insert(v.clone());
-        }
-    });
+    terminated
 }
 
 /// Walk a statement list; returns whether execution definitely terminates
 /// (reaches `Return` on every live path).
-fn walk(stmts: &[Stmt], env: &mut Env, ov: &mut Overrides, ctx: &mut Ctx<'_>) -> bool {
+fn walk(stmts: &[Stmt], st: &mut RangeState, ctx: &mut Ctx<'_>) -> bool {
     for s in stmts {
         match s {
-            Stmt::Decl { name, init, .. } => {
-                let iv = init
-                    .as_ref()
-                    .map(|e| eval(e, env, ov, ctx))
-                    .unwrap_or_else(Ival::top);
-                kill_var(name, ov);
-                env.vars.insert(name.clone(), iv);
+            Stmt::Decl { name, ty, init } => {
+                if let Some(e) = init {
+                    check_expr(e, st, ctx);
+                }
+                st.decl(name, *ty, init.as_ref());
             }
             Stmt::Assign {
-                target: hipacc_ir::LValue::Var(name),
+                target: LValue::Var(name),
                 value,
             } => {
-                let iv = eval(value, env, ov, ctx);
-                kill_var(name, ov);
-                env.vars.insert(name.clone(), iv);
+                check_expr(value, st, ctx);
+                st.assign(name, value);
             }
-            Stmt::If { cond, then, els } => match truth(cond, env, ov, ctx) {
-                Some(true) => {
-                    if refine(cond, true, env, ov, ctx) && walk(then, env, ov, ctx) {
+            Stmt::If { cond, then, els } => {
+                check_expr(cond, st, ctx);
+                if let Some(t) = st.truth(cond) {
+                    let taken = if t { then } else { els };
+                    if st.refine(cond, t) && walk_arm(taken, st, ctx) {
                         return true;
                     }
+                    continue;
                 }
-                Some(false) => {
-                    if refine(cond, false, env, ov, ctx) && walk(els, env, ov, ctx) {
-                        return true;
+                // An infeasible branch counts as terminated: nothing
+                // flows out of it.
+                let mut st_t = st.clone();
+                let t_term = !st_t.refine(cond, true) || walk_arm(then, &mut st_t, ctx);
+                let mut st_e = st.clone();
+                let e_term = !st_e.refine(cond, false) || walk_arm(els, &mut st_e, ctx);
+                match (t_term, e_term) {
+                    (true, true) => return true,
+                    // Guard-return: only the other branch falls through,
+                    // carrying its refinement forward.
+                    (true, false) => *st = st_e,
+                    (false, true) => *st = st_t,
+                    (false, false) => {
+                        *st = st_t;
+                        st.join(&st_e);
                     }
                 }
-                None => {
-                    let mut te = env.clone();
-                    let mut to = ov.clone();
-                    // An infeasible branch counts as terminated: nothing
-                    // flows out of it.
-                    let t_term = if refine(cond, true, &mut te, &mut to, ctx) {
-                        walk(then, &mut te, &mut to, ctx)
-                    } else {
-                        true
-                    };
-                    let mut ee = env.clone();
-                    let mut eo = ov.clone();
-                    let e_term = if refine(cond, false, &mut ee, &mut eo, ctx) {
-                        walk(els, &mut ee, &mut eo, ctx)
-                    } else {
-                        true
-                    };
-                    match (t_term, e_term) {
-                        (true, true) => return true,
-                        // Guard-return: only the other branch falls through,
-                        // carrying its refinement forward.
-                        (true, false) => {
-                            *env = ee;
-                            *ov = eo;
-                        }
-                        (false, true) => {
-                            *env = te;
-                            *ov = to;
-                        }
-                        (false, false) => {
-                            *env = join_env(&te, &ee);
-                            *ov = join_ov(&to, &eo);
-                        }
-                    }
-                }
-            },
+            }
             Stmt::For {
                 var,
                 from,
                 to,
                 body,
             } => {
-                let f = eval(from, env, ov, ctx);
-                let t = eval(to, env, ov, ctx);
+                check_expr(from, st, ctx);
+                check_expr(to, st, ctx);
+                // The engines run `from..=to` over integers, so the raw
+                // intervals (not an f32 comparison) decide a zero-trip loop.
+                let (f, t) = (st.interval(from), st.interval(to));
                 if f.is_empty() || t.is_empty() || f.lo > t.hi {
-                    continue; // provably zero iterations
+                    continue;
                 }
-                let mut assigned = HashSet::new();
-                assigned_vars(body, &mut assigned);
-                // Single sound pass: loop-carried variables are top, the
-                // loop variable spans every iteration at once.
-                let mut be = env.clone();
-                let mut bo = ov.clone();
+                // Single sound pass on a throwaway clone: loop-carried
+                // variables are havocked, the loop variable spans every
+                // iteration at once. The surviving state havocs the
+                // assigned set too.
+                let assigned = Stmt::assigned_names(body);
+                let mut st_b = st.clone();
                 for a in &assigned {
-                    be.vars.insert(a.clone(), Ival::top());
-                    kill_var(a, &mut bo);
+                    st_b.havoc(a);
+                    st.havoc(a);
                 }
-                kill_var(var, &mut bo);
-                be.vars.insert(var.clone(), Ival::new(f.lo, t.hi));
-                walk(body, &mut be, &mut bo, ctx);
-                for a in &assigned {
-                    env.vars.insert(a.clone(), Ival::top());
-                    kill_var(a, ov);
-                }
-                kill_var(var, ov);
-                env.vars.remove(var);
+                st_b.bind_loop(var, from, to);
+                walk(body, &mut st_b, ctx);
             }
             Stmt::Return => return true,
             Stmt::GlobalStore { buf, idx, value } => {
-                let iv = eval(idx, env, ov, ctx);
-                eval(value, env, ov, ctx);
-                if !iv.is_empty() {
-                    ctx.check_linear(buf, iv, true);
-                }
+                check_expr(idx, st, ctx);
+                check_expr(value, st, ctx);
+                ctx.check_linear(buf, st.interval(idx), true);
             }
             Stmt::SharedStore { buf, y, x, value } => {
-                let iy = eval(y, env, ov, ctx);
-                let ix = eval(x, env, ov, ctx);
-                eval(value, env, ov, ctx);
-                if !iy.is_empty() && !ix.is_empty() {
-                    ctx.check_shared(buf, iy, ix, true);
-                }
+                check_expr(y, st, ctx);
+                check_expr(x, st, ctx);
+                check_expr(value, st, ctx);
+                ctx.check_shared(buf, st.interval(y), st.interval(x), true);
             }
-            Stmt::Output(e) => {
-                eval(e, env, ov, ctx);
-            }
+            Stmt::Output(e) => check_expr(e, st, ctx),
             Stmt::Barrier | Stmt::Comment(_) => {}
         }
     }
     false
 }
 
-fn seed_env(input: &VerifyInput<'_>, seed: &RegionSeed) -> Env {
-    let (bx, by) = (input.block.0 as i64, input.block.1 as i64);
-    let (gx, gy) = (input.grid.0 as i64, input.grid.1 as i64);
-    let mut builtins = [Ival::top(); 8];
-    builtins[bidx(Builtin::ThreadIdxX)] = Ival::new(0, bx - 1);
-    builtins[bidx(Builtin::ThreadIdxY)] = Ival::new(0, by - 1);
-    builtins[bidx(Builtin::BlockIdxX)] = Ival::new(seed.bx.0, seed.bx.1);
-    builtins[bidx(Builtin::BlockIdxY)] = Ival::new(seed.by.0, seed.by.1);
-    builtins[bidx(Builtin::BlockDimX)] = Ival::point(bx);
-    builtins[bidx(Builtin::BlockDimY)] = Ival::point(by);
-    builtins[bidx(Builtin::GridDimX)] = Ival::point(gx);
-    builtins[bidx(Builtin::GridDimY)] = Ival::point(gy);
-    let vars = input
-        .scalars
-        .iter()
-        .map(|(k, &v)| (k.clone(), Ival::point(v)))
-        .collect();
-    Env { vars, builtins }
-}
-
-/// Run the bounds pass over every region seed of the input.
+/// Run the bounds pass over every region seed of the input (one
+/// full-grid walk when it names none).
 pub fn check_bounds(input: &VerifyInput<'_>) -> Vec<Diagnostic> {
-    let default_regions;
-    let regions: &[RegionSeed] = if input.regions.is_empty() {
-        default_regions = vec![RegionSeed {
-            label: None,
-            bx: (0, input.grid.0 as i64 - 1),
-            by: (0, input.grid.1 as i64 - 1),
-        }];
-        &default_regions
-    } else {
-        &input.regions
-    };
-    let mut diags = Vec::new();
-    for seed in regions {
+    let launch = RangeState::new(input.kernel, input.block, input.grid, &input.scalars);
+    let walk_region = |label: Option<&str>, mut st: RangeState| {
         let mut ctx = Ctx {
             input,
-            label: seed.label.as_deref(),
+            label,
             diags: Vec::new(),
             reported: HashSet::new(),
         };
-        let mut env = seed_env(input, seed);
-        let mut ov = Vec::new();
-        walk(&input.kernel.body, &mut env, &mut ov, &mut ctx);
-        diags.extend(ctx.diags);
+        walk(&input.kernel.body, &mut st, &mut ctx);
+        ctx.diags
+    };
+    if input.regions.is_empty() {
+        return walk_region(None, launch);
     }
-    diags
+    input
+        .regions
+        .iter()
+        .flat_map(|seed| walk_region(seed.label.as_deref(), launch.clone().with_region(seed)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VerifyInput;
+    use crate::{RegionSeed, VerifyInput};
     use hipacc_hwmodel::device as devices;
     use hipacc_ir::kernel::{
         AddressMode, BufferAccess, BufferParam, DeviceKernelDef, MemorySpace, SharedDecl,
     };
-    use hipacc_ir::ScalarType;
+    use hipacc_ir::{Builtin, ScalarType};
 
     fn gid() -> Expr {
         // blockIdx.x * blockDim.x + threadIdx.x
@@ -791,24 +505,62 @@ mod tests {
             idx: gid(),
             value: Expr::float(0.0),
         };
-        let guarded = kernel(
-            vec![
-                Stmt::If {
-                    cond: gid().ge(Expr::int(60)),
-                    then: vec![Stmt::Return],
-                    els: vec![],
-                },
-                store.clone(),
-            ],
-            vec![],
-        );
-        let unguarded = kernel(vec![store], vec![]);
-        let mut inp = input(&guarded, &dev);
+        let guarded = |limit: i64| {
+            kernel(
+                vec![
+                    Stmt::If {
+                        cond: gid().ge(Expr::int(limit)),
+                        then: vec![Stmt::Return],
+                        els: vec![],
+                    },
+                    store.clone(),
+                ],
+                vec![],
+            )
+        };
+        let k = guarded(60);
+        let mut inp = input(&k, &dev);
         inp.buffer_len.insert("OUT".into(), 60);
         assert!(check_bounds(&inp).is_empty());
+        let unguarded = kernel(vec![store.clone()], vec![]);
         let mut inp = input(&unguarded, &dev);
         inp.buffer_len.insert("OUT".into(), 60);
         assert_eq!(check_bounds(&inp)[0].code, "A0301");
+        // The largest launch whose indices f32 still tells apart: gid in
+        // [0, 2^24 - 1], and the guard proves a buffer four short of it.
+        let limit = (1 << 24) - 4;
+        let k = guarded(limit);
+        let mut inp = VerifyInput::new(&k, &dev, (16, 1), (1 << 20, 1));
+        inp.buffer_len.insert("OUT".into(), limit);
+        assert!(check_bounds(&inp).is_empty());
+    }
+
+    #[test]
+    fn guard_beyond_f32_exactness_proves_nothing() {
+        // gid reaches 2^24 + 15. The engines compare through f32, where
+        // 16777217 > 16777216 is false, so thread 16777217 passes the
+        // guard and stores one past the end of a 16777217-element buffer.
+        let dev = devices::tesla_c2050();
+        let k = kernel(
+            vec![
+                Stmt::If {
+                    cond: gid().gt(Expr::int(1 << 24)),
+                    then: vec![Stmt::Return],
+                    els: vec![],
+                },
+                Stmt::GlobalStore {
+                    buf: "OUT".into(),
+                    idx: gid(),
+                    value: Expr::float(0.0),
+                },
+            ],
+            vec![],
+        );
+        let mut inp = VerifyInput::new(&k, &dev, (16, 1), ((1 << 20) + 1, 1));
+        inp.buffer_len.insert("OUT".into(), (1 << 24) + 1);
+        let d = check_bounds(&inp);
+        assert_eq!(d.len(), 1, "the guard must not refine: {d:?}");
+        assert_eq!(d[0].code, "A0301");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The interval lattice shared by the bounds verifier ([`crate::bounds`])
-//! and the range oracle that drives the IR optimizer ([`crate::range`]).
+//! The interval lattice of the one interpreter, [`crate::range`], which
+//! both the bounds verifier ([`crate::bounds`]) and the IR optimizer run.
 //!
 //! Values are (possibly empty) inclusive integer intervals clamped to
 //! `[-BOUND, BOUND]`; arithmetic uses the standard four-corner transfer

@@ -18,14 +18,20 @@
 //!    evaluated concretely per lane of a representative block.
 //! 3. **Bounds** ([`bounds`]) — interval arithmetic with branch
 //!    refinement proves every global/texture/shared/constant access in
-//!    range for each of the nine boundary-region block rectangles.
+//!    range for each of the nine boundary-region block rectangles. The
+//!    interpreter is [`range::RangeState`], the same one the IR
+//!    optimizer queries as its oracle.
 //! 4. **Resource limits** ([`limits`]) — scratchpad (including the +1
 //!    pad column), registers, constant-mask bytes and block shape
 //!    against the abstract device model.
 //!
 //! The compiler (`hipacc-codegen`) builds a [`VerifyInput`] for every
 //! compiled kernel and calls [`verify`]; error-severity findings fail
-//! compilation, warnings ride along on the compile output.
+//! compilation, warnings ride along on the compile output. Its optimizer
+//! reuses two of the analyses rather than owning copies: [`range`] as the
+//! value-range oracle of every fact-driven pass, and [`taint`]'s
+//! thread-dependence fixpoint as the varying set branch flattening asks
+//! about.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,7 +45,6 @@ pub mod limits;
 pub mod races;
 pub mod range;
 pub mod taint;
-pub mod uniformity;
 
 pub use diag::{has_errors, Diagnostic, Severity};
 pub use interval::Ival;

@@ -1,16 +1,18 @@
-//! Value-range analysis: the interval machinery of the bounds verifier
-//! ([`crate::bounds`]) packaged as a *transforming* oracle for the IR
-//! optimizer (`hipacc_ir::opt`).
+//! Value-range analysis: the one interval interpreter of the crate. The
+//! bounds verifier ([`crate::bounds`]) *reports* with its facts and the
+//! IR optimizer (`hipacc_ir::opt`) *rewrites* with them; both drive the
+//! same [`RangeState`] through the same [`Oracle`] operations.
 //!
-//! [`RangeState`] carries the same abstract store the bounds walker
-//! uses — variable intervals, the eight launch builtins, and an
-//! override list refining arbitrary expressions by structural equality —
-//! over the shared lattice [`Ival`](crate::interval::Ival). The
-//! difference is the client: the verifier only *reports* with its
-//! facts, so imprecision is at worst a spurious diagnostic; the
-//! optimizer *rewrites* with them, so every answer must model the
-//! engines' runtime semantics exactly. That obligation is enforced
-//! here, not in the passes:
+//! [`RangeState`] is an abstract store — variable intervals, the eight
+//! launch builtins, and an override list refining arbitrary expressions
+//! by structural equality (the unrolled staging guards compare the same
+//! `tid + step*bs` expression that later indexes the tile) — over the
+//! lattice [`Ival`]. `min`/`max` chains (clamping) and `Select` chains
+//! (mirror/repeat, evaluated with per-arm refinement) are interpreted
+//! conservatively. A rewrite, and equally a proof that a guarded access
+//! is in range, holds only if every answer models the engines' runtime
+//! semantics exactly. That obligation is enforced here, not in the
+//! clients:
 //!
 //! * [`range`](RangeState::range)/[`truth`](RangeState::truth) answer
 //!   only for provably *integer-valued* expressions. Integer-ness is
@@ -27,14 +29,18 @@
 //! * `abs` is refused integer-ness even on integer input — the engines'
 //!   math-function evaluator widens it to `Float`.
 //!
-//! Everything else — branch refinement, guard-return joins, loop-body
-//! havoc — mirrors `bounds.rs` and is driven by the optimizer's shared
-//! walker through the [`Oracle`] trait.
+//! [`interval`](RangeState::interval) is the ungated abstract value of
+//! an expression, for clients that compare it against a buffer extent
+//! rather than decide a runtime comparison with it. Branch refinement,
+//! guard-return joins and loop-body havoc are driven by the client's
+//! statement walker through the [`Oracle`] trait. Block-uniformity is
+//! not computed here: a caller that wants `is_uniform` answered hands
+//! in the varying set ([`with_varying`](RangeState::with_varying)).
 //!
 //! [`Oracle`]: hipacc_ir::opt::Oracle
 
 use crate::interval::{Ival, BOUND};
-use crate::uniformity::Uniformity;
+use crate::RegionSeed;
 use hipacc_ir::kernel::DeviceKernelDef;
 use hipacc_ir::opt::Oracle;
 use hipacc_ir::{BinOp, Builtin, Expr, MathFn, ScalarType, UnOp};
@@ -88,15 +94,17 @@ pub struct RangeState {
     ints: HashMap<String, bool>,
     /// Structural-equality refinements for non-variable expressions.
     ov: Vec<(Expr, Ival)>,
-    varying: Arc<BTreeSet<String>>,
+    /// Thread-varying variable names, when the caller supplied them.
+    varying: Option<Arc<BTreeSet<String>>>,
 }
 
 impl RangeState {
     /// Seed the oracle for one kernel launch: thread indices span the
-    /// block, block indices span the *full* grid (unlike the verifier,
-    /// the optimizer transforms one body shared by every region), and
-    /// known scalar bindings become points. The uniformity fixpoint is
-    /// computed here once per pass run.
+    /// block, block indices span the *full* grid (the optimizer
+    /// transforms one body shared by every region), known scalar
+    /// bindings become points and scalar parameters take the integer
+    /// kind of their declared type. Cheap enough to clone per pass or
+    /// per region: nothing here walks the kernel body.
     pub fn new(
         kernel: &DeviceKernelDef,
         block: (u32, u32),
@@ -128,8 +136,24 @@ impl RangeState {
             vars,
             ints,
             ov: Vec::new(),
-            varying: Arc::new(Uniformity::of_body(&kernel.body).into_varying()),
+            varying: None,
         }
+    }
+
+    /// Restrict `blockIdx` to one boundary-region block rectangle (the
+    /// verifier proves each of the nine regions on its own).
+    pub fn with_region(mut self, seed: &RegionSeed) -> RangeState {
+        self.builtins[bidx(Builtin::BlockIdxX)] = Ival::new(seed.bx.0, seed.bx.1);
+        self.builtins[bidx(Builtin::BlockIdxY)] = Ival::new(seed.by.0, seed.by.1);
+        self
+    }
+
+    /// Supply the thread-varying variable set of the body about to be
+    /// walked ([`crate::taint::thread_dependent_vars`]). Without one,
+    /// `is_uniform` answers the trait's safe default `false`.
+    pub fn with_varying(mut self, varying: BTreeSet<String>) -> RangeState {
+        self.varying = Some(Arc::new(varying));
+        self
     }
 
     /// Whether `e` provably produces an integer `Const` at runtime.
@@ -151,7 +175,11 @@ impl RangeState {
         }
     }
 
-    fn eval(&self, e: &Expr) -> Ival {
+    /// The abstract value of `e`: its raw interval tightened by any
+    /// matching override. Unlike [`range`](Self::range) this is not
+    /// gated on integer-ness or exactness — top for anything unknown,
+    /// empty on an infeasible path.
+    pub fn interval(&self, e: &Expr) -> Ival {
         let mut r = self.eval_raw(e);
         for (pat, iv) in &self.ov {
             if pat == e {
@@ -168,11 +196,11 @@ impl RangeState {
             Expr::ImmFloat(_) | Expr::ImmBool(_) => Ival::top(),
             Expr::Var(v) => self.vars.get(v).copied().unwrap_or_else(Ival::top),
             Expr::Builtin(b) => self.builtins[bidx(*b)],
-            Expr::Unary(UnOp::Neg, a) => self.eval(a).neg(),
+            Expr::Unary(UnOp::Neg, a) => self.interval(a).neg(),
             Expr::Unary(UnOp::Not, _) => Ival::new(0, 1),
             Expr::Binary(op, a, b) => {
-                let ia = self.eval(a);
-                let ib = self.eval(b);
+                let ia = self.interval(a);
+                let ib = self.interval(b);
                 match op {
                     Add => ia.add(ib),
                     Sub => ia.sub(ib),
@@ -183,7 +211,7 @@ impl RangeState {
                 }
             }
             Expr::Call(f, args) => {
-                let vals: Vec<Ival> = args.iter().map(|a| self.eval(a)).collect();
+                let vals: Vec<Ival> = args.iter().map(|a| self.interval(a)).collect();
                 match f {
                     MathFn::Min => vals[0].min_(vals[1]),
                     MathFn::Max => vals[0].max_(vals[1]),
@@ -192,7 +220,7 @@ impl RangeState {
                 }
             }
             Expr::Cast(ty, a) => {
-                let iv = self.eval(a);
+                let iv = self.interval(a);
                 match ty {
                     ScalarType::I32 | ScalarType::U32 => iv,
                     // f32 rounds integers above 2^24: only narrow
@@ -223,17 +251,66 @@ impl RangeState {
 
     fn branch_eval(&self, cond: &Expr, want: bool, value: &Expr) -> Ival {
         let mut s2 = self.clone();
-        if s2.refine_inner(cond, want) {
-            s2.eval(value)
+        if s2.refine(cond, want) {
+            s2.interval(value)
         } else {
             Ival::empty()
         }
     }
 
+    fn constrain(&mut self, e: &Expr, iv: Ival) -> bool {
+        let cur = self.interval(e);
+        let new = cur.meet(iv);
+        match e {
+            Expr::Var(v) => {
+                self.vars.insert(v.clone(), new);
+            }
+            Expr::Builtin(b) => self.builtins[bidx(*b)] = new,
+            Expr::ImmInt(_) => {}
+            _ => self.ov.push((e.clone(), new)),
+        }
+        !new.is_empty()
+    }
+
+    fn kill(&mut self, name: &str) {
+        self.ov.retain(|(p, _)| !mentions_var(p, name));
+    }
+}
+
+/// `a < b` when `strict = 1`, `a <= b` when `strict = 0`.
+///
+/// The false side negates the comparison, which *flips* the strictness:
+/// `a <= b` is false only when `a > b` everywhere (`a.lo >= b.hi + 1`),
+/// and `a < b` is false when `a >= b` everywhere (`a.lo >= b.hi`).
+fn cmp_truth(a: Ival, b: Ival, strict: i64) -> Option<bool> {
+    if a.hi + strict <= b.lo {
+        Some(true)
+    } else if a.lo >= b.hi + 1 - strict {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+impl Oracle for RangeState {
+    /// Inclusive value range of an integer-valued expression; `None`
+    /// when non-integer, unreachable, or touching the saturation clamp
+    /// (a clamped endpoint may hide larger true values).
+    fn range(&self, e: &Expr) -> Option<(i64, i64)> {
+        if !self.is_int(e) {
+            return None;
+        }
+        let iv = self.interval(e);
+        if iv.is_empty() || iv.lo <= -BOUND || iv.hi >= BOUND {
+            return None;
+        }
+        Some((iv.lo, iv.hi))
+    }
+
     /// Decide a boolean condition where the facts separate it. Only
     /// integer-valued comparisons strictly inside the f32-exact range
     /// are decided; everything else answers `None`.
-    pub fn truth(&self, cond: &Expr) -> Option<bool> {
+    fn truth(&self, cond: &Expr) -> Option<bool> {
         use BinOp::*;
         match cond {
             Expr::ImmBool(b) => Some(*b),
@@ -252,8 +329,8 @@ impl RangeState {
                 if !self.is_int(a) || !self.is_int(b) {
                     return None;
                 }
-                let ia = self.eval(a);
-                let ib = self.eval(b);
+                let ia = self.interval(a);
+                let ib = self.interval(b);
                 if ia.is_empty() || ib.is_empty() || !exact(ia) || !exact(ib) {
                     return None;
                 }
@@ -287,44 +364,43 @@ impl RangeState {
         }
     }
 
-    /// Inclusive value range of an integer-valued expression; `None`
-    /// when non-integer, unreachable, or touching the saturation clamp
-    /// (a clamped endpoint may hide larger true values).
-    pub fn range(&self, e: &Expr) -> Option<(i64, i64)> {
-        if !self.is_int(e) {
-            return None;
-        }
-        let iv = self.eval(e);
-        if iv.is_empty() || iv.lo <= -BOUND || iv.hi >= BOUND {
-            return None;
-        }
-        Some((iv.lo, iv.hi))
+    fn is_uniform(&self, e: &Expr) -> bool {
+        self.varying
+            .as_ref()
+            .is_some_and(|v| !crate::taint::expr_thread_dependent(e, v))
     }
 
-    fn constrain(&mut self, e: &Expr, iv: Ival) -> bool {
-        let cur = self.eval(e);
-        let new = cur.meet(iv);
-        match e {
-            Expr::Var(v) => {
-                self.vars.insert(v.clone(), new);
-            }
-            Expr::Builtin(b) => self.builtins[bidx(*b)] = new,
-            Expr::ImmInt(_) => {}
-            _ => self.ov.push((e.clone(), new)),
-        }
-        !new.is_empty()
+    fn decl(&mut self, name: &str, ty: ScalarType, init: Option<&Expr>) {
+        self.kill(name);
+        let iv = init.map(|e| self.interval(e)).unwrap_or_else(Ival::top);
+        // The declaration coerces: an integer type truncates toward
+        // zero, which stays inside any integer interval containing the
+        // value; Bool lands in [0, 1].
+        let iv = if ty == ScalarType::Bool {
+            Ival::new(0, 1)
+        } else {
+            iv
+        };
+        self.vars.insert(name.to_string(), iv);
+        self.ints.insert(name.to_string(), ty.is_integer());
     }
 
-    fn refine_inner(&mut self, cond: &Expr, want: bool) -> bool {
+    fn assign(&mut self, name: &str, value: &Expr) {
+        // No coercion on assignment: both interval and integer kind
+        // come from the assigned value.
+        let iv = self.interval(value);
+        let int = self.is_int(value);
+        self.kill(name);
+        self.vars.insert(name.to_string(), iv);
+        self.ints.insert(name.to_string(), int);
+    }
+
+    fn refine(&mut self, cond: &Expr, want: bool) -> bool {
         use BinOp::*;
         match cond {
-            Expr::Unary(UnOp::Not, a) => self.refine_inner(a, !want),
-            Expr::Binary(And, a, b) if want => {
-                self.refine_inner(a, true) && self.refine_inner(b, true)
-            }
-            Expr::Binary(Or, a, b) if !want => {
-                self.refine_inner(a, false) && self.refine_inner(b, false)
-            }
+            Expr::Unary(UnOp::Not, a) => self.refine(a, !want),
+            Expr::Binary(And, a, b) if want => self.refine(a, true) && self.refine(b, true),
+            Expr::Binary(Or, a, b) if !want => self.refine(a, false) && self.refine(b, false),
             Expr::Binary(op @ (Lt | Le | Gt | Ge | Eq), a, b) => {
                 // Refinement records *facts*; a fact from an f32-fuzzy
                 // or non-integer comparison would poison later answers.
@@ -341,8 +417,8 @@ impl RangeState {
                     (Ge, true) => (b, a, 0),
                     (Ge, false) => (a, b, 1),
                     (Eq, true) => {
-                        let ia = self.eval(a);
-                        let ib = self.eval(b);
+                        let ia = self.interval(a);
+                        let ib = self.interval(b);
                         if !exact(ia) || !exact(ib) {
                             return true;
                         }
@@ -350,8 +426,8 @@ impl RangeState {
                     }
                     _ => return true, // Eq-false / Ne: no refinement
                 };
-                let il = self.eval(lhs);
-                let ir = self.eval(rhs);
+                let il = self.interval(lhs);
+                let ir = self.interval(rhs);
                 if il.is_empty() || ir.is_empty() {
                     return false;
                 }
@@ -363,68 +439,6 @@ impl RangeState {
             }
             _ => true, // opaque (boolean var, float compare, …)
         }
-    }
-
-    fn kill(&mut self, name: &str) {
-        self.ov.retain(|(p, _)| !mentions_var(p, name));
-    }
-}
-
-/// `a < b` when `strict = 1`, `a <= b` when `strict = 0`.
-///
-/// The false side negates the comparison, which *flips* the strictness:
-/// `a <= b` is false only when `a > b` everywhere (`a.lo >= b.hi + 1`),
-/// and `a < b` is false when `a >= b` everywhere (`a.lo >= b.hi`).
-fn cmp_truth(a: Ival, b: Ival, strict: i64) -> Option<bool> {
-    if a.hi + strict <= b.lo {
-        Some(true)
-    } else if a.lo >= b.hi + 1 - strict {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-impl Oracle for RangeState {
-    fn range(&self, e: &Expr) -> Option<(i64, i64)> {
-        RangeState::range(self, e)
-    }
-
-    fn truth(&self, e: &Expr) -> Option<bool> {
-        RangeState::truth(self, e)
-    }
-
-    fn is_uniform(&self, e: &Expr) -> bool {
-        !crate::taint::expr_thread_dependent(e, &self.varying)
-    }
-
-    fn decl(&mut self, name: &str, ty: ScalarType, init: Option<&Expr>) {
-        self.kill(name);
-        let iv = init.map(|e| self.eval(e)).unwrap_or_else(Ival::top);
-        // The declaration coerces: an integer type truncates toward
-        // zero, which stays inside any integer interval containing the
-        // value; Bool lands in [0, 1].
-        let iv = if ty == ScalarType::Bool {
-            Ival::new(0, 1)
-        } else {
-            iv
-        };
-        self.vars.insert(name.to_string(), iv);
-        self.ints.insert(name.to_string(), ty.is_integer());
-    }
-
-    fn assign(&mut self, name: &str, value: &Expr) {
-        // No coercion on assignment: both interval and integer kind
-        // come from the assigned value.
-        let iv = self.eval(value);
-        let int = self.is_int(value);
-        self.kill(name);
-        self.vars.insert(name.to_string(), iv);
-        self.ints.insert(name.to_string(), int);
-    }
-
-    fn refine(&mut self, cond: &Expr, want: bool) -> bool {
-        self.refine_inner(cond, want)
     }
 
     fn join(&mut self, other: &Self) {
@@ -465,8 +479,8 @@ impl Oracle for RangeState {
     }
 
     fn bind_loop(&mut self, var: &str, from: &Expr, to: &Expr) {
-        let f = self.eval(from);
-        let t = self.eval(to);
+        let f = self.interval(from);
+        let t = self.interval(to);
         self.kill(var);
         let iv = if f.is_empty() || t.is_empty() {
             Ival::top()
@@ -610,8 +624,25 @@ mod tests {
                 },
             ],
         };
-        let s = RangeState::new(&k, (16, 1), (1, 1), &HashMap::new());
+        let bare = RangeState::new(&k, (16, 1), (1, 1), &HashMap::new());
+        // No varying set: the safe default, even for `blockIdx`.
+        assert!(!bare.is_uniform(&Expr::Builtin(Builtin::BlockIdxX)));
+        let s = bare.with_varying(crate::taint::thread_dependent_vars(&k.body));
         assert!(!s.is_uniform(&Expr::var("tid")));
         assert!(s.is_uniform(&Expr::Builtin(Builtin::BlockIdxX)));
+    }
+
+    #[test]
+    fn region_seed_restricts_block_indices() {
+        let seed = RegionSeed {
+            label: Some("R_BH".into()),
+            bx: (7, 7),
+            by: (1, 6),
+        };
+        let s = state(&[]).with_region(&seed);
+        assert_eq!(s.range(&Expr::Builtin(Builtin::BlockIdxX)), Some(seed.bx));
+        assert_eq!(s.range(&Expr::Builtin(Builtin::BlockIdxY)), Some(seed.by));
+        // Everything else keeps the launch-wide seed.
+        assert_eq!(s.range(&Expr::Builtin(Builtin::GridDimX)), Some((8, 8)));
     }
 }

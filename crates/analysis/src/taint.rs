@@ -17,6 +17,12 @@
 //!    reachable after a `return` that only *some* threads may have taken
 //!    ([A0102]).
 //!
+//! The fixpoint of step 1 ([`thread_dependent_vars`]) is also the IR
+//! optimizer's uniformity answer: branch flattening fires only on
+//! thread-*varying* conditions (uniform branches already execute
+//! converged on the SIMD engine), and asks through
+//! [`RangeState::with_varying`](crate::range::RangeState::with_varying).
+//!
 //! [A0101]: crate::diag#diagnostic-code-space
 //! [A0102]: crate::diag#diagnostic-code-space
 
@@ -188,6 +194,46 @@ mod tests {
         let t = thread_dependent_vars(&body);
         assert!(t.contains("gid") && t.contains("twice"));
         assert!(!t.contains("uniform"), "blockIdx is uniform per block");
+    }
+
+    #[test]
+    fn classifies_uniform_and_varying() {
+        let body = vec![
+            Stmt::Decl {
+                name: "tid".into(),
+                ty: ScalarType::I32,
+                init: Some(tid()),
+            },
+            Stmt::Decl {
+                name: "base".into(),
+                ty: ScalarType::I32,
+                init: Some(Expr::Builtin(Builtin::BlockIdxX) * Expr::Builtin(Builtin::BlockDimX)),
+            },
+            // Loop-carried taint: u starts uniform, becomes varying.
+            Stmt::Decl {
+                name: "u".into(),
+                ty: ScalarType::I32,
+                init: Some(Expr::int(0)),
+            },
+            Stmt::For {
+                var: "i".into(),
+                from: Expr::int(0),
+                to: Expr::int(3),
+                body: vec![Stmt::Assign {
+                    target: hipacc_ir::LValue::Var("u".into()),
+                    value: Expr::var("u") + Expr::var("tid"),
+                }],
+            },
+        ];
+        let varying = thread_dependent_vars(&body);
+        let is_uniform = |e: &Expr| !expr_thread_dependent(e, &varying);
+        assert!(is_uniform(&Expr::var("base")));
+        assert!(is_uniform(&(Expr::var("base") + Expr::int(7))));
+        assert!(!is_uniform(&Expr::var("tid")));
+        assert!(!is_uniform(&Expr::var("u")));
+        assert!(!is_uniform(&tid()));
+        assert!(is_uniform(&Expr::Builtin(Builtin::BlockIdxX)));
+        assert!(varying.contains("tid"));
     }
 
     #[test]

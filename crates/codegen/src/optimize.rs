@@ -1,12 +1,14 @@
 //! The analysis-driven device-IR optimizer driver.
 //!
-//! Runs the `ir::opt` pass pipeline over the lowered device kernel,
-//! feeding each pass a fresh value-range oracle
-//! ([`RangeState`](hipacc_analysis::range::RangeState)) seeded with the
-//! launch geometry and the compile-time scalar bindings — the same facts
-//! the verifier's bounds pass uses, which is what makes the rewrites
+//! Runs the `ir::opt` pass pipeline over the lowered device kernel.
+//! The value-range oracle ([`RangeState`]) is seeded once with the
+//! launch geometry and the compile-time scalar bindings, and each
+//! fact-driven pass walks a clone of that seed — the interpreter the
+//! verifier's bounds pass runs on, which is what makes the rewrites
 //! safe: anything the optimizer elides, the re-run verifier could have
-//! proven redundant.
+//! proven redundant. Only `flatten` asks about block-uniformity, so the
+//! thread-dependence fixpoint runs once, on the body that pass is about
+//! to walk (span `opt:uniformity`), and not at all when it is disabled.
 //!
 //! Pass order (each independently vetoable via `HIPACC_OPT_DISABLE`):
 //!
@@ -37,8 +39,7 @@
 use crate::options::CompileSpec;
 use hipacc_analysis::races::removable_barriers;
 use hipacc_analysis::range::RangeState;
-use hipacc_analysis::uniformity::Uniformity;
-use hipacc_analysis::VerifyInput;
+use hipacc_analysis::{taint, VerifyInput};
 use hipacc_hwmodel::LaunchConfig;
 use hipacc_ir::kernel::DeviceKernelDef;
 use hipacc_ir::opt::{self, OptReport};
@@ -92,29 +93,31 @@ pub(crate) fn optimize_device_kernel(
     }
     let scalars = &scalars;
 
-    // The uniformity fixpoint every oracle embeds, timed once visibly.
-    hipacc_profile::timed(sink, "opt:uniformity", "compile", || {
-        Uniformity::of_body(&k.body)
-    });
+    // Builtins, scalar points and integer kinds: none of it depends on
+    // the body the passes rewrite, so every pass starts from a clone (a
+    // few map entries; the syntactic passes leave theirs unused).
+    let seed = RangeState::new(k, block, grid, scalars);
 
     for pass in opt::PASSES {
         if disabled.contains(*pass) {
             continue;
         }
+        let mut o = seed.clone();
+        // Only `flatten` asks `is_uniform`: the fixpoint runs on the body
+        // that pass is about to walk.
+        if *pass == opt::PASS_FLATTEN {
+            o = o.with_varying(hipacc_profile::timed(
+                sink,
+                "opt:uniformity",
+                "compile",
+                || taint::thread_dependent_vars(&k.body),
+            ));
+        }
         let span = format!("opt:{pass}");
         let fires = hipacc_profile::timed(sink, &span, "compile", || match *pass {
-            opt::PASS_ELIDE_CLAMPS => {
-                let mut o = RangeState::new(k, block, grid, scalars);
-                opt::elide_clamps(k, &mut o)
-            }
-            opt::PASS_STRENGTH => {
-                let mut o = RangeState::new(k, block, grid, scalars);
-                opt::strength_reduce(k, &mut o)
-            }
-            opt::PASS_FLATTEN => {
-                let mut o = RangeState::new(k, block, grid, scalars);
-                opt::flatten_branches(k, &mut o)
-            }
+            opt::PASS_ELIDE_CLAMPS => opt::elide_clamps(k, &mut o),
+            opt::PASS_STRENGTH => opt::strength_reduce(k, &mut o),
+            opt::PASS_FLATTEN => opt::flatten_branches(k, &mut o),
             opt::PASS_HOIST => opt::hoist_invariants(k),
             opt::PASS_DEAD_BARRIER => {
                 let mut input = VerifyInput::new(k, &spec.device, block, grid);

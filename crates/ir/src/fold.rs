@@ -306,21 +306,6 @@ pub fn widen_fold(node: Expr) -> Expr {
     }
 }
 
-/// Names of variables that are ever the target of an assignment.
-fn assigned_vars(stmts: &[Stmt]) -> HashSet<String> {
-    let mut set = HashSet::new();
-    Stmt::visit_all(stmts, &mut |s| {
-        if let Stmt::Assign {
-            target: LValue::Var(n),
-            ..
-        } = s
-        {
-            set.insert(n.clone());
-        }
-    });
-    set
-}
-
 /// Names of variables referenced anywhere in expressions.
 fn used_vars(stmts: &[Stmt]) -> HashSet<String> {
     let mut set = HashSet::new();
@@ -422,7 +407,7 @@ fn fold_stmts(
 /// reassigned (their initializers are pure, so dropping them is sound).
 fn eliminate_dead_decls(stmts: Vec<Stmt>) -> Vec<Stmt> {
     let used = used_vars(&stmts);
-    let assigned = assigned_vars(&stmts);
+    let assigned = Stmt::assigned_names(&stmts);
     fn walk(stmts: Vec<Stmt>, used: &HashSet<String>, assigned: &HashSet<String>) -> Vec<Stmt> {
         stmts
             .into_iter()
@@ -462,11 +447,11 @@ pub fn specialize_kernel(kernel: &KernelDef, bindings: &HashMap<String, Const>) 
     let mut env = bindings.clone();
     // A bound parameter that the kernel reassigns must not be propagated:
     // its runtime value diverges from the binding after the assignment.
-    for n in assigned_vars(&kernel.body) {
+    for n in Stmt::assigned_names(&kernel.body) {
         env.remove(&n);
     }
     let never_assigned: HashSet<String> = {
-        let assigned = assigned_vars(&kernel.body);
+        let assigned = Stmt::assigned_names(&kernel.body);
         let mut all = HashSet::new();
         Stmt::visit_all(&kernel.body, &mut |s| {
             if let Stmt::Decl { name, .. } = s {

@@ -82,18 +82,6 @@ pub fn hoist_invariants(k: &mut DeviceKernelDef) -> u32 {
     fires
 }
 
-fn assigned_in(stmts: &[Stmt], out: &mut HashSet<String>) {
-    Stmt::visit_all(stmts, &mut |s| {
-        if let Stmt::Assign {
-            target: LValue::Var(v),
-            ..
-        } = s
-        {
-            out.insert(v.clone());
-        }
-    });
-}
-
 fn declared_in(stmts: &[Stmt], out: &mut HashSet<String>) {
     Stmt::visit_all(stmts, &mut |s| {
         if let Stmt::Decl { name, .. } = s {
@@ -138,10 +126,7 @@ fn hoist_in(
                 let then = hoist_in(then, &mut et, counter, fires);
                 let mut ee = env.clone();
                 let els = hoist_in(els, &mut ee, counter, fires);
-                let mut assigned = HashSet::new();
-                assigned_in(&then, &mut assigned);
-                assigned_in(&els, &mut assigned);
-                for a in &assigned {
+                for a in Stmt::assigned_names(&then).union(&Stmt::assigned_names(&els)) {
                     env.remove(a);
                 }
                 out.push(Stmt::If { cond, then, els });
@@ -164,9 +149,7 @@ fn hoist_in(
                 let mut eb = env.clone();
                 eb.insert(var.clone(), Kind::Int);
                 let body = hoist_in(body, &mut eb, counter, fires);
-                let mut assigned = HashSet::new();
-                assigned_in(&body, &mut assigned);
-                for a in &assigned {
+                for a in &Stmt::assigned_names(&body) {
                     env.remove(a);
                 }
                 out.push(Stmt::For {
@@ -196,9 +179,8 @@ fn hoist_loop(
         (Expr::ImmInt(f), Expr::ImmInt(t)) if f <= t => {}
         _ => return (Vec::new(), body),
     }
-    let mut forbidden: HashSet<String> = HashSet::new();
+    let mut forbidden = Stmt::assigned_names(&body);
     forbidden.insert(var.to_string());
-    assigned_in(&body, &mut forbidden);
     declared_in(&body, &mut forbidden);
 
     let mut candidates: Vec<Expr> = Vec::new();

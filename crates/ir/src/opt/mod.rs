@@ -1,9 +1,9 @@
 //! Analysis-driven optimization passes over the *device* IR.
 //!
 //! The verifier (crate `hipacc-analysis`) proves facts about lowered
-//! kernels — value ranges, block-uniformity, race phases — and until now
-//! only *diagnosed* with them. This module consumes the same facts to
-//! *transform* kernels. The passes are deliberately split from the
+//! kernels — value ranges, block-uniformity, race phases — and
+//! *diagnoses* with them. This module consumes the same facts, from the
+//! same interpreter, to *transform* kernels. The passes are deliberately split from the
 //! analyses: everything here is generic over an [`Oracle`] that answers
 //! range/truth/uniformity queries, so the IR crate stays free of any
 //! dependency on the analysis crate (which depends on this one).
@@ -83,8 +83,9 @@ pub const PASSES: &[&str] = &[
 ];
 
 /// The fact interface the transforming passes query. Implemented by
-/// `hipacc_analysis::range::RangeState` (interval lattice + uniformity
-/// taint) and by the trivial [`NoFacts`] oracle for tests.
+/// `hipacc_analysis::range::RangeState` (the interval interpreter the
+/// bounds verifier also walks; uniformity only when the caller hands it
+/// a varying set) and by the trivial [`NoFacts`] oracle for tests.
 ///
 /// Soundness rests on the implementation: `range`/`truth` answers must
 /// hold for **every** thread of **every** block of the launch and must
@@ -98,7 +99,8 @@ pub trait Oracle: Clone {
     /// Decide a boolean condition when the facts separate it.
     fn truth(&self, e: &Expr) -> Option<bool>;
     /// Whether the expression evaluates identically on every thread of a
-    /// block (`false` is the safe default).
+    /// block (`false` is the safe default). Only [`flatten_branches`]
+    /// asks.
     fn is_uniform(&self, e: &Expr) -> bool;
     /// A declaration executed: bind `name` (coerced to `ty`) to `init`.
     fn decl(&mut self, name: &str, ty: ScalarType, init: Option<&Expr>);
@@ -229,18 +231,6 @@ fn rewrite_with<O: Oracle>(
     fires: &mut u32,
 ) -> Expr {
     e.rewrite(&mut |n| hook(n, o, fires))
-}
-
-fn assigned_names(stmts: &[Stmt], out: &mut HashSet<String>) {
-    Stmt::visit_all(stmts, &mut |s| {
-        if let Stmt::Assign {
-            target: LValue::Var(v),
-            ..
-        } = s
-        {
-            out.insert(v.clone());
-        }
-    });
 }
 
 fn walk<O: Oracle>(
@@ -377,8 +367,7 @@ fn walk<O: Oracle>(
                         continue;
                     }
                 }
-                let mut assigned = HashSet::new();
-                assigned_names(&body, &mut assigned);
+                let assigned = Stmt::assigned_names(&body);
                 // Walk the body on a throwaway clone: loop-carried
                 // variables are havocked, the loop variable spans every
                 // iteration. The surviving state havocs the assigned

@@ -2,6 +2,7 @@
 
 use crate::expr::Expr;
 use crate::ty::ScalarType;
+use std::collections::HashSet;
 
 /// Assignment targets. Memory stores are separate statements so that the
 /// read/write analysis can see them without alias reasoning.
@@ -102,6 +103,23 @@ impl Stmt {
                 _ => {}
             }
         }
+    }
+
+    /// Names that are the target of an `Assign` anywhere in a statement
+    /// list (loop-carried or branch-assigned variables; declarations and
+    /// loop variables are not assignments).
+    pub fn assigned_names(stmts: &[Stmt]) -> HashSet<String> {
+        let mut set = HashSet::new();
+        Stmt::visit_all(stmts, &mut |s| {
+            if let Stmt::Assign {
+                target: LValue::Var(n),
+                ..
+            } = s
+            {
+                set.insert(n.clone());
+            }
+        });
+        set
     }
 
     /// Visit every expression appearing in a statement list (conditions,

@@ -350,21 +350,6 @@ fn declared_names(body: &[Stmt]) -> HashSet<String> {
     set
 }
 
-/// Names that are ever the target of an `Assign`.
-fn assigned_names(body: &[Stmt]) -> HashSet<String> {
-    let mut set = HashSet::new();
-    Stmt::visit_all(body, &mut |s| {
-        if let Stmt::Assign {
-            target: LValue::Var(n),
-            ..
-        } = s
-        {
-            set.insert(n.clone());
-        }
-    });
-    set
-}
-
 /// Compile a device kernel for one launch configuration.
 ///
 /// Performs the interpreter's up-front validation (missing scalars, unbound
@@ -392,7 +377,7 @@ pub fn compile(
     let mut fold_env = params.scalars.clone();
     fold_env.retain(|n, _| !declared.contains(n));
     let body = fold_launch_constants(kernel.body.clone(), params, &fold_env);
-    let assigned = assigned_names(&body);
+    let assigned = Stmt::assigned_names(&body);
 
     let mut c = Compiler {
         kernel,
@@ -1791,7 +1776,7 @@ impl<'a> InteriorScan<'a> {
                     };
                     // Anything assigned inside the loop varies across
                     // iterations: havoc it before scanning the body once.
-                    for n in assigned_names(body) {
+                    for n in Stmt::assigned_names(body) {
                         self.set(&n, Abs::Any);
                     }
                     self.marks.push(self.env.len());
@@ -1814,7 +1799,7 @@ impl<'a> InteriorScan<'a> {
                     self.env.truncate(mark);
                     self.env = saved;
                     // Either branch may or may not have run.
-                    for n in assigned_names(then).union(&assigned_names(els)) {
+                    for n in Stmt::assigned_names(then).union(&Stmt::assigned_names(els)) {
                         self.set(n, Abs::Any);
                     }
                 }

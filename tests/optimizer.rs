@@ -298,9 +298,11 @@ fn fire_kernel(body: Vec<Stmt>, shared: Vec<SharedDecl>) -> DeviceKernelDef {
 
 use hipacc_ir::kernel::MemorySpace;
 
-/// A 32×1 block, 1×1 grid oracle with no scalar facts.
+/// A 32×1 block, 1×1 grid oracle with no scalar facts, told which
+/// variables of `k` vary across the block.
 fn oracle(k: &DeviceKernelDef) -> RangeState {
     RangeState::new(k, (32, 1), (1, 1), &HashMap::new())
+        .with_varying(hipacc_analysis::taint::thread_dependent_vars(&k.body))
 }
 
 #[test]
