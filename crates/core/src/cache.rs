@@ -27,13 +27,26 @@
 //! supervisor additionally bypasses the cache entirely on degraded rungs
 //! (recorded as a bypass, not a miss) so recovery timing is never skewed
 //! by warm-cache effects.
+//!
+//! An entry is a [`Prepared`] kernel behind an `Arc`: the artifact plus
+//! what every launch of it would otherwise rebuild — the simulator tape
+//! with its warp program, and the modelled time. A hit is one fingerprint
+//! and one `Arc` clone under the lock; the launch then binds the frame's
+//! pixels, runs the kept tape and downloads. The tape is reused only by a
+//! launch whose launch-constant state matches the one it was built from
+//! ([`hipacc_sim::TapeMemo`]), so two operators sharing a fingerprint but
+//! uploading different masks or running on different pools never share a
+//! tape. Every tape built and reused is counted ([`KernelCache::tapes_built`],
+//! [`KernelCache::tapes_reused`], [`KernelCache::warps_lowered`]).
 
 use hipacc_codegen::{CompileSpec, CompiledKernel};
 use hipacc_ir::kernel::KernelDef;
+use hipacc_sim::timing::TimeBreakdown;
+use hipacc_sim::{TapeCounters, TapeMemo, TapeReport};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Default number of compiled kernels retained (LRU beyond this).
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
@@ -52,6 +65,16 @@ pub struct CacheReport {
     /// launch thread panicked while holding it). Non-zero is worth a
     /// look but never fatal — see [`KernelCache::poison_diagnostic`].
     pub poison_recoveries: u64,
+    /// How this launch came by its simulator tape (`None` in a report
+    /// made outside a launch).
+    pub tape: Option<TapeReport>,
+    /// Cumulative tapes built by launches through the cache, rebuilds
+    /// included.
+    pub tapes_built: u64,
+    /// Cumulative launches that ran a kept tape.
+    pub tapes_reused: u64,
+    /// Cumulative warp programs lowered by launches through the cache.
+    pub warps_lowered: u64,
 }
 
 impl CacheReport {
@@ -61,8 +84,59 @@ impl CacheReport {
     }
 }
 
+/// A compiled kernel prepared for repeated launches — the unit the cache
+/// stores. It owns the codegen artifact, the simulator tape (built by the
+/// first launch that needs one, see [`TapeMemo`]) and the modelled time.
+/// A launch outside any cache uses a fresh one, so the cold path is the
+/// same code with nothing kept yet.
+pub(crate) struct Prepared {
+    compiled: Arc<CompiledKernel>,
+    tape: TapeMemo,
+    /// The modelled time and the `(launches, naive_codegen)` it was
+    /// estimated for. Neither is part of the fingerprint.
+    time: OnceLock<((u32, bool), TimeBreakdown)>,
+}
+
+impl Prepared {
+    /// Nothing kept yet; its launches count their tapes into `cache`.
+    pub(crate) fn new(compiled: CompiledKernel, cache: Option<&KernelCache>) -> Self {
+        Self {
+            compiled: Arc::new(compiled),
+            tape: cache.map_or_else(TapeMemo::default, |c| {
+                TapeMemo::counted(Arc::clone(&c.tapes))
+            }),
+            time: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn compiled(&self) -> &Arc<CompiledKernel> {
+        &self.compiled
+    }
+
+    pub(crate) fn tape(&self) -> &TapeMemo {
+        &self.tape
+    }
+
+    /// The modelled time for `key = (launches, naive_codegen)`: kept for
+    /// the first key asked for, estimated afresh for any other.
+    pub(crate) fn time(
+        &self,
+        key: (u32, bool),
+        estimate: impl FnOnce() -> TimeBreakdown,
+    ) -> TimeBreakdown {
+        if let Some((kept, time)) = self.time.get() {
+            if *kept == key {
+                return *time;
+            }
+        }
+        let time = estimate();
+        let _ = self.time.set((key, time));
+        time
+    }
+}
+
 struct Inner {
-    map: HashMap<String, (u64, CompiledKernel)>,
+    map: HashMap<String, (u64, Arc<Prepared>)>,
     tick: u64,
 }
 
@@ -75,6 +149,9 @@ pub struct KernelCache {
     misses: AtomicU64,
     bypasses: AtomicU64,
     poison_recoveries: AtomicU64,
+    /// Shared by the tape memos of every entry (and of every bypassing
+    /// launch), so evicted entries stay counted.
+    tapes: Arc<TapeCounters>,
 }
 
 impl std::fmt::Debug for KernelCache {
@@ -85,6 +162,8 @@ impl std::fmt::Debug for KernelCache {
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .field("bypasses", &self.bypasses())
+            .field("tapes_built", &self.tapes_built())
+            .field("tapes_reused", &self.tapes_reused())
             .finish()
     }
 }
@@ -108,6 +187,7 @@ impl KernelCache {
             misses: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
+            tapes: Arc::default(),
         }
     }
 
@@ -173,9 +253,19 @@ impl KernelCache {
         key
     }
 
-    /// Fetch the artifact for `key`, refreshing its LRU stamp. Counts a
-    /// hit or a miss.
+    /// A deep copy of the artifact for `key`, refreshing its LRU stamp.
+    /// Counts a hit or a miss, like every lookup. Launches take the
+    /// shared entry instead; this copy exists for `benchmark/src/trace.rs`,
+    /// which times a lookup from outside, and goes when a `[benchmark]`
+    /// PR stops calling it.
     pub fn lookup(&self, key: &str) -> Option<CompiledKernel> {
+        self.lookup_prepared(key)
+            .map(|prepared| CompiledKernel::clone(prepared.compiled()))
+    }
+
+    /// The entry for `key`, refreshing its LRU stamp. Counts a hit or a
+    /// miss.
+    pub(crate) fn lookup_prepared(&self, key: &str) -> Option<Arc<Prepared>> {
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
@@ -183,7 +273,7 @@ impl KernelCache {
             Some(entry) => {
                 entry.0 = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.1.clone())
+                Some(Arc::clone(&entry.1))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -195,6 +285,12 @@ impl KernelCache {
     /// Store an artifact under `key`, evicting the least-recently-used
     /// entry when the cache is full.
     pub fn insert(&self, key: String, compiled: CompiledKernel) {
+        self.insert_prepared(key, Arc::new(Prepared::new(compiled, Some(self))));
+    }
+
+    /// Store an entry under `key`, evicting the least-recently-used entry
+    /// when the cache is full.
+    pub(crate) fn insert_prepared(&self, key: String, prepared: Arc<Prepared>) {
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
@@ -208,12 +304,28 @@ impl KernelCache {
                 inner.map.remove(&oldest);
             }
         }
-        inner.map.insert(key, (tick, compiled));
+        inner.map.insert(key, (tick, prepared));
     }
 
     /// Record a deliberate bypass (e.g. a degraded supervisor rung).
     pub fn note_bypass(&self) {
         self.bypasses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Cumulative tapes built by launches through the cache, rebuilds
+    /// included.
+    pub fn tapes_built(&self) -> u64 {
+        self.tapes.built()
+    }
+
+    /// Cumulative launches through the cache that ran a kept tape.
+    pub fn tapes_reused(&self) -> u64 {
+        self.tapes.reused()
+    }
+
+    /// Cumulative warp programs lowered by launches through the cache.
+    pub fn warps_lowered(&self) -> u64 {
+        self.tapes.warps_lowered()
     }
 
     /// Cumulative hit count.
@@ -283,6 +395,18 @@ impl KernelCache {
             hits: self.hits(),
             misses: self.misses(),
             poison_recoveries: self.poison_recoveries(),
+            tape: None,
+            tapes_built: self.tapes_built(),
+            tapes_reused: self.tapes_reused(),
+            warps_lowered: self.warps_lowered(),
+        }
+    }
+
+    /// [`Self::report`] for a launch that came by its tape as `tape`.
+    pub(crate) fn launch_report(&self, outcome: String, tape: TapeReport) -> CacheReport {
+        CacheReport {
+            tape: Some(tape),
+            ..self.report(outcome)
         }
     }
 }

@@ -8,6 +8,7 @@
 //! for the target, run on the simulated device, estimate the execution
 //! time with the analytical model.
 
+use crate::cache::{KernelCache, Prepared};
 use crate::pipeline::{launch_spec, timing_input_opts};
 use crate::profile::{LaunchFacts, LaunchProfile};
 use crate::target::Target;
@@ -21,6 +22,7 @@ use hipacc_sim::interp::ExecStats;
 use hipacc_sim::timing::{estimate_time, TimeBreakdown};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Pipeline knobs beyond the kernel itself — the compiler flags of the
 /// paper's evaluation axes.
@@ -159,8 +161,9 @@ pub struct Execution {
     pub stats: ExecStats,
     /// Modelled execution time.
     pub time: TimeBreakdown,
-    /// The compiled artifact (generated sources, config, occupancy, …).
-    pub compiled: CompiledKernel,
+    /// The compiled artifact (generated sources, config, occupancy, …),
+    /// shared with the kernel cache entry it came from, if any.
+    pub compiled: Arc<CompiledKernel>,
 }
 
 impl Execution {
@@ -170,6 +173,10 @@ impl Execution {
         self.stats.oob_reads > 0
     }
 }
+
+/// The installed kernel cache and what it did for one compile (`"hit"`,
+/// `"miss"` or `"bypass: <reason>"`); `None` without a cache.
+pub(crate) type CacheUse<'a> = Option<(&'a KernelCache, String)>;
 
 /// A DSL kernel plus its instance metadata.
 #[derive(Clone, Debug)]
@@ -314,9 +321,11 @@ impl Operator {
     }
 
     /// The one compile step of every launch: through the configured
-    /// [`KernelCache`](crate::KernelCache) when one is installed, otherwise
-    /// fresh, with the compile-phase spans going to `sink`. Returns the
-    /// artifact and, when a cache is installed, a report of what it did.
+    /// [`KernelCache`] when one is installed, otherwise fresh, with the
+    /// compile-phase spans going to `sink`. Returns the prepared kernel —
+    /// on a hit the cache's own entry, with its tape and modelled time —
+    /// and, when a cache is installed, the cache with what it did
+    /// (`"hit"`, `"miss"` or `"bypass: <reason>"`).
     ///
     /// `bypass` names a reason to leave an installed cache alone — neither
     /// served from nor populating it, and counted as a bypass rather than
@@ -330,23 +339,36 @@ impl Operator {
         height: u32,
         sink: &mut dyn ProfileSink,
         bypass: Option<&str>,
-    ) -> Result<(CompiledKernel, Option<crate::cache::CacheReport>), CompileError> {
+    ) -> Result<(Arc<Prepared>, CacheUse<'_>), CompileError> {
         let spec = self.compile_spec(target, width, height);
-        let Some(cache) = &self.options.cache else {
-            return Ok((self.compile_fresh(&spec, sink)?, None));
+        let fresh = |sink: &mut dyn ProfileSink| -> Result<Arc<Prepared>, CompileError> {
+            let compiled = self.compile_fresh(&spec, sink)?;
+            Ok(Arc::new(Prepared::new(
+                compiled,
+                self.options.cache.as_deref(),
+            )))
+        };
+        let Some(cache) = self.options.cache.as_deref() else {
+            return Ok((fresh(sink)?, None));
         };
         if let Some(reason) = bypass {
             cache.note_bypass();
-            let report = cache.report(format!("bypass: {reason}"));
-            return Ok((self.compile_fresh(&spec, sink)?, Some(report)));
+            return Ok((fresh(sink)?, Some((cache, format!("bypass: {reason}")))));
         }
-        let key = crate::cache::KernelCache::fingerprint(&self.def, &spec);
-        if let Some(hit) = cache.lookup(&key) {
-            return Ok((hit, Some(cache.report("hit"))));
+        let key = KernelCache::fingerprint(&self.def, &spec);
+        if let Some(hit) = cache.lookup_prepared(&key) {
+            return Ok((hit, Some((cache, "hit".into()))));
         }
-        let compiled = self.compile_fresh(&spec, sink)?;
-        cache.insert(key, compiled.clone());
-        Ok((compiled, Some(cache.report("miss"))))
+        let prepared = fresh(sink)?;
+        cache.insert_prepared(key, Arc::clone(&prepared));
+        Ok((prepared, Some((cache, "miss".into()))))
+    }
+
+    /// The modelled time of `prepared` on `target`, kept with the cache
+    /// entry for this operator's launch count and codegen model.
+    pub(crate) fn time_of(&self, prepared: &Prepared, target: &Target) -> TimeBreakdown {
+        let key = (self.options.launches, self.options.naive_codegen);
+        prepared.time(key, || self.estimate(prepared.compiled(), target))
     }
 
     /// The simulator launch spec for `compiled` over `inputs`, wired to
@@ -420,22 +442,25 @@ impl Operator {
         let (_, first) = inputs.first().ok_or(OperatorError::NoInputs)?;
         let (mut rec, mut off) = (Recorder::new(), NullSink);
         let sink: &mut dyn ProfileSink = if profile { &mut rec } else { &mut off };
-        let (compiled, cache) =
+        let (prepared, cached) =
             self.compile_maybe_cached(target, first.width(), first.height(), sink, None)?;
+        let compiled = prepared.compiled();
         let start = now_us();
         let run = hipacc_sim::launch::run_on_image_instrumented(
             &compiled.device_kernel,
-            &self.spec_for(&compiled, inputs),
+            &self.spec_for(compiled, inputs),
             engine,
             profile,
             None,
+            prepared.tape(),
         )?;
         let launch_us = (start, now_us().saturating_sub(start));
+        let cache = cached.map(|(cache, outcome)| cache.launch_report(outcome, run.tape));
         let execution = Execution {
             output: run.output,
             stats: run.stats,
-            time: self.estimate(&compiled, target),
-            compiled,
+            time: self.time_of(&prepared, target),
+            compiled: Arc::clone(compiled),
         };
         let profile = run.exec.map(|exec| {
             let facts = self.facts(target, engine, exec, rec.into_spans(), launch_us, None);

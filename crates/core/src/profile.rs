@@ -300,6 +300,12 @@ impl LaunchProfile {
                 "  kernel cache: {} ({} hits, {} misses)\n",
                 c.outcome, c.hits, c.misses
             ));
+            if let Some(tape) = c.tape {
+                out.push_str(&format!(
+                    "  tape: {tape} ({} built, {} reused, {} warp programs lowered)\n",
+                    c.tapes_built, c.tapes_reused, c.warps_lowered
+                ));
+            }
         }
         if let Some(w) = self.warp_occupancy {
             out.push_str(&format!(

@@ -33,17 +33,18 @@
 //! [`SimError::DeadlineExceeded`]: hipacc_sim::SimError::DeadlineExceeded
 //! [`repair_blocks`]: hipacc_sim::launch::repair_blocks
 
-use crate::cache::CacheReport;
+use crate::cache::{CacheReport, Prepared};
 use crate::operator::{Execution, Operator, OperatorError};
 use crate::profile::{LaunchFacts, LaunchProfile};
 use crate::target::Target;
-use hipacc_codegen::{fallback_chain, CompiledKernel, MemVariant};
+use hipacc_codegen::{fallback_chain, MemVariant};
 use hipacc_faults::{FaultPlan, FaultSession};
 use hipacc_image::Image;
 use hipacc_profile::{now_us, Recorder, Span};
 use hipacc_sim::inject::{combine_hash, store_hash};
 use hipacc_sim::launch::{repair_blocks, run_on_image_instrumented};
 use hipacc_sim::Engine;
+use std::sync::Arc;
 
 /// Retry and fallback policy for [`supervise`].
 #[derive(Clone, Debug)]
@@ -445,18 +446,27 @@ pub fn supervise(
 
     while step_idx < steps.len() {
         let step = steps[step_idx].clone();
-        let mut op_step = op.clone();
-        op_step.options.variant = step.variant;
-        op_step.options.force_config = step.force_config;
+        // The `initial` rung is `op` as it is; only a degraded rung needs
+        // an operator of its own.
+        let degraded;
+        let op_step = if step_idx == 0 {
+            op
+        } else {
+            let mut clone = op.clone();
+            clone.options.variant = step.variant;
+            clone.options.force_config = step.force_config;
+            degraded = clone;
+            &degraded
+        };
 
         let mut rec = Recorder::new();
         // Kernel-cache policy: only the pristine `initial` rung may be
         // served from (or populate) the cache. Degraded rungs compile with
         // a different fingerprint anyway (variant / force_config are part
         // of the key), but they bypass the cache entirely.
-        let bypass = (step.label != "initial").then_some("degraded-config");
+        let bypass = (step_idx != 0).then_some("degraded-config");
         let compile = op_step.compile_maybe_cached(target, width, height, &mut rec, bypass);
-        let (compiled, cache) = match compile {
+        let (prepared, cached) = match compile {
             Ok(c) => c,
             Err(e) => {
                 let resource = e.is_resource_limit();
@@ -478,12 +488,13 @@ pub fn supervise(
                 return surface(report, &step, 0, err);
             }
         };
+        let compiled = prepared.compiled();
         if !ladder_built {
             steps.extend(ladder(Some(compiled.config)));
             ladder_built = true;
         }
 
-        let spec = op.spec_for(&compiled, inputs);
+        let spec = op.spec_for(compiled, inputs);
         // Every pass either returns, moves to the next attempt (only
         // while one is left) or breaks out to the next rung.
         let mut attempt = 0;
@@ -499,6 +510,7 @@ pub fn supervise(
                 engine,
                 true,
                 Some(&session),
+                prepared.tape(),
             );
             let mut run = match launch {
                 Ok(run) => run,
@@ -554,7 +566,7 @@ pub fn supervise(
                 Ok((Completed, "validated clean".to_string()))
             } else {
                 try_repair(
-                    &compiled,
+                    &prepared,
                     &spec,
                     engine,
                     &corrupted,
@@ -573,7 +585,6 @@ pub fn supervise(
             match validated {
                 Ok((action, detail)) => {
                     log(&mut report, &step, attempt, action, detail, launch_us);
-                    let time = op.estimate(&compiled, target);
                     let facts = op.facts(
                         target,
                         engine,
@@ -586,11 +597,12 @@ pub fn supervise(
                         execution: Execution {
                             output: run.output,
                             stats: run.stats,
-                            time,
-                            compiled,
+                            time: op.time_of(&prepared, target),
+                            compiled: Arc::clone(compiled),
                         },
                         recovery: report,
-                        cache,
+                        cache: cached
+                            .map(|(cache, outcome)| cache.launch_report(outcome, run.tape)),
                         facts,
                     });
                 }
@@ -620,14 +632,15 @@ pub fn supervise(
 /// patch them into `output`. Returns a description of why the repair did
 /// not validate.
 fn try_repair(
-    compiled: &CompiledKernel,
+    prepared: &Prepared,
     spec: &hipacc_sim::launch::LaunchSpec<'_>,
     engine: Engine,
     corrupted: &[(u32, u32)],
     faults: &hipacc_sim::FaultedRun,
     output: &mut Image<f32>,
 ) -> Result<(), String> {
-    let (stores, _stats) = repair_blocks(&compiled.device_kernel, spec, engine, corrupted)
+    let kernel = &prepared.compiled().device_kernel;
+    let (stores, _stats) = repair_blocks(kernel, spec, engine, corrupted, prepared.tape())
         .map_err(|e| format!("repair failed: {e}"))?;
     let expected: u64 = faults
         .ledger

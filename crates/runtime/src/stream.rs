@@ -57,7 +57,7 @@ use hipacc_sim::launch::resolve_engine;
 use hipacc_sim::{SimError, WorkerPool};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Environment variable for the shared pool's worker count, consulted
@@ -381,14 +381,13 @@ struct Budgets {
 /// first frame and every stage launch of the run then shares.
 struct RunCtx {
     engine: Engine,
-    /// The planned chain (fused groups replaced by one stage each).
+    /// The planned chain (fused groups replaced by one stage each), each
+    /// operator already set to the run's engine, cache and pool.
     stages: Vec<Stage>,
     fusion: Vec<FusionDecision>,
-    /// The configured worker count; `pool` may be a shared one of
+    /// The configured worker count; the pool may be a shared one of
     /// another width.
     workers: usize,
-    pool: Arc<WorkerPool>,
-    cache: Option<Arc<KernelCache>>,
     gov: Governor,
     budgets: Budgets,
     frames_in: usize,
@@ -465,7 +464,10 @@ pub struct Stream {
     target: Target,
     stages: Vec<Stage>,
     cache: Arc<KernelCache>,
+    /// The pool shared through [`Self::with_shared`].
     pool: Option<Arc<WorkerPool>>,
+    /// The stream's own pool when none is shared (see `Stream::own_pool`).
+    own_pool: Mutex<Option<Arc<WorkerPool>>>,
 }
 
 impl Stream {
@@ -478,6 +480,7 @@ impl Stream {
             stages: Vec::new(),
             cache: Arc::new(KernelCache::default()),
             pool: None,
+            own_pool: Mutex::new(None),
         }
     }
 
@@ -760,21 +763,24 @@ impl Stream {
         };
         let effective_deadline = plan.deadline_us;
 
-        let mut op = stage.op.clone();
-        op.options.engine = Some(engine);
-        op.options.cache = ctx.cache.clone();
-        op.options.pool = Some(Arc::clone(&ctx.pool));
         let mut sup_cfg = self.config.supervisor.clone();
-        if let Some(pin) = &stage_plan.pinned {
-            // Breaker open: run the proven rung as the *initial* (and
-            // only) configuration. The retry/degradation ladder is
-            // bypassed, and the pinned rung is now cache-served — it
-            // recompiles exactly once.
-            op.options.variant = pin.variant;
-            op.options.force_config = pin.force_config;
-            sup_cfg.max_attempts = 1;
-            sup_cfg.fallback = false;
-        }
+        let pinned_op;
+        let op = match &stage_plan.pinned {
+            None => &stage.op,
+            Some(pin) => {
+                // Breaker open: run the proven rung as the *initial* (and
+                // only) configuration. The retry/degradation ladder is
+                // bypassed, and the pinned rung is now cache-served — it
+                // recompiles exactly once.
+                let mut op = stage.op.clone();
+                op.options.variant = pin.variant;
+                op.options.force_config = pin.force_config;
+                sup_cfg.max_attempts = 1;
+                sup_cfg.fallback = false;
+                pinned_op = op;
+                &pinned_op
+            }
+        };
 
         // Panic isolation: an injected (or real) worker panic unwinds
         // through the launch into this shield; the frame becomes a
@@ -884,12 +890,20 @@ impl Stream {
         if self.stages.is_empty() {
             return Err(invalid("stream has no stages"));
         }
-        let (stages, fusion) = self.plan_stages(frames.first().map(|f| (f.width(), f.height())));
+        let (mut stages, fusion) =
+            self.plan_stages(frames.first().map(|f| (f.width(), f.height())));
         let workers = self.config.resolve_workers()?;
-        let pool = self
-            .pool
-            .clone()
-            .unwrap_or_else(|| Arc::new(WorkerPool::new(workers)));
+        let pool = match &self.pool {
+            Some(shared) => Arc::clone(shared),
+            None => self.own_pool(workers),
+        };
+        let cache = self.config.share_cache.then(|| Arc::clone(&self.cache));
+        for stage in &mut stages {
+            let options = &mut stage.op.options;
+            options.engine = Some(engine);
+            options.cache = cache.clone();
+            options.pool = Some(Arc::clone(&pool));
+        }
         Ok(RunCtx {
             budgets: Budgets {
                 frame_us: self.config.resolve_frame_deadline()?,
@@ -905,15 +919,27 @@ impl Stream {
                 self.config.probe_after,
                 self.config.close_after,
             ),
-            cache: self.config.share_cache.then(|| Arc::clone(&self.cache)),
             frames_in: frames.len(),
             counters_before: (self.cache.hits(), self.cache.misses()),
             engine,
             stages,
             fusion,
             workers,
-            pool,
         })
+    }
+
+    /// The stream's own pool of `workers` threads, kept across runs: a
+    /// cached tape runs on the pool it was built for, so a pool per run
+    /// would make every run rebuild every tape. Replaced when the worker
+    /// count changes.
+    fn own_pool(&self, workers: usize) -> Arc<WorkerPool> {
+        // Every update below leaves the slot holding a valid pool or
+        // nothing, so a poisoned lock is adopted as-is.
+        let mut own = self.own_pool.lock().unwrap_or_else(PoisonError::into_inner);
+        match own.as_ref() {
+            Some(pool) if pool.workers() == workers => Arc::clone(pool),
+            _ => Arc::clone(own.insert(Arc::new(WorkerPool::new(workers)))),
+        }
     }
 
     /// Run the chain over `frames` as a streaming pipeline: one thread

@@ -3,8 +3,10 @@
 //!
 //! The tree-walking interpreter in [`crate::interp`] re-resolves variable
 //! names, buffer names and launch constants on every expression node of
-//! every thread. This module lowers a [`DeviceKernelDef`] *once per launch*
-//! into a flat register-machine program and then runs that program for each
+//! every thread. This module lowers a [`DeviceKernelDef`] *once per launch
+//! configuration* into a flat register-machine program (the launch step
+//! keeps it for every later launch with the same launch constants, see
+//! [`crate::launch::TapeMemo`]) and then runs that program for each
 //! thread:
 //!
 //! * **Slot resolution** — variables become dense register indices; buffer,
@@ -136,6 +138,9 @@ pub(crate) struct GlobalBinding {
 pub(crate) struct ConstBinding {
     pub(crate) name: String,
     pub(crate) data: Vec<f32>,
+    /// Copied from the launch's `DeviceMemory::dynamic_const` rather than
+    /// from the kernel's static mask data.
+    pub(crate) dynamic: bool,
 }
 
 /// Shared-memory tile layout.
@@ -195,10 +200,15 @@ pub(crate) struct StoreRec {
 /// Produced by [`compile`]; run with [`CompiledKernel::run_with`] (or use
 /// [`execute`] for the one-shot compile-and-run path). The program bakes in
 /// the launch's grid/block dimensions and scalar arguments, so it is only
-/// valid for the `LaunchParams` it was compiled against.
+/// valid for the `LaunchParams` it was compiled against. It keeps
+/// everything it was built from except the pixels, so
+/// [`Self::launch_mismatch`] can tell whether another launch may run it.
 pub struct CompiledKernel {
     pub(crate) grid: (u32, u32),
     pub(crate) block: (u32, u32),
+    /// The scalar arguments the tape was compiled against (folded into
+    /// its instructions).
+    scalars: HashMap<String, Const>,
     /// Worker-count override captured from the launch parameters.
     pub(crate) sim_threads: Option<usize>,
     /// Shared worker pool captured from the launch parameters.
@@ -258,6 +268,61 @@ impl CompiledKernel {
     /// compile time (a re-upload requires recompiling).
     pub fn captured_const_buffers(&self) -> impl Iterator<Item = &str> {
         self.consts.iter().map(|c| c.name.as_str())
+    }
+
+    /// The first piece of launch-constant state in which `params` and
+    /// `mem` differ from what this tape was built from, or `None` when
+    /// the tape is exactly the one [`compile`] would build for them.
+    /// Pixels are not compared: the tape reads them at run time. The
+    /// cost is one pass over the scalars, the bound buffers' geometry and
+    /// the captured constant banks.
+    pub(crate) fn launch_mismatch(
+        &self,
+        params: &LaunchParams,
+        mem: &DeviceMemory,
+    ) -> Option<crate::launch::TapeRebuild> {
+        use crate::launch::TapeRebuild;
+        let same_bits = |a: &Const, b: &Const| match (a, b) {
+            (Const::Float(x), Const::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        };
+        let same_pool = match (&self.pool, &params.pool) {
+            (None, None) => true,
+            (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        if (self.grid, self.block) != (params.grid, params.block) {
+            Some(TapeRebuild::Shape)
+        } else if self.scalars.len() != params.scalars.len()
+            || !self
+                .scalars
+                .iter()
+                .all(|(name, v)| params.scalars.get(name).is_some_and(|w| same_bits(v, w)))
+        {
+            Some(TapeRebuild::Scalars)
+        } else if !self.globals.iter().all(|g| {
+            mem.buffer(&g.name).is_some_and(|b| b.geom == g.geom)
+                && mem
+                    .tex_modes
+                    .get(&g.name)
+                    .copied()
+                    .unwrap_or(AddressMode::None)
+                    == g.mode
+        }) {
+            Some(TapeRebuild::Buffers)
+        } else if !self.consts.iter().filter(|c| c.dynamic).all(|c| {
+            mem.dynamic_const.get(&c.name).is_some_and(|bank| {
+                bank.iter()
+                    .map(|v| v.to_bits())
+                    .eq(c.data.iter().map(|v| v.to_bits()))
+            })
+        }) {
+            Some(TapeRebuild::ConstBank)
+        } else if self.sim_threads != params.sim_threads || !same_pool {
+            Some(TapeRebuild::Workers)
+        } else {
+            None
+        }
     }
 
     /// Human-readable dump of the compiled tapes: the uniform prologue
@@ -419,6 +484,7 @@ pub fn compile(
     Ok(CompiledKernel {
         grid: params.grid,
         block: params.block,
+        scalars: params.scalars.clone(),
         sim_threads: params.sim_threads,
         pool: params.pool.clone(),
         prologue: std::mem::take(&mut c.prologue),
@@ -561,6 +627,7 @@ impl<'a> Compiler<'a> {
         self.consts.push(ConstBinding {
             name: name.to_string(),
             data,
+            dynamic: cb.data.is_none(),
         });
         self.const_idx.insert(name.to_string(), i);
         Ok(i)
@@ -2330,6 +2397,17 @@ impl CompiledKernel {
         (engine == Engine::Simd).then(|| self.warp.get_or_init(|| crate::warp::lower(self)))
     }
 
+    /// Lower the warp program now unless it already is; true for the one
+    /// call that lowered it.
+    pub(crate) fn lower_warp(&self) -> bool {
+        let mut lowered = false;
+        self.warp.get_or_init(|| {
+            lowered = true;
+            crate::warp::lower(self)
+        });
+        lowered
+    }
+
     /// Resolve the binding table against bound memory (shared by the run
     /// paths and the repair path).
     fn buffer_views<'m>(&self, mem: &'m DeviceMemory) -> Result<Vec<BufView<'m>>, SimError> {
@@ -2363,8 +2441,9 @@ impl CompiledKernel {
     /// or disabled hook leaves the run byte-for-byte on the plain path.
     ///
     /// Constant banks are captured at [`compile`] time, so constant-memory
-    /// corruption must be applied to the [`DeviceMemory`] *before*
-    /// compiling (the launch-level entry point does this).
+    /// corruption must be applied to the [`DeviceMemory`] *before* the
+    /// launch decides which tape runs (the launch-level entry point does
+    /// this, and a corrupted bank makes it build a tape of its own).
     pub fn run_instrumented(
         &self,
         mem: &mut DeviceMemory,

@@ -17,20 +17,24 @@
 //! checked against the tree-walking specification in [`crate::interp`],
 //! which is not an engine: tests reach it through [`bind`].
 //!
-//! There is one launch step, [`run_on_image_instrumented`]: bind, compile
-//! the tape, run [`CompiledKernel::run_instrumented`] with whatever
+//! There is one launch step, [`run_on_image_instrumented`]: bind, take
+//! the tape from a [`TapeMemo`] (building it when the memo has none that
+//! fits), run [`CompiledKernel::run_instrumented`] with whatever
 //! instrumentation was asked for, download. [`run_on_image`] and
-//! [`run_on_image_with`] are that step with the instrumentation off.
+//! [`run_on_image_with`] are that step with the instrumentation off and
+//! an empty memo.
 //!
 //! [`CompiledKernel::run_instrumented`]: crate::bytecode::CompiledKernel::run_instrumented
 
+use crate::bytecode::CompiledKernel;
 use crate::interp::{ExecStats, SimError};
 use crate::memory::{BufferGeometry, DeviceBuffer, DeviceMemory, LaunchParams};
 use hipacc_image::Image;
 use hipacc_ir::kernel::{BufferAccess, DeviceKernelDef};
 use hipacc_ir::ty::Const;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Everything a launch needs besides the kernel itself.
 ///
@@ -88,6 +92,210 @@ pub struct LaunchResult {
     /// every launch under an enabled hook. Non-empty means every output
     /// of this launch is suspect.
     pub corrupt_const_banks: Vec<String>,
+    /// How the launch came by its tape.
+    pub tape: TapeReport,
+}
+
+/// The tape of one device kernel, kept across its launches.
+///
+/// The first launch that needs a tape builds it and leaves it here; a
+/// later launch runs it only when its *launch-constant* state — grid,
+/// block, scalars, bound buffer geometries and address modes, the bits
+/// of every constant bank the tape captured, worker count and pool —
+/// compares equal to what the tape was built from. Pixels are per-frame
+/// state and are bound afresh on every launch. A launch that differs
+/// anywhere builds a tape of its own and leaves the memo as it is, so the
+/// memo never serves a tape another launch could not have built itself.
+/// The tape's warp program hangs off the tape, so it is lowered once per
+/// memo too.
+///
+/// A memo belongs to one `DeviceKernelDef`: pass it only with the kernel
+/// whose launches filled it.
+#[derive(Default)]
+pub struct TapeMemo {
+    tape: OnceLock<CompiledKernel>,
+    /// Where every launch on this memo counts what it did for its tape.
+    counters: Option<Arc<TapeCounters>>,
+}
+
+impl std::fmt::Debug for TapeMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TapeMemo")
+            .field("built", &self.tape.get().is_some())
+            .finish()
+    }
+}
+
+/// Tapes built, tapes reused and warp programs lowered by the launches
+/// of every memo that counts into these counters — a kernel cache's
+/// entries share one set. A launch is counted when it has its tape, so a
+/// launch that fails while running is counted too.
+#[derive(Debug, Default)]
+pub struct TapeCounters {
+    built: AtomicU64,
+    reused: AtomicU64,
+    warps_lowered: AtomicU64,
+}
+
+impl TapeCounters {
+    /// Tapes built, rebuilds for a single launch included.
+    pub fn built(&self) -> u64 {
+        self.built.load(Ordering::Relaxed)
+    }
+
+    /// Launches that ran a kept tape.
+    pub fn reused(&self) -> u64 {
+        self.reused.load(Ordering::Relaxed)
+    }
+
+    /// Warp programs lowered.
+    pub fn warps_lowered(&self) -> u64 {
+        self.warps_lowered.load(Ordering::Relaxed)
+    }
+
+    fn note(&self, tape: TapeReport) {
+        let counter = if tape.built() {
+            &self.built
+        } else {
+            &self.reused
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if tape.lowered_warp {
+            self.warps_lowered.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl TapeMemo {
+    /// An empty memo whose launches count into `counters`.
+    pub fn counted(counters: Arc<TapeCounters>) -> Self {
+        Self {
+            tape: OnceLock::new(),
+            counters: Some(counters),
+        }
+    }
+
+    /// The tape for this launch, its warp program lowered when `engine`
+    /// runs one: the memoised tape when the launch constants match,
+    /// otherwise a fresh build (in `fresh`) — kept in the memo only when
+    /// the memo is empty and `pristine` says the launch's constant banks
+    /// are the ones its spec uploaded.
+    fn tape<'t>(
+        &'t self,
+        kernel: &DeviceKernelDef,
+        params: &LaunchParams,
+        mem: &DeviceMemory,
+        engine: Engine,
+        pristine: impl FnOnce() -> bool,
+        fresh: &'t mut Option<CompiledKernel>,
+    ) -> Result<(&'t CompiledKernel, TapeReport), SimError> {
+        let (tape, source) = match self.tape.get() {
+            Some(tape) => match tape.launch_mismatch(params, mem) {
+                None => (tape, TapeSource::Reused),
+                Some(why) => {
+                    let own = crate::bytecode::compile(kernel, params, mem)?;
+                    (&*fresh.insert(own), TapeSource::Rebuilt(why))
+                }
+            },
+            None => {
+                let tape = crate::bytecode::compile(kernel, params, mem)?;
+                if !pristine() {
+                    let why = TapeSource::Rebuilt(TapeRebuild::ConstBank);
+                    (&*fresh.insert(tape), why)
+                } else {
+                    // A concurrent first launch may have kept its tape
+                    // first; this one then runs its own.
+                    match self.tape.set(tape) {
+                        Ok(()) => (
+                            self.tape.get().expect("the tape was just set"),
+                            TapeSource::Built,
+                        ),
+                        Err(tape) => (&*fresh.insert(tape), TapeSource::Built),
+                    }
+                }
+            }
+        };
+        let lowered_warp = engine == Engine::Simd && tape.lower_warp();
+        let report = TapeReport {
+            source,
+            lowered_warp,
+        };
+        if let Some(counters) = &self.counters {
+            counters.note(report);
+        }
+        Ok((tape, report))
+    }
+}
+
+/// Where a launch's tape came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TapeSource {
+    /// The memo was empty: the tape was built and is kept for later
+    /// launches (unless a concurrent first launch kept its own first).
+    Built,
+    /// The memoised tape matched the launch constants and ran.
+    Reused,
+    /// The launch constants differ from the memoised tape's (or, with an
+    /// empty memo, the constant banks differ from the uploaded ones): a
+    /// tape was built for this launch alone.
+    Rebuilt(TapeRebuild),
+}
+
+/// The piece of launch-constant state that kept a launch from reusing the
+/// memoised tape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TapeRebuild {
+    /// Grid or block dimensions.
+    Shape,
+    /// A scalar argument.
+    Scalars,
+    /// A bound buffer's geometry or address mode.
+    Buffers,
+    /// A constant bank's coefficients: other uploaded coefficients, or a
+    /// bank a fault hook corrupted.
+    ConstBank,
+    /// The worker count or the worker pool.
+    Workers,
+}
+
+impl TapeRebuild {
+    /// Stable lowercase name.
+    pub fn label(self) -> &'static str {
+        match self {
+            TapeRebuild::Shape => "shape",
+            TapeRebuild::Scalars => "scalars",
+            TapeRebuild::Buffers => "buffers",
+            TapeRebuild::ConstBank => "constant bank",
+            TapeRebuild::Workers => "workers",
+        }
+    }
+}
+
+/// What one launch did for its tape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TapeReport {
+    /// Where the tape came from.
+    pub source: TapeSource,
+    /// This launch lowered the tape's warp program (the first simd run of
+    /// a tape does).
+    pub lowered_warp: bool,
+}
+
+impl TapeReport {
+    /// A tape was built for this launch (kept or not).
+    pub fn built(&self) -> bool {
+        self.source != TapeSource::Reused
+    }
+}
+
+impl std::fmt::Display for TapeReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.source {
+            TapeSource::Built => f.write_str("built"),
+            TapeSource::Reused => f.write_str("reused"),
+            TapeSource::Rebuilt(why) => write!(f, "rebuilt: {}", why.label()),
+        }
+    }
 }
 
 /// Which execution engine runs the compiled tape. Both are bit- and
@@ -243,11 +451,13 @@ pub fn run_on_image_with(
     spec: &LaunchSpec<'_>,
     engine: Engine,
 ) -> Result<LaunchResult, SimError> {
-    run_on_image_instrumented(kernel, spec, engine, false, None)
+    run_on_image_instrumented(kernel, spec, engine, false, None, &TapeMemo::default())
 }
 
 /// The launch step every entry point goes through: bind the spec's
-/// images, masks and scalars, run `kernel` on `engine`, download `OUT`.
+/// images, masks and scalars, take the tape from `memo` (see
+/// [`TapeMemo`] for when a launch reuses it), run it on `engine`,
+/// download `OUT`. A cold launch is this step with an empty memo.
 ///
 /// `profile` additionally collects the per-block
 /// [`ExecProfile`](crate::sched::ExecProfile). An enabled `hook` may
@@ -264,16 +474,20 @@ pub fn run_on_image_instrumented(
     engine: Engine,
     profile: bool,
     hook: Option<&dyn crate::inject::FaultHook>,
+    memo: &TapeMemo,
 ) -> Result<LaunchResult, SimError> {
     let (mut mem, params) = bind(kernel, spec)?;
     let hook = hook.filter(|h| h.enabled());
     if let Some(h) = hook {
-        // The tape captures constant banks at compile time, so memory
-        // corruption must land before it is compiled.
+        // The tape captures constant banks, so memory corruption must
+        // land before the memo decides whether its tape still fits: a
+        // corrupted bank fails the comparison and gets a tape of its own.
         h.corrupt_memory(&mut mem);
     }
-    let run = crate::bytecode::compile(kernel, &params, &mem)?
-        .run_instrumented(&mut mem, engine, profile, hook)?;
+    let pristine = || hook.is_none() || scrub_const_banks(&mem, spec).is_empty();
+    let mut fresh = None;
+    let (tape, tape_report) = memo.tape(kernel, &params, &mem, engine, pristine, &mut fresh)?;
+    let run = tape.run_instrumented(&mut mem, engine, profile, hook)?;
     let out = mem
         .buffer("OUT")
         .ok_or_else(|| SimError::UnboundBuffer("OUT".into()))?;
@@ -286,6 +500,7 @@ pub fn run_on_image_instrumented(
             Some(_) => scrub_const_banks(&mem, spec),
             None => Vec::new(),
         },
+        tape: tape_report,
     })
 }
 
@@ -317,16 +532,20 @@ fn scrub_const_banks(mem: &DeviceMemory, spec: &LaunchSpec<'_>) -> Vec<String> {
 
 /// Re-execute the listed blocks fault-free on freshly prepared memory and
 /// return their stores (buffer-name resolved) plus the re-execution
-/// statistics — the launch-level selective-repair primitive. The caller
-/// patches the stores into its downloaded output.
+/// statistics — the launch-level selective-repair primitive, on the same
+/// `memo` as the launch it repairs. The caller patches the stores into
+/// its downloaded output.
 pub fn repair_blocks(
     kernel: &DeviceKernelDef,
     spec: &LaunchSpec<'_>,
     engine: Engine,
     blocks: &[(u32, u32)],
+    memo: &TapeMemo,
 ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
     let (mem, params) = bind(kernel, spec)?;
-    crate::bytecode::compile(kernel, &params, &mem)?.run_blocks_with(&mem, blocks, engine)
+    let mut fresh = None;
+    let (tape, _) = memo.tape(kernel, &params, &mem, engine, || true, &mut fresh)?;
+    tape.run_blocks_with(&mem, blocks, engine)
 }
 
 /// Reject launch geometries that would otherwise dispatch nothing or

@@ -18,8 +18,9 @@
 //!   per-block store order, [`ExecStats`] and error identity.
 //!
 //! * [`bytecode`] — the **tape compiler and scalar engine**: the same
-//!   kernel IR lowered on every launch into a flat register-machine
-//!   program (variables become dense register slots, buffer references
+//!   kernel IR lowered once per launch configuration into a flat
+//!   register-machine program (variables become dense register slots,
+//!   buffer references
 //!   become binding-table indices, launch constants are folded,
 //!   block-uniform subexpressions are hoisted into a once-per-block
 //!   prologue, and interior blocks skip address-mode handling), run one
@@ -75,7 +76,7 @@ pub use interp::{execute_observed, ExecStats, SimError};
 pub use launch::{
     override_conflicts, parse_engine_env, repair_blocks, resolve_engine, run_on_image,
     run_on_image_instrumented, run_on_image_with, Engine, LaunchResult, OverrideConflict,
-    ENGINE_ENV,
+    TapeCounters, TapeMemo, TapeRebuild, TapeReport, TapeSource, ENGINE_ENV,
 };
 pub use memory::{DeviceMemory, LaunchParams};
 pub use observer::ObserverReport;

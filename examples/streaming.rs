@@ -16,8 +16,9 @@
 //! Then two streams run *concurrently* on a shared cache + pool, each
 //! on its own trace lane. The example self-validates: every streamed
 //! frame must be bit-identical to its sequential twin, frame counts
-//! must balance, the steady-state cache hit rate must be high, and the
-//! merged Chrome trace must validate with one `tid` per stream.
+//! must balance, the steady-state cache hit rate must be high, every warm
+//! frame must run its stage's kept tape, and the merged Chrome trace must
+//! validate with one `tid` per stream.
 //!
 //! ```text
 //! cargo run --release --example streaming [TRACE_PATH] [REPORT_PATH]
@@ -106,9 +107,8 @@ fn main() {
     assert_eq!(sequential.report.frames_out, FRAMES);
 
     // 2. Streamed: pipelined, steady state served from the cache.
-    let streamed = chain("video", config.clone())
-        .run(frames.clone())
-        .expect("streaming run");
+    let video = chain("video", config.clone());
+    let streamed = video.run(frames.clone()).expect("streaming run");
     assert_eq!(streamed.report.frames_in, FRAMES);
     assert_eq!(streamed.report.frames_out, FRAMES);
     assert_bit_identical(&streamed, &sequential, "streamed run");
@@ -119,6 +119,20 @@ fn main() {
     );
     print!("{}", streamed.report.render_text());
     println!("ok: streamed outputs bit-identical to the sequential baseline");
+    // A warm frame binds its pixels and runs the stage's kept tape: one
+    // tape built and one warp program lowered per stage, all in frame 0.
+    let cache = video.cache();
+    let stages = 3;
+    println!(
+        "  tapes: {} built, {} reused, {} warp programs lowered",
+        cache.tapes_built(),
+        cache.tapes_reused(),
+        cache.warps_lowered()
+    );
+    assert_eq!(cache.tapes_built(), stages);
+    assert_eq!(cache.warps_lowered(), stages);
+    assert_eq!(cache.tapes_reused(), stages * (FRAMES as u64 - 1));
+    println!("ok: warm frames reused one prepared kernel per stage");
     println!();
 
     // 3. Streamed with a transient hang on frame 4: the supervisor

@@ -11,12 +11,20 @@
 //!   a stale tape into later healthy launches.
 //! * The profile names the engine that ran and, on the simd engine,
 //!   reports mean warp occupancy.
+//! * An entry keeps its simulator tape and modelled time, and hands them
+//!   only to launches whose launch-constant state matches: operators that
+//!   share a fingerprint but not their masks, launch count, worker count
+//!   or pool get exactly what an uncached launch gets, and a corrupted
+//!   constant bank costs one rebuild, never the kept tape.
 
 use hipacc_core::prelude::*;
-use hipacc_core::{Engine, FaultPlan, KernelCache, SupervisorConfig, Target};
+use hipacc_core::supervisor::RecoveryAction;
+use hipacc_core::{pipeline, Engine, FaultPlan, FaultSession, KernelCache, SupervisorConfig};
 use hipacc_filters::gaussian::gaussian_operator;
 use hipacc_hwmodel::device;
 use hipacc_image::phantom;
+use hipacc_sim::launch::run_on_image_instrumented;
+use hipacc_sim::{TapeMemo, TapeRebuild, TapeSource, WorkerPool};
 use std::sync::Arc;
 
 fn test_image() -> Image<f32> {
@@ -52,13 +60,14 @@ fn cached_and_fresh_compiles_produce_byte_identical_tapes() {
 
     // `phase_times` carries wall-clock timings, which legitimately differ
     // between compiles; everything else must match bit for bit.
-    let strip = |mut c: hipacc_codegen::CompiledKernel| {
+    let strip = |c: &hipacc_codegen::CompiledKernel| {
+        let mut c = c.clone();
         c.phase_times.clear();
         format!("{c:?}")
     };
-    let fresh_tape = strip(fresh.compiled);
-    assert_eq!(fresh_tape, strip(miss.compiled.clone()));
-    assert_eq!(fresh_tape, strip(hit.compiled.clone()));
+    let fresh_tape = strip(&fresh.compiled);
+    assert_eq!(fresh_tape, strip(&miss.compiled));
+    assert_eq!(fresh_tape, strip(&hit.compiled));
     assert_eq!(
         format!("{:?}", miss.compiled),
         format!("{:?}", hit.compiled),
@@ -109,7 +118,15 @@ fn warm_cache_removes_compile_phases_from_the_profile() {
     );
     assert_eq!(cold_run.output.max_abs_diff(&warm_run.output), 0.0);
     assert_eq!(cold_run.stats, warm_run.stats);
-    assert!(warm.render_text().contains("kernel cache: hit"));
+    assert!(cold
+        .render_text()
+        .contains("tape: built (1 built, 0 reused, 1 warp programs lowered)"));
+    let text = warm.render_text();
+    assert!(text.contains("kernel cache: hit"), "{text}");
+    assert!(
+        text.contains("tape: reused (1 built, 1 reused, 1 warp programs lowered)"),
+        "a hit runs the entry's tape and its lowered warp program: {text}"
+    );
 }
 
 /// The cache key covers everything that changes the artifact: different
@@ -453,4 +470,210 @@ fn engine_option_selects_the_simd_engine() {
     let simd = op.execute(&[("Input", &img)], &target).unwrap();
     assert_eq!(reference.output.max_abs_diff(&simd.output), 0.0);
     assert_eq!(reference.stats, simd.stats);
+}
+
+// ---------------------------------------------------------------------
+// Prepared kernels: what an entry keeps, and who may use it.
+// ---------------------------------------------------------------------
+
+/// A 3x1 convolution with a dynamically uploaded mask: the kind of
+/// kernel whose coefficients live in a constant bank the launch uploads.
+fn dyn_mask_operator(coeffs: [f32; 3]) -> Operator {
+    let mut b = KernelBuilder::new("dynconv", ScalarType::F32);
+    let input = b.accessor("Input", ScalarType::F32);
+    let m = b.mask_dynamic("M", 3, 1);
+    let acc = b.let_("acc", ScalarType::F32, Expr::float(0.0));
+    b.for_inclusive("xf", Expr::int(-1), Expr::int(1), |b, xf| {
+        b.add_assign(
+            &acc,
+            b.mask_at(&m, xf.get(), Expr::int(0)) * b.read_at(&input, xf.get(), Expr::int(0)),
+        );
+    });
+    b.output(acc.get());
+    Operator::new(b.finish())
+        .boundary("Input", BoundaryMode::Clamp, 3, 1)
+        .upload_mask("M", coeffs.to_vec())
+}
+
+/// Bit-identical outputs, equal statistics and equal modelled time.
+fn assert_same_run(got: &Execution, want: &Execution, what: &str) {
+    let bits = |e: &Execution| {
+        e.output
+            .raw()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(got), bits(want), "{what}: output bits");
+    assert_eq!(got.stats, want.stats, "{what}: ExecStats");
+    assert_eq!(got.time, want.time, "{what}: TimeBreakdown");
+}
+
+/// Two operators share one cache entry (same definition, same geometry,
+/// hence one fingerprint) but differ in something the fingerprint does
+/// not cover. Each must get exactly what an uncached launch gets, on both
+/// engines, so the tape and the modelled time are never keyed by the
+/// fingerprint alone.
+#[test]
+fn operators_sharing_a_fingerprint_never_share_launch_constants() {
+    let img = test_image();
+    let target = Target::cuda(device::tesla_c2050());
+    let mask = [0.25, 0.5, 0.25];
+    let op = |coeffs, options| dyn_mask_operator(coeffs).with_options(options);
+    let one = PipelineOptions {
+        sim_threads: Some(1),
+        ..PipelineOptions::default()
+    };
+    let first = op(mask, one.clone());
+    // (what differs, second operator, whether it may run the first's tape)
+    let cases = [
+        (
+            "mask coefficients",
+            op([0.5, 0.25, 0.25], one.clone()),
+            false,
+        ),
+        (
+            "launch count",
+            op(
+                mask,
+                PipelineOptions {
+                    launches: 3,
+                    ..one.clone()
+                },
+            ),
+            true,
+        ),
+        (
+            "worker count",
+            op(
+                mask,
+                PipelineOptions {
+                    sim_threads: Some(3),
+                    ..one.clone()
+                },
+            ),
+            false,
+        ),
+        (
+            "worker pool",
+            op(
+                mask,
+                PipelineOptions {
+                    pool: Some(Arc::new(WorkerPool::new(2))),
+                    ..one
+                },
+            ),
+            false,
+        ),
+    ];
+    for engine in [Engine::Bytecode, Engine::Simd] {
+        for (what, second, shares_tape) in &cases {
+            let cache = Arc::new(KernelCache::default());
+            let (mut first, mut second) = (first.clone(), second.clone());
+            for op in [&mut first, &mut second] {
+                op.options.cache = Some(Arc::clone(&cache));
+            }
+            let uncached = |op: &Operator| {
+                let mut op = op.clone();
+                op.options.cache = None;
+                op.execute_with(&[("Input", &img)], &target, engine)
+                    .unwrap()
+            };
+            let label = format!("{what} on {}", engine.label());
+            // First, second, first again: the entry must keep serving
+            // the operator that filled it.
+            for (i, op) in [&first, &second, &first].into_iter().enumerate() {
+                let run = op
+                    .execute_with(&[("Input", &img)], &target, engine)
+                    .unwrap();
+                assert_same_run(&run, &uncached(op), &format!("{label}, launch {i}"));
+            }
+            assert_eq!(cache.len(), 1, "{label}: one fingerprint, one entry");
+            let built = if *shares_tape { 1 } else { 2 };
+            assert_eq!(
+                (cache.tapes_built(), cache.tapes_reused()),
+                (built, 3 - built),
+                "{label}: tapes built / reused"
+            );
+        }
+    }
+}
+
+/// A launch whose constant bank a fault hook corrupted builds a tape of
+/// its own (and says why); the kept tape survives it, and a corrupted
+/// launch on an empty memo does not fill the memo either.
+#[test]
+fn a_corrupted_bank_gets_its_own_tape_and_never_the_kept_one() {
+    let img = test_image();
+    let target = Target::cuda(device::tesla_c2050());
+    let op = dyn_mask_operator([0.25, 0.5, 0.25]);
+    let compiled = op.compile(&target, img.width(), img.height()).unwrap();
+    let inputs = [("Input", &img)];
+    let spec = pipeline::launch_spec(&compiled, &inputs, &op.params, &op.mask_uploads);
+    let kernel = &compiled.device_kernel;
+    let corrupt = FaultSession::new(FaultPlan::corrupt_constants(55, 1), 0);
+    let launch = |hook: Option<&FaultSession>, memo: &TapeMemo| {
+        let hook = hook.map(|h| h as &dyn hipacc_sim::FaultHook);
+        run_on_image_instrumented(kernel, &spec, Engine::Simd, false, hook, memo).unwrap()
+    };
+
+    let memo = TapeMemo::default();
+    let clean = launch(None, &memo);
+    assert_eq!(clean.tape.source, TapeSource::Built);
+    assert!(clean.tape.lowered_warp);
+    let dirty = launch(Some(&corrupt), &memo);
+    assert_eq!(
+        dirty.tape.source,
+        TapeSource::Rebuilt(TapeRebuild::ConstBank)
+    );
+    assert!(!dirty.corrupt_const_banks.is_empty());
+    let again = launch(None, &memo);
+    assert_eq!(again.tape.source, TapeSource::Reused);
+    assert!(!again.tape.lowered_warp, "the kept tape is lowered once");
+    assert_eq!(again.output.max_abs_diff(&clean.output), 0.0);
+
+    let empty = TapeMemo::default();
+    let dirty_first = launch(Some(&corrupt), &empty);
+    assert_eq!(
+        dirty_first.tape.source,
+        TapeSource::Rebuilt(TapeRebuild::ConstBank)
+    );
+    assert_eq!(launch(None, &empty).tape.source, TapeSource::Built);
+}
+
+/// Under the supervisor: a frame with an armed corrupt-constants plan
+/// rebuilds exactly once (its corrupted attempt), its clean retry and the
+/// next clean frame reuse the kept tape, and that frame is bit-identical
+/// to an uncached run.
+#[test]
+fn a_corrupt_constants_frame_rebuilds_once_and_the_next_frame_reuses() {
+    let img = test_image();
+    let target = Target::cuda(device::tesla_c2050());
+    let cfg = SupervisorConfig::default();
+    let cache = Arc::new(KernelCache::default());
+    let mut op = dyn_mask_operator([0.25, 0.5, 0.25]);
+    op.options.cache = Some(Arc::clone(&cache));
+    let frame = |plan: &FaultPlan| {
+        op.execute_supervised(&[("Input", &img)], &target, Engine::Simd, plan, &cfg)
+            .unwrap()
+    };
+    let counts = || (cache.tapes_built(), cache.tapes_reused());
+
+    frame(&FaultPlan::none());
+    assert_eq!(counts(), (1, 0));
+    let armed = frame(&FaultPlan::corrupt_constants(55, 1));
+    assert_eq!(armed.recovery.action_total(RecoveryAction::Retried), 1);
+    assert_eq!(counts(), (2, 1), "one rebuild, then the clean retry reuses");
+    let next = frame(&FaultPlan::none());
+    assert_eq!(counts(), (2, 2));
+    let report = next.cache.as_ref().expect("cache was installed");
+    assert_eq!(report.tape.map(|t| t.source), Some(TapeSource::Reused));
+    assert_eq!(cache.warps_lowered(), 2, "the kept tape and the rebuild");
+
+    let mut uncached = op.clone();
+    uncached.options.cache = None;
+    let reference = uncached
+        .execute_with(&[("Input", &img)], &target, Engine::Simd)
+        .unwrap();
+    assert_same_run(&next.execution, &reference, "next clean frame");
 }

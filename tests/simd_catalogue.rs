@@ -59,7 +59,8 @@ fn simd_telemetry(
     kernel: &hipacc_ir::kernel::DeviceKernelDef,
     spec: &hipacc_sim::launch::LaunchSpec<'_>,
 ) -> hipacc_sim::SimdTelemetry {
-    let run = hipacc_sim::launch::run_on_image_instrumented(kernel, spec, Engine::Simd, true, None)
+    let memo = Default::default();
+    let run = hipacc_sim::run_on_image_instrumented(kernel, spec, Engine::Simd, true, None, &memo)
         .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
     run.exec.and_then(|e| e.simd).expect("simd telemetry")
 }

@@ -228,6 +228,36 @@ fn steady_state_frames_are_served_from_the_shared_cache() {
     assert!(run.report.cache_hit_rate > 0.8);
 }
 
+/// A warm frame is bind, run, download: over a 32-frame run the chain
+/// builds one tape and lowers one warp program per stage, every later
+/// launch runs the kept tape, and a second run of the same stream builds
+/// nothing at all.
+#[test]
+fn warm_frames_reuse_one_prepared_kernel_per_stage() {
+    let n = 32;
+    let stream = three_stage_stream("prepared").with_config(StreamConfig {
+        workers: Some(2),
+        engine: Some(Engine::Simd),
+        ..StreamConfig::default()
+    });
+    let cache = stream.cache();
+    let counts = || {
+        (
+            cache.tapes_built(),
+            cache.warps_lowered(),
+            cache.tapes_reused(),
+        )
+    };
+    let first = stream.run(frame_sequence(n)).unwrap();
+    assert_eq!(first.report.frames_out, n);
+    assert_eq!(counts(), (3, 3, 3 * (n as u64 - 1)));
+    let second = stream.run(frame_sequence(n)).unwrap();
+    assert_eq!(counts(), (3, 3, 3 * (2 * n as u64 - 1)));
+    for (a, b) in first.outputs.iter().zip(&second.outputs) {
+        assert_eq!(a.image.max_abs_diff(&b.image), 0.0, "frame {}", a.seq);
+    }
+}
+
 /// Two streams with distinct lanes merge into one valid Chrome trace
 /// with one `tid` track per stream.
 #[test]
