@@ -6,10 +6,11 @@
 //! reproduce --figure 4       # one figure
 //! reproduce --loc            # the §VI-C lines-of-code metric
 //! reproduce --inject 42      # seeded fault-injection drill under the supervisor
-//! reproduce --bench-json BENCH_engine.json   # per-engine frame times
 //! reproduce --explain A0301  # describe one diagnostic code (or `all`)
 //! reproduce --replay PATH    # re-execute recorded stream failures, assert their codes
 //! ```
+//!
+//! A missing or malformed option value prints the usage line and exits 2.
 
 use hipacc_bench::ablation;
 use hipacc_bench::figures::{figure3, figure4, loc_metric};
@@ -18,6 +19,28 @@ use hipacc_bench::render::{paired_times, render_comparison, render_csv, render_t
 use hipacc_bench::tables::{bilateral_table, gaussian_table};
 use hipacc_core::Target;
 use hipacc_hwmodel::device::{quadro_fx_5800, tesla_c2050};
+
+const USAGE: &str = "usage: reproduce [--all] [--table N] [--figure N] [--loc] [--ablation] [--csv DIR] [--raw N] [--profile [TRACE]] [--inject SEED] [--explain CODE] [--replay PATH]";
+
+/// Report a command-line mistake with the usage line and exit 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("reproduce: {problem}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `args[*i]`, parsed; advances `i` past it. A missing or
+/// malformed value is a [`usage_error`].
+fn value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i) {
+        None => usage_error(&format!("{flag} needs a value")),
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag}: bad value {v:?}"))),
+    }
+}
 
 fn print_table(n: u32) {
     let targets = Target::evaluation_targets();
@@ -47,7 +70,7 @@ fn print_table(n: u32) {
                 }
             }
         }
-        _ => eprintln!("unknown table {n} (valid: 2..9)"),
+        _ => usage_error(&format!("unknown table {n} (valid: 2..9)")),
     }
 }
 
@@ -94,7 +117,7 @@ fn print_figure(n: u32) {
                 paper::FIG4_OPTIMUM.2
             );
         }
-        _ => eprintln!("unknown figure {n} (valid: 3, 4)"),
+        _ => usage_error(&format!("unknown figure {n} (valid: 3, 4)")),
     }
 }
 
@@ -229,20 +252,6 @@ fn print_inject(seed: u64) {
     }
 }
 
-/// Time both execution engines (bytecode, simd) on the representative
-/// cells and write the machine-readable report to `path` (the
-/// `BENCH_engine.json` artifact the CI bench-smoke job gates on).
-fn print_bench_json(path: &str) {
-    use hipacc_bench::enginebench;
-
-    let bench = enginebench::run(enginebench::DEFAULT_SAMPLES)
-        .with_streaming()
-        .with_fusion();
-    print!("{}", bench.render_text());
-    std::fs::write(path, bench.to_json()).expect("write bench json");
-    println!("wrote engine bench report to {path}\n");
-}
-
 /// Re-execute the failing launch(es) a replay file describes — either a
 /// single `ReplayBundle` JSON or a stream report carrying a `replay`
 /// array — against the canonical streaming chain, and assert each one
@@ -359,15 +368,11 @@ fn main() {
                 did_anything = true;
             }
             "--table" => {
-                i += 1;
-                let n: u32 = args[i].parse().expect("table number");
-                print_table(n);
+                print_table(value(&args, &mut i));
                 did_anything = true;
             }
             "--figure" => {
-                i += 1;
-                let n: u32 = args[i].parse().expect("figure number");
-                print_figure(n);
+                print_figure(value(&args, &mut i));
                 did_anything = true;
             }
             "--loc" => {
@@ -380,8 +385,7 @@ fn main() {
             }
             "--csv" => {
                 // Write every model table as CSV into a directory.
-                i += 1;
-                let dir = std::path::PathBuf::from(&args[i]);
+                let dir: std::path::PathBuf = value(&args, &mut i);
                 std::fs::create_dir_all(&dir).expect("create csv dir");
                 let targets = Target::evaluation_targets();
                 for n in 2u32..=7 {
@@ -414,47 +418,35 @@ fn main() {
                 print_profile(&path);
                 did_anything = true;
             }
-            "--bench-json" => {
-                i += 1;
-                print_bench_json(&args[i]);
-                did_anything = true;
-            }
             "--explain" => {
                 i += 1;
                 print_explain(args.get(i).map(String::as_str).unwrap_or("all"));
                 did_anything = true;
             }
             "--replay" => {
-                i += 1;
-                print_replay(&args[i]);
+                print_replay(&value::<String>(&args, &mut i));
                 did_anything = true;
             }
             "--inject" => {
-                i += 1;
-                let seed: u64 = args[i].parse().expect("injection seed");
-                print_inject(seed);
+                print_inject(value(&args, &mut i));
                 did_anything = true;
             }
             "--raw" => {
                 // Raw model tables without paper comparison.
-                i += 1;
-                let n: u32 = args[i].parse().expect("table number");
-                let targets = Target::evaluation_targets();
-                if (2..=7).contains(&n) {
-                    let model = bilateral_table(&targets[(n - 2) as usize], n);
-                    print!("{}", render_text(&model));
+                let n: u32 = value(&args, &mut i);
+                if !(2..=7).contains(&n) {
+                    usage_error(&format!("--raw covers tables 2..7, not {n}"));
                 }
+                let targets = Target::evaluation_targets();
+                let model = bilateral_table(&targets[(n - 2) as usize], n);
+                print!("{}", render_text(&model));
                 did_anything = true;
             }
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown option {other}")),
         }
         i += 1;
     }
     if !did_anything {
-        eprintln!("usage: reproduce [--all] [--table N] [--figure N] [--loc] [--ablation] [--csv DIR] [--raw N] [--profile [TRACE]] [--inject SEED] [--bench-json PATH] [--explain CODE] [--replay PATH]");
-        std::process::exit(2);
+        usage_error("nothing to do");
     }
 }

@@ -1,7 +1,7 @@
 //! # hipacc-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation section.
+//! The harness that regenerates every table and figure of the paper's
+//! evaluation section.
 //!
 //! * [`cells`] — the cell model: a table entry is a modelled time, a
 //!   "crash" or an "n/a", mirroring the paper's typography.
@@ -14,23 +14,18 @@
 //! * [`render`] — plain-text and Markdown rendering.
 //! * [`ablation`] — what each design choice is worth (region
 //!   specialization, constant masks, the heuristic, vectorization).
-//! * [`enginebench`] — per-engine frame times (bytecode, simd) with the
-//!   `BENCH_engine.json` export the CI bench-smoke job gates on.
-//! * [`fusionbench`] — fused vs unfused streaming throughput of the
-//!   3-stage chain, the cell the CI fusion-smoke job gates on.
 //!
 //! The `reproduce` binary drives everything:
-//! `cargo run -p hipacc-bench --bin reproduce -- --all`.
+//! `cargo run -p hipacc-bench --bin reproduce -- --all`. Every number
+//! here is modelled device time; host wall time is measured by the
+//! standalone `benchmark/` package alone.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod ablation;
 pub mod cells;
-pub mod enginebench;
 pub mod figures;
-pub mod fusionbench;
 pub mod paper;
 pub mod render;
-pub mod streambench;
 pub mod tables;

@@ -247,8 +247,7 @@ impl StreamReport {
         out
     }
 
-    /// Machine-readable report (hand-rolled, mirrors
-    /// `BENCH_engine.json` style; all strings escaped). Replay bundles
+    /// Machine-readable report (hand-rolled; all strings escaped). Replay bundles
     /// are embedded whole, so one report file is enough to feed
     /// `reproduce --replay`.
     pub fn to_json(&self) -> String {

@@ -8,6 +8,8 @@
 //!   with the specification on outputs and execution statistics.
 //!   (Statistics may legitimately differ *between* levels — the optimizer
 //!   deletes provably dead barriers and branches.)
+//! * **Warp-step gate** — opt 1 runs the interior Gaussian in fewer simd
+//!   warp steps than opt 0, with identical outputs and statistics.
 //! * **Fire tests** — each pass rewrites the exact IR shape it exists
 //!   for, witnessed structurally.
 //! * **Mutant tests** — hand-unsound "optimizations" (stripped border
@@ -35,7 +37,7 @@ use hipacc_image::rng::Pcg32;
 use hipacc_ir::kernel::{AddressMode, BufferAccess, BufferParam, DeviceKernelDef, SharedDecl};
 use hipacc_ir::ty::Const;
 use hipacc_ir::{opt, BinOp, Builtin, Expr, KernelDef, LValue, MathFn, ScalarType, Stmt};
-use hipacc_sim::launch::{bind, run_on_image_with};
+use hipacc_sim::launch::{bind, run_on_image_instrumented, run_on_image_with};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -157,6 +159,55 @@ fn translation_validation_on_random_operators() {
         );
     });
     assert!(total_fires > 0, "optimizer never fired across the sweep");
+}
+
+/// What opt 1 buys on the simd engine, counted instead of timed: the 5×5
+/// Gaussian over an interior ROI of a 128² frame takes 21 % fewer warp
+/// steps at opt 1, with the same output bits and the same `ExecStats`.
+/// Warp steps are exact and machine-independent, so the pin holds on any
+/// host.
+#[test]
+fn opt1_takes_fewer_simd_warp_steps_on_the_interior_gaussian() {
+    let _g = ENV_LOCK.lock().unwrap();
+    std::env::remove_var("HIPACC_OPT_DISABLE");
+    let target = Target::cuda(device::tesla_c2050());
+    let img = phantom::vessel_tree(128, 128, &phantom::VesselParams::default());
+    let run = |opt_level: u8| {
+        let op = gaussian_operator(5, 1.0, BoundaryMode::Clamp)
+            .with_roi(8, 8, 112, 112)
+            .with_options(PipelineOptions {
+                opt_level,
+                ..PipelineOptions::default()
+            });
+        let compiled = op.compile(&target, 128, 128).unwrap();
+        let spec =
+            pipeline::launch_spec(&compiled, &[("Input", &img)], &op.params, &op.mask_uploads);
+        let memo = Default::default();
+        let run = run_on_image_instrumented(
+            &compiled.device_kernel,
+            &spec,
+            Engine::Simd,
+            true,
+            None,
+            &memo,
+        )
+        .unwrap();
+        let tel = run
+            .exec
+            .as_ref()
+            .and_then(|e| e.simd)
+            .expect("simd telemetry");
+        (bits(&run.output), run.stats, tel.warp_steps)
+    };
+    let (out0, stats0, steps0) = run(0);
+    let (out1, stats1, steps1) = run(1);
+    assert_eq!(out0, out1, "opt 1 output diverges from opt 0");
+    assert_eq!(stats0, stats1, "opt 1 ExecStats diverge from opt 0");
+    assert!(
+        steps1 < steps0,
+        "opt 1 took {steps1} warp steps, opt 0 {steps0}"
+    );
+    assert_eq!((steps0, steps1), (666_928, 525_312));
 }
 
 /// The iteration-space scalars stay launch-rebindable at opt 1: shrinking

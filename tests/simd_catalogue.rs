@@ -1,5 +1,6 @@
-//! The shipped catalogue on the simd engine: every filter × four border
-//! modes × the six evaluation targets must run on the vector path — no
+//! The shipped catalogue on the simd engine: every filter (plus one ROI
+//! launch) × four border modes × the six evaluation targets must run on
+//! the vector path — no
 //! block may fall back to the scalar engine, for any cause, and every
 //! block is accounted for as lockstep or split — and stay bit- and
 //! stat-identical to the scalar bytecode engine and, on the first target,
@@ -35,6 +36,12 @@ fn catalogue(mode: BoundaryMode) -> Vec<(&'static str, Operator, Vec<&'static st
     vec![
         one("gaussian3", gaussian_operator(3, 0.8, mode)),
         one("gaussian5", gaussian_operator(5, 1.1, mode)),
+        // An interior ROI launch: the grid covers only part of the frame,
+        // so the iteration-space offsets are live.
+        one(
+            "gaussian5-roi",
+            gaussian_operator(5, 1.1, mode).with_roi(4, 4, 20, 10),
+        ),
         one("gaussian-row", row),
         one("gaussian-col", col),
         one("box7", box_operator(7, 7, mode)),
@@ -137,7 +144,7 @@ fn no_shipped_filter_falls_back_to_the_scalar_engine() {
             }
         }
     }
-    assert_eq!(launches, 6 * 4 * 15);
+    assert_eq!(launches, 6 * 4 * 16);
 }
 
 /// The `steady_gauss512` kernel: grid 16×86 of 32×6 blocks over 512 rows,
