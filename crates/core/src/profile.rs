@@ -107,10 +107,15 @@ pub struct LaunchProfile {
     pub warp_uniform_share: Option<f64>,
     /// Fraction of a simd launch's blocks that ran every phase in
     /// lockstep — one program counter and one scalar file for the whole
-    /// block ([`hipacc_sim::SimdTelemetry::lockstep_fraction`]). The
-    /// others met a branch their lanes disagreed on and went on warp by
-    /// warp, or fell back to the scalar engine.
+    /// block, re-merges included
+    /// ([`hipacc_sim::SimdTelemetry::lockstep_fraction`]). The others had
+    /// a thread return while they went on and finished warp by warp, or
+    /// fell back to the scalar engine.
     pub lockstep_block_share: Option<f64>,
+    /// Times a block of a simd launch ran a branch its lanes disagreed on
+    /// warp by warp and went back to lockstep at the join
+    /// ([`hipacc_sim::SimdTelemetry::remerges`]); 0 on the other engines.
+    pub remerges: u64,
     /// Explicit-vs-environment override conflicts detected for this
     /// launch (rendered [`hipacc_sim::OverrideConflict`]s): the explicit
     /// spec value won, the listed `HIPACC_SIM_*` variable was ignored.
@@ -165,8 +170,10 @@ impl LaunchProfile {
             .arg("engine", engine)
             .arg("workers", facts.exec.n_workers.to_string())
             .arg("blocks", facts.exec.blocks.len().to_string());
-        if let Some(share) = lockstep_block_share {
-            execute = execute.arg("lockstep_block_share", format!("{share:.4}"));
+        if let (Some(share), Some(t)) = (lockstep_block_share, simd) {
+            execute = execute
+                .arg("lockstep_block_share", format!("{share:.4}"))
+                .arg("remerges", t.remerges.to_string());
         }
         spans.push(execute);
         // On a cache hit the compile phases never ran this launch: the
@@ -203,6 +210,7 @@ impl LaunchProfile {
             fallback_causes: simd.map_or_else(Vec::new, |t| t.fallbacks().collect()),
             warp_uniform_share: simd.and_then(|t| t.uniform_fraction()),
             lockstep_block_share,
+            remerges: simd.map_or(0, |t| t.remerges),
             override_conflicts,
         }
     }
@@ -317,7 +325,11 @@ impl LaunchProfile {
             out.push_str(&format!("  warp-uniform: {:.1} % of steps\n", u * 100.0));
         }
         if let Some(l) = self.lockstep_block_share {
-            out.push_str(&format!("  lockstep: {:.1} % of blocks\n", l * 100.0));
+            out.push_str(&format!(
+                "  lockstep: {:.1} % of blocks, {} re-merges\n",
+                l * 100.0,
+                self.remerges
+            ));
         }
         for (cause, blocks) in &self.fallback_causes {
             out.push_str(&format!(
@@ -424,6 +436,7 @@ mod tests {
             fallback_causes: Vec::new(),
             warp_uniform_share: None,
             lockstep_block_share: None,
+            remerges: 0,
             override_conflicts: Vec::new(),
         }
     }
@@ -495,12 +508,16 @@ mod tests {
         p.fallback_causes = vec![(FallbackCause::PolymorphicRegister, 12)];
         p.warp_uniform_share = Some(0.625);
         p.lockstep_block_share = Some(1360.0 / 1376.0);
+        p.remerges = 5022;
         let text = p.render_text();
         assert!(
             text.contains("simd fallback: 12 blocks (polymorphic register)"),
             "{text}"
         );
         assert!(text.contains("warp-uniform: 62.5 % of steps"), "{text}");
-        assert!(text.contains("lockstep: 98.8 % of blocks"), "{text}");
+        assert!(
+            text.contains("lockstep: 98.8 % of blocks, 5022 re-merges"),
+            "{text}"
+        );
     }
 }

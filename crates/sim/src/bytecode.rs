@@ -3542,7 +3542,12 @@ mod tests {
         }
         let blocks = u64::from(p.grid.0 * p.grid.1);
         assert_eq!(tel[0].lockstep_blocks + tel[0].split_blocks, blocks);
-        assert_eq!((tel[1].lockstep_blocks, tel[1].split_blocks), (0, blocks));
+        let per_warp = (tel[1].lockstep_blocks, tel[1].split_blocks, tel[1].remerges);
+        assert_eq!(
+            per_warp,
+            (0, blocks, 0),
+            "the per-warp entry never re-merges"
+        );
         tel[0]
     }
 
@@ -3587,10 +3592,11 @@ mod tests {
     }
 
     #[test]
-    fn a_split_keeps_earlier_stores_ahead_per_lane() {
-        // Every thread stores in lockstep, the even ones again after the
-        // block split, all once more after they reconverged: thread-major
-        // means each thread's two or three in a row.
+    fn a_re_merge_keeps_each_threads_stores_in_order() {
+        // Every thread stores in lockstep, the even ones again while the
+        // warps run the `if` apart, all once more after the block
+        // re-merged at its join: thread-major means each thread's two or
+        // three in a row.
         let k = trap_kernel(
             "store-split-store",
             vec![
@@ -3608,18 +3614,20 @@ mod tests {
             let p = LaunchParams::new((2, 1), block);
             let n = 2 * (block.0 * block.1) as usize;
             let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n));
-            assert_eq!((tel.lockstep_blocks, tel.split_blocks), (0, 2), "{block:?}");
+            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+            assert_eq!(pin, (2, 0, 2), "{block:?}");
         }
     }
 
     #[test]
-    fn a_block_can_split_inside_a_loop() {
-        // Two unanimous trips, then the third trip's `if` disagrees: the
-        // warps pick the loop up mid-flight with the counter in their own
-        // scalar files. The inner test is `&&`-lazy, so the scalar-file
-        // half of it is a branch of its own.
+    fn a_block_re_merges_inside_a_loop() {
+        // Two unanimous trips, then the `if` of the last three (`For` is
+        // inclusive) disagrees: the warps run it apart and the block is
+        // back on one program counter at its join, the counter still in
+        // the one scalar file. The inner test is `&&`-lazy, so the
+        // scalar-file half of it is a branch of its own.
         let k = trap_kernel(
-            "split-in-loop",
+            "remerge-in-loop",
             vec![
                 gid_2d_decl(),
                 decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
@@ -3643,7 +3651,65 @@ mod tests {
         );
         let p = LaunchParams::new((2, 1), (24, 2));
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(100));
-        assert_eq!((tel.lockstep_blocks, tel.split_blocks), (0, 2));
+        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+        assert_eq!(pin, (2, 0, 6), "three trips apart in each block");
+    }
+
+    #[test]
+    fn a_mirrored_tap_loop_re_merges_every_trip() {
+        // The border index of a `Mirror` kernel: `x < 0 ? -x - 1 : x` is
+        // a branch diamond, and the block's first columns take the other
+        // arm on every trip. Each trip runs the diamond warp by warp and
+        // the rest of the tap in lockstep.
+        let x = || Expr::Builtin(Builtin::ThreadIdxX) + Expr::var("i") - Expr::int(3);
+        let mirrored = Expr::select(x().lt(Expr::int(0)), -x() - Expr::int(1), x());
+        let row = Expr::var("gid") - Expr::Builtin(Builtin::ThreadIdxX);
+        let k = trap_kernel(
+            "mirrored-taps",
+            vec![
+                gid_2d_decl(),
+                decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
+                Stmt::For {
+                    var: "i".into(),
+                    from: Expr::int(0),
+                    to: Expr::int(2),
+                    body: vec![assign("acc", Expr::var("acc") + load_in(row + mirrored))],
+                },
+                store_out(Expr::var("acc")),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 6));
+        let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(2 * 192));
+        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+        assert_eq!(pin, (2, 0, 2 * 3), "one re-merge per trip and block");
+    }
+
+    #[test]
+    fn a_lane_that_returns_inside_a_region_keeps_its_block_split() {
+        // The first `if` re-merges; inside the second one every fifth
+        // thread returns, so from that join on the warps go on alone
+        // and the block counts as split.
+        let k = trap_kernel(
+            "return-in-region",
+            vec![
+                gid_2d_decl(),
+                Stmt::If {
+                    cond: Expr::var("gid").rem(Expr::int(2)).eq_(Expr::int(0)),
+                    then: vec![store_out(Expr::float(1.0))],
+                    els: vec![],
+                },
+                Stmt::If {
+                    cond: Expr::var("gid").rem(Expr::int(5)).eq_(Expr::int(4)),
+                    then: vec![Stmt::Return],
+                    els: vec![],
+                },
+                store_out(load_in(Expr::var("gid"))),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (24, 2));
+        let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(96));
+        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+        assert_eq!(pin, (0, 2, 2));
     }
 
     #[test]
@@ -3693,31 +3759,31 @@ mod tests {
     }
 
     #[test]
-    fn scalar_file_value_crosses_a_barrier_in_lockstep_and_after_a_split() {
+    fn a_scalar_file_value_survives_a_re_merge_and_a_barrier() {
         // `k` is assigned (never promoted to the block-uniform file) and
         // uniform: it waits in the scalar file while the barrier separates
-        // its definition from its use. Without a split the block crosses
-        // the barrier on the one file it has; with one in phase 0 every
-        // warp carries a copy, the copies still agree at the barrier and
-        // the block goes back to lockstep for phase 1.
-        let mut unsplit = reversal_kernel();
-        unsplit.name = "uniform-across-barrier".into();
-        unsplit
+        // its definition from its use. Without a varying branch the block
+        // crosses the barrier on the one file it has; with one in phase 0
+        // the warps run it apart on that same file, which nothing inside
+        // the region writes, and the block re-merges before the barrier.
+        let mut plain = reversal_kernel();
+        plain.name = "uniform-across-barrier".into();
+        plain
             .body
             .insert(1, decl("k", ScalarType::I32, Some(Expr::int(3))));
-        unsplit
+        plain
             .body
             .insert(2, assign("k", Expr::var("k") * Expr::int(5)));
-        let Some(Stmt::GlobalStore { value, .. }) = unsplit.body.last_mut() else {
+        let Some(Stmt::GlobalStore { value, .. }) = plain.body.last_mut() else {
             unreachable!("the reversal kernel ends in its store")
         };
         *value = value.clone() + Expr::var("k").cast(ScalarType::F32);
-        let mut split = unsplit.clone();
-        split.name = "uniform-across-barrier-after-a-split".into();
-        split
+        let mut apart = plain.clone();
+        apart.name = "uniform-across-a-re-merge-and-a-barrier".into();
+        apart
             .body
             .insert(3, decl("odd", ScalarType::F32, Some(Expr::float(0.0))));
-        split.body.insert(
+        apart.body.insert(
             4,
             Stmt::If {
                 cond: Expr::var("gid").rem(Expr::int(2)).eq_(Expr::int(1)),
@@ -3726,12 +3792,13 @@ mod tests {
             },
         );
         let p = LaunchParams::new((2, 1), (32, 1));
-        for (k, split_blocks) in [(&unsplit, 0), (&split, 2)] {
+        for (k, remerges) in [(&plain, 0), (&apart, 2)] {
             let (mem, stats) = engines_agree(k, &p, &linear_mem(64));
             assert_eq!(mem.buffer("OUT").unwrap().data[0], 31.0 + 15.0);
             assert_eq!(stats.barriers, 64);
             let tel = lockstep_matches_per_warp(k, &p, &linear_mem(64));
-            assert_eq!(tel.split_blocks, split_blocks, "`{}`", k.name);
+            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+            assert_eq!(pin, (2, 0, remerges), "`{}`", k.name);
         }
     }
 

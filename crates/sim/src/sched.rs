@@ -281,12 +281,16 @@ pub struct SimdTelemetry {
     /// Steps served by the scalar file (uniform values, branches on
     /// them, unconditional jumps): one operation instead of one per lane.
     pub uniform_steps: u64,
-    /// Blocks that ran every phase in lockstep: one program counter and
-    /// one scalar file for the whole block, every branch unanimous.
+    /// Blocks that ran every phase on one program counter and one scalar
+    /// file for the whole block, leaving it only to run a branch their
+    /// lanes disagreed on warp by warp up to its join.
     pub lockstep_blocks: u64,
-    /// Blocks that met a branch their lanes disagreed on and went on warp
-    /// by warp from there: the slower path.
+    /// Blocks where a thread returned while the block went on, so its
+    /// warps ran warp by warp from there: the slower path.
     pub split_blocks: u64,
+    /// Times a block ran a varying branch's region warp by warp and went
+    /// back to one program counter at its join.
+    pub remerges: u64,
     /// Blocks that ran on the scalar engine although the launch asked
     /// for simd, by cause, in [`FallbackCause::ALL`] order.
     pub fallback_causes: [u64; 3],
@@ -301,6 +305,7 @@ impl SimdTelemetry {
         self.uniform_steps += other.uniform_steps;
         self.lockstep_blocks += other.lockstep_blocks;
         self.split_blocks += other.split_blocks;
+        self.remerges += other.remerges;
         for (a, b) in self.fallback_causes.iter_mut().zip(other.fallback_causes) {
             *a += b;
         }
@@ -339,9 +344,9 @@ impl SimdTelemetry {
         (self.warp_steps > 0).then(|| self.uniform_steps as f64 / self.warp_steps as f64)
     }
 
-    /// Fraction of the launch's blocks that ran in lockstep throughout
-    /// (the others split or fell back to the scalar engine). `None` when
-    /// no block ran.
+    /// Fraction of the launch's blocks that stayed in lockstep, re-merges
+    /// included (the others had a thread return while they went on, or
+    /// fell back to the scalar engine). `None` when no block ran.
     pub fn lockstep_fraction(&self) -> Option<f64> {
         let blocks = self.lockstep_blocks + self.split_blocks + self.scalar_fallback_blocks();
         (blocks > 0).then(|| self.lockstep_blocks as f64 / blocks as f64)
@@ -550,6 +555,7 @@ mod tests {
             uniform_steps: 4,
             lockstep_blocks: 5,
             split_blocks: 1,
+            remerges: 7,
             ..SimdTelemetry::default()
         };
         block.note_fallback(FallbackCause::BlockBail);
@@ -559,7 +565,7 @@ mod tests {
         assert_eq!(t.mean_active_fraction(), Some(0.75));
         assert_eq!(t.uniform_fraction(), Some(0.4));
         assert_eq!(t.scalar_fallback_blocks(), 4);
-        assert_eq!((t.lockstep_blocks, t.split_blocks), (10, 2));
+        assert_eq!((t.lockstep_blocks, t.split_blocks, t.remerges), (10, 2, 14));
         assert_eq!(t.lockstep_fraction(), Some(0.625), "10 of 16 blocks");
         let causes: Vec<_> = t.fallbacks().collect();
         assert_eq!(

@@ -29,21 +29,27 @@
 //!   always writes the vector file). Warps at the same pc therefore hold
 //!   the same scalar file, and a phase starts with *one* program counter
 //!   and *one* scalar file for the whole block, each vector op one dense
-//!   loop over all `nthreads` lanes. This lasts while every thread is
-//!   live and every branch is unanimous across the block. At the first
-//!   branch whose outcome differs between lanes the block **splits**:
-//!   each warp gets a copy of the scalar file and resumes *at that
-//!   branch* under the per-warp scheduler below, on its own 16-lane span
-//!   of the same rows. At a barrier a split block re-enters lockstep only
-//!   when no thread has returned and the warps' scalar files compare
-//!   bit-equal — checked, not assumed.
+//!   loop over all `nthreads` lanes. A branch whose outcome differs
+//!   between lanes hands the block to the per-warp scheduler below, each
+//!   warp on its own 16-lane span of the same rows, *only for the varying
+//!   region that branch controls*: the lowering carries the region's end
+//!   as the branch's `join`, and a lane leaves the region only there or by
+//!   returning. The lowering puts no scalar-file definition inside a
+//!   varying region, so the warps all read the block's one scalar file
+//!   and there is nothing to copy or compare at the join. When every warp
+//!   has arrived the block **re-merges**: one program counter again, from
+//!   the join. Only a thread that returned inside a region keeps the block
+//!   apart (lockstep needs every thread): then each warp gets a copy of the
+//!   scalar file and the block **splits** for good, warp by warp from the
+//!   join to its end.
 //! * **`mask == live` guard** — after a split, a scalar-file write is
 //!   only meaningful when every live lane of the warp executes it
 //!   together. The lowering only places a definition there when it is not
 //!   control-dependent on a varying branch, and min-pc scheduling
 //!   reconverges structured code at the join, so the guard holds; the
-//!   executor checks it on every such write anyway and abandons the block
-//!   when it does not. Misclassification can cost time, never bits.
+//!   executor checks it on every such write anyway, treats one inside a
+//!   varying region as a lowering bug, and abandons the block in either
+//!   case. Misclassification can cost time, never bits.
 //! * **Divergence mask** — a warp starts *converged* (single shared `pc`,
 //!   no per-lane bookkeeping). A conditional jump whose outcome differs
 //!   across lanes materializes per-lane program counters; from then on the
@@ -57,27 +63,29 @@
 //!   scalar-file constant load the number of threads it served,
 //!   out-of-bounds side counts are per active lane. Warp telemetry is
 //!   counted in *source-tape* instructions per 16-lane warp, whoever ran
-//!   them: the warp program's steps are 1:1 with the tape's, and a
-//!   lockstep step counts as one step of every warp of the block
-//!   (`n_warps` steps, `nthreads` active lanes).
+//!   them: the warp program's steps are 1:1 with the tape's, a lockstep
+//!   step counts as one step of every warp of the block (`n_warps` steps,
+//!   `nthreads` active lanes), and inside a region each warp counts the
+//!   diverging branch and its own steps, exactly as per-warp execution
+//!   of the whole block would.
 //! * **Journaled stores** — the fault injector addresses global stores by
 //!   their position in the block's journal ("flip the nth store"), and
 //!   journal order on the scalar engine is thread-major. Global (and
 //!   shared) stores are therefore recorded with their thread in the order
 //!   the steps run and drained thread-major at the end of each phase,
-//!   reproducing the serial order bit for bit; a store made before a
-//!   split stays ahead of the same thread's later ones. Shared-memory
+//!   reproducing the serial order bit for bit; a store made in lockstep
+//!   stays ahead of the same thread's later ones in a region. Shared-memory
 //!   deferral is only correct when no phase both reads and writes the
 //!   same tile, which the lowering checks up front.
 //! * **Scalar fallback, counted** — a tape the lowering cannot type (a
 //!   register read where its tag is not fixed) or whose tile accesses
 //!   cannot be deferred runs every block on the scalar engine; a block
 //!   that hits an evaluation error (division by zero, checked-integer
-//!   overflow, an always-erroring op) — in lockstep or after a split —
+//!   overflow, an always-erroring op) — wherever it runs —
 //!   rolls its journal back and re-runs scalar, which owns both the
 //!   result and the error message. Every such block is counted by cause
-//!   in [`SimdTelemetry`], beside the blocks that stayed in lockstep and
-//!   the ones that split.
+//!   in [`SimdTelemetry`], beside the blocks that stayed in lockstep, the
+//!   ones that split and the re-merges.
 //!
 //! The engine is differentially tested against the specification
 //! ([`crate::interp`]) for bit-identical outputs, per-block store order,
@@ -97,7 +105,7 @@ use std::cell::Cell;
 use std::ops::Range;
 
 /// Lanes per warp: the unit of divergence, of `warp_steps` /
-/// `active_lane_sum` accounting and of scheduling after a block splits.
+/// `active_lane_sum` accounting and of scheduling off lockstep.
 /// 16 matches the half-warp granularity of the paper's target devices.
 /// It is *not* the width of a vector op: a block in lockstep runs each op
 /// over all of its lanes at once.
@@ -310,25 +318,27 @@ fn run_block_inner(
 
     // Without lockstep the block is split before its first step and
     // stays split.
-    let (mut lockstep, mut split) = (allow_lockstep, !allow_lockstep);
+    let mut split = !allow_lockstep;
     if split {
         ex.fork_scalar_file(n_warps);
     }
     for (pi, steps) in wp.phases.iter().enumerate() {
-        // Where the warps pick the phase up: its start, or the branch
-        // the block split at.
-        let mut from = 0;
-        if lockstep {
-            match ex.run_lockstep(steps, nthreads)? {
-                Lockstep::Done => {}
-                Lockstep::Halted => halted.fill(true),
-                Lockstep::Split(pc) => {
-                    ex.fork_scalar_file(n_warps);
-                    (lockstep, split, from) = (false, true, pc);
+        let mut pc = 0;
+        loop {
+            // In lockstep from `pc` until a branch divides the block; then
+            // warp by warp through that branch's region, up to `join`.
+            let mut join = None;
+            if !split {
+                match ex.run_lockstep(steps, pc, nthreads)? {
+                    Lockstep::Done => break,
+                    Lockstep::Halted => {
+                        halted.fill(true);
+                        break;
+                    }
+                    Lockstep::Split { at, join: end } => (pc, join) = (at, Some(end)),
                 }
             }
-        }
-        if !lockstep {
+            let mut returned = false;
             for w in 0..n_warps {
                 let base = w * WARP;
                 let mut live: u32 = 0;
@@ -338,12 +348,25 @@ fn run_block_inner(
                 if live == 0 {
                     continue;
                 }
-                ex.file = w * sspan;
-                let mut m = ex.run_warp(steps, base, live, from, pcs)?;
+                // A region writes no scalar file: the warps share the
+                // block's.
+                ex.file = if split { w * sspan } else { 0 };
+                let mut m = ex.run_warp(steps, base, live, pc, join, pcs)?;
+                returned |= m != 0;
                 while m != 0 {
                     halted[base + m.trailing_zeros() as usize] = true;
                     m &= m - 1;
                 }
+            }
+            // Split: the warps ran the phase to its end.
+            let Some(end) = join else { break };
+            pc = end;
+            if returned {
+                // Lockstep needs every thread: the warps go on alone.
+                ex.fork_scalar_file(n_warps);
+                split = true;
+            } else {
+                ex.tel.remerges += 1;
             }
         }
         ex.drain_stores(journal);
@@ -354,11 +377,6 @@ fn run_block_inner(
             ex.stats.barriers += running as u64;
             if running == 0 {
                 break;
-            }
-            if !lockstep && allow_lockstep && running == nthreads && ex.scalar_files_agree(n_warps)
-            {
-                lockstep = true;
-                ex.file = 0;
             }
         }
     }
@@ -520,7 +538,8 @@ struct BlockExec<'a, 'm> {
     vi: &'a [Cell<i64>],
     lanes: usize,
     /// Scalar files, `sspan` each; `file` is the offset of the one in
-    /// use: 0 in lockstep, the running warp's after a split.
+    /// use: 0 in lockstep and in a region, the running warp's after a
+    /// split.
     sf: &'a mut [f32],
     si: &'a mut [i64],
     file: usize,
@@ -539,8 +558,9 @@ enum Lockstep {
     Done,
     /// Every thread returned.
     Halted,
-    /// The lanes disagree on the branch at this pc, which has not run.
-    Split(u32),
+    /// The lanes disagree on the branch at `at`, which has not run; they
+    /// meet again at `join`.
+    Split { at: u32, join: u32 },
 }
 
 /// Point the masked lanes' program counters at `to`.
@@ -583,24 +603,33 @@ fn drain_thread_major<T>(recs: &mut Vec<(u32, T)>) -> impl Iterator<Item = T> + 
 }
 
 impl<'a> BlockExec<'a, '_> {
-    /// Run one phase for the whole block on one program counter and one
-    /// scalar file, every thread live, until the phase ends or a branch
-    /// is not unanimous.
-    fn run_lockstep(&mut self, steps: &[Step], nthreads: usize) -> Result<Lockstep, Bail> {
+    /// Run a phase from `pc` for the whole block on one program counter
+    /// and one scalar file, every thread live, until the phase ends or a
+    /// branch is not unanimous.
+    fn run_lockstep(
+        &mut self,
+        steps: &[Step],
+        mut pc: u32,
+        nthreads: usize,
+    ) -> Result<Lockstep, Bail> {
         let on = Lanes::block(nthreads);
         let (mut n_steps, mut n_uniform) = (0u64, 0u64);
-        let mut pc = 0u32;
         let end = loop {
             let Some(step) = steps.get(pc as usize) else {
                 break Lockstep::Done;
             };
             match step.op {
                 Op::Jmp { to } => pc = to,
-                Op::Br { cond, when, to } => match self.unanimous(cond, when, nthreads) {
+                Op::Br {
+                    cond,
+                    when,
+                    to,
+                    join,
+                } => match self.unanimous(cond, when, nthreads) {
                     Some(true) => pc = to,
                     Some(false) => pc += 1,
                     // Each warp counts this branch when it resumes here.
-                    None => break Lockstep::Split(pc),
+                    None => break Lockstep::Split { at: pc, join },
                 },
                 Op::Halt => {
                     n_steps += 1;
@@ -657,19 +686,6 @@ impl<'a> BlockExec<'a, '_> {
         }
     }
 
-    /// Whether the warps' scalar files are bit for bit the first one.
-    fn scalar_files_agree(&self, n_warps: usize) -> bool {
-        let (sf0, si0) = (&self.sf[..self.sspan], &self.si[..self.sspan]);
-        (1..n_warps).all(|w| {
-            let file = w * self.sspan..(w + 1) * self.sspan;
-            self.si[file.clone()] == *si0
-                && self.sf[file]
-                    .iter()
-                    .zip(sf0)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        })
-    }
-
     /// Commit the phase's shared stores to the tiles and move its global
     /// stores to the block journal, both in thread order: thread order is
     /// the serial engine's order, so the journal and the tiles end up
@@ -681,29 +697,34 @@ impl<'a> BlockExec<'a, '_> {
         journal.extend(drain_thread_major(self.stores));
     }
 
-    /// Run one phase from `from` for the warp whose lane 0 is thread
-    /// `base`, on the scalar file `self.file` names. `live` marks the
-    /// lanes that are in-extent and not halted by an earlier phase.
-    /// Returns the mask of lanes that hit `Halt` during this phase.
+    /// Run a phase from `from` for the warp whose lane 0 is thread
+    /// `base`, on the scalar file `self.file` names, to the phase's end
+    /// or, given a `stop`, until the warp is converged there: the join of
+    /// the varying region `from` branches into, which every lane leaves
+    /// only there or by `Halt`. `live` marks the lanes that are in-extent
+    /// and not halted by an earlier phase. Returns the mask of lanes that
+    /// hit `Halt` on the way.
     fn run_warp(
         &mut self,
         steps: &[Step],
         base: usize,
         mut live: u32,
         from: u32,
+        stop: Option<u32>,
         pcs: &mut [u32; WARP],
     ) -> Result<u32, Bail> {
         let len = steps.len() as u32;
+        let end = stop.unwrap_or(len);
         let mut halted = 0u32;
         let mut converged = true;
         let mut pc = from;
         let mut live_lanes = u64::from(live.count_ones());
         // Telemetry (steps are 1:1 with source-tape instructions), flushed
-        // once per phase.
+        // once per call.
         let (mut n_steps, mut n_lanes, mut n_uniform) = (0u64, 0u64, 0u64);
         while live != 0 {
             let (cur, mask, active) = if converged {
-                if pc >= len {
+                if pc >= end {
                     break;
                 }
                 (pc, live, live_lanes)
@@ -716,7 +737,7 @@ impl<'a> BlockExec<'a, '_> {
                     cur = cur.min(pcs[l]);
                     m &= m - 1;
                 }
-                if cur >= len {
+                if cur >= end {
                     break;
                 }
                 let mut mask = 0u32;
@@ -742,7 +763,7 @@ impl<'a> BlockExec<'a, '_> {
                         retarget(pcs, mask, to);
                     }
                 }
-                Op::Br { cond, when, to } => {
+                Op::Br { cond, when, to, .. } => {
                     let jump = self.jump_mask(cond, when, base, mask);
                     Self::branch(&mut converged, &mut pc, pcs, mask, jump, to, cur);
                 }
@@ -759,8 +780,10 @@ impl<'a> BlockExec<'a, '_> {
                 ref op => {
                     if step.guard {
                         // One write for the whole warp is only right
-                        // when the whole warp is here.
-                        if mask != live {
+                        // when the whole warp is here, and only to a file
+                        // of its own: inside a region the warps share the
+                        // block's, and the lowering puts no write there.
+                        if mask != live || stop.is_some() {
                             return Err(Bail);
                         }
                         self.exec_scalar(op, active)?;

@@ -34,9 +34,13 @@
 //!   Immediates, block-uniform registers and the block index live in
 //!   read-only slots behind the registers of the scalar file.
 //!
-//! Classification can only cost time: after a split the executor
-//! re-checks `mask == live` on every scalar-file write and abandons the
-//! block to the scalar engine when it does not hold.
+//! Every varying branch also carries the end of its region as its *join*:
+//! a block that runs the region warp by warp on its one scalar file
+//! resumes lockstep there.
+//!
+//! Classification can only cost time: the executor abandons the block to
+//! the scalar engine when a scalar-file write meets `mask != live` after
+//! a split, or turns up inside a varying region at all.
 //!
 //! Steps are 1:1 with the tape's instructions — same pcs, same jump
 //! targets — so warp telemetry counted in steps is counted in source
@@ -46,6 +50,7 @@ use crate::bytecode::{CompiledKernel, Inst, Reg};
 use crate::sched::FallbackCause;
 use hipacc_ir::ty::{Const, ScalarType};
 use hipacc_ir::{BinOp, MathFn, UnOp};
+use std::ops::Range;
 
 /// A register operand of a lowered op: slot index, which file holds it,
 /// and which slab (`f32`, or `i64` for ints and 0/1 bools).
@@ -140,11 +145,15 @@ pub(crate) enum Op {
     Jmp {
         to: u32,
     },
-    /// Jump when `as_bool(cond) == when`.
+    /// Jump when `as_bool(cond) == when`. `join` ends the region the
+    /// branch controls: lanes that part here meet again there, and when
+    /// `cond` lives in the vector file no step in between writes the
+    /// scalar file.
     Br {
         cond: Slot,
         when: bool,
         to: u32,
+        join: u32,
     },
     Halt,
     /// Copy or convert into `dst`'s slab: `as_f32` / `as_i64`, or
@@ -405,12 +414,15 @@ fn jump_target(inst: &Inst) -> Option<u32> {
     }
 }
 
-/// Mark everything control-dependent on the varying branch at `j`: from
-/// the branch to where its lanes reconverge under min-pc scheduling. The
-/// region grows to every jump target reachable from inside it, forwards
-/// (an `else` arm) and backwards (the head of a loop whose trip count
-/// varies). Over-approximation only moves definitions to the vector file.
-fn mark_varying_region(tape: &[Inst], j: usize, to: usize, varying: &mut [bool]) -> bool {
+/// What the branch at `j` to `to` controls when its condition varies per
+/// lane: from the branch to where its lanes reconverge under min-pc
+/// scheduling. The region grows to every jump target reachable from
+/// inside it, forwards (an `else` arm) and backwards (the head of a loop
+/// whose trip count varies), so every jump in it lands in it or on its
+/// end: a lane leaves it only at `end` or by `Halt`, and `end` is where
+/// the executor re-merges a block. Over-approximation only moves
+/// definitions to the vector file and the join later.
+fn varying_region(tape: &[Inst], j: usize, to: usize) -> Range<usize> {
     let (mut lo, mut hi) = (j + 1, to.min(tape.len()));
     loop {
         let (l0, h0) = (lo, hi);
@@ -422,15 +434,9 @@ fn mark_varying_region(tape: &[Inst], j: usize, to: usize, varying: &mut [bool])
             }
         }
         if (lo, hi) == (l0, h0) {
-            break;
+            return lo..hi;
         }
     }
-    let mut changed = false;
-    for v in &mut varying[lo..hi] {
-        changed |= !*v;
-        *v = true;
-    }
-    changed
 }
 
 /// Lower `prog` for the simd engine, or say why its blocks must run on
@@ -632,10 +638,15 @@ impl Lowerer {
                     let cond = match inst {
                         Inst::JmpIfFalse { cond, .. } | Inst::JmpIfTrue { cond, .. } => {
                             let (c, _) = self.read(f, state, *cond);
-                            if !c.is_scalar() && mark_varying_region(tape, pc, to, &mut f.varying) {
-                                self.facts_grew = true;
+                            let region = varying_region(tape, pc, to);
+                            let join = region.end as u32;
+                            if !c.is_scalar() {
+                                for v in &mut f.varying[region] {
+                                    self.facts_grew |= !*v;
+                                    *v = true;
+                                }
                             }
-                            Some(c)
+                            Some((c, join))
                         }
                         _ => None,
                     };
@@ -662,11 +673,12 @@ impl Lowerer {
                     }
                     reachable = cond.is_some();
                     match cond {
-                        Some(c) => Step {
+                        Some((c, join)) => Step {
                             op: Op::Br {
                                 cond: c,
                                 when: matches!(inst, Inst::JmpIfTrue { .. }),
                                 to: to as u32,
+                                join,
                             },
                             guard: false,
                             uniform: c.is_scalar(),

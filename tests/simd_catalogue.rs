@@ -149,9 +149,10 @@ fn no_shipped_filter_falls_back_to_the_scalar_engine() {
 
 /// The `steady_gauss512` kernel: grid 16×86 of 32×6 blocks over 512 rows,
 /// 86·6 = 516, so only the 16 bottom-row blocks hold threads outside the
-/// image and split at the extent guard. Every other block — border blocks
-/// included, whose clamped taps are branch-free — runs on one program
-/// counter from start to end.
+/// image. Those return inside the extent guard, and their blocks go on warp
+/// by warp from its join. Every other block — border blocks included, whose
+/// clamped taps are branch-free — runs on one program counter from start
+/// to end.
 #[test]
 fn gaussian5_at_512_splits_only_its_bottom_row_of_blocks() {
     let img: Image<f32> = phantom::vessel_tree(512, 512, &phantom::VesselParams::default());
@@ -176,5 +177,45 @@ fn gaussian5_at_512_splits_only_its_bottom_row_of_blocks() {
     let spec = pipeline::launch_spec(&run.compiled, &inputs, &op.params, &op.mask_uploads);
     let tel = simd_telemetry(&run.compiled.device_kernel, &spec);
     assert_eq!((tel.lockstep_blocks, tel.split_blocks), (1360, 16));
+    assert_eq!(tel.scalar_fallback_blocks(), 0);
+}
+
+/// The `steady_bilateral_border` kernel: 13×13 taps under `Mirror` at 96²,
+/// grid 3×16 of 32×6. Every mirrored index is a branch diamond that the
+/// block's border columns or rows take the other way, so 34 of the 48
+/// blocks meet a varying branch; each runs its diamonds warp by warp and
+/// re-merges at their joins, so every block ends in lockstep. The warp
+/// counts are what running the same blocks warp by warp from start to end
+/// reads: re-merging moves none of them.
+#[test]
+fn bilateral_mirror_at_96_re_merges_every_border_block() {
+    let img: Image<f32> = phantom::vessel_tree(96, 96, &phantom::VesselParams::default());
+    let target = Target::cuda(hipacc_hwmodel::device::tesla_c2050());
+    let mut op = bilateral_operator(3, 5, true, BoundaryMode::Mirror);
+    op.options.sim_threads = Some(1);
+    let inputs = [("Input", &img)];
+    let (run, profile) = op.execute_profiled(&inputs, &target, Engine::Simd).unwrap();
+    assert_eq!((profile.grid, profile.block), ((3, 16), (32, 6)));
+    assert_eq!(
+        (profile.lockstep_block_share, profile.remerges),
+        (Some(1.0), 5022)
+    );
+    let text = profile.render_text();
+    assert!(
+        text.contains("lockstep: 100.0 % of blocks, 5022 re-merges"),
+        "{text}"
+    );
+    assert!(
+        profile.chrome_trace().contains("\"remerges\":\"5022\""),
+        "the execute span carries the re-merges"
+    );
+    let spec = pipeline::launch_spec(&run.compiled, &inputs, &op.params, &op.mask_uploads);
+    let tel = simd_telemetry(&run.compiled.device_kernel, &spec);
+    assert_eq!(
+        (tel.warp_steps, tel.active_lane_sum),
+        (4_015_338, 61_976_544)
+    );
+    assert_eq!((tel.lockstep_blocks, tel.split_blocks), (48, 0));
+    assert_eq!(tel.remerges, 5022);
     assert_eq!(tel.scalar_fallback_blocks(), 0);
 }
