@@ -113,9 +113,14 @@ pub struct LaunchProfile {
     /// fell back to the scalar engine.
     pub lockstep_block_share: Option<f64>,
     /// Times a block of a simd launch ran a branch its lanes disagreed on
-    /// warp by warp and went back to lockstep at the join
-    /// ([`hipacc_sim::SimdTelemetry::remerges`]); 0 on the other engines.
+    /// block-wide, lanes grouped by program counter, and went back to
+    /// lockstep at the join ([`hipacc_sim::SimdTelemetry::remerges`]); 0
+    /// on the other engines.
     pub remerges: u64,
+    /// Steps those regions took, one per lane group run for the whole
+    /// block ([`hipacc_sim::SimdTelemetry::region_steps`]); 0 on the
+    /// other engines.
+    pub region_steps: u64,
     /// Explicit-vs-environment override conflicts detected for this
     /// launch (rendered [`hipacc_sim::OverrideConflict`]s): the explicit
     /// spec value won, the listed `HIPACC_SIM_*` variable was ignored.
@@ -173,7 +178,8 @@ impl LaunchProfile {
         if let (Some(share), Some(t)) = (lockstep_block_share, simd) {
             execute = execute
                 .arg("lockstep_block_share", format!("{share:.4}"))
-                .arg("remerges", t.remerges.to_string());
+                .arg("remerges", t.remerges.to_string())
+                .arg("region_steps", t.region_steps.to_string());
         }
         spans.push(execute);
         // On a cache hit the compile phases never ran this launch: the
@@ -211,6 +217,7 @@ impl LaunchProfile {
             warp_uniform_share: simd.and_then(|t| t.uniform_fraction()),
             lockstep_block_share,
             remerges: simd.map_or(0, |t| t.remerges),
+            region_steps: simd.map_or(0, |t| t.region_steps),
             override_conflicts,
         }
     }
@@ -326,9 +333,10 @@ impl LaunchProfile {
         }
         if let Some(l) = self.lockstep_block_share {
             out.push_str(&format!(
-                "  lockstep: {:.1} % of blocks, {} re-merges\n",
+                "  lockstep: {:.1} % of blocks, {} re-merges, {} region steps\n",
                 l * 100.0,
-                self.remerges
+                self.remerges,
+                self.region_steps
             ));
         }
         for (cause, blocks) in &self.fallback_causes {
@@ -437,6 +445,7 @@ mod tests {
             warp_uniform_share: None,
             lockstep_block_share: None,
             remerges: 0,
+            region_steps: 0,
             override_conflicts: Vec::new(),
         }
     }
@@ -509,6 +518,7 @@ mod tests {
         p.warp_uniform_share = Some(0.625);
         p.lockstep_block_share = Some(1360.0 / 1376.0);
         p.remerges = 5022;
+        p.region_steps = 42_687;
         let text = p.render_text();
         assert!(
             text.contains("simd fallback: 12 blocks (polymorphic register)"),
@@ -516,7 +526,7 @@ mod tests {
         );
         assert!(text.contains("warp-uniform: 62.5 % of steps"), "{text}");
         assert!(
-            text.contains("lockstep: 98.8 % of blocks, 5022 re-merges"),
+            text.contains("lockstep: 98.8 % of blocks, 5022 re-merges, 42687 region steps"),
             "{text}"
         );
     }

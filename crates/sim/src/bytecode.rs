@@ -3542,11 +3542,17 @@ mod tests {
         }
         let blocks = u64::from(p.grid.0 * p.grid.1);
         assert_eq!(tel[0].lockstep_blocks + tel[0].split_blocks, blocks);
-        let per_warp = (tel[1].lockstep_blocks, tel[1].split_blocks, tel[1].remerges);
+        let t = &tel[1];
+        let per_warp = (
+            t.lockstep_blocks,
+            t.split_blocks,
+            t.remerges,
+            t.region_steps,
+        );
         assert_eq!(
             per_warp,
-            (0, blocks, 0),
-            "the per-warp entry never re-merges"
+            (0, blocks, 0, 0),
+            "the per-warp entry never runs a region block-wide"
         );
         tel[0]
     }
@@ -3594,7 +3600,7 @@ mod tests {
     #[test]
     fn a_re_merge_keeps_each_threads_stores_in_order() {
         // Every thread stores in lockstep, the even ones again while the
-        // warps run the `if` apart, all once more after the block
+        // block runs the `if` as a region, all once more after the block
         // re-merged at its join: thread-major means each thread's two or
         // three in a row.
         let k = trap_kernel(
@@ -3622,7 +3628,7 @@ mod tests {
     #[test]
     fn a_block_re_merges_inside_a_loop() {
         // Two unanimous trips, then the `if` of the last three (`For` is
-        // inclusive) disagrees: the warps run it apart and the block is
+        // inclusive) disagrees: the block runs it as a region and is
         // back on one program counter at its join, the counter still in
         // the one scalar file. The inner test is `&&`-lazy, so the
         // scalar-file half of it is a branch of its own.
@@ -3659,8 +3665,8 @@ mod tests {
     fn a_mirrored_tap_loop_re_merges_every_trip() {
         // The border index of a `Mirror` kernel: `x < 0 ? -x - 1 : x` is
         // a branch diamond, and the block's first columns take the other
-        // arm on every trip. Each trip runs the diamond warp by warp and
-        // the rest of the tap in lockstep.
+        // arm on every trip. Each trip runs the diamond as a block-wide
+        // region and the rest of the tap in lockstep.
         let x = || Expr::Builtin(Builtin::ThreadIdxX) + Expr::var("i") - Expr::int(3);
         let mirrored = Expr::select(x().lt(Expr::int(0)), -x() - Expr::int(1), x());
         let row = Expr::var("gid") - Expr::Builtin(Builtin::ThreadIdxX);
@@ -3710,6 +3716,177 @@ mod tests {
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(96));
         let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
         assert_eq!(pin, (0, 2, 2));
+    }
+
+    // The region scheduler: a block runs a varying region once, its lanes
+    // grouped by program counter with one mask per warp. Each kernel below
+    // gives it a shape of region per-warp execution must not tell apart.
+
+    #[test]
+    fn a_region_fetches_textures_and_stores_block_wide() {
+        // Both arms of the diamond fetch from a texture, one through its
+        // 2-D address mode and one linearly, and store: each arm is one
+        // group over the whole block, its warps' masks side by side.
+        let gid = || Expr::var("gid");
+        let tex = |coords| Expr::TexFetch {
+            buf: "IN".into(),
+            coords,
+        };
+        let xy = tex(TexCoords::Xy(
+            Box::new(gid() - Expr::int(2)),
+            Box::new(Expr::int(0)),
+        ));
+        let linear = tex(TexCoords::Linear(Box::new(gid() + Expr::int(1))));
+        let mut k = trap_kernel(
+            "texture-diamond",
+            vec![
+                gid_2d_decl(),
+                Stmt::If {
+                    cond: gid().rem(Expr::int(3)).eq_(Expr::int(0)),
+                    then: vec![store_out(xy)],
+                    els: vec![store_out(linear * Expr::float(2.0))],
+                },
+            ],
+        );
+        k.buffers[0].space = MemorySpace::Texture;
+        k.buffers[0].address_mode = AddressMode::Clamp;
+        for block in [(32, 6), (24, 3)] {
+            let p = LaunchParams::new((2, 1), block);
+            let mut mem = linear_mem(2 * (block.0 * block.1) as usize + 1);
+            mem.tex_modes.insert("IN".into(), AddressMode::Clamp);
+            let tel = lockstep_matches_per_warp(&k, &p, &mem);
+            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+            assert_eq!(pin, (2, 0, 2), "{block:?}");
+        }
+    }
+
+    #[test]
+    fn a_varying_loop_inside_a_region_merges_its_groups_at_the_exit() {
+        // Inside the `if`, lane `gid` runs the tap loop `gid % 5 + 1`
+        // times: lanes that leave early wait at the exit as a group of
+        // their own while the rest go round again, and each group that
+        // arrives there joins the one already waiting before it runs on.
+        let k = trap_kernel(
+            "loop-in-region",
+            vec![
+                gid_2d_decl(),
+                decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
+                Stmt::If {
+                    cond: Expr::var("gid").rem(Expr::int(4)).lt(Expr::int(3)),
+                    then: vec![
+                        tap_loop("j", Expr::var("gid").rem(Expr::int(5))),
+                        assign("acc", Expr::var("acc") * Expr::float(0.5)),
+                    ],
+                    els: vec![assign("acc", Expr::float(-1.0))],
+                },
+                store_out(Expr::var("acc")),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (32, 6));
+        let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(2 * 192 + 5));
+        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+        assert_eq!(pin, (2, 0, 2), "the loop belongs to the `if`'s region");
+    }
+
+    #[test]
+    fn nested_varying_branches_keep_three_groups_apart() {
+        // The outer `if` parts the block into even and odd lanes; the even
+        // ones part again at the inner `if` while the odd ones wait in the
+        // outer `else`: three groups at three program counters, each run
+        // when it is the lowest, all meeting at the outer join.
+        let gid = || Expr::var("gid");
+        let k = trap_kernel(
+            "nested-diamonds",
+            vec![
+                gid_2d_decl(),
+                decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
+                Stmt::If {
+                    cond: gid().rem(Expr::int(2)).eq_(Expr::int(0)),
+                    then: vec![Stmt::If {
+                        cond: gid().rem(Expr::int(3)).eq_(Expr::int(0)),
+                        then: vec![assign("acc", load_in(gid()))],
+                        els: vec![assign(
+                            "acc",
+                            load_in(gid() + Expr::int(1)) * Expr::float(2.0),
+                        )],
+                    }],
+                    els: vec![Stmt::If {
+                        cond: gid().rem(Expr::int(5)).eq_(Expr::int(0)),
+                        then: vec![store_out(Expr::float(7.0))],
+                        els: vec![assign("acc", load_in(gid()) + Expr::float(0.5))],
+                    }],
+                },
+                store_out(Expr::var("acc")),
+            ],
+        );
+        for block in [(32, 6), (24, 3)] {
+            let p = LaunchParams::new((2, 1), block);
+            let n = 2 * (block.0 * block.1) as usize;
+            let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n + 1));
+            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+            assert_eq!(pin, (2, 0, 2), "{block:?}: one region per block");
+        }
+    }
+
+    #[test]
+    fn lanes_that_return_in_a_region_split_the_block_from_its_join() {
+        // Every thread stores; then every third returns inside the `if`,
+        // and so do all of row 1 (two whole warps of the 32×6 block),
+        // while the others store again. The lazy `||` is a diamond of its
+        // own and re-merges; the `if` cannot: from its join each warp goes
+        // on alone with the lanes it has left, the returned warps with
+        // none.
+        let gid = || Expr::var("gid");
+        let row_1 = Expr::Builtin(Builtin::ThreadIdxY).eq_(Expr::int(1));
+        let k = trap_kernel(
+            "return-in-a-group",
+            vec![
+                gid_2d_decl(),
+                store_out(Expr::float(1.0)),
+                Stmt::If {
+                    cond: gid().rem(Expr::int(3)).eq_(Expr::int(1)).or(row_1),
+                    then: vec![Stmt::Return],
+                    els: vec![store_out(load_in(gid()) + Expr::float(0.5))],
+                },
+                store_out(load_in(gid()) * Expr::float(2.0)),
+            ],
+        );
+        for block in [(32, 6), (24, 3)] {
+            let p = LaunchParams::new((2, 1), block);
+            let n = 2 * (block.0 * block.1) as usize;
+            let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n));
+            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+            assert_eq!(pin, (0, 2, 2), "{block:?}");
+        }
+    }
+
+    #[test]
+    fn a_partial_last_warp_takes_part_in_every_group() {
+        // 24×3 = 72 threads: four full warps and one of eight lanes, whose
+        // rows straddle warp boundaries. The diamond parts every warp,
+        // the last one included, and no lane past the block's end runs or
+        // is counted.
+        let gid = || Expr::var("gid");
+        let k = trap_kernel(
+            "partial-warp-groups",
+            vec![
+                gid_2d_decl(),
+                decl("acc", ScalarType::F32, Some(Expr::float(0.0))),
+                Stmt::If {
+                    cond: gid().rem(Expr::int(4)).eq_(Expr::int(0)),
+                    then: vec![assign("acc", load_in(gid()))],
+                    els: vec![
+                        assign("acc", load_in(gid()) * Expr::float(3.0)),
+                        store_out(Expr::var("acc")),
+                    ],
+                },
+                store_out(Expr::var("acc") + Expr::float(1.0)),
+            ],
+        );
+        let p = LaunchParams::new((3, 1), (24, 3));
+        let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(3 * 72));
+        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+        assert_eq!(pin, (3, 0, 3));
     }
 
     #[test]

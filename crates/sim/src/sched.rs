@@ -283,14 +283,19 @@ pub struct SimdTelemetry {
     pub uniform_steps: u64,
     /// Blocks that ran every phase on one program counter and one scalar
     /// file for the whole block, leaving it only to run a branch their
-    /// lanes disagreed on warp by warp up to its join.
+    /// lanes disagreed on block-wide, lanes grouped by program counter,
+    /// up to its join.
     pub lockstep_blocks: u64,
     /// Blocks where a thread returned while the block went on, so its
     /// warps ran warp by warp from there: the slower path.
     pub split_blocks: u64,
-    /// Times a block ran a varying branch's region warp by warp and went
-    /// back to one program counter at its join.
+    /// Times a block ran a varying branch's region and went back to one
+    /// program counter at its join.
     pub remerges: u64,
+    /// Steps of those regions: one per lane group run, for all of the
+    /// block's warps with a lane in it (each of which also counts the
+    /// step in `warp_steps`).
+    pub region_steps: u64,
     /// Blocks that ran on the scalar engine although the launch asked
     /// for simd, by cause, in [`FallbackCause::ALL`] order.
     pub fallback_causes: [u64; 3],
@@ -306,6 +311,7 @@ impl SimdTelemetry {
         self.lockstep_blocks += other.lockstep_blocks;
         self.split_blocks += other.split_blocks;
         self.remerges += other.remerges;
+        self.region_steps += other.region_steps;
         for (a, b) in self.fallback_causes.iter_mut().zip(other.fallback_causes) {
             *a += b;
         }
@@ -556,6 +562,7 @@ mod tests {
             lockstep_blocks: 5,
             split_blocks: 1,
             remerges: 7,
+            region_steps: 3,
             ..SimdTelemetry::default()
         };
         block.note_fallback(FallbackCause::BlockBail);
@@ -566,6 +573,7 @@ mod tests {
         assert_eq!(t.uniform_fraction(), Some(0.4));
         assert_eq!(t.scalar_fallback_blocks(), 4);
         assert_eq!((t.lockstep_blocks, t.split_blocks, t.remerges), (10, 2, 14));
+        assert_eq!(t.region_steps, 6);
         assert_eq!(t.lockstep_fraction(), Some(0.625), "10 of 16 blocks");
         let causes: Vec<_> = t.fallbacks().collect();
         assert_eq!(

@@ -1,5 +1,6 @@
 //! The warp-vectorized execution engine: one instruction, a whole block
-//! of lanes while the block agrees, sixteen once it does not.
+//! of lanes while the block agrees, the block's lanes at the lowest
+//! program counter while it does not.
 //!
 //! [`crate::bytecode`] already pays the specialization cost once per
 //! launch, but its hot loop still steps one *thread* at a time and
@@ -19,45 +20,52 @@
 //!   built from them. Which slab and which file an operand lives in is a
 //!   bit of the lowered `Slot`; which conversion a read needs (`as_f32`,
 //!   `as_i64`, `as_bool`) follows from the op. A vector op is written
-//!   once over a span of a row plus an optional mask: a dense loop
-//!   over plain rows when the mask is absent, a bit walk otherwise. A
-//!   scalar-file op runs once per step and is read as a splat where a
-//!   vector op uses it.
+//!   once over a span of a row plus, optionally, one lane mask per warp
+//!   of the span: a dense loop over plain rows without masks, a walk over
+//!   each warp's set bits with them. A scalar-file op runs once per step
+//!   and is read as a splat where a vector op uses it.
 //! * **Lockstep blocks** — every scalar-file value is block-uniform by
 //!   construction: its only sources are immediates, `LoadU`, `Bid` and
 //!   `CLoad` at a scalar index (`exec_scalar` accepts nothing else; `Tid`
 //!   always writes the vector file). Warps at the same pc therefore hold
 //!   the same scalar file, and a phase starts with *one* program counter
 //!   and *one* scalar file for the whole block, each vector op one dense
-//!   loop over all `nthreads` lanes. A branch whose outcome differs
-//!   between lanes hands the block to the per-warp scheduler below, each
-//!   warp on its own 16-lane span of the same rows, *only for the varying
-//!   region that branch controls*: the lowering carries the region's end
-//!   as the branch's `join`, and a lane leaves the region only there or by
-//!   returning. The lowering puts no scalar-file definition inside a
-//!   varying region, so the warps all read the block's one scalar file
-//!   and there is nothing to copy or compare at the join. When every warp
-//!   has arrived the block **re-merges**: one program counter again, from
-//!   the join. Only a thread that returned inside a region keeps the block
-//!   apart (lockstep needs every thread): then each warp gets a copy of the
-//!   scalar file and the block **splits** for good, warp by warp from the
-//!   join to its end.
+//!   loop over all `nthreads` lanes.
+//! * **Block-wide regions** — a branch whose outcome differs between
+//!   lanes starts the *varying region* it controls: the lowering carries
+//!   the region's end as the branch's `join`, and a lane leaves the region
+//!   only there or by returning. The block runs the region once: its lanes
+//!   are grouped by program counter, each group holding one 16-bit mask
+//!   per warp; the group at the lowest pc runs next, after every other
+//!   group parked at that pc has joined it, and each of its steps is one
+//!   op over the block's rows under those masks. A branch parts a group,
+//!   a lane that returns leaves it. The lowering puts no scalar-file
+//!   definition inside a varying region, so every step reads the block's
+//!   one scalar file and there is nothing to copy or compare at the join.
+//!   When the lowest pc reaches the join, every lane is there and the
+//!   block **re-merges**: lockstep again, from the join. Only a thread
+//!   that returned inside a region keeps the block apart (lockstep needs
+//!   every thread): then each warp gets a copy of the scalar file and the
+//!   block **splits** for good, warp by warp under the per-warp scheduler
+//!   below from the join to its end.
 //! * **`mask == live` guard** — after a split, a scalar-file write is
 //!   only meaningful when every live lane of the warp executes it
 //!   together. The lowering only places a definition there when it is not
 //!   control-dependent on a varying branch, and min-pc scheduling
 //!   reconverges structured code at the join, so the guard holds; the
 //!   executor checks it on every such write anyway, treats one inside a
-//!   varying region as a lowering bug, and abandons the block in either
-//!   case. Misclassification can cost time, never bits.
-//! * **Divergence mask** — a warp starts *converged* (single shared `pc`,
-//!   no per-lane bookkeeping). A conditional jump whose outcome differs
-//!   across lanes materializes per-lane program counters; from then on the
-//!   scheduler picks the minimum pc among live lanes, executes the lanes
-//!   parked there, and re-converges as soon as all live lanes agree again.
-//!   Min-pc scheduling preserves each lane's dynamic instruction trace
-//!   exactly as the serial engine would have produced it, which is what
-//!   makes stat-exactness possible at all.
+//!   block-wide region as a lowering bug, and abandons the block in
+//!   either case. Misclassification can cost time, never bits.
+//! * **Divergence mask** — a split block's warp starts *converged*
+//!   (single shared `pc`, no per-lane bookkeeping). A conditional jump
+//!   whose outcome differs across lanes materializes per-lane program
+//!   counters; from then on the scheduler picks the minimum pc among live
+//!   lanes, executes the lanes parked there, and re-converges as soon as
+//!   all live lanes agree again. Min-pc scheduling preserves each lane's
+//!   dynamic instruction trace exactly as the serial engine would have
+//!   produced it, which is what makes stat-exactness possible at all. A
+//!   block-wide region is the same schedule: a warp's lanes at the block's
+//!   lowest pc are exactly its lanes at its own lowest pc.
 //! * **Exact statistics and telemetry** — `ExecStats` counters are *per
 //!   access*: every memory op adds the number of lanes it ran for, a
 //!   scalar-file constant load the number of threads it served,
@@ -65,9 +73,11 @@
 //!   counted in *source-tape* instructions per 16-lane warp, whoever ran
 //!   them: the warp program's steps are 1:1 with the tape's, a lockstep
 //!   step counts as one step of every warp of the block (`n_warps` steps,
-//!   `nthreads` active lanes), and inside a region each warp counts the
-//!   diverging branch and its own steps, exactly as per-warp execution
-//!   of the whole block would.
+//!   `nthreads` active lanes), and a region's group step as one step of
+//!   every warp with a lane in the group (its popcount in active lanes),
+//!   the diverging branch included: exactly what per-warp execution of
+//!   the whole block counts. `region_steps` counts the group steps
+//!   themselves.
 //! * **Journaled stores** — the fault injector addresses global stores by
 //!   their position in the block's journal ("flip the nth store"), and
 //!   journal order on the scalar engine is thread-major. Global (and
@@ -108,7 +118,8 @@ use std::ops::Range;
 /// `active_lane_sum` accounting and of scheduling off lockstep.
 /// 16 matches the half-warp granularity of the paper's target devices.
 /// It is *not* the width of a vector op: a block in lockstep runs each op
-/// over all of its lanes at once.
+/// over all of its lanes at once, and a varying region over all of a lane
+/// group's, one mask per warp.
 pub const WARP: usize = 16;
 
 /// Mask with all `WARP` lanes active.
@@ -136,8 +147,11 @@ pub(crate) struct SimdScratch {
     /// lockstep uses the first only.
     sf: Vec<f32>,
     si: Vec<i64>,
-    /// Per-lane program counters, materialized only while diverged.
+    /// Per-lane program counters of a warp run on its own, materialized
+    /// only while diverged.
     pcs: [u32; WARP],
+    /// The lane groups of a region run block-wide.
+    groups: Groups,
     /// The phase's global stores with their threads, in the order the
     /// steps ran; drained thread-major per phase.
     stores: Vec<(u32, StoreRec)>,
@@ -163,6 +177,16 @@ impl SimdScratch {
         self.halted.clear();
         self.halted.resize(nthreads, false);
     }
+}
+
+/// The lanes of a block inside a varying region, grouped by program
+/// counter: one pc per group and, `n_warps` apart, one lane mask per
+/// warp for each. Grow-only like the files, so a warm region allocates
+/// nothing.
+#[derive(Default)]
+struct Groups {
+    pcs: Vec<u32>,
+    masks: Vec<u32>,
 }
 
 /// Execute one block on the vector engine.
@@ -290,6 +314,7 @@ fn run_block_inner(
         sf,
         si,
         pcs,
+        groups,
         stores,
         shared_writes,
         halted,
@@ -324,21 +349,32 @@ fn run_block_inner(
     }
     for (pi, steps) in wp.phases.iter().enumerate() {
         let mut pc = 0;
-        loop {
-            // In lockstep from `pc` until a branch divides the block; then
-            // warp by warp through that branch's region, up to `join`.
-            let mut join = None;
-            if !split {
-                match ex.run_lockstep(steps, pc, nthreads)? {
-                    Lockstep::Done => break,
-                    Lockstep::Halted => {
-                        halted.fill(true);
-                        break;
+        // In lockstep from `pc` until a branch divides the block; then
+        // that branch's region block-wide, and lockstep again from its
+        // join.
+        while !split {
+            match ex.run_lockstep(steps, pc, nthreads)? {
+                Lockstep::Done => break,
+                Lockstep::Halted => {
+                    halted.fill(true);
+                    break;
+                }
+                Lockstep::Split { at, join } => {
+                    pc = join;
+                    if ex.run_region(steps, at, join, nthreads, groups, halted)? {
+                        // Lockstep needs every thread: the warps go on
+                        // alone.
+                        ex.fork_scalar_file(n_warps);
+                        split = true;
+                    } else {
+                        ex.tel.remerges += 1;
                     }
-                    Lockstep::Split { at, join: end } => (pc, join) = (at, Some(end)),
                 }
             }
-            let mut returned = false;
+        }
+        if split {
+            // Each warp on its own scalar file, from `pc` to the phase's
+            // end.
             for w in 0..n_warps {
                 let base = w * WARP;
                 let mut live: u32 = 0;
@@ -348,25 +384,12 @@ fn run_block_inner(
                 if live == 0 {
                     continue;
                 }
-                // A region writes no scalar file: the warps share the
-                // block's.
-                ex.file = if split { w * sspan } else { 0 };
-                let mut m = ex.run_warp(steps, base, live, pc, join, pcs)?;
-                returned |= m != 0;
+                ex.file = w * sspan;
+                let mut m = ex.run_warp(steps, base, live, pc, pcs)?;
                 while m != 0 {
                     halted[base + m.trailing_zeros() as usize] = true;
                     m &= m - 1;
                 }
-            }
-            // Split: the warps ran the phase to its end.
-            let Some(end) = join else { break };
-            pc = end;
-            if returned {
-                // Lockstep needs every thread: the warps go on alone.
-                ex.fork_scalar_file(n_warps);
-                split = true;
-            } else {
-                ex.tel.remerges += 1;
             }
         }
         ex.drain_stores(journal);
@@ -406,71 +429,91 @@ fn checked(r: Option<i64>) -> (i64, bool) {
     (r.unwrap_or(0), r.is_none())
 }
 
-/// The lanes one step runs for: a span of the block's threads and, when
-/// not all of the span is active, the active lanes as bits counted from
-/// its first (the span is then one warp's).
+/// The lanes one step runs for: a span of the block's threads, either
+/// all of it (dense) or the lanes of one mask per warp of the span, bits
+/// counted from each warp's first lane. A warp run on its own is the
+/// one-mask case.
 #[derive(Clone, Copy)]
-struct Lanes {
+struct Lanes<'m> {
     lo: usize,
     hi: usize,
-    mask: Option<u32>,
+    masks: Option<&'m [u32]>,
 }
 
-impl Lanes {
-    /// Every thread of a block in lockstep.
-    fn block(nthreads: usize) -> Lanes {
+impl<'m> Lanes<'m> {
+    /// Every thread from `lo` up to `hi`.
+    #[inline(always)]
+    fn dense(lo: usize, hi: usize) -> Lanes<'m> {
         Lanes {
-            lo: 0,
-            hi: nthreads,
-            mask: None,
+            lo,
+            hi,
+            masks: None,
         }
     }
 
-    /// The lanes of `mask` in the warp whose lane 0 is thread `base`.
+    /// The lanes of `masks`, one per warp from the warp whose lane 0 is
+    /// thread `lo`.
     #[inline(always)]
-    fn warp(base: usize, mask: u32) -> Lanes {
+    fn masked(lo: usize, masks: &'m [u32]) -> Lanes<'m> {
         Lanes {
-            lo: base,
-            hi: base + WARP,
-            mask: (mask != FULL).then_some(mask),
+            lo,
+            hi: lo + masks.len() * WARP,
+            masks: Some(masks),
+        }
+    }
+
+    /// The lanes of `mask` in the warp whose lane 0 is thread `base`:
+    /// dense when the warp is full.
+    #[inline(always)]
+    fn warp(base: usize, mask: &'m u32) -> Lanes<'m> {
+        if *mask == FULL {
+            Lanes::dense(base, base + WARP)
+        } else {
+            Lanes::masked(base, std::slice::from_ref(mask))
         }
     }
 
     /// Whether lane `k`, counted from the span's first, is active.
     #[inline(always)]
     fn has(self, k: usize) -> bool {
-        match self.mask {
+        match self.masks {
             None => true,
-            Some(m) => m >> k & 1 != 0,
+            Some(m) => m[k / WARP] >> (k % WARP) & 1 != 0,
         }
     }
 
     /// How many lanes are active.
     #[inline(always)]
     fn count(self) -> u64 {
-        match self.mask {
+        match self.masks {
             None => (self.hi - self.lo) as u64,
-            Some(m) => u64::from(m.count_ones()),
+            Some(m) => m.iter().map(|m| u64::from(m.count_ones())).sum(),
         }
     }
 }
 
 /// Run `$body` with `$k` bound to every active lane of `$on`, counted
-/// from the span's first: a dense loop without a mask, a bit walk with
-/// one.
+/// from the span's first: a dense loop over a dense span, a walk over the
+/// set bits of each warp's mask over a masked one, so an empty warp costs
+/// one test. (A dense loop per run of set bits is a little faster on the
+/// region-heavy bilateral, but it unrolls into every op's monomorphic
+/// copies and grows the engine's code and a process's peak RSS with it.)
 macro_rules! lanes {
     ($on:expr, $k:ident => $body:block) => {
-        match $on.mask {
+        match $on.masks {
             None => {
                 // The body indexes several rows of the span's length.
                 #[allow(clippy::needless_range_loop)]
                 for $k in 0..$on.hi - $on.lo $body
             }
-            Some(mut m) => {
-                while m != 0 {
-                    let $k = m.trailing_zeros() as usize;
-                    $body
-                    m &= m - 1;
+            Some(masks) => {
+                for (w, &m) in masks.iter().enumerate() {
+                    let mut m = m;
+                    while m != 0 {
+                        let $k = w * WARP + m.trailing_zeros() as usize;
+                        $body
+                        m &= m - 1;
+                    }
                 }
             }
         }
@@ -592,6 +635,14 @@ fn try_reconverge(converged: &mut bool, pc: &mut u32, live: u32, pcs: &[u32; WAR
     *pc = first;
 }
 
+/// Drop group `g` of `n` warps' masks each; the last group takes its
+/// place.
+fn remove_group(pcs: &mut Vec<u32>, masks: &mut Vec<u32>, n: usize, g: usize) {
+    pcs.swap_remove(g);
+    masks.copy_within(pcs.len() * n.., g * n);
+    masks.truncate(pcs.len() * n);
+}
+
 /// Move `recs` out in thread order, each thread's in the order it made
 /// them. Converged code records them that way already; only stores made
 /// while lanes or warps were apart need the (stable) sort.
@@ -612,7 +663,7 @@ impl<'a> BlockExec<'a, '_> {
         mut pc: u32,
         nthreads: usize,
     ) -> Result<Lockstep, Bail> {
-        let on = Lanes::block(nthreads);
+        let on = Lanes::dense(0, nthreads);
         let (mut n_steps, mut n_uniform) = (0u64, 0u64);
         let end = loop {
             let Some(step) = steps.get(pc as usize) else {
@@ -628,7 +679,7 @@ impl<'a> BlockExec<'a, '_> {
                 } => match self.unanimous(cond, when, nthreads) {
                     Some(true) => pc = to,
                     Some(false) => pc += 1,
-                    // Each warp counts this branch when it resumes here.
+                    // The region counts this branch when it starts here.
                     None => break Lockstep::Split { at: pc, join },
                 },
                 Op::Halt => {
@@ -658,24 +709,17 @@ impl<'a> BlockExec<'a, '_> {
     /// Whether every thread of the block takes the branch, none does
     /// (`Some(false)`), or they differ (`None`).
     fn unanimous(&self, cond: Slot, when: bool, nthreads: usize) -> Option<bool> {
-        let mut verdict = None;
-        for base in (0..nthreads).step_by(WARP) {
-            let live = match nthreads - base {
-                n if n < WARP => (1u32 << n) - 1,
-                _ => FULL,
-            };
-            let jump = self.jump_mask(cond, when, base, live);
-            let all = jump == live;
-            if !(all || jump == 0) || verdict.is_some_and(|v| v != all) {
-                return None;
-            }
-            verdict = Some(all);
-            if cond.is_scalar() {
-                // One value, one answer for the block.
-                break;
-            }
+        if cond.is_scalar() {
+            // One value, one answer for the block.
+            return Some(self.s_t(cond) == when);
         }
-        verdict
+        let (on, mut any, mut all) = (Lanes::dense(0, nthreads), false, true);
+        with_t!(self, cond, on, |t| for k in 0..nthreads {
+            let jump = t(k) == when;
+            any |= jump;
+            all &= jump;
+        });
+        (any == all).then_some(all)
     }
 
     /// Give every warp its copy of the block's scalar file.
@@ -697,24 +741,139 @@ impl<'a> BlockExec<'a, '_> {
         journal.extend(drain_thread_major(self.stores));
     }
 
-    /// Run a phase from `from` for the warp whose lane 0 is thread
-    /// `base`, on the scalar file `self.file` names, to the phase's end
-    /// or, given a `stop`, until the warp is converged there: the join of
-    /// the varying region `from` branches into, which every lane leaves
-    /// only there or by `Halt`. `live` marks the lanes that are in-extent
-    /// and not halted by an earlier phase. Returns the mask of lanes that
-    /// hit `Halt` on the way.
+    /// Run the varying region the branch at `at` controls, up to its
+    /// `join`, once for the whole block. Lanes are grouped by program
+    /// counter, each group with one mask per warp, and the group at the
+    /// lowest pc runs next: one step for all of its warps, after every
+    /// other group parked at that pc has joined it. Restricted to one
+    /// warp this is the warp's own min-pc schedule (its lanes at the
+    /// block's lowest pc are its lanes at its own), so every step is
+    /// counted as per-warp execution counts it. Every thread is live on
+    /// entry, and the steps read the block's one scalar file, which
+    /// nothing in the region writes. Lanes that hit `Halt` are marked in
+    /// `halted`; returns whether any did.
+    fn run_region(
+        &mut self,
+        steps: &[Step],
+        at: u32,
+        join: u32,
+        nthreads: usize,
+        groups: &mut Groups,
+        halted: &mut [bool],
+    ) -> Result<bool, Bail> {
+        debug_assert!(halted.iter().all(|h| !h), "lockstep runs every thread");
+        let n = nthreads.div_ceil(WARP);
+        let Groups { pcs, masks } = groups;
+        pcs.clear();
+        pcs.push(at);
+        masks.clear();
+        masks.extend((0..n).map(|w| match nthreads - w * WARP {
+            left if left < WARP => (1u32 << left) - 1,
+            _ => FULL,
+        }));
+        let mut returned = false;
+        // The region ends when its lowest lane is at the join, so all are:
+        // a lane leaves the region only there or by `Halt`.
+        while let Some((g, pc)) = pcs
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(_, pc)| pc)
+            .filter(|&(_, pc)| pc < join)
+        {
+            let mut i = g + 1;
+            while i < pcs.len() {
+                if pcs[i] != pc {
+                    i += 1;
+                    continue;
+                }
+                for w in 0..n {
+                    masks[g * n + w] |= masks[i * n + w];
+                }
+                remove_group(pcs, masks, n, i);
+            }
+            // One step of every warp with a lane here; the warps from
+            // `first` to `last` span them.
+            let step = &steps[pc as usize];
+            let (mut warps, mut lanes, mut first, mut last) = (0u64, 0u64, n, 0);
+            for (w, &m) in masks[g * n..(g + 1) * n].iter().enumerate() {
+                if m != 0 {
+                    warps += 1;
+                    lanes += u64::from(m.count_ones());
+                    first = first.min(w);
+                    last = w;
+                }
+            }
+            self.tel.warp_steps += warps;
+            self.tel.active_lane_sum += lanes;
+            self.tel.uniform_steps += warps * u64::from(step.uniform);
+            self.tel.region_steps += 1;
+            let span = g * n + first..g * n + last + 1;
+            match step.op {
+                Op::Jmp { to } => pcs[g] = to,
+                Op::Br { cond, when, to, .. } => {
+                    // The lanes that jump, as a group of their own at the
+                    // end; it stays only if the group really parts.
+                    let new = masks.len();
+                    masks.resize(new + n, 0);
+                    let (group, jumps) = masks.split_at_mut(new);
+                    let (group, jumps) = (&mut group[span], &mut jumps[first..=last]);
+                    self.jump_masks(cond, when, first * WARP, group, jumps);
+                    let any = jumps.iter().any(|&j| j != 0);
+                    if any && group.iter().zip(&*jumps).any(|(m, j)| m != j) {
+                        for (m, j) in group.iter_mut().zip(jumps) {
+                            *m &= !*j;
+                        }
+                        pcs[g] = pc + 1;
+                        pcs.push(to);
+                    } else {
+                        masks.truncate(new);
+                        pcs[g] = if any { to } else { pc + 1 };
+                    }
+                }
+                Op::Halt => {
+                    for (w, i) in (first..=last).zip(span) {
+                        let mut m = masks[i];
+                        while m != 0 {
+                            halted[w * WARP + m.trailing_zeros() as usize] = true;
+                            m &= m - 1;
+                        }
+                    }
+                    returned = true;
+                    remove_group(pcs, masks, n, g);
+                }
+                // No scalar-file write belongs in a region: a lowering bug.
+                _ if step.guard => return Err(Bail),
+                ref op => {
+                    // Dense when every lane of the spanned warps is here.
+                    let (lo, hi) = (first * WARP, ((last + 1) * WARP).min(nthreads));
+                    let on = if lanes == (hi - lo) as u64 {
+                        Lanes::dense(lo, hi)
+                    } else {
+                        Lanes::masked(lo, &masks[span])
+                    };
+                    self.exec_vector(op, on)?;
+                    pcs[g] = pc + 1;
+                }
+            }
+        }
+        Ok(returned)
+    }
+
+    /// Run a phase from `from` to its end for the warp whose lane 0 is
+    /// thread `base`, on the scalar file `self.file` names: a split
+    /// block's warps, once a thread returned. `live` marks the lanes that
+    /// are in-extent and not halted by an earlier phase. Returns the mask
+    /// of lanes that hit `Halt` on the way.
     fn run_warp(
         &mut self,
         steps: &[Step],
         base: usize,
         mut live: u32,
         from: u32,
-        stop: Option<u32>,
         pcs: &mut [u32; WARP],
     ) -> Result<u32, Bail> {
-        let len = steps.len() as u32;
-        let end = stop.unwrap_or(len);
+        let end = steps.len() as u32;
         let mut halted = 0u32;
         let mut converged = true;
         let mut pc = from;
@@ -764,8 +923,9 @@ impl<'a> BlockExec<'a, '_> {
                     }
                 }
                 Op::Br { cond, when, to, .. } => {
-                    let jump = self.jump_mask(cond, when, base, mask);
-                    Self::branch(&mut converged, &mut pc, pcs, mask, jump, to, cur);
+                    let mut jump = [0];
+                    self.jump_masks(cond, when, base, &[mask], &mut jump);
+                    Self::branch(&mut converged, &mut pc, pcs, mask, jump[0], to, cur);
                 }
                 Op::Halt => {
                     halted |= mask;
@@ -775,20 +935,18 @@ impl<'a> BlockExec<'a, '_> {
                         // All live lanes returned together.
                         break;
                     }
-                    retarget(pcs, mask, len);
+                    retarget(pcs, mask, end);
                 }
                 ref op => {
                     if step.guard {
                         // One write for the whole warp is only right
-                        // when the whole warp is here, and only to a file
-                        // of its own: inside a region the warps share the
-                        // block's, and the lowering puts no write there.
-                        if mask != live || stop.is_some() {
+                        // when the whole warp is here.
+                        if mask != live {
                             return Err(Bail);
                         }
                         self.exec_scalar(op, active)?;
                     } else {
-                        self.exec_vector(op, Lanes::warp(base, mask))?;
+                        self.exec_vector(op, Lanes::warp(base, &mask))?;
                     }
                     if converged {
                         pc = cur + 1;
@@ -807,20 +965,28 @@ impl<'a> BlockExec<'a, '_> {
         Ok(halted)
     }
 
-    /// Lanes of `mask`, in the warp whose lane 0 is thread `base`, whose
-    /// condition equals `when`; all or none of them when the condition
-    /// lives in the scalar file.
+    /// The lanes of each of `masks`, one per warp from the warp whose
+    /// lane 0 is thread `lo`, whose condition equals `when`, into `jumps`:
+    /// all or none of a mask's lanes when the condition lives in the
+    /// scalar file.
     #[inline(always)]
-    fn jump_mask(&self, cond: Slot, when: bool, base: usize, mask: u32) -> u32 {
+    fn jump_masks(&self, cond: Slot, when: bool, lo: usize, masks: &[u32], jumps: &mut [u32]) {
         if cond.is_scalar() {
-            return if self.s_t(cond) == when { mask } else { 0 };
+            let all = self.s_t(cond) == when;
+            for (j, &m) in jumps.iter_mut().zip(masks) {
+                *j = if all { m } else { 0 };
+            }
+            return;
         }
-        let on = Lanes::warp(base, FULL);
-        let mut jump = 0u32;
-        with_t!(self, cond, on, |t| for k in 0..WARP {
-            jump |= u32::from(t(k) == when) << k;
+        with_t!(self, cond, Lanes::masked(lo, masks), |t| {
+            for (w, (j, &m)) in jumps.iter_mut().zip(masks).enumerate() {
+                let mut jump = 0u32;
+                for k in 0..WARP {
+                    jump |= u32::from(t(w * WARP + k) == when) << k;
+                }
+                *j = jump & m;
+            }
         });
-        jump & mask
     }
 
     /// Resolve a conditional jump: uniform outcomes keep the warp
@@ -891,14 +1057,14 @@ impl<'a> BlockExec<'a, '_> {
 
     /// The lanes `on` spans of the `f32` row of vector-file slot `a`.
     #[inline(always)]
-    fn frow(&self, a: Slot, on: Lanes) -> &'a [Cell<f32>] {
+    fn frow(&self, a: Slot, on: Lanes<'_>) -> &'a [Cell<f32>] {
         let row = a.idx() * self.lanes;
         &self.vf[row + on.lo..row + on.hi]
     }
 
     /// The lanes `on` spans of the `i64` row of vector-file slot `a`.
     #[inline(always)]
-    fn irow(&self, a: Slot, on: Lanes) -> &'a [Cell<i64>] {
+    fn irow(&self, a: Slot, on: Lanes<'_>) -> &'a [Cell<i64>] {
         let row = a.idx() * self.lanes;
         &self.vi[row + on.lo..row + on.hi]
     }
@@ -909,7 +1075,7 @@ impl<'a> BlockExec<'a, '_> {
 
     /// `dst = f(a)` over `f32`.
     #[inline(always)]
-    fn map_f<const S: bool>(&mut self, dst: Slot, a: Slot, on: Lanes, f: impl Fn(f32) -> f32) {
+    fn map_f<const S: bool>(&mut self, dst: Slot, a: Slot, on: Lanes<'_>, f: impl Fn(f32) -> f32) {
         if S {
             self.sf[self.file + dst.idx()] = f(self.s_f(a));
             return;
@@ -925,7 +1091,7 @@ impl<'a> BlockExec<'a, '_> {
         dst: Slot,
         a: Slot,
         b: Slot,
-        on: Lanes,
+        on: Lanes<'_>,
         f: impl Fn(f32, f32) -> f32,
     ) {
         if S {
@@ -945,7 +1111,7 @@ impl<'a> BlockExec<'a, '_> {
         dst: Slot,
         a: Slot,
         b: Slot,
-        on: Lanes,
+        on: Lanes<'_>,
         f: impl Fn(f32, f32) -> bool,
     ) {
         if S {
@@ -968,7 +1134,7 @@ impl<'a> BlockExec<'a, '_> {
         dst: Slot,
         a: Slot,
         b: Slot,
-        on: Lanes,
+        on: Lanes<'_>,
         f: impl Fn(i64, i64) -> (i64, bool),
     ) -> Result<(), Bail> {
         let mut bad = false;
@@ -990,7 +1156,7 @@ impl<'a> BlockExec<'a, '_> {
 
     /// `Cvt`: copy or convert `a` into `dst`'s slab, or its truth value.
     #[inline(always)]
-    fn cvt<const S: bool>(&mut self, dst: Slot, a: Slot, truth: bool, on: Lanes) {
+    fn cvt<const S: bool>(&mut self, dst: Slot, a: Slot, truth: bool, on: Lanes<'_>) {
         let s = self.file + dst.idx();
         match (truth, dst.is_float()) {
             (true, _) if S => self.si[s] = self.s_t(a) as i64,
@@ -1013,7 +1179,13 @@ impl<'a> BlockExec<'a, '_> {
 
     /// The unary table. Every arm mirrors `eval_unop` / `eval_mathfn`.
     #[inline(always)]
-    fn un<const S: bool>(&mut self, f: UnFn, dst: Slot, a: Slot, on: Lanes) -> Result<(), Bail> {
+    fn un<const S: bool>(
+        &mut self,
+        f: UnFn,
+        dst: Slot,
+        a: Slot,
+        on: Lanes<'_>,
+    ) -> Result<(), Bail> {
         match f {
             UnFn::NegI => return self.map_ii::<S>(dst, a, a, on, |x, _| x.overflowing_neg()),
             UnFn::Not if S => self.si[self.file + dst.idx()] = !self.s_t(a) as i64,
@@ -1049,7 +1221,7 @@ impl<'a> BlockExec<'a, '_> {
         dst: Slot,
         a: Slot,
         b: Slot,
-        on: Lanes,
+        on: Lanes<'_>,
     ) -> Result<(), Bail> {
         match f {
             BinFn::AddI => return self.map_ii::<S>(dst, a, b, on, i64::overflowing_add),
@@ -1086,7 +1258,7 @@ impl<'a> BlockExec<'a, '_> {
     #[inline(always)]
     fn exec_scalar(&mut self, op: &Op, active: u64) -> Result<(), Bail> {
         // No lanes: a scalar-file op reads and writes the scalar file only.
-        let on = Lanes::block(0);
+        let on = Lanes::dense(0, 0);
         match *op {
             Op::Cvt { dst, a, truth } => self.cvt::<true>(dst, a, truth, on),
             Op::Un { f, dst, a } => return self.un::<true>(f, dst, a, on),
@@ -1107,7 +1279,7 @@ impl<'a> BlockExec<'a, '_> {
     /// Execute one non-control op for the lanes `on`. Every arm mirrors
     /// the corresponding scalar `exec_tape` arm exactly, including the
     /// order and conditions of stat counting.
-    fn exec_vector(&mut self, op: &Op, on: Lanes) -> Result<(), Bail> {
+    fn exec_vector(&mut self, op: &Op, on: Lanes<'_>) -> Result<(), Bail> {
         match *op {
             Op::Bail => return Err(Bail),
             Op::Cvt { dst, a, truth } => self.cvt::<false>(dst, a, truth, on),

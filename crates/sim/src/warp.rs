@@ -35,8 +35,8 @@
 //!   read-only slots behind the registers of the scalar file.
 //!
 //! Every varying branch also carries the end of its region as its *join*:
-//! a block that runs the region warp by warp on its one scalar file
-//! resumes lockstep there.
+//! a block that runs the region block-wide, lanes grouped by program
+//! counter, on its one scalar file resumes lockstep there.
 //!
 //! Classification can only cost time: the executor abandons the block to
 //! the scalar engine when a scalar-file write meets `mask != live` after

@@ -180,42 +180,66 @@ fn gaussian5_at_512_splits_only_its_bottom_row_of_blocks() {
     assert_eq!(tel.scalar_fallback_blocks(), 0);
 }
 
-/// The `steady_bilateral_border` kernel: 13×13 taps under `Mirror` at 96²,
-/// grid 3×16 of 32×6. Every mirrored index is a branch diamond that the
-/// block's border columns or rows take the other way, so 34 of the 48
-/// blocks meet a varying branch; each runs its diamonds warp by warp and
-/// re-merges at their joins, so every block ends in lockstep. The warp
-/// counts are what running the same blocks warp by warp from start to end
-/// reads: re-merging moves none of them.
-#[test]
-fn bilateral_mirror_at_96_re_merges_every_border_block() {
+/// The `steady_bilateral_border` kernel (13×13 taps at 96², grid 3×16 of
+/// 32×6) under `mode`: its profile and the simd engine's telemetry.
+fn bilateral_at_96(mode: BoundaryMode) -> (hipacc_core::LaunchProfile, hipacc_sim::SimdTelemetry) {
     let img: Image<f32> = phantom::vessel_tree(96, 96, &phantom::VesselParams::default());
     let target = Target::cuda(hipacc_hwmodel::device::tesla_c2050());
-    let mut op = bilateral_operator(3, 5, true, BoundaryMode::Mirror);
+    let mut op = bilateral_operator(3, 5, true, mode);
     op.options.sim_threads = Some(1);
     let inputs = [("Input", &img)];
     let (run, profile) = op.execute_profiled(&inputs, &target, Engine::Simd).unwrap();
     assert_eq!((profile.grid, profile.block), ((3, 16), (32, 6)));
+    let spec = pipeline::launch_spec(&run.compiled, &inputs, &op.params, &op.mask_uploads);
+    let tel = simd_telemetry(&run.compiled.device_kernel, &spec);
+    assert_eq!(tel.scalar_fallback_blocks(), 0);
+    (profile, tel)
+}
+
+/// The `steady_bilateral_border` kernel under `Mirror`. Every mirrored
+/// index is a branch diamond that the block's border columns or rows take
+/// the other way, so 34 of the 48 blocks meet a varying branch; each runs
+/// its diamonds block-wide, lanes grouped by program counter, and
+/// re-merges at their joins, so every block ends in lockstep. The warp
+/// counts are what running the same blocks warp by warp from start to end
+/// reads: neither the regions nor the re-merges move any of them.
+#[test]
+fn bilateral_mirror_at_96_re_merges_every_border_block() {
+    let (profile, tel) = bilateral_at_96(BoundaryMode::Mirror);
     assert_eq!(
         (profile.lockstep_block_share, profile.remerges),
         (Some(1.0), 5022)
     );
+    assert_eq!(profile.region_steps, REGION_STEPS);
     let text = profile.render_text();
+    let line = format!("lockstep: 100.0 % of blocks, 5022 re-merges, {REGION_STEPS} region steps");
+    assert!(text.contains(&line), "{text}");
+    let trace = profile.chrome_trace();
     assert!(
-        text.contains("lockstep: 100.0 % of blocks, 5022 re-merges"),
-        "{text}"
+        trace.contains("\"remerges\":\"5022\"")
+            && trace.contains(&format!("\"region_steps\":\"{REGION_STEPS}\"")),
+        "the execute span carries the re-merges and region steps"
     );
-    assert!(
-        profile.chrome_trace().contains("\"remerges\":\"5022\""),
-        "the execute span carries the re-merges"
-    );
-    let spec = pipeline::launch_spec(&run.compiled, &inputs, &op.params, &op.mask_uploads);
-    let tel = simd_telemetry(&run.compiled.device_kernel, &spec);
-    assert_eq!(
-        (tel.warp_steps, tel.active_lane_sum),
-        (4_015_338, 61_976_544)
-    );
+    let steps = (tel.warp_steps, tel.active_lane_sum, tel.uniform_steps);
+    assert_eq!(steps, (4_015_338, 61_976_544, 1_273_068));
     assert_eq!((tel.lockstep_blocks, tel.split_blocks), (48, 0));
-    assert_eq!(tel.remerges, 5022);
-    assert_eq!(tel.scalar_fallback_blocks(), 0);
+    assert_eq!((tel.remerges, tel.region_steps), (5022, REGION_STEPS));
+}
+
+/// Block-wide group steps of the `Mirror` bilateral's regions; run warp
+/// by warp the same regions took 346 158 warp steps.
+const REGION_STEPS: u64 = 42_687;
+
+/// The same kernel under `Constant(0)`, the border mode with the most
+/// varying regions: each tap's in-range test is a branch the border lanes
+/// take the other way.
+#[test]
+fn bilateral_constant_at_96_counts_what_per_warp_execution_counts() {
+    let (profile, tel) = bilateral_at_96(BoundaryMode::Constant(0.0));
+    assert_eq!(profile.lockstep_block_share, Some(1.0));
+    let steps = (tel.warp_steps, tel.active_lane_sum, tel.uniform_steps);
+    assert_eq!(steps, (5_548_032, 87_182_064, 1_581_264));
+    let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
+    assert_eq!(pin, (48, 0, 6108));
+    assert_eq!(tel.region_steps, 63_444);
 }
