@@ -28,7 +28,7 @@
 //! (recorded as a bypass, not a miss) so recovery timing is never skewed
 //! by warm-cache effects.
 //!
-//! An entry is a [`Prepared`] kernel behind an `Arc`: the artifact plus
+//! An entry is a `Prepared` kernel behind an `Arc`: the artifact plus
 //! what every launch of it would otherwise rebuild — the simulator tape
 //! with its warp program, and the modelled time. A hit is one fingerprint
 //! and one `Arc` clone under the lock; the launch then binds the frame's

@@ -10,10 +10,11 @@
 //! configured threshold, **opens** — pinning the stage to the proven
 //! degraded rung. Pinned frames compile that rung once (it becomes the
 //! cache-served `initial` rung) and run with the retry/degradation
-//! ladder bypassed. After [`Governor::probe_after`] pinned frames the
-//! breaker goes **half-open** and probes with the healthy configuration;
-//! [`Governor::close_after`] consecutive clean probes close it again,
-//! while a dirty probe re-opens it on the same pinned rung.
+//! ladder bypassed. After `probe_after` pinned frames the breaker goes
+//! **half-open** and probes with the healthy configuration; `close_after`
+//! consecutive clean probes close it again (both counts are arguments of
+//! [`Governor::new`]), while a dirty probe re-opens it on the same pinned
+//! rung.
 //!
 //! ```text
 //!             strikes >= threshold                probe_after frames

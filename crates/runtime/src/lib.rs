@@ -25,7 +25,7 @@
 //!   stage execution (`R0601`), typed load shedding under backpressure
 //!   (`R0604`), and a deterministic [`ReplayBundle`] recorded for every
 //!   failed frame so `reproduce --replay` can re-execute the failing
-//!   launch standalone ([`replay`]);
+//!   launch standalone ([`replay()`]);
 //! * per-stream telemetry ([`StreamReport`]): frames/s, p50/p99 frame
 //!   latency, queue high-water marks, cache hit rate, recovery-action
 //!   totals, breaker transitions, and trace spans on a per-stream lane

@@ -117,7 +117,7 @@ pub struct StreamReport {
     pub actions: ActionTotals,
     /// Circuit-breaker state changes, sorted by `(stage_index, seq)`.
     pub breaker_transitions: Vec<BreakerTransition>,
-    /// One replay bundle per failed frame (see [`crate::replay`]).
+    /// One replay bundle per failed frame (see [`mod@crate::replay`]).
     pub replay: Vec<ReplayBundle>,
     /// Wall-clock time from first push to last completion.
     pub wall_us: u64,

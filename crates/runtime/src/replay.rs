@@ -49,7 +49,7 @@ pub fn drifting_frame(width: u32, height: u32, seq: u64) -> Image<f32> {
 }
 
 /// A pinned configuration rung, in the string form bundles store
-/// (variant via [`variant_label`]).
+/// (variant via [`crate::governor::variant_label`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PinSpec {
     /// Ladder label of the rung.

@@ -25,7 +25,7 @@
 //!   ([`StreamConfig::frame_deadline_us`], `R0602`) and a whole-stream
 //!   virtual budget ([`StreamConfig::stream_budget_us`], `R0603`), both
 //!   on the supervisor's deterministic virtual clock;
-//! * the **replay recorder** ([`crate::replay`]) — every failed frame
+//! * the **replay recorder** ([`mod@crate::replay`]) — every failed frame
 //!   leaves a [`ReplayBundle`] from which `reproduce --replay`
 //!   re-executes the failing launch standalone and asserts the same
 //!   diagnostic code.

@@ -22,13 +22,12 @@
 //!   from `BlockIdx*`, launch constants and scalars are compiled into a
 //!   per-block *prologue tape*, evaluated once per block, and read from a
 //!   uniform register file by the thread tape.
-//! * **Interior/border split** — an affine interval analysis over the
-//!   thread/block builtins derives, for every global/texture access, a
-//!   per-block test of the form `cbx·bx + cby·by + k` within limits. Blocks
-//!   that pass every test take a fast path that skips address-mode
-//!   dispatch; only border blocks pay the full handling. The fast path
-//!   still range-checks through `slice::get`, so an imprecise analysis can
-//!   never change results — only cost.
+//! * **In-range texel reads** — a 2-D texture fetch whose coordinates lie
+//!   inside the image reads the texel directly, because every address
+//!   mode is the identity there; only out-of-range coordinates go through
+//!   the address-mode dispatch. Both tape engines read through one
+//!   `texel` function. The paper's interior/border split itself lives in
+//!   the generated code, which specializes the nine regions.
 //! * **Control flow** — `For`/`If`/`Select` and short-circuit `&&`/`||`
 //!   become conditional jumps; loop bounds are evaluated once, like the
 //!   interpreter. Lazy-evaluation semantics (only the chosen `Select`
@@ -126,8 +125,8 @@ pub(crate) enum Inst {
 #[derive(Clone, Debug)]
 pub(crate) struct GlobalBinding {
     pub(crate) name: String,
-    /// Geometry observed at compile time; re-validated before running so a
-    /// stale `CompiledKernel` cannot index with outdated interior checks.
+    /// Geometry observed at compile time; re-validated before running so
+    /// the binding table's width, height and stride match the buffer.
     pub(crate) geom: BufferGeometry,
     pub(crate) mode: AddressMode,
 }
@@ -150,43 +149,6 @@ pub(crate) struct SharedLayout {
     pub(crate) cols: u32,
 }
 
-/// A per-block interior test: the access `cbx·bx + cby·by + [lo, hi]`
-/// (thread extremes already folded into `lo`/`hi`) stays inside
-/// `[0, limit)` — i.e. the block never needs boundary handling for it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct InteriorCheck {
-    cbx: i64,
-    cby: i64,
-    lo: i64,
-    hi: i64,
-    limit: i64,
-}
-
-impl InteriorCheck {
-    /// A check that never holds (emitted when the analysis cannot bound an
-    /// access; such a kernel simply has no interior fast path).
-    const NEVER: InteriorCheck = InteriorCheck {
-        cbx: 0,
-        cby: 0,
-        lo: -1,
-        hi: 0,
-        limit: 0,
-    };
-
-    fn holds(&self, bx: i64, by: i64) -> bool {
-        let base = match self
-            .cbx
-            .checked_mul(bx)
-            .and_then(|a| self.cby.checked_mul(by).and_then(|b| a.checked_add(b)))
-        {
-            Some(v) => v,
-            None => return false,
-        };
-        base.checked_add(self.lo).is_some_and(|v| v >= 0)
-            && base.checked_add(self.hi).is_some_and(|v| v < self.limit)
-    }
-}
-
 /// A buffered global store (binding index instead of a name — applying
 /// stores does not clone strings).
 pub(crate) struct StoreRec {
@@ -201,8 +163,8 @@ pub(crate) struct StoreRec {
 /// [`execute`] for the one-shot compile-and-run path). The program bakes in
 /// the launch's grid/block dimensions and scalar arguments, so it is only
 /// valid for the `LaunchParams` it was compiled against. It keeps
-/// everything it was built from except the pixels, so
-/// [`Self::launch_mismatch`] can tell whether another launch may run it.
+/// everything it was built from except the pixels, so the launch step
+/// can tell whether another launch may run it.
 pub struct CompiledKernel {
     pub(crate) grid: (u32, u32),
     pub(crate) block: (u32, u32),
@@ -222,7 +184,6 @@ pub struct CompiledKernel {
     pub(crate) globals: Vec<GlobalBinding>,
     pub(crate) consts: Vec<ConstBinding>,
     pub(crate) shared: Vec<SharedLayout>,
-    pub(crate) checks: Vec<InteriorCheck>,
     /// The simd engine's typed lowering of the tapes (or why it has
     /// none), built by the first [`Engine::Simd`] run.
     warp: std::sync::OnceLock<WarpPlan>,
@@ -244,24 +205,12 @@ impl CompiledKernel {
         self.prologue.len()
     }
 
-    /// Number of per-block interior tests derived by the affine analysis.
-    /// Zero means every block runs the fast path unconditionally.
-    pub fn interior_checks(&self) -> usize {
-        self.checks
-            .iter()
-            .filter(|c| **c != InteriorCheck::NEVER)
-            .count()
-    }
-
-    /// True when the analysis found an unbounded access, disabling the
-    /// interior fast path for every block.
-    pub fn always_border(&self) -> bool {
-        self.checks.contains(&InteriorCheck::NEVER)
-    }
-
-    /// Whether block `(bx, by)` takes the bounds-dispatch-free fast path.
+    /// Whether block `(bx, by)` lies in the grid. Every block takes the
+    /// in-range texel shortcut (an in-range read skips the address-mode
+    /// dispatch in any block), so there is no interior/border split left
+    /// to report; this stays for callers that still ask.
     pub fn block_is_interior(&self, bx: u32, by: u32) -> bool {
-        self.checks.iter().all(|c| c.holds(bx as i64, by as i64))
+        bx < self.grid.0 && by < self.grid.1
     }
 
     /// Names of the constant buffers whose coefficients were captured at
@@ -479,8 +428,6 @@ pub fn compile(
         tapes.push(tape);
     }
 
-    let checks = analyze_interior(&body, params, &c);
-
     Ok(CompiledKernel {
         grid: params.grid,
         block: params.block,
@@ -494,7 +441,6 @@ pub fn compile(
         globals: std::mem::take(&mut c.globals),
         consts: std::mem::take(&mut c.consts),
         shared: std::mem::take(&mut c.shared),
-        checks,
         warp: std::sync::OnceLock::new(),
     })
 }
@@ -1240,678 +1186,6 @@ impl<'a> Compiler<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Interior analysis
-// ---------------------------------------------------------------------------
-
-/// Abstract value: an affine form over the thread/block indices with a
-/// constant interval, or unknown. `taint` marks values that passed through
-/// `f32` arithmetic (exact only within ±2^24); tainted values degrade to
-/// `Any` when their bounds leave that window.
-#[derive(Clone, Copy, Debug)]
-enum Abs {
-    Aff {
-        tx: i64,
-        ty: i64,
-        bx: i64,
-        by: i64,
-        lo: i64,
-        hi: i64,
-        taint: bool,
-    },
-    Any,
-}
-
-const F32_EXACT: i64 = 1 << 24;
-
-impl Abs {
-    fn constant(c: i64) -> Abs {
-        Abs::Aff {
-            tx: 0,
-            ty: 0,
-            bx: 0,
-            by: 0,
-            lo: c,
-            hi: c,
-            taint: false,
-        }
-    }
-
-    fn float_const(f: f32) -> Abs {
-        if f.fract() == 0.0 && f.abs() < F32_EXACT as f32 {
-            match Abs::constant(f as i64) {
-                Abs::Aff {
-                    tx,
-                    ty,
-                    bx,
-                    by,
-                    lo,
-                    hi,
-                    ..
-                } => Abs::Aff {
-                    tx,
-                    ty,
-                    bx,
-                    by,
-                    lo,
-                    hi,
-                    taint: true,
-                },
-                any => any,
-            }
-        } else {
-            Abs::Any
-        }
-    }
-
-    fn scalar_const(c: Const) -> Abs {
-        match c {
-            Const::Int(i) => Abs::constant(i),
-            Const::Float(f) => Abs::float_const(f),
-            Const::Bool(_) => Abs::Any,
-        }
-    }
-
-    /// Degrade tainted values whose magnitude may exceed f32 exactness.
-    fn sanitize(self, ranges: &VarRanges) -> Abs {
-        if let Abs::Aff { taint: true, .. } = self {
-            match self.bounds(ranges) {
-                Some((lo, hi)) if lo > -F32_EXACT && hi < F32_EXACT => self,
-                _ => Abs::Any,
-            }
-        } else {
-            self
-        }
-    }
-
-    /// Global value bounds with the builtin ranges substituted in.
-    fn bounds(&self, r: &VarRanges) -> Option<(i64, i64)> {
-        let Abs::Aff {
-            tx,
-            ty,
-            bx,
-            by,
-            lo,
-            hi,
-            ..
-        } = *self
-        else {
-            return None;
-        };
-        let mut min = lo;
-        let mut max = hi;
-        for (c, m) in [
-            (tx, r.tx_max),
-            (ty, r.ty_max),
-            (bx, r.bx_max),
-            (by, r.by_max),
-        ] {
-            let term = c.checked_mul(m)?;
-            min = min.checked_add(term.min(0))?;
-            max = max.checked_add(term.max(0))?;
-        }
-        Some((min, max))
-    }
-
-    fn interval(lo: i64, hi: i64, taint: bool) -> Abs {
-        Abs::Aff {
-            tx: 0,
-            ty: 0,
-            bx: 0,
-            by: 0,
-            lo,
-            hi,
-            taint,
-        }
-    }
-
-    fn add(self, other: Abs, r: &VarRanges) -> Abs {
-        let (
-            Abs::Aff {
-                tx: atx,
-                ty: aty,
-                bx: abx,
-                by: aby,
-                lo: alo,
-                hi: ahi,
-                taint: at,
-            },
-            Abs::Aff {
-                tx: btx,
-                ty: bty,
-                bx: bbx,
-                by: bby,
-                lo: blo,
-                hi: bhi,
-                taint: bt,
-            },
-        ) = (self, other)
-        else {
-            return Abs::Any;
-        };
-        let aff = (|| {
-            Some(Abs::Aff {
-                tx: atx.checked_add(btx)?,
-                ty: aty.checked_add(bty)?,
-                bx: abx.checked_add(bbx)?,
-                by: aby.checked_add(bby)?,
-                lo: alo.checked_add(blo)?,
-                hi: ahi.checked_add(bhi)?,
-                taint: at | bt,
-            })
-        })();
-        aff.map_or(Abs::Any, |v| v.sanitize(r))
-    }
-
-    fn neg(self) -> Abs {
-        let Abs::Aff {
-            tx,
-            ty,
-            bx,
-            by,
-            lo,
-            hi,
-            taint,
-        } = self
-        else {
-            return Abs::Any;
-        };
-        (|| {
-            Some(Abs::Aff {
-                tx: tx.checked_neg()?,
-                ty: ty.checked_neg()?,
-                bx: bx.checked_neg()?,
-                by: by.checked_neg()?,
-                lo: hi.checked_neg()?,
-                hi: lo.checked_neg()?,
-                taint,
-            })
-        })()
-        .unwrap_or(Abs::Any)
-    }
-
-    fn sub(self, other: Abs, r: &VarRanges) -> Abs {
-        self.add(other.neg(), r)
-    }
-
-    fn is_singleton(&self) -> Option<(i64, bool)> {
-        match *self {
-            Abs::Aff {
-                tx: 0,
-                ty: 0,
-                bx: 0,
-                by: 0,
-                lo,
-                hi,
-                taint,
-            } if lo == hi => Some((lo, taint)),
-            _ => None,
-        }
-    }
-
-    fn scale(self, k: i64, k_taint: bool, r: &VarRanges) -> Abs {
-        let Abs::Aff {
-            tx,
-            ty,
-            bx,
-            by,
-            lo,
-            hi,
-            taint,
-        } = self
-        else {
-            return Abs::Any;
-        };
-        let aff = (|| {
-            let (nlo, nhi) = if k >= 0 { (lo, hi) } else { (hi, lo) };
-            Some(Abs::Aff {
-                tx: tx.checked_mul(k)?,
-                ty: ty.checked_mul(k)?,
-                bx: bx.checked_mul(k)?,
-                by: by.checked_mul(k)?,
-                lo: nlo.checked_mul(k)?,
-                hi: nhi.checked_mul(k)?,
-                taint: taint | k_taint,
-            })
-        })();
-        aff.map_or(Abs::Any, |v| v.sanitize(r))
-    }
-
-    fn mul(self, other: Abs, r: &VarRanges) -> Abs {
-        if let Some((k, kt)) = other.is_singleton() {
-            return self.scale(k, kt, r);
-        }
-        if let Some((k, kt)) = self.is_singleton() {
-            return other.scale(k, kt, r);
-        }
-        // Pure-interval product.
-        let (Some((alo, ahi)), Some((blo, bhi))) = (self.pure_interval(), other.pure_interval())
-        else {
-            return Abs::Any;
-        };
-        let taint = self.tainted() | other.tainted();
-        let combos = [
-            alo.checked_mul(blo),
-            alo.checked_mul(bhi),
-            ahi.checked_mul(blo),
-            ahi.checked_mul(bhi),
-        ];
-        let mut lo = i64::MAX;
-        let mut hi = i64::MIN;
-        for c in combos {
-            let Some(v) = c else { return Abs::Any };
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        Abs::interval(lo, hi, taint).sanitize(r)
-    }
-
-    fn pure_interval(&self) -> Option<(i64, i64)> {
-        match *self {
-            Abs::Aff {
-                tx: 0,
-                ty: 0,
-                bx: 0,
-                by: 0,
-                lo,
-                hi,
-                ..
-            } => Some((lo, hi)),
-            _ => None,
-        }
-    }
-
-    fn tainted(&self) -> bool {
-        matches!(self, Abs::Aff { taint: true, .. })
-    }
-
-    /// `x % n` for singleton positive `n`: the C remainder lies in
-    /// `(-n, n)`, or `[0, n)` when `x` is provably non-negative.
-    fn rem(self, other: Abs, r: &VarRanges) -> Abs {
-        let Some((n, nt)) = other.is_singleton() else {
-            return Abs::Any;
-        };
-        if n <= 0 {
-            return Abs::Any;
-        }
-        let taint = self.tainted() | nt;
-        match self.bounds(r) {
-            Some((lo, hi)) => {
-                if lo >= 0 {
-                    Abs::interval(0, hi.min(n - 1), taint)
-                } else {
-                    Abs::interval(-(n - 1), n - 1, taint)
-                }
-            }
-            None => match self {
-                Abs::Any => Abs::Any,
-                _ => Abs::interval(-(n - 1), n - 1, taint),
-            },
-        }
-    }
-
-    /// Join for `Select` branches: equal coefficients keep the affine
-    /// form; otherwise degrade to the union of global bounds.
-    fn join(self, other: Abs, r: &VarRanges) -> Abs {
-        if let (
-            Abs::Aff {
-                tx: atx,
-                ty: aty,
-                bx: abx,
-                by: aby,
-                lo: alo,
-                hi: ahi,
-                taint: at,
-            },
-            Abs::Aff {
-                tx: btx,
-                ty: bty,
-                bx: bbx,
-                by: bby,
-                lo: blo,
-                hi: bhi,
-                taint: bt,
-            },
-        ) = (self, other)
-        {
-            if atx == btx && aty == bty && abx == bbx && aby == bby {
-                return Abs::Aff {
-                    tx: atx,
-                    ty: aty,
-                    bx: abx,
-                    by: aby,
-                    lo: alo.min(blo),
-                    hi: ahi.max(bhi),
-                    taint: at | bt,
-                };
-            }
-        }
-        match (self.bounds(r), other.bounds(r)) {
-            (Some((alo, ahi)), Some((blo, bhi))) => {
-                Abs::interval(alo.min(blo), ahi.max(bhi), self.tainted() | other.tainted())
-            }
-            _ => Abs::Any,
-        }
-    }
-
-    /// Min/Max over global bounds (coefficients are lost, which is what
-    /// makes clamp-style boundary arithmetic classify as interior).
-    fn min_max(self, other: Abs, is_min: bool, r: &VarRanges) -> Abs {
-        let (Some((alo, ahi)), Some((blo, bhi))) = (self.bounds(r), other.bounds(r)) else {
-            return Abs::Any;
-        };
-        let taint = self.tainted() | other.tainted();
-        if is_min {
-            Abs::interval(alo.min(blo), ahi.min(bhi), taint)
-        } else {
-            Abs::interval(alo.max(blo), ahi.max(bhi), taint)
-        }
-    }
-}
-
-/// Maximum values of the builtin index variables for one launch.
-struct VarRanges {
-    tx_max: i64,
-    ty_max: i64,
-    bx_max: i64,
-    by_max: i64,
-}
-
-/// The statement walker that derives interior checks. Scoping mirrors the
-/// interpreter (flat stack + marks); every global/texture access found
-/// anywhere — including never-executed branches — contributes a check,
-/// which is conservative in exactly the safe direction.
-struct InteriorScan<'a> {
-    ranges: VarRanges,
-    scalars: &'a HashMap<String, Const>,
-    env: Vec<(String, Abs)>,
-    marks: Vec<usize>,
-    checks: Vec<InteriorCheck>,
-    geom_of: &'a dyn Fn(&str) -> Option<BufferGeometry>,
-}
-
-impl<'a> InteriorScan<'a> {
-    fn lookup(&self, name: &str) -> Abs {
-        self.env
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .or_else(|| self.scalars.get(name).map(|c| Abs::scalar_const(*c)))
-            .unwrap_or(Abs::Any)
-    }
-
-    fn set(&mut self, name: &str, v: Abs) {
-        for (n, slot) in self.env.iter_mut().rev() {
-            if n == name {
-                *slot = v;
-                return;
-            }
-        }
-    }
-
-    /// Record an access constraint: `abs` must stay inside `[0, limit)`.
-    fn record(&mut self, abs: Abs, limit: i64) {
-        let check = match abs {
-            Abs::Aff {
-                tx,
-                ty,
-                bx,
-                by,
-                lo,
-                hi,
-                ..
-            } => (|| {
-                let mut lo_t = lo;
-                let mut hi_t = hi;
-                for (c, m) in [(tx, self.ranges.tx_max), (ty, self.ranges.ty_max)] {
-                    let term = c.checked_mul(m)?;
-                    lo_t = lo_t.checked_add(term.min(0))?;
-                    hi_t = hi_t.checked_add(term.max(0))?;
-                }
-                Some(InteriorCheck {
-                    cbx: bx,
-                    cby: by,
-                    lo: lo_t,
-                    hi: hi_t,
-                    limit,
-                })
-            })()
-            .unwrap_or(InteriorCheck::NEVER),
-            Abs::Any => InteriorCheck::NEVER,
-        };
-        if !self.checks.contains(&check) {
-            self.checks.push(check);
-        }
-    }
-
-    fn abs_expr(&mut self, e: &Expr) -> Abs {
-        let r = &self.ranges;
-        match e {
-            Expr::ImmInt(i) => Abs::constant(*i),
-            Expr::ImmFloat(f) => Abs::float_const(*f),
-            Expr::ImmBool(_) => Abs::Any,
-            Expr::Var(n) => self.lookup(n),
-            Expr::Builtin(Builtin::ThreadIdxX) => Abs::Aff {
-                tx: 1,
-                ty: 0,
-                bx: 0,
-                by: 0,
-                lo: 0,
-                hi: 0,
-                taint: false,
-            },
-            Expr::Builtin(Builtin::ThreadIdxY) => Abs::Aff {
-                tx: 0,
-                ty: 1,
-                bx: 0,
-                by: 0,
-                lo: 0,
-                hi: 0,
-                taint: false,
-            },
-            Expr::Builtin(Builtin::BlockIdxX) => Abs::Aff {
-                tx: 0,
-                ty: 0,
-                bx: 1,
-                by: 0,
-                lo: 0,
-                hi: 0,
-                taint: false,
-            },
-            Expr::Builtin(Builtin::BlockIdxY) => Abs::Aff {
-                tx: 0,
-                ty: 0,
-                bx: 0,
-                by: 1,
-                lo: 0,
-                hi: 0,
-                taint: false,
-            },
-            Expr::Builtin(Builtin::BlockDimX) => Abs::constant(r.tx_max + 1),
-            Expr::Builtin(Builtin::BlockDimY) => Abs::constant(r.ty_max + 1),
-            Expr::Builtin(Builtin::GridDimX) => Abs::constant(r.bx_max + 1),
-            Expr::Builtin(Builtin::GridDimY) => Abs::constant(r.by_max + 1),
-            Expr::Unary(op, a) => {
-                let va = self.abs_expr(a);
-                match op {
-                    UnOp::Neg => va.neg(),
-                    UnOp::Not => Abs::Any,
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let va = self.abs_expr(a);
-                let vb = self.abs_expr(b);
-                let r = &self.ranges;
-                match op {
-                    BinOp::Add => va.add(vb, r),
-                    BinOp::Sub => va.sub(vb, r),
-                    BinOp::Mul => va.mul(vb, r),
-                    BinOp::Rem => va.rem(vb, r),
-                    _ => Abs::Any,
-                }
-            }
-            Expr::Call(f, args) => {
-                let vals: Vec<Abs> = args.iter().map(|a| self.abs_expr(a)).collect();
-                match (f, vals.as_slice()) {
-                    (MathFn::Min, [a, b]) => a.min_max(*b, true, &self.ranges),
-                    (MathFn::Max, [a, b]) => a.min_max(*b, false, &self.ranges),
-                    _ => Abs::Any,
-                }
-            }
-            Expr::Cast(ty, a) => {
-                let va = self.abs_expr(a);
-                match ty {
-                    // Aff values are integral by construction, so int
-                    // truncation and float widening are identities.
-                    ScalarType::I32 | ScalarType::U32 | ScalarType::F32 => va,
-                    ScalarType::Bool => Abs::Any,
-                }
-            }
-            Expr::Select(c, a, b) => {
-                self.abs_expr(c);
-                let va = self.abs_expr(a);
-                let vb = self.abs_expr(b);
-                va.join(vb, &self.ranges)
-            }
-            Expr::GlobalLoad { buf, idx } => {
-                let vi = self.abs_expr(idx);
-                if let Some(g) = (self.geom_of)(buf) {
-                    self.record(vi, g.len() as i64);
-                }
-                Abs::Any
-            }
-            Expr::TexFetch { buf, coords } => {
-                match coords {
-                    TexCoords::Linear(i) => {
-                        let vi = self.abs_expr(i);
-                        if let Some(g) = (self.geom_of)(buf) {
-                            self.record(vi, g.len() as i64);
-                        }
-                    }
-                    TexCoords::Xy(xe, ye) => {
-                        let vx = self.abs_expr(xe);
-                        let vy = self.abs_expr(ye);
-                        if let Some(g) = (self.geom_of)(buf) {
-                            self.record(vx, g.width as i64);
-                            self.record(vy, g.height as i64);
-                        }
-                    }
-                }
-                Abs::Any
-            }
-            Expr::ConstLoad { idx, .. } => {
-                // Constant loads clamp on both paths; only walk for
-                // nested accesses.
-                self.abs_expr(idx);
-                Abs::Any
-            }
-            Expr::SharedLoad { y, x, .. } => {
-                self.abs_expr(y);
-                self.abs_expr(x);
-                Abs::Any
-            }
-            Expr::InputAt { .. } | Expr::MaskAt { .. } | Expr::OutputX | Expr::OutputY => Abs::Any,
-        }
-    }
-
-    fn scan_stmts(&mut self, stmts: &[Stmt]) {
-        for s in stmts {
-            match s {
-                Stmt::Decl { name, init, .. } => {
-                    let v = match init {
-                        Some(e) => self.abs_expr(e),
-                        None => Abs::constant(0),
-                    };
-                    self.env.push((name.clone(), v));
-                }
-                Stmt::Assign { target, value } => {
-                    let LValue::Var(name) = target;
-                    let v = self.abs_expr(value);
-                    self.set(name, v);
-                }
-                Stmt::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                } => {
-                    let vf = self.abs_expr(from);
-                    let vt = self.abs_expr(to);
-                    let var_abs = match (vf.bounds(&self.ranges), vt.bounds(&self.ranges)) {
-                        (Some((flo, _)), Some((_, thi))) => Abs::interval(flo, thi.max(flo), false),
-                        _ => Abs::Any,
-                    };
-                    // Anything assigned inside the loop varies across
-                    // iterations: havoc it before scanning the body once.
-                    for n in Stmt::assigned_names(body) {
-                        self.set(&n, Abs::Any);
-                    }
-                    self.marks.push(self.env.len());
-                    self.env.push((var.clone(), var_abs));
-                    self.scan_stmts(body);
-                    let mark = self.marks.pop().expect("scope mark");
-                    self.env.truncate(mark);
-                }
-                Stmt::If { cond, then, els } => {
-                    self.abs_expr(cond);
-                    let saved = self.env.clone();
-                    self.marks.push(self.env.len());
-                    self.scan_stmts(then);
-                    let mark = self.marks.pop().expect("scope mark");
-                    self.env.truncate(mark);
-                    self.env = saved.clone();
-                    self.marks.push(self.env.len());
-                    self.scan_stmts(els);
-                    let mark = self.marks.pop().expect("scope mark");
-                    self.env.truncate(mark);
-                    self.env = saved;
-                    // Either branch may or may not have run.
-                    for n in Stmt::assigned_names(then).union(&Stmt::assigned_names(els)) {
-                        self.set(n, Abs::Any);
-                    }
-                }
-                Stmt::GlobalStore { buf, idx, value } => {
-                    let vi = self.abs_expr(idx);
-                    if let Some(g) = (self.geom_of)(buf) {
-                        self.record(vi, g.len() as i64);
-                    }
-                    self.abs_expr(value);
-                }
-                Stmt::SharedStore { y, x, value, .. } => {
-                    self.abs_expr(y);
-                    self.abs_expr(x);
-                    self.abs_expr(value);
-                }
-                Stmt::Return | Stmt::Comment(_) | Stmt::Barrier => {}
-                Stmt::Output(e) => {
-                    self.abs_expr(e);
-                }
-            }
-        }
-    }
-}
-
-/// Derive the per-block interior checks for a folded kernel body.
-fn analyze_interior(body: &[Stmt], params: &LaunchParams, c: &Compiler<'_>) -> Vec<InteriorCheck> {
-    let geom_of = |name: &str| c.mem.buffer(name).map(|b| b.geom);
-    let mut scan = InteriorScan {
-        ranges: VarRanges {
-            tx_max: params.block.0 as i64 - 1,
-            ty_max: params.block.1 as i64 - 1,
-            bx_max: params.grid.0 as i64 - 1,
-            by_max: params.grid.1 as i64 - 1,
-        },
-        scalars: &params.scalars,
-        env: Vec::new(),
-        marks: Vec::new(),
-        checks: Vec::new(),
-        geom_of: &geom_of,
-    };
-    scan.scan_stmts(body);
-    scan.checks
-}
-
-// ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
 
@@ -1997,7 +1271,6 @@ pub(crate) struct BlockRun<'r> {
     pub(crate) stores: &'r mut Vec<StoreRec>,
     pub(crate) stats: ExecStats,
     pub(crate) call_scratch: &'r mut Vec<Const>,
-    pub(crate) fast: bool,
     pub(crate) bx: i64,
     pub(crate) by: i64,
 }
@@ -2127,34 +1400,7 @@ impl BlockRun<'_> {
                     let b = &self.bufs[*buf as usize];
                     let xi = regs[*x as usize].as_i64() as i32;
                     let yi = regs[*y as usize].as_i64() as i32;
-                    // Interior blocks skip the address-mode dispatch: any
-                    // mode is the identity for in-range coordinates.
-                    let v = if self.fast && (xi as u32) < b.w && (yi as u32) < b.h {
-                        b.data[yi as usize * b.stride as usize + xi as usize]
-                    } else {
-                        let (ax, ay) = match b.mode {
-                            AddressMode::Clamp => (clamp_index(xi, b.w), clamp_index(yi, b.h)),
-                            AddressMode::Repeat => (repeat_index(xi, b.w), repeat_index(yi, b.h)),
-                            AddressMode::BorderConstant(c) => {
-                                if xi < 0 || yi < 0 || xi >= b.w as i32 || yi >= b.h as i32 {
-                                    regs[*dst as usize] = Const::Float(c);
-                                    pc += 1;
-                                    continue;
-                                }
-                                (xi, yi)
-                            }
-                            AddressMode::None => {
-                                if xi < 0 || yi < 0 || xi >= b.w as i32 || yi >= b.h as i32 {
-                                    self.stats.oob_reads += 1;
-                                    (clamp_index(xi, b.w), clamp_index(yi, b.h))
-                                } else {
-                                    (xi, yi)
-                                }
-                            }
-                        };
-                        b.data[ay as usize * b.stride as usize + ax as usize]
-                    };
-                    regs[*dst as usize] = Const::Float(v);
+                    regs[*dst as usize] = Const::Float(texel(b, xi, yi, &mut self.stats.oob_reads));
                 }
                 Inst::CLoad { dst, cb, idx } => {
                     self.stats.const_loads += 1;
@@ -2189,6 +1435,29 @@ impl BlockRun<'_> {
     }
 }
 
+/// One texel of `b` at `(xi, yi)` under its address mode, counting an
+/// out-of-range read of an unaddressed buffer in `oob_reads`; the one
+/// 2-D texture read of both tape engines. In-range coordinates skip the
+/// address-mode dispatch: every mode is the identity there.
+#[inline(always)]
+pub(crate) fn texel(b: &BufView<'_>, xi: i32, yi: i32, oob_reads: &mut u64) -> f32 {
+    let stride = b.stride as usize;
+    if (xi as u32) < b.w && (yi as u32) < b.h {
+        return b.data[yi as usize * stride + xi as usize];
+    }
+    let (ax, ay) = match b.mode {
+        // The border constant is returned without any oob count.
+        AddressMode::BorderConstant(c) => return c,
+        AddressMode::Clamp => (clamp_index(xi, b.w), clamp_index(yi, b.h)),
+        AddressMode::Repeat => (repeat_index(xi, b.w), repeat_index(yi, b.h)),
+        AddressMode::None => {
+            *oob_reads += 1;
+            (clamp_index(xi, b.w), clamp_index(yi, b.h))
+        }
+    };
+    b.data[ay as usize * stride + ax as usize]
+}
+
 /// Evaluate the block-uniform prologue into `scratch.uregs` (shared by
 /// the scalar and simd engines so the two can never drift). The prologue
 /// tape contains no memory operations and no thread builtins, so it
@@ -2213,7 +1482,6 @@ pub(crate) fn exec_prologue(
         stores: &mut sink,
         stats: ExecStats::default(),
         call_scratch: &mut scratch.call_scratch,
-        fast: false,
         bx: bx as i64,
         by: by as i64,
     };
@@ -2223,9 +1491,9 @@ pub(crate) fn exec_prologue(
     Ok(())
 }
 
-/// Run one block on the scalar engine: uniform prologue, interior
-/// classification, then all threads phase by phase. Stores land in
-/// `journal`; the returned range is this block's slice of it.
+/// Run one block on the scalar engine: uniform prologue, then all
+/// threads phase by phase. Stores land in `journal`; the returned range
+/// is this block's slice of it.
 pub(crate) fn run_block(
     prog: &CompiledKernel,
     bufs: &[BufView<'_>],
@@ -2244,7 +1512,6 @@ pub(crate) fn run_block(
         stores: journal,
         stats: ExecStats::default(),
         call_scratch: &mut scratch.call_scratch,
-        fast: prog.block_is_interior(bx, by),
         bx: bx as i64,
         by: by as i64,
     };
@@ -2344,7 +1611,7 @@ impl CompiledKernel {
     /// [`crate::interp::execute`].
     ///
     /// The bound buffers must still have the geometry observed at compile
-    /// time (the interior checks were derived from it).
+    /// time (the binding table's widths, heights and strides come from it).
     pub fn run_with(&self, mem: &mut DeviceMemory, engine: Engine) -> Result<ExecStats, SimError> {
         self.run_instrumented(mem, engine, false, None)
             .map(|run| run.stats)
@@ -2981,8 +2248,50 @@ mod tests {
         k
     }
 
+    /// A 3×3 box over a 20×6 texture at stride 24. The 24×8 grid of
+    /// threads starts at texel (-2, -1), so blocks straddle all four
+    /// edges and every block mixes in-range and out-of-range taps.
+    fn box_2d_kernel(mode: AddressMode) -> DeviceKernelDef {
+        let mut k = stencil_kernel(mode);
+        let gx = || {
+            Expr::Builtin(Builtin::BlockIdxX) * Expr::Builtin(Builtin::BlockDimX)
+                + Expr::Builtin(Builtin::ThreadIdxX)
+        };
+        let gy = || {
+            Expr::Builtin(Builtin::BlockIdxY) * Expr::Builtin(Builtin::BlockDimY)
+                + Expr::Builtin(Builtin::ThreadIdxY)
+        };
+        let tap = |dx: i64, dy: i64| Expr::TexFetch {
+            buf: "IN".into(),
+            coords: TexCoords::Xy(
+                Box::new(gx() + Expr::int(dx - 2)),
+                Box::new(gy() + Expr::int(dy - 1)),
+            ),
+        };
+        let sum = (-1..=1)
+            .flat_map(|dy| (-1..=1).map(move |dx| tap(dx, dy)))
+            .reduce(|acc, t| acc + t)
+            .unwrap();
+        k.body = vec![Stmt::GlobalStore {
+            buf: "OUT".into(),
+            idx: gy() * Expr::int(24) + gx(),
+            value: sum,
+        }];
+        k
+    }
+
     #[test]
     fn texture_modes_match_interpreter() {
+        let tex = BufferGeometry {
+            width: 20,
+            height: 6,
+            stride: 24,
+        };
+        let mut padded = DeviceBuffer::new(tex);
+        for (i, v) in padded.data.iter_mut().enumerate() {
+            // A read of the row padding would show in every output.
+            *v = if i % 24 < 20 { i as f32 } else { 1e6 };
+        }
         for mode in [
             AddressMode::Clamp,
             AddressMode::Repeat,
@@ -2994,23 +2303,23 @@ mod tests {
             mem.tex_modes.insert("IN".into(), mode);
             let p = LaunchParams::new((4, 1), (16, 1));
             engines_agree(&k, &p, &mem);
-        }
-    }
 
-    #[test]
-    fn interior_blocks_are_classified() {
-        let mode = AddressMode::Clamp;
-        let k = stencil_kernel(mode);
-        let mut mem = linear_mem(64);
-        mem.tex_modes.insert("IN".into(), mode);
-        let p = LaunchParams::new((4, 1), (16, 1));
-        let ck = compile(&k, &p, &mem).unwrap();
-        assert!(ck.interior_checks() > 0, "no usable interior checks");
-        // The ±1 stencil leaves only the outermost blocks on the border.
-        assert!(!ck.block_is_interior(0, 0));
-        assert!(ck.block_is_interior(1, 0));
-        assert!(ck.block_is_interior(2, 0));
-        assert!(!ck.block_is_interior(3, 0));
+            let mut mem = DeviceMemory::new();
+            mem.bind("IN", padded.clone());
+            mem.bind(
+                "OUT",
+                DeviceBuffer::new(BufferGeometry {
+                    width: 24,
+                    height: 8,
+                    stride: 24,
+                }),
+            );
+            mem.tex_modes.insert("IN".into(), mode);
+            let p = LaunchParams::new((3, 2), (8, 4));
+            let (_, stats) = engines_agree(&box_2d_kernel(mode), &p, &mem);
+            assert_eq!(stats.tex_fetches, 9 * 24 * 8);
+            assert_eq!(stats.oob_reads > 0, mode == AddressMode::None, "{mode:?}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   buffer references
 //!   become binding-table indices, launch constants are folded,
 //!   block-uniform subexpressions are hoisted into a once-per-block
-//!   prologue, and interior blocks skip address-mode handling), run one
+//!   prologue, and in-range texel reads skip address-mode handling), run one
 //!   thread at a time over dynamically typed registers. Semantics —
 //!   outputs *and* [`ExecStats`] — are bit-identical to [`interp`] by
 //!   construction and by differential test. Also the one owner of the

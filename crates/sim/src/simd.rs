@@ -104,12 +104,10 @@
 //! execution of the same blocks for journal order, statistics and
 //! telemetry.
 
-use crate::bytecode::{exec_prologue, BlockScratch, BufView, CompiledKernel, StoreRec};
+use crate::bytecode::{exec_prologue, texel, BlockScratch, BufView, CompiledKernel, StoreRec};
 use crate::interp::{ExecStats, SimError};
 use crate::sched::SimdTelemetry;
 use crate::warp::{BinFn, Op, Slot, Step, Tag, UnFn, WarpProgram};
-use hipacc_image::boundary::{clamp_index, repeat_index};
-use hipacc_ir::kernel::AddressMode;
 use hipacc_ir::ty::Const;
 use std::cell::Cell;
 use std::ops::Range;
@@ -333,7 +331,6 @@ fn run_block_inner(
         stores,
         shared_writes,
         tbx: tbx as usize,
-        fast: prog.block_is_interior(bx, by),
         stats: ExecStats::default(),
         tel: SimdTelemetry {
             warp_width: WARP as u32,
@@ -590,7 +587,6 @@ struct BlockExec<'a, 'm> {
     stores: &'a mut Vec<(u32, StoreRec)>,
     shared_writes: &'a mut Vec<(u32, SharedWrite)>,
     tbx: usize,
-    fast: bool,
     stats: ExecStats,
     tel: SimdTelemetry,
 }
@@ -1350,7 +1346,7 @@ impl<'a> BlockExec<'a, '_> {
                 let d = self.frow(dst, on);
                 let mut oob = 0u64;
                 with_i!(self, x, on, |x| with_i!(self, y, on, |y| lanes!(on, k => {
-                    d[k].set(texel(b, self.fast, x(k) as i32, y(k) as i32, &mut oob));
+                    d[k].set(texel(b, x(k) as i32, y(k) as i32, &mut oob));
                 })));
                 self.stats.oob_reads += oob;
             }
@@ -1394,31 +1390,4 @@ impl<'a> BlockExec<'a, '_> {
         }
         Ok(())
     }
-}
-
-/// One texel of `b` at `(xi, yi)` under its address mode, counting an
-/// out-of-range read of an unaddressed buffer in `oob_reads`. Mirrors
-/// the scalar `TexXy` arm.
-#[inline(always)]
-fn texel(b: &BufView<'_>, fast: bool, xi: i32, yi: i32, oob_reads: &mut u64) -> f32 {
-    let stride = b.stride as usize;
-    // Interior blocks skip the address-mode dispatch: any mode is the
-    // identity for in-range coordinates.
-    if fast && (xi as u32) < b.w && (yi as u32) < b.h {
-        return b.data[yi as usize * stride + xi as usize];
-    }
-    let oob = xi < 0 || yi < 0 || xi >= b.w as i32 || yi >= b.h as i32;
-    let (ax, ay) = match b.mode {
-        // Exactly like the scalar arm: the border constant is returned
-        // without any oob count.
-        AddressMode::BorderConstant(c) if oob => return c,
-        AddressMode::Clamp => (clamp_index(xi, b.w), clamp_index(yi, b.h)),
-        AddressMode::Repeat => (repeat_index(xi, b.w), repeat_index(yi, b.h)),
-        AddressMode::None if oob => {
-            *oob_reads += 1;
-            (clamp_index(xi, b.w), clamp_index(yi, b.h))
-        }
-        AddressMode::BorderConstant(_) | AddressMode::None => (xi, yi),
-    };
-    b.data[ay as usize * stride + ax as usize]
 }

@@ -33,11 +33,11 @@
 //!
 //! The model is *static*: it never executes the kernel, so it is
 //! independent of which functional engine ([`crate::bytecode`] or
-//! [`crate::simd`]) ran the launch. The same interior/border
-//! distinction it prices through per-region block counts is what the
-//! bytecode engine exploits dynamically: interior blocks skip the
-//! address-mode dispatch entirely, mirroring the paper's observation that
-//! border handling only touches the outermost ring of blocks.
+//! [`crate::simd`]) ran the launch. It prices the interior/border
+//! distinction through per-region block counts, mirroring the paper's
+//! observation that border handling only touches the outermost ring of
+//! blocks; the engines need no such split, since an in-range texel read
+//! skips the address-mode dispatch in any block.
 
 use hipacc_hwmodel::{DeviceModel, LaunchConfig};
 use hipacc_ir::metrics::OpCounts;
