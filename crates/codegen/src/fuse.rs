@@ -3,8 +3,21 @@
 //!
 //! The unfused pipeline launches every operator separately and
 //! round-trips each intermediate image through global memory. This
-//! module lowers a validated [`FusionChain`] into a *single* kernel
-//! that stages every intermediate in scratchpad memory instead:
+//! module lowers a validated [`FusionChain`] into a *single* kernel in
+//! two steps.
+//!
+//! **Register handoff.** Every point (halo-0) consumer is folded into
+//! the stage before it: the producer's `output(e)` becomes a local
+//! `_h<i>: f32 = e` and the consumer's body follows, reading that local
+//! where it read its input. A point consumer needs no buffer at all; its
+//! input is already in a register. A chain that folds down to one stage
+//! is an ordinary kernel and goes through [`Compiler::compile_with_sink`]
+//! under the chain's name, so it gets what every unfused kernel gets:
+//! the nine border-region bodies, Algorithm-2 configuration, the
+//! device's texture path, the optimizer and the verifier.
+//!
+//! **Staging tiles.** When stencil consumers remain, stages hand off
+//! through scratchpad memory:
 //!
 //! * stage `i < N-1` computes its output into a shared-memory tile that
 //!   covers the block extent plus the *cumulative* stencil reach of all
@@ -25,12 +38,14 @@
 //! unfused lowering emits. Tile reads carry a belt-and-braces clamp to
 //! the tile extent; the containment argument makes it a value identity,
 //! and it lets the bounds verifier prove every shared access in range.
+//! The staged kernel has one body for every block: no region split and
+//! no texture path.
 //!
-//! [`Compiler::compile_fused`] drives the same phase pipeline as
+//! The staged compile drives the same phase pipeline as
 //! [`Compiler::compile`] — specialize/unroll per stage, access
 //! analysis, resource probe, Algorithm-2 configuration selection,
 //! device typecheck, the analysis-driven optimizer, emission — and runs
-//! the full kernel verifier over the result. Because a fused kernel's
+//! the full kernel verifier over the result. Because a staged kernel's
 //! scratchpad demand grows with the block size, the chosen
 //! configuration is re-validated against the *real* fused resources and
 //! degraded through the device's configuration ladder when it does not
@@ -55,7 +70,7 @@ use hipacc_hwmodel::{
 use hipacc_image::BoundaryMode;
 use hipacc_ir::access::analyze;
 use hipacc_ir::fold::specialize_kernel;
-use hipacc_ir::fuse::FusionChain;
+use hipacc_ir::fuse::{FusedStage, FusionChain};
 use hipacc_ir::kernel::{
     AddressMode, BufferAccess, BufferParam, ConstBufferDecl, DeviceKernelDef, MemorySpace,
     SharedDecl,
@@ -159,6 +174,17 @@ impl Compiler {
             }
         }
 
+        // Register handoff: a chain that folds down to one stage is an
+        // ordinary kernel, compiled like any unfused one.
+        let stages = fold_point_consumers(&chain.stages);
+        if let [only] = stages.as_slice() {
+            let folded = KernelDef {
+                name: chain.union.name.clone(),
+                ..only.def.clone()
+            };
+            return self.compile_with_sink(&folded, spec, sink);
+        }
+
         let mut ph = PhaseTimer {
             sink,
             times: Vec::new(),
@@ -168,8 +194,7 @@ impl Compiler {
         // compile (bindings and locals are alpha-renamed, so the shared
         // binding map applies cleanly per stage).
         let works: Vec<KernelDef> = ph.run("specialize", || {
-            chain
-                .stages
+            stages
                 .iter()
                 .map(|s| {
                     let mut w = s.def.clone();
@@ -191,7 +216,7 @@ impl Compiler {
             "access-analysis",
             || -> Result<Vec<StagePlan>, CompileError> {
                 let mut plans = Vec::with_capacity(works.len());
-                for (s, work) in chain.stages.iter().zip(works) {
+                for (s, work) in stages.iter().zip(works) {
                     let info = analyze(&work, &spec.param_bindings);
                     let inferred = match info.inputs.get(&s.input) {
                         None => (0, 0),
@@ -415,6 +440,42 @@ impl Compiler {
     }
 }
 
+/// Fold every point (halo-0) consumer into the stage before it. The
+/// producer's top-level `output(e)` becomes `_h<i>: f32 = e` (the type an
+/// intermediate image holds) and the consumer's body follows, reading
+/// `_h<i>` wherever it read its input. Stages are alpha-renamed, so the
+/// concatenation captures no name. A chain with no point consumer comes
+/// back unchanged.
+fn fold_point_consumers(stages: &[FusedStage]) -> Vec<FusedStage> {
+    let mut out = vec![stages[0].clone()];
+    for (i, s) in stages.iter().enumerate().skip(1) {
+        if s.halo != (0, 0) {
+            out.push(s.clone());
+            continue;
+        }
+        let p = &mut out.last_mut().expect("stage 0 never folds").def;
+        let h = format!("_h{i}");
+        for st in &mut p.body {
+            if let Stmt::Output(e) = st {
+                *st = Stmt::Decl {
+                    name: h.clone(),
+                    ty: ScalarType::F32,
+                    init: Some(e.clone()),
+                };
+            }
+        }
+        let consumer = Stmt::rewrite_exprs(s.def.body.clone(), &mut |e| match e {
+            Expr::InputAt { acc, .. } if acc == s.input => Expr::Var(h.clone()),
+            other => other,
+        });
+        p.body.extend(consumer);
+        p.params.extend(s.def.params.iter().cloned());
+        p.masks.extend(s.def.masks.iter().cloned());
+        p.pixel = s.def.pixel;
+    }
+    out
+}
+
 /// Merge the *specialized* stage kernels into one declaration namespace
 /// (the runtime fingerprints against the unspecialized union from the
 /// composer; this one backs the compiled artifact, so the verifier's
@@ -538,11 +599,10 @@ fn read_expr(ctx: &StageCtx<'_>, dx: &Expr, dy: &Expr) -> Expr {
                             .expect("both sides checked");
                     Expr::select(pred, load(ix, iy), Expr::float(c))
                 }
-                // Only legal for point consumers (halo 0): every read is
-                // the evaluation point itself, already inside the image,
-                // so no coordinate adjustment is needed.
-                BoundaryMode::Undefined => load(ix, iy),
-                BoundaryMode::Repeat => {
+                // Point consumers fold into their producer, so a stage
+                // that reads a tile has a halo, and its mode passed the
+                // handoff check in `compile_fused_with_sink`.
+                BoundaryMode::Repeat | BoundaryMode::Undefined => {
                     unreachable!("illegal handoff modes are rejected before lowering")
                 }
             }

@@ -96,18 +96,22 @@ pub fn timing_input_opts(
             m
         }
     };
+    // Only regions that have blocks are counted: at small sizes most of
+    // the nine region bodies have none.
     let regions: Vec<RegionCost> = compiled
         .region_bodies
         .iter()
-        .map(|(region, body)| RegionCost {
-            blocks: block_counts.get(region).copied().unwrap_or(0),
-            ops: if naive {
-                hipacc_ir::metrics::count_ops(body, &cfg, params)
-            } else {
-                count_ops_licm(body, &cfg, params)
-            },
+        .filter_map(|(region, body)| {
+            let blocks = block_counts.get(region).copied().unwrap_or(0);
+            (blocks > 0).then(|| RegionCost {
+                blocks,
+                ops: if naive {
+                    hipacc_ir::metrics::count_ops(body, &cfg, params)
+                } else {
+                    count_ops_licm(body, &cfg, params)
+                },
+            })
         })
-        .filter(|r| r.blocks > 0)
         .collect();
 
     TimingInput {

@@ -15,10 +15,11 @@
 //!   flat namespace with no collisions, even when the same operator
 //!   appears twice in a chain;
 //! * **halo inference** — per-stage half-windows from
-//!   [`access::analyze`](crate::access::analyze), which the code
-//!   generator widens into the *cumulative* halo each staging tile must
-//!   carry (stage `i`'s tile covers the block extent plus the sum of all
-//!   downstream stencil reaches).
+//!   [`access::analyze`](crate::access::analyze). The code generator
+//!   folds a halo-0 stage into its producer, and widens the others into
+//!   the *cumulative* halo each staging tile must carry (stage `i`'s tile
+//!   covers the block extent plus the sum of all downstream stencil
+//!   reaches).
 //!
 //! The result is a [`FusionChain`]: the renamed per-stage kernels plus a
 //! synthetic *union* [`KernelDef`] that merges every parameter and mask
@@ -124,8 +125,9 @@ pub struct FusionChain {
     pub stages: Vec<FusedStage>,
     /// The synthetic union kernel: merged params/masks, the stage-0
     /// accessor, and the concatenated stage bodies. This is the artifact
-    /// launches are bound against and cache keys are derived from; it is
-    /// never lowered directly.
+    /// launches are bound against and cache keys are derived from. Its
+    /// body is never lowered: the code generator lowers the stages, and
+    /// names the fused kernel after this one.
     pub union: KernelDef,
 }
 
@@ -140,7 +142,7 @@ impl FusionChain {
 ///
 /// Each `stages[i + 1]` consumes the output image of `stages[i]`; the
 /// caller is responsible for that wiring being real (in a
-/// [`Stream`](https://docs.rs) chain it is by construction). Fails with
+/// `hipacc_runtime::Stream` chain it is by construction). Fails with
 /// the first structural violation found, producer first.
 pub fn compose(stages: &[KernelDef]) -> Result<FusionChain, FuseError> {
     if stages.len() < 2 {

@@ -16,7 +16,7 @@
 
 use hipacc_core::fusion::fuse_operators;
 use hipacc_core::supervisor::SupervisorConfig;
-use hipacc_core::{Engine, FaultPlan, Target};
+use hipacc_core::{Engine, FaultPlan, Operator, Target};
 use hipacc_filters::gaussian::gaussian_operator;
 use hipacc_filters::laplacian::laplacian_operator;
 use hipacc_filters::sobel::sobel_operator;
@@ -363,5 +363,105 @@ fn fused_chain_is_bit_identical_across_geometry_sweep() {
             .run(frames)
             .unwrap();
         assert_outputs_identical(&fused, &plain, &format!("{w}x{h}"));
+    }
+}
+
+/// The window/level point operator `(v − level) / window + 0.5`.
+fn window_operator() -> Operator {
+    use hipacc_ir::{Expr, KernelBuilder, ScalarType};
+    let mut b = KernelBuilder::new("WindowLevel", ScalarType::F32);
+    let input = b.accessor("Input", ScalarType::F32);
+    let window = b.param("window", ScalarType::F32);
+    let level = b.param("level", ScalarType::F32);
+    let v = b.let_("v", ScalarType::F32, b.read_center(&input));
+    b.output((v.get() - level.get()) / window.get() + Expr::float(0.5));
+    Operator::new(b.finish())
+        .param_float("window", 0.8)
+        .param_float("level", 0.3)
+}
+
+fn attenuate_operator() -> Operator {
+    Operator::new(hipacc_filters::pyramid::attenuate_kernel()).param_float("threshold", 0.05)
+}
+
+/// Point consumers fold into their producer (register handoff): chains
+/// with point stages stay bit-identical to the sequential chain on both
+/// engines, and the display chain gauss5 → attenuate → window compiles
+/// to one ordinary kernel — no staging tile, no barrier, and the same
+/// texture reads as the unfused gauss5 launch.
+#[test]
+fn point_consumers_fold_into_their_producer() {
+    type Chain = fn(BoundaryMode) -> Vec<Operator>;
+    let chains: [(&str, Chain); 4] = [
+        ("gauss5+attenuate+window", |m| {
+            vec![
+                gaussian_operator(5, 1.1, m),
+                attenuate_operator(),
+                window_operator(),
+            ]
+        }),
+        ("gauss5+attenuate+sobel", |m| {
+            vec![
+                gaussian_operator(5, 1.1, m),
+                attenuate_operator(),
+                sobel_operator(true, m),
+            ]
+        }),
+        ("window+gauss5", |m| {
+            vec![window_operator(), gaussian_operator(5, 1.1, m)]
+        }),
+        ("attenuate+window", |_| {
+            vec![attenuate_operator(), window_operator()]
+        }),
+    ];
+    let mut cases = Vec::new();
+    for (name, chain) in chains {
+        for mode in [
+            BoundaryMode::Clamp,
+            BoundaryMode::Mirror,
+            BoundaryMode::Constant(0.25),
+        ] {
+            for size in [(9, 7), (16, 16), (40, 33)] {
+                cases.push((name, chain(mode), size));
+            }
+        }
+    }
+    // F0101 admits a partial ROI when every consumer is a point stage.
+    let roi = chains[0].1(BoundaryMode::Mirror)
+        .into_iter()
+        .map(|op| op.with_roi(3, 2, 20, 17));
+    cases.push(("gauss5+attenuate+window", roi.collect(), (40, 33)));
+
+    for (name, ops, (w, h)) in &cases {
+        let refs: Vec<&Operator> = ops.iter().collect();
+        let fused = fuse_operators(&refs).unwrap();
+        let img = phantom::vessel_tree(*w, *h, &phantom::VesselParams::default());
+        for target in [
+            Target::cuda(device::tesla_c2050()),
+            Target::opencl(device::radeon_hd_5870()),
+        ] {
+            for engine in [Engine::Bytecode, Engine::Simd] {
+                let what = format!("{name} {w}x{h} {:?} {}", target.backend, engine.label());
+                let mut cur = img.clone();
+                let mut stage0_tex = None;
+                for op in &refs {
+                    let run = op
+                        .execute_with(&[("Input", &cur)], &target, engine)
+                        .unwrap();
+                    stage0_tex.get_or_insert(run.stats.tex_fetches);
+                    cur = run.output;
+                }
+                let got = fused
+                    .execute_with(&[("Input", &img)], &target, engine)
+                    .unwrap();
+                assert_eq!(got.output.max_abs_diff(&cur), 0.0, "{what} diverged");
+                if *name == "gauss5+attenuate+window" {
+                    assert!(got.compiled.device_kernel.shared.is_empty(), "{what}");
+                    assert_eq!(got.stats.barriers, 0, "{what}");
+                    assert_eq!(got.stats.shared_loads, 0, "{what}");
+                    assert_eq!(got.stats.tex_fetches, stage0_tex.unwrap(), "{what}");
+                }
+            }
+        }
     }
 }
