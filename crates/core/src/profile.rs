@@ -108,14 +108,13 @@ pub struct LaunchProfile {
     /// Fraction of a simd launch's blocks that ran every phase in
     /// lockstep — one program counter and one scalar file for the whole
     /// block, re-merges included
-    /// ([`hipacc_sim::SimdTelemetry::lockstep_fraction`]). The others had
-    /// a thread return while they went on and finished warp by warp, or
+    /// ([`hipacc_sim::SimdTelemetry::lockstep_fraction`]). The others
     /// fell back to the scalar engine.
     pub lockstep_block_share: Option<f64>,
     /// Times a block of a simd launch ran a branch its lanes disagreed on
-    /// block-wide, lanes grouped by program counter, and went back to
-    /// lockstep at the join ([`hipacc_sim::SimdTelemetry::remerges`]); 0
-    /// on the other engines.
+    /// block-wide, lanes grouped by program counter, and all of them went
+    /// back to lockstep at the join
+    /// ([`hipacc_sim::SimdTelemetry::remerges`]); 0 on the other engines.
     pub remerges: u64,
     /// Steps those regions took, one per lane group run for the whole
     /// block ([`hipacc_sim::SimdTelemetry::region_steps`]); 0 on the

@@ -2805,7 +2805,7 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// `engines_agree`, then every block of the launch through the simd
-    /// engine's lockstep entry, its per-warp-only entry and the scalar
+    /// engine's block-wide entry, its per-warp entry and the scalar
     /// engine, each on one scratch as a worker would: the three journals
     /// must match entry for entry, the `ExecStats` must match, and the
     /// two simd runs must count the same warp steps, active lanes and
@@ -2850,19 +2850,8 @@ mod tests {
             }
         }
         let blocks = u64::from(p.grid.0 * p.grid.1);
-        assert_eq!(tel[0].lockstep_blocks + tel[0].split_blocks, blocks);
-        let t = &tel[1];
-        let per_warp = (
-            t.lockstep_blocks,
-            t.split_blocks,
-            t.remerges,
-            t.region_steps,
-        );
-        assert_eq!(
-            per_warp,
-            (0, blocks, 0, 0),
-            "the per-warp entry never runs a region block-wide"
-        );
+        assert_eq!(tel[0].lockstep_blocks, blocks, "every block in lockstep");
+        assert_eq!(tel[1].lockstep_blocks, blocks, "every block warp by warp");
         tel[0]
     }
 
@@ -2884,7 +2873,7 @@ mod tests {
 
     #[test]
     fn lockstep_runs_blocks_of_any_shape() {
-        // A uniform tap loop never splits, whatever the block: threads
+        // A uniform tap loop never diverges, whatever the block: threads
         // that do not fill their last warp (24×1, 28×3), one warp per
         // block (16×1, 5×2), many (32×6).
         let k = trap_kernel(
@@ -2900,7 +2889,7 @@ mod tests {
             let p = LaunchParams::new((2, 1), block);
             let n = 2 * (block.0 * block.1) as usize;
             let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n + 2));
-            assert_eq!((tel.lockstep_blocks, tel.split_blocks), (2, 0), "{block:?}");
+            assert_eq!(tel.lockstep_blocks, 2, "{block:?}");
             let warps = u64::from(block.0 * block.1).div_ceil(16);
             assert_eq!(tel.warp_steps % warps, 0, "{block:?}: one step, every warp");
         }
@@ -2929,8 +2918,8 @@ mod tests {
             let p = LaunchParams::new((2, 1), block);
             let n = 2 * (block.0 * block.1) as usize;
             let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n));
-            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-            assert_eq!(pin, (2, 0, 2), "{block:?}");
+            let pin = (tel.lockstep_blocks, tel.remerges);
+            assert_eq!(pin, (2, 2), "{block:?}");
         }
     }
 
@@ -2966,8 +2955,8 @@ mod tests {
         );
         let p = LaunchParams::new((2, 1), (24, 2));
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(100));
-        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-        assert_eq!(pin, (2, 0, 6), "three trips apart in each block");
+        let pin = (tel.lockstep_blocks, tel.remerges);
+        assert_eq!(pin, (2, 6), "three trips apart in each block");
     }
 
     #[test]
@@ -2995,15 +2984,16 @@ mod tests {
         );
         let p = LaunchParams::new((2, 1), (32, 6));
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(2 * 192));
-        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-        assert_eq!(pin, (2, 0, 2 * 3), "one re-merge per trip and block");
+        let pin = (tel.lockstep_blocks, tel.remerges);
+        assert_eq!(pin, (2, 2 * 3), "one re-merge per trip and block");
     }
 
     #[test]
-    fn a_lane_that_returns_inside_a_region_keeps_its_block_split() {
+    fn a_lane_that_returns_inside_a_region_leaves_its_block_in_lockstep() {
         // The first `if` re-merges; inside the second one every fifth
-        // thread returns, so from that join on the warps go on alone
-        // and the block counts as split.
+        // thread returns, which clears its lane from the live masks: the
+        // last store runs in lockstep for the others. A region a thread
+        // returned in does not count as a re-merge.
         let k = trap_kernel(
             "return-in-region",
             vec![
@@ -3023,8 +3013,8 @@ mod tests {
         );
         let p = LaunchParams::new((2, 1), (24, 2));
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(96));
-        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-        assert_eq!(pin, (0, 2, 2));
+        let pin = (tel.lockstep_blocks, tel.remerges);
+        assert_eq!(pin, (2, 2));
     }
 
     // The region scheduler: a block runs a varying region once, its lanes
@@ -3064,8 +3054,8 @@ mod tests {
             let mut mem = linear_mem(2 * (block.0 * block.1) as usize + 1);
             mem.tex_modes.insert("IN".into(), AddressMode::Clamp);
             let tel = lockstep_matches_per_warp(&k, &p, &mem);
-            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-            assert_eq!(pin, (2, 0, 2), "{block:?}");
+            let pin = (tel.lockstep_blocks, tel.remerges);
+            assert_eq!(pin, (2, 2), "{block:?}");
         }
     }
 
@@ -3093,8 +3083,8 @@ mod tests {
         );
         let p = LaunchParams::new((2, 1), (32, 6));
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(2 * 192 + 5));
-        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-        assert_eq!(pin, (2, 0, 2), "the loop belongs to the `if`'s region");
+        let pin = (tel.lockstep_blocks, tel.remerges);
+        assert_eq!(pin, (2, 2), "the loop belongs to the `if`'s region");
     }
 
     #[test]
@@ -3132,19 +3122,19 @@ mod tests {
             let p = LaunchParams::new((2, 1), block);
             let n = 2 * (block.0 * block.1) as usize;
             let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n + 1));
-            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-            assert_eq!(pin, (2, 0, 2), "{block:?}: one region per block");
+            let pin = (tel.lockstep_blocks, tel.remerges);
+            assert_eq!(pin, (2, 2), "{block:?}: one region per block");
         }
     }
 
     #[test]
-    fn lanes_that_return_in_a_region_split_the_block_from_its_join() {
+    fn lanes_that_return_in_a_region_leave_the_block_in_lockstep_from_its_join() {
         // Every thread stores; then every third returns inside the `if`,
         // and so do all of row 1 (two whole warps of the 32×6 block),
         // while the others store again. The lazy `||` is a diamond of its
-        // own and re-merges; the `if` cannot: from its join each warp goes
-        // on alone with the lanes it has left, the returned warps with
-        // none.
+        // own and re-merges; the `if` does not, but from its join the
+        // block goes on in lockstep over the lanes it has left, the
+        // returned warps with none.
         let gid = || Expr::var("gid");
         let row_1 = Expr::Builtin(Builtin::ThreadIdxY).eq_(Expr::int(1));
         let k = trap_kernel(
@@ -3164,9 +3154,60 @@ mod tests {
             let p = LaunchParams::new((2, 1), block);
             let n = 2 * (block.0 * block.1) as usize;
             let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(n));
-            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-            assert_eq!(pin, (0, 2, 2), "{block:?}");
+            let pin = (tel.lockstep_blocks, tel.remerges);
+            assert_eq!(pin, (2, 2), "{block:?}");
         }
+    }
+
+    #[test]
+    fn returned_lanes_sit_out_later_regions_and_phases() {
+        // Every fifth thread returns inside a region. The regions after
+        // it, in the same phase and across a barrier, group only the lanes
+        // that are left, lockstep runs over those, and the barrier counts
+        // only them (6 + 7 threads of the two blocks returned).
+        let gid = || Expr::var("gid");
+        let ret = |r| Stmt::If {
+            cond: gid().rem(Expr::int(5)).eq_(Expr::int(r)),
+            then: vec![Stmt::Return],
+            els: vec![],
+        };
+        let diamond = |m, v| Stmt::If {
+            cond: gid().rem(Expr::int(m)).eq_(Expr::int(0)),
+            then: vec![store_out(load_in(gid()) + Expr::float(v))],
+            els: vec![],
+        };
+        let mut phased = reversal_kernel();
+        phased.name = "return-then-regions-across-a-barrier".into();
+        phased.body.insert(1, ret(2));
+        phased.body.insert(2, diamond(4, 0.25));
+        phased.body.push(diamond(3, 0.5));
+        let p = LaunchParams::new((2, 1), (32, 1));
+        let (_, stats) = engines_agree(&phased, &p, &linear_mem(64));
+        assert_eq!(stats.barriers, 64 - 13);
+        let tel = lockstep_matches_per_warp(&phased, &p, &linear_mem(64));
+        assert_eq!((tel.lockstep_blocks, tel.remerges), (2, 4));
+
+        // One phase, five warps to a block, the last one partial. The
+        // second `if` is the first one's test again: no live lane takes
+        // it, so lockstep decides it without a region, whatever the
+        // returned lanes' registers still hold.
+        let flat = trap_kernel(
+            "return-then-a-region",
+            vec![
+                gid_2d_decl(),
+                ret(4),
+                Stmt::If {
+                    cond: gid().rem(Expr::int(5)).eq_(Expr::int(4)),
+                    then: vec![store_out(Expr::float(-1.0))],
+                    els: vec![],
+                },
+                diamond(3, 0.5),
+                store_out(load_in(gid()) * Expr::float(2.0)),
+            ],
+        );
+        let p = LaunchParams::new((2, 1), (24, 3));
+        let tel = lockstep_matches_per_warp(&flat, &p, &linear_mem(2 * 72));
+        assert_eq!((tel.lockstep_blocks, tel.remerges), (2, 2));
     }
 
     #[test]
@@ -3194,8 +3235,8 @@ mod tests {
         );
         let p = LaunchParams::new((3, 1), (24, 3));
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(3 * 72));
-        let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-        assert_eq!(pin, (3, 0, 3));
+        let pin = (tel.lockstep_blocks, tel.remerges);
+        assert_eq!(pin, (3, 3));
     }
 
     #[test]
@@ -3217,7 +3258,7 @@ mod tests {
         let (_, stats) = engines_agree(&k, &p, &linear_mem(64));
         assert_eq!((stats.barriers, stats.global_stores), (32, 32));
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(64));
-        assert_eq!((tel.lockstep_blocks, tel.split_blocks), (2, 0));
+        assert_eq!(tel.lockstep_blocks, 2);
     }
 
     #[test]
@@ -3241,7 +3282,7 @@ mod tests {
         let (_, stats) = engines_agree(&k, &p, &linear_mem(96));
         assert_eq!((stats.global_stores, stats.oob_stores), (96, 1));
         let tel = lockstep_matches_per_warp(&k, &p, &linear_mem(96));
-        assert_eq!((tel.lockstep_blocks, tel.split_blocks), (2, 0));
+        assert_eq!(tel.lockstep_blocks, 2);
     }
 
     #[test]
@@ -3283,8 +3324,8 @@ mod tests {
             assert_eq!(mem.buffer("OUT").unwrap().data[0], 31.0 + 15.0);
             assert_eq!(stats.barriers, 64);
             let tel = lockstep_matches_per_warp(k, &p, &linear_mem(64));
-            let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-            assert_eq!(pin, (2, 0, remerges), "`{}`", k.name);
+            let pin = (tel.lockstep_blocks, tel.remerges);
+            assert_eq!(pin, (2, remerges), "`{}`", k.name);
         }
     }
 
@@ -3325,7 +3366,7 @@ mod tests {
         assert_eq!(run(0).unwrap().0, 0..64);
         let err = run(1).unwrap_err();
         assert!(matches!(&err, SimError::EvalError(m) if m.starts_with("Add on")));
-        assert_eq!((tel.lockstep_blocks, tel.split_blocks), (1, 0));
+        assert_eq!(tel.lockstep_blocks, 1);
         let bail = crate::sched::FallbackCause::BlockBail;
         assert_eq!(tel.fallbacks().collect::<Vec<_>>(), [(bail, 1)]);
     }

@@ -267,9 +267,9 @@ impl FallbackCause {
 /// one warp; fully converged warps contribute one step per instruction
 /// with all live lanes active, while divergent warps take extra steps
 /// with partial masks — so `mean_active_fraction` is exactly the classic
-/// SIMT "warp execution efficiency" metric. A block in lockstep runs an
-/// instruction once for all its warps and counts it once per warp, so
-/// the numbers do not depend on which way a block ran.
+/// SIMT "warp execution efficiency" metric. A block runs an instruction
+/// once for all its warps with a live lane and counts it once per such
+/// warp, so the numbers are what running the block warp by warp counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimdTelemetry {
     /// Lanes per warp (the engine's compile-time warp width).
@@ -281,16 +281,16 @@ pub struct SimdTelemetry {
     /// Steps served by the scalar file (uniform values, branches on
     /// them, unconditional jumps): one operation instead of one per lane.
     pub uniform_steps: u64,
-    /// Blocks that ran every phase on one program counter and one scalar
-    /// file for the whole block, leaving it only to run a branch their
-    /// lanes disagreed on block-wide, lanes grouped by program counter,
-    /// up to its join.
+    /// Blocks that ran on the vector path: every phase on one program
+    /// counter and one scalar file for the block's live threads, leaving
+    /// it only to run a branch their lanes disagreed on block-wide, lanes
+    /// grouped by program counter, up to its join. A thread that returns
+    /// only leaves the live set.
     pub lockstep_blocks: u64,
-    /// Blocks where a thread returned while the block went on, so its
-    /// warps ran warp by warp from there: the slower path.
-    pub split_blocks: u64,
-    /// Times a block ran a varying branch's region and went back to one
-    /// program counter at its join.
+    /// Times a block ran a varying branch's region and every lane of it
+    /// went back to one program counter at its join. A region in which a
+    /// thread returned is not counted; the block goes on in lockstep
+    /// without that thread all the same.
     pub remerges: u64,
     /// Steps of those regions: one per lane group run, for all of the
     /// block's warps with a lane in it (each of which also counts the
@@ -309,7 +309,6 @@ impl SimdTelemetry {
         self.active_lane_sum += other.active_lane_sum;
         self.uniform_steps += other.uniform_steps;
         self.lockstep_blocks += other.lockstep_blocks;
-        self.split_blocks += other.split_blocks;
         self.remerges += other.remerges;
         self.region_steps += other.region_steps;
         for (a, b) in self.fallback_causes.iter_mut().zip(other.fallback_causes) {
@@ -350,11 +349,11 @@ impl SimdTelemetry {
         (self.warp_steps > 0).then(|| self.uniform_steps as f64 / self.warp_steps as f64)
     }
 
-    /// Fraction of the launch's blocks that stayed in lockstep, re-merges
-    /// included (the others had a thread return while they went on, or
-    /// fell back to the scalar engine). `None` when no block ran.
+    /// Fraction of the launch's blocks that ran in lockstep, re-merges
+    /// included; the others fell back to the scalar engine. `None` when
+    /// no block ran.
     pub fn lockstep_fraction(&self) -> Option<f64> {
-        let blocks = self.lockstep_blocks + self.split_blocks + self.scalar_fallback_blocks();
+        let blocks = self.lockstep_blocks + self.scalar_fallback_blocks();
         (blocks > 0).then(|| self.lockstep_blocks as f64 / blocks as f64)
     }
 }
@@ -560,7 +559,6 @@ mod tests {
             active_lane_sum: 120,
             uniform_steps: 4,
             lockstep_blocks: 5,
-            split_blocks: 1,
             remerges: 7,
             region_steps: 3,
             ..SimdTelemetry::default()
@@ -572,9 +570,9 @@ mod tests {
         assert_eq!(t.mean_active_fraction(), Some(0.75));
         assert_eq!(t.uniform_fraction(), Some(0.4));
         assert_eq!(t.scalar_fallback_blocks(), 4);
-        assert_eq!((t.lockstep_blocks, t.split_blocks, t.remerges), (10, 2, 14));
+        assert_eq!((t.lockstep_blocks, t.remerges), (10, 14));
         assert_eq!(t.region_steps, 6);
-        assert_eq!(t.lockstep_fraction(), Some(0.625), "10 of 16 blocks");
+        assert_eq!(t.lockstep_fraction(), Some(10.0 / 14.0), "10 of 14 blocks");
         let causes: Vec<_> = t.fallbacks().collect();
         assert_eq!(
             causes,

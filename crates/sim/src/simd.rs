@@ -28,52 +28,41 @@
 //!   construction: its only sources are immediates, `LoadU`, `Bid` and
 //!   `CLoad` at a scalar index (`exec_scalar` accepts nothing else; `Tid`
 //!   always writes the vector file). Warps at the same pc therefore hold
-//!   the same scalar file, and a phase starts with *one* program counter
-//!   and *one* scalar file for the whole block, each vector op one dense
-//!   loop over all `nthreads` lanes.
+//!   the same scalar file, whichever of their threads are still running,
+//!   and a block has *one* program counter and *one* scalar file: each
+//!   vector op is one dense loop over all `nthreads` lanes while every
+//!   thread is live. A returned thread is a cleared lane of the block's
+//!   *live mask* (one per warp), and the block never leaves lockstep for
+//!   it: ops run dense over the live threads while they are one run (the
+//!   threads past an image edge that ends the block returned), and walk
+//!   the live masks' set bits otherwise.
 //! * **Block-wide regions** — a branch whose outcome differs between
-//!   lanes starts the *varying region* it controls: the lowering carries
-//!   the region's end as the branch's `join`, and a lane leaves the region
-//!   only there or by returning. The block runs the region once: its lanes
-//!   are grouped by program counter, each group holding one 16-bit mask
-//!   per warp; the group at the lowest pc runs next, after every other
-//!   group parked at that pc has joined it, and each of its steps is one
-//!   op over the block's rows under those masks. A branch parts a group,
-//!   a lane that returns leaves it. The lowering puts no scalar-file
-//!   definition inside a varying region, so every step reads the block's
-//!   one scalar file and there is nothing to copy or compare at the join.
-//!   When the lowest pc reaches the join, every lane is there and the
-//!   block **re-merges**: lockstep again, from the join. Only a thread
-//!   that returned inside a region keeps the block apart (lockstep needs
-//!   every thread): then each warp gets a copy of the scalar file and the
-//!   block **splits** for good, warp by warp under the per-warp scheduler
-//!   below from the join to its end.
-//! * **`mask == live` guard** — after a split, a scalar-file write is
-//!   only meaningful when every live lane of the warp executes it
-//!   together. The lowering only places a definition there when it is not
-//!   control-dependent on a varying branch, and min-pc scheduling
-//!   reconverges structured code at the join, so the guard holds; the
-//!   executor checks it on every such write anyway, treats one inside a
-//!   block-wide region as a lowering bug, and abandons the block in
-//!   either case. Misclassification can cost time, never bits.
-//! * **Divergence mask** — a split block's warp starts *converged*
-//!   (single shared `pc`, no per-lane bookkeeping). A conditional jump
-//!   whose outcome differs across lanes materializes per-lane program
-//!   counters; from then on the scheduler picks the minimum pc among live
-//!   lanes, executes the lanes parked there, and re-converges as soon as
-//!   all live lanes agree again. Min-pc scheduling preserves each lane's
-//!   dynamic instruction trace exactly as the serial engine would have
-//!   produced it, which is what makes stat-exactness possible at all. A
-//!   block-wide region is the same schedule: a warp's lanes at the block's
-//!   lowest pc are exactly its lanes at its own lowest pc.
+//!   live lanes starts the *varying region* it controls: the lowering
+//!   carries the region's end as the branch's `join`, and a lane leaves
+//!   the region only there or by returning. The block runs the region
+//!   once: its live lanes are grouped by program counter, each group
+//!   holding one 16-bit mask per warp; the group at the lowest pc runs
+//!   next, after every other group parked at that pc has joined it, and
+//!   each of its steps is one op over the block's rows under those masks.
+//!   A branch parts a group, a lane that returns leaves it and the live
+//!   mask. The lowering puts no scalar-file definition inside a varying
+//!   region (a `guard` step there abandons the block as a lowering bug),
+//!   so every step reads the block's one scalar file and there is nothing
+//!   to copy or compare at the join. When the lowest pc reaches the join,
+//!   every lane still live is there and the block **re-merges**: lockstep
+//!   again, from the join. Restricted to one warp this is the warp's own
+//!   min-pc schedule (its lanes at the block's lowest pc are exactly its
+//!   lanes at its own), which preserves each lane's dynamic instruction
+//!   trace as the serial engine produces it: what makes stat-exactness
+//!   possible at all. Misclassification can cost time, never bits.
 //! * **Exact statistics and telemetry** — `ExecStats` counters are *per
 //!   access*: every memory op adds the number of lanes it ran for, a
 //!   scalar-file constant load the number of threads it served,
 //!   out-of-bounds side counts are per active lane. Warp telemetry is
 //!   counted in *source-tape* instructions per 16-lane warp, whoever ran
 //!   them: the warp program's steps are 1:1 with the tape's, a lockstep
-//!   step counts as one step of every warp of the block (`n_warps` steps,
-//!   `nthreads` active lanes), and a region's group step as one step of
+//!   step counts as one step of every warp with a live lane (its live
+//!   popcount in active lanes), and a region's group step as one step of
 //!   every warp with a lane in the group (its popcount in active lanes),
 //!   the diverging branch included: exactly what per-warp execution of
 //!   the whole block counts. `region_steps` counts the group steps
@@ -94,15 +83,15 @@
 //!   overflow, an always-erroring op) — wherever it runs —
 //!   rolls its journal back and re-runs scalar, which owns both the
 //!   result and the error message. Every such block is counted by cause
-//!   in [`SimdTelemetry`], beside the blocks that stayed in lockstep, the
-//!   ones that split and the re-merges.
+//!   in [`SimdTelemetry`], beside the blocks that ran in lockstep and the
+//!   re-merges.
 //!
 //! The engine is differentially tested against the specification
 //! ([`crate::interp`]) for bit-identical outputs, per-block store order,
 //! `ExecStats` and error identity, against the scalar bytecode engine
-//! for fault-injection behaviour, and lockstep against per-warp-only
-//! execution of the same blocks for journal order, statistics and
-//! telemetry.
+//! for fault-injection behaviour, and block-wide against per-warp
+//! execution of the same blocks (the same scheduler over one warp's lanes
+//! at a time) for journal order, statistics and telemetry.
 
 use crate::bytecode::{exec_prologue, texel, BlockScratch, BufView, CompiledKernel, StoreRec};
 use crate::interp::{ExecStats, SimError};
@@ -112,8 +101,8 @@ use hipacc_ir::ty::Const;
 use std::cell::Cell;
 use std::ops::Range;
 
-/// Lanes per warp: the unit of divergence, of `warp_steps` /
-/// `active_lane_sum` accounting and of scheduling off lockstep.
+/// Lanes per warp: the unit of divergence masks and of `warp_steps` /
+/// `active_lane_sum` accounting.
 /// 16 matches the half-warp granularity of the paper's target devices.
 /// It is *not* the width of a vector op: a block in lockstep runs each op
 /// over all of its lanes at once, and a varying region over all of a lane
@@ -140,14 +129,10 @@ pub(crate) struct SimdScratch {
     /// machine type.
     vf: Vec<f32>,
     vi: Vec<i64>,
-    /// Scalar files, one per warp: registers, then the read-only
-    /// block-uniform, block-index and immediate slots. A block in
-    /// lockstep uses the first only.
+    /// Scalar file: registers, then the read-only block-uniform,
+    /// block-index and immediate slots.
     sf: Vec<f32>,
     si: Vec<i64>,
-    /// Per-lane program counters of a warp run on its own, materialized
-    /// only while diverged.
-    pcs: [u32; WARP],
     /// The lane groups of a region run block-wide.
     groups: Groups,
     /// The phase's global stores with their threads, in the order the
@@ -155,8 +140,8 @@ pub(crate) struct SimdScratch {
     stores: Vec<(u32, StoreRec)>,
     /// The phase's shared stores, likewise.
     shared_writes: Vec<(u32, SharedWrite)>,
-    /// Threads that hit `Halt` in an earlier phase of this block.
-    halted: Vec<bool>,
+    /// One mask per warp of the threads that have not hit `Halt`.
+    live: Vec<u32>,
 }
 
 impl SimdScratch {
@@ -172,8 +157,18 @@ impl SimdScratch {
             self.sf.resize(scalar, 0.0);
             self.si.resize(scalar, 0);
         }
-        self.halted.clear();
-        self.halted.resize(nthreads, false);
+        self.live.clear();
+        self.live
+            .extend((0..nthreads.div_ceil(WARP)).map(|w| lane_mask(nthreads - w * WARP)));
+    }
+}
+
+/// The first `n` lanes of a warp, all of them when `n >= WARP`.
+fn lane_mask(n: usize) -> u32 {
+    if n < WARP {
+        (1 << n) - 1
+    } else {
+        FULL
     }
 }
 
@@ -205,12 +200,14 @@ pub(crate) fn run_block_simd(
     journal: &mut Vec<StoreRec>,
     tel: &mut SimdTelemetry,
 ) -> Result<(Range<usize>, ExecStats), SimError> {
-    run_block_rolled_back(prog, wp, bufs, (bx, by), scratch, journal, tel, true)
+    run_block_rolled_back(prog, wp, bufs, (bx, by), scratch, journal, tel, false)
 }
 
-/// [`run_block_simd`] with the block split before its first step, so
-/// every warp is scheduled on its own from start to end: what lockstep
-/// must be indistinguishable from.
+/// [`run_block_simd`] one warp at a time: in each phase, every warp runs
+/// the same scheduler over its own lanes only, on its own copy of the
+/// scalar file. Restricted to one warp, lockstep is the warp converged
+/// and a region is the warp's own min-pc schedule, so this is what the
+/// block-wide schedule must be indistinguishable from.
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_block_per_warp(
@@ -223,7 +220,7 @@ pub(crate) fn run_block_per_warp(
     journal: &mut Vec<StoreRec>,
     tel: &mut SimdTelemetry,
 ) -> Result<(Range<usize>, ExecStats), SimError> {
-    run_block_rolled_back(prog, wp, bufs, (bx, by), scratch, journal, tel, false)
+    run_block_rolled_back(prog, wp, bufs, (bx, by), scratch, journal, tel, true)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -235,10 +232,10 @@ fn run_block_rolled_back(
     scratch: &mut BlockScratch,
     journal: &mut Vec<StoreRec>,
     tel: &mut SimdTelemetry,
-    allow_lockstep: bool,
+    per_warp: bool,
 ) -> Result<(Range<usize>, ExecStats), SimError> {
     let start = journal.len();
-    match run_block_inner(prog, wp, bufs, block, scratch, journal, allow_lockstep) {
+    match run_block_inner(prog, wp, bufs, block, scratch, journal, per_warp) {
         Ok((stats, block_tel)) => {
             tel.merge(&block_tel);
             Ok((start..journal.len(), stats))
@@ -261,7 +258,7 @@ fn run_block_inner(
     (bx, by): (u32, u32),
     scratch: &mut BlockScratch,
     journal: &mut Vec<StoreRec>,
-    allow_lockstep: bool,
+    per_warp: bool,
 ) -> Result<(ExecStats, SimdTelemetry), SimError> {
     scratch.reset_tiles(prog);
     exec_prologue(prog, bufs, bx, by, scratch)?;
@@ -275,7 +272,7 @@ fn run_block_inner(
 
     let simd = scratch.simd.get_or_insert_with(SimdScratch::default);
     let vector = prog.n_regs.max(1) * lanes;
-    simd.ensure(vector, n_warps * sspan, nthreads);
+    simd.ensure(vector, sspan, nthreads);
     if n_phases > 1 {
         // Registers must survive barriers per thread, so multi-phase
         // files start from the scalar engine's `Const::Int(0)` fill: the
@@ -284,7 +281,7 @@ fn run_block_inner(
     }
     // The read-only tail of the block's scalar file: its uniform
     // registers (in the slab their inferred tag names), its index, and
-    // the tape's immediates. A split copies it to every warp's file.
+    // the tape's immediates.
     let (sf, si) = (&mut simd.sf[..sspan], &mut simd.si[..sspan]);
     for (u, (tag, v)) in wp.utags.iter().zip(&scratch.uregs).enumerate() {
         match (tag, v) {
@@ -311,11 +308,10 @@ fn run_block_inner(
         vi,
         sf,
         si,
-        pcs,
         groups,
         stores,
         shared_writes,
-        halted,
+        live,
     } = simd;
     let mut ex = BlockExec {
         prog,
@@ -324,10 +320,8 @@ fn run_block_inner(
         vf: Cell::from_mut(&mut vf[..vector]).as_slice_of_cells(),
         vi: Cell::from_mut(&mut vi[..vector]).as_slice_of_cells(),
         lanes,
-        sf,
-        si,
-        file: 0,
-        sspan,
+        sf: &mut sf[..sspan],
+        si: &mut si[..sspan],
         stores,
         shared_writes,
         tbx: tbx as usize,
@@ -338,73 +332,33 @@ fn run_block_inner(
         },
     };
 
-    // Without lockstep the block is split before its first step and
-    // stays split.
-    let mut split = !allow_lockstep;
-    if split {
-        ex.fork_scalar_file(n_warps);
-    }
+    // The per-warp oracle's warps each keep their own scalar file.
+    #[cfg(test)]
+    let mut files = vec![(ex.sf.to_vec(), ex.si.to_vec()); if per_warp { n_warps } else { 0 }];
     for (pi, steps) in wp.phases.iter().enumerate() {
-        let mut pc = 0;
-        // In lockstep from `pc` until a branch divides the block; then
-        // that branch's region block-wide, and lockstep again from its
-        // join.
-        while !split {
-            match ex.run_lockstep(steps, pc, nthreads)? {
-                Lockstep::Done => break,
-                Lockstep::Halted => {
-                    halted.fill(true);
-                    break;
-                }
-                Lockstep::Split { at, join } => {
-                    pc = join;
-                    if ex.run_region(steps, at, join, nthreads, groups, halted)? {
-                        // Lockstep needs every thread: the warps go on
-                        // alone.
-                        ex.fork_scalar_file(n_warps);
-                        split = true;
-                    } else {
-                        ex.tel.remerges += 1;
-                    }
-                }
-            }
+        if !per_warp {
+            ex.run_phase(steps, 0..n_warps, groups, live)?;
         }
-        if split {
-            // Each warp on its own scalar file, from `pc` to the phase's
-            // end.
-            for w in 0..n_warps {
-                let base = w * WARP;
-                let mut live: u32 = 0;
-                for l in 0..WARP.min(nthreads - base) {
-                    live |= u32::from(!halted[base + l]) << l;
-                }
-                if live == 0 {
-                    continue;
-                }
-                ex.file = w * sspan;
-                let mut m = ex.run_warp(steps, base, live, pc, pcs)?;
-                while m != 0 {
-                    halted[base + m.trailing_zeros() as usize] = true;
-                    m &= m - 1;
-                }
-            }
+        #[cfg(test)]
+        for (w, (f, i)) in files.iter_mut().enumerate() {
+            ex.sf.swap_with_slice(f);
+            ex.si.swap_with_slice(i);
+            ex.run_phase(steps, w..w + 1, groups, live)?;
+            ex.sf.swap_with_slice(f);
+            ex.si.swap_with_slice(i);
         }
         ex.drain_stores(journal);
         if pi + 1 < n_phases {
             // One barrier per thread still running, like the scalar
             // engine's per-phase count of non-returned threads.
-            let running = halted.iter().filter(|h| !**h).count();
-            ex.stats.barriers += running as u64;
+            let running: u64 = live.iter().map(|m| u64::from(m.count_ones())).sum();
+            ex.stats.barriers += running;
             if running == 0 {
                 break;
             }
         }
     }
-    if split {
-        ex.tel.split_blocks = 1;
-    } else {
-        ex.tel.lockstep_blocks = 1;
-    }
+    ex.tel.lockstep_blocks = 1;
     Ok((ex.stats, ex.tel))
 }
 
@@ -428,8 +382,7 @@ fn checked(r: Option<i64>) -> (i64, bool) {
 
 /// The lanes one step runs for: a span of the block's threads, either
 /// all of it (dense) or the lanes of one mask per warp of the span, bits
-/// counted from each warp's first lane. A warp run on its own is the
-/// one-mask case.
+/// counted from each warp's first lane.
 #[derive(Clone, Copy)]
 struct Lanes<'m> {
     lo: usize,
@@ -459,14 +412,20 @@ impl<'m> Lanes<'m> {
         }
     }
 
-    /// The lanes of `mask` in the warp whose lane 0 is thread `base`:
-    /// dense when the warp is full.
+    /// The `count` lanes of `masks`, one per warp from the warp whose
+    /// lane 0 is thread `lo`, the first and the last mask not empty:
+    /// dense when the lanes are one run of threads, as they are while
+    /// every thread is live or when the threads that returned are the
+    /// ones past an edge of the image that ends a block.
     #[inline(always)]
-    fn warp(base: usize, mask: &'m u32) -> Lanes<'m> {
-        if *mask == FULL {
-            Lanes::dense(base, base + WARP)
+    fn of(lo: usize, masks: &'m [u32], count: u64) -> Lanes<'m> {
+        let (head, tail) = (masks[0], masks[masks.len() - 1]);
+        let start = lo + head.trailing_zeros() as usize;
+        let end = lo + (masks.len() - 1) * WARP + (u32::BITS - tail.leading_zeros()) as usize;
+        if count == (end - start) as u64 {
+            Lanes::dense(start, end)
         } else {
-            Lanes::masked(base, std::slice::from_ref(mask))
+            Lanes::masked(lo, masks)
         }
     }
 
@@ -577,13 +536,9 @@ struct BlockExec<'a, 'm> {
     vf: &'a [Cell<f32>],
     vi: &'a [Cell<i64>],
     lanes: usize,
-    /// Scalar files, `sspan` each; `file` is the offset of the one in
-    /// use: 0 in lockstep and in a region, the running warp's after a
-    /// split.
+    /// The block's scalar file.
     sf: &'a mut [f32],
     si: &'a mut [i64],
-    file: usize,
-    sspan: usize,
     stores: &'a mut Vec<(u32, StoreRec)>,
     shared_writes: &'a mut Vec<(u32, SharedWrite)>,
     tbx: usize,
@@ -602,33 +557,19 @@ enum Lockstep {
     Split { at: u32, join: u32 },
 }
 
-/// Point the masked lanes' program counters at `to`.
-fn retarget(pcs: &mut [u32; WARP], mask: u32, to: u32) {
-    let mut m = mask;
-    while m != 0 {
-        let l = m.trailing_zeros() as usize;
-        pcs[l] = to;
-        m &= m - 1;
-    }
-}
-
-/// If every live lane agrees on its next pc, collapse back to the
-/// converged fast path.
-fn try_reconverge(converged: &mut bool, pc: &mut u32, live: u32, pcs: &[u32; WARP]) {
-    if live == 0 {
-        return;
-    }
-    let first = pcs[live.trailing_zeros() as usize];
-    let mut m = live;
-    while m != 0 {
-        let l = m.trailing_zeros() as usize;
-        if pcs[l] != first {
-            return;
+/// How many of `masks` hold a lane, how many lanes they hold, and the
+/// masks from the first that holds one to the last.
+fn occupancy(masks: &[u32]) -> (u64, u64, Range<usize>) {
+    let (mut warps, mut lanes, mut first, mut last) = (0u64, 0u64, masks.len(), 0);
+    for (w, &m) in masks.iter().enumerate() {
+        if m != 0 {
+            warps += 1;
+            lanes += u64::from(m.count_ones());
+            first = first.min(w);
+            last = w;
         }
-        m &= m - 1;
     }
-    *converged = true;
-    *pc = first;
+    (warps, lanes, first..last + 1)
 }
 
 /// Drop group `g` of `n` warps' masks each; the last group takes its
@@ -650,16 +591,45 @@ fn drain_thread_major<T>(recs: &mut Vec<(u32, T)>) -> impl Iterator<Item = T> + 
 }
 
 impl<'a> BlockExec<'a, '_> {
-    /// Run a phase from `pc` for the whole block on one program counter
-    /// and one scalar file, every thread live, until the phase ends or a
-    /// branch is not unanimous.
+    /// Run a phase from its start to its end for the live threads of
+    /// `warps`: in lockstep until a branch divides them, then that
+    /// branch's region block-wide, and lockstep again from its join over
+    /// the threads that did not return in it.
+    fn run_phase(
+        &mut self,
+        steps: &[Step],
+        warps: Range<usize>,
+        groups: &mut Groups,
+        live: &mut [u32],
+    ) -> Result<(), Bail> {
+        let mut pc = 0;
+        while live[warps.clone()].iter().any(|&m| m != 0) {
+            match self.run_lockstep(steps, pc, warps.clone(), live)? {
+                Lockstep::Done => break,
+                Lockstep::Halted => live[warps.clone()].fill(0),
+                Lockstep::Split { at, join } => {
+                    pc = join;
+                    let returned = self.run_region(steps, at, join, warps.clone(), groups, live)?;
+                    self.tel.remerges += u64::from(!returned);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Run a phase from `pc` for the live threads of `warps` on one
+    /// program counter and the one scalar file, until the phase ends or
+    /// a branch is not unanimous.
     fn run_lockstep(
         &mut self,
         steps: &[Step],
         mut pc: u32,
-        nthreads: usize,
+        warps: Range<usize>,
+        live: &[u32],
     ) -> Result<Lockstep, Bail> {
-        let on = Lanes::dense(0, nthreads);
+        let live = &live[warps.clone()];
+        let (n_warps, n_lanes, span) = occupancy(live);
+        let on = Lanes::of((warps.start + span.start) * WARP, &live[span], n_lanes);
         let (mut n_steps, mut n_uniform) = (0u64, 0u64);
         let end = loop {
             let Some(step) = steps.get(pc as usize) else {
@@ -672,7 +642,7 @@ impl<'a> BlockExec<'a, '_> {
                     when,
                     to,
                     join,
-                } => match self.unanimous(cond, when, nthreads) {
+                } => match self.unanimous(cond, when, on) {
                     Some(true) => pc = to,
                     Some(false) => pc += 1,
                     // The region counts this branch when it starts here.
@@ -684,7 +654,7 @@ impl<'a> BlockExec<'a, '_> {
                 }
                 ref op => {
                     if step.guard {
-                        self.exec_scalar(op, nthreads as u64)?;
+                        self.exec_scalar(op, n_lanes)?;
                     } else {
                         self.exec_vector(op, on)?;
                     }
@@ -694,36 +664,27 @@ impl<'a> BlockExec<'a, '_> {
             n_steps += 1;
             n_uniform += u64::from(step.uniform);
         };
-        // One step here is one step of every warp, all lanes active.
-        let n_warps = nthreads.div_ceil(WARP) as u64;
+        // One step here is one step of every warp with a live lane.
         self.tel.warp_steps += n_steps * n_warps;
-        self.tel.active_lane_sum += n_steps * nthreads as u64;
+        self.tel.active_lane_sum += n_steps * n_lanes;
         self.tel.uniform_steps += n_uniform * n_warps;
         Ok(end)
     }
 
-    /// Whether every thread of the block takes the branch, none does
+    /// Whether every lane of `on` takes the branch, none does
     /// (`Some(false)`), or they differ (`None`).
-    fn unanimous(&self, cond: Slot, when: bool, nthreads: usize) -> Option<bool> {
+    fn unanimous(&self, cond: Slot, when: bool, on: Lanes<'_>) -> Option<bool> {
         if cond.is_scalar() {
             // One value, one answer for the block.
             return Some(self.s_t(cond) == when);
         }
-        let (on, mut any, mut all) = (Lanes::dense(0, nthreads), false, true);
-        with_t!(self, cond, on, |t| for k in 0..nthreads {
+        let (mut any, mut all) = (false, true);
+        with_t!(self, cond, on, |t| lanes!(on, k => {
             let jump = t(k) == when;
             any |= jump;
             all &= jump;
-        });
+        }));
         (any == all).then_some(all)
-    }
-
-    /// Give every warp its copy of the block's scalar file.
-    fn fork_scalar_file(&mut self, n_warps: usize) {
-        for w in 1..n_warps {
-            self.sf.copy_within(..self.sspan, w * self.sspan);
-            self.si.copy_within(..self.sspan, w * self.sspan);
-        }
     }
 
     /// Commit the phase's shared stores to the tiles and move its global
@@ -738,35 +699,30 @@ impl<'a> BlockExec<'a, '_> {
     }
 
     /// Run the varying region the branch at `at` controls, up to its
-    /// `join`, once for the whole block. Lanes are grouped by program
-    /// counter, each group with one mask per warp, and the group at the
-    /// lowest pc runs next: one step for all of its warps, after every
-    /// other group parked at that pc has joined it. Restricted to one
-    /// warp this is the warp's own min-pc schedule (its lanes at the
+    /// `join`, once for the live lanes of `warps`. Lanes are grouped by
+    /// program counter, each group with one mask per warp, and the group
+    /// at the lowest pc runs next: one step for all of its warps, after
+    /// every other group parked at that pc has joined it. Restricted to
+    /// one warp this is the warp's own min-pc schedule (its lanes at the
     /// block's lowest pc are its lanes at its own), so every step is
-    /// counted as per-warp execution counts it. Every thread is live on
-    /// entry, and the steps read the block's one scalar file, which
-    /// nothing in the region writes. Lanes that hit `Halt` are marked in
-    /// `halted`; returns whether any did.
+    /// counted as per-warp execution counts it. The steps read the one
+    /// scalar file, which nothing in the region writes. Lanes that hit
+    /// `Halt` leave `live`; returns whether any did.
     fn run_region(
         &mut self,
         steps: &[Step],
         at: u32,
         join: u32,
-        nthreads: usize,
+        warps: Range<usize>,
         groups: &mut Groups,
-        halted: &mut [bool],
+        live: &mut [u32],
     ) -> Result<bool, Bail> {
-        debug_assert!(halted.iter().all(|h| !h), "lockstep runs every thread");
-        let n = nthreads.div_ceil(WARP);
+        let (n, base) = (warps.len(), warps.start * WARP);
         let Groups { pcs, masks } = groups;
         pcs.clear();
         pcs.push(at);
         masks.clear();
-        masks.extend((0..n).map(|w| match nthreads - w * WARP {
-            left if left < WARP => (1u32 << left) - 1,
-            _ => FULL,
-        }));
+        masks.extend_from_slice(&live[warps.clone()]);
         let mut returned = false;
         // The region ends when its lowest lane is at the join, so all are:
         // a lane leaves the region only there or by `Halt`.
@@ -788,23 +744,16 @@ impl<'a> BlockExec<'a, '_> {
                 }
                 remove_group(pcs, masks, n, i);
             }
-            // One step of every warp with a lane here; the warps from
-            // `first` to `last` span them.
+            // One step of every warp with a lane here; the warps `ws`
+            // span them.
             let step = &steps[pc as usize];
-            let (mut warps, mut lanes, mut first, mut last) = (0u64, 0u64, n, 0);
-            for (w, &m) in masks[g * n..(g + 1) * n].iter().enumerate() {
-                if m != 0 {
-                    warps += 1;
-                    lanes += u64::from(m.count_ones());
-                    first = first.min(w);
-                    last = w;
-                }
-            }
-            self.tel.warp_steps += warps;
+            let (warps_here, lanes, ws) = occupancy(&masks[g * n..(g + 1) * n]);
+            self.tel.warp_steps += warps_here;
             self.tel.active_lane_sum += lanes;
-            self.tel.uniform_steps += warps * u64::from(step.uniform);
+            self.tel.uniform_steps += warps_here * u64::from(step.uniform);
             self.tel.region_steps += 1;
-            let span = g * n + first..g * n + last + 1;
+            let span = g * n + ws.start..g * n + ws.end;
+            let lo = base + ws.start * WARP;
             match step.op {
                 Op::Jmp { to } => pcs[g] = to,
                 Op::Br { cond, when, to, .. } => {
@@ -813,8 +762,8 @@ impl<'a> BlockExec<'a, '_> {
                     let new = masks.len();
                     masks.resize(new + n, 0);
                     let (group, jumps) = masks.split_at_mut(new);
-                    let (group, jumps) = (&mut group[span], &mut jumps[first..=last]);
-                    self.jump_masks(cond, when, first * WARP, group, jumps);
+                    let (group, jumps) = (&mut group[span], &mut jumps[ws]);
+                    self.jump_masks(cond, when, lo, group, jumps);
                     let any = jumps.iter().any(|&j| j != 0);
                     if any && group.iter().zip(&*jumps).any(|(m, j)| m != j) {
                         for (m, j) in group.iter_mut().zip(jumps) {
@@ -828,12 +777,8 @@ impl<'a> BlockExec<'a, '_> {
                     }
                 }
                 Op::Halt => {
-                    for (w, i) in (first..=last).zip(span) {
-                        let mut m = masks[i];
-                        while m != 0 {
-                            halted[w * WARP + m.trailing_zeros() as usize] = true;
-                            m &= m - 1;
-                        }
+                    for (w, i) in (warps.start + ws.start..).zip(span) {
+                        live[w] &= !masks[i];
                     }
                     returned = true;
                     remove_group(pcs, masks, n, g);
@@ -841,124 +786,12 @@ impl<'a> BlockExec<'a, '_> {
                 // No scalar-file write belongs in a region: a lowering bug.
                 _ if step.guard => return Err(Bail),
                 ref op => {
-                    // Dense when every lane of the spanned warps is here.
-                    let (lo, hi) = (first * WARP, ((last + 1) * WARP).min(nthreads));
-                    let on = if lanes == (hi - lo) as u64 {
-                        Lanes::dense(lo, hi)
-                    } else {
-                        Lanes::masked(lo, &masks[span])
-                    };
-                    self.exec_vector(op, on)?;
+                    self.exec_vector(op, Lanes::of(lo, &masks[span], lanes))?;
                     pcs[g] = pc + 1;
                 }
             }
         }
         Ok(returned)
-    }
-
-    /// Run a phase from `from` to its end for the warp whose lane 0 is
-    /// thread `base`, on the scalar file `self.file` names: a split
-    /// block's warps, once a thread returned. `live` marks the lanes that
-    /// are in-extent and not halted by an earlier phase. Returns the mask
-    /// of lanes that hit `Halt` on the way.
-    fn run_warp(
-        &mut self,
-        steps: &[Step],
-        base: usize,
-        mut live: u32,
-        from: u32,
-        pcs: &mut [u32; WARP],
-    ) -> Result<u32, Bail> {
-        let end = steps.len() as u32;
-        let mut halted = 0u32;
-        let mut converged = true;
-        let mut pc = from;
-        let mut live_lanes = u64::from(live.count_ones());
-        // Telemetry (steps are 1:1 with source-tape instructions), flushed
-        // once per call.
-        let (mut n_steps, mut n_lanes, mut n_uniform) = (0u64, 0u64, 0u64);
-        while live != 0 {
-            let (cur, mask, active) = if converged {
-                if pc >= end {
-                    break;
-                }
-                (pc, live, live_lanes)
-            } else {
-                // Divergent: execute the lanes parked at the minimum pc.
-                let mut cur = u32::MAX;
-                let mut m = live;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    cur = cur.min(pcs[l]);
-                    m &= m - 1;
-                }
-                if cur >= end {
-                    break;
-                }
-                let mut mask = 0u32;
-                let mut m = live;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    if pcs[l] == cur {
-                        mask |= 1 << l;
-                    }
-                    m &= m - 1;
-                }
-                (cur, mask, u64::from(mask.count_ones()))
-            };
-            let step = &steps[cur as usize];
-            n_steps += 1;
-            n_lanes += active;
-            n_uniform += u64::from(step.uniform);
-            match step.op {
-                Op::Jmp { to } => {
-                    if converged {
-                        pc = to;
-                    } else {
-                        retarget(pcs, mask, to);
-                    }
-                }
-                Op::Br { cond, when, to, .. } => {
-                    let mut jump = [0];
-                    self.jump_masks(cond, when, base, &[mask], &mut jump);
-                    Self::branch(&mut converged, &mut pc, pcs, mask, jump[0], to, cur);
-                }
-                Op::Halt => {
-                    halted |= mask;
-                    live &= !mask;
-                    live_lanes = u64::from(live.count_ones());
-                    if converged {
-                        // All live lanes returned together.
-                        break;
-                    }
-                    retarget(pcs, mask, end);
-                }
-                ref op => {
-                    if step.guard {
-                        // One write for the whole warp is only right
-                        // when the whole warp is here.
-                        if mask != live {
-                            return Err(Bail);
-                        }
-                        self.exec_scalar(op, active)?;
-                    } else {
-                        self.exec_vector(op, Lanes::warp(base, &mask))?;
-                    }
-                    if converged {
-                        pc = cur + 1;
-                    } else {
-                        retarget(pcs, mask, cur + 1);
-                    }
-                }
-            }
-            if !converged {
-                try_reconverge(&mut converged, &mut pc, live, pcs);
-            }
-        }
-        self.tel.warp_steps += n_steps;
-        self.tel.active_lane_sum += n_lanes;
-        self.tel.uniform_steps += n_uniform;
-        Ok(halted)
     }
 
     /// The lanes of each of `masks`, one per warp from the warp whose
@@ -985,37 +818,6 @@ impl<'a> BlockExec<'a, '_> {
         });
     }
 
-    /// Resolve a conditional jump: uniform outcomes keep the warp
-    /// converged (no mask bookkeeping at all); mixed outcomes materialize
-    /// per-lane pcs.
-    fn branch(
-        converged: &mut bool,
-        pc: &mut u32,
-        pcs: &mut [u32; WARP],
-        mask: u32,
-        jump: u32,
-        to: u32,
-        cur: u32,
-    ) {
-        if *converged {
-            if jump == mask {
-                *pc = to;
-                return;
-            }
-            if jump == 0 {
-                *pc = cur + 1;
-                return;
-            }
-            *converged = false;
-        }
-        let mut m = mask;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            pcs[l] = if jump & (1 << l) != 0 { to } else { cur + 1 };
-            m &= m - 1;
-        }
-    }
-
     // --- operand reads: the slot says where, the op says as what ---
 
     /// Scalar-file read as `as_f32`.
@@ -1023,9 +825,9 @@ impl<'a> BlockExec<'a, '_> {
     fn s_f(&self, a: Slot) -> f32 {
         debug_assert!(a.is_scalar());
         if a.is_float() {
-            self.sf[self.file + a.idx()]
+            self.sf[a.idx()]
         } else {
-            self.si[self.file + a.idx()] as f32
+            self.si[a.idx()] as f32
         }
     }
 
@@ -1034,9 +836,9 @@ impl<'a> BlockExec<'a, '_> {
     fn s_i(&self, a: Slot) -> i64 {
         debug_assert!(a.is_scalar());
         if a.is_float() {
-            self.sf[self.file + a.idx()] as i64
+            self.sf[a.idx()] as i64
         } else {
-            self.si[self.file + a.idx()]
+            self.si[a.idx()]
         }
     }
 
@@ -1045,9 +847,9 @@ impl<'a> BlockExec<'a, '_> {
     fn s_t(&self, a: Slot) -> bool {
         debug_assert!(a.is_scalar());
         if a.is_float() {
-            self.sf[self.file + a.idx()] != 0.0
+            self.sf[a.idx()] != 0.0
         } else {
-            self.si[self.file + a.idx()] != 0
+            self.si[a.idx()] != 0
         }
     }
 
@@ -1073,7 +875,7 @@ impl<'a> BlockExec<'a, '_> {
     #[inline(always)]
     fn map_f<const S: bool>(&mut self, dst: Slot, a: Slot, on: Lanes<'_>, f: impl Fn(f32) -> f32) {
         if S {
-            self.sf[self.file + dst.idx()] = f(self.s_f(a));
+            self.sf[dst.idx()] = f(self.s_f(a));
             return;
         }
         let d = self.frow(dst, on);
@@ -1091,7 +893,7 @@ impl<'a> BlockExec<'a, '_> {
         f: impl Fn(f32, f32) -> f32,
     ) {
         if S {
-            self.sf[self.file + dst.idx()] = f(self.s_f(a), self.s_f(b));
+            self.sf[dst.idx()] = f(self.s_f(a), self.s_f(b));
             return;
         }
         let d = self.frow(dst, on);
@@ -1111,7 +913,7 @@ impl<'a> BlockExec<'a, '_> {
         f: impl Fn(f32, f32) -> bool,
     ) {
         if S {
-            self.si[self.file + dst.idx()] = f(self.s_f(a), self.s_f(b)) as i64;
+            self.si[dst.idx()] = f(self.s_f(a), self.s_f(b)) as i64;
             return;
         }
         let d = self.irow(dst, on);
@@ -1135,7 +937,7 @@ impl<'a> BlockExec<'a, '_> {
     ) -> Result<(), Bail> {
         let mut bad = false;
         if S {
-            (self.si[self.file + dst.idx()], bad) = f(self.s_i(a), self.s_i(b));
+            (self.si[dst.idx()], bad) = f(self.s_i(a), self.s_i(b));
         } else {
             let d = self.irow(dst, on);
             with_i!(self, a, on, |x| with_i!(self, b, on, |y| lanes!(on, k => {
@@ -1153,7 +955,7 @@ impl<'a> BlockExec<'a, '_> {
     /// `Cvt`: copy or convert `a` into `dst`'s slab, or its truth value.
     #[inline(always)]
     fn cvt<const S: bool>(&mut self, dst: Slot, a: Slot, truth: bool, on: Lanes<'_>) {
-        let s = self.file + dst.idx();
+        let s = dst.idx();
         match (truth, dst.is_float()) {
             (true, _) if S => self.si[s] = self.s_t(a) as i64,
             (false, true) if S => self.sf[s] = self.s_f(a),
@@ -1184,7 +986,7 @@ impl<'a> BlockExec<'a, '_> {
     ) -> Result<(), Bail> {
         match f {
             UnFn::NegI => return self.map_ii::<S>(dst, a, a, on, |x, _| x.overflowing_neg()),
-            UnFn::Not if S => self.si[self.file + dst.idx()] = !self.s_t(a) as i64,
+            UnFn::Not if S => self.si[dst.idx()] = !self.s_t(a) as i64,
             UnFn::Not => {
                 let d = self.irow(dst, on);
                 with_t!(
@@ -1264,7 +1066,7 @@ impl<'a> BlockExec<'a, '_> {
                 self.stats.const_loads += active;
                 let data = &self.prog.consts[cb as usize].data;
                 let i = self.s_i(idx).clamp(0, data.len() as i64 - 1);
-                self.sf[self.file + dst.idx()] = data[i as usize];
+                self.sf[dst.idx()] = data[i as usize];
             }
             // The lowering puts no other definition in the scalar file.
             _ => return Err(Bail),
@@ -1383,7 +1185,7 @@ impl<'a> BlockExec<'a, '_> {
                     })
                 )));
             }
-            // Control flow is handled by `run_lockstep` and `run_warp`.
+            // Control flow is handled by `run_lockstep` and `run_region`.
             Op::Jmp { .. } | Op::Br { .. } | Op::Halt => {
                 unreachable!("control flow reached BlockExec::exec_vector")
             }

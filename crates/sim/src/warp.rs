@@ -20,13 +20,12 @@
 //! * **Files** — the same pass classifies every *definition* as
 //!   uniform (operands uniform, instruction pure, not control-dependent
 //!   on a varying branch) or varying. Uniform definitions write the
-//!   **scalar file** and run once per step — once for the whole block
-//!   while it is in lockstep, once per warp after it split; their only
-//!   sources are immediates, `LoadU`, `Bid` and `CLoad` at a scalar
-//!   index, so they are uniform across the *block*, which is what lets
-//!   the executor keep one scalar file per block until a branch divides
-//!   it. Varying ones write the **vector file**, a row of lanes per
-//!   register. A register is
+//!   **scalar file** and run once per step for the whole block; their
+//!   only sources are immediates, `LoadU`, `Bid` and `CLoad` at a scalar
+//!   index, so they are uniform across the *block*, whichever of its
+//!   threads are still running, which is what lets the executor keep one
+//!   scalar file per block. Varying ones write the **vector file**, a row
+//!   of lanes per register. A register is
 //!   read from the file its reaching definitions wrote; where a uniform
 //!   and a varying definition of one register meet at a join and the
 //!   register is read afterwards, the uniform definition is demoted (the
@@ -39,8 +38,8 @@
 //! counter, on its one scalar file resumes lockstep there.
 //!
 //! Classification can only cost time: the executor abandons the block to
-//! the scalar engine when a scalar-file write meets `mask != live` after
-//! a split, or turns up inside a varying region at all.
+//! the scalar engine when a scalar-file write turns up inside a varying
+//! region.
 //!
 //! Steps are 1:1 with the tape's instructions — same pcs, same jump
 //! targets — so warp telemetry counted in steps is counted in source
@@ -220,7 +219,8 @@ pub(crate) enum Op {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Step {
     pub(crate) op: Op,
-    /// Writes the scalar file: legal only while `mask == live`.
+    /// Writes the scalar file: run once for the block in lockstep, never
+    /// inside a varying region.
     pub(crate) guard: bool,
     /// Served without touching the vector file (scalar-file write, branch
     /// on a scalar-file condition, unconditional jump).

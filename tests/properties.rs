@@ -655,14 +655,14 @@ mod engines {
                     .and_then(|c| c.run_instrumented(&mut mem_simd, Engine::Simd, true, None));
                 match (r_tree, r_bc, r_simd) {
                     (Ok(stats_tree), Ok(stats_bc), Ok(run_simd)) => {
-                        // No silent path: every block ran in lockstep,
-                        // split, or ran scalar, and the launch says how
-                        // many did which, and why.
+                        // No silent path: every block ran in lockstep or
+                        // ran scalar, and the launch says how many did
+                        // which, and why.
                         let tel = run_simd.exec.and_then(|e| e.simd).expect("simd telemetry");
                         let by_cause: u64 = tel.fallbacks().map(|(_, n)| n).sum();
                         assert_eq!(by_cause, tel.scalar_fallback_blocks(), "{at}");
                         assert_eq!(
-                            tel.lockstep_blocks + tel.split_blocks + tel.scalar_fallback_blocks(),
+                            tel.lockstep_blocks + tel.scalar_fallback_blocks(),
                             2,
                             "a block is not accounted for, {at}"
                         );

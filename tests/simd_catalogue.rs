@@ -2,7 +2,7 @@
 //! launch) × four border modes × the six evaluation targets must run on
 //! the vector path — no
 //! block may fall back to the scalar engine, for any cause, and every
-//! block is accounted for as lockstep or split — and stay bit- and
+//! block is accounted for as a lockstep block — and stay bit- and
 //! stat-identical to the scalar bytecode engine and, on the first target,
 //! to the tree-walking specification.
 
@@ -116,20 +116,16 @@ fn no_shipped_filter_falls_back_to_the_scalar_engine() {
                     same_bits(&simd.output, &scalar.output),
                     "{at}: outputs differ"
                 );
-                // Every block of the launch ran in lockstep or split;
-                // the profile's share is that count over the grid.
+                // Every block of the launch ran in lockstep; the
+                // profile's share is that count over the grid.
                 let kernel = &scalar.compiled.device_kernel;
                 let spec =
                     pipeline::launch_spec(&scalar.compiled, &inputs, &op.params, &op.mask_uploads);
                 let tel = simd_telemetry(kernel, &spec);
                 let blocks = u64::from(spec.grid.0 * spec.grid.1);
                 assert_eq!(tel.scalar_fallback_blocks(), 0, "{at}");
-                assert_eq!(tel.lockstep_blocks + tel.split_blocks, blocks, "{at}");
-                assert_eq!(
-                    profile.lockstep_block_share,
-                    Some(tel.lockstep_blocks as f64 / blocks as f64),
-                    "{at}"
-                );
+                assert_eq!(tel.lockstep_blocks, blocks, "{at}");
+                assert_eq!(profile.lockstep_block_share, Some(1.0), "{at}");
                 if ti == 0 {
                     // Reference equality for the whole catalogue: the
                     // specification on the same kernel and binding.
@@ -149,12 +145,12 @@ fn no_shipped_filter_falls_back_to_the_scalar_engine() {
 
 /// The `steady_gauss512` kernel: grid 16×86 of 32×6 blocks over 512 rows,
 /// 86·6 = 516, so only the 16 bottom-row blocks hold threads outside the
-/// image. Those return inside the extent guard, and their blocks go on warp
-/// by warp from its join. Every other block — border blocks included, whose
-/// clamped taps are branch-free — runs on one program counter from start
-/// to end.
+/// image. Those return inside the extent guard, and their blocks go on in
+/// lockstep from its join over the threads left. Every other block —
+/// border blocks included, whose clamped taps are branch-free — runs on
+/// one program counter from start to end.
 #[test]
-fn gaussian5_at_512_splits_only_its_bottom_row_of_blocks() {
+fn gaussian5_at_512_keeps_every_block_in_lockstep() {
     let img: Image<f32> = phantom::vessel_tree(512, 512, &phantom::VesselParams::default());
     let target = Target::cuda(hipacc_hwmodel::device::tesla_c2050());
     let mut op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
@@ -162,22 +158,121 @@ fn gaussian5_at_512_splits_only_its_bottom_row_of_blocks() {
     let inputs = [("Input", &img)];
     let (run, profile) = op.execute_profiled(&inputs, &target, Engine::Simd).unwrap();
     assert_eq!((profile.grid, profile.block), ((16, 86), (32, 6)));
-    assert_eq!(profile.lockstep_block_share, Some(1360.0 / 1376.0));
+    assert_eq!(profile.lockstep_block_share, Some(1.0));
     assert!(
-        profile.render_text().contains("lockstep: 98.8 % of blocks"),
+        profile
+            .render_text()
+            .contains("lockstep: 100.0 % of blocks"),
         "{}",
         profile.render_text()
     );
     assert!(
         profile
             .chrome_trace()
-            .contains("\"lockstep_block_share\":\"0.9884\""),
+            .contains("\"lockstep_block_share\":\"1.0000\""),
         "the execute span carries the share"
     );
     let spec = pipeline::launch_spec(&run.compiled, &inputs, &op.params, &op.mask_uploads);
     let tel = simd_telemetry(&run.compiled.device_kernel, &spec);
-    assert_eq!((tel.lockstep_blocks, tel.split_blocks), (1360, 16));
+    assert_eq!(tel.lockstep_blocks, 1376);
     assert_eq!(tel.scalar_fallback_blocks(), 0);
+}
+
+/// The window/level point operator of the display chain:
+/// `(v − level) / window + 0.5`.
+fn window_level_operator() -> Operator {
+    let mut b = hipacc_ir::KernelBuilder::new("WindowLevel", hipacc_ir::ScalarType::F32);
+    let input = b.accessor("Input", hipacc_ir::ScalarType::F32);
+    let window = b.param("window", hipacc_ir::ScalarType::F32);
+    let level = b.param("level", hipacc_ir::ScalarType::F32);
+    let v = b.let_("v", hipacc_ir::ScalarType::F32, b.read_center(&input));
+    b.output((v.get() - level.get()) / window.get() + hipacc_ir::Expr::float(0.5));
+    Operator::new(b.finish())
+        .param_float("window", 0.8)
+        .param_float("level", 0.3)
+}
+
+/// Launches whose blocks hold threads outside the image: the `stream_tiny`
+/// stages at 16² (32×8 blocks over a 16-wide image, so half of every
+/// block) and the display chain's point stages at 256² (192×1 blocks,
+/// the right-hand column's 128 lanes past the edge). Those threads return
+/// inside the extent guard's region; the block goes on in lockstep from
+/// its join with the threads left. The re-merges are the guard's lazy
+/// `||` (the region the threads returned in is not one), and the warp
+/// counts are the ones per-warp execution of the same blocks reads.
+#[test]
+fn blocks_with_threads_past_the_image_stay_in_lockstep() {
+    let target = Target::cuda(hipacc_hwmodel::device::tesla_c2050());
+    let params = phantom::VesselParams::default();
+    let tiny: Image<f32> = phantom::vessel_tree(16, 16, &params);
+    let mid: Image<f32> = phantom::vessel_tree(256, 256, &params);
+    let (gauss5, sobel, laplace, attenuate) = (
+        gaussian_operator(5, 1.1, BoundaryMode::Clamp),
+        sobel_operator(true, BoundaryMode::Clamp),
+        laplacian_operator(BoundaryMode::Clamp),
+        Operator::new(attenuate_kernel()).param_float("threshold", 0.05),
+    );
+    // (remerges, region_steps) and (warp_steps, active_lane_sum,
+    // uniform_steps) per launch.
+    let (tiny_launch, tiny_regions) = (((1, 2), (32, 8)), (2, 12));
+    let (mid_launch, mid_regions) = (((2, 256), (192, 1)), (256, 1536));
+    let cases = [
+        (
+            "gauss5",
+            gauss5,
+            &tiny,
+            tiny_launch,
+            tiny_regions,
+            (9352, 149_632, 5320),
+        ),
+        (
+            "sobel",
+            sobel,
+            &tiny,
+            tiny_launch,
+            tiny_regions,
+            (4344, 69_504, 2488),
+        ),
+        (
+            "laplace",
+            laplace,
+            &tiny,
+            tiny_launch,
+            tiny_regions,
+            (4344, 69_504, 2488),
+        ),
+        (
+            "attenuate",
+            attenuate,
+            &mid,
+            mid_launch,
+            mid_regions,
+            (196_608, 3_145_728, 51_200),
+        ),
+        (
+            "window",
+            window_level_operator(),
+            &mid,
+            mid_launch,
+            mid_regions,
+            (196_608, 3_145_728, 59_392),
+        ),
+    ];
+    for (name, mut op, img, launch, regions, steps) in cases {
+        op.options.sim_threads = Some(1);
+        let inputs = [("Input", img)];
+        let (run, profile) = op.execute_profiled(&inputs, &target, Engine::Simd).unwrap();
+        assert_eq!((profile.grid, profile.block), launch, "{name}");
+        assert_eq!(profile.lockstep_block_share, Some(1.0), "{name}");
+        let spec = pipeline::launch_spec(&run.compiled, &inputs, &op.params, &op.mask_uploads);
+        let tel = simd_telemetry(&run.compiled.device_kernel, &spec);
+        let blocks = u64::from(launch.0 .0 * launch.0 .1);
+        assert_eq!(tel.scalar_fallback_blocks(), 0, "{name}");
+        assert_eq!(tel.lockstep_blocks, blocks, "{name}");
+        assert_eq!((tel.remerges, tel.region_steps), regions, "{name}");
+        let warp = (tel.warp_steps, tel.active_lane_sum, tel.uniform_steps);
+        assert_eq!(warp, steps, "{name}");
+    }
 }
 
 /// The `steady_bilateral_border` kernel (13×13 taps at 96², grid 3×16 of
@@ -222,7 +317,7 @@ fn bilateral_mirror_at_96_re_merges_every_border_block() {
     );
     let steps = (tel.warp_steps, tel.active_lane_sum, tel.uniform_steps);
     assert_eq!(steps, (4_015_338, 61_976_544, 1_273_068));
-    assert_eq!((tel.lockstep_blocks, tel.split_blocks), (48, 0));
+    assert_eq!(tel.lockstep_blocks, 48);
     assert_eq!((tel.remerges, tel.region_steps), (5022, REGION_STEPS));
 }
 
@@ -239,7 +334,7 @@ fn bilateral_constant_at_96_counts_what_per_warp_execution_counts() {
     assert_eq!(profile.lockstep_block_share, Some(1.0));
     let steps = (tel.warp_steps, tel.active_lane_sum, tel.uniform_steps);
     assert_eq!(steps, (5_548_032, 87_182_064, 1_581_264));
-    let pin = (tel.lockstep_blocks, tel.split_blocks, tel.remerges);
-    assert_eq!(pin, (48, 0, 6108));
+    let pin = (tel.lockstep_blocks, tel.remerges);
+    assert_eq!(pin, (48, 6108));
     assert_eq!(tel.region_steps, 63_444);
 }
