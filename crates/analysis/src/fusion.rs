@@ -2,24 +2,20 @@
 //!
 //! The IR composer (`hipacc_ir::fuse`) checks that stage *bodies* are
 //! structurally composable; this module decides the semantic half. A
-//! chain is fusable iff every consumer's reads of its producer's output
-//! are expressible as a widened halo of the fused kernel:
+//! chain is fusable iff every consumer takes its producer's value in a
+//! register, which the code generator's fold (`hipacc_codegen::fuse`)
+//! can do only when the consumer reads its own pixel:
 //!
 //! * **Linear pipeline** (`F0103`) — every stage reads exactly one input
 //!   accessor, so the chain is producer → consumer with no side inputs.
-//! * **Handoff boundary modes** (`F0102`) — an interior stage may read
-//!   its producer with `Clamp`, `Mirror` or `Constant` handling: those
-//!   adjusted coordinates stay within the producer's staging tile (the
-//!   tile always reaches the nearest image edge it pokes past, and
-//!   clamp/mirror land within the stencil reach of an edge). `Repeat`
-//!   wraps to the *opposite* side of the image — arbitrarily far from
-//!   the tile — and `Undefined` makes the handoff value unspecified, so
-//!   both reject fusion. The *first* stage reads a real global image and
-//!   may use any mode.
+//! * **Point handoff** (`F0102`) — every stage after the first is a
+//!   point consumer: its half-window (inferred reads joined with the
+//!   declared boundary window) is (0, 0). A stencil consumer reads its
+//!   producer off its own pixel, so the chain splits there. The handoff
+//!   boundary mode is never exercised, so any mode is legal, and the
+//!   *first* stage reads a real global image with any window and mode.
 //! * **Compatible ROIs** (`F0101`) — all stages must iterate the same
-//!   space; and a partial ROI is only fusable when no consumer has a
-//!   stencil (a producer computes nothing outside its ROI, so a consumer
-//!   halo would read pixels the unfused chain left untouched).
+//!   space.
 //! * **Kernel shape** (`F0104`) — bounded stencil windows and scalar
 //!   (non-vectorized) stages only.
 //!
@@ -29,7 +25,6 @@
 //! per-stage) is emitted by the runtime layer, not here.
 
 use crate::diag::Diagnostic;
-use hipacc_image::BoundaryMode;
 use hipacc_ir::access::analyze;
 use hipacc_ir::KernelDef;
 use std::collections::HashMap;
@@ -41,8 +36,6 @@ pub struct StageShape {
     pub name: String,
     /// Number of input accessors the kernel declares.
     pub accessor_count: usize,
-    /// Boundary mode of the stage's reads of its input.
-    pub boundary: BoundaryMode,
     /// Iteration-space ROI `(off_x, off_y, w, h)`, when restricted.
     pub roi: Option<(u32, u32, u32, u32)>,
     /// Stencil half-window on the input — the larger of the inferred
@@ -56,11 +49,10 @@ pub struct StageShape {
 
 impl StageShape {
     /// Derive a shape from a DSL kernel plus the access metadata the
-    /// framework carries outside the kernel body (boundary mode and
-    /// declared half-window, ROI, vectorization width).
+    /// framework carries outside the kernel body (declared boundary
+    /// half-window, ROI, vectorization width).
     pub fn of(
         def: &KernelDef,
-        boundary: BoundaryMode,
         declared_half: (u32, u32),
         roi: Option<(u32, u32, u32, u32)>,
         vectorize: u32,
@@ -80,7 +72,6 @@ impl StageShape {
         StageShape {
             name: def.name.clone(),
             accessor_count: def.accessors.len(),
-            boundary,
             roi,
             halo,
             unbounded,
@@ -131,31 +122,21 @@ pub fn check_fusion(stages: &[StageShape]) -> Vec<Diagnostic> {
         }
     }
 
-    // Handoff boundary modes: stages after the first read a staged
-    // intermediate, not a real image. Point consumers (halo 0) never
-    // read off their own pixel, so the handoff mode is never exercised
-    // and any mode is legal.
+    // Handoff: a consumer that reads off its own pixel cannot take its
+    // producer's value in a register.
     for s in &stages[1..] {
-        if s.halo == (0, 0) {
-            continue;
-        }
-        match s.boundary {
-            BoundaryMode::Repeat => diags.push(Diagnostic::error(
+        if s.halo != (0, 0) {
+            diags.push(Diagnostic::error(
                 "F0102",
                 s.name.clone(),
-                "Repeat boundary handling wraps across the image and escapes the staging tile",
-            )),
-            BoundaryMode::Undefined => diags.push(Diagnostic::error(
-                "F0102",
-                s.name.clone(),
-                "Undefined boundary handling leaves fused handoff values unspecified",
-            )),
-            BoundaryMode::Clamp | BoundaryMode::Mirror | BoundaryMode::Constant(_) => {}
+                format!(
+                    "stage reads its producer at half-window {:?}; only point consumers fuse",
+                    s.halo
+                ),
+            ));
         }
     }
 
-    // ROIs: identical across the chain, and no stencil consumer when the
-    // chain iterates a sub-rectangle.
     let roi0 = stages[0].roi;
     for s in &stages[1..] {
         if s.roi != roi0 {
@@ -166,18 +147,6 @@ pub fn check_fusion(stages: &[StageShape]) -> Vec<Diagnostic> {
             ));
         }
     }
-    if roi0.is_some() && diags.is_empty() {
-        for s in &stages[1..] {
-            if s.halo != (0, 0) {
-                diags.push(Diagnostic::error(
-                    "F0101",
-                    s.name.clone(),
-                    "stage has a stencil halo but the chain iterates a partial ROI; \
-                     the unfused producer computes nothing outside the ROI",
-                ));
-            }
-        }
-    }
 
     diags
 }
@@ -186,11 +155,10 @@ pub fn check_fusion(stages: &[StageShape]) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
 
-    fn shape(name: &str, mode: BoundaryMode, halo: (u32, u32)) -> StageShape {
+    fn shape(name: &str, halo: (u32, u32)) -> StageShape {
         StageShape {
             name: name.into(),
             accessor_count: 1,
-            boundary: mode,
             roi: None,
             halo,
             unbounded: false,
@@ -200,44 +168,36 @@ mod tests {
 
     #[test]
     fn clean_chain_is_legal() {
+        // The first stage may read any window; its consumers read only
+        // their own pixel.
         let chain = [
-            shape("gauss", BoundaryMode::Undefined, (2, 2)), // first stage: any mode
-            shape("sobel", BoundaryMode::Clamp, (1, 1)),
-            shape("laplace", BoundaryMode::Mirror, (1, 1)),
+            shape("gauss", (2, 2)),
+            shape("attenuate", (0, 0)),
+            shape("window", (0, 0)),
         ];
         assert!(check_fusion(&chain).is_empty());
     }
 
     #[test]
-    fn repeat_and_undefined_handoffs_reject() {
-        for mode in [BoundaryMode::Repeat, BoundaryMode::Undefined] {
-            let chain = [
-                shape("a", BoundaryMode::Clamp, (1, 1)),
-                shape("b", mode, (1, 1)),
-            ];
+    fn stencil_consumers_reject_with_f0102() {
+        for halo in [(1, 1), (1, 0), (0, 2)] {
+            let chain = [shape("a", (1, 1)), shape("pt", (0, 0)), shape("b", halo)];
             let d = check_fusion(&chain);
-            assert_eq!(d.len(), 1, "{mode:?}");
+            assert_eq!(d.len(), 1, "{halo:?}");
             assert_eq!(d[0].code, "F0102");
-        }
-    }
-
-    #[test]
-    fn point_consumers_fuse_under_any_handoff_mode() {
-        // A halo-0 consumer never reads off its own pixel, so even the
-        // modes that are illegal for stencil handoffs are fine.
-        for mode in [BoundaryMode::Repeat, BoundaryMode::Undefined] {
-            let chain = [
-                shape("a", BoundaryMode::Clamp, (2, 2)),
-                shape("pt", mode, (0, 0)),
-            ];
-            assert!(check_fusion(&chain).is_empty(), "{mode:?}");
+            assert_eq!(d[0].kernel, "b");
+            assert!(
+                d[0].message.contains(&format!("{halo:?}")),
+                "{}",
+                d[0].message
+            );
         }
     }
 
     #[test]
     fn roi_mismatch_rejects() {
-        let mut a = shape("a", BoundaryMode::Clamp, (1, 1));
-        let b = shape("b", BoundaryMode::Clamp, (1, 1));
+        let mut a = shape("a", (1, 1));
+        let b = shape("b", (0, 0));
         a.roi = Some((0, 0, 64, 64));
         let d = check_fusion(&[a, b]);
         assert_eq!(d.len(), 1);
@@ -245,33 +205,27 @@ mod tests {
     }
 
     #[test]
-    fn partial_roi_with_stencil_consumer_rejects() {
-        let mut a = shape("a", BoundaryMode::Clamp, (1, 1));
-        let mut b = shape("b", BoundaryMode::Clamp, (1, 1));
-        a.roi = Some((4, 4, 32, 32));
-        b.roi = Some((4, 4, 32, 32));
-        let d = check_fusion(&[a, b]);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].code, "F0101");
-
-        // …but a point consumer over the same ROI is fine.
-        let mut c = shape("c", BoundaryMode::Clamp, (0, 0));
-        c.roi = Some((4, 4, 32, 32));
-        let mut a2 = shape("a", BoundaryMode::Clamp, (1, 1));
-        a2.roi = Some((4, 4, 32, 32));
-        assert!(check_fusion(&[a2, c]).is_empty());
+    fn partial_roi_with_point_consumers_is_legal() {
+        // The producer's stencil reads a real image, so a shared partial
+        // ROI needs no more than the point consumers already guarantee.
+        let roi = Some((4, 4, 32, 32));
+        let mut a = shape("a", (1, 1));
+        let mut c = shape("c", (0, 0));
+        a.roi = roi;
+        c.roi = roi;
+        assert!(check_fusion(&[a, c]).is_empty());
     }
 
     #[test]
     fn non_linear_and_vectorized_reject() {
-        let mut a = shape("a", BoundaryMode::Clamp, (1, 1));
+        let mut a = shape("a", (1, 1));
         a.accessor_count = 2;
-        let d = check_fusion(&[a, shape("b", BoundaryMode::Clamp, (0, 0))]);
+        let d = check_fusion(&[a, shape("b", (0, 0))]);
         assert_eq!(d[0].code, "F0103");
 
-        let mut v = shape("v", BoundaryMode::Clamp, (1, 1));
+        let mut v = shape("v", (0, 0));
         v.vectorize = 4;
-        let d = check_fusion(&[shape("a", BoundaryMode::Clamp, (1, 1)), v]);
+        let d = check_fusion(&[shape("a", (1, 1)), v]);
         assert_eq!(d[0].code, "F0104");
     }
 }

@@ -162,7 +162,7 @@ impl CompiledKernel {
 /// The source-to-source compiler.
 #[derive(Default)]
 pub struct Compiler {
-    pub(crate) db: OptimizationDb,
+    db: OptimizationDb,
 }
 
 impl Compiler {
@@ -493,19 +493,19 @@ impl Compiler {
 /// Times the numbered phases of one compilation: every phase duration is
 /// kept for [`CompiledKernel::phase_times`] (two clock reads per phase),
 /// and forwarded to the sink as a span when one is attached.
-pub(crate) struct PhaseTimer<'s> {
-    pub(crate) sink: &'s mut dyn hipacc_profile::ProfileSink,
-    pub(crate) times: Vec<(String, f64)>,
+struct PhaseTimer<'s> {
+    sink: &'s mut dyn hipacc_profile::ProfileSink,
+    times: Vec<(String, f64)>,
 }
 
 impl PhaseTimer<'_> {
-    pub(crate) fn run<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
+    fn run<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
         self.run_with_sink(name, |_| f())
     }
 
     /// Like [`Self::run`] for phases that record sub-spans of their own
     /// (the verifier's per-pass spans nest inside the `verify` phase).
-    pub(crate) fn run_with_sink<R>(
+    fn run_with_sink<R>(
         &mut self,
         name: &str,
         f: impl FnOnce(&mut dyn hipacc_profile::ProfileSink) -> R,
@@ -530,7 +530,7 @@ fn lowering_region_body(lowering: &Lowering<'_>, region: Region) -> Vec<Stmt> {
 /// scalars the host launcher always passes plus the compile-time-bound
 /// integer parameters. Shared between the optimizer's oracle seeding and
 /// the verifier's [`VerifyInput`], so both reason from the same facts.
-pub(crate) fn launch_scalars(
+fn launch_scalars(
     spec: &CompileSpec,
     iteration_space: (u32, u32, u32, u32),
 ) -> HashMap<String, i64> {

@@ -31,7 +31,7 @@
 //! | C0202 | forced launch configuration invalid |
 //! | C0301 | internal codegen error |
 //! | F0101 | fusion rejected: incompatible ROIs across the chain |
-//! | F0102 | fusion rejected: illegal handoff boundary mode |
+//! | F0102 | fusion rejected: illegal handoff, the consumer reads its producer off its own pixel |
 //! | F0103 | fusion rejected: stage is not a linear single-input consumer |
 //! | F0104 | fusion rejected: unsupported kernel shape |
 //! | F0105 | fused compile exceeded device resources; fell back per-stage — *warning* |
@@ -213,15 +213,15 @@ static REGISTRY: &[CodeInfo] = registry![
     "C0301", "compiler": "internal codegen error" =>
         "The compiler reached an inconsistent state; this is a bug — report it with the kernel that triggered it.";
     "F0101", "fusion": "fusion rejected: incompatible ROIs across the chain" =>
-        "Every stage of a fused chain must iterate the same space, and a partial ROI admits no stencil consumers (the unfused producer computes nothing outside the ROI); align the ROIs or run the chain unfused.";
-    "F0102", "fusion": "fusion rejected: illegal handoff boundary mode" =>
-        "An interior stage reads its producer with Repeat (wraps out of the staging tile) or Undefined (handoff values unspecified) handling; use Clamp, Mirror or Constant on interior stages, or run the chain unfused.";
+        "Every stage of a fused chain must iterate the same space; align the ROIs or run the chain unfused.";
+    "F0102", "fusion": "fusion rejected: illegal handoff, the consumer reads its producer off its own pixel" =>
+        "Only point consumers fuse: every stage after the first must read just its own pixel and declare no boundary window wider than 1x1. A stencil consumer starts a new stage; the chain splits there and runs as separate launches.";
     "F0103", "fusion": "fusion rejected: stage is not a linear single-input consumer" =>
         "Only linear producer -> consumer chains fuse: every stage must read exactly one input accessor; split multi-input stages out of the chain.";
     "F0104", "fusion": "fusion rejected: unsupported kernel shape" =>
         "The stage has no statically bounded read window, is vectorized, or fails structural composition (conditional output, early return); fused kernels are scalar with finite stencils.";
     "F0105", "fusion": "fused compile exceeded device resources; fell back per-stage" =>
-        "The fused kernel's scratchpad tiles or registers fit no launch configuration, so the chain ran as individual launches instead — a warning recording the decision, not an error.";
+        "The folded kernel exceeds a device resource limit (constant memory, registers, block shape) that each stage alone meets, so the chain ran as individual launches instead — a warning recording the decision, not an error.";
     "R0001", "runtime": "operator executed with no inputs" =>
         "Bind at least one input image; the first input defines the output geometry.";
     "R0101", "runtime": "read of an undefined variable" =>

@@ -3,9 +3,10 @@
 //! [`fuse_operators`] turns a linear chain of [`Operator`]s (producer
 //! first, each consuming the previous stage's output) into one fused
 //! operator whose compilation goes through
-//! `Compiler::compile_fused`: legality is decided by
-//! `hipacc_analysis::fusion` (ROIs, handoff boundary modes, kernel
-//! shape — the `F01xx` diagnostic band), structure by
+//! `Compiler::compile_fused`, which folds every consumer into its
+//! producer (register handoff). Legality is decided by
+//! `hipacc_analysis::fusion` (ROIs, point consumers after the first
+//! stage, kernel shape — the `F01xx` diagnostic band), structure by
 //! [`hipacc_ir::fuse::compose`] (linear single-input stages, one
 //! top-level output, bounded windows), and the per-stage metadata —
 //! boundary conditions, scalar parameters, dynamic mask uploads — is
@@ -20,7 +21,6 @@
 use crate::operator::{Operator, PipelineOptions};
 use hipacc_analysis::fusion::{check_fusion, StageShape};
 use hipacc_analysis::Diagnostic;
-use hipacc_image::BoundaryMode;
 use hipacc_ir::fuse::{compose, FuseError, FusionChain};
 use hipacc_ir::KernelDef;
 use std::collections::HashMap;
@@ -88,11 +88,12 @@ pub fn stage_shapes(ops: &[&Operator]) -> Vec<StageShape> {
                 .first()
                 .map(|a| a.name.as_str())
                 .unwrap_or("");
-            let b = op.boundaries.get(acc);
             StageShape::of(
                 &op.def,
-                b.map(|b| b.mode).unwrap_or(BoundaryMode::Undefined),
-                b.map(|b| (b.half_x(), b.half_y())).unwrap_or((0, 0)),
+                op.boundaries
+                    .get(acc)
+                    .map(|b| (b.half_x(), b.half_y()))
+                    .unwrap_or((0, 0)),
                 op.options.roi,
                 op.options.vectorize,
             )
@@ -173,7 +174,7 @@ mod tests {
     use super::*;
     use crate::target::Target;
     use hipacc_hwmodel::device::tesla_c2050;
-    use hipacc_image::phantom;
+    use hipacc_image::{phantom, BoundaryMode};
     use hipacc_ir::{Expr, KernelBuilder, ScalarType};
 
     fn box3_kernel(name: &str) -> KernelDef {
@@ -200,6 +201,15 @@ mod tests {
         b.finish()
     }
 
+    /// A point consumer: `v * v - 0.125` of its own pixel.
+    fn square_kernel(name: &str) -> KernelDef {
+        let mut b = KernelBuilder::new(name, ScalarType::F32);
+        let input = b.accessor("IN", ScalarType::F32);
+        let v = b.let_("v", ScalarType::F32, b.read_center(&input));
+        b.output(v.get() * v.get() - Expr::float(0.125));
+        b.finish()
+    }
+
     fn diff(fused: &Operator, stages: &[&Operator], img: &hipacc_image::Image<f32>) -> f32 {
         let target = Target::cuda(tesla_c2050());
         let mut cur = img.clone();
@@ -213,7 +223,7 @@ mod tests {
     #[test]
     fn two_stage_chain_is_bit_identical() {
         let a = Operator::new(box3_kernel("blur")).boundary("IN", BoundaryMode::Clamp, 3, 3);
-        let b = Operator::new(cross_kernel("edge")).boundary("IN", BoundaryMode::Mirror, 3, 3);
+        let b = Operator::new(square_kernel("square"));
         let fused = fuse_operators(&[&a, &b]).unwrap();
         let img = phantom::vessel_tree(40, 33, &phantom::VesselParams::default());
         assert_eq!(diff(&fused, &[&a, &b], &img), 0.0);
@@ -221,36 +231,29 @@ mod tests {
 
     #[test]
     fn three_stage_chain_on_tiny_all_border_image() {
-        let a = Operator::new(box3_kernel("s0")).boundary("IN", BoundaryMode::Clamp, 3, 3);
-        let b = Operator::new(cross_kernel("s1")).boundary("IN", BoundaryMode::Constant(0.5), 3, 3);
-        let c = Operator::new(box3_kernel("s2")).boundary("IN", BoundaryMode::Mirror, 3, 3);
+        let a = Operator::new(box3_kernel("s0")).boundary("IN", BoundaryMode::Mirror, 3, 3);
+        let b = Operator::new(square_kernel("s1")).boundary("IN", BoundaryMode::Repeat, 1, 1);
+        let c = Operator::new(square_kernel("s2"));
         let fused = fuse_operators(&[&a, &b, &c]).unwrap();
-        // Every pixel of a 9x7 frame is within the fused halo of a border.
+        // Every pixel of a 9x7 frame is within the producer's halo of a
+        // border, so the fused kernel runs border regions everywhere.
         let img = phantom::gradient(9, 7);
         assert_eq!(diff(&fused, &[&a, &b, &c], &img), 0.0);
     }
 
     #[test]
     fn fused_params_and_masks_are_rekeyed() {
-        // Stage 1 convolves with an uploaded identity mask scaled by a
-        // runtime parameter, so the fused launch must bind both under
-        // the renamed `_s1_` namespace.
-        let mut b = KernelBuilder::new("dynconv", ScalarType::F32);
+        // Stage 1 scales its own pixel by the centre of an uploaded 1x1
+        // mask and a runtime parameter, so the fused launch must bind
+        // both under the renamed `_s1_` namespace.
+        let mut b = KernelBuilder::new("dynscale", ScalarType::F32);
         let input = b.accessor("IN", ScalarType::F32);
-        let m = b.mask_dynamic("M", 3, 1);
+        let m = b.mask_dynamic("M", 1, 1);
         let gain = b.param("gain", ScalarType::F32);
-        let acc = b.let_("acc", ScalarType::F32, Expr::float(0.0));
-        b.for_inclusive("xf", Expr::int(-1), Expr::int(1), |b, xf| {
-            b.add_assign(
-                &acc,
-                b.mask_at(&m, xf.get(), Expr::int(0)) * b.read_at(&input, xf.get(), Expr::int(0)),
-            );
-        });
-        b.output(acc.get() * gain.get());
+        b.output(b.mask_at(&m, Expr::int(0), Expr::int(0)) * b.read_center(&input) * gain.get());
         let a = Operator::new(box3_kernel("pre")).boundary("IN", BoundaryMode::Clamp, 3, 3);
         let bop = Operator::new(b.finish())
-            .boundary("IN", BoundaryMode::Clamp, 3, 1)
-            .upload_mask("M", vec![0.0, 1.0, 0.0])
+            .upload_mask("M", vec![0.75])
             .param_float("gain", 2.0);
         let fused = fuse_operators(&[&a, &bop]).unwrap();
         assert!(fused.mask_uploads.contains_key("_const_s1_M"));
@@ -260,13 +263,22 @@ mod tests {
     }
 
     #[test]
-    fn repeat_handoff_is_rejected_with_f0102() {
+    fn stencil_consumer_is_rejected_with_f0102() {
+        // The consumer's window decides, whatever its boundary mode.
+        for mode in [BoundaryMode::Clamp, BoundaryMode::Repeat] {
+            let a = Operator::new(box3_kernel("a")).boundary("IN", BoundaryMode::Clamp, 3, 3);
+            let b = Operator::new(cross_kernel("b")).boundary("IN", mode, 3, 3);
+            let err = fuse_operators(&[&a, &b]).unwrap_err();
+            let codes: Vec<&str> = err.diagnostics().iter().map(|d| d.code).collect();
+            assert_eq!(codes, ["F0102"], "{mode:?}");
+            assert!(check_chain(&[&a, &b]).iter().any(|d| d.code == "F0102"));
+        }
+        // A point kernel declaring a 3x3 boundary window counts as a
+        // stencil: the declared window joins the inferred one.
         let a = Operator::new(box3_kernel("a")).boundary("IN", BoundaryMode::Clamp, 3, 3);
-        let b = Operator::new(cross_kernel("b")).boundary("IN", BoundaryMode::Repeat, 3, 3);
-        let err = fuse_operators(&[&a, &b]).unwrap_err();
-        let codes: Vec<&str> = err.diagnostics().iter().map(|d| d.code).collect();
+        let c = Operator::new(square_kernel("c")).boundary("IN", BoundaryMode::Clamp, 3, 3);
+        let codes: Vec<&str> = check_chain(&[&a, &c]).iter().map(|d| d.code).collect();
         assert_eq!(codes, ["F0102"]);
-        assert!(check_chain(&[&a, &b]).iter().any(|d| d.code == "F0102"));
     }
 
     #[test]
@@ -278,7 +290,7 @@ mod tests {
         let mut def = b.finish();
         def.body.insert(0, hipacc_ir::Stmt::Return);
         let a = Operator::new(def).boundary("IN", BoundaryMode::Clamp, 1, 1);
-        let c = Operator::new(cross_kernel("c")).boundary("IN", BoundaryMode::Clamp, 3, 3);
+        let c = Operator::new(square_kernel("c"));
         let diags = check_chain(&[&a, &c]);
         assert!(diags.iter().any(|d| d.code == "F0104"), "{diags:?}");
     }

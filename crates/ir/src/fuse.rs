@@ -16,10 +16,8 @@
 //!   appears twice in a chain;
 //! * **halo inference** — per-stage half-windows from
 //!   [`access::analyze`](crate::access::analyze). The code generator
-//!   folds a halo-0 stage into its producer, and widens the others into
-//!   the *cumulative* halo each staging tile must carry (stage `i`'s tile
-//!   covers the block extent plus the sum of all downstream stencil
-//!   reaches).
+//!   folds a halo-0 stage into its producer (register handoff); the
+//!   legality analysis splits the chain before any other consumer.
 //!
 //! The result is a [`FusionChain`]: the renamed per-stage kernels plus a
 //! synthetic *union* [`KernelDef`] that merges every parameter and mask
@@ -27,10 +25,10 @@
 //! cache fingerprints against — its body is the concatenation of all
 //! stage bodies, so two chains differing anywhere fingerprint apart —
 //! while the per-stage kernels are what
-//! `hipacc_codegen::Compiler::compile_fused` actually lowers. Boundary
-//! *legality* (compatible modes and ROIs) is deliberately not decided
-//! here: the IR crate knows nothing about boundary handling, so that
-//! check lives in `hipacc_analysis::fusion`.
+//! `hipacc_codegen::Compiler::compile_fused` actually folds. *Legality*
+//! (point consumers and matching ROIs) is deliberately not decided here:
+//! the IR crate knows nothing about declared boundary windows or ROIs,
+//! so that check lives in `hipacc_analysis::fusion`.
 
 use crate::access::analyze;
 use crate::kernel::{AccessorDecl, KernelDef};
@@ -60,7 +58,8 @@ pub enum FuseError {
         /// Kernel name of the offending stage.
         stage: String,
     },
-    /// A stage returns early, so a staging slot could be left undefined.
+    /// A stage returns early, so its output (and every consumer folded
+    /// after it) could be skipped.
     EarlyReturn {
         /// Kernel name of the offending stage.
         stage: String,
@@ -89,7 +88,7 @@ impl fmt::Display for FuseError {
             FuseError::EarlyReturn { stage } => {
                 write!(
                     f,
-                    "stage `{stage}` returns early; staging slots could stay undefined"
+                    "stage `{stage}` returns early; its fused consumers could be skipped"
                 )
             }
             FuseError::UnboundedAccess { stage } => write!(
@@ -111,8 +110,8 @@ pub struct FusedStage {
     /// The accessor this stage reads: the original input name for stage
     /// 0, the renamed handoff accessor (`_s<i>_<name>`) for later stages.
     pub input: String,
-    /// Inferred half-window of the stage's reads on `input` (x, y). The
-    /// code generator widens this with any declared boundary window.
+    /// Inferred half-window of the stage's reads on `input` (x, y). A
+    /// later stage folds into its producer only when this is (0, 0).
     pub halo: (u32, u32),
 }
 

@@ -255,10 +255,13 @@ pub struct StreamConfig {
     pub shed_after_us: Option<u64>,
     /// Greedily fuse maximal runs of adjacent stages into single
     /// producer–consumer kernels before the run starts (default
-    /// `false`). Outputs are bit-identical either way; groups that are
-    /// illegal to fuse (`F0101`–`F0104`) or whose fused kernel
-    /// overflows device resources (`F0105`) fall back per-stage, with
-    /// each decision recorded in [`StreamReport::fusion`]. Applies to
+    /// `false`): a stage followed by point consumers becomes one kernel
+    /// that hands each value on in a register. Outputs are
+    /// bit-identical either way; a stencil consumer starts a new group
+    /// (`F0102`), other illegal handoffs (`F0101`, `F0103`, `F0104`)
+    /// split the same way, and a group whose fused kernel overflows
+    /// device resources (`F0105`) falls back per-stage, with each
+    /// decision recorded in [`StreamReport::fusion`]. Applies to
     /// [`Stream::run`] and [`Stream::run_sequential`] alike, so the
     /// sequential reference stays bit-identical under the same config.
     pub fuse: bool,
@@ -537,10 +540,12 @@ impl Stream {
 
     /// The fusion planner: greedily grow maximal runs of adjacent
     /// fusable stages and replace each run with one fused stage (named
-    /// `a+b+...`). A candidate fused kernel is pre-flight compiled at
-    /// `probe` geometry; if it overflows device resources the group
-    /// falls back per-stage with an `F0105` decision. With `fuse` off
-    /// (the default) the chain is returned untouched.
+    /// `a+b+...`). A run ends wherever [`check_chain`] objects — at the
+    /// latest before the next stencil consumer (`F0102`). A candidate
+    /// fused kernel is pre-flight compiled at `probe` geometry; if it
+    /// overflows device resources the group falls back per-stage with
+    /// an `F0105` decision. With `fuse` off (the default) the chain is
+    /// returned untouched.
     fn plan_stages(&self, probe: Option<(u32, u32)>) -> (Vec<Stage>, Vec<FusionDecision>) {
         if !self.config.fuse || self.stages.len() < 2 {
             return (self.stages.clone(), Vec::new());
@@ -595,8 +600,8 @@ impl Stream {
                 // structural bookkeeping, not a legality question.
                 let fused_op = fuse_operators(&ops).expect("checked chain must compose");
                 // Pre-flight resource probe at the run's frame
-                // geometry: a fused kernel whose merged halo overflows
-                // shared memory on this device falls back per-stage.
+                // geometry: a fused kernel whose merged stages overflow
+                // this device's resources falls back per-stage.
                 let overflow =
                     probe.and_then(|(w, h)| match fused_op.compile(&self.target, w, h) {
                         Err(OperatorError::Compile(e)) if e.is_resource_limit() => {

@@ -480,9 +480,10 @@ pub(crate) fn lower(prog: &CompiledKernel) -> Result<WarpProgram, FallbackCause>
 /// exactly when no phase both loads and stores the *same* tile. Arrays a
 /// phase only stores commit in thread order at its end, reproducing the
 /// scalar engine's thread-major final state; arrays a phase only loads
-/// are immutable for the whole phase. The check is per shared array, not
-/// per phase: fused chains whose middle stages read the previous stage's
-/// tile while filling their own stay on the vector path.
+/// are immutable for the whole phase. No shipped lowering produces a
+/// phase that loads and stores one tile (the scratchpad path stores its
+/// tile, syncs, then only loads it); the check guards hand-built kernels
+/// passed to the public launch API.
 fn tiles_deferrable(prog: &CompiledKernel) -> bool {
     prog.phases.iter().all(|tape| {
         let n = prog.shared.len();

@@ -2,15 +2,15 @@
 //!
 //! The contract under test:
 //!
-//! * **Bit-identity** — a fused operator chain produces outputs
+//! * **Bit-identity** — a fused operator chain (a producer followed by
+//!   point consumers, folded into one kernel) produces outputs
 //!   bit-identical to the unfused chain, on both engines, for every
-//!   legal handoff boundary mode, including frames small enough that
-//!   every pixel is border territory, and under fault injection and
-//!   breaker pinning;
+//!   boundary mode, including frames small enough that every pixel is
+//!   border territory, and under fault injection and breaker pinning;
 //! * **Typed fallback** — chains that are illegal to fuse
-//!   (`F0101`–`F0104`) or whose fused kernel overflows device
-//!   resources (`F0105`) run per-stage, with the decision recorded in
-//!   the stream report;
+//!   (`F0101`–`F0104`; a stencil consumer is `F0102`) split there, and a
+//!   fused kernel that overflows device resources (`F0105`) runs
+//!   per-stage, with the decision recorded in the stream report;
 //! * **Cache amortization** — the fused kernel is fingerprinted into
 //!   the shared cache like any other: one miss, then steady-state hits.
 
@@ -18,7 +18,6 @@ use hipacc_core::fusion::fuse_operators;
 use hipacc_core::supervisor::SupervisorConfig;
 use hipacc_core::{Engine, FaultPlan, Operator, Target};
 use hipacc_filters::gaussian::gaussian_operator;
-use hipacc_filters::laplacian::laplacian_operator;
 use hipacc_filters::sobel::sobel_operator;
 use hipacc_hwmodel::device;
 use hipacc_image::{phantom, BoundaryMode, Image};
@@ -38,13 +37,13 @@ fn frame_sequence(n: usize, w: u32, h: u32) -> Vec<Image<f32>> {
         .collect()
 }
 
-/// The representative 3-stage chain: smooth, edge, sharpen.
+/// The representative 3-stage chain: smooth, attenuate detail, then
+/// window/level for display.
 fn three_stage_stream(name: &str, fuse: bool, config: StreamConfig) -> Stream {
-    let m = BoundaryMode::Clamp;
     Stream::new(name, Target::cuda(device::tesla_c2050()))
-        .stage("gauss5", gaussian_operator(5, 1.1, m))
-        .stage("sobel", sobel_operator(true, m))
-        .stage("laplace", laplacian_operator(m))
+        .stage("gauss5", gaussian_operator(5, 1.1, BoundaryMode::Clamp))
+        .stage("attenuate", attenuate_operator())
+        .stage("window", window_operator())
         .with_config(StreamConfig { fuse, ..config })
 }
 
@@ -84,108 +83,99 @@ fn fused_stream_matches_unfused_bit_for_bit_on_all_engines() {
             .unwrap();
 
         assert_eq!(fused.report.frames_out, 5, "{}", engine.label());
-        assert_eq!(fused.report.stages, vec!["gauss5+sobel+laplace"]);
+        assert_eq!(fused.report.stages, vec!["gauss5+attenuate+window"]);
         assert_eq!(fused.report.fusion.len(), 1);
         assert!(fused.report.fusion[0].fused);
         assert_eq!(
             fused.report.fusion[0].stages,
-            vec!["gauss5", "sobel", "laplace"]
+            vec!["gauss5", "attenuate", "window"]
         );
         assert!(plain.report.fusion.is_empty(), "fusion off records nothing");
         assert_outputs_identical(&fused, &plain, engine.label());
     }
 }
 
-/// Operator-level differential: every legal handoff mode, on both
-/// backends, including a frame small enough that the fused halo covers
-/// every pixel.
-#[test]
-fn fused_operator_matches_sequential_for_every_legal_handoff() {
-    for mode in [
-        BoundaryMode::Clamp,
-        BoundaryMode::Mirror,
-        BoundaryMode::Constant(0.25),
-    ] {
-        for (w, h) in [(9, 7), (16, 16), (40, 33)] {
-            for target in [
-                Target::cuda(device::tesla_c2050()),
-                Target::opencl(device::radeon_hd_5870()),
-            ] {
-                let a = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
-                let b = sobel_operator(true, mode);
-                let c = laplacian_operator(mode);
-                let fused = fuse_operators(&[&a, &b, &c]).unwrap();
-                let img = phantom::vessel_tree(w, h, &phantom::VesselParams::default());
-                let mut cur = img.clone();
-                for op in [&a, &b, &c] {
-                    cur = op.execute(&[("Input", &cur)], &target).unwrap().output;
-                }
-                let got = fused.execute(&[("Input", &img)], &target).unwrap().output;
-                assert_eq!(
-                    got.max_abs_diff(&cur),
-                    0.0,
-                    "{mode:?} {w}x{h} {:?} diverged",
-                    target.backend
-                );
-            }
-        }
-    }
-}
-
-/// A `Repeat` handoff is illegal in-kernel (the producer tile cannot
-/// cover wrap-around reads): the chain splits at that edge, the typed
-/// `F0102` decision is recorded, and outputs still match the unfused
-/// reference exactly.
+/// A stencil consumer reads its producer off its own pixel, so it
+/// starts a new group: gauss5 → attenuate → sobel → window plans two
+/// fused stages, records one typed `F0102` decision at the stencil, and
+/// still matches the unfused chain exactly. `fuse_operators` refuses
+/// stencil consumers outright.
 #[test]
 fn illegal_handoff_splits_the_chain_with_a_typed_decision() {
-    let config = StreamConfig {
-        workers: Some(2),
-        engine: Some(Engine::Bytecode),
-        ..StreamConfig::default()
-    };
-    let build = |name: &str, fuse: bool| {
+    let build = |name: &str, fuse: bool, engine: Engine| {
         let m = BoundaryMode::Clamp;
         Stream::new(name, Target::cuda(device::tesla_c2050()))
             .stage("gauss5", gaussian_operator(5, 1.1, m))
+            .stage("attenuate", attenuate_operator())
             .stage("sobel", sobel_operator(true, m))
-            .stage("laplace", laplacian_operator(BoundaryMode::Repeat))
+            .stage("window", window_operator())
             .with_config(StreamConfig {
                 fuse,
-                ..config.clone()
+                workers: Some(2),
+                engine: Some(engine),
+                ..StreamConfig::default()
             })
     };
-    let frames = frame_sequence(4, 16, 16);
-    let fused = build("split", true).run(frames.clone()).unwrap();
-    let plain = build("plain", false).run(frames).unwrap();
+    for engine in [Engine::Bytecode, Engine::Simd] {
+        let frames = frame_sequence(4, 16, 16);
+        let fused = build("split", true, engine).run(frames.clone()).unwrap();
+        let plain = build("plain", false, engine).run(frames).unwrap();
 
-    // gauss5+sobel fuse; laplace stays separate behind its Repeat reads.
-    assert_eq!(fused.report.stages, vec!["gauss5+sobel", "laplace"]);
-    let reject = fused
-        .report
-        .fusion
-        .iter()
-        .find(|d| !d.fused)
-        .expect("a rejected pair is recorded");
-    assert_eq!(reject.code.as_deref(), Some("F0102"));
-    assert_eq!(reject.stages, vec!["sobel", "laplace"]);
-    assert!(fused.report.fusion.iter().any(|d| d.fused));
-    assert_outputs_identical(&fused, &plain, "split chain");
+        assert_eq!(
+            fused.report.stages,
+            vec!["gauss5+attenuate", "sobel+window"]
+        );
+        let rejects: Vec<_> = fused.report.fusion.iter().filter(|d| !d.fused).collect();
+        assert_eq!(rejects.len(), 1, "{:?}", fused.report.fusion);
+        assert_eq!(rejects[0].code.as_deref(), Some("F0102"));
+        assert_eq!(rejects[0].stages, vec!["attenuate", "sobel"]);
+        assert_eq!(fused.report.fusion.iter().filter(|d| d.fused).count(), 2);
+        assert_outputs_identical(&fused, &plain, engine.label());
+    }
+
+    let m = BoundaryMode::Clamp;
+    let chains = [
+        vec![
+            gaussian_operator(5, 1.1, m),
+            attenuate_operator(),
+            sobel_operator(true, m),
+        ],
+        vec![window_operator(), gaussian_operator(5, 1.1, m)],
+    ];
+    for ops in &chains {
+        let refs: Vec<&Operator> = ops.iter().collect();
+        let err = fuse_operators(&refs).unwrap_err();
+        let codes: Vec<&str> = err.diagnostics().iter().map(|d| d.code).collect();
+        assert_eq!(codes, ["F0102"], "{err}");
+    }
 }
 
-/// A fused kernel whose merged halo overflows the device's shared
-/// memory falls back per-stage with an `F0105` decision — and still
-/// produces the unfused chain's exact outputs.
+/// A point consumer that scales its own pixel by the centre of a
+/// compile-time 91x91 constant mask (33 124 B).
+fn centre_scale_operator(name: &str, scale: f32) -> Operator {
+    use hipacc_ir::{Expr, KernelBuilder, ScalarType};
+    let mut coeffs = vec![0.0; 91 * 91];
+    coeffs[91 * 91 / 2] = scale;
+    let mut b = KernelBuilder::new(name, ScalarType::F32);
+    let input = b.accessor("Input", ScalarType::F32);
+    let m = b.mask_const("M", 91, 91, coeffs);
+    b.output(b.mask_at(&m, Expr::int(0), Expr::int(0)) * b.read_center(&input));
+    Operator::new(b.finish())
+}
+
+/// A fused kernel that overflows device resources falls back per-stage
+/// with an `F0105` decision — and still produces the unfused chain's
+/// exact outputs.
 #[test]
 fn resource_overflow_falls_back_per_stage_with_f0105() {
-    // Three 27x27 Gaussians: 13-pixel halo per stage, so the first
-    // tile carries a 52-pixel cumulative halo — no configuration fits
-    // the Quadro FX 5800's 16 KiB of shared memory.
+    // Each consumer's constant mask fits the Tesla C2050's 64 KiB of
+    // constant memory alone; the folded kernel declares both, 66 248 B,
+    // which the verifier rejects (A0403, a resource limit).
     let build = |name: &str, fuse: bool| {
-        let m = BoundaryMode::Clamp;
-        Stream::new(name, Target::cuda(device::quadro_fx_5800()))
-            .stage("wide_a", gaussian_operator(27, 4.5, m))
-            .stage("wide_b", gaussian_operator(27, 4.5, m))
-            .stage("wide_c", gaussian_operator(27, 4.5, m))
+        Stream::new(name, Target::cuda(device::tesla_c2050()))
+            .stage("gauss5", gaussian_operator(5, 1.1, BoundaryMode::Clamp))
+            .stage("wide_a", centre_scale_operator("WideA", 0.5))
+            .stage("wide_b", centre_scale_operator("WideB", 3.0))
             .with_config(StreamConfig {
                 fuse,
                 workers: Some(2),
@@ -199,7 +189,7 @@ fn resource_overflow_falls_back_per_stage_with_f0105() {
 
     assert_eq!(
         fused.report.stages,
-        vec!["wide_a", "wide_b", "wide_c"],
+        vec!["gauss5", "wide_a", "wide_b"],
         "the chain must run per-stage"
     );
     let d = fused
@@ -209,6 +199,7 @@ fn resource_overflow_falls_back_per_stage_with_f0105() {
         .find(|d| d.code.as_deref() == Some("F0105"))
         .expect("the overflow decision is recorded");
     assert!(!d.fused);
+    assert!(d.detail.contains("A0403"), "{}", d.detail);
     assert_eq!(fused.report.frames_out, 1);
     assert_outputs_identical(&fused, &plain, "resource fallback");
 }
@@ -247,6 +238,10 @@ fn fused_chain_recovers_faults_bit_identically() {
 
     assert_eq!(fused.report.frames_out, 5, "no frame may be lost");
     assert!(fused.report.failed.is_empty());
+    assert_eq!(
+        fused.report.recovered_frames, 1,
+        "the hang fired and recovered"
+    );
     assert_outputs_identical(&fused, &fused_seq, "fused vs sequential");
     assert_outputs_identical(&fused, &clean, "fused+faults vs clean unfused");
 }
@@ -309,7 +304,7 @@ fn breaker_pinning_on_fused_stage_stays_bit_identical() {
         "the breaker must have opened on the fused stage"
     );
     assert_eq!(
-        fused.report.breaker_transitions[0].stage, "gauss5+sobel+laplace",
+        fused.report.breaker_transitions[0].stage, "gauss5+attenuate+window",
         "transitions name the fused stage"
     );
     assert_eq!(
@@ -384,31 +379,20 @@ fn attenuate_operator() -> Operator {
     Operator::new(hipacc_filters::pyramid::attenuate_kernel()).param_float("threshold", 0.05)
 }
 
-/// Point consumers fold into their producer (register handoff): chains
-/// with point stages stay bit-identical to the sequential chain on both
-/// engines, and the display chain gauss5 → attenuate → window compiles
-/// to one ordinary kernel — no staging tile, no barrier, and the same
-/// texture reads as the unfused gauss5 launch.
+/// Point consumers fold into their producer (register handoff): every
+/// chain stays bit-identical to the sequential chain on both engines and
+/// compiles to one ordinary kernel — no staging tile, no barrier, and
+/// the same texture reads as the unfused first stage.
 #[test]
 fn point_consumers_fold_into_their_producer() {
     type Chain = fn(BoundaryMode) -> Vec<Operator>;
-    let chains: [(&str, Chain); 4] = [
+    let chains: [(&str, Chain); 2] = [
         ("gauss5+attenuate+window", |m| {
             vec![
                 gaussian_operator(5, 1.1, m),
                 attenuate_operator(),
                 window_operator(),
             ]
-        }),
-        ("gauss5+attenuate+sobel", |m| {
-            vec![
-                gaussian_operator(5, 1.1, m),
-                attenuate_operator(),
-                sobel_operator(true, m),
-            ]
-        }),
-        ("window+gauss5", |m| {
-            vec![window_operator(), gaussian_operator(5, 1.1, m)]
         }),
         ("attenuate+window", |_| {
             vec![attenuate_operator(), window_operator()]
@@ -426,7 +410,7 @@ fn point_consumers_fold_into_their_producer() {
             }
         }
     }
-    // F0101 admits a partial ROI when every consumer is a point stage.
+    // A partial ROI fuses when every stage iterates the same one (F0101).
     let roi = chains[0].1(BoundaryMode::Mirror)
         .into_iter()
         .map(|op| op.with_roi(3, 2, 20, 17));
@@ -455,12 +439,10 @@ fn point_consumers_fold_into_their_producer() {
                     .execute_with(&[("Input", &img)], &target, engine)
                     .unwrap();
                 assert_eq!(got.output.max_abs_diff(&cur), 0.0, "{what} diverged");
-                if *name == "gauss5+attenuate+window" {
-                    assert!(got.compiled.device_kernel.shared.is_empty(), "{what}");
-                    assert_eq!(got.stats.barriers, 0, "{what}");
-                    assert_eq!(got.stats.shared_loads, 0, "{what}");
-                    assert_eq!(got.stats.tex_fetches, stage0_tex.unwrap(), "{what}");
-                }
+                assert!(got.compiled.device_kernel.shared.is_empty(), "{what}");
+                assert_eq!(got.stats.barriers, 0, "{what}");
+                assert_eq!(got.stats.shared_loads, 0, "{what}");
+                assert_eq!(got.stats.tex_fetches, stage0_tex.unwrap(), "{what}");
             }
         }
     }
