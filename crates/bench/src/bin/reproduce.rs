@@ -12,10 +12,8 @@
 //!
 //! A missing or malformed option value prints the usage line and exits 2.
 
-use hipacc_bench::ablation;
-use hipacc_bench::figures::{figure3, figure4, loc_metric};
-use hipacc_bench::paper;
-use hipacc_bench::render::{paired_times, render_comparison, render_csv, render_text, spearman};
+use hipacc_bench::render::{render_csv, render_text};
+use hipacc_bench::report;
 use hipacc_bench::tables::{bilateral_table, gaussian_table};
 use hipacc_core::Target;
 use hipacc_hwmodel::device::{quadro_fx_5800, tesla_c2050};
@@ -40,114 +38,6 @@ fn value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
             .parse()
             .unwrap_or_else(|_| usage_error(&format!("{flag}: bad value {v:?}"))),
     }
-}
-
-fn print_table(n: u32) {
-    let targets = Target::evaluation_targets();
-    match n {
-        2..=7 => {
-            let model = bilateral_table(&targets[(n - 2) as usize], n);
-            let paper = paper::bilateral_tables()[(n - 2) as usize];
-            print!("{}", render_comparison(&model, paper));
-            let (m, p) = paired_times(&model, paper);
-            if m.len() > 2 {
-                println!("rank correlation (Spearman): {:.2}\n", spearman(&m, &p));
-            }
-        }
-        8 | 9 => {
-            let dev = if n == 8 {
-                tesla_c2050()
-            } else {
-                quadro_fx_5800()
-            };
-            for (size, pt) in [(3u32, 0usize), (5, 1)] {
-                let model = gaussian_table(&Target::cuda(dev.clone()), size, n);
-                let paper_entry = paper::gaussian_tables()[if n == 8 { pt } else { 2 + pt }].2;
-                print!("{}", render_comparison(&model, paper_entry));
-                let (m, p) = paired_times(&model, paper_entry);
-                if m.len() > 2 {
-                    println!("rank correlation (Spearman): {:.2}\n", spearman(&m, &p));
-                }
-            }
-        }
-        _ => usage_error(&format!("unknown table {n} (valid: 2..9)")),
-    }
-}
-
-fn print_figure(n: u32) {
-    match n {
-        3 => {
-            println!(
-                "Figure 3: block-to-region assignment (256x96 image, 32x6 blocks, 13x13 window)"
-            );
-            for row in figure3(256, 96, (32, 6)) {
-                println!("  {row}");
-            }
-            println!();
-        }
-        4 => {
-            let e = figure4();
-            println!(
-                "Figure 4: configuration exploration, bilateral 13x13, 4096^2, Tesla C2050 (CUDA)"
-            );
-            println!(
-                "  {:>6} {:>9} {:>10} {:>10}",
-                "config", "threads", "occupancy", "time_ms"
-            );
-            let mut pts = e.points.clone();
-            pts.sort_by_key(|p| (p.threads, p.by));
-            for p in &pts {
-                println!(
-                    "  {:>3}x{:<3} {:>8} {:>10.3} {:>10.2}",
-                    p.bx, p.by, p.threads, p.occupancy, p.time_ms
-                );
-            }
-            println!(
-                "  heuristic choice: {} -> {:.2} ms",
-                e.heuristic_choice, e.heuristic_time_ms
-            );
-            println!(
-                "  sweep optimum:    {}x{} -> {:.2} ms",
-                e.optimum.bx, e.optimum.by, e.optimum.time_ms
-            );
-            println!(
-                "  paper optimum:    {}x{} -> {:.2} ms\n",
-                paper::FIG4_OPTIMUM.0,
-                paper::FIG4_OPTIMUM.1,
-                paper::FIG4_OPTIMUM.2
-            );
-        }
-        _ => usage_error(&format!("unknown figure {n} (valid: 3, 4)")),
-    }
-}
-
-fn print_ablations() {
-    println!("Ablations: what each design choice is worth (bilateral 13x13, 4096^2)");
-    println!(
-        "  {:<58} {:>10} {:>10} {:>8}",
-        "feature", "with ms", "without", "factor"
-    );
-    for a in ablation::all_ablations() {
-        println!(
-            "  {:<58} {:>10.2} {:>10.2} {:>7.2}x",
-            a.name,
-            a.baseline_ms,
-            a.ablated_ms,
-            a.factor()
-        );
-    }
-    let (g, s) = ablation::sobel_equals_gaussian();
-    println!("  Sobel vs Gaussian 3x3 (paper: identical): {g:.2} vs {s:.2} ms\n");
-}
-
-fn print_loc() {
-    let (dsl, generated) = loc_metric();
-    println!("Lines of code (SVI-C): DSL kernel {dsl} lines -> generated CUDA {generated} lines");
-    println!(
-        "Paper reported: {} -> {}\n",
-        paper::LOC_METRIC.0,
-        paper::LOC_METRIC.1
-    );
 }
 
 /// Profile representative launches (Gaussian 5x5 and bilateral 13x13 on
@@ -358,29 +248,29 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--all" => {
-                for n in 2..=9 {
-                    print_table(n);
-                }
-                print_figure(3);
-                print_figure(4);
-                print_loc();
-                print_ablations();
+                print!("{}", report::render_all());
                 did_anything = true;
             }
             "--table" => {
-                print_table(value(&args, &mut i));
+                let n = value(&args, &mut i);
+                let text = report::table(n)
+                    .unwrap_or_else(|| usage_error(&format!("unknown table {n} (valid: 2..9)")));
+                print!("{text}");
                 did_anything = true;
             }
             "--figure" => {
-                print_figure(value(&args, &mut i));
+                let n = value(&args, &mut i);
+                let text = report::figure(n)
+                    .unwrap_or_else(|| usage_error(&format!("unknown figure {n} (valid: 3, 4)")));
+                print!("{text}");
                 did_anything = true;
             }
             "--loc" => {
-                print_loc();
+                print!("{}", report::loc());
                 did_anything = true;
             }
             "--ablation" => {
-                print_ablations();
+                print!("{}", report::ablations());
                 did_anything = true;
             }
             "--csv" => {

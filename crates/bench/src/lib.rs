@@ -14,6 +14,8 @@
 //! * [`render`] — plain-text and Markdown rendering.
 //! * [`ablation`] — what each design choice is worth (region
 //!   specialization, constant masks, the heuristic, vectorization).
+//! * [`report`] — the text `reproduce` prints for the tables and
+//!   figures, pinned byte for byte by EXPERIMENTS.md.
 //!
 //! The `reproduce` binary drives everything:
 //! `cargo run -p hipacc-bench --bin reproduce -- --all`. Every number
@@ -28,4 +30,5 @@ pub mod cells;
 pub mod figures;
 pub mod paper;
 pub mod render;
+pub mod report;
 pub mod tables;

@@ -322,15 +322,6 @@ fn roman(n: u32) -> &'static str {
     }
 }
 
-/// All six bilateral tables in paper order.
-pub fn all_bilateral_tables() -> Vec<Table> {
-    Target::evaluation_targets()
-        .into_iter()
-        .zip(2u32..)
-        .map(|(t, n)| bilateral_table(&t, n))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

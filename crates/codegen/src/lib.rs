@@ -46,6 +46,5 @@ pub mod regions;
 
 pub use compile::{verify_compiled, CompileError, CompiledKernel, Compiler};
 pub use fallback::{fallback_chain, FallbackStep};
-pub use optimize::disabled_passes;
 pub use options::{BoundarySpec, CompileSpec, MemVariant};
 pub use regions::Region;

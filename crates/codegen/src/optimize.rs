@@ -10,7 +10,8 @@
 //! thread-dependence fixpoint runs once, on the body that pass is about
 //! to walk (span `opt:uniformity`), and not at all when it is disabled.
 //!
-//! Pass order (each independently vetoable via `HIPACC_OPT_DISABLE`):
+//! Pass order (each independently vetoable through
+//! [`CompileSpec::disabled_passes`]):
 //!
 //! 1. `elide-clamps` — drop `min`/`max` border clamps whose operand
 //!    range already satisfies the bound, and collapse region-dispatch
@@ -43,21 +44,7 @@ use hipacc_analysis::{taint, VerifyInput};
 use hipacc_hwmodel::LaunchConfig;
 use hipacc_ir::kernel::DeviceKernelDef;
 use hipacc_ir::opt::{self, OptReport};
-use std::collections::{BTreeSet, HashMap};
-
-/// The set of pass names vetoed by the `HIPACC_OPT_DISABLE` env var
-/// (comma-separated, case-insensitive). Unknown names are ignored.
-/// Deterministically ordered so it can participate in cache keys.
-pub fn disabled_passes() -> BTreeSet<String> {
-    std::env::var("HIPACC_OPT_DISABLE")
-        .map(|v| {
-            v.split(',')
-                .map(|s| s.trim().to_ascii_lowercase())
-                .filter(|s| !s.is_empty())
-                .collect()
-        })
-        .unwrap_or_default()
-}
+use std::collections::HashMap;
 
 /// Run the optimization pipeline over `k` in place. At `opt_level = 0`
 /// this is a no-op returning an empty report.
@@ -76,7 +63,6 @@ pub(crate) fn optimize_device_kernel(
     if spec.opt_level == 0 {
         return report;
     }
-    let disabled = disabled_passes();
     let block = (config.bx, config.by);
 
     // The iteration-space scalars can be rebound at launch time (the
@@ -99,7 +85,7 @@ pub(crate) fn optimize_device_kernel(
     let seed = RangeState::new(k, block, grid, scalars);
 
     for pass in opt::PASSES {
-        if disabled.contains(*pass) {
+        if spec.disabled_passes.contains(*pass) {
             continue;
         }
         let mut o = seed.clone();

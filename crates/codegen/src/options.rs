@@ -3,7 +3,7 @@
 use hipacc_hwmodel::{Backend, DeviceModel};
 use hipacc_image::BoundaryMode;
 use hipacc_ir::ty::Const;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Boundary condition attached to one accessor — the compiled form of the
 /// paper's `BoundaryCondition` object: a mode plus the operator window it
@@ -114,8 +114,11 @@ pub struct CompileSpec {
     /// Analysis-driven optimization level for the device IR: `0` lowers
     /// only (the pre-optimizer pipeline, bit-for-bit), `1` (default) runs
     /// the uniformity/value-range pass pipeline (`ir::opt`). Individual
-    /// passes can be vetoed with the `HIPACC_OPT_DISABLE` env var.
+    /// passes can be vetoed with [`Self::disabled_passes`].
     pub opt_level: u8,
+    /// Optimizer passes to skip, by their `ir::opt::PASSES` name (empty
+    /// by default). Names that match no pass are ignored.
+    pub disabled_passes: BTreeSet<String>,
 }
 
 impl CompileSpec {
@@ -141,6 +144,7 @@ impl CompileSpec {
             roi: None,
             generic_boundary: false,
             opt_level: 1,
+            disabled_passes: BTreeSet::new(),
         }
     }
 
@@ -165,12 +169,6 @@ impl CompileSpec {
     /// Pin the launch configuration.
     pub fn with_config(mut self, bx: u32, by: u32) -> Self {
         self.force_config = Some((bx, by));
-        self
-    }
-
-    /// Set the device-IR optimization level (0 = off, 1 = default).
-    pub fn with_opt_level(mut self, level: u8) -> Self {
-        self.opt_level = level;
         self
     }
 

@@ -244,11 +244,7 @@ impl KernelCache {
             spec.vectorize,
             spec.generic_boundary,
             spec.opt_level,
-            // The env veto changes the emitted kernel without touching the
-            // spec; folding it into the key keeps opt variants from
-            // aliasing (the IR the artifact was built from is implied by
-            // level + veto set, both deterministic).
-            hipacc_codegen::disabled_passes(),
+            spec.disabled_passes,
         );
         key
     }

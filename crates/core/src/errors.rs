@@ -42,9 +42,7 @@
 //! | R0104 | integer division by zero |
 //! | R0105 | barrier inside control flow |
 //! | R0106 | expression evaluation failed |
-//! | R0201 | invalid `HIPACC_SIM_THREADS` value |
-//! | R0202 | invalid launch geometry or `HIPACC_SIM_ENGINE` value |
-//! | R0203 | explicit launch override shadows a conflicting `HIPACC_SIM_*` variable — *warning* |
+//! | R0202 | invalid launch geometry |
 //! | R0301 | launch deadline exceeded (hung worker) — *transient* |
 //! | R0401 | supervisor exhausted retries and fallbacks |
 //! | R0501 | kernel cache recovered from a poisoned lock — *warning* |
@@ -121,7 +119,6 @@ impl OperatorError {
                     SimError::DivisionByZero => "R0104",
                     SimError::NestedBarrier => "R0105",
                     SimError::EvalError(_) => "R0106",
-                    SimError::InvalidThreadCount(_) => "R0201",
                     SimError::InvalidLaunch(_) => "R0202",
                     SimError::DeadlineExceeded { .. } => "R0301",
                 };
@@ -236,12 +233,8 @@ static REGISTRY: &[CodeInfo] = registry![
         "The engine refuses barriers nested in loops or branches; restructure so barriers sit at the kernel's top level.";
     "R0106", "runtime": "expression evaluation failed" =>
         "An expression produced no value (e.g. a type confusion); the message pinpoints the node.";
-    "R0201", "runtime": "invalid HIPACC_SIM_THREADS value" =>
-        "The worker-count override is not a positive integer; fix or unset the environment variable.";
-    "R0202", "runtime": "invalid launch geometry or HIPACC_SIM_ENGINE value" =>
-        "Grid or block has a zero dimension, the iteration space is empty or the inputs disagree on their size — check the launch spec; or the engine override names neither `bytecode` nor `simd` — fix or unset the environment variable. The message says which.";
-    "R0203", "runtime": "explicit launch override shadows a conflicting HIPACC_SIM_* variable" =>
-        "An explicit engine/sim_threads setting and the environment disagree; the explicit setting always wins — unset the stale variable if the environment was meant to apply.";
+    "R0202", "runtime": "invalid launch geometry" =>
+        "Grid or block has a zero dimension, the iteration space is empty or the inputs disagree on their size — check the launch spec; the message says which.";
     "R0301", "runtime": "launch deadline exceeded (hung worker)" =>
         "A simulator worker missed the deadline — the signature of a hang; transient, the supervisor retries it.";
     "R0401", "supervisor": "supervisor exhausted retries and fallbacks" =>
@@ -251,13 +244,13 @@ static REGISTRY: &[CodeInfo] = registry![
     "R0601", "stream": "stage worker panic contained (frame failed, pipeline kept draining)" =>
         "A stage's launch panicked (e.g. an injected driver abort); the frame is recorded as failed with this code, the stage thread survives, and successor frames keep flowing — replay the bundle to reproduce the panic standalone.";
     "R0602", "stream": "per-frame deadline budget exhausted" =>
-        "A frame's supervised launches spent more virtual time than HIPACC_STREAM_DEADLINE_US / StreamConfig.frame_deadline_us allows; the frame is cancelled with a typed failure instead of stalling the queue chain — raise the budget or fix the hang.";
+        "A frame's supervised launches spent more virtual time than StreamConfig.frame_deadline_us allows; the frame is cancelled with a typed failure instead of stalling the queue chain — raise the budget or fix the hang.";
     "R0603", "stream": "whole-stream deadline budget exhausted" =>
         "The stream's cumulative virtual time crossed StreamConfig.stream_budget_us; every frame from the crossing point on is cancelled deterministically — raise the budget or shed load earlier.";
     "R0604", "stream": "frame shed under sustained queue pressure" =>
         "The producer queue sat at its high-water mark past StreamConfig.shed_after_us, so the oldest undispatched frame was dropped with a typed event; downstream stages never saw it — slow the producer or raise the capacity.";
     "R0605", "stream": "invalid stream configuration" =>
-        "A stream knob is out of range (zero workers, zero queue capacity, a zero deadline, or a malformed HIPACC_STREAM_* value); fix the config or environment — the stream refuses to start rather than surface the error mid-run.";
+        "A stream knob is out of range (zero workers, zero queue capacity, a zero deadline or budget, a zero breaker threshold, or no stages); fix the config — the stream refuses to start rather than surface the error mid-run.";
     "R0606", "stream": "circuit breaker pinned a stage to its degraded rung" =>
         "A stage kept succeeding only via its degradation ladder, so the breaker opened and pinned the proven rung (one recompile, no per-frame ladder walk); half-open probes restore the healthy config after enough clean frames — a warning, not an error.";
 ];
@@ -309,11 +302,6 @@ mod tests {
         let cases: Vec<(OperatorError, FailureClass, &str)> = vec![
             (deadline(), FailureClass::Transient, "R0301"),
             (mismatched_inputs(), FailureClass::Permanent, "R0202"),
-            (
-                OperatorError::Sim(SimError::InvalidThreadCount("x".into())),
-                FailureClass::Permanent,
-                "R0201",
-            ),
             (
                 OperatorError::Sim(SimError::InvalidLaunch("zero grid".into())),
                 FailureClass::Permanent,

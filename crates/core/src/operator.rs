@@ -56,12 +56,11 @@ pub struct PipelineOptions {
     /// motion, no common-subexpression elimination in the op counting.
     pub naive_codegen: bool,
     /// Host worker threads for the simulator's parallel block loop
-    /// (`None` = `HIPACC_SIM_THREADS` env var, then available
+    /// (`None` = the pool's width, then the host's available
     /// parallelism). Outputs are bit-identical for any value.
     pub sim_threads: Option<usize>,
-    /// Simulator execution engine (`None` = the `HIPACC_SIM_ENGINE` env
-    /// var, then the default simd engine). Outputs and statistics are
-    /// bit-identical across engines.
+    /// Simulator execution engine (`None` = the default simd engine).
+    /// Outputs and statistics are bit-identical across engines.
     pub engine: Option<hipacc_sim::Engine>,
     /// Cross-launch compiled-kernel cache (see [`crate::cache`]). `None`
     /// compiles fresh on every launch; sharing one `Arc` across operators
@@ -386,18 +385,13 @@ impl Operator {
 
     /// Full pipeline: compile, execute on the simulated device, estimate
     /// the time. Runs on the engine selected by
-    /// [`PipelineOptions::engine`] (falling back to `HIPACC_SIM_ENGINE`,
-    /// then the default simd engine).
+    /// [`PipelineOptions::engine`] (the default simd engine when unset).
     pub fn execute(
         &self,
         inputs: &[(&str, &Image<f32>)],
         target: &Target,
     ) -> Result<Execution, OperatorError> {
-        self.execute_with(
-            inputs,
-            target,
-            hipacc_sim::resolve_engine(self.options.engine)?,
-        )
+        self.execute_with(inputs, target, self.options.engine.unwrap_or_default())
     }
 
     /// [`Self::execute`] on an explicitly chosen simulator engine
@@ -484,7 +478,6 @@ impl Operator {
             kernel: self.def.name.clone(),
             target: target.label(),
             engine,
-            sim_threads: self.options.sim_threads,
             exec,
             compile_spans,
             launch_us,

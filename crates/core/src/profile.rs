@@ -63,8 +63,8 @@ pub struct LaunchProfile {
     pub grid: (u32, u32),
     /// Block dimensions in threads.
     pub block: (u32, u32),
-    /// Effective host worker threads used by the simulator (after the
-    /// `sim_threads` / `HIPACC_SIM_THREADS` override resolution).
+    /// Effective host worker threads used by the simulator (the explicit
+    /// `sim_threads`, else the pool width or the host's parallelism).
     pub n_workers: usize,
     /// Per-region execution counters, in [`Region::all`] order, regions
     /// with zero blocks omitted.
@@ -120,11 +120,6 @@ pub struct LaunchProfile {
     /// block ([`hipacc_sim::SimdTelemetry::region_steps`]); 0 on the
     /// other engines.
     pub region_steps: u64,
-    /// Explicit-vs-environment override conflicts detected for this
-    /// launch (rendered [`hipacc_sim::OverrideConflict`]s): the explicit
-    /// spec value won, the listed `HIPACC_SIM_*` variable was ignored.
-    /// Empty when the two levels agree or only one is set.
-    pub override_conflicts: Vec<String>,
 }
 
 /// What a launch has to keep for a [`LaunchProfile`] to be assembled from
@@ -134,8 +129,6 @@ pub(crate) struct LaunchFacts {
     pub kernel: String,
     pub target: String,
     pub engine: hipacc_sim::Engine,
-    /// The operator's explicit worker count (for override conflicts).
-    pub sim_threads: Option<usize>,
     pub exec: ExecProfile,
     /// Spans recorded while compiling; none on a cache hit.
     pub compile_spans: Vec<Span>,
@@ -155,19 +148,8 @@ impl LaunchProfile {
     ) -> Self {
         let compiled = &execution.compiled;
         let engine = facts.engine.label();
-        // Explicit overrides always beat the environment; when both are
-        // set and disagree, say so in the profile instead of letting a
-        // stale shell variable silently lose.
-        let override_conflicts: Vec<String> =
-            hipacc_sim::override_conflicts(Some(facts.engine), facts.sim_threads)
-                .into_iter()
-                .map(|c| c.to_string())
-                .collect();
         let (start, dur) = facts.launch_us;
         let mut spans = facts.compile_spans.clone();
-        spans.extend(override_conflicts.iter().map(|c| {
-            Span::new("override-conflict", "diagnostic", start, 0).arg("detail", c.clone())
-        }));
         let simd = facts.exec.simd;
         let lockstep_block_share = simd.and_then(|t| t.lockstep_fraction());
         let mut execute = Span::new("execute", "launch", start, dur)
@@ -217,7 +199,6 @@ impl LaunchProfile {
             lockstep_block_share,
             remerges: simd.map_or(0, |t| t.remerges),
             region_steps: simd.map_or(0, |t| t.region_steps),
-            override_conflicts,
         }
     }
 
@@ -305,9 +286,6 @@ impl LaunchProfile {
         ));
         if let Some(plan) = &self.fault_plan {
             out.push_str(&format!("  injected: {plan}\n"));
-        }
-        for c in &self.override_conflicts {
-            out.push_str(&format!("  override conflict: {c}\n"));
         }
         if let Some(c) = &self.cache {
             out.push_str(&format!(
@@ -445,7 +423,6 @@ mod tests {
             lockstep_block_share: None,
             remerges: 0,
             region_steps: 0,
-            override_conflicts: Vec::new(),
         }
     }
 

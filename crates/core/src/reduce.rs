@@ -213,7 +213,7 @@ fn bind(img: &hipacc_image::Image<f32>, threads: u32) -> (DeviceMemory, LaunchPa
 }
 
 /// Run a global reduction over an image on a simulated target, on the
-/// engine `HIPACC_SIM_ENGINE` selects (default simd).
+/// default (simd) engine.
 pub fn reduce_image(
     img: &hipacc_image::Image<f32>,
     op: ReduceOp,
@@ -231,8 +231,8 @@ pub fn reduce_image(
     };
     let kernel = reduction_kernel(op, threads);
     let (mut mem, params) = bind(img, threads);
-    let engine = hipacc_sim::resolve_engine(None)?;
-    let stats = hipacc_sim::compile(&kernel, &params, &mem)?.run_with(&mut mem, engine)?;
+    let stats = hipacc_sim::compile(&kernel, &params, &mem)?
+        .run_with(&mut mem, hipacc_sim::Engine::default())?;
 
     let partials = &mem.buffer("OUT").unwrap().data;
     let acc = partials

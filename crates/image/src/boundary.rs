@@ -62,15 +62,6 @@ impl BoundaryMode {
             BoundaryMode::Constant(0.0),
         ]
     }
-
-    /// Whether the mode remaps indices (as opposed to substituting a
-    /// constant or doing nothing).
-    pub fn remaps_index(&self) -> bool {
-        matches!(
-            self,
-            BoundaryMode::Repeat | BoundaryMode::Clamp | BoundaryMode::Mirror
-        )
-    }
 }
 
 /// Map a possibly out-of-range coordinate `i` into `[0, n)` by clamping.

@@ -8,7 +8,8 @@
 //! range/truth/uniformity queries, so the IR crate stays free of any
 //! dependency on the analysis crate (which depends on this one).
 //!
-//! Passes (driver order; names are the `HIPACC_OPT_DISABLE` keys):
+//! Passes (driver order; the names are the keys of the codegen
+//! `CompileSpec::disabled_passes` veto):
 //!
 //! 1. [`elide_clamps`] — bounds-check elision: statically decided
 //!    branches (region dispatch, iteration guards) collapse, provably
@@ -59,17 +60,17 @@ pub use flatten::flatten_branches;
 pub use hoist::hoist_invariants;
 pub use strength::strength_reduce;
 
-/// `HIPACC_OPT_DISABLE` key of the clamp/bounds-check elision pass.
+/// Veto key of the clamp/bounds-check elision pass.
 pub const PASS_ELIDE_CLAMPS: &str = "elide-clamps";
-/// `HIPACC_OPT_DISABLE` key of the strength-reduction pass.
+/// Veto key of the strength-reduction pass.
 pub const PASS_STRENGTH: &str = "strength-reduce";
-/// `HIPACC_OPT_DISABLE` key of the divergent-branch flattening pass.
+/// Veto key of the divergent-branch flattening pass.
 pub const PASS_FLATTEN: &str = "flatten";
-/// `HIPACC_OPT_DISABLE` key of the loop-invariant hoisting pass.
+/// Veto key of the loop-invariant hoisting pass.
 pub const PASS_HOIST: &str = "hoist";
-/// `HIPACC_OPT_DISABLE` key of the dead-barrier elimination pass.
+/// Veto key of the dead-barrier elimination pass.
 pub const PASS_DEAD_BARRIER: &str = "dead-barrier";
-/// `HIPACC_OPT_DISABLE` key of the final fold/cleanup pass.
+/// Veto key of the final fold/cleanup pass.
 pub const PASS_FOLD: &str = "fold";
 
 /// All pass names in driver order.

@@ -52,15 +52,6 @@ pub enum Const {
 }
 
 impl Const {
-    /// The scalar type this constant carries.
-    pub fn scalar_type(self) -> ScalarType {
-        match self {
-            Const::Bool(_) => ScalarType::Bool,
-            Const::Int(_) => ScalarType::I32,
-            Const::Float(_) => ScalarType::F32,
-        }
-    }
-
     /// Interpret as `f32`, widening integers.
     pub fn as_f32(self) -> f32 {
         match self {

@@ -40,12 +40,10 @@
 //! scheduling-invariant, supervision is a deterministic function of the
 //! plan, and each stage sees its frames in `seq` order in both modes.
 //!
-//! Streaming knobs (precedence: explicit config > environment >
-//! default): [`WORKERS_ENV`] (`HIPACC_STREAM_WORKERS`), [`QUEUE_ENV`]
-//! (`HIPACC_STREAM_QUEUE`), [`DEADLINE_ENV`]
-//! (`HIPACC_STREAM_DEADLINE_US`) and [`BREAKER_ENV`]
-//! (`HIPACC_BREAKER_THRESHOLD`). Invalid knobs are rejected up front
-//! with `R0605` ([`StreamError::InvalidConfig`]).
+//! Streaming knobs are the fields of [`StreamConfig`]; an unset one takes
+//! its default ([`DEFAULT_WORKERS`], [`DEFAULT_QUEUE_CAPACITY`],
+//! [`DEFAULT_BREAKER_THRESHOLD`], no deadline). Explicit zeros are
+//! rejected up front with `R0605` ([`StreamError::InvalidConfig`]).
 
 pub mod governor;
 pub mod metrics;
@@ -63,7 +61,6 @@ pub use metrics::{
 pub use queue::{Closed, FrameQueue};
 pub use replay::{drifting_frame, replay, PinSpec, ReplayBundle, TrailEntry};
 pub use stream::{
-    Frame, Stage, Stream, StreamConfig, StreamError, StreamRun, BREAKER_ENV, DEADLINE_ENV,
-    DEFAULT_BREAKER_THRESHOLD, DEFAULT_CLOSE_AFTER, DEFAULT_PROBE_AFTER, DEFAULT_QUEUE_CAPACITY,
-    DEFAULT_WORKERS, QUEUE_ENV, WORKERS_ENV,
+    Frame, Stage, Stream, StreamConfig, StreamError, StreamRun, DEFAULT_BREAKER_THRESHOLD,
+    DEFAULT_CLOSE_AFTER, DEFAULT_PROBE_AFTER, DEFAULT_QUEUE_CAPACITY, DEFAULT_WORKERS,
 };

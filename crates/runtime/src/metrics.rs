@@ -135,9 +135,6 @@ pub struct StreamReport {
     pub cache_misses: u64,
     /// `hits / (hits + misses)`, 0 when the cache saw no traffic.
     pub cache_hit_rate: f64,
-    /// Explicit-vs-environment launch override conflicts (see
-    /// [`hipacc_sim::override_conflicts`], diagnostic `R0203`).
-    pub override_conflicts: Vec<String>,
     /// Trace lane (`tid`) every span of this stream carries.
     pub lane: u32,
     /// One span per frame×stage launch plus per-frame summary spans,
@@ -240,9 +237,6 @@ impl StreamReport {
                 "  replay bundle: frame {} at `{}` expecting {}",
                 b.seq, b.stage, b.expected_code
             );
-        }
-        for c in &self.override_conflicts {
-            let _ = writeln!(out, "  override conflict: {c}");
         }
         out
     }
@@ -350,12 +344,6 @@ impl StreamReport {
         let _ = write!(out, ",\"cache_hits\":{}", self.cache_hits);
         let _ = write!(out, ",\"cache_misses\":{}", self.cache_misses);
         let _ = write!(out, ",\"cache_hit_rate\":{:.3}", self.cache_hit_rate);
-        let conflicts: Vec<String> = self
-            .override_conflicts
-            .iter()
-            .map(|c| format!("\"{}\"", json::escape(c)))
-            .collect();
-        let _ = write!(out, ",\"override_conflicts\":[{}]", conflicts.join(","));
         let _ = write!(out, ",\"lane\":{}", self.lane);
         out.push('}');
         out
@@ -425,7 +413,6 @@ mod tests {
             cache_hits: 18,
             cache_misses: 2,
             cache_hit_rate: 0.9,
-            override_conflicts: vec!["explicit engine=simd overrides HIPACC_SIM_ENGINE".into()],
             lane: 2,
             spans: Vec::new(),
         }
@@ -502,7 +489,6 @@ mod tests {
             "R0606",
             "failed frame 3 at `gauss` [R0105]",
             "shed frame 0 [R0604]",
-            "override conflict",
             "recovered frames: 2",
             "fused [gauss + sobel]",
             "not fused [sobel | median] [F0102]",

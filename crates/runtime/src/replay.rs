@@ -384,7 +384,7 @@ impl ReplayBundle {
 }
 
 fn parse_engine(label: &str) -> Result<Engine, String> {
-    hipacc_sim::parse_engine_env(label).map_err(|_| {
+    Engine::from_label(label).ok_or_else(|| {
         format!("replay: unknown engine `{label}` (a bundle replays on `bytecode` or `simd`)")
     })
 }

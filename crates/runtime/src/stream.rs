@@ -53,37 +53,16 @@ use hipacc_core::supervisor::SupervisorConfig;
 use hipacc_core::{Engine, FaultPlan, KernelCache, Operator, Target};
 use hipacc_image::Image;
 use hipacc_profile::{now_us, Span};
-use hipacc_sim::launch::resolve_engine;
-use hipacc_sim::{SimError, WorkerPool};
+use hipacc_sim::WorkerPool;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Environment variable for the shared pool's worker count, consulted
-/// when [`StreamConfig::workers`] is `None` (explicit > env > default,
-/// the same precedence as the `HIPACC_SIM_*` launch knobs).
-pub const WORKERS_ENV: &str = "HIPACC_STREAM_WORKERS";
-
-/// Environment variable for the inter-stage queue bound, consulted when
-/// [`StreamConfig::queue_capacity`] is `None`.
-pub const QUEUE_ENV: &str = "HIPACC_STREAM_QUEUE";
-
-/// Environment variable for the per-frame virtual deadline budget in
-/// microseconds, consulted when [`StreamConfig::frame_deadline_us`] is
-/// `None`.
-pub const DEADLINE_ENV: &str = "HIPACC_STREAM_DEADLINE_US";
-
-/// Environment variable for the circuit-breaker strike threshold,
-/// consulted when [`StreamConfig::breaker_threshold`] is `None`.
-pub const BREAKER_ENV: &str = "HIPACC_BREAKER_THRESHOLD";
-
-/// Default worker count when neither the config nor [`WORKERS_ENV`]
-/// says otherwise.
+/// Default worker count when [`StreamConfig::workers`] is `None`.
 pub const DEFAULT_WORKERS: usize = 2;
 
-/// Default queue bound when neither the config nor [`QUEUE_ENV`] says
-/// otherwise.
+/// Default queue bound when [`StreamConfig::queue_capacity`] is `None`.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 4;
 
 /// Default breaker strike threshold (consecutive degraded-success
@@ -96,30 +75,18 @@ pub const DEFAULT_PROBE_AFTER: u32 = 4;
 /// Default consecutive clean probes before the breaker closes.
 pub const DEFAULT_CLOSE_AFTER: u32 = 2;
 
-fn env_usize(var: &str) -> Option<usize> {
-    std::env::var(var)
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|n| *n >= 1)
-}
-
-/// A stream run that could not start (diagnostic `R0605`) or could not
-/// resolve its engine. Per-frame failures never surface here — they are
-/// typed events in the [`StreamReport`].
+/// A stream run that could not start (diagnostic `R0605`). Per-frame
+/// failures never surface here — they are typed events in the
+/// [`StreamReport`].
 #[derive(Debug)]
 pub enum StreamError {
     /// The stream configuration is invalid (`R0605`): a zero worker
-    /// count, queue capacity, deadline, budget or breaker knob, a
-    /// malformed `HIPACC_STREAM_*` / `HIPACC_BREAKER_*` value, or an
+    /// count, queue capacity, deadline, budget or breaker knob, or an
     /// empty stage chain.
     InvalidConfig {
         /// What exactly was rejected.
         what: String,
     },
-    /// The engine override could not be resolved.
-    Engine(SimError),
 }
 
 impl std::fmt::Display for StreamError {
@@ -128,53 +95,25 @@ impl std::fmt::Display for StreamError {
             StreamError::InvalidConfig { what } => {
                 write!(f, "R0605: invalid stream configuration: {what}")
             }
-            StreamError::Engine(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for StreamError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StreamError::Engine(e) => Some(e),
-            StreamError::InvalidConfig { .. } => None,
-        }
-    }
-}
-
-impl From<SimError> for StreamError {
-    fn from(e: SimError) -> Self {
-        StreamError::Engine(e)
-    }
-}
+impl std::error::Error for StreamError {}
 
 fn invalid(what: impl Into<String>) -> StreamError {
     StreamError::InvalidConfig { what: what.into() }
 }
 
-/// Strict resolution of one `>= 1` knob, explicit > `env` > `None`: an
-/// explicit zero (reported as `zero`) or a present but malformed / zero
-/// `env` value is `R0605`.
-fn resolve_knob<T>(explicit: Option<T>, env: &str, zero: &str) -> Result<Option<T>, StreamError>
-where
-    T: std::str::FromStr + PartialOrd + From<u8>,
-{
-    if let Some(n) = explicit {
-        return if n >= T::from(1) {
-            Ok(Some(n))
-        } else {
-            Err(invalid(zero))
-        };
-    }
-    match std::env::var(env) {
-        Ok(raw) => match raw.trim().parse::<T>() {
-            Ok(n) if n >= T::from(1) => Ok(Some(n)),
-            _ => Err(invalid(format!(
-                "{env}=`{}` must be an integer >= 1",
-                raw.trim()
-            ))),
-        },
-        Err(_) => Ok(None),
+/// Strict check of one `>= 1` knob: an explicit zero (reported as
+/// `zero`) is `R0605`; `None` stays `None`.
+fn resolve_knob<T: PartialOrd + From<u8>>(
+    explicit: Option<T>,
+    zero: &str,
+) -> Result<Option<T>, StreamError> {
+    match explicit {
+        Some(n) if n < T::from(1) => Err(invalid(zero)),
+        n => Ok(n),
     }
 }
 
@@ -200,22 +139,20 @@ pub struct Stage {
     pub op: Operator,
 }
 
-/// Knobs of one stream run. Precedence for the sizing knobs is always
-/// **explicit config > environment > default**; the strict
-/// `resolve_*` methods reject zero or malformed values with `R0605`
+/// Knobs of one stream run. An unset sizing knob takes its default; the
+/// strict `resolve_*` methods reject explicit zeros with `R0605`
 /// ([`StreamError::InvalidConfig`]) at construction time, before any
 /// thread is spawned.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
-    /// Worker threads of the shared pool (`None` = [`WORKERS_ENV`],
-    /// then [`DEFAULT_WORKERS`]). Outputs are bit-identical for any
-    /// value; fix it for reproducible *timing*.
+    /// Worker threads of the shared pool (`None` =
+    /// [`DEFAULT_WORKERS`]). Outputs are bit-identical for any value;
+    /// fix it for reproducible *timing*.
     pub workers: Option<usize>,
-    /// Bound of every inter-stage queue (`None` = [`QUEUE_ENV`], then
+    /// Bound of every inter-stage queue (`None` =
     /// [`DEFAULT_QUEUE_CAPACITY`]).
     pub queue_capacity: Option<usize>,
-    /// Engine for every launch (`None` = `HIPACC_SIM_ENGINE`, then the
-    /// default simd engine).
+    /// Engine for every launch (`None` = the default simd engine).
     pub engine: Option<Engine>,
     /// Serve steady-state launches from the stream's kernel cache.
     /// `false` compiles fresh on every frame (the per-frame baseline).
@@ -230,7 +167,7 @@ pub struct StreamConfig {
     /// replay: the same map drives [`Stream::run_sequential`].
     pub faults: HashMap<u64, FaultPlan>,
     /// Per-frame virtual budget in µs across all stages (`None` =
-    /// [`DEADLINE_ENV`], then unbounded). A frame that exhausts it is
+    /// unbounded). A frame that exhausts it is
     /// failed with `R0602`; the remaining budget also caps every
     /// launch's fault-plan deadline, so a hung stage is cancelled on
     /// the virtual clock instead of wedging its thread.
@@ -239,8 +176,8 @@ pub struct StreamConfig {
     /// scheduling-invariant projection exceeds it, further frames fail
     /// with `R0603` instead of launching.
     pub stream_budget_us: Option<u64>,
-    /// Circuit-breaker strike threshold (`None` = [`BREAKER_ENV`],
-    /// then [`DEFAULT_BREAKER_THRESHOLD`]): consecutive
+    /// Circuit-breaker strike threshold (`None` =
+    /// [`DEFAULT_BREAKER_THRESHOLD`]): consecutive
     /// degraded-success frames before a stage is pinned (`R0606`).
     pub breaker_threshold: Option<u32>,
     /// Pinned frames before the breaker half-opens and probes the
@@ -289,61 +226,31 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// Resolved worker count: explicit > [`WORKERS_ENV`] > default.
-    /// Lenient (clamps to ≥ 1) — display/telemetry only; runs go
-    /// through [`Self::resolve_workers`].
-    pub fn effective_workers(&self) -> usize {
-        self.workers
-            .or_else(|| env_usize(WORKERS_ENV))
-            .unwrap_or(DEFAULT_WORKERS)
-            .max(1)
-    }
-
-    /// Resolved queue bound: explicit > [`QUEUE_ENV`] > default.
-    /// Lenient — see [`Self::resolve_queue_capacity`] for the strict
-    /// form runs use.
-    pub fn effective_queue_capacity(&self) -> usize {
-        self.queue_capacity
-            .or_else(|| env_usize(QUEUE_ENV))
-            .unwrap_or(DEFAULT_QUEUE_CAPACITY)
-            .max(1)
-    }
-
-    /// Strict worker count: an explicit `Some(0)` or a present but
-    /// malformed / zero [`WORKERS_ENV`] is rejected with `R0605`.
+    /// Strict worker count: an explicit `Some(0)` is rejected with
+    /// `R0605`.
     pub fn resolve_workers(&self) -> Result<usize, StreamError> {
-        let n = resolve_knob(self.workers, WORKERS_ENV, "workers must be >= 1")?;
+        let n = resolve_knob(self.workers, "workers must be >= 1")?;
         Ok(n.unwrap_or(DEFAULT_WORKERS))
     }
 
-    /// Strict queue bound: rejects zero / malformed values with `R0605`.
+    /// Strict queue bound: an explicit zero is `R0605`.
     pub fn resolve_queue_capacity(&self) -> Result<usize, StreamError> {
-        let n = resolve_knob(
-            self.queue_capacity,
-            QUEUE_ENV,
-            "queue capacity must be >= 1",
-        )?;
+        let n = resolve_knob(self.queue_capacity, "queue capacity must be >= 1")?;
         Ok(n.unwrap_or(DEFAULT_QUEUE_CAPACITY))
     }
 
     /// Strict per-frame deadline budget: `None` means unbounded, but an
-    /// explicit zero or a malformed / zero [`DEADLINE_ENV`] is `R0605`.
+    /// explicit zero is `R0605`.
     pub fn resolve_frame_deadline(&self) -> Result<Option<u64>, StreamError> {
         resolve_knob(
             self.frame_deadline_us,
-            DEADLINE_ENV,
             "frame deadline must be >= 1 virtual us",
         )
     }
 
-    /// Strict breaker threshold: explicit zero or malformed / zero
-    /// [`BREAKER_ENV`] is `R0605`.
+    /// Strict breaker threshold: an explicit zero is `R0605`.
     pub fn resolve_breaker_threshold(&self) -> Result<u32, StreamError> {
-        let n = resolve_knob(
-            self.breaker_threshold,
-            BREAKER_ENV,
-            "breaker threshold must be >= 1",
-        )?;
+        let n = resolve_knob(self.breaker_threshold, "breaker threshold must be >= 1")?;
         Ok(n.unwrap_or(DEFAULT_BREAKER_THRESHOLD))
     }
 
@@ -888,10 +795,10 @@ impl Stream {
 
     /// Validate the configuration, plan the chain and build what every
     /// launch of one run shares. Fails only on an invalid configuration
-    /// (`R0605`) or an unresolvable engine override.
+    /// (`R0605`).
     fn begin(&self, frames: &[Image<f32>]) -> Result<RunCtx, StreamError> {
         self.config.validate()?;
-        let engine = resolve_engine(self.config.engine)?;
+        let engine = self.config.engine.unwrap_or_default();
         if self.stages.is_empty() {
             return Err(invalid("stream has no stages"));
         }
@@ -950,9 +857,9 @@ impl Stream {
     /// Run the chain over `frames` as a streaming pipeline: one thread
     /// per stage, bounded queues between them, block work multiplexed
     /// over the shared pool, all under the resilience governor. Fails
-    /// only on an invalid configuration (`R0605`) or an unresolvable
-    /// engine override; per-frame failures, sheds and breaker
-    /// transitions are typed events in the report instead.
+    /// only on an invalid configuration (`R0605`); per-frame failures,
+    /// sheds and breaker transitions are typed events in the report
+    /// instead.
     pub fn run(&self, frames: Vec<Image<f32>>) -> Result<StreamRun, StreamError> {
         let ctx = self.begin(&frames)?;
         let n_stages = ctx.stages.len();
@@ -1137,10 +1044,6 @@ impl Stream {
             } else {
                 0.0
             },
-            override_conflicts: hipacc_sim::override_conflicts(self.config.engine, None)
-                .into_iter()
-                .map(|c| c.to_string())
-                .collect(),
             lane: self.config.lane,
             spans,
         };

@@ -190,11 +190,6 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Number of barrier-delimited phases.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
-
     /// Size of the per-thread register file.
     pub fn thread_regs(&self) -> usize {
         self.n_regs
@@ -211,12 +206,6 @@ impl CompiledKernel {
     /// to report; this stays for callers that still ask.
     pub fn block_is_interior(&self, bx: u32, by: u32) -> bool {
         bx < self.grid.0 && by < self.grid.1
-    }
-
-    /// Names of the constant buffers whose coefficients were captured at
-    /// compile time (a re-upload requires recompiling).
-    pub fn captured_const_buffers(&self) -> impl Iterator<Item = &str> {
-        self.consts.iter().map(|c| c.name.as_str())
     }
 
     /// The first piece of launch-constant state in which `params` and
@@ -1730,7 +1719,7 @@ impl CompiledKernel {
             .collect();
         let pool = self.pool.as_deref();
         let n_workers =
-            crate::sched::effective_workers_pooled(self.sim_threads, blocks.len(), pool)?;
+            crate::sched::effective_workers_pooled(self.sim_threads, blocks.len(), pool);
 
         // Results are keyed by the linear block index and stores applied
         // in block order afterwards, exactly like the specification, so

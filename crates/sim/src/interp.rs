@@ -56,12 +56,9 @@ pub enum SimError {
     /// Expression evaluation failed (type confusion — should be caught by
     /// the device type check).
     EvalError(String),
-    /// The `HIPACC_SIM_THREADS` environment variable held a non-numeric
-    /// or zero value (see [`crate::sched::parse_thread_env`]).
-    InvalidThreadCount(String),
     /// The launch is invalid — a zero-sized grid or block, an empty
-    /// iteration space, inputs of different sizes, or a `HIPACC_SIM_ENGINE`
-    /// value naming no engine — and was rejected before dispatch.
+    /// iteration space, or inputs of different sizes — and was rejected
+    /// before dispatch.
     InvalidLaunch(String),
     /// A worker's virtual clock passed the launch deadline (a hung or
     /// badly stalled worker under fault injection); the launch was
@@ -85,7 +82,6 @@ impl fmt::Display for SimError {
             SimError::DivisionByZero => write!(f, "integer division by zero"),
             SimError::NestedBarrier => write!(f, "barrier inside control flow"),
             SimError::EvalError(m) => write!(f, "evaluation error: {m}"),
-            SimError::InvalidThreadCount(m) => write!(f, "invalid worker count: {m}"),
             SimError::InvalidLaunch(m) => write!(f, "invalid launch: {m}"),
             SimError::DeadlineExceeded {
                 worker,

@@ -62,9 +62,7 @@ pub struct LaunchSpec<'a> {
     /// name in [`Self::params`] and the derived geometry defaults.
     pub scalars: HashMap<String, Const>,
     /// Explicit host worker-thread count for the parallel block loop
-    /// (`None` = `HIPACC_SIM_THREADS`, then the pool width, then
-    /// available parallelism). When both this field and the environment
-    /// variable are set, this field wins — see [`override_conflicts`].
+    /// (`None` = the pool width, then available parallelism).
     pub sim_threads: Option<usize>,
     /// Shared worker pool executing the block loop (`None` = per-launch
     /// scoped threads, the historical behaviour).
@@ -316,12 +314,19 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Stable lowercase name, also accepted by [`parse_engine_env`].
+    /// Stable lowercase name; [`Self::from_label`] reads it back.
     pub fn label(self) -> &'static str {
         match self {
             Engine::Bytecode => "bytecode",
             Engine::Simd => "simd",
         }
+    }
+
+    /// The engine whose [`Self::label`] is `label`, if any.
+    pub fn from_label(label: &str) -> Option<Engine> {
+        [Engine::Bytecode, Engine::Simd]
+            .into_iter()
+            .find(|e| e.label() == label)
     }
 
     /// Always `Some(self)`. Exists for `benchmark/src/trace.rs`, which
@@ -332,108 +337,7 @@ impl Engine {
     }
 }
 
-/// Environment variable selecting the execution engine (lowest
-/// precedence, below the explicit `*_with` arguments).
-pub const ENGINE_ENV: &str = "HIPACC_SIM_ENGINE";
-
-/// Parse a `HIPACC_SIM_ENGINE` value: `bytecode` or `simd`.
-///
-/// Unknown names are rejected with a description — a typo'd override
-/// must fail the launch, not silently run a different engine than the
-/// benchmark believes it is measuring.
-pub fn parse_engine_env(raw: &str) -> Result<Engine, String> {
-    match raw.trim() {
-        "bytecode" => Ok(Engine::Bytecode),
-        "simd" => Ok(Engine::Simd),
-        other => Err(format!(
-            "{ENGINE_ENV} must be one of `bytecode`, `simd`, got `{other}`"
-        )),
-    }
-}
-
-/// Resolve the effective engine: the explicit override wins, then
-/// `HIPACC_SIM_ENGINE`, then [`Engine::default`]. An invalid environment
-/// value is a launch error, not a silent fallback.
-pub fn resolve_engine(explicit: Option<Engine>) -> Result<Engine, SimError> {
-    if let Some(e) = explicit {
-        return Ok(e);
-    }
-    match std::env::var(ENGINE_ENV) {
-        Ok(raw) => parse_engine_env(&raw).map_err(SimError::InvalidLaunch),
-        Err(_) => Ok(Engine::default()),
-    }
-}
-
-/// One launch override where an explicit setting and the environment
-/// disagree. The explicit setting always wins (see [`override_conflicts`]);
-/// the conflict is reported so a benchmark run with a stale
-/// `HIPACC_SIM_*` variable in the shell cannot silently believe the
-/// environment took effect.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OverrideConflict {
-    /// The environment variable that lost ([`ENGINE_ENV`] or
-    /// [`crate::sched::THREADS_ENV`]).
-    pub env_var: &'static str,
-    /// The raw environment value that was ignored.
-    pub env_value: String,
-    /// The explicit spec value that won, rendered for display.
-    pub explicit: String,
-}
-
-impl std::fmt::Display for OverrideConflict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "explicit {} overrides conflicting {}={}",
-            self.explicit, self.env_var, self.env_value
-        )
-    }
-}
-
-/// Detect explicit-vs-environment override conflicts for one launch.
-///
-/// Precedence is always **explicit spec > environment > default**:
-/// a `*_with` engine argument beats `HIPACC_SIM_ENGINE`, and
-/// [`LaunchSpec::sim_threads`] beats
-/// `HIPACC_SIM_THREADS`. This function reports every knob where the two
-/// levels are simultaneously set *and disagree* — including an
-/// unparsable environment value shadowed by an explicit setting, which
-/// would have failed the launch on its own. Agreeing values are not a
-/// conflict.
-pub fn override_conflicts(
-    engine: Option<Engine>,
-    sim_threads: Option<usize>,
-) -> Vec<OverrideConflict> {
-    let mut conflicts = Vec::new();
-    if let (Some(explicit), Ok(raw)) = (engine, std::env::var(ENGINE_ENV)) {
-        let agree = parse_engine_env(&raw)
-            .map(|e| e == explicit)
-            .unwrap_or(false);
-        if !agree {
-            conflicts.push(OverrideConflict {
-                env_var: ENGINE_ENV,
-                env_value: raw,
-                explicit: format!("engine={}", explicit.label()),
-            });
-        }
-    }
-    if let (Some(explicit), Ok(raw)) = (sim_threads, std::env::var(crate::sched::THREADS_ENV)) {
-        let agree = crate::sched::parse_thread_env(&raw)
-            .map(|n| n == explicit)
-            .unwrap_or(false);
-        if !agree {
-            conflicts.push(OverrideConflict {
-                env_var: crate::sched::THREADS_ENV,
-                env_value: raw,
-                explicit: format!("sim_threads={explicit}"),
-            });
-        }
-    }
-    conflicts
-}
-
-/// Run a device kernel over host images with the resolved engine:
-/// `HIPACC_SIM_ENGINE` if set, else [`Engine::default`] (simd).
+/// Run a device kernel over host images on [`Engine::default`] (simd).
 ///
 /// The first input image defines the output geometry. Buffers named in the
 /// kernel but missing from `inputs`/`mask_data` produce
@@ -442,7 +346,7 @@ pub fn run_on_image(
     kernel: &DeviceKernelDef,
     spec: &LaunchSpec<'_>,
 ) -> Result<LaunchResult, SimError> {
-    run_on_image_with(kernel, spec, resolve_engine(None)?)
+    run_on_image_with(kernel, spec, Engine::default())
 }
 
 /// Run a device kernel over host images on an explicitly chosen engine.
@@ -685,6 +589,14 @@ mod tests {
     use super::*;
     use hipacc_ir::kernel::*;
     use hipacc_ir::{Builtin, Expr, ScalarType, Stmt};
+
+    #[test]
+    fn engine_labels_round_trip() {
+        for e in [Engine::Bytecode, Engine::Simd] {
+            assert_eq!(Engine::from_label(e.label()), Some(e));
+        }
+        assert_eq!(Engine::from_label("tree-walk"), None);
+    }
 
     /// OUT(x, y) = IN(x, y) + 1 with the standard guard.
     fn add_one_kernel() -> DeviceKernelDef {

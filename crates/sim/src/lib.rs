@@ -74,14 +74,11 @@ pub use bytecode::{compile, execute as execute_bytecode, CompiledKernel};
 pub use inject::{BlockFault, BlockLedger, FaultHook, FaultedRun, RepairStore};
 pub use interp::{execute_observed, ExecStats, SimError};
 pub use launch::{
-    override_conflicts, parse_engine_env, repair_blocks, resolve_engine, run_on_image,
-    run_on_image_instrumented, run_on_image_with, Engine, LaunchResult, OverrideConflict,
-    TapeCounters, TapeMemo, TapeRebuild, TapeReport, TapeSource, ENGINE_ENV,
+    repair_blocks, run_on_image, run_on_image_instrumented, run_on_image_with, Engine,
+    LaunchResult, TapeCounters, TapeMemo, TapeRebuild, TapeReport, TapeSource,
 };
 pub use memory::{DeviceMemory, LaunchParams};
 pub use observer::ObserverReport;
 pub use pool::WorkerPool;
-pub use sched::{
-    parse_thread_env, BlockProfile, ExecProfile, FallbackCause, GridRun, SimdTelemetry,
-};
+pub use sched::{BlockProfile, ExecProfile, FallbackCause, GridRun, SimdTelemetry};
 pub use timing::{estimate_time, TimeBreakdown, TimingInput};

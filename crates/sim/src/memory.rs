@@ -132,7 +132,7 @@ pub struct LaunchParams {
     /// Scalar kernel arguments by parameter name.
     pub scalars: HashMap<String, Const>,
     /// Explicit host worker-thread count for the parallel block loop.
-    /// `None` falls back to `HIPACC_SIM_THREADS`, then to the machine's
+    /// `None` falls back to the pool's width, then to the machine's
     /// available parallelism (see [`crate::sched::effective_workers_pooled`]).
     pub sim_threads: Option<usize>,
     /// Shared worker pool for the block loop. `None` spawns per-launch

@@ -17,9 +17,8 @@
 //! the worker whose host thread the OS treated worst.
 //!
 //! The worker count defaults to the host's available parallelism but can
-//! be pinned for reproducible profiles and benches, either per launch
-//! ([`LaunchParams::sim_threads`]) or process-wide with the
-//! `HIPACC_SIM_THREADS` environment variable (the explicit field wins).
+//! be pinned per launch for reproducible profiles and benches
+//! ([`LaunchParams::sim_threads`]).
 //!
 //! Per-block execution profiles ([`ExecProfile`]) record each block's
 //! strided worker along with the block's [`ExecStats`], so the launch
@@ -27,65 +26,33 @@
 //!
 //! [`LaunchParams::sim_threads`]: crate::memory::LaunchParams::sim_threads
 
-use crate::interp::{ExecStats, SimError};
+use crate::interp::ExecStats;
 use crate::pool::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the worker count (lowest precedence).
-pub const THREADS_ENV: &str = "HIPACC_SIM_THREADS";
-
-/// Parse a `HIPACC_SIM_THREADS` value: a positive decimal integer.
-///
-/// Non-numeric input and zero are rejected with a description — a typo'd
-/// override must fail the launch, not silently fall back to the machine's
-/// parallelism (which can hide a 10× reproducibility bug in benchmarks).
-pub fn parse_thread_env(raw: &str) -> Result<usize, String> {
-    let trimmed = raw.trim();
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(format!(
-            "{THREADS_ENV} must be a positive worker count, got `0`"
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "{THREADS_ENV} must be a positive integer, got `{trimmed}`"
-        )),
-    }
-}
-
 /// Resolve the effective worker count for a launch of `n_blocks` blocks.
 ///
-/// Precedence: the explicit `requested` override (a [`LaunchParams`]
-/// field), then the `HIPACC_SIM_THREADS` environment variable, then the
-/// shared [`WorkerPool`]'s thread count, then
+/// Precedence: the explicit `requested` count (a [`LaunchParams`]
+/// field), then the shared [`WorkerPool`]'s thread count, then
 /// [`std::thread::available_parallelism`]. A launch running on a pool
 /// should default to exactly the pool's width — more would oversubscribe
 /// the queue, fewer would idle paid-for threads. The result is clamped to
 /// `1..=n_blocks` (at least one worker, never more workers than blocks).
-///
-/// An invalid `HIPACC_SIM_THREADS` value (non-numeric or zero) is a
-/// launch error ([`SimError::InvalidThreadCount`]), not a silent
-/// fallback.
 ///
 /// [`LaunchParams`]: crate::memory::LaunchParams
 pub fn effective_workers_pooled(
     requested: Option<usize>,
     n_blocks: usize,
     pool: Option<&WorkerPool>,
-) -> Result<usize, SimError> {
-    let n = match requested {
-        Some(n) => n,
-        None => match std::env::var(THREADS_ENV) {
-            Ok(raw) => parse_thread_env(&raw).map_err(SimError::InvalidThreadCount)?,
-            Err(_) => match pool {
-                Some(p) => p.workers(),
-                None => std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4),
-            },
-        },
-    };
-    Ok(n.clamp(1, n_blocks.max(1)))
+) -> usize {
+    let n = requested.unwrap_or_else(|| match pool {
+        Some(p) => p.workers(),
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4),
+    });
+    n.clamp(1, n_blocks.max(1))
 }
 
 /// Run `n_workers` copies of the per-worker closure and collect their
@@ -236,9 +203,8 @@ pub enum FallbackCause {
     /// One phase loads and stores the same shared tile, so deferred lane
     /// stores would be visible: every block of the launch runs scalar.
     SharedTileHazard,
-    /// This block's vector run hit an evaluation error (or a scalar-file
-    /// write under a partial mask) and was re-run scalar, which owns the
-    /// error.
+    /// This block's vector run hit an evaluation error and was re-run
+    /// scalar, which owns the error.
     BlockBail,
 }
 
@@ -428,24 +394,10 @@ mod tests {
     #[test]
     fn explicit_override_wins_and_is_clamped() {
         let workers = |requested, n_blocks| effective_workers_pooled(requested, n_blocks, None);
-        assert_eq!(workers(Some(3), 100).unwrap(), 3);
-        assert_eq!(
-            workers(Some(0), 100).unwrap(),
-            1,
-            "explicit zero clamps to one"
-        );
-        assert_eq!(workers(Some(64), 10).unwrap(), 10, "capped at blocks");
-        assert_eq!(workers(Some(4), 0).unwrap(), 1, "empty grid still valid");
-    }
-
-    #[test]
-    fn thread_env_values_parse_strictly() {
-        assert_eq!(parse_thread_env("4"), Ok(4));
-        assert_eq!(parse_thread_env("  16 "), Ok(16), "whitespace trimmed");
-        for bad in ["0", "", "four", "3.5", "-2", "0x10"] {
-            let err = parse_thread_env(bad).unwrap_err();
-            assert!(err.contains(THREADS_ENV), "{bad:?}: {err}");
-        }
+        assert_eq!(workers(Some(3), 100), 3);
+        assert_eq!(workers(Some(0), 100), 1, "explicit zero clamps to one");
+        assert_eq!(workers(Some(64), 10), 10, "capped at blocks");
+        assert_eq!(workers(Some(4), 0), 1, "empty grid still valid");
     }
 
     #[test]

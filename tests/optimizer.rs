@@ -1,5 +1,5 @@
 //! The analysis-driven optimizer: translation validation, per-pass fire
-//! tests, mutant re-verification, and the `HIPACC_OPT_DISABLE` veto.
+//! tests, mutant re-verification, and the pass veto.
 //!
 //! * **Translation validation** — for randomized operators (filter,
 //!   boundary mode, memory variant, geometry) the optimized kernel must
@@ -16,13 +16,9 @@
 //!   clamps, deleted staging barrier, dropped wrap-around modulo) are
 //!   caught by the re-run verifier, demonstrating the safety net the
 //!   compiler puts under the real passes.
-//! * **Env veto** — `HIPACC_OPT_DISABLE` skips exactly the named passes
-//!   and never changes results, and disabling everything reproduces the
-//!   opt-0 kernel body.
-//!
-//! Tests that read or write `HIPACC_OPT_DISABLE`, or that assert on the
-//! fire counts of a default compile, hold `ENV_LOCK`: the environment is
-//! process-global and the test binary runs tests concurrently.
+//! * **Pass veto** — `CompileSpec::disabled_passes` skips exactly the
+//!   named passes and never changes results, and disabling everything
+//!   reproduces the opt-0 kernel body.
 
 use hipacc_analysis::races::removable_barriers;
 use hipacc_analysis::range::RangeState;
@@ -39,11 +35,6 @@ use hipacc_ir::ty::Const;
 use hipacc_ir::{opt, BinOp, Builtin, Expr, KernelDef, LValue, MathFn, ScalarType, Stmt};
 use hipacc_sim::launch::{bind, run_on_image_instrumented, run_on_image_with};
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Guards `HIPACC_OPT_DISABLE` and any assertion about default-compile
-/// fire counts (the env var is process-global).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn cases(n: u64, mut f: impl FnMut(u64, &mut Pcg32)) {
     for i in 0..n {
@@ -83,8 +74,6 @@ fn mix_kernel() -> KernelDef {
 /// somewhere in the sweep.
 #[test]
 fn translation_validation_on_random_operators() {
-    let _g = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("HIPACC_OPT_DISABLE");
     let target = Target::cuda(device::tesla_c2050());
     let modes = [
         BoundaryMode::Clamp,
@@ -168,8 +157,6 @@ fn translation_validation_on_random_operators() {
 /// host.
 #[test]
 fn opt1_takes_fewer_simd_warp_steps_on_the_interior_gaussian() {
-    let _g = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("HIPACC_OPT_DISABLE");
     let target = Target::cuda(device::tesla_c2050());
     let img = phantom::vessel_tree(128, 128, &phantom::VesselParams::default());
     let run = |opt_level: u8| {
@@ -244,8 +231,6 @@ fn runtime_roi_shrink_bit_identical_across_opt_levels() {
 /// at opt 0 it is empty.
 #[test]
 fn opt_report_names_passes_in_pipeline_order() {
-    let _g = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("HIPACC_OPT_DISABLE");
     let target = Target::cuda(device::tesla_c2050());
     let compiled = gaussian_operator(5, 1.1, BoundaryMode::Clamp)
         .compile(&target, 64, 48)
@@ -271,40 +256,32 @@ fn opt_report_names_passes_in_pipeline_order() {
     assert_eq!(c0.opt.total(), 0);
 }
 
-/// `HIPACC_OPT_DISABLE` parsing, selective veto, and the guarantee that
-/// vetoing passes never changes results — disabling everything
+/// `CompileSpec::disabled_passes`: a selective veto, and the guarantee
+/// that vetoing passes never changes results — disabling everything
 /// reproduces the opt-0 kernel body exactly.
 #[test]
 fn opt_disable_env_vetoes_passes_and_preserves_semantics() {
-    let _g = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("HIPACC_OPT_DISABLE");
     let target = Target::cuda(device::tesla_c2050());
     let img = phantom::vessel_tree(48, 36, &phantom::VesselParams::default());
-    let compile = |level: u8| {
-        let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp).with_options(PipelineOptions {
-            opt_level: level,
-            ..PipelineOptions::default()
-        });
-        let compiled = op.compile(&target, 48, 36).unwrap();
+    let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
+    let compile = |level: u8, disabled: &[&str]| {
+        let mut spec = op.compile_spec(&target, 48, 36);
+        spec.opt_level = level;
+        spec.disabled_passes = disabled.iter().map(|p| p.to_string()).collect();
+        let compiled = Compiler::new().compile(&op.def, &spec).unwrap();
         let spec =
             pipeline::launch_spec(&compiled, &[("Input", &img)], &op.params, &op.mask_uploads);
         let run = run_on_image_with(&compiled.device_kernel, &spec, Engine::Bytecode).unwrap();
         (compiled, bits(&run.output))
     };
-    let (c0, out0) = compile(0);
-    let (c1, out1) = compile(1);
+    let (c0, out0) = compile(0, &[]);
+    let (c1, out1) = compile(1, &[]);
     assert!(c1.opt.total() > 0, "baseline opt-1 compile must fire");
     assert_eq!(out0, out1);
 
-    // Parsing trims, lowercases and drops empty entries.
-    std::env::set_var("HIPACC_OPT_DISABLE", " Hoist ,, FOLD ");
-    let parsed: Vec<String> = hipacc_codegen::disabled_passes().into_iter().collect();
-    assert_eq!(parsed, ["fold", "hoist"]);
-
     // A single vetoed pass is skipped (absent from the report), the rest
     // still run, and the output is unchanged.
-    std::env::set_var("HIPACC_OPT_DISABLE", "hoist");
-    let (c_nh, out_nh) = compile(1);
+    let (c_nh, out_nh) = compile(1, &[opt::PASS_HOIST]);
     assert!(c_nh.opt.passes.iter().all(|(n, _)| n != opt::PASS_HOIST));
     assert!(c_nh
         .opt
@@ -314,12 +291,10 @@ fn opt_disable_env_vetoes_passes_and_preserves_semantics() {
     assert_eq!(out_nh, out0);
 
     // Vetoing every pass reproduces the opt-0 device kernel bit for bit.
-    std::env::set_var("HIPACC_OPT_DISABLE", opt::PASSES.join(","));
-    let (c_all, out_all) = compile(1);
+    let (c_all, out_all) = compile(1, opt::PASSES);
     assert!(c_all.opt.passes.is_empty());
     assert_eq!(c_all.device_kernel.body, c0.device_kernel.body);
     assert_eq!(out_all, out0);
-    std::env::remove_var("HIPACC_OPT_DISABLE");
 }
 
 // ---------------------------------------------------------------------

@@ -13,13 +13,9 @@
 //!   parser and carries the compile-phase and launch spans.
 //! * `opt:uniformity` times the fixpoint `flatten` consumes: one span
 //!   per opt-1 compile, none when nothing would read the result.
-//!
-//! One test sets `HIPACC_OPT_DISABLE`, which every compile reads and
-//! which is process-global, so it holds `ENV` for writing while every
-//! other test (they all compile) holds it for reading.
 
 use hipacc_core::prelude::*;
-use hipacc_core::{Engine, Operator, PipelineOptions, Target};
+use hipacc_core::{Engine, Operator, Target};
 use hipacc_filters::{
     bilateral::bilateral_operator, boxf::box_operator, gaussian::gaussian_operator,
     harris::harris_response_kernel, laplacian::laplacian_operator, median::median3_operator,
@@ -27,10 +23,6 @@ use hipacc_filters::{
 };
 use hipacc_hwmodel::{device, Vendor};
 use hipacc_image::phantom;
-use std::sync::RwLock;
-
-/// Guards `HIPACC_OPT_DISABLE` (see the module docs).
-static ENV: RwLock<()> = RwLock::new(());
 
 /// The five frozen device models of the evaluation.
 fn frozen_devices() -> Vec<hipacc_hwmodel::DeviceModel> {
@@ -87,7 +79,6 @@ fn inputs<'a>(name: &str, img: &'a Image<f32>) -> Vec<(&'static str, &'a Image<f
 /// OpenCL-only, as in the paper's toolchain.)
 #[test]
 fn per_region_stats_sum_to_launch_totals_across_the_sweep() {
-    let _env = ENV.read().unwrap();
     let img = test_image();
     for (name, op) in shipped_operators() {
         for dev in frozen_devices() {
@@ -122,7 +113,6 @@ fn per_region_stats_sum_to_launch_totals_across_the_sweep() {
 /// bit-identical to the plain `execute` path on both engines.
 #[test]
 fn profiled_run_matches_plain_execute() {
-    let _env = ENV.read().unwrap();
     let img = test_image();
     let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
     let target = Target::cuda(device::tesla_c2050());
@@ -146,7 +136,6 @@ fn profiled_run_matches_plain_execute() {
 /// and outputs.
 #[test]
 fn engines_agree_on_region_profiles() {
-    let _env = ENV.read().unwrap();
     let img = test_image();
     let op = bilateral_operator(1, 5, true, BoundaryMode::Clamp);
     let target = Target::cuda(device::tesla_c2050());
@@ -168,7 +157,6 @@ fn engines_agree_on_region_profiles() {
 /// cannot race.
 #[test]
 fn outputs_bit_identical_across_worker_counts() {
-    let _env = ENV.read().unwrap();
     let img = test_image();
     let target = Target::cuda(device::tesla_c2050());
     for engine in [Engine::Bytecode, Engine::Simd] {
@@ -211,7 +199,6 @@ fn outputs_bit_identical_across_worker_counts() {
 /// pipeline promises: compile phases, verifier passes, and the launch.
 #[test]
 fn chrome_trace_round_trips_with_expected_spans() {
-    let _env = ENV.read().unwrap();
     let img = test_image();
     let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
     let target = Target::cuda(device::tesla_c2050());
@@ -252,23 +239,21 @@ fn chrome_trace_round_trips_with_expected_spans() {
 /// no pass would read the result (opt 0, or `flatten` vetoed).
 #[test]
 fn uniformity_span_times_the_value_flatten_uses() {
-    let _env = ENV.write().unwrap();
-    let img = test_image();
     let target = Target::cuda(device::tesla_c2050());
-    let opt_spans = |opt_level: u8| -> Vec<String> {
-        let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp).with_options(PipelineOptions {
-            opt_level,
-            ..PipelineOptions::default()
-        });
-        let (_, profile) = op
-            .execute_profiled(&[("Input", &img)], &target, Engine::default())
+    let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
+    let opt_spans = |opt_level: u8, disabled: &[&str]| -> Vec<String> {
+        let mut spec = op.compile_spec(&target, 96, 80);
+        spec.opt_level = opt_level;
+        spec.disabled_passes = disabled.iter().map(|p| p.to_string()).collect();
+        let mut rec = hipacc_profile::Recorder::new();
+        hipacc_codegen::Compiler::new()
+            .compile_with_sink(&op.def, &spec, &mut rec)
             .unwrap();
-        let spans = profile.spans.into_iter().map(|s| s.name);
+        let spans = rec.into_spans().into_iter().map(|s| s.name);
         spans.filter(|n| n.starts_with("opt:")).collect()
     };
 
-    std::env::remove_var("HIPACC_OPT_DISABLE");
-    let names = opt_spans(1);
+    let names = opt_spans(1, &[]);
     let at = names.iter().position(|n| n == "opt:uniformity").unwrap();
     assert_eq!(
         names[at - 1..=at + 1],
@@ -276,11 +261,9 @@ fn uniformity_span_times_the_value_flatten_uses() {
     );
     assert!(!names[at + 1..].contains(&names[at]), "{names:?}");
 
-    assert_eq!(opt_spans(0), Vec::<String>::new());
+    assert_eq!(opt_spans(0, &[]), Vec::<String>::new());
 
-    std::env::set_var("HIPACC_OPT_DISABLE", "flatten");
-    let names = opt_spans(1);
-    std::env::remove_var("HIPACC_OPT_DISABLE");
+    let names = opt_spans(1, &[hipacc_ir::opt::PASS_FLATTEN]);
     assert!(names.contains(&"opt:strength-reduce".to_string()));
     assert!(
         !names
@@ -294,7 +277,6 @@ fn uniformity_span_times_the_value_flatten_uses() {
 /// pipeline's phases in order.
 #[test]
 fn phase_times_populated_on_plain_compiles() {
-    let _env = ENV.read().unwrap();
     let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
     let compiled = op
         .compile(&Target::cuda(device::tesla_c2050()), 96, 80)

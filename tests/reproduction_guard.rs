@@ -80,3 +80,30 @@ fn heuristic_still_picks_the_papers_configuration() {
         .unwrap();
     assert_eq!((c.config.bx, c.config.by), (32, 6), "Figure 4's optimum");
 }
+
+/// EXPERIMENTS.md quotes `reproduce --all` byte for byte: a change that
+/// moves a modelled time, a table cell or the LoC count fails here,
+/// naming the first line that differs.
+#[test]
+fn experiments_md_quotes_the_full_report() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let head = doc
+        .find("## Full paper-vs-model tables")
+        .expect("EXPERIMENTS.md has the full-tables section");
+    let open = head + doc[head..].find("```text\n").expect("fenced block") + "```text\n".len();
+    let close = open + doc[open..].find("```").expect("closing fence");
+    let quoted = &doc[open..close];
+    let first_line = doc[..open].lines().count() + 1;
+
+    let rendered = hipacc_bench::report::render_all();
+    let (q, r): (Vec<&str>, Vec<&str>) = (quoted.lines().collect(), rendered.lines().collect());
+    if let Some(i) = (0..q.len().max(r.len())).find(|&i| q.get(i) != r.get(i)) {
+        panic!(
+            "EXPERIMENTS.md:{}: quoted {:?}, `reproduce --all` prints {:?}",
+            first_line + i,
+            q.get(i),
+            r.get(i)
+        );
+    }
+    assert_eq!(quoted, rendered, "the report's trailing blank lines differ");
+}

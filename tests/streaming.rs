@@ -305,45 +305,110 @@ fn concurrent_streams_get_their_own_trace_lanes() {
     assert_eq!(cache.hits() + cache.misses(), 18);
 }
 
-/// Streaming knob precedence is explicit config > environment > default.
-#[test]
-fn stream_knobs_resolve_explicit_over_env_over_default() {
-    // Serialize with a local lock: this is the only test in this binary
-    // touching the HIPACC_STREAM_* variables, but keep the pattern.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _g = ENV_LOCK.lock().unwrap();
+// ---------------------------------------------------------------------
+// Stream configuration validation (R0605): a nonsensical knob is
+// rejected at construction, before any frame is enqueued.
+// ---------------------------------------------------------------------
 
+fn validated_stream(config: StreamConfig) -> Stream {
+    Stream::new("validated", Target::cuda(device::tesla_c2050()))
+        .stage("sobel", sobel_operator(true, BoundaryMode::Clamp))
+        .with_config(config)
+}
+
+fn reject(config: StreamConfig, what: &str) {
+    let err = validated_stream(config.clone())
+        .run(frame_sequence(1))
+        .expect_err(&format!("{what} must be rejected by run()"));
+    assert!(
+        err.to_string().contains("R0605"),
+        "{what}: the rejection must carry the typed code, got: {err}"
+    );
+    let err = validated_stream(config)
+        .run_sequential(frame_sequence(1))
+        .expect_err(&format!("{what} must be rejected by run_sequential()"));
+    assert!(err.to_string().contains("R0605"), "{what}: {err}");
+}
+
+#[test]
+fn zero_valued_stream_knobs_are_rejected_with_r0605() {
     let defaults = StreamConfig::default();
-    std::env::remove_var(hipacc_runtime::WORKERS_ENV);
-    std::env::remove_var(hipacc_runtime::QUEUE_ENV);
+    assert!(defaults.validate().is_ok(), "defaults validate clean");
     assert_eq!(
-        defaults.effective_workers(),
+        defaults.resolve_workers().unwrap(),
         hipacc_runtime::DEFAULT_WORKERS
     );
     assert_eq!(
-        defaults.effective_queue_capacity(),
+        defaults.resolve_queue_capacity().unwrap(),
         hipacc_runtime::DEFAULT_QUEUE_CAPACITY
     );
+    let info = hipacc_core::explain("R0605").expect("R0605 must be registered");
+    assert!(!info.summary.is_empty());
 
-    std::env::set_var(hipacc_runtime::WORKERS_ENV, "6");
-    std::env::set_var(hipacc_runtime::QUEUE_ENV, "9");
-    assert_eq!(defaults.effective_workers(), 6, "env beats default");
-    assert_eq!(defaults.effective_queue_capacity(), 9);
-
-    let explicit = StreamConfig {
-        workers: Some(3),
-        queue_capacity: Some(1),
-        ..StreamConfig::default()
-    };
-    assert_eq!(explicit.effective_workers(), 3, "explicit beats env");
-    assert_eq!(explicit.effective_queue_capacity(), 1);
-
-    std::env::set_var(hipacc_runtime::WORKERS_ENV, "0");
-    assert_eq!(
-        defaults.effective_workers(),
-        hipacc_runtime::DEFAULT_WORKERS,
-        "a nonsensical env value falls back to the default"
+    reject(
+        StreamConfig {
+            workers: Some(0),
+            ..StreamConfig::default()
+        },
+        "zero workers",
     );
-    std::env::remove_var(hipacc_runtime::WORKERS_ENV);
-    std::env::remove_var(hipacc_runtime::QUEUE_ENV);
+    reject(
+        StreamConfig {
+            queue_capacity: Some(0),
+            ..StreamConfig::default()
+        },
+        "zero queue capacity",
+    );
+    reject(
+        StreamConfig {
+            frame_deadline_us: Some(0),
+            ..StreamConfig::default()
+        },
+        "zero frame deadline",
+    );
+    reject(
+        StreamConfig {
+            stream_budget_us: Some(0),
+            ..StreamConfig::default()
+        },
+        "zero stream budget",
+    );
+    reject(
+        StreamConfig {
+            breaker_threshold: Some(0),
+            ..StreamConfig::default()
+        },
+        "zero breaker threshold",
+    );
+    reject(
+        StreamConfig {
+            probe_after: 0,
+            ..StreamConfig::default()
+        },
+        "zero probe interval",
+    );
+    reject(
+        StreamConfig {
+            close_after: 0,
+            ..StreamConfig::default()
+        },
+        "zero close interval",
+    );
+}
+
+/// A stream without stages is an unusable configuration like any other:
+/// typed R0605 from both run modes, not an assertion failure.
+#[test]
+fn an_empty_stage_chain_is_rejected_with_r0605() {
+    let empty = Stream::new("empty", Target::cuda(device::tesla_c2050()));
+    for result in [
+        empty.run(frame_sequence(1)),
+        empty.run_sequential(frame_sequence(1)),
+    ] {
+        let msg = result.expect_err("no stages, no run").to_string();
+        assert!(
+            msg.contains("R0605") && msg.contains("no stages"),
+            "got: {msg}"
+        );
+    }
 }

@@ -217,8 +217,8 @@ fn diagnostic_registry_is_complete_sorted_and_described() {
         // Fusion legality and fallback (hipacc_analysis::fusion).
         "F0101", "F0102", "F0103", "F0104", "F0105",
         // Runtime and supervisor failures.
-        "R0001", "R0101", "R0102", "R0103", "R0104", "R0105", "R0106", "R0201", "R0202", "R0203",
-        "R0301", "R0401", "R0501", // Stream resilience governor (hipacc_runtime).
+        "R0001", "R0101", "R0102", "R0103", "R0104", "R0105", "R0106", "R0202", "R0301", "R0401",
+        "R0501", // Stream resilience governor (hipacc_runtime).
         "R0601", "R0602", "R0603", "R0604", "R0605", "R0606",
     ];
     assert_eq!(codes, expected);
