@@ -8,6 +8,7 @@
 //! reproduce --inject 42      # seeded fault-injection drill under the supervisor
 //! reproduce --explain A0301  # describe one diagnostic code (or `all`)
 //! reproduce --replay PATH    # re-execute recorded stream failures, assert their codes
+//! reproduce --bless          # rewrite tests/compile_catalogue.txt from the compiler
 //! ```
 //!
 //! A missing or malformed option value prints the usage line and exits 2.
@@ -18,7 +19,7 @@ use hipacc_bench::tables::{bilateral_table, gaussian_table};
 use hipacc_core::Target;
 use hipacc_hwmodel::device::{quadro_fx_5800, tesla_c2050};
 
-const USAGE: &str = "usage: reproduce [--all] [--table N] [--figure N] [--loc] [--ablation] [--csv DIR] [--raw N] [--profile [TRACE]] [--inject SEED] [--explain CODE] [--replay PATH]";
+const USAGE: &str = "usage: reproduce [--all] [--table N] [--figure N] [--loc] [--ablation] [--csv DIR] [--raw N] [--profile [TRACE]] [--inject SEED] [--explain CODE] [--replay PATH] [--bless]";
 
 /// Report a command-line mistake with the usage line and exit 2.
 fn usage_error(problem: &str) -> ! {
@@ -315,6 +316,16 @@ fn main() {
             }
             "--replay" => {
                 print_replay(&value::<String>(&args, &mut i));
+                did_anything = true;
+            }
+            "--bless" => {
+                let text = hipacc_bench::catalogue::render();
+                std::fs::write(hipacc_bench::catalogue::PATH, &text).expect("write catalogue");
+                println!(
+                    "wrote {} catalogue rows to {}",
+                    text.lines().count(),
+                    hipacc_bench::catalogue::PATH
+                );
                 did_anything = true;
             }
             "--inject" => {

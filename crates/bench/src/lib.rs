@@ -14,6 +14,8 @@
 //! * [`render`] — plain-text and Markdown rendering.
 //! * [`ablation`] — what each design choice is worth (region
 //!   specialization, constant masks, the heuristic, vectorization).
+//! * [`catalogue`] — the compile catalogue: digests of what every
+//!   `cold_sweep` case compiles to, pinned by `tests/compile_catalogue.txt`.
 //! * [`report`] — the text `reproduce` prints for the tables and
 //!   figures, pinned byte for byte by EXPERIMENTS.md.
 //!
@@ -26,6 +28,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ablation;
+pub mod catalogue;
 pub mod cells;
 pub mod figures;
 pub mod paper;
