@@ -19,12 +19,49 @@ pub trait Lattice: Clone {
     fn join(&mut self, other: &Self) -> bool;
 }
 
-/// The powerset lattice over names (used by the taint analysis).
-impl Lattice for std::collections::BTreeSet<String> {
+/// The powerset lattice over a fixed universe of `len` elements, one bit
+/// per element (the taint analysis indexes the names a kernel assigns).
+/// Cloning copies a few words, not the names.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// The empty set over `len` elements.
+    pub fn new(len: usize) -> BitSet {
+        BitSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Add element `i`; returns whether it was new.
+    pub fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let new = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        new
+    }
+
+    /// Whether element `i` is in the set.
+    pub fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    /// The elements, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.words.len() * 64).filter(|&i| self.contains(i))
+    }
+}
+
+impl Lattice for BitSet {
     fn join(&mut self, other: &Self) -> bool {
-        let before = self.len();
-        self.extend(other.iter().cloned());
-        self.len() != before
+        let mut changed = false;
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            changed |= *b & !*a != 0;
+            *a |= *b;
+        }
+        changed
     }
 }
 
@@ -35,10 +72,10 @@ impl Lattice for std::collections::BTreeSet<String> {
 /// monotone. Returns the fixpoint *entry* state of every block
 /// (unreachable blocks keep `bottom`).
 pub fn forward_fixpoint<L: Lattice>(
-    cfg: &Cfg,
+    cfg: &Cfg<'_>,
     entry: L,
     bottom: L,
-    mut transfer: impl FnMut(&Block, &L) -> L,
+    mut transfer: impl FnMut(&Block<'_>, &L) -> L,
 ) -> Vec<L> {
     let n = cfg.blocks.len();
     let mut states = vec![bottom; n];
@@ -65,7 +102,6 @@ pub fn forward_fixpoint<L: Lattice>(
 mod tests {
     use super::*;
     use hipacc_ir::{Expr, ScalarType, Stmt};
-    use std::collections::BTreeSet;
 
     fn decl(name: &str, init: Expr) -> Stmt {
         Stmt::Decl {
@@ -75,47 +111,74 @@ mod tests {
         }
     }
 
+    /// The universe of the tests' name sets.
+    const NAMES: [&str; 5] = ["a", "b", "t", "e", "inner"];
+
     /// Transfer: a declared variable becomes "defined"; the set of defined
     /// names flows forward.
-    fn defined_names(block: &Block, inp: &BTreeSet<String>) -> BTreeSet<String> {
+    fn defined_names(block: &Block<'_>, inp: &BitSet) -> BitSet {
         let mut out = inp.clone();
         for s in &block.stmts {
             if let Stmt::Decl { name, .. } = s {
-                out.insert(name.clone());
+                out.insert(NAMES.iter().position(|n| n == name).unwrap());
             }
         }
         out
     }
 
+    fn run(cfg: &hipacc_ir::cfg::Cfg<'_>) -> Vec<BitSet> {
+        let empty = BitSet::new(NAMES.len());
+        forward_fixpoint(cfg, empty.clone(), empty, defined_names)
+    }
+
+    fn has(set: &BitSet, name: &str) -> bool {
+        set.contains(NAMES.iter().position(|n| *n == name).unwrap())
+    }
+
+    #[test]
+    fn bitset_insert_join_and_iterate() {
+        let mut a = BitSet::new(130);
+        assert!(a.insert(3) && a.insert(129));
+        assert!(!a.insert(3));
+        let mut b = BitSet::new(130);
+        b.insert(64);
+        assert!(b.join(&a));
+        assert!(!b.join(&a));
+        assert_eq!(b.iter().collect::<Vec<_>>(), vec![3, 64, 129]);
+    }
+
     #[test]
     fn straight_line_accumulates() {
-        let cfg = hipacc_ir::cfg::Cfg::build(&[decl("a", Expr::int(0)), decl("b", Expr::int(1))]);
-        let states = forward_fixpoint(&cfg, BTreeSet::new(), BTreeSet::new(), defined_names);
+        let body = [decl("a", Expr::int(0)), decl("b", Expr::int(1))];
+        let cfg = hipacc_ir::cfg::Cfg::build(&body);
+        let states = run(&cfg);
         // The exit block's entry state has seen both declarations.
-        assert!(states[cfg.exit].contains("a") && states[cfg.exit].contains("b"));
+        assert!(has(&states[cfg.exit], "a") && has(&states[cfg.exit], "b"));
     }
 
     #[test]
     fn branches_join_at_the_merge_point() {
-        let cfg = hipacc_ir::cfg::Cfg::build(&[Stmt::If {
+        let body = [Stmt::If {
             cond: Expr::var("c").lt(Expr::int(0)),
             then: vec![decl("t", Expr::int(0))],
             els: vec![decl("e", Expr::int(0))],
-        }]);
-        let states = forward_fixpoint(&cfg, BTreeSet::new(), BTreeSet::new(), defined_names);
+        }];
+        let cfg = hipacc_ir::cfg::Cfg::build(&body);
+        let states = run(&cfg);
         // Join of both branches reaches the exit.
-        assert!(states[cfg.exit].contains("t") && states[cfg.exit].contains("e"));
+        assert!(has(&states[cfg.exit], "t") && has(&states[cfg.exit], "e"));
     }
 
     #[test]
     fn loops_reach_a_fixpoint() {
-        let cfg = hipacc_ir::cfg::Cfg::build(&[Stmt::For {
+        let body = [Stmt::For {
             var: "i".into(),
             from: Expr::int(0),
             to: Expr::int(3),
             body: vec![decl("inner", Expr::int(0))],
-        }]);
-        let states = forward_fixpoint(&cfg, BTreeSet::new(), BTreeSet::new(), defined_names);
-        assert!(states[cfg.exit].contains("inner"));
+        }];
+        let cfg = hipacc_ir::cfg::Cfg::build(&body);
+        let states = run(&cfg);
+        assert!(has(&states[cfg.exit], "inner"));
     }
 }

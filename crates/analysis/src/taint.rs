@@ -26,20 +26,25 @@
 //! [A0101]: crate::diag#diagnostic-code-space
 //! [A0102]: crate::diag#diagnostic-code-space
 
-use crate::dataflow::forward_fixpoint;
+use crate::dataflow::{forward_fixpoint, BitSet};
 use crate::diag::Diagnostic;
-use hipacc_ir::cfg::Cfg;
+use hipacc_ir::cfg::{Block, Cfg};
 use hipacc_ir::kernel::DeviceKernelDef;
-use hipacc_ir::{Builtin, Expr, Stmt};
+use hipacc_ir::{Builtin, Expr, LValue, Stmt};
 use std::collections::BTreeSet;
 
 /// Whether an expression's value can differ between threads of a block,
 /// given the set of thread-dependent variables.
 pub fn expr_thread_dependent(e: &Expr, tainted: &BTreeSet<String>) -> bool {
+    depends(e, &mut |v| tainted.contains(v))
+}
+
+/// [`expr_thread_dependent`] over any test for a tainted variable name.
+fn depends(e: &Expr, tainted: &mut impl FnMut(&str) -> bool) -> bool {
     let mut dep = false;
     e.visit(&mut |n| match n {
         Expr::Builtin(Builtin::ThreadIdxX | Builtin::ThreadIdxY) => dep = true,
-        Expr::Var(v) if tainted.contains(v) => dep = true,
+        Expr::Var(v) if !dep && tainted(v) => dep = true,
         // Loads may read data written per-thread; treat shared loads as
         // thread-dependent (their index usually is anyway).
         Expr::SharedLoad { .. } => dep = true,
@@ -50,43 +55,64 @@ pub fn expr_thread_dependent(e: &Expr, tainted: &BTreeSet<String>) -> bool {
 
 /// The taint fixpoint: variables whose values are thread-dependent
 /// anywhere in the kernel (may-analysis over all CFG paths).
+///
+/// Only a name the body assigns (a declaration with an initializer or an
+/// assignment target) can become tainted, so the lattice is a bitset over
+/// those names, sorted; it becomes a set of names once, at the end.
 pub fn thread_dependent_vars(body: &[Stmt]) -> BTreeSet<String> {
     let cfg = Cfg::build(body);
-    let transfer = |block: &hipacc_ir::cfg::Block, inp: &BTreeSet<String>| {
+    let mut names: Vec<&str> = cfg
+        .blocks
+        .iter()
+        .flat_map(|b| &b.stmts)
+        .filter_map(|s| assigned(s).map(|(name, _)| name.as_str()))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let index = |v: &str| names.binary_search(&v).ok();
+    let transfer = |block: &Block<'_>, inp: &BitSet| {
         let mut out = inp.clone();
         // Iterate locally to a fixpoint so chains like `a = tid; b = a`
         // inside one block resolve in a single transfer application.
-        loop {
-            let before = out.len();
-            for s in &block.stmts {
-                match s {
-                    Stmt::Decl {
-                        name,
-                        init: Some(e),
-                        ..
-                    } if expr_thread_dependent(e, &out) => {
-                        out.insert(name.clone());
-                    }
-                    Stmt::Assign { target, value } if expr_thread_dependent(value, &out) => {
-                        let hipacc_ir::LValue::Var(name) = target;
-                        out.insert(name.clone());
-                    }
-                    _ => {}
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (name, value) in block.stmts.iter().filter_map(|s| assigned(s)) {
+                let Some(i) = index(name) else { continue };
+                if !out.contains(i)
+                    && depends(value, &mut |v| index(v).is_some_and(|j| out.contains(j)))
+                {
+                    out.insert(i);
+                    changed = true;
                 }
-            }
-            if out.len() == before {
-                break;
             }
         }
         out
     };
-    let states = forward_fixpoint(&cfg, BTreeSet::new(), BTreeSet::new(), transfer);
+    let bottom = BitSet::new(names.len());
+    let states = forward_fixpoint(&cfg, bottom.clone(), bottom.clone(), transfer);
     // The union over all blocks is the may-tainted set of the kernel.
-    let mut all = BTreeSet::new();
-    for (i, s) in states.iter().enumerate() {
-        all.extend(transfer(&cfg.blocks[i], s));
+    let mut all = bottom;
+    for (block, s) in cfg.blocks.iter().zip(&states) {
+        crate::dataflow::Lattice::join(&mut all, &transfer(block, s));
     }
-    all
+    all.iter().map(|i| names[i].to_string()).collect()
+}
+
+/// The name a statement gives a value to, with that value.
+fn assigned(s: &Stmt) -> Option<(&String, &Expr)> {
+    match s {
+        Stmt::Decl {
+            name,
+            init: Some(e),
+            ..
+        } => Some((name, e)),
+        Stmt::Assign {
+            target: LValue::Var(name),
+            value,
+        } => Some((name, value)),
+        _ => None,
+    }
 }
 
 /// Check every barrier in the kernel for divergence (A0101/A0102).

@@ -279,7 +279,10 @@ impl Compiler {
         // already contains all nine region bodies ("the initial kernel code
         // that is used to determine the resource usage uses default
         // constants"), so its register pressure matches the final kernel.
-        let probe_res = ph.run("resource-probe", || {
+        // The bodies are lowered here once and taken back out of the
+        // probe kernel; the final kernel reuses them when its launch shape
+        // leaves the overlap flags unchanged.
+        let (probe_res, probe_bodies) = ph.run("resource-probe", || {
             let probe_cfg = LaunchConfig {
                 bx: spec
                     .device
@@ -302,8 +305,10 @@ impl Compiler {
                     probe_cfg,
                 )
             });
-            let probe_kernel = probe.device_kernel(probe_grid.as_ref());
-            estimate_resources(&probe_kernel)
+            let probe_kernel = probe.assemble(probe_grid.as_ref(), probe.region_bodies(needs_bh));
+            let resources = estimate_resources(&probe_kernel);
+            let bodies = probe.disassemble(probe_kernel, needs_bh);
+            (resources, bodies.map(|b| (probe.overlap(), b)))
         });
 
         // 5. Configuration selection (Algorithm 2) or forced config.
@@ -353,20 +358,13 @@ impl Compiler {
                 )
             });
             let lowering = Lowering::new(&work, spec, mem, halves.clone(), config);
-            let device_kernel = lowering.device_kernel(region_grid.as_ref());
-
-            // Per-region bodies for the timing model.
-            let region_bodies: Vec<(Region, Vec<Stmt>)> = if needs_bh {
-                Region::all()
-                    .iter()
-                    .map(|r| (*r, lowering_region_body(&lowering, *r)))
-                    .collect()
-            } else {
-                vec![(
-                    Region::Interior,
-                    lowering_region_body(&lowering, Region::Interior),
-                )]
+            let bodies = match probe_bodies {
+                Some((overlap, bodies)) if overlap == lowering.overlap() => bodies,
+                _ => lowering.region_bodies(needs_bh),
             };
+            // The timing model weighs the unoptimized per-region bodies.
+            let region_bodies = bodies.clone();
+            let device_kernel = lowering.assemble(region_grid.as_ref(), bodies);
             (region_grid, device_kernel, region_bodies)
         });
         let mut device_kernel = device_kernel;
@@ -520,10 +518,6 @@ impl PhaseTimer<'_> {
         }
         out
     }
-}
-
-fn lowering_region_body(lowering: &Lowering<'_>, region: Region) -> Vec<Stmt> {
-    lowering.region_body(region)
 }
 
 /// The integer scalar bindings every launch provides: the geometry

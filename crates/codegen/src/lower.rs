@@ -432,11 +432,45 @@ impl<'a> Lowering<'a> {
         (decls, stmts)
     }
 
+    /// Whether border block bands overlap on each axis: besides its
+    /// region, the one launch fact a lowered region body depends on. Two
+    /// lowerings with equal overlaps produce the same region bodies.
+    pub fn overlap(&self) -> (bool, bool) {
+        (self.x_overlap, self.y_overlap)
+    }
+
+    /// Lower the kernel body once per region the kernel dispatches to:
+    /// all nine, in [`Region::all`] order, when `specialized`, else the
+    /// interior alone.
+    pub fn region_bodies(&self, specialized: bool) -> Vec<(Region, Vec<Stmt>)> {
+        let all = Region::all();
+        let regions: &[Region] = if specialized {
+            &all
+        } else {
+            &[Region::Interior]
+        };
+        regions
+            .iter()
+            .map(|&r| (r, self.lower_stmts(&self.kernel.body, r)))
+            .collect()
+    }
+
     /// Build the full device kernel. `grid` provides the region thresholds
     /// when border-specialized code is requested; `None` produces a single
     /// interior body (used for `Undefined` handling and for the resource
     /// probe before the launch configuration is known).
     pub fn device_kernel(&self, grid: Option<&RegionGrid>) -> DeviceKernelDef {
+        self.assemble(grid, self.region_bodies(grid.is_some()))
+    }
+
+    /// [`device_kernel`](Self::device_kernel) around bodies already
+    /// lowered by [`region_bodies`](Self::region_bodies) (of this or an
+    /// equal-[`overlap`](Self::overlap) lowering), for `grid.is_some()`.
+    pub fn assemble(
+        &self,
+        grid: Option<&RegionGrid>,
+        bodies: Vec<(Region, Vec<Stmt>)>,
+    ) -> DeviceKernelDef {
         let vec_w = self.spec.vectorize.max(1) as i64;
         let mut body: Vec<Stmt> = Vec::new();
         // Global ids are *image* coordinates: the iteration-space offset is
@@ -484,12 +518,15 @@ impl<'a> Lowering<'a> {
         }
 
         let pixel_body = match grid {
-            None => self.lower_stmts(&self.kernel.body, Region::Interior),
+            None => match <[_; 1]>::try_from(bodies) {
+                Ok([(Region::Interior, body)]) => body,
+                _ => panic!("an unspecialized kernel has one interior body"),
+            },
             Some(g) => {
                 let mut b = vec![Stmt::Comment(
                     "region dispatch: 9 specialized boundary-handling bodies".into(),
                 )];
-                b.extend(self.region_dispatch(g));
+                b.extend(Self::region_dispatch(g, bodies));
                 b
             }
         };
@@ -619,44 +656,84 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    /// Lower the kernel body for a single region (used by the timing
-    /// model to weight region costs by their block counts).
-    pub fn region_body(&self, region: Region) -> Vec<Stmt> {
-        self.lower_stmts(&self.kernel.body, region)
+    /// Take the region bodies back out of a kernel this lowering
+    /// [`assemble`](Self::assemble)d for `grid.is_some() == specialized`:
+    /// the inverse of `assemble`, so the resource probe's kernel can hand
+    /// its bodies on instead of being built from a copy. `None` for a
+    /// vectorized kernel, whose bodies were rebased onto the lane's id.
+    pub fn disassemble(
+        &self,
+        kernel: DeviceKernelDef,
+        specialized: bool,
+    ) -> Option<Vec<(Region, Vec<Stmt>)>> {
+        if self.spec.vectorize > 1 {
+            return None;
+        }
+        // The pixel part follows the iteration-space guard, the first
+        // top-level `if (...) return;` (staging never returns).
+        let mut body = kernel.body;
+        let guard = body.iter().position(|s| {
+            matches!(s, Stmt::If { then, els, .. } if matches!(then[..], [Stmt::Return]) && els.is_empty())
+        })?;
+        let mut pixel = body.split_off(guard + 1);
+        if !specialized {
+            return Some(vec![(Region::Interior, pixel)]);
+        }
+        // Walk the dispatch chain from the outside in: the regions come
+        // out in `Region::all` order, each arm behind its label comment.
+        let mut chain = pixel.split_off(1);
+        let mut bodies = Vec::with_capacity(9);
+        for region in Region::all() {
+            let mut arm = match region {
+                Region::Interior => std::mem::take(&mut chain),
+                _ => match <[Stmt; 1]>::try_from(chain).ok()? {
+                    [Stmt::If { then, els, .. }] => {
+                        chain = els;
+                        then
+                    }
+                    _ => return None,
+                },
+            };
+            match arm.first() {
+                Some(Stmt::Comment(label)) if label == region.label() => arm.remove(0),
+                _ => return None,
+            };
+            bodies.push((region, arm));
+        }
+        Some(bodies)
     }
 
     /// The if/else-if chain dispatching blocks to their region body
-    /// (structured form of Listing 8's goto chain).
-    fn region_dispatch(&self, g: &RegionGrid) -> Vec<Stmt> {
-        let bx = Expr::Builtin(Builtin::BlockIdxX);
-        let by = Expr::Builtin(Builtin::BlockIdxY);
-        let left = |e: Expr| e.lt(Expr::int(g.left_blocks as i64));
-        let right = |e: Expr| e.ge(Expr::int((g.grid_x - g.right_blocks) as i64));
-        let top = |e: Expr| e.lt(Expr::int(g.top_blocks as i64));
-        let bottom = |e: Expr| e.ge(Expr::int((g.grid_y - g.bottom_blocks) as i64));
-
-        // Build nested if/else-if: corners, edges, interior.
-        let cases: Vec<(Expr, Region)> = vec![
-            (left(bx.clone()).and(top(by.clone())), Region::TopLeft),
-            (right(bx.clone()).and(top(by.clone())), Region::TopRight),
-            (left(bx.clone()).and(bottom(by.clone())), Region::BottomLeft),
-            (
-                right(bx.clone()).and(bottom(by.clone())),
-                Region::BottomRight,
-            ),
-            (top(by.clone()), Region::Top),
-            (bottom(by.clone()), Region::Bottom),
-            (left(bx.clone()), Region::Left),
-            (right(bx.clone()), Region::Right),
-        ];
-        let mut chain: Vec<Stmt> = vec![Stmt::Comment(Region::Interior.label().into())];
-        chain.extend(self.lower_stmts(&self.kernel.body, Region::Interior));
-        for (cond, region) in cases.into_iter().rev() {
-            let mut then = vec![Stmt::Comment(region.label().into())];
-            then.extend(self.lower_stmts(&self.kernel.body, region));
+    /// (structured form of Listing 8's goto chain): corners, edges, then
+    /// the interior, which is why [`Region::all`] lists it last.
+    fn region_dispatch(g: &RegionGrid, bodies: Vec<(Region, Vec<Stmt>)>) -> Vec<Stmt> {
+        let left = || Expr::Builtin(Builtin::BlockIdxX).lt(Expr::int(g.left_blocks as i64));
+        let right =
+            || Expr::Builtin(Builtin::BlockIdxX).ge(Expr::int((g.grid_x - g.right_blocks) as i64));
+        let top = || Expr::Builtin(Builtin::BlockIdxY).lt(Expr::int(g.top_blocks as i64));
+        let bottom =
+            || Expr::Builtin(Builtin::BlockIdxY).ge(Expr::int((g.grid_y - g.bottom_blocks) as i64));
+        let mut chain: Vec<Stmt> = Vec::new();
+        for (region, body) in bodies.into_iter().rev() {
+            let mut arm = vec![Stmt::Comment(region.label().into())];
+            arm.extend(body);
+            let cond = match region {
+                Region::Interior => {
+                    chain = arm;
+                    continue;
+                }
+                Region::TopLeft => left().and(top()),
+                Region::TopRight => right().and(top()),
+                Region::BottomLeft => left().and(bottom()),
+                Region::BottomRight => right().and(bottom()),
+                Region::Top => top(),
+                Region::Bottom => bottom(),
+                Region::Left => left(),
+                Region::Right => right(),
+            };
             chain = vec![Stmt::If {
                 cond,
-                then,
+                then: arm,
                 els: chain,
             }];
         }
@@ -743,6 +820,27 @@ mod tests {
             }
         });
         assert_eq!(minmax, 0);
+    }
+
+    #[test]
+    fn disassemble_returns_the_bodies_assemble_took() {
+        let kernel = blur3();
+        let grid = RegionGrid::compute(256, 256, 1, 1, cfg());
+        for variant in [MemVariant::Global, MemVariant::Scratchpad] {
+            let spec = spec(BoundaryMode::Mirror, variant);
+            let lo = Lowering::new(&kernel, &spec, resolve_mem(&spec, (3, 3)), halves(), cfg());
+            for specialized in [false, true] {
+                let g = specialized.then_some(&grid);
+                let bodies = lo.region_bodies(specialized);
+                let dk = lo.assemble(g, bodies.clone());
+                assert_eq!(dk.body, lo.device_kernel(g).body);
+                assert_eq!(lo.disassemble(dk, specialized), Some(bodies));
+            }
+        }
+        // A vectorized kernel's bodies are rebased: not handed on.
+        let spec = spec(BoundaryMode::Clamp, MemVariant::Global).with_vectorize(4);
+        let lo = Lowering::new(&kernel, &spec, MemPath::Global, halves(), cfg());
+        assert_eq!(lo.disassemble(lo.device_kernel(Some(&grid)), true), None);
     }
 
     #[test]

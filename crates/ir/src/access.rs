@@ -1,6 +1,7 @@
 //! Read/write analysis and access-window inference.
 //!
-//! This is the analysis of Section IV-A: traverse the kernel's CFG, record
+//! This is the analysis of Section IV-A: traverse the kernel's reachable
+//! statements (the structured form of the paper's CFG traversal), record
 //! for every `Image`/`Accessor` whether it is read and/or written (deciding
 //! texture eligibility and the OpenCL `read_only`/`write_only` attributes),
 //! and infer the *extent* of the window each accessor reads — the access
@@ -10,7 +11,6 @@
 //! so both constant offsets (`Input(-1, 2)`) and convolution-loop offsets
 //! (`Input(xf, yf)` with `xf ∈ [-2σ, 2σ]`) resolve statically.
 
-use crate::cfg::Cfg;
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::fold::eval_const;
 use crate::kernel::KernelDef;
@@ -280,34 +280,25 @@ fn record_exprs_in_stmt(
 /// Run the read/write analysis on a DSL kernel, optionally with known
 /// scalar-parameter values (so loop bounds like `2*sigma_d` resolve).
 ///
-/// The CFG is consulted for reachability: reads in statically dead code
-/// (after an unconditional `return`) are ignored, matching the paper's
-/// CFG-based traversal.
+/// Reads in statically dead code (after an unconditional top-level
+/// `return`, the only dead shape the DSL can produce) are ignored,
+/// matching the paper's CFG-based traversal.
 pub fn analyze(kernel: &KernelDef, params: &HashMap<String, Const>) -> AccessInfo {
-    // Restrict to reachable statements via the CFG.
-    let cfg = Cfg::build(&kernel.body);
-    let _ = cfg.reachable(); // CFG construction itself validates shape
     let mut info = AccessInfo::default();
     let mut env: HashMap<String, Interval> = params
         .iter()
         .map(|(k, v)| (k.clone(), Interval::point(v.as_i64())))
         .collect();
-    collect_loop_env(&reachable_body(&kernel.body), &mut env, params, &mut info);
+    collect_loop_env(reachable_body(&kernel.body), &mut env, params, &mut info);
     info
 }
 
-/// Drop statements that follow an unconditional `return` at the top level
-/// (the only statically-dead shape the DSL can produce).
-fn reachable_body(stmts: &[Stmt]) -> Vec<Stmt> {
-    let mut out = Vec::new();
-    for s in stmts {
-        if let Stmt::Return = s {
-            out.push(s.clone());
-            break;
-        }
-        out.push(s.clone());
+/// The statements up to and including the first top-level `return`.
+fn reachable_body(stmts: &[Stmt]) -> &[Stmt] {
+    match stmts.iter().position(|s| matches!(s, Stmt::Return)) {
+        Some(at) => &stmts[..=at],
+        None => stmts,
     }
-    out
 }
 
 #[cfg(test)]

@@ -1,25 +1,31 @@
 //! Control-flow graph construction.
 //!
 //! Section IV-A of the paper: "a control-flow graph (CFG) of the
-//! instructions in the kernel method is created and traversed" to perform
-//! the read/write analysis. This module builds that CFG from the structured
-//! statement list; [`crate::access`] traverses it.
+//! instructions in the kernel method is created and traversed". This
+//! module builds that CFG from the structured statement list. Blocks
+//! borrow their statements and conditions from the list, so building a
+//! CFG copies no IR. The verifier's dataflow analyses
+//! (`hipacc_analysis::dataflow`) run their fixpoints over it; the
+//! read/write analysis ([`crate::access`]) walks the structured body
+//! directly.
 
+use crate::expr::Expr;
 use crate::stmt::Stmt;
 
 /// Index of a basic block within a [`Cfg`].
 pub type BlockId = usize;
 
-/// A basic block: a maximal straight-line run of non-control statements.
+/// A basic block: a maximal straight-line run of non-control statements,
+/// borrowed from the statement list the CFG was built from.
 #[derive(Clone, Debug, Default)]
-pub struct Block {
+pub struct Block<'a> {
     /// The statements of the block (control statements never appear here;
     /// their conditions are recorded on the block that evaluates them).
-    pub stmts: Vec<Stmt>,
+    pub stmts: Vec<&'a Stmt>,
     /// Condition expressions evaluated at the end of this block (loop
     /// bounds / branch conditions), kept for analyses that must see every
     /// evaluated expression.
-    pub conditions: Vec<crate::expr::Expr>,
+    pub conditions: Vec<&'a Expr>,
     /// Successor blocks.
     pub succs: Vec<BlockId>,
     /// Whether the block ends in a kernel return.
@@ -28,16 +34,16 @@ pub struct Block {
 
 /// A control-flow graph over kernel statements.
 #[derive(Clone, Debug)]
-pub struct Cfg {
+pub struct Cfg<'a> {
     /// All blocks; block 0 is the entry.
-    pub blocks: Vec<Block>,
+    pub blocks: Vec<Block<'a>>,
     /// The single exit block id.
     pub exit: BlockId,
 }
 
-impl Cfg {
+impl<'a> Cfg<'a> {
     /// Build the CFG of a statement list.
-    pub fn build(stmts: &[Stmt]) -> Cfg {
+    pub fn build(stmts: &'a [Stmt]) -> Cfg<'a> {
         let mut cfg = Cfg {
             blocks: vec![Block::default()],
             exit: 0,
@@ -70,11 +76,11 @@ impl Cfg {
 
     /// Lower a statement sequence starting in `current`; returns the block
     /// that control falls out of.
-    fn lower_seq(&mut self, stmts: &[Stmt], mut current: BlockId) -> BlockId {
+    fn lower_seq(&mut self, stmts: &'a [Stmt], mut current: BlockId) -> BlockId {
         for s in stmts {
             match s {
                 Stmt::If { cond, then, els } => {
-                    self.blocks[current].conditions.push(cond.clone());
+                    self.blocks[current].conditions.push(cond);
                     let then_entry = self.new_block();
                     let els_entry = self.new_block();
                     self.add_edge(current, then_entry);
@@ -87,8 +93,8 @@ impl Cfg {
                     current = join;
                 }
                 Stmt::For { from, to, body, .. } => {
-                    self.blocks[current].conditions.push(from.clone());
-                    self.blocks[current].conditions.push(to.clone());
+                    self.blocks[current].conditions.push(from);
+                    self.blocks[current].conditions.push(to);
                     let header = self.new_block();
                     self.add_edge(current, header);
                     let body_entry = self.new_block();
@@ -106,7 +112,7 @@ impl Cfg {
                     // start a fresh unreachable block for them.
                     current = self.new_block();
                 }
-                other => self.blocks[current].stmts.push(other.clone()),
+                other => self.blocks[current].stmts.push(other),
             }
         }
         current
@@ -132,11 +138,7 @@ impl Cfg {
 
     /// Visit every statement and condition in reachable blocks — the
     /// paper's "traversal" primitive that the read/write analysis uses.
-    pub fn visit_reachable(
-        &self,
-        mut on_stmt: impl FnMut(&Stmt),
-        mut on_cond: impl FnMut(&crate::expr::Expr),
-    ) {
+    pub fn visit_reachable(&self, mut on_stmt: impl FnMut(&Stmt), mut on_cond: impl FnMut(&Expr)) {
         for b in self.reachable() {
             for s in &self.blocks[b].stmts {
                 on_stmt(s);
@@ -161,7 +163,6 @@ impl Cfg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
     use crate::ty::ScalarType;
 
     fn decl(name: &str) -> Stmt {
@@ -174,7 +175,8 @@ mod tests {
 
     #[test]
     fn straight_line_is_two_blocks() {
-        let cfg = Cfg::build(&[decl("a"), decl("b")]);
+        let body = [decl("a"), decl("b")];
+        let cfg = Cfg::build(&body);
         // Entry + exit.
         assert_eq!(cfg.len(), 2);
         assert_eq!(cfg.blocks[0].stmts.len(), 2);
@@ -183,11 +185,12 @@ mod tests {
 
     #[test]
     fn if_produces_diamond() {
-        let cfg = Cfg::build(&[Stmt::If {
+        let body = [Stmt::If {
             cond: Expr::var("x").lt(Expr::int(0)),
             then: vec![decl("a")],
             els: vec![decl("b")],
-        }]);
+        }];
+        let cfg = Cfg::build(&body);
         // entry, then, else, join, exit.
         assert_eq!(cfg.len(), 5);
         assert_eq!(cfg.blocks[0].succs.len(), 2);
@@ -199,12 +202,13 @@ mod tests {
 
     #[test]
     fn loop_has_back_edge() {
-        let cfg = Cfg::build(&[Stmt::For {
+        let body = [Stmt::For {
             var: "i".into(),
             from: Expr::int(0),
             to: Expr::int(3),
             body: vec![decl("a")],
-        }]);
+        }];
+        let cfg = Cfg::build(&body);
         // Find a block whose successors include an earlier block.
         let mut has_back_edge = false;
         for (i, b) in cfg.blocks.iter().enumerate() {
@@ -221,7 +225,8 @@ mod tests {
 
     #[test]
     fn statements_after_return_are_unreachable() {
-        let cfg = Cfg::build(&[decl("a"), Stmt::Return, decl("dead")]);
+        let body = [decl("a"), Stmt::Return, decl("dead")];
+        let cfg = Cfg::build(&body);
         let reachable = cfg.reachable();
         let mut seen_dead = false;
         for b in &reachable {
@@ -236,7 +241,7 @@ mod tests {
 
     #[test]
     fn visit_reachable_sees_all_live_statements() {
-        let cfg = Cfg::build(&[
+        let body = [
             decl("a"),
             Stmt::If {
                 cond: Expr::ImmBool(true),
@@ -244,7 +249,8 @@ mod tests {
                 els: vec![],
             },
             Stmt::Output(Expr::var("a")),
-        ]);
+        ];
+        let cfg = Cfg::build(&body);
         let mut stmts = 0;
         let mut conds = 0;
         cfg.visit_reachable(|_| stmts += 1, |_| conds += 1);

@@ -434,57 +434,59 @@ impl Expr {
         }
     }
 
-    /// Rewrite every sub-expression bottom-up through `f`.
-    pub fn rewrite(self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-        let rebuilt = match self {
-            Expr::Unary(op, a) => Expr::Unary(op, Box::new(a.rewrite(f))),
-            Expr::Cast(ty, a) => Expr::Cast(ty, Box::new(a.rewrite(f))),
-            Expr::Binary(op, a, b) => {
-                Expr::Binary(op, Box::new(a.rewrite(f)), Box::new(b.rewrite(f)))
+    /// Rewrite every sub-expression bottom-up through `f`. Children are
+    /// rewritten inside the boxes that already hold them, so a node `f`
+    /// hands back unchanged costs no allocation.
+    pub fn rewrite(mut self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+        match &mut self {
+            Expr::Unary(_, a) | Expr::Cast(_, a) => a.rewrite_in_place(f),
+            Expr::Binary(_, a, b) => {
+                a.rewrite_in_place(f);
+                b.rewrite_in_place(f);
             }
-            Expr::Call(func, args) => {
-                Expr::Call(func, args.into_iter().map(|a| a.rewrite(f)).collect())
+            Expr::Call(_, args) => {
+                for a in args {
+                    a.rewrite_in_place(f);
+                }
             }
-            Expr::Select(c, a, b) => Expr::Select(
-                Box::new(c.rewrite(f)),
-                Box::new(a.rewrite(f)),
-                Box::new(b.rewrite(f)),
-            ),
-            Expr::InputAt { acc, dx, dy } => Expr::InputAt {
-                acc,
-                dx: Box::new(dx.rewrite(f)),
-                dy: Box::new(dy.rewrite(f)),
+            Expr::Select(c, a, b) => {
+                c.rewrite_in_place(f);
+                a.rewrite_in_place(f);
+                b.rewrite_in_place(f);
+            }
+            Expr::InputAt { dx, dy, .. } | Expr::MaskAt { dx, dy, .. } => {
+                dx.rewrite_in_place(f);
+                dy.rewrite_in_place(f);
+            }
+            Expr::GlobalLoad { idx, .. } | Expr::ConstLoad { idx, .. } => idx.rewrite_in_place(f),
+            Expr::TexFetch { coords, .. } => match coords {
+                TexCoords::Linear(i) => i.rewrite_in_place(f),
+                TexCoords::Xy(x, y) => {
+                    x.rewrite_in_place(f);
+                    y.rewrite_in_place(f);
+                }
             },
-            Expr::MaskAt { mask, dx, dy } => Expr::MaskAt {
-                mask,
-                dx: Box::new(dx.rewrite(f)),
-                dy: Box::new(dy.rewrite(f)),
-            },
-            Expr::GlobalLoad { buf, idx } => Expr::GlobalLoad {
-                buf,
-                idx: Box::new(idx.rewrite(f)),
-            },
-            Expr::ConstLoad { buf, idx } => Expr::ConstLoad {
-                buf,
-                idx: Box::new(idx.rewrite(f)),
-            },
-            Expr::TexFetch { buf, coords } => Expr::TexFetch {
-                buf,
-                coords: match coords {
-                    TexCoords::Linear(i) => TexCoords::Linear(Box::new(i.rewrite(f))),
-                    TexCoords::Xy(x, y) => {
-                        TexCoords::Xy(Box::new(x.rewrite(f)), Box::new(y.rewrite(f)))
-                    }
-                },
-            },
-            Expr::SharedLoad { buf, y, x } => Expr::SharedLoad {
-                buf,
-                y: Box::new(y.rewrite(f)),
-                x: Box::new(x.rewrite(f)),
-            },
-            leaf => leaf,
-        };
-        f(rebuilt)
+            Expr::SharedLoad { y, x, .. } => {
+                y.rewrite_in_place(f);
+                x.rewrite_in_place(f);
+            }
+            Expr::ImmInt(_)
+            | Expr::ImmFloat(_)
+            | Expr::ImmBool(_)
+            | Expr::Var(_)
+            | Expr::OutputX
+            | Expr::OutputY
+            | Expr::Builtin(_) => {}
+        }
+        f(self)
+    }
+
+    /// [`rewrite`](Self::rewrite) through a mutable reference: the node
+    /// is moved out (leaving an allocation-free placeholder), rewritten
+    /// and moved back.
+    pub fn rewrite_in_place(&mut self, f: &mut impl FnMut(Expr) -> Expr) {
+        let node = std::mem::replace(self, Expr::ImmBool(false));
+        *self = node.rewrite(f);
     }
 }
 

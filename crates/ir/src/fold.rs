@@ -249,12 +249,15 @@ pub fn fold_expr(e: Expr, env: &HashMap<String, Const>) -> Expr {
 ///   kind is unchanged.
 ///
 /// The input is a single node whose children are already simplified (the
-/// shape `Expr::rewrite` hands out); callers drive it bottom-up.
-pub fn widen_fold(node: Expr) -> Expr {
-    let empty = HashMap::new();
-    if let Some(c) = eval_const(&node, &empty) {
-        if !matches!(c, Const::Float(f) if !f.is_finite()) {
-            return const_to_expr(c);
+/// shape `Expr::rewrite` hands out); callers drive it bottom-up. Returns
+/// the simplified node and whether it differs from the input.
+pub fn widen_fold(node: Expr) -> (Expr, bool) {
+    let literal = matches!(node, Expr::ImmInt(_) | Expr::ImmFloat(_) | Expr::ImmBool(_));
+    if !literal {
+        if let Some(c) = eval_const(&node, &HashMap::new()) {
+            if !matches!(c, Const::Float(f) if !f.is_finite()) {
+                return (const_to_expr(c), true);
+            }
         }
     }
     fn boolish(e: &Expr) -> bool {
@@ -266,44 +269,38 @@ pub fn widen_fold(node: Expr) -> Expr {
         matches!(e, Expr::ImmInt(0))
             || matches!(e, Expr::ImmFloat(f) if *f == 0.0 && !f.is_sign_negative())
     };
-    match node {
+    let is_bool = |e: &Expr, v: bool| matches!(e, Expr::ImmBool(b) if *b == v);
+    let out = match node {
         Expr::Binary(BinOp::Sub, a, b) if is_pos_zero(&b) => *a,
-        Expr::Binary(BinOp::Mul, a, b) => {
-            if is_one(&a) {
-                *b
-            } else if is_one(&b) {
+        Expr::Binary(BinOp::Mul, a, b) if is_one(&a) => *b,
+        Expr::Binary(BinOp::Mul, a, b) if is_one(&b) => *a,
+        Expr::Binary(BinOp::Div, a, b) if is_one(&b) => *a,
+        // false && _ short-circuits: b never runs.
+        Expr::Binary(BinOp::And, a, _) if is_bool(&a, false) => Expr::ImmBool(false),
+        Expr::Binary(BinOp::And, a, b) if is_bool(&a, true) && boolish(&b) => *b,
+        Expr::Binary(BinOp::And, a, b) if is_bool(&b, true) && boolish(&a) => *a,
+        // true || _ short-circuits: b never runs.
+        Expr::Binary(BinOp::Or, a, _) if is_bool(&a, true) => Expr::ImmBool(true),
+        Expr::Binary(BinOp::Or, a, b) if is_bool(&a, false) && boolish(&b) => *b,
+        Expr::Binary(BinOp::Or, a, b) if is_bool(&b, false) && boolish(&a) => *a,
+        Expr::Unary(UnOp::Not, a) if matches!(&*a, Expr::Unary(UnOp::Not, inner) if boolish(inner)) =>
+        {
+            let Expr::Unary(_, inner) = *a else {
+                unreachable!("matched a double negation")
+            };
+            *inner
+        }
+        // Lazy: the untaken branch never evaluated.
+        Expr::Select(c, a, b) if matches!(*c, Expr::ImmBool(_)) => {
+            if is_bool(&c, true) {
                 *a
             } else {
-                Expr::Binary(BinOp::Mul, a, b)
+                *b
             }
         }
-        Expr::Binary(BinOp::Div, a, b) if is_one(&b) => *a,
-        Expr::Binary(BinOp::And, a, b) => match (&*a, &*b) {
-            // false && _ short-circuits: b never runs.
-            (Expr::ImmBool(false), _) => Expr::ImmBool(false),
-            (Expr::ImmBool(true), _) if boolish(&b) => *b,
-            (_, Expr::ImmBool(true)) if boolish(&a) => *a,
-            _ => Expr::Binary(BinOp::And, a, b),
-        },
-        Expr::Binary(BinOp::Or, a, b) => match (&*a, &*b) {
-            // true || _ short-circuits: b never runs.
-            (Expr::ImmBool(true), _) => Expr::ImmBool(true),
-            (Expr::ImmBool(false), _) if boolish(&b) => *b,
-            (_, Expr::ImmBool(false)) if boolish(&a) => *a,
-            _ => Expr::Binary(BinOp::Or, a, b),
-        },
-        Expr::Unary(UnOp::Not, a) => match *a {
-            Expr::Unary(UnOp::Not, inner) if boolish(&inner) => *inner,
-            a => Expr::Unary(UnOp::Not, Box::new(a)),
-        },
-        Expr::Select(c, a, b) => match *c {
-            // Lazy: the untaken branch never evaluated.
-            Expr::ImmBool(true) => *a,
-            Expr::ImmBool(false) => *b,
-            c => Expr::Select(Box::new(c), a, b),
-        },
-        other => other,
-    }
+        other => return (other, false),
+    };
+    (out, true)
 }
 
 /// Names of variables referenced anywhere in expressions.

@@ -20,13 +20,10 @@ use std::collections::HashSet;
 /// Run the cleanup pass over `k`. Returns the rewrite count.
 pub fn cleanup(k: &mut DeviceKernelDef) -> u32 {
     let mut fires = 0u32;
-    let body = std::mem::take(&mut k.body);
-    let body = Stmt::rewrite_exprs(body, &mut |e| {
-        let before = e.clone();
-        let out = widen_fold(e);
-        if out != before {
-            fires += 1;
-        }
+    let mut body = std::mem::take(&mut k.body);
+    Stmt::rewrite_exprs_in_place(&mut body, &mut |e| {
+        let (out, rewrote) = widen_fold(e);
+        fires += u32::from(rewrote);
         out
     });
     let body = collapse(body, true, &mut fires);

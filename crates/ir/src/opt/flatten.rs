@@ -14,11 +14,10 @@
 //! flatten to `v = cond ? a : v`, which requires `v` to already hold a
 //! value — the walker tracks initialized names for exactly this check.
 
-use super::{Oracle, WalkConfig};
+use super::{Initialized, Oracle, WalkConfig};
 use crate::expr::Expr;
 use crate::kernel::DeviceKernelDef;
 use crate::stmt::{LValue, Stmt};
-use std::collections::HashSet;
 
 /// Run branch flattening over `k`. Returns the rewrite count.
 pub fn flatten_branches<O: Oracle>(k: &mut DeviceKernelDef, o: &mut O) -> u32 {
@@ -43,7 +42,7 @@ pub(super) fn try_flatten(
     cond: Expr,
     then: Vec<Stmt>,
     els: Vec<Stmt>,
-    initialized: &HashSet<String>,
+    initialized: &Initialized,
 ) -> Result<(String, Expr), Unflattened> {
     let single = |arm: &[Stmt]| -> Option<(String, Expr)> {
         match arm {

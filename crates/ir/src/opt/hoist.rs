@@ -40,6 +40,11 @@ use crate::kernel::DeviceKernelDef;
 use crate::stmt::{LValue, Stmt};
 use crate::ty::ScalarType;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// The known runtime kind of each variable in scope. Keys are shared, so
+/// the copy a branch arm or loop body walks on copies no names.
+type Env = HashMap<Arc<str>, Kind>;
 
 /// Runtime constant kind — what `Const` variant the expression produces.
 #[derive(Copy, Clone, PartialEq, Eq)]
@@ -70,10 +75,10 @@ impl Kind {
 /// Run loop-invariant hoisting over `k`. Returns the number of hoisted
 /// declarations.
 pub fn hoist_invariants(k: &mut DeviceKernelDef) -> u32 {
-    let mut env: HashMap<String, Kind> = k
+    let mut env: Env = k
         .scalars
         .iter()
-        .map(|p| (p.name.clone(), Kind::of_ty(p.ty)))
+        .map(|p| (Arc::from(p.name.as_str()), Kind::of_ty(p.ty)))
         .collect();
     let mut counter = 0u32;
     let mut fires = 0u32;
@@ -90,18 +95,26 @@ fn declared_in(stmts: &[Stmt], out: &mut HashSet<String>) {
     });
 }
 
-fn hoist_in(
-    stmts: Vec<Stmt>,
-    env: &mut HashMap<String, Kind>,
-    counter: &mut u32,
-    fires: &mut u32,
-) -> Vec<Stmt> {
+/// Forget the kind of every variable a statement list assigns.
+fn forget_assigned(stmts: &[Stmt], env: &mut Env) {
+    Stmt::visit_all(stmts, &mut |s| {
+        if let Stmt::Assign {
+            target: LValue::Var(n),
+            ..
+        } = s
+        {
+            env.remove(n.as_str());
+        }
+    });
+}
+
+fn hoist_in(stmts: Vec<Stmt>, env: &mut Env, counter: &mut u32, fires: &mut u32) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(stmts.len());
     for s in stmts {
         match s {
             Stmt::Decl { name, ty, init } => {
                 // The declaration coerces, so the kind is the type's.
-                env.insert(name.clone(), Kind::of_ty(ty));
+                env.insert(Arc::from(name.as_str()), Kind::of_ty(ty));
                 out.push(Stmt::Decl { name, ty, init });
             }
             Stmt::Assign {
@@ -111,9 +124,9 @@ fn hoist_in(
                 // Assignments do not coerce: the variable keeps a known
                 // kind only when the assigned value provably matches it.
                 match infer_kind(&value, env) {
-                    Some(k) if env.get(&name) == Some(&k) => {}
+                    Some(k) if env.get(name.as_str()) == Some(&k) => {}
                     _ => {
-                        env.remove(&name);
+                        env.remove(name.as_str());
                     }
                 }
                 out.push(Stmt::Assign {
@@ -126,9 +139,8 @@ fn hoist_in(
                 let then = hoist_in(then, &mut et, counter, fires);
                 let mut ee = env.clone();
                 let els = hoist_in(els, &mut ee, counter, fires);
-                for a in Stmt::assigned_names(&then).union(&Stmt::assigned_names(&els)) {
-                    env.remove(a);
-                }
+                forget_assigned(&then, env);
+                forget_assigned(&els, env);
                 out.push(Stmt::If { cond, then, els });
             }
             Stmt::For {
@@ -142,16 +154,14 @@ fn hoist_in(
                 let (decls, body) = hoist_loop(&var, &from, &to, body, env, counter, fires);
                 for d in decls {
                     if let Stmt::Decl { name, ty, .. } = &d {
-                        env.insert(name.clone(), Kind::of_ty(*ty));
+                        env.insert(Arc::from(name.as_str()), Kind::of_ty(*ty));
                     }
                     out.push(d);
                 }
                 let mut eb = env.clone();
-                eb.insert(var.clone(), Kind::Int);
+                eb.insert(Arc::from(var.as_str()), Kind::Int);
                 let body = hoist_in(body, &mut eb, counter, fires);
-                for a in &Stmt::assigned_names(&body) {
-                    env.remove(a);
-                }
+                forget_assigned(&body, env);
                 out.push(Stmt::For {
                     var,
                     from,
@@ -170,7 +180,7 @@ fn hoist_loop(
     from: &Expr,
     to: &Expr,
     body: Vec<Stmt>,
-    env: &HashMap<String, Kind>,
+    env: &Env,
     counter: &mut u32,
     fires: &mut u32,
 ) -> (Vec<Stmt>, Vec<Stmt>) {
@@ -201,10 +211,7 @@ fn hoist_loop(
     for cand in candidates {
         let mut hits = 0u32;
         let name = format!("_opt_h{counter}");
-        body = body
-            .into_iter()
-            .map(|s| subst_stmt(s, &cand, &name, &mut hits))
-            .collect();
+        subst_stmts(&mut body, &cand, &name, &mut hits);
         if hits == 0 {
             continue; // swallowed by a larger candidate
         }
@@ -294,119 +301,82 @@ fn visit_expr_skip_select(e: &Expr, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// Substitute `cand` → `Var(name)` at unconditional positions of one
-/// statement, mirroring [`visit_unconditional`]'s traversal.
-fn subst_stmt(s: Stmt, cand: &Expr, name: &str, hits: &mut u32) -> Stmt {
-    let mut sub = |e: Expr| subst_expr(e, cand, name, hits);
-    match s {
-        s @ Stmt::If { .. } => s,
-        Stmt::For {
-            var,
-            from,
-            to,
-            body,
-        } => Stmt::For {
-            var,
-            from: sub(from),
-            to: sub(to),
-            body: body
-                .into_iter()
-                .map(|s| subst_stmt(s, cand, name, hits))
-                .collect(),
-        },
-        Stmt::Decl { name: n, ty, init } => Stmt::Decl {
-            name: n,
-            ty,
-            init: init.map(sub),
-        },
-        Stmt::Assign { target, value } => Stmt::Assign {
-            target,
-            value: sub(value),
-        },
-        Stmt::Output(e) => Stmt::Output(sub(e)),
-        Stmt::GlobalStore { buf, idx, value } => {
-            let idx = sub(idx);
-            Stmt::GlobalStore {
-                buf,
-                idx,
-                value: sub(value),
+/// Substitute `cand` → `Var(name)` at unconditional positions of a
+/// statement list, in place, mirroring [`visit_unconditional`]'s
+/// traversal.
+fn subst_stmts(stmts: &mut [Stmt], cand: &Expr, name: &str, hits: &mut u32) {
+    for s in stmts {
+        let mut sub = |e: &mut Expr| subst_expr(e, cand, name, hits);
+        match s {
+            Stmt::If { .. } | Stmt::Return | Stmt::Comment(_) | Stmt::Barrier => {}
+            Stmt::For { from, to, body, .. } => {
+                sub(from);
+                sub(to);
+                subst_stmts(body, cand, name, hits);
             }
-        }
-        Stmt::SharedStore { buf, y, x, value } => {
-            let y = sub(y);
-            let x = sub(x);
-            Stmt::SharedStore {
-                buf,
-                y,
-                x,
-                value: sub(value),
-            }
-        }
-        s @ (Stmt::Return | Stmt::Comment(_) | Stmt::Barrier) => s,
-    }
-}
-
-/// Top-down equality substitution that leaves `Select` subtrees intact.
-fn subst_expr(e: Expr, cand: &Expr, name: &str, hits: &mut u32) -> Expr {
-    if &e == cand {
-        *hits += 1;
-        return Expr::var(name);
-    }
-    match e {
-        e @ Expr::Select(..) => e,
-        Expr::Unary(op, a) => Expr::Unary(op, Box::new(subst_expr(*a, cand, name, hits))),
-        Expr::Cast(ty, a) => Expr::Cast(ty, Box::new(subst_expr(*a, cand, name, hits))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            op,
-            Box::new(subst_expr(*a, cand, name, hits)),
-            Box::new(subst_expr(*b, cand, name, hits)),
-        ),
-        Expr::Call(f, args) => Expr::Call(
-            f,
-            args.into_iter()
-                .map(|a| subst_expr(a, cand, name, hits))
-                .collect(),
-        ),
-        Expr::InputAt { acc, dx, dy } => Expr::InputAt {
-            acc,
-            dx: Box::new(subst_expr(*dx, cand, name, hits)),
-            dy: Box::new(subst_expr(*dy, cand, name, hits)),
-        },
-        Expr::MaskAt { mask, dx, dy } => Expr::MaskAt {
-            mask,
-            dx: Box::new(subst_expr(*dx, cand, name, hits)),
-            dy: Box::new(subst_expr(*dy, cand, name, hits)),
-        },
-        Expr::GlobalLoad { buf, idx } => Expr::GlobalLoad {
-            buf,
-            idx: Box::new(subst_expr(*idx, cand, name, hits)),
-        },
-        Expr::ConstLoad { buf, idx } => Expr::ConstLoad {
-            buf,
-            idx: Box::new(subst_expr(*idx, cand, name, hits)),
-        },
-        Expr::TexFetch { buf, coords } => Expr::TexFetch {
-            buf,
-            coords: match coords {
-                TexCoords::Linear(i) => {
-                    TexCoords::Linear(Box::new(subst_expr(*i, cand, name, hits)))
+            Stmt::Decl { init, .. } => {
+                if let Some(e) = init {
+                    sub(e);
                 }
-                TexCoords::Xy(x, y) => TexCoords::Xy(
-                    Box::new(subst_expr(*x, cand, name, hits)),
-                    Box::new(subst_expr(*y, cand, name, hits)),
-                ),
-            },
-        },
-        Expr::SharedLoad { buf, y, x } => {
-            let y = Box::new(subst_expr(*y, cand, name, hits));
-            let x = Box::new(subst_expr(*x, cand, name, hits));
-            Expr::SharedLoad { buf, y, x }
+            }
+            Stmt::Assign { value, .. } | Stmt::Output(value) => sub(value),
+            Stmt::GlobalStore { idx, value, .. } => {
+                sub(idx);
+                sub(value);
+            }
+            Stmt::SharedStore { y, x, value, .. } => {
+                sub(y);
+                sub(x);
+                sub(value);
+            }
         }
-        leaf => leaf,
     }
 }
 
-fn qualifies(e: &Expr, forbidden: &HashSet<String>, env: &HashMap<String, Kind>) -> bool {
+/// Top-down equality substitution, in place, that leaves `Select`
+/// subtrees intact.
+fn subst_expr(e: &mut Expr, cand: &Expr, name: &str, hits: &mut u32) {
+    if *e == *cand {
+        *hits += 1;
+        *e = Expr::var(name);
+        return;
+    }
+    let mut sub = |e: &mut Expr| subst_expr(e, cand, name, hits);
+    match e {
+        Expr::Unary(_, a) | Expr::Cast(_, a) => sub(a),
+        Expr::Binary(_, a, b) => {
+            sub(a);
+            sub(b);
+        }
+        Expr::Call(_, args) => args.iter_mut().for_each(sub),
+        Expr::InputAt { dx, dy, .. } | Expr::MaskAt { dx, dy, .. } => {
+            sub(dx);
+            sub(dy);
+        }
+        Expr::GlobalLoad { idx, .. } | Expr::ConstLoad { idx, .. } => sub(idx),
+        Expr::TexFetch { coords, .. } => match coords {
+            TexCoords::Linear(i) => sub(i),
+            TexCoords::Xy(x, y) => {
+                sub(x);
+                sub(y);
+            }
+        },
+        Expr::SharedLoad { y, x, .. } => {
+            sub(y);
+            sub(x);
+        }
+        Expr::Select(..)
+        | Expr::ImmInt(_)
+        | Expr::ImmFloat(_)
+        | Expr::ImmBool(_)
+        | Expr::Var(_)
+        | Expr::OutputX
+        | Expr::OutputY
+        | Expr::Builtin(_) => {}
+    }
+}
+
+fn qualifies(e: &Expr, forbidden: &HashSet<String>, env: &Env) -> bool {
     if node_count(e) < 2 || !transparent(e) {
         return false;
     }
@@ -433,12 +403,12 @@ fn node_count(e: &Expr) -> usize {
 /// stay `Int`, `abs` always widens to `Float`, mixed arithmetic widens
 /// to `Float`, `%` is only allowed fully integer (the float path errors
 /// at runtime).
-fn infer_kind(e: &Expr, env: &HashMap<String, Kind>) -> Option<Kind> {
+fn infer_kind(e: &Expr, env: &Env) -> Option<Kind> {
     match e {
         Expr::ImmInt(_) | Expr::Builtin(_) => Some(Kind::Int),
         Expr::ImmFloat(_) => Some(Kind::Float),
         Expr::ImmBool(_) => Some(Kind::Bool),
-        Expr::Var(v) => env.get(v).copied(),
+        Expr::Var(v) => env.get(v.as_str()).copied(),
         Expr::Unary(UnOp::Neg, a) => match infer_kind(a, env)? {
             Kind::Bool => None, // runtime error: leave it in place
             k => Some(k),
@@ -461,16 +431,12 @@ fn infer_kind(e: &Expr, env: &HashMap<String, Kind>) -> Option<Kind> {
             }
         }
         Expr::Call(f, args) => {
-            let kinds: Option<Vec<Kind>> = args.iter().map(|a| infer_kind(a, env)).collect();
-            let kinds = kinds?;
+            let mut all_int = true;
+            for a in args {
+                all_int &= infer_kind(a, env)? == Kind::Int;
+            }
             match f {
-                MathFn::Min | MathFn::Max => {
-                    if kinds.iter().all(|k| *k == Kind::Int) {
-                        Some(Kind::Int)
-                    } else {
-                        Some(Kind::Float)
-                    }
-                }
+                MathFn::Min | MathFn::Max if all_int => Some(Kind::Int),
                 // Everything else — including abs — produces Float.
                 _ => Some(Kind::Float),
             }

@@ -152,50 +152,44 @@ impl Stmt {
 
     /// Rewrite every expression in a statement list through `f`
     /// (bottom-up within each expression).
-    pub fn rewrite_exprs(stmts: Vec<Stmt>, f: &mut impl FnMut(Expr) -> Expr) -> Vec<Stmt> {
+    pub fn rewrite_exprs(mut stmts: Vec<Stmt>, f: &mut impl FnMut(Expr) -> Expr) -> Vec<Stmt> {
+        Stmt::rewrite_exprs_in_place(&mut stmts, f);
         stmts
-            .into_iter()
-            .map(|s| match s {
-                Stmt::Decl { name, ty, init } => Stmt::Decl {
-                    name,
-                    ty,
-                    init: init.map(|e| e.rewrite(f)),
-                },
-                Stmt::Assign { target, value } => Stmt::Assign {
-                    target,
-                    value: value.rewrite(f),
-                },
-                Stmt::Output(e) => Stmt::Output(e.rewrite(f)),
-                Stmt::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                } => Stmt::For {
-                    var,
-                    from: from.rewrite(f),
-                    to: to.rewrite(f),
-                    body: Stmt::rewrite_exprs(body, f),
-                },
-                Stmt::If { cond, then, els } => Stmt::If {
-                    cond: cond.rewrite(f),
-                    then: Stmt::rewrite_exprs(then, f),
-                    els: Stmt::rewrite_exprs(els, f),
-                },
-                Stmt::GlobalStore { buf, idx, value } => Stmt::GlobalStore {
-                    buf,
-                    idx: idx.rewrite(f),
-                    value: value.rewrite(f),
-                },
-                Stmt::SharedStore { buf, y, x, value } => Stmt::SharedStore {
-                    buf,
-                    y: y.rewrite(f),
-                    x: x.rewrite(f),
-                    value: value.rewrite(f),
-                },
-                other @ (Stmt::Return | Stmt::Comment(_) | Stmt::Barrier) => other,
-            })
-            .collect()
+    }
+
+    /// [`rewrite_exprs`](Self::rewrite_exprs) over a borrowed list: every
+    /// expression is rewritten where it stands, reusing its nodes.
+    pub fn rewrite_exprs_in_place(stmts: &mut [Stmt], f: &mut impl FnMut(Expr) -> Expr) {
+        for s in stmts {
+            match s {
+                Stmt::Decl { init, .. } => {
+                    if let Some(e) = init {
+                        e.rewrite_in_place(f);
+                    }
+                }
+                Stmt::Assign { value, .. } | Stmt::Output(value) => value.rewrite_in_place(f),
+                Stmt::For { from, to, body, .. } => {
+                    from.rewrite_in_place(f);
+                    to.rewrite_in_place(f);
+                    Stmt::rewrite_exprs_in_place(body, f);
+                }
+                Stmt::If { cond, then, els } => {
+                    cond.rewrite_in_place(f);
+                    Stmt::rewrite_exprs_in_place(then, f);
+                    Stmt::rewrite_exprs_in_place(els, f);
+                }
+                Stmt::GlobalStore { idx, value, .. } => {
+                    idx.rewrite_in_place(f);
+                    value.rewrite_in_place(f);
+                }
+                Stmt::SharedStore { y, x, value, .. } => {
+                    y.rewrite_in_place(f);
+                    x.rewrite_in_place(f);
+                    value.rewrite_in_place(f);
+                }
+                Stmt::Return | Stmt::Comment(_) | Stmt::Barrier => {}
+            }
+        }
     }
 }
 
