@@ -135,6 +135,34 @@ impl Prepared {
     }
 }
 
+/// One client's share of a shared cache's hits and misses: a stream
+/// passes its own tally to every launch of a run, so concurrent streams
+/// on one cache each count only their own lookups. A lookup is counted
+/// when it happens, before the launch, so a launch that fails or panics
+/// afterwards is still counted.
+#[derive(Debug, Default)]
+pub struct CacheTally {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl CacheTally {
+    pub(crate) fn note(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Lookups counted here that the cache served.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups counted here that missed.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
+
 struct Inner {
     map: HashMap<String, (u64, Arc<Prepared>)>,
     tick: u64,

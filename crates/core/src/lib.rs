@@ -42,7 +42,7 @@ pub mod reduce;
 pub mod supervisor;
 pub mod target;
 
-pub use cache::{CacheReport, KernelCache};
+pub use cache::{CacheReport, CacheTally, KernelCache};
 pub use errors::{diagnostic_registry, error_chain, explain, CodeInfo, FailureClass};
 pub use fusion::{check_chain, fuse_operators, FusionError};
 pub use hipacc_faults::{FaultPlan, FaultSession};

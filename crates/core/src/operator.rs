@@ -8,7 +8,7 @@
 //! for the target, run on the simulated device, estimate the execution
 //! time with the analytical model.
 
-use crate::cache::{KernelCache, Prepared};
+use crate::cache::{CacheTally, KernelCache, Prepared};
 use crate::pipeline::{launch_spec, timing_input_opts};
 use crate::profile::{LaunchFacts, LaunchProfile};
 use crate::target::Target;
@@ -308,6 +308,21 @@ impl Operator {
         }
     }
 
+    /// [`Self::compile`] through the installed [`KernelCache`]: a hit is
+    /// served from the cache, a miss compiles and leaves the entry warm
+    /// for the launches that follow (counted as a hit or a miss like a
+    /// launch's lookup). Without a cache it compiles fresh.
+    pub fn compile_cached(
+        &self,
+        target: &Target,
+        width: u32,
+        height: u32,
+    ) -> Result<Arc<CompiledKernel>, OperatorError> {
+        let (prepared, _) =
+            self.compile_maybe_cached(target, width, height, &mut NullSink, None, None)?;
+        Ok(Arc::clone(prepared.compiled()))
+    }
+
     /// Estimate the execution time of a compiled kernel on a target.
     pub fn estimate(&self, compiled: &CompiledKernel, target: &Target) -> TimeBreakdown {
         estimate_time(&timing_input_opts(
@@ -330,7 +345,8 @@ impl Operator {
     /// served from nor populating it, and counted as a bypass rather than
     /// a miss. The supervisor passes one on degraded rungs: recovery
     /// timing must never be skewed by warm-cache effects, and a degraded
-    /// artifact must never linger for later healthy launches.
+    /// artifact must never linger for later healthy launches. A hit or
+    /// miss is also counted into `tally`, when one is given.
     pub(crate) fn compile_maybe_cached(
         &self,
         target: &Target,
@@ -338,6 +354,7 @@ impl Operator {
         height: u32,
         sink: &mut dyn ProfileSink,
         bypass: Option<&str>,
+        tally: Option<&CacheTally>,
     ) -> Result<(Arc<Prepared>, CacheUse<'_>), CompileError> {
         let spec = self.compile_spec(target, width, height);
         let fresh = |sink: &mut dyn ProfileSink| -> Result<Arc<Prepared>, CompileError> {
@@ -355,7 +372,11 @@ impl Operator {
             return Ok((fresh(sink)?, Some((cache, format!("bypass: {reason}")))));
         }
         let key = KernelCache::fingerprint(&self.def, &spec);
-        if let Some(hit) = cache.lookup_prepared(&key) {
+        let hit = cache.lookup_prepared(&key);
+        if let Some(tally) = tally {
+            tally.note(hit.is_some());
+        }
+        if let Some(hit) = hit {
             return Ok((hit, Some((cache, "hit".into()))));
         }
         let prepared = fresh(sink)?;
@@ -437,7 +458,7 @@ impl Operator {
         let (mut rec, mut off) = (Recorder::new(), NullSink);
         let sink: &mut dyn ProfileSink = if profile { &mut rec } else { &mut off };
         let (prepared, cached) =
-            self.compile_maybe_cached(target, first.width(), first.height(), sink, None)?;
+            self.compile_maybe_cached(target, first.width(), first.height(), sink, None, None)?;
         let compiled = prepared.compiled();
         let start = now_us();
         let run = hipacc_sim::launch::run_on_image_instrumented(

@@ -129,9 +129,10 @@ pub struct StreamReport {
     pub latency_p99_us: u64,
     /// High-water mark of each queue (producer side first).
     pub queue_max_depths: Vec<usize>,
-    /// Kernel-cache hits across all stage launches.
+    /// Kernel-cache hits across this stream's own stage launches (not
+    /// those of other streams sharing the cache).
     pub cache_hits: u64,
-    /// Kernel-cache misses across all stage launches.
+    /// Kernel-cache misses across this stream's own stage launches.
     pub cache_misses: u64,
     /// `hits / (hits + misses)`, 0 when the cache saw no traffic.
     pub cache_hit_rate: f64,

@@ -50,7 +50,7 @@ use crate::replay::{PinSpec, ReplayBundle, TrailEntry};
 use hipacc_core::fusion::{check_chain, fuse_operators};
 use hipacc_core::operator::OperatorError;
 use hipacc_core::supervisor::SupervisorConfig;
-use hipacc_core::{Engine, FaultPlan, KernelCache, Operator, Target};
+use hipacc_core::{CacheTally, Engine, FaultPlan, KernelCache, Operator, Target};
 use hipacc_image::Image;
 use hipacc_profile::{now_us, Span};
 use hipacc_sim::WorkerPool;
@@ -301,8 +301,8 @@ struct RunCtx {
     gov: Governor,
     budgets: Budgets,
     frames_in: usize,
-    /// Cache hits and misses before the run, for the per-run deltas.
-    counters_before: (u64, u64),
+    /// This run's own cache hits and misses, counted by its launches.
+    cache_tally: CacheTally,
 }
 
 /// A frame travelling through the pipeline.
@@ -505,12 +505,16 @@ impl Stream {
                 let ops: Vec<&Operator> = group.iter().map(|s| &s.op).collect();
                 // check_chain passed for the whole run, so this is
                 // structural bookkeeping, not a legality question.
-                let fused_op = fuse_operators(&ops).expect("checked chain must compose");
+                let mut fused_op = fuse_operators(&ops).expect("checked chain must compose");
                 // Pre-flight resource probe at the run's frame
                 // geometry: a fused kernel whose merged stages overflow
-                // this device's resources falls back per-stage.
+                // this device's resources falls back per-stage. It
+                // compiles through the stream's cache, so the entry is
+                // warm for the first launch and a later run recompiles
+                // nothing.
+                fused_op.options.cache = self.config.share_cache.then(|| Arc::clone(&self.cache));
                 let overflow =
-                    probe.and_then(|(w, h)| match fused_op.compile(&self.target, w, h) {
+                    probe.and_then(|(w, h)| match fused_op.compile_cached(&self.target, w, h) {
                         Err(OperatorError::Compile(e)) if e.is_resource_limit() => {
                             Some(e.to_string())
                         }
@@ -698,12 +702,13 @@ impl Stream {
         // through the launch into this shield; the frame becomes a
         // typed R0601 failure and the stage thread keeps draining.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            op.execute_supervised(
+            op.execute_supervised_tallied(
                 &[(stage.input.as_str(), &frame.image)],
                 &self.target,
                 engine,
                 &plan,
                 &sup_cfg,
+                &ctx.cache_tally,
             )
         }));
 
@@ -832,7 +837,7 @@ impl Stream {
                 self.config.close_after,
             ),
             frames_in: frames.len(),
-            counters_before: (self.cache.hits(), self.cache.misses()),
+            cache_tally: CacheTally::default(),
             engine,
             stages,
             fusion,
@@ -1012,10 +1017,7 @@ impl Stream {
                 image: f.image,
             })
             .collect();
-        let (hits, misses) = (
-            self.cache.hits().saturating_sub(ctx.counters_before.0),
-            self.cache.misses().saturating_sub(ctx.counters_before.1),
-        );
+        let (hits, misses) = (ctx.cache_tally.hits(), ctx.cache_tally.misses());
         let traffic = hits + misses;
         let report = StreamReport {
             stream: self.name.clone(),

@@ -194,6 +194,17 @@ fn main() {
     print!("{}", left.report.render_text());
     print!("{}", right.report.render_text());
     println!("ok: concurrent streams share the cache and stay bit-identical");
+    // Each stream counts its own lookups: one per frame and stage.
+    let launches = FRAMES as u64 * stages;
+    for run in [&left, &right] {
+        let counted = run.report.cache_hits + run.report.cache_misses;
+        assert_eq!(
+            counted, launches,
+            "{} counted another stream's lookups",
+            run.report.stream
+        );
+    }
+    println!("ok: each concurrent stream reports its own {launches} cache lookups");
     println!();
 
     // Merge all spans into one trace: one lane (`tid`) per stream.

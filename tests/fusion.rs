@@ -23,6 +23,7 @@ use hipacc_hwmodel::device;
 use hipacc_image::{phantom, BoundaryMode, Image};
 use hipacc_runtime::{Stream, StreamConfig};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A short sequence of distinct frames (a drifting vessel phantom).
 fn frame_sequence(n: usize, w: u32, h: u32) -> Vec<Image<f32>> {
@@ -316,7 +317,8 @@ fn breaker_pinning_on_fused_stage_stays_bit_identical() {
 }
 
 /// The fused kernel amortizes through the shared cache like any other:
-/// one compile miss for the whole chain, steady-state hits after.
+/// the planner's pre-flight compile is the chain's one miss and leaves
+/// the entry warm, so every frame's launch hits.
 #[test]
 fn fused_kernel_is_served_from_the_cache() {
     let config = StreamConfig {
@@ -324,16 +326,42 @@ fn fused_kernel_is_served_from_the_cache() {
         engine: Some(Engine::Bytecode),
         ..StreamConfig::default()
     };
-    let run = three_stage_stream("cached", true, config)
-        .run(frame_sequence(8, 16, 16))
-        .unwrap();
+    let stream = three_stage_stream("cached", true, config);
+    let run = stream.run(frame_sequence(8, 16, 16)).unwrap();
     assert_eq!(run.report.frames_out, 8);
     assert_eq!(
-        run.report.cache_misses, 1,
+        stream.cache().misses(),
+        1,
         "one miss: the fused chain compiles once"
     );
-    assert_eq!(run.report.cache_hits, 7, "steady-state frames hit");
-    assert!(run.report.cache_hit_rate > 0.8);
+    assert_eq!(
+        run.report.cache_misses, 0,
+        "the pre-flight warmed the entry"
+    );
+    assert_eq!(run.report.cache_hits, 8, "every frame's launch hits");
+    assert_eq!(run.report.cache_hit_rate, 1.0);
+}
+
+/// The pre-flight compiles through the stream's cache: a second run of
+/// the same fused stream compiles nothing, so two runs add exactly one
+/// miss between them.
+#[test]
+fn fused_preflight_compiles_once_across_runs() {
+    let config = StreamConfig {
+        workers: Some(2),
+        engine: Some(Engine::Bytecode),
+        ..StreamConfig::default()
+    };
+    let stream = three_stage_stream("preflight", true, config);
+    let cache = Arc::clone(stream.cache());
+    let before = cache.misses();
+    for _ in 0..2 {
+        let run = stream.run(frame_sequence(4, 16, 16)).unwrap();
+        assert_eq!(run.report.frames_out, 4);
+        assert_eq!(run.report.cache_misses, 0);
+    }
+    assert_eq!(cache.misses() - before, 1, "one compile for two runs");
+    assert_eq!(cache.len(), 1, "one fused entry");
 }
 
 /// Property-style sweep: random-ish drifting geometries and modes stay

@@ -303,6 +303,14 @@ fn concurrent_streams_get_their_own_trace_lanes() {
         cache.misses()
     );
     assert_eq!(cache.hits() + cache.misses(), 18);
+    // Each stream counts its own 9 launches, not the other's.
+    for run in [&run_a, &run_b] {
+        assert_eq!(run.report.cache_hits + run.report.cache_misses, 9);
+    }
+    assert_eq!(
+        run_a.report.cache_misses + run_b.report.cache_misses,
+        cache.misses()
+    );
 }
 
 // ---------------------------------------------------------------------
