@@ -7,6 +7,7 @@
 
 use crate::expr::{Builtin, Expr, TexCoords, UnOp};
 use crate::stmt::{LValue, Stmt};
+use std::fmt::Write;
 
 /// How to render the backend-specific leaf nodes of an expression. The
 /// neutral printer and both codegen backends provide implementations.
@@ -80,64 +81,88 @@ fn precedence(e: &Expr) -> u8 {
 
 /// Render an expression with a leaf renderer.
 pub fn expr_to_string(e: &Expr, r: &dyn LeafRenderer) -> String {
-    fn child(e: &Expr, parent_prec: u8, r: &dyn LeafRenderer) -> String {
-        let s = expr_to_string(e, r);
+    let mut out = String::new();
+    write_expr(e, r, &mut out);
+    out
+}
+
+/// Append the rendering of `e` to `out`. Operators and their operands are
+/// written in place; only the backend's leaf nodes (builtins, math calls,
+/// loads) render through strings, because the [`LeafRenderer`] composes
+/// them from their rendered operands.
+fn write_expr(e: &Expr, r: &dyn LeafRenderer, out: &mut String) {
+    let child = |e: &Expr, parent_prec: u8, out: &mut String| {
         if precedence(e) < parent_prec {
-            format!("({s})")
+            out.push('(');
+            write_expr(e, r, out);
+            out.push(')');
         } else {
-            s
+            write_expr(e, r, out);
         }
-    }
+    };
     match e {
-        Expr::ImmInt(i) => i.to_string(),
-        Expr::ImmFloat(f) => crate::ty::Const::Float(*f).to_string(),
-        Expr::ImmBool(b) => b.to_string(),
-        Expr::Var(n) => n.clone(),
+        Expr::ImmInt(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Expr::ImmFloat(f) => {
+            let _ = write!(out, "{}", crate::ty::Const::Float(*f));
+        }
+        Expr::ImmBool(b) => {
+            let _ = write!(out, "{b}");
+        }
+        Expr::Var(n) => out.push_str(n),
         Expr::Unary(op, a) => {
-            let sym = match op {
+            out.push_str(match op {
                 UnOp::Neg => "-",
                 UnOp::Not => "!",
-            };
-            format!("{sym}{}", child(a, 7, r))
+            });
+            child(a, 7, out);
         }
         Expr::Binary(op, a, b) => {
             let p = precedence(e);
-            format!(
-                "{} {} {}",
-                child(a, p, r),
-                op.c_symbol(),
-                child(b, p + 1, r)
-            )
+            child(a, p, out);
+            out.push(' ');
+            out.push_str(op.c_symbol());
+            out.push(' ');
+            child(b, p + 1, out);
         }
         Expr::Call(f, args) => {
             let rendered: Vec<String> = args.iter().map(|a| expr_to_string(a, r)).collect();
-            r.math_call(*f, &rendered)
+            out.push_str(&r.math_call(*f, &rendered));
         }
-        Expr::Cast(ty, a) => format!("({}){}", ty.c_name(), child(a, 7, r)),
-        Expr::Select(c, a, b) => format!(
-            "{} ? {} : {}",
-            child(c, 1, r),
-            child(a, 1, r),
-            child(b, 1, r)
-        ),
+        Expr::Cast(ty, a) => {
+            let _ = write!(out, "({})", ty.c_name());
+            child(a, 7, out);
+        }
+        Expr::Select(c, a, b) => {
+            child(c, 1, out);
+            out.push_str(" ? ");
+            child(a, 1, out);
+            out.push_str(" : ");
+            child(b, 1, out);
+        }
         Expr::InputAt { acc, dx, dy } => {
             let dx = expr_to_string(dx, r);
             let dy = expr_to_string(dy, r);
             if dx == "0" && dy == "0" {
-                format!("{acc}()")
+                let _ = write!(out, "{acc}()");
             } else {
-                format!("{acc}({dx}, {dy})")
+                let _ = write!(out, "{acc}({dx}, {dy})");
             }
         }
-        Expr::MaskAt { mask, dx, dy } => format!(
-            "{mask}({}, {})",
-            expr_to_string(dx, r),
-            expr_to_string(dy, r)
-        ),
-        Expr::OutputX => "x()".to_string(),
-        Expr::OutputY => "y()".to_string(),
-        Expr::Builtin(b) => r.builtin(*b),
-        Expr::GlobalLoad { buf, idx } => r.global_load(buf, &expr_to_string(idx, r)),
+        Expr::MaskAt { mask, dx, dy } => {
+            let _ = write!(out, "{mask}(");
+            write_expr(dx, r, out);
+            out.push_str(", ");
+            write_expr(dy, r, out);
+            out.push(')');
+        }
+        Expr::OutputX => out.push_str("x()"),
+        Expr::OutputY => out.push_str("y()"),
+        Expr::Builtin(b) => out.push_str(&r.builtin(*b)),
+        Expr::GlobalLoad { buf, idx } => {
+            out.push_str(&r.global_load(buf, &expr_to_string(idx, r)));
+        }
         Expr::TexFetch { buf, coords } => {
             let rc = match coords {
                 TexCoords::Linear(i) => RenderedCoords::Linear(expr_to_string(i, r)),
@@ -145,11 +170,13 @@ pub fn expr_to_string(e: &Expr, r: &dyn LeafRenderer) -> String {
                     RenderedCoords::Xy(expr_to_string(x, r), expr_to_string(y, r))
                 }
             };
-            r.tex_fetch(buf, &rc)
+            out.push_str(&r.tex_fetch(buf, &rc));
         }
-        Expr::ConstLoad { buf, idx } => r.const_load(buf, &expr_to_string(idx, r)),
+        Expr::ConstLoad { buf, idx } => {
+            out.push_str(&r.const_load(buf, &expr_to_string(idx, r)));
+        }
         Expr::SharedLoad { buf, y, x } => {
-            r.shared_load(buf, &expr_to_string(y, r), &expr_to_string(x, r))
+            out.push_str(&r.shared_load(buf, &expr_to_string(y, r), &expr_to_string(x, r)));
         }
     }
 }
@@ -157,20 +184,27 @@ pub fn expr_to_string(e: &Expr, r: &dyn LeafRenderer) -> String {
 /// Emit a statement list with a leaf renderer into `out`, indented by
 /// `indent` levels of four spaces.
 pub fn emit_stmts(stmts: &[Stmt], r: &dyn LeafRenderer, indent: usize, out: &mut String) {
-    let pad = "    ".repeat(indent);
+    let pad = |out: &mut String| {
+        for _ in 0..indent {
+            out.push_str("    ");
+        }
+    };
     for s in stmts {
+        pad(out);
         match s {
-            Stmt::Decl { name, ty, init } => match init {
-                Some(e) => out.push_str(&format!(
-                    "{pad}{} {name} = {};\n",
-                    ty.c_name(),
-                    expr_to_string(e, r)
-                )),
-                None => out.push_str(&format!("{pad}{} {name};\n", ty.c_name())),
-            },
+            Stmt::Decl { name, ty, init } => {
+                let _ = write!(out, "{} {name}", ty.c_name());
+                if let Some(e) = init {
+                    out.push_str(" = ");
+                    write_expr(e, r, out);
+                }
+                out.push_str(";\n");
+            }
             Stmt::Assign { target, value } => {
                 let LValue::Var(name) = target;
-                out.push_str(&format!("{pad}{name} = {};\n", expr_to_string(value, r)));
+                let _ = write!(out, "{name} = ");
+                write_expr(value, r, out);
+                out.push_str(";\n");
             }
             Stmt::For {
                 var,
@@ -178,46 +212,56 @@ pub fn emit_stmts(stmts: &[Stmt], r: &dyn LeafRenderer, indent: usize, out: &mut
                 to,
                 body,
             } => {
-                out.push_str(&format!(
-                    "{pad}for (int {var} = {}; {var} <= {}; ++{var}) {{\n",
-                    expr_to_string(from, r),
-                    expr_to_string(to, r)
-                ));
+                let _ = write!(out, "for (int {var} = ");
+                write_expr(from, r, out);
+                let _ = write!(out, "; {var} <= ");
+                write_expr(to, r, out);
+                let _ = writeln!(out, "; ++{var}) {{");
                 emit_stmts(body, r, indent + 1, out);
-                out.push_str(&format!("{pad}}}\n"));
+                pad(out);
+                out.push_str("}\n");
             }
             Stmt::If { cond, then, els } => {
-                out.push_str(&format!("{pad}if ({}) {{\n", expr_to_string(cond, r)));
+                out.push_str("if (");
+                write_expr(cond, r, out);
+                out.push_str(") {\n");
                 emit_stmts(then, r, indent + 1, out);
+                pad(out);
                 if els.is_empty() {
-                    out.push_str(&format!("{pad}}}\n"));
+                    out.push_str("}\n");
                 } else {
-                    out.push_str(&format!("{pad}}} else {{\n"));
+                    out.push_str("} else {\n");
                     emit_stmts(els, r, indent + 1, out);
-                    out.push_str(&format!("{pad}}}\n"));
+                    pad(out);
+                    out.push_str("}\n");
                 }
             }
             Stmt::Output(e) => {
-                out.push_str(&format!("{pad}output() = {};\n", expr_to_string(e, r)));
+                out.push_str("output() = ");
+                write_expr(e, r, out);
+                out.push_str(";\n");
             }
             Stmt::GlobalStore { buf, idx, value } => {
-                out.push_str(&format!(
-                    "{pad}{buf}[{}] = {};\n",
-                    expr_to_string(idx, r),
-                    expr_to_string(value, r)
-                ));
+                let _ = write!(out, "{buf}[");
+                write_expr(idx, r, out);
+                out.push_str("] = ");
+                write_expr(value, r, out);
+                out.push_str(";\n");
             }
             Stmt::SharedStore { buf, y, x, value } => {
-                out.push_str(&format!(
-                    "{pad}{buf}[{}][{}] = {};\n",
-                    expr_to_string(y, r),
-                    expr_to_string(x, r),
-                    expr_to_string(value, r)
-                ));
+                let _ = write!(out, "{buf}[");
+                write_expr(y, r, out);
+                out.push_str("][");
+                write_expr(x, r, out);
+                out.push_str("] = ");
+                write_expr(value, r, out);
+                out.push_str(";\n");
             }
-            Stmt::Barrier => out.push_str(&format!("{pad}__barrier();\n")),
-            Stmt::Return => out.push_str(&format!("{pad}return;\n")),
-            Stmt::Comment(c) => out.push_str(&format!("{pad}// {c}\n")),
+            Stmt::Barrier => out.push_str("__barrier();\n"),
+            Stmt::Return => out.push_str("return;\n"),
+            Stmt::Comment(c) => {
+                let _ = writeln!(out, "// {c}");
+            }
         }
     }
 }
