@@ -317,12 +317,17 @@ fn walk(stmts: &[Stmt], st: &mut RangeState, ctx: &mut Ctx<'_>) -> bool {
                 // variables are havocked, the loop variable spans every
                 // iteration at once. The surviving state havocs the
                 // assigned set too.
-                let assigned = Stmt::assigned_names(body);
                 let mut st_b = st.clone();
-                for a in &assigned {
-                    st_b.havoc(a);
-                    st.havoc(a);
-                }
+                Stmt::visit_all(body, &mut |s| {
+                    if let Stmt::Assign {
+                        target: LValue::Var(a),
+                        ..
+                    } = s
+                    {
+                        st_b.havoc(a);
+                        st.havoc(a);
+                    }
+                });
                 st_b.bind_loop(var, from, to);
                 walk(body, &mut st_b, ctx);
             }
