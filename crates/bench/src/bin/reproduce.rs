@@ -147,28 +147,19 @@ fn print_inject(seed: u64) {
 /// single `ReplayBundle` JSON or a stream report carrying a `replay`
 /// array — against the canonical streaming chain, and assert each one
 /// reproduces exactly the diagnostic code it recorded. Exits non-zero
-/// on any mismatch, so CI can gate on bit-deterministic replay.
+/// on any mismatch, so CI can gate on bit-deterministic replay, and on a
+/// file it cannot read, parse or accept as bundles.
 fn print_replay(path: &str) {
     use hipacc_filters::gaussian::gaussian_operator;
     use hipacc_filters::laplacian::laplacian_operator;
     use hipacc_filters::sobel::sobel_operator;
     use hipacc_image::BoundaryMode;
-    use hipacc_profile::json::{self, Value};
-    use hipacc_runtime::{replay, ReplayBundle, Stream};
+    use hipacc_runtime::{replay, Stream};
 
-    let text = std::fs::read_to_string(path).expect("read replay file");
-    let doc = json::parse(&text).expect("parse replay file");
-    let bundles: Vec<ReplayBundle> = match doc
-        .as_object()
-        .and_then(|o| o.get("replay"))
-        .and_then(Value::as_array)
-    {
-        Some(arr) => arr
-            .iter()
-            .map(|v| ReplayBundle::from_value(v).expect("bundle in stream report"))
-            .collect(),
-        None => vec![ReplayBundle::from_value(&doc).expect("replay bundle")],
-    };
+    let bundles = read_bundles(path).unwrap_or_else(|e| {
+        eprintln!("reproduce --replay: {e}");
+        std::process::exit(1);
+    });
     if bundles.is_empty() {
         println!("no replay bundles in {path}: nothing failed, nothing to reproduce\n");
         return;
@@ -211,6 +202,32 @@ fn print_replay(path: &str) {
         "ok: {} replay bundle(s) reproduced their diagnostic codes\n",
         bundles.len()
     );
+}
+
+/// The bundles of a replay file: its `replay` array, or the whole
+/// document as one bundle.
+fn read_bundles(path: &str) -> Result<Vec<hipacc_runtime::ReplayBundle>, String> {
+    use hipacc_profile::json::{self, Value};
+    use hipacc_runtime::ReplayBundle;
+
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    match doc
+        .as_object()
+        .and_then(|o| o.get("replay"))
+        .and_then(Value::as_array)
+    {
+        Some(arr) => arr
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                ReplayBundle::from_value(v).map_err(|e| format!("{path}: replay[{i}]: {e}"))
+            })
+            .collect(),
+        None => Ok(vec![
+            ReplayBundle::from_value(&doc).map_err(|e| format!("{path}: {e}"))?
+        ]),
+    }
 }
 
 /// Describe one diagnostic code from the stable registry, or the whole

@@ -48,3 +48,57 @@ fn a_valid_value_runs() {
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("A0301"));
 }
+
+/// A replay file that cannot be read, parsed or accepted is reported on
+/// stderr with a non-zero exit, never a panic.
+#[test]
+fn bad_replay_files_fail_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("reproduce-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bundle = |workers: &str| {
+        format!(
+            r#"{{"stream":"s","seq":0,"stage":"gauss5","stage_index":0,"engine":"simd",
+            "opt_level":1,"rung":"initial","attempt":1,"pinned":null,"deadline_us":null,
+            "frame_budget_us":null,"spent_before_us":0,"stream_check":[2,1],
+            "fault":{{"seed":"1","global_flip_rate":0,"shared_flip_rate":0,"flip_bits":1,
+            "const_flips":0,"drop_rate":0,"poison_boundary_rate":0,"stall_rate":0,
+            "stall_us":0,"hang_rate":0,"panic_rate":0,"base_block_us":1,"deadline_us":null,
+            "faulty_attempts":1,"target_block":null}},
+            "supervisor":{{"max_attempts":1,"backoff_base_us":0,"fallback":false}},
+            "workers":{workers},"width":16,"height":16,"trail":[],"expected_code":"R0603"}}"#
+        )
+    };
+    let files = [
+        ("truncated.json", "{".to_string(), "JSON parse error"),
+        ("zero_workers.json", bundle("0"), "`workers`"),
+        ("fractional_workers.json", bundle("2.5"), "`workers`"),
+    ];
+    let mut cases = vec![(
+        dir.join("missing.json").display().to_string(),
+        "cannot read",
+    )];
+    for (name, text, named) in &files {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write replay file");
+        cases.push((path.display().to_string(), named));
+    }
+    for (path, named) in &cases {
+        let out = reproduce(&["--replay", path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path}: {stderr}");
+        assert!(stderr.contains(named), "{path}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{path}: {stderr}");
+    }
+    // The same bundle with a valid pool size replays (a stream-budget trip
+    // is pure arithmetic, no launch).
+    let good = dir.join("good.json");
+    std::fs::write(&good, bundle("1")).expect("write replay file");
+    let out = reproduce(&["--replay", &good.display().to_string()]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

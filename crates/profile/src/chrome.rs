@@ -9,6 +9,7 @@
 
 use crate::json::{self, Value};
 use crate::Span;
+use std::cmp::Reverse;
 
 /// Render spans as a Chrome trace JSON document.
 ///
@@ -17,40 +18,29 @@ use crate::Span;
 /// emitted `ts` sequence monotonic — a property [`validate`] checks.
 pub fn trace_json(spans: &[Span]) -> String {
     let mut ordered: Vec<&Span> = spans.iter().collect();
-    ordered.sort_by(|a, b| {
-        a.start_us
-            .cmp(&b.start_us)
-            .then(b.dur_us.cmp(&a.dur_us))
-            .then(a.name.cmp(&b.name))
-    });
+    ordered.sort_by_key(|&s| (s.start_us, Reverse(s.dur_us), s.name.as_str()));
 
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, s) in ordered.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
-            json::escape(&s.name),
-            json::escape(&s.cat),
-            s.start_us,
-            s.dur_us,
-            s.lane,
-        ));
+    let events = ordered.iter().map(|s| {
+        let mut fields = vec![
+            ("name", (&s.name).into()),
+            ("cat", (&s.cat).into()),
+            ("ph", "X".into()),
+            ("ts", s.start_us.into()),
+            ("dur", s.dur_us.into()),
+            ("pid", 1u32.into()),
+            ("tid", s.lane.into()),
+        ];
         if !s.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (k, v)) in s.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)));
-            }
-            out.push('}');
+            let args = s.args.iter().map(|(k, v)| (k.as_str(), v.into()));
+            fields.push(("args", Value::object(args)));
         }
-        out.push('}');
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+        Value::object(fields)
+    });
+    Value::object([
+        ("traceEvents", events.collect()),
+        ("displayTimeUnit", "ms".into()),
+    ])
+    .to_string()
 }
 
 /// Validate a Chrome trace document: parses as JSON, has a `traceEvents`
@@ -78,13 +68,12 @@ pub fn validate(trace: &str) -> Result<usize, String> {
                 return Err(format!("event {i}: missing string field `{key}`"));
             }
         }
-        for key in ["ts", "dur", "pid", "tid"] {
-            if e.get(key).and_then(Value::as_number).is_none() {
-                return Err(format!("event {i}: missing numeric field `{key}`"));
-            }
-        }
-        let ts = e["ts"].as_number().unwrap();
-        let dur = e["dur"].as_number().unwrap();
+        let num = |key: &str| {
+            e.get(key)
+                .and_then(Value::as_number)
+                .ok_or_else(|| format!("event {i}: missing numeric field `{key}`"))
+        };
+        let (ts, dur, _pid, _tid) = (num("ts")?, num("dur")?, num("pid")?, num("tid")?);
         if dur < 0.0 {
             return Err(format!("event {i}: negative duration {dur}"));
         }

@@ -1,9 +1,11 @@
-//! A minimal JSON parser, used to validate emitted traces.
+//! The workspace's one JSON reader and writer (there is no serde).
 //!
-//! The workspace builds without crates.io access, so there is no serde;
-//! this hand-rolled recursive-descent parser covers the full JSON grammar
-//! (RFC 8259) and is only used on profiler output — small documents whose
-//! shape we control — so it favours clarity over speed.
+//! Every document the crates emit — Chrome trace, stream report, replay
+//! bundle — is a [`Value`] printed through its `Display` impl, and
+//! [`parse`] (full RFC 8259 grammar) reads them back; both favour clarity
+//! over speed. Objects are [`BTreeMap`]s, so keys print sorted. A finite
+//! number prints in `f64`'s shortest round-trip form and a non-finite one
+//! as `null`, so every printed document parses.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,6 +28,13 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object from `(key, value)` pairs (a repeated key keeps the last).
+    pub fn object<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        let mut map = BTreeMap::new(); // inserts, so no sort is instantiated per call site
+        map.extend(pairs.into_iter().map(|(k, v)| (k.to_string(), v)));
+        Value::Object(map)
+    }
+
     /// The object map, if this value is an object.
     pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
@@ -56,6 +65,76 @@ impl Value {
             Value::String(s) => Some(s),
             _ => None,
         }
+    }
+}
+
+impl fmt::Display for Value {
+    /// Compact JSON, keys in map order; a non-finite number prints `null`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sep = |i: usize| if i > 0 { "," } else { "" };
+        match self {
+            Value::Number(n) if n.is_finite() => write!(f, "{n}"),
+            Value::Null | Value::Number(_) => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::String(s) => write!(f, "\"{}\"", escape(s)),
+            Value::Array(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    write!(f, "{}{v}", sep(i))?;
+                }
+                f.write_str("]")
+            }
+            Value::Object(map) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in map.iter().enumerate() {
+                    write!(f, "{}\"{}\":{v}", sep(i), escape(k))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// Conversions for building documents. Numbers widen to `f64`, exact for
+/// every `f32` and for integers up to 2^53.
+macro_rules! value_from {
+    ($($t:ty => |$x:ident| $e:expr;)*) => {$(
+        impl From<$t> for Value {
+            fn from($x: $t) -> Self { $e }
+        }
+    )*};
+}
+value_from! {
+    bool => |b| Value::Bool(b);
+    &str => |s| Value::String(s.to_string());
+    String => |s| Value::String(s);
+    &String => |s| Value::String(s.clone());
+    u8 => |n| Value::Number(n.into());
+    u32 => |n| Value::Number(n.into());
+    u64 => |n| Value::Number(n as f64);
+    usize => |n| Value::Number(n as f64);
+    f32 => |n| Value::Number(n.into());
+    f64 => |n| Value::Number(n);
+}
+
+/// `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// A pair is a two-element array.
+impl<T: Into<Value>> From<(T, T)> for Value {
+    fn from((a, b): (T, T)) -> Self {
+        Value::Array(vec![a.into(), b.into()])
+    }
+}
+
+/// Collecting values makes an array.
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        Value::Array(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -372,6 +451,47 @@ mod tests {
         assert_eq!(
             parse("\"\\u00e9\\uD83D\\uDE00\"").unwrap(),
             Value::String("é😀".to_string())
+        );
+    }
+
+    #[test]
+    fn printed_values_parse_back_equal() {
+        let v = Value::object([
+            ("ctrl", "\u{0}\u{1f}\n\t\"q\" \\ /".into()),
+            ("unicode", "é 😀 \u{7f} 中".into()),
+            ("int", Value::Number(9_007_199_254_740_992.0)), // 2^53
+            ("neg", Value::Number(-42.0)),
+            ("frac", Value::Number(0.1)),
+            ("tiny", Value::Number(-1.5e-300)),
+            ("f32", 0.1f32.into()),
+            ("none", Option::<u32>::None.into()),
+            ("pair", (3u32, 4u32).into()),
+            (
+                "list",
+                Value::Array(vec![Value::Bool(true), Value::Null, Value::object([])]),
+            ),
+            (
+                "nested",
+                Value::object([("a", Value::Array(vec![[1u8].into_iter().collect()]))]),
+            ),
+        ]);
+        let text = v.to_string();
+        assert_eq!(parse(&text).unwrap(), v, "{text}");
+        assert!(text.starts_with("{\"ctrl\":"), "keys print sorted: {text}");
+        assert!(text.contains("\"int\":9007199254740992,"), "{text}");
+    }
+
+    #[test]
+    fn non_finite_numbers_print_null() {
+        let v = Value::Array(vec![
+            Value::Number(f64::NAN),
+            f32::INFINITY.into(),
+            Value::Number(f64::NEG_INFINITY),
+        ]);
+        assert_eq!(v.to_string(), "[null,null,null]");
+        assert_eq!(
+            parse(&v.to_string()).unwrap(),
+            Value::Array(vec![Value::Null; 3])
         );
     }
 

@@ -13,9 +13,9 @@
 //!   the sink is off; [`NullSink`] (the default everywhere) is therefore
 //!   free. [`Recorder`] collects spans in memory for later export.
 //! * [`chrome`] renders spans as Chrome `trace_event` JSON (loadable in
-//!   `about:tracing` and Perfetto) and — because the workspace is
-//!   dependency-free — validates traces with its own minimal JSON parser
-//!   ([`json`]).
+//!   `about:tracing` and Perfetto) and validates traces. Because the
+//!   workspace is dependency-free, [`json`] is its own JSON reader and
+//!   the one writer every emitted document goes through.
 //!
 //! Timestamps come from one process-wide monotonic epoch ([`now_us`]), so
 //! spans recorded in different crates land on a single consistent

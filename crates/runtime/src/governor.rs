@@ -319,31 +319,6 @@ impl Governor {
     }
 }
 
-/// A stable lowercase label for a [`MemVariant`], used in replay
-/// bundles and breaker transition details. Round-trips through
-/// [`parse_variant`].
-pub fn variant_label(v: MemVariant) -> &'static str {
-    match v {
-        MemVariant::Auto => "auto",
-        MemVariant::Global => "global",
-        MemVariant::Texture => "texture",
-        MemVariant::TextureHwBoundary => "texture-hw",
-        MemVariant::Scratchpad => "scratchpad",
-    }
-}
-
-/// Parse a [`variant_label`] back into the variant.
-pub fn parse_variant(label: &str) -> Option<MemVariant> {
-    Some(match label.trim() {
-        "auto" => MemVariant::Auto,
-        "global" => MemVariant::Global,
-        "texture" => MemVariant::Texture,
-        "texture-hw" => MemVariant::TextureHwBoundary,
-        "scratchpad" => MemVariant::Scratchpad,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,19 +397,5 @@ mod tests {
         g.record(0, "s", 1, FrameOutcome::Failed);
         assert_eq!(g.state(0), BreakerState::Closed, "no rung was proven");
         assert!(g.transitions().is_empty());
-    }
-
-    #[test]
-    fn variant_labels_round_trip() {
-        for v in [
-            MemVariant::Auto,
-            MemVariant::Global,
-            MemVariant::Texture,
-            MemVariant::TextureHwBoundary,
-            MemVariant::Scratchpad,
-        ] {
-            assert_eq!(parse_variant(variant_label(v)), Some(v));
-        }
-        assert_eq!(parse_variant("nope"), None);
     }
 }

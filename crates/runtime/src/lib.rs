@@ -51,15 +51,12 @@ pub mod queue;
 pub mod replay;
 pub mod stream;
 
-pub use governor::{
-    parse_variant, variant_label, BreakerState, BreakerTransition, FrameOutcome, Governor,
-    PinnedRung,
-};
+pub use governor::{BreakerState, BreakerTransition, FrameOutcome, Governor, PinnedRung};
 pub use metrics::{
     percentile_us, ActionTotals, FrameFailure, FrameShed, FusionDecision, StreamReport,
 };
 pub use queue::{Closed, FrameQueue};
-pub use replay::{drifting_frame, replay, PinSpec, ReplayBundle, TrailEntry};
+pub use replay::{drifting_frame, replay, ReplayBundle, TrailEntry};
 pub use stream::{
     Frame, Stage, Stream, StreamConfig, StreamError, StreamRun, DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_CLOSE_AFTER, DEFAULT_PROBE_AFTER, DEFAULT_QUEUE_CAPACITY, DEFAULT_WORKERS,

@@ -10,7 +10,7 @@
 
 use crate::governor::BreakerTransition;
 use crate::replay::ReplayBundle;
-use hipacc_profile::{json, Span};
+use hipacc_profile::{json::Value, Span};
 use std::fmt::Write as _;
 
 /// One frame the stream could not recover, with its typed diagnostic.
@@ -242,112 +242,99 @@ impl StreamReport {
         out
     }
 
-    /// Machine-readable report (hand-rolled; all strings escaped). Replay bundles
-    /// are embedded whole, so one report file is enough to feed
-    /// `reproduce --replay`.
+    /// Machine-readable report, printed through [`Value`] (keys
+    /// sorted). Replay bundles are embedded whole, so one report file is
+    /// enough to feed `reproduce --replay`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"stream\":\"{}\"", json::escape(&self.stream));
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| format!("\"{}\"", json::escape(s)))
-            .collect();
-        let _ = write!(out, ",\"stages\":[{}]", stages.join(","));
-        let _ = write!(out, ",\"engine\":\"{}\"", json::escape(&self.engine));
-        let _ = write!(out, ",\"workers\":{}", self.workers);
-        let _ = write!(out, ",\"queue_capacity\":{}", self.queue_capacity);
-        let _ = write!(out, ",\"frames_in\":{}", self.frames_in);
-        let _ = write!(out, ",\"frames_out\":{}", self.frames_out);
-        let failed: Vec<String> = self
-            .failed
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"seq\":{},\"stage\":\"{}\",\"code\":\"{}\",\"error\":\"{}\"}}",
-                    f.seq,
-                    json::escape(&f.stage),
-                    json::escape(&f.code),
-                    json::escape(&f.error)
-                )
-            })
-            .collect();
-        let _ = write!(out, ",\"failed\":[{}]", failed.join(","));
-        let shed: Vec<String> = self
-            .shed
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"seq\":{},\"code\":\"{}\"}}",
-                    s.seq,
-                    json::escape(&s.code)
-                )
-            })
-            .collect();
-        let _ = write!(out, ",\"shed\":[{}]", shed.join(","));
-        let _ = write!(out, ",\"recovered_frames\":{}", self.recovered_frames);
-        let fusion: Vec<String> = self
-            .fusion
-            .iter()
-            .map(|d| {
-                let stages: Vec<String> = d
-                    .stages
-                    .iter()
-                    .map(|s| format!("\"{}\"", json::escape(s)))
-                    .collect();
-                format!(
-                    "{{\"stages\":[{}],\"fused\":{},\"code\":{},\"detail\":\"{}\"}}",
-                    stages.join(","),
-                    d.fused,
-                    d.code
-                        .as_deref()
-                        .map(|c| format!("\"{}\"", json::escape(c)))
-                        .unwrap_or_else(|| "null".into()),
-                    json::escape(&d.detail)
-                )
-            })
-            .collect();
-        let _ = write!(out, ",\"fusion\":[{}]", fusion.join(","));
         let a = &self.actions;
-        let _ = write!(
-            out,
-            ",\"actions\":{{\"completed\":{},\"repaired\":{},\"retried\":{},\"degraded\":{},\"surfaced\":{}}}",
-            a.completed, a.repaired, a.retried, a.degraded, a.surfaced
-        );
-        let transitions: Vec<String> = self
-            .breaker_transitions
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"stage_index\":{},\"stage\":\"{}\",\"seq\":{},\"from\":\"{}\",\"to\":\"{}\",\"detail\":\"{}\"}}",
-                    t.stage_index,
-                    json::escape(&t.stage),
-                    t.seq,
-                    t.from,
-                    t.to,
-                    json::escape(&t.detail)
-                )
-            })
-            .collect();
-        let _ = write!(out, ",\"breaker_transitions\":[{}]", transitions.join(","));
-        let replay: Vec<String> = self.replay.iter().map(|b| b.to_json()).collect();
-        let _ = write!(out, ",\"replay\":[{}]", replay.join(","));
-        let _ = write!(out, ",\"wall_us\":{}", self.wall_us);
-        let _ = write!(out, ",\"frames_per_sec\":{:.3}", self.frames_per_sec);
-        let _ = write!(out, ",\"latency_p50_us\":{}", self.latency_p50_us);
-        let _ = write!(out, ",\"latency_p99_us\":{}", self.latency_p99_us);
-        let depths: Vec<String> = self
-            .queue_max_depths
-            .iter()
-            .map(|d| d.to_string())
-            .collect();
-        let _ = write!(out, ",\"queue_max_depths\":[{}]", depths.join(","));
-        let _ = write!(out, ",\"cache_hits\":{}", self.cache_hits);
-        let _ = write!(out, ",\"cache_misses\":{}", self.cache_misses);
-        let _ = write!(out, ",\"cache_hit_rate\":{:.3}", self.cache_hit_rate);
-        let _ = write!(out, ",\"lane\":{}", self.lane);
-        out.push('}');
-        out
+        Value::object([
+            ("stream", (&self.stream).into()),
+            ("stages", self.stages.iter().collect()),
+            ("engine", (&self.engine).into()),
+            ("workers", self.workers.into()),
+            ("queue_capacity", self.queue_capacity.into()),
+            ("frames_in", self.frames_in.into()),
+            ("frames_out", self.frames_out.into()),
+            (
+                "failed",
+                self.failed
+                    .iter()
+                    .map(|f| {
+                        Value::object([
+                            ("seq", f.seq.into()),
+                            ("stage", (&f.stage).into()),
+                            ("code", (&f.code).into()),
+                            ("error", (&f.error).into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "shed",
+                self.shed
+                    .iter()
+                    .map(|s| Value::object([("seq", s.seq.into()), ("code", (&s.code).into())]))
+                    .collect(),
+            ),
+            ("recovered_frames", self.recovered_frames.into()),
+            (
+                "fusion",
+                self.fusion
+                    .iter()
+                    .map(|d| {
+                        Value::object([
+                            ("stages", d.stages.iter().collect()),
+                            ("fused", d.fused.into()),
+                            ("code", d.code.clone().into()),
+                            ("detail", (&d.detail).into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "actions",
+                Value::object([
+                    ("completed", a.completed.into()),
+                    ("repaired", a.repaired.into()),
+                    ("retried", a.retried.into()),
+                    ("degraded", a.degraded.into()),
+                    ("surfaced", a.surfaced.into()),
+                ]),
+            ),
+            (
+                "breaker_transitions",
+                self.breaker_transitions
+                    .iter()
+                    .map(|t| {
+                        Value::object([
+                            ("stage_index", t.stage_index.into()),
+                            ("stage", (&t.stage).into()),
+                            ("seq", t.seq.into()),
+                            ("from", t.from.to_string().into()),
+                            ("to", t.to.to_string().into()),
+                            ("detail", (&t.detail).into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "replay",
+                self.replay.iter().map(ReplayBundle::to_value).collect(),
+            ),
+            ("wall_us", self.wall_us.into()),
+            ("frames_per_sec", self.frames_per_sec.into()),
+            ("latency_p50_us", self.latency_p50_us.into()),
+            ("latency_p99_us", self.latency_p99_us.into()),
+            (
+                "queue_max_depths",
+                self.queue_max_depths.iter().copied().collect(),
+            ),
+            ("cache_hits", self.cache_hits.into()),
+            ("cache_misses", self.cache_misses.into()),
+            ("cache_hit_rate", self.cache_hit_rate.into()),
+            ("lane", self.lane.into()),
+        ])
+        .to_string()
     }
 }
 
@@ -355,6 +342,7 @@ impl StreamReport {
 mod tests {
     use super::*;
     use crate::governor::BreakerState;
+    use hipacc_profile::json;
 
     fn report() -> StreamReport {
         StreamReport {
@@ -443,6 +431,35 @@ mod tests {
     fn json_round_trips_through_the_bundled_parser() {
         let doc = json::parse(&report().to_json()).expect("valid JSON");
         let obj = doc.as_object().unwrap();
+        let keys: Vec<&str> = obj.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "actions",
+                "breaker_transitions",
+                "cache_hit_rate",
+                "cache_hits",
+                "cache_misses",
+                "engine",
+                "failed",
+                "frames_in",
+                "frames_out",
+                "frames_per_sec",
+                "fusion",
+                "lane",
+                "latency_p50_us",
+                "latency_p99_us",
+                "queue_capacity",
+                "queue_max_depths",
+                "recovered_frames",
+                "replay",
+                "shed",
+                "stages",
+                "stream",
+                "wall_us",
+                "workers",
+            ]
+        );
         assert_eq!(obj["frames_in"].as_number(), Some(10.0));
         assert_eq!(obj["frames_out"].as_number(), Some(8.0));
         assert_eq!(obj["cache_hit_rate"].as_number(), Some(0.9));
@@ -471,6 +488,20 @@ mod tests {
         let d1 = fusion[1].as_object().unwrap();
         assert_eq!(d1["fused"], json::Value::Bool(false));
         assert_eq!(d1["code"].as_str(), Some("F0102"));
+    }
+
+    #[test]
+    fn a_report_carrying_a_non_finite_bundle_still_parses() {
+        let mut bundle = crate::replay::tests::bundle();
+        bundle.fault.global_flip_rate = f32::NAN;
+        let mut r = report();
+        r.replay = vec![bundle];
+        r.frames_per_sec = f64::INFINITY;
+        let doc = json::parse(&r.to_json()).expect("valid JSON");
+        let obj = doc.as_object().unwrap();
+        assert_eq!(obj["frames_per_sec"], json::Value::Null);
+        let err = ReplayBundle::from_value(&obj["replay"].as_array().unwrap()[0]).unwrap_err();
+        assert!(err.contains("`fault.global_flip_rate`"), "{err}");
     }
 
     #[test]

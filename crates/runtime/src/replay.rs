@@ -20,15 +20,18 @@
 //! ([`hipacc_profile::json`]), so a bundle written by one process
 //! replays identically in another.
 
-use crate::governor::parse_variant;
+use crate::governor::PinnedRung;
 use crate::stream::Stage;
+use hipacc_codegen::MemVariant;
 use hipacc_core::supervisor::SupervisorConfig;
 use hipacc_core::{FaultPlan, Target};
 use hipacc_image::Image;
 use hipacc_profile::json::{self, Value};
 use hipacc_sim::Engine;
-use std::fmt::Write as _;
+use hipacc_sim::WorkerPool;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// The canonical frame generator of the streaming examples, tests and
 /// replay: a deterministic vessel-like phantom plus a per-frame drift
@@ -48,17 +51,11 @@ pub fn drifting_frame(width: u32, height: u32, seq: u64) -> Image<f32> {
     img
 }
 
-/// A pinned configuration rung, in the string form bundles store
-/// (variant via [`crate::governor::variant_label`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PinSpec {
-    /// Ladder label of the rung.
-    pub rung: String,
-    /// Memory variant label (`auto`, `global`, `scratchpad`, …).
-    pub variant: String,
-    /// Forced launch configuration, if the rung carries one.
-    pub force_config: Option<(u32, u32)>,
-}
+/// The most workers a bundle read from JSON may ask [`replay`] for.
+pub const MAX_REPLAY_WORKERS: usize = 256;
+
+/// The largest frame side a bundle read from JSON may ask for (4096² `f32`s are 64 MiB).
+pub const MAX_REPLAY_SIDE: u32 = 4096;
 
 /// One successfully completed stage the frame passed *before* failing —
 /// replay re-runs these to reconstruct the failing stage's input.
@@ -67,7 +64,7 @@ pub struct TrailEntry {
     /// Stage name.
     pub stage: String,
     /// Breaker pin in force when the stage ran (`None` = healthy).
-    pub pinned: Option<PinSpec>,
+    pub pinned: Option<PinnedRung>,
     /// Effective launch deadline the watchdog imposed (`None` = none).
     pub deadline_us: Option<u64>,
 }
@@ -85,8 +82,8 @@ pub struct ReplayBundle {
     pub stage: String,
     /// Index of the failing stage in the chain.
     pub stage_index: usize,
-    /// Engine label every launch ran on.
-    pub engine: String,
+    /// Engine every launch ran on.
+    pub engine: Engine,
     /// Optimization level of the failing stage's operator.
     pub opt_level: u8,
     /// Configuration rung the failure surfaced from.
@@ -94,7 +91,7 @@ pub struct ReplayBundle {
     /// Launch attempts the supervisor made before giving up.
     pub attempt: u32,
     /// Breaker pin in force at the failing stage (`None` = healthy).
-    pub pinned: Option<PinSpec>,
+    pub pinned: Option<PinnedRung>,
     /// Effective launch deadline at the failing stage.
     pub deadline_us: Option<u64>,
     /// Per-frame virtual budget in force (`R0602` watchdog).
@@ -126,295 +123,286 @@ pub struct ReplayBundle {
     pub expected_code: String,
 }
 
-fn pin_json(p: &Option<PinSpec>) -> String {
-    match p {
-        None => "null".into(),
-        Some(p) => {
-            let force = match p.force_config {
-                Some((x, y)) => format!("[{x},{y}]"),
-                None => "null".into(),
-            };
-            format!(
-                "{{\"rung\":\"{}\",\"variant\":\"{}\",\"force_config\":{}}}",
-                json::escape(&p.rung),
-                json::escape(&p.variant),
-                force
-            )
-        }
+/// A memory variant's label in a bundle's JSON.
+fn variant_label(v: MemVariant) -> &'static str {
+    match v {
+        MemVariant::Auto => "auto",
+        MemVariant::Global => "global",
+        MemVariant::Texture => "texture",
+        MemVariant::TextureHwBoundary => "texture-hw",
+        MemVariant::Scratchpad => "scratchpad",
     }
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "null".into(),
-    }
+/// The memory variant whose [`variant_label`] is `label`, if any.
+fn parse_variant(label: &str) -> Option<MemVariant> {
+    use MemVariant::*;
+    [Auto, Global, Texture, TextureHwBoundary, Scratchpad]
+        .into_iter()
+        .find(|&v| variant_label(v) == label)
+}
+
+/// A pin as JSON: the variant by its [`variant_label`].
+fn pin_value(pin: &Option<PinnedRung>) -> Value {
+    pin.as_ref()
+        .map(|p| {
+            Value::object([
+                ("rung", (&p.rung).into()),
+                ("variant", variant_label(p.variant).into()),
+                ("force_config", p.force_config.into()),
+            ])
+        })
+        .into()
 }
 
 impl ReplayBundle {
-    /// Serialize for `reproduce --replay` and the stream report. The
-    /// fault seed is stored as a **string** so 64-bit seeds survive the
-    /// parser's f64 number representation.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"stream\":\"{}\"", json::escape(&self.stream));
-        let _ = write!(out, ",\"seq\":{}", self.seq);
-        let _ = write!(out, ",\"stage\":\"{}\"", json::escape(&self.stage));
-        let _ = write!(out, ",\"stage_index\":{}", self.stage_index);
-        let _ = write!(out, ",\"engine\":\"{}\"", json::escape(&self.engine));
-        let _ = write!(out, ",\"opt_level\":{}", self.opt_level);
-        let _ = write!(out, ",\"rung\":\"{}\"", json::escape(&self.rung));
-        let _ = write!(out, ",\"attempt\":{}", self.attempt);
-        let _ = write!(out, ",\"pinned\":{}", pin_json(&self.pinned));
-        let _ = write!(out, ",\"deadline_us\":{}", opt_u64(self.deadline_us));
-        let _ = write!(
-            out,
-            ",\"frame_budget_us\":{}",
-            opt_u64(self.frame_budget_us)
-        );
-        let _ = write!(out, ",\"spent_before_us\":{}", self.spent_before_us);
-        let _ = write!(
-            out,
-            ",\"stream_check\":{}",
-            match self.stream_check {
-                Some((p, b)) => format!("[{p},{b}]"),
-                None => "null".into(),
-            }
-        );
+    /// The bundle as JSON. The fault seed is a **string**, so 64-bit
+    /// seeds survive the parser's f64 numbers.
+    pub fn to_value(&self) -> Value {
         let f = &self.fault;
-        let _ = write!(
-            out,
-            ",\"fault\":{{\"seed\":\"{}\",\"global_flip_rate\":{},\"shared_flip_rate\":{},\
-             \"flip_bits\":{},\"const_flips\":{},\"drop_rate\":{},\"poison_boundary_rate\":{},\
-             \"stall_rate\":{},\"stall_us\":{},\"hang_rate\":{},\"panic_rate\":{},\
-             \"base_block_us\":{},\"deadline_us\":{},\"faulty_attempts\":{},\"target_block\":{}}}",
-            f.seed,
-            f.global_flip_rate,
-            f.shared_flip_rate,
-            f.flip_bits,
-            f.const_flips,
-            f.drop_rate,
-            f.poison_boundary_rate,
-            f.stall_rate,
-            f.stall_us,
-            f.hang_rate,
-            f.panic_rate,
-            f.base_block_us,
-            opt_u64(f.deadline_us),
-            f.faulty_attempts,
-            match f.target_block {
-                Some((x, y)) => format!("[{x},{y}]"),
-                None => "null".into(),
-            }
-        );
-        let _ = write!(
-            out,
-            ",\"supervisor\":{{\"max_attempts\":{},\"backoff_base_us\":{},\"fallback\":{}}}",
-            self.max_attempts, self.backoff_base_us, self.fallback
-        );
-        let _ = write!(out, ",\"workers\":{}", self.workers);
-        let _ = write!(out, ",\"width\":{},\"height\":{}", self.width, self.height);
-        let trail: Vec<String> = self
-            .trail
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"stage\":\"{}\",\"pinned\":{},\"deadline_us\":{}}}",
-                    json::escape(&t.stage),
-                    pin_json(&t.pinned),
-                    opt_u64(t.deadline_us)
-                )
-            })
-            .collect();
-        let _ = write!(out, ",\"trail\":[{}]", trail.join(","));
-        let _ = write!(
-            out,
-            ",\"expected_code\":\"{}\"",
-            json::escape(&self.expected_code)
-        );
-        out.push('}');
-        out
+        let trail = self.trail.iter().map(|t| {
+            Value::object([
+                ("stage", (&t.stage).into()),
+                ("pinned", pin_value(&t.pinned)),
+                ("deadline_us", t.deadline_us.into()),
+            ])
+        });
+        Value::object([
+            ("stream", (&self.stream).into()),
+            ("seq", self.seq.into()),
+            ("stage", (&self.stage).into()),
+            ("stage_index", self.stage_index.into()),
+            ("engine", self.engine.label().into()),
+            ("opt_level", self.opt_level.into()),
+            ("rung", (&self.rung).into()),
+            ("attempt", self.attempt.into()),
+            ("pinned", pin_value(&self.pinned)),
+            ("deadline_us", self.deadline_us.into()),
+            ("frame_budget_us", self.frame_budget_us.into()),
+            ("spent_before_us", self.spent_before_us.into()),
+            ("stream_check", self.stream_check.into()),
+            (
+                "fault",
+                Value::object([
+                    ("seed", f.seed.to_string().into()),
+                    ("global_flip_rate", f.global_flip_rate.into()),
+                    ("shared_flip_rate", f.shared_flip_rate.into()),
+                    ("flip_bits", f.flip_bits.into()),
+                    ("const_flips", f.const_flips.into()),
+                    ("drop_rate", f.drop_rate.into()),
+                    ("poison_boundary_rate", f.poison_boundary_rate.into()),
+                    ("stall_rate", f.stall_rate.into()),
+                    ("stall_us", f.stall_us.into()),
+                    ("hang_rate", f.hang_rate.into()),
+                    ("panic_rate", f.panic_rate.into()),
+                    ("base_block_us", f.base_block_us.into()),
+                    ("deadline_us", f.deadline_us.into()),
+                    ("faulty_attempts", f.faulty_attempts.into()),
+                    ("target_block", f.target_block.into()),
+                ]),
+            ),
+            (
+                "supervisor",
+                Value::object([
+                    ("max_attempts", self.max_attempts.into()),
+                    ("backoff_base_us", self.backoff_base_us.into()),
+                    ("fallback", self.fallback.into()),
+                ]),
+            ),
+            ("workers", self.workers.into()),
+            ("width", self.width.into()),
+            ("height", self.height.into()),
+            ("trail", trail.collect()),
+            ("expected_code", (&self.expected_code).into()),
+        ])
+    }
+
+    /// Serialize for `reproduce --replay`.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_string()
     }
 
     /// Parse a bundle back from [`Self::to_json`] output.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| format!("replay bundle: {e:?}"))?;
+        let doc = json::parse(text).map_err(|e| format!("replay bundle: {e}"))?;
         Self::from_value(&doc)
     }
 
     /// Parse a bundle from an already-parsed JSON value — e.g. one
-    /// element of a stream report's `replay` array.
+    /// element of a stream report's `replay` array. A bundle may come
+    /// from a hand-edited file, so every field is checked: integers must be
+    /// whole and fit their type, rates lie in `[0, 1]`, `workers` in
+    /// `1..=`[`MAX_REPLAY_WORKERS`] and `width` / `height` in
+    /// `1..=`[`MAX_REPLAY_SIDE`]. The error names the field.
     pub fn from_value(doc: &Value) -> Result<Self, String> {
-        let obj = doc.as_object().ok_or("replay bundle: not an object")?;
-        let num = |key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_number)
-                .ok_or_else(|| format!("replay bundle: missing number `{key}`"))
+        let top = Fields::of(doc, String::new())?;
+        let (fault, sup) = (top.object("fault")?, top.object("supervisor")?);
+        let Some(Value::Array(entries)) = top.map.get("trail") else {
+            return Err("replay bundle: `trail` must be an array".into());
         };
-        let st = |key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("replay bundle: missing string `{key}`"))
-        };
-        let opt_num =
-            |v: Option<&Value>| -> Option<u64> { v.and_then(Value::as_number).map(|n| n as u64) };
-        let pair = |v: Option<&Value>| -> Option<(u32, u32)> {
-            let arr = v?.as_array()?;
-            Some((
-                arr.first()?.as_number()? as u32,
-                arr.get(1)?.as_number()? as u32,
-            ))
-        };
-        let parse_pin = |v: Option<&Value>| -> Result<Option<PinSpec>, String> {
-            let Some(p) = v.and_then(Value::as_object) else {
-                return Ok(None);
-            };
-            Ok(Some(PinSpec {
-                rung: p
-                    .get("rung")
-                    .and_then(Value::as_str)
-                    .ok_or("replay bundle: pin missing `rung`")?
-                    .to_string(),
-                variant: p
-                    .get("variant")
-                    .and_then(Value::as_str)
-                    .ok_or("replay bundle: pin missing `variant`")?
-                    .to_string(),
-                force_config: pair(p.get("force_config")),
-            }))
-        };
-
-        let fault_obj = obj
-            .get("fault")
-            .and_then(Value::as_object)
-            .ok_or("replay bundle: missing `fault`")?;
-        let fnum = |key: &str| -> Result<f64, String> {
-            fault_obj
-                .get(key)
-                .and_then(Value::as_number)
-                .ok_or_else(|| format!("replay bundle: fault missing `{key}`"))
-        };
-        let fault = FaultPlan {
-            seed: fault_obj
-                .get("seed")
-                .and_then(Value::as_str)
-                .ok_or("replay bundle: fault missing `seed`")?
-                .parse::<u64>()
-                .map_err(|e| format!("replay bundle: bad fault seed: {e}"))?,
-            global_flip_rate: fnum("global_flip_rate")? as f32,
-            shared_flip_rate: fnum("shared_flip_rate")? as f32,
-            flip_bits: fnum("flip_bits")? as u32,
-            const_flips: fnum("const_flips")? as u32,
-            drop_rate: fnum("drop_rate")? as f32,
-            poison_boundary_rate: fnum("poison_boundary_rate")? as f32,
-            stall_rate: fnum("stall_rate")? as f32,
-            stall_us: fnum("stall_us")? as u64,
-            hang_rate: fnum("hang_rate")? as f32,
-            panic_rate: fnum("panic_rate")? as f32,
-            base_block_us: fnum("base_block_us")? as u64,
-            deadline_us: opt_num(fault_obj.get("deadline_us")),
-            faulty_attempts: fnum("faulty_attempts")? as u32,
-            target_block: pair(fault_obj.get("target_block")),
-        };
-        let sup = obj
-            .get("supervisor")
-            .and_then(Value::as_object)
-            .ok_or("replay bundle: missing `supervisor`")?;
-        let trail = obj
-            .get("trail")
-            .and_then(Value::as_array)
-            .ok_or("replay bundle: missing `trail`")?
-            .iter()
-            .map(|v| {
-                let t = v.as_object().ok_or("replay bundle: trail entry")?;
-                Ok(TrailEntry {
-                    stage: t
-                        .get("stage")
-                        .and_then(Value::as_str)
-                        .ok_or("replay bundle: trail missing `stage`")?
-                        .to_string(),
-                    pinned: parse_pin(t.get("pinned"))?,
-                    deadline_us: opt_num(t.get("deadline_us")),
-                })
+        let trail = entries.iter().enumerate().map(|(i, v)| {
+            let t = Fields::of(v, format!("trail[{i}]."))?;
+            Ok(TrailEntry {
+                stage: t.field("stage")?,
+                pinned: t.field("pinned")?,
+                deadline_us: t.field("deadline_us")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-
+        });
+        let seed: String = fault.field("seed")?;
         Ok(Self {
-            stream: st("stream")?,
-            seq: num("seq")? as u64,
-            stage: st("stage")?,
-            stage_index: num("stage_index")? as usize,
-            engine: st("engine")?,
-            opt_level: num("opt_level")? as u8,
-            rung: st("rung")?,
-            attempt: num("attempt")? as u32,
-            pinned: parse_pin(obj.get("pinned"))?,
-            deadline_us: opt_num(obj.get("deadline_us")),
-            frame_budget_us: opt_num(obj.get("frame_budget_us")),
-            spent_before_us: num("spent_before_us")? as u64,
-            stream_check: obj
-                .get("stream_check")
-                .and_then(Value::as_array)
-                .and_then(|arr| {
-                    Some((
-                        arr.first()?.as_number()? as u64,
-                        arr.get(1)?.as_number()? as u64,
-                    ))
-                }),
-            fault,
-            max_attempts: sup
-                .get("max_attempts")
-                .and_then(Value::as_number)
-                .ok_or("replay bundle: supervisor missing `max_attempts`")?
-                as u32,
-            backoff_base_us: sup
-                .get("backoff_base_us")
-                .and_then(Value::as_number)
-                .ok_or("replay bundle: supervisor missing `backoff_base_us`")?
-                as u64,
-            fallback: matches!(sup.get("fallback"), Some(Value::Bool(true))),
-            workers: num("workers")? as usize,
-            width: num("width")? as u32,
-            height: num("height")? as u32,
-            trail,
-            expected_code: st("expected_code")?,
+            stream: top.field("stream")?,
+            seq: top.field("seq")?,
+            stage: top.field("stage")?,
+            stage_index: top.field("stage_index")?,
+            engine: top.field("engine")?,
+            opt_level: top.field("opt_level")?,
+            rung: top.field("rung")?,
+            attempt: top.field("attempt")?,
+            pinned: top.field("pinned")?,
+            deadline_us: top.field("deadline_us")?,
+            frame_budget_us: top.field("frame_budget_us")?,
+            spent_before_us: top.field("spent_before_us")?,
+            stream_check: top.field("stream_check")?,
+            fault: FaultPlan {
+                seed: seed
+                    .parse()
+                    .map_err(|e| format!("replay bundle: bad `fault.seed` `{seed}`: {e}"))?,
+                global_flip_rate: fault.field("global_flip_rate")?,
+                shared_flip_rate: fault.field("shared_flip_rate")?,
+                flip_bits: fault.field("flip_bits")?,
+                const_flips: fault.field("const_flips")?,
+                drop_rate: fault.field("drop_rate")?,
+                poison_boundary_rate: fault.field("poison_boundary_rate")?,
+                stall_rate: fault.field("stall_rate")?,
+                stall_us: fault.field("stall_us")?,
+                hang_rate: fault.field("hang_rate")?,
+                panic_rate: fault.field("panic_rate")?,
+                base_block_us: fault.field("base_block_us")?,
+                deadline_us: fault.field("deadline_us")?,
+                faulty_attempts: fault.field("faulty_attempts")?,
+                target_block: fault.field("target_block")?,
+            },
+            max_attempts: sup.field("max_attempts")?,
+            backoff_base_us: sup.field("backoff_base_us")?,
+            fallback: sup.field("fallback")?,
+            workers: top.count("workers", MAX_REPLAY_WORKERS as u64)? as usize,
+            width: top.count("width", MAX_REPLAY_SIDE.into())? as u32,
+            height: top.count("height", MAX_REPLAY_SIDE.into())? as u32,
+            trail: trail.collect::<Result<_, String>>()?,
+            expected_code: top.field("expected_code")?,
         })
     }
 }
 
-fn parse_engine(label: &str) -> Result<Engine, String> {
-    Engine::from_label(label).ok_or_else(|| {
-        format!("replay: unknown engine `{label}` (a bundle replays on `bytecode` or `simd`)")
-    })
+/// One JSON object of a bundle being read, with the path its errors
+/// name (`fault.`, `trail[0].`, …).
+struct Fields<'a> {
+    map: &'a BTreeMap<String, Value>,
+    path: String,
 }
 
-/// Apply a recorded pin and deadline to a stage's operator and
-/// supervisor config, exactly as the stream did.
-fn apply_pin(
-    stage: &Stage,
-    pinned: &Option<PinSpec>,
-    deadline_us: Option<u64>,
-    engine: Engine,
-    base_cfg: &SupervisorConfig,
-    fault: &FaultPlan,
-    pool: &std::sync::Arc<hipacc_sim::WorkerPool>,
-) -> Result<(hipacc_core::Operator, SupervisorConfig, FaultPlan), String> {
-    let mut op = stage.op.clone();
-    op.options.engine = Some(engine);
-    op.options.cache = None;
-    op.options.pool = Some(std::sync::Arc::clone(pool));
-    let mut cfg = base_cfg.clone();
-    if let Some(pin) = pinned {
-        op.options.variant = parse_variant(&pin.variant)
-            .ok_or_else(|| format!("replay: unknown variant `{}`", pin.variant))?;
-        op.options.force_config = pin.force_config;
-        cfg.max_attempts = 1;
-        cfg.fallback = false;
+impl<'a> Fields<'a> {
+    fn of(v: &'a Value, path: String) -> Result<Self, String> {
+        match v {
+            Value::Object(map) => Ok(Self { map, path }),
+            _ if path.is_empty() => Err(format!("replay bundle: not an object, got {v}")),
+            _ => Err(format!(
+                "replay bundle: `{}` must be an object, got {v}",
+                path.trim_end_matches('.')
+            )),
+        }
     }
-    let mut plan = fault.clone();
-    plan.deadline_us = deadline_us;
-    Ok((op, cfg, plan))
+
+    fn object(&self, key: &str) -> Result<Fields<'a>, String> {
+        let v = self.map.get(key).unwrap_or(&Value::Null);
+        Fields::of(v, format!("{}{key}.", self.path))
+    }
+
+    /// The field as a `T`; a missing field reads as `null`.
+    fn field<T: Field>(&self, key: &str) -> Result<T, String> {
+        let v = self.map.get(key).unwrap_or(&Value::Null);
+        T::read(v).ok_or_else(|| {
+            format!(
+                "replay bundle: `{}{key}` must be {}, got {v}",
+                self.path,
+                T::WHAT
+            )
+        })
+    }
+
+    /// A whole number in `1..=max`.
+    fn count(&self, key: &str, max: u64) -> Result<u64, String> {
+        match self.field(key)? {
+            n if (1..=max).contains(&n) => Ok(n),
+            n => Err(format!(
+                "replay bundle: `{}{key}` must be in 1..={max}, got {n}",
+                self.path
+            )),
+        }
+    }
+}
+
+/// How a bundle field reads from JSON, and what it accepts (named in the
+/// error). Every `f32` of a bundle is a rate, an `Option` is also `null`.
+trait Field: Sized {
+    const WHAT: &'static str;
+    fn read(v: &Value) -> Option<Self>;
+}
+
+macro_rules! field {
+    ($($t:ty, $what:literal, |$v:ident| $read:expr;)*) => {$(
+        impl Field for $t {
+            const WHAT: &'static str = $what;
+            fn read($v: &Value) -> Option<Self> { $read }
+        }
+    )*};
+}
+
+field! {
+    u8, "a whole number up to 255", |v| whole(v)?.try_into().ok();
+    u32, "a whole number up to 2^32 - 1", |v| whole(v)?.try_into().ok();
+    u64, "a whole number up to 2^53", |v| whole(v);
+    usize, "a whole number up to 2^53", |v| whole(v)?.try_into().ok();
+    f32, "a number in [0, 1]", |v| {
+        v.as_number().filter(|n| (0.0..=1.0).contains(n)).map(|n| n as f32)
+    };
+    bool, "true or false", |v| if let Value::Bool(b) = v { Some(*b) } else { None };
+    String, "a string", |v| v.as_str().map(Into::into);
+    Engine, "`bytecode` or `simd`", |v| Engine::from_label(v.as_str()?);
+    (u32, u32), "a pair of whole numbers up to 2^32 - 1", |v| pair(v);
+    (u64, u64), "a pair of whole numbers up to 2^53", |v| pair(v);
+    PinnedRung, "a pin {rung, variant, force_config}", |v| {
+        let p = Fields::of(v, String::new()).ok()?;
+        let variant = p.map.get("variant")?.as_str()?;
+        Some(PinnedRung {
+            rung: p.field("rung").ok()?,
+            variant: parse_variant(variant)?,
+            force_config: p.field("force_config").ok()?,
+        })
+    };
+}
+
+impl<T: Field> Field for Option<T> {
+    const WHAT: &'static str = T::WHAT;
+    fn read(v: &Value) -> Option<Self> {
+        match v {
+            Value::Null => Some(None),
+            v => T::read(v).map(Some),
+        }
+    }
+}
+
+/// The integer a JSON number holds exactly: whole and in `0..=2^53`.
+fn whole(v: &Value) -> Option<u64> {
+    let n = v.as_number()?;
+    (n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n)).then_some(n as u64)
+}
+
+fn pair<T: Field>(v: &Value) -> Option<(T, T)> {
+    match v.as_array()? {
+        [a, b] => Some((T::read(a)?, T::read(b)?)),
+        _ => None,
+    }
 }
 
 /// Re-execute the failing launch a [`ReplayBundle`] describes, outside
@@ -427,8 +415,6 @@ fn apply_pin(
 /// clean (nothing reproduced).
 #[allow(clippy::result_large_err)] // the supervised closure's Err carries the full report
 pub fn replay(bundle: &ReplayBundle, stages: &[Stage], target: &Target) -> Result<String, String> {
-    let engine = parse_engine(&bundle.engine)?;
-
     // A whole-stream budget trip is pure virtual-clock arithmetic: the
     // launch never ran, so replay re-checks the recorded numbers (no
     // chain required).
@@ -461,14 +447,34 @@ pub fn replay(bundle: &ReplayBundle, stages: &[Stage], target: &Target) -> Resul
             bundle.stage_index, stages[bundle.stage_index].name, bundle.stage
         ));
     }
-    let base_cfg = SupervisorConfig {
-        max_attempts: bundle.max_attempts,
-        backoff_base_us: bundle.backoff_base_us,
-        fallback: bundle.fallback,
-    };
     // Same pool size as the original run: the virtual clock (a max over
     // per-worker sums) must agree bit for bit.
-    let pool = std::sync::Arc::new(hipacc_sim::WorkerPool::new(bundle.workers.max(1)));
+    let pool = Arc::new(WorkerPool::new(bundle.workers.max(1)));
+    // One launch as the stream ran it: the bundle's engine and policy,
+    // with a recorded pin and deadline applied.
+    let launch = |stage: &Stage, pin: &Option<PinnedRung>, deadline_us, image: &Image<f32>| {
+        let mut op = stage.op.clone();
+        op.options.engine = Some(bundle.engine);
+        op.options.cache = None;
+        op.options.pool = Some(Arc::clone(&pool));
+        let mut cfg = SupervisorConfig {
+            max_attempts: bundle.max_attempts,
+            backoff_base_us: bundle.backoff_base_us,
+            fallback: bundle.fallback,
+        };
+        if let Some(pin) = pin {
+            op.options.variant = pin.variant;
+            op.options.force_config = pin.force_config;
+            cfg.max_attempts = 1;
+            cfg.fallback = false;
+        }
+        let plan = FaultPlan {
+            deadline_us,
+            ..bundle.fault.clone()
+        };
+        let inputs = [(stage.input.as_str(), image)];
+        op.execute_supervised(&inputs, target, bundle.engine, &plan, &cfg)
+    };
 
     // Reconstruct the failing stage's input by re-running the trail.
     let mut image = drifting_frame(bundle.width, bundle.height, bundle.seq);
@@ -487,23 +493,7 @@ pub fn replay(bundle: &ReplayBundle, stages: &[Stage], target: &Target) -> Resul
                 entry.stage, stage.name
             ));
         }
-        let (op, cfg, plan) = apply_pin(
-            stage,
-            &entry.pinned,
-            entry.deadline_us,
-            engine,
-            &base_cfg,
-            &bundle.fault,
-            &pool,
-        )?;
-        let sup = op
-            .execute_supervised(
-                &[(stage.input.as_str(), &image)],
-                target,
-                engine,
-                &plan,
-                &cfg,
-            )
+        let sup = launch(stage, &entry.pinned, entry.deadline_us, &image)
             .map_err(|e| format!("replay: trail stage `{}` diverged: {e}", stage.name))?;
         image = sup.execution.output;
     }
@@ -511,23 +501,8 @@ pub fn replay(bundle: &ReplayBundle, stages: &[Stage], target: &Target) -> Resul
     // The failing launch itself, under the same panic isolation the
     // stream applies.
     let stage = &stages[bundle.stage_index];
-    let (op, cfg, plan) = apply_pin(
-        stage,
-        &bundle.pinned,
-        bundle.deadline_us,
-        engine,
-        &base_cfg,
-        &bundle.fault,
-        &pool,
-    )?;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        op.execute_supervised(
-            &[(stage.input.as_str(), &image)],
-            target,
-            engine,
-            &plan,
-            &cfg,
-        )
+        launch(stage, &bundle.pinned, bundle.deadline_us, &image)
     }));
     match outcome {
         Err(_) => Ok("R0601".into()),
@@ -544,22 +519,22 @@ pub fn replay(bundle: &ReplayBundle, stages: &[Stage], target: &Target) -> Resul
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn bundle() -> ReplayBundle {
+    pub(crate) fn bundle() -> ReplayBundle {
         ReplayBundle {
             stream: "angio".into(),
             seq: 3,
             stage: "sobel".into(),
             stage_index: 1,
-            engine: "bytecode".into(),
+            engine: Engine::Bytecode,
             opt_level: 2,
             rung: "tile 64x1".into(),
             attempt: 3,
-            pinned: Some(PinSpec {
+            pinned: Some(PinnedRung {
                 rung: "scratchpad->global".into(),
-                variant: "global".into(),
+                variant: MemVariant::Global,
                 force_config: Some((64, 1)),
             }),
             deadline_us: Some(5_000),
@@ -568,6 +543,7 @@ mod tests {
             stream_check: None,
             fault: FaultPlan {
                 seed: u64::MAX - 7,
+                global_flip_rate: 0.1,
                 hang_rate: 1.0,
                 deadline_us: Some(5_000),
                 faulty_attempts: u32::MAX,
@@ -589,13 +565,110 @@ mod tests {
         }
     }
 
+    /// [`bundle`] as JSON with the field at `path` (dot-separated, array
+    /// indices as numbers) replaced by `new`, read back.
+    fn read_edited(path: &str, new: Value) -> Result<ReplayBundle, String> {
+        let mut doc = bundle().to_value();
+        let mut at = &mut doc;
+        for key in path.split('.') {
+            at = match at {
+                Value::Object(map) => map.get_mut(key).expect("fixture field"),
+                Value::Array(items) => &mut items[key.parse::<usize>().unwrap()],
+                _ => panic!("`{path}` walks into a scalar"),
+            };
+        }
+        *at = new;
+        ReplayBundle::from_json(&doc.to_string())
+    }
+
     #[test]
     fn bundle_round_trips_through_json_bit_for_bit() {
         let b = bundle();
         let parsed = ReplayBundle::from_json(&b.to_json()).expect("parse");
         assert_eq!(parsed, b, "round trip must preserve every field");
-        // Including a 64-bit seed that does not fit an f64 mantissa.
+        // Including a 64-bit seed that does not fit an f64 mantissa and a
+        // rate with no exact binary fraction.
         assert_eq!(parsed.fault.seed, u64::MAX - 7);
+        assert_eq!(parsed.fault.global_flip_rate.to_bits(), 0.1f32.to_bits());
+    }
+
+    #[test]
+    fn a_non_finite_rate_writes_null_and_reads_back_as_a_named_error() {
+        let mut b = bundle();
+        b.fault.global_flip_rate = f32::NAN;
+        let text = b.to_json();
+        json::parse(&text).expect("a NaN rate still writes valid JSON");
+        assert!(text.contains("\"global_flip_rate\":null"), "{text}");
+        let err = ReplayBundle::from_json(&text).unwrap_err();
+        assert!(err.contains("`fault.global_flip_rate`"), "{err}");
+    }
+
+    #[test]
+    fn bundles_read_from_json_reject_out_of_range_fields() {
+        let n = Value::Number;
+        for (path, value, named) in [
+            ("workers", n(0.0), "`workers`"),
+            ("workers", n(2.5), "`workers`"),
+            ("workers", n(-1.0), "`workers`"),
+            ("workers", n(1e9), "`workers`"),
+            ("workers", n(MAX_REPLAY_WORKERS as f64 + 1.0), "`workers`"),
+            ("width", n(0.0), "`width`"),
+            ("height", n(f64::from(MAX_REPLAY_SIDE) + 1.0), "`height`"),
+            ("seq", n(-3.0), "`seq`"),
+            ("seq", n(1.5), "`seq`"),
+            ("seq", n(1e300), "`seq`"),
+            ("opt_level", n(256.0), "`opt_level`"),
+            ("attempt", "3".into(), "`attempt`"),
+            ("fault.flip_bits", n(4_294_967_296.0), "`fault.flip_bits`"),
+            ("fault.hang_rate", n(1.5), "`fault.hang_rate`"),
+            ("fault.seed", "-1".into(), "`fault.seed`"),
+            (
+                "fault.target_block",
+                Value::Array(vec![n(1.0)]),
+                "`fault.target_block`",
+            ),
+            (
+                "stream_check",
+                Value::Array(vec![n(1.0), n(-2.0)]),
+                "`stream_check`",
+            ),
+            ("supervisor.fallback", Value::Null, "`supervisor.fallback`"),
+            ("trail.0.deadline_us", n(-1.0), "`trail[0].deadline_us`"),
+            ("pinned.variant", "nope".into(), "`pinned`"),
+            ("pinned.force_config", n(64.0), "`pinned`"),
+            ("trail.0.pinned", n(1.0), "`trail[0].pinned`"),
+            ("engine", "tree-walk".into(), "`engine`"),
+        ] {
+            let err = read_edited(path, value.clone()).unwrap_err();
+            assert!(err.contains(named), "{path} = {value}: {err}");
+        }
+        // A recorded engine that no longer exists: the error names the
+        // ones that do.
+        let err = read_edited("engine", "tree-walk".into()).unwrap_err();
+        assert!(
+            err.contains("`bytecode`") && err.contains("`simd`"),
+            "{err}"
+        );
+        // The caps themselves and 2^53 are in range.
+        let most = read_edited("workers", n(MAX_REPLAY_WORKERS as f64)).expect("cap");
+        assert_eq!(most.workers, MAX_REPLAY_WORKERS);
+        let side = read_edited("width", n(f64::from(MAX_REPLAY_SIDE))).expect("cap");
+        assert_eq!(side.width, MAX_REPLAY_SIDE);
+        let seq = read_edited("seq", n(9_007_199_254_740_992.0)).expect("2^53");
+        assert_eq!(seq.seq, 1 << 53);
+        assert!(ReplayBundle::from_json("[]")
+            .unwrap_err()
+            .contains("not an object"));
+        assert!(ReplayBundle::from_json("{").is_err());
+    }
+
+    #[test]
+    fn variant_labels_round_trip() {
+        use MemVariant::*;
+        for v in [Auto, Global, Texture, TextureHwBoundary, Scratchpad] {
+            assert_eq!(parse_variant(variant_label(v)), Some(v));
+        }
+        assert_eq!(parse_variant("nope"), None);
     }
 
     #[test]
@@ -622,14 +695,5 @@ mod tests {
         // nothing, and says so.
         b.stream_check = Some((9_999, 10_000));
         assert!(replay(&b, &[], &target).is_err());
-        // Nor does a bundle recorded on an engine that no longer exists;
-        // the error names the ones that do.
-        b.stream_check = Some((10_001, 10_000));
-        b.engine = "tree-walk".into();
-        let err = replay(&b, &[], &target).unwrap_err();
-        assert!(
-            err.contains("`tree-walk`") && err.contains("`bytecode`") && err.contains("`simd`"),
-            "{err}"
-        );
     }
 }

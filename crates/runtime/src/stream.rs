@@ -41,12 +41,12 @@
 //! (Load shedding is the one wall-clock-driven mechanism: the
 //! sequential reference never sheds.)
 
-use crate::governor::{variant_label, FrameOutcome, Governor, PinnedRung};
+use crate::governor::{FrameOutcome, Governor, PinnedRung};
 use crate::metrics::{
     percentile_us, ActionTotals, FrameFailure, FrameShed, FusionDecision, StreamReport,
 };
 use crate::queue::FrameQueue;
-use crate::replay::{PinSpec, ReplayBundle, TrailEntry};
+use crate::replay::{ReplayBundle, TrailEntry};
 use hipacc_core::fusion::{check_chain, fuse_operators};
 use hipacc_core::operator::OperatorError;
 use hipacc_core::supervisor::SupervisorConfig;
@@ -563,11 +563,6 @@ impl Stream {
         let seq = frame.seq;
         let spent_before = frame.spent_us;
         let stage_plan = gov.plan(idx);
-        let pinned_spec = stage_plan.pinned.as_ref().map(|p| PinSpec {
-            rung: p.rung.clone(),
-            variant: variant_label(p.variant).to_string(),
-            force_config: p.force_config,
-        });
         let base_plan = self
             .config
             .faults
@@ -609,11 +604,11 @@ impl Stream {
                 seq,
                 stage: stage.name.clone(),
                 stage_index: idx,
-                engine: engine.label().to_string(),
+                engine,
                 opt_level: stage.op.options.opt_level,
                 rung,
                 attempt,
-                pinned: pinned_spec.clone(),
+                pinned: stage_plan.pinned.clone(),
                 deadline_us,
                 frame_budget_us: budgets.frame_us,
                 spent_before_us: spent_before,
@@ -790,7 +785,7 @@ impl Stream {
                 frame.spans.push(span("cache", cache_outcome));
                 frame.trail.push(TrailEntry {
                     stage: stage.name.clone(),
-                    pinned: pinned_spec,
+                    pinned: stage_plan.pinned,
                     deadline_us: effective_deadline,
                 });
                 frame.image = sup.execution.output;
